@@ -475,14 +475,16 @@ pub fn simulate_packed_traced(
                             addr: (ch * k + tap) as u64,
                         });
                     }
+                    let (cols0, colw) = if lpr == 1 { (c0, cw) } else { (0, l_out) };
                     for li in 0..span.max(1) {
                         let line_idx = l0 + li;
-                        let line = &work[ch].lines[line_idx];
-                        let (cols0, colw) = if lpr == 1 { (c0, cw) } else { (0, l_out) };
-                        for c in 0..colw {
-                            out[(ch * lines + line_idx) * l_out + cols0 + c] +=
-                                kernel[tap] * line[cols0 + c + tap];
-                            if wants_pe {
+                        let at = (ch * lines + line_idx) * l_out + cols0;
+                        let input = &work[ch].lines[line_idx][cols0 + tap..][..colw];
+                        for (o, &x) in out[at..at + colw].iter_mut().zip(input) {
+                            *o += kernel[tap] * x;
+                        }
+                        if wants_pe {
+                            for c in 0..colw {
                                 sink.on_event(&TraceEvent::PeFire {
                                     cycle,
                                     row: r as u32,

@@ -15,9 +15,10 @@
 //!        = 2·ru + cu + K − 2   (the SCALE-Sim output-stationary formula)
 //! ```
 
+use crate::wavefront::Stationary;
 use crate::{ArrayConfig, ConfigError, SimResult};
 use fuseconv_tensor::Tensor;
-use fuseconv_trace::{FoldKind, NullSink, Operand, Phase, TraceEvent, TraceSink};
+use fuseconv_trace::{NullSink, TraceSink};
 
 /// Exact cycles of one output-stationary fold using `ru` rows, `cu`
 /// columns and reduction length `k`.
@@ -26,16 +27,15 @@ use fuseconv_trace::{FoldKind, NullSink, Operand, Phase, TraceEvent, TraceSink};
 ///
 /// Panics if any argument is zero.
 pub fn fold_cycles(ru: usize, cu: usize, k: usize) -> u64 {
-    assert!(ru > 0 && cu > 0 && k > 0, "fold dimensions must be nonzero");
-    (2 * ru + cu + k - 2) as u64
+    Stationary::Output.fold_cycles(ru, cu, k)
 }
 
 /// Simulates `C = A·B` on the array, cycle by cycle.
 ///
 /// Returns the product (bit-identical to the golden
-/// [`matmul`](fuseconv_tensor::gemm::matmul) up to f32 summation order — the
-/// simulator accumulates in the same `k` order, so results are exactly
-/// equal) together with exact cycle counts and the per-cycle busy trace.
+/// [`matmul`](fuseconv_tensor::gemm::matmul): the simulator accumulates in
+/// the same `k` order) together with exact cycle counts and the per-cycle
+/// busy trace.
 ///
 /// # Errors
 ///
@@ -60,127 +60,7 @@ pub fn simulate_traced(
     b: &Tensor,
     sink: &mut dyn TraceSink,
 ) -> Result<SimResult, ConfigError> {
-    let _span = fuseconv_telemetry::span("sim.gemm_os");
-    crate::legality::gate(crate::legality::DataflowKind::OutputStationary, cfg)?;
-    let (ad, bd) = (a.shape().dims(), b.shape().dims());
-    if ad.len() != 2 || bd.len() != 2 || ad[1] != bd[0] {
-        return Err(ConfigError::BadOperand {
-            what: "gemm operands must be MxK and KxN",
-        });
-    }
-    let (m, k, n) = (ad[0], ad[1], bd[1]);
-    let (av, bv) = (a.as_slice(), b.as_slice());
-    let mut out = vec![0.0f32; m * n];
-    let mut busy_trace: Vec<u32> = Vec::new();
-    let mut busy_pe_cycles = 0u64;
-    let mut folds = 0u64;
-    let wants_pe = sink.wants_pe_fires();
-    let wants_ops = sink.wants_operand_events();
-
-    for row0 in (0..m).step_by(cfg.rows()) {
-        let ru = cfg.rows().min(m - row0);
-        for col0 in (0..n).step_by(cfg.cols()) {
-            let cu = cfg.cols().min(n - col0);
-            sink.on_event(&TraceEvent::FoldStart {
-                fold: folds,
-                tag: folds,
-                cycle: busy_trace.len() as u64,
-                kind: FoldKind::OutputStationary,
-                rows_used: ru as u32,
-                cols_used: cu as u32,
-            });
-            folds += 1;
-            // Skewed fill + compute window. OS has no separate fill phase:
-            // operand skew overlaps compute, so the window is all Compute.
-            let window = ru + cu + k - 2;
-            for t in 0..window {
-                let cycle = busy_trace.len() as u64;
-                let mut busy = 0u32;
-                for i in 0..ru {
-                    // PE (i, j) is busy when 0 <= t - i - j < k.
-                    if t < i {
-                        continue;
-                    }
-                    for j in 0..cu {
-                        if t < i + j {
-                            break;
-                        }
-                        let kk = t - i - j;
-                        if kk < k {
-                            let gi = row0 + i;
-                            let gj = col0 + j;
-                            out[gi * n + gj] += av[gi * k + kk] * bv[kk * n + gj];
-                            busy += 1;
-                            if wants_pe {
-                                sink.on_event(&TraceEvent::PeFire {
-                                    cycle,
-                                    row: i as u32,
-                                    col: j as u32,
-                                });
-                            }
-                            if wants_ops {
-                                sink.on_event(&TraceEvent::OperandRead {
-                                    cycle,
-                                    operand: Operand::Ifmap,
-                                    lane: i as u32,
-                                    addr: (gi * k + kk) as u64,
-                                });
-                                sink.on_event(&TraceEvent::OperandRead {
-                                    cycle,
-                                    operand: Operand::Filter,
-                                    lane: j as u32,
-                                    addr: (kk * n + gj) as u64,
-                                });
-                            }
-                        }
-                    }
-                }
-                sink.on_event(&TraceEvent::Cycle {
-                    cycle,
-                    phase: Phase::Compute,
-                    busy,
-                });
-                busy_trace.push(busy);
-                busy_pe_cycles += busy as u64;
-            }
-            // Output drain: ru cycles, no MACs; drain cycle d flushes array
-            // row d's accumulated outputs down the columns.
-            for d in 0..ru {
-                let cycle = busy_trace.len() as u64;
-                if wants_ops {
-                    for j in 0..cu {
-                        sink.on_event(&TraceEvent::OutputWrite {
-                            cycle,
-                            addr: ((row0 + d) * n + (col0 + j)) as u64,
-                        });
-                    }
-                }
-                sink.on_event(&TraceEvent::Cycle {
-                    cycle,
-                    phase: Phase::Drain,
-                    busy: 0,
-                });
-                busy_trace.push(0);
-            }
-            sink.on_event(&TraceEvent::FoldEnd {
-                fold: folds - 1,
-                cycle: busy_trace.len() as u64,
-            });
-        }
-    }
-
-    let output = Tensor::from_vec(out, &[m, n]).expect("m, n nonzero");
-    let macs = (m * k * n) as u64;
-    let sim = SimResult::new(
-        output,
-        macs,
-        busy_pe_cycles,
-        cfg.pe_count(),
-        folds,
-        busy_trace,
-    );
-    crate::record_sim_metrics(&sim);
-    Ok(sim)
+    Stationary::Output.simulate(cfg, a, b, sink)
 }
 
 /// Analytic total cycles for an `M×K·K×N` GEMM on the array — the closed
@@ -190,16 +70,7 @@ pub fn simulate_traced(
 ///
 /// Panics if any dimension is zero.
 pub fn analytic_cycles(cfg: &ArrayConfig, m: usize, k: usize, n: usize) -> u64 {
-    assert!(m > 0 && k > 0 && n > 0, "gemm dimensions must be nonzero");
-    let mut total = 0u64;
-    for row0 in (0..m).step_by(cfg.rows()) {
-        let ru = cfg.rows().min(m - row0);
-        for col0 in (0..n).step_by(cfg.cols()) {
-            let cu = cfg.cols().min(n - col0);
-            total += fold_cycles(ru, cu, k);
-        }
-    }
-    total
+    Stationary::Output.analytic_cycles(cfg, m, k, n)
 }
 
 #[cfg(test)]
@@ -297,43 +168,5 @@ mod tests {
     #[should_panic(expected = "must be nonzero")]
     fn fold_cycles_rejects_zero() {
         let _ = fold_cycles(0, 1, 1);
-    }
-}
-
-#[cfg(test)]
-mod grid_tests {
-    use super::*;
-    use fuseconv_tensor::gemm::matmul;
-    use fuseconv_tensor::rng::Rng;
-
-    /// The cycle simulator computes exactly the golden GEMM and exactly
-    /// the analytic cycle count, across a deterministic grid of shapes and
-    /// array sizes (the former randomized property, now seeded and
-    /// reproducible offline).
-    #[test]
-    fn simulator_matches_golden_and_analytic_on_grid() {
-        let mut rng = Rng::seed_from_u64(0x6765_6d6d);
-        for &(rows, cols) in &[(1, 1), (2, 5), (4, 4), (5, 2), (3, 1)] {
-            let cfg = ArrayConfig::new(rows, cols).unwrap();
-            for &(m, k, n) in &[
-                (1, 1, 1),
-                (1, 7, 1),
-                (11, 1, 5),
-                (4, 5, 6),
-                (7, 5, 9),
-                (8, 9, 1),
-                (12, 11, 12),
-            ] {
-                let a = Tensor::from_fn(&[m, k], |_| rng.uniform(-0.5, 0.5)).unwrap();
-                let b = Tensor::from_fn(&[k, n], |_| rng.uniform(-0.5, 0.5)).unwrap();
-                let sim = simulate(&cfg, &a, &b).unwrap();
-                let gold = matmul(&a, &b).unwrap();
-                let ctx = format!("{rows}x{cols} array, {m}x{k}x{n}");
-                assert!(sim.output().max_abs_diff(&gold).unwrap() < 1e-4, "{ctx}");
-                assert_eq!(sim.cycles(), analytic_cycles(&cfg, m, k, n), "{ctx}");
-                assert_eq!(sim.macs(), (m * k * n) as u64, "{ctx}");
-                assert_eq!(sim.busy_pe_cycles(), sim.macs(), "{ctx}");
-            }
-        }
     }
 }

@@ -1,17 +1,30 @@
 //! A cycle-level simulator of a 2-D systolic array.
 //!
-//! Two dataflows are modelled, matching §II-C and §IV-C of the paper:
+//! Four dataflows are modelled, matching §II-C and §IV-C of the paper:
 //!
-//! - [`gemm`] — the classic **output-stationary** dataflow: operand `A`
+//! - [`gemm`] — the classic **output-stationary** GEMM: operand `A`
 //!   streams in from the left (one array row per output row), operand `B`
 //!   from the top (one array column per output column), skewed by one cycle
 //!   per position; each PE accumulates one output element; outputs drain
 //!   down the columns. Work larger than the array is executed in *folds*.
+//! - [`ws_gemm`] — **weight-stationary** GEMM: a `B` tile is preloaded,
+//!   rows of `A` stream through, partial sums leave at the bottom row.
+//! - [`is_gemm`] — **input-stationary** GEMM: an `A` tile is preloaded,
+//!   columns of `B` stream through, partial sums leave at the right edge.
 //! - [`conv1d`] — the paper's **row-broadcast** dataflow for FuSeConv:
 //!   each array row runs an independent 1-D convolution. The row's weight
 //!   taps are broadcast (one per cycle) over a dedicated link while the
 //!   preloaded input slides left one PE per cycle; outputs stay stationary
 //!   and drain down the columns like the OS dataflow.
+//!
+//! The three GEMM dataflows share one fold driver: each module only names
+//! which operand stays in the PEs, and the driver derives from that the
+//! index map from PE `(i, j)` and stream step `s` to `(m, k, n)`, the
+//! preloaded operand and the drain. The driver computes each fold's MACs
+//! in ascending reduction order (so outputs are bit-identical to
+//! [`matmul`](fuseconv_tensor::gemm::matmul)), derives per-cycle busy
+//! counts in closed form from the fold's anti-diagonal band, and generates
+//! per-PE and per-operand trace events only for sinks that ask for them.
 //!
 //! Every simulation returns a [`SimResult`] carrying the functional output
 //! (validated against golden models in tests), the exact cycle count, and a
@@ -45,6 +58,7 @@ pub mod gemm;
 pub mod is_gemm;
 pub mod legality;
 pub mod result;
+mod wavefront;
 pub mod ws_gemm;
 
 pub use config::{ArrayConfig, ConfigError};

@@ -1,0 +1,466 @@
+//! The one fold driver behind the three GEMM dataflows.
+//!
+//! Output-, weight- and input-stationary GEMM run the same skewed
+//! wavefront: one operand tile is pinned (or, for output-stationary,
+//! accumulated) in the PEs, the third GEMM dimension streams through, and
+//! PE `(i, j)` handles stream step `s` at window cycle `t = s + i + j`. They
+//! differ only in which GEMM axes the array rows, array columns and stream
+//! steps index, and in which operand (if any) is preloaded — all of which
+//! follows from which operand is [`Stationary`]. [`Stationary::simulate`]
+//! does the rest:
+//!
+//! - **MACs** run per fold, output row by output row: each reduction step
+//!   adds a scaled `B` row slice to a contiguous output row slice. Every
+//!   output accumulates from `0.0` in ascending reduction order — also
+//!   across the `K`-tiles of WS and IS, whose tile loop ascends — so
+//!   results are bit-identical to [`matmul`](fuseconv_tensor::gemm::matmul).
+//! - **Busy counts** are closed-form. The PEs busy at window cycle `t` are
+//!   the anti-diagonals `d ∈ (t − S, t]` of the `ru × cu` fold, so
+//!   `busy(t) = busy(t − 1) + D(t) − D(t − S)` with
+//!   `D(d) = #{(i, j) : i + j = d}`.
+//! - **Per-PE and per-operand events** come from a per-cycle scan that only
+//!   narrates; it runs only when the sink opts in, and debug builds assert
+//!   that its busy count equals the closed form.
+
+use crate::legality::{self, DataflowKind};
+use crate::{ArrayConfig, ConfigError, SimResult};
+use fuseconv_tensor::Tensor;
+use fuseconv_trace::{FoldKind, Operand, Phase, TraceEvent, TraceSink};
+use std::ops::Range;
+
+/// A GEMM dimension: `C[M×N] = A[M×K] · B[K×N]`.
+#[derive(Clone, Copy)]
+pub(crate) enum Axis {
+    M = 0,
+    K = 1,
+    N = 2,
+}
+
+/// A GEMM dataflow as the driver sees it. Which operand (if any) stays in
+/// the PEs decides everything else about a fold: the index map, the fill,
+/// the drain, the edge partial sums leave through, and the trace, legality
+/// and telemetry names.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Stationary {
+    /// Outputs accumulate in the PEs: PE `(i, j)` at stream step `s`
+    /// handles `(m, k, n) = (r0 + i, s, c0 + j)`. No fill; the outputs
+    /// drain down the columns for `ru` cycles after the window.
+    Output,
+    /// A filter tile is pinned, one array row per fill cycle (`ru`
+    /// cycles): `(m, k, n) = (s, r0 + i, c0 + j)`. Partial sums leave
+    /// through the bottom row.
+    Weight,
+    /// An ifmap tile is pinned, one array column per fill cycle (`cu`
+    /// cycles): `(m, k, n) = (r0 + i, c0 + j, s)`. Partial sums leave
+    /// through the right column.
+    Input,
+}
+
+/// One array-sized tile: origin and used extent along the row and column
+/// axes.
+#[derive(Clone, Copy)]
+struct Fold {
+    r0: usize,
+    ru: usize,
+    c0: usize,
+    cu: usize,
+}
+
+/// PEs on anti-diagonal `d` of a `ru × cu` block: `#{(i, j) : i + j = d}`.
+fn diagonal(ru: usize, cu: usize, d: usize) -> u32 {
+    if d + 1 >= ru + cu {
+        return 0;
+    }
+    (d + 1).min(ru).min(cu).min(ru + cu - 1 - d) as u32
+}
+
+/// Busy PEs at each window cycle of a `ru × cu` fold streaming `s` steps:
+/// PE `(i, j)` is busy at `t` when `0 ≤ t − i − j < s`, so the count is the
+/// sliding sum of [`diagonal`] over `(t − s, t]`.
+fn band(ru: usize, cu: usize, s: usize) -> impl Iterator<Item = u32> {
+    (0..s + ru + cu - 2).scan(0u32, move |busy, t| {
+        *busy += diagonal(ru, cu, t);
+        if t >= s {
+            *busy -= diagonal(ru, cu, t - s);
+        }
+        Some(*busy)
+    })
+}
+
+impl Stationary {
+    /// Trace kind of every fold, legality mapping checked before
+    /// simulating, and telemetry span around one simulation.
+    fn names(self) -> (FoldKind, DataflowKind, &'static str) {
+        use {DataflowKind as D, FoldKind as F};
+        match self {
+            Self::Output => (F::OutputStationary, D::OutputStationary, "sim.gemm_os"),
+            Self::Weight => (F::WeightStationary, D::WeightStationary, "sim.gemm_ws"),
+            Self::Input => (F::InputStationary, D::InputStationary, "sim.gemm_is"),
+        }
+    }
+
+    /// The index map: the GEMM axes indexed by array rows, array columns
+    /// and stream steps, in that order.
+    fn axes(self) -> [Axis; 3] {
+        match self {
+            Self::Output => [Axis::M, Axis::N, Axis::K],
+            Self::Weight => [Axis::K, Axis::N, Axis::M],
+            Self::Input => [Axis::M, Axis::K, Axis::N],
+        }
+    }
+
+    /// The operand pinned before streaming.
+    fn preload(self) -> Option<Operand> {
+        match self {
+            Self::Output => None,
+            Self::Weight => Some(Operand::Filter),
+            Self::Input => Some(Operand::Ifmap),
+        }
+    }
+
+    /// Fill and drain cycles of a `ru × cu` fold.
+    fn phases(self, ru: usize, cu: usize) -> (usize, usize) {
+        match self {
+            Self::Output => (0, ru),
+            Self::Weight => (ru, 0),
+            Self::Input => (cu, 0),
+        }
+    }
+
+    /// Whether PE `(i, j)` of a `ru × cu` fold writes its partial sum out
+    /// as it fires.
+    fn exits(self, ru: usize, cu: usize, i: usize, j: usize) -> bool {
+        match self {
+            Self::Output => false,
+            Self::Weight => i == ru - 1,
+            Self::Input => j == cu - 1,
+        }
+    }
+
+    /// Exact cycles of one fold using `ru` rows, `cu` columns and `s`
+    /// stream steps: fill, skewed window, drain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any argument is zero.
+    pub fn fold_cycles(self, ru: usize, cu: usize, s: usize) -> u64 {
+        assert!(ru > 0 && cu > 0 && s > 0, "fold dimensions must be nonzero");
+        let (fill, drain) = self.phases(ru, cu);
+        (fill + (s + ru + cu - 2) + drain) as u64
+    }
+
+    /// The folds of an `[M, K, N]` GEMM in execution order, and the stream
+    /// length each of them runs. Row tiles are the outer loop, so the
+    /// `K`-tiles of one output ascend.
+    fn folds(self, cfg: &ArrayConfig, dims: [usize; 3]) -> (impl Iterator<Item = Fold>, usize) {
+        let [rows, cols, stream] = self.axes().map(|a| dims[a as usize]);
+        let (ar, ac) = (cfg.rows(), cfg.cols());
+        let folds = (0..rows).step_by(ar).flat_map(move |r0| {
+            (0..cols).step_by(ac).map(move |c0| Fold {
+                r0,
+                ru: ar.min(rows - r0),
+                c0,
+                cu: ac.min(cols - c0),
+            })
+        });
+        (folds, stream)
+    }
+
+    /// Analytic total cycles for an `M×K·K×N` GEMM — the closed form the
+    /// driver is validated against.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any dimension is zero.
+    pub fn analytic_cycles(self, cfg: &ArrayConfig, m: usize, k: usize, n: usize) -> u64 {
+        assert!(m > 0 && k > 0 && n > 0, "gemm dimensions must be nonzero");
+        let (folds, stream) = self.folds(cfg, [m, k, n]);
+        folds.map(|f| self.fold_cycles(f.ru, f.cu, stream)).sum()
+    }
+
+    /// `[m, k, n]` of PE `(i, j)` of `fold` at stream step `s`.
+    fn index(self, fold: Fold, i: usize, j: usize, s: usize) -> [usize; 3] {
+        let mut ix = [0; 3];
+        let [rows, cols, stream] = self.axes();
+        ix[rows as usize] = fold.r0 + i;
+        ix[cols as usize] = fold.c0 + j;
+        ix[stream as usize] = s;
+        ix
+    }
+
+    /// Simulates `C = A·B`, narrating every cycle to `sink`.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::BadOperand`] unless `a` is `M×K` and `b` is `K×N`,
+    /// and whatever the legality gate reports for `cfg`.
+    pub fn simulate(
+        self,
+        cfg: &ArrayConfig,
+        a: &Tensor,
+        b: &Tensor,
+        sink: &mut dyn TraceSink,
+    ) -> Result<SimResult, ConfigError> {
+        let (kind, legality, span) = self.names();
+        let _span = fuseconv_telemetry::span(span);
+        legality::gate(legality, cfg)?;
+        let (ad, bd) = (a.shape().dims(), b.shape().dims());
+        if ad.len() != 2 || bd.len() != 2 || ad[1] != bd[0] {
+            return Err(ConfigError::BadOperand {
+                what: "gemm operands must be MxK and KxN",
+            });
+        }
+        let dims = [ad[0], ad[1], bd[1]];
+        let [m, k, n] = dims;
+        let (av, bv) = (a.as_slice(), b.as_slice());
+        let mut out = vec![0.0f32; m * n];
+        let mut busy_trace: Vec<u32> =
+            Vec::with_capacity(usize::try_from(self.analytic_cycles(cfg, m, k, n)).unwrap_or(0));
+        let (folds, stream) = self.folds(cfg, dims);
+        let narrator = Narrator {
+            flow: self,
+            dims,
+            stream,
+            pe: sink.wants_pe_fires(),
+            ops: sink.wants_operand_events(),
+        };
+        let mut fold_no = 0u64;
+        for fold in folds {
+            let Fold { ru, cu, .. } = fold;
+            sink.on_event(&TraceEvent::FoldStart {
+                fold: fold_no,
+                tag: fold_no,
+                cycle: busy_trace.len() as u64,
+                kind,
+                rows_used: ru as u32,
+                cols_used: cu as u32,
+            });
+            let (lo, hi) = (self.index(fold, 0, 0, 0), self.index(fold, ru, cu, stream));
+            fold_macs(&mut out, av, bv, [k, n], [0, 1, 2].map(|a| lo[a]..hi[a]));
+
+            let (fill, drain) = self.phases(ru, cu);
+            for p in 0..fill {
+                narrator.fill(sink, fold, p, busy_trace.len() as u64);
+                tick(sink, &mut busy_trace, Phase::Fill, 0);
+            }
+            for (t, busy) in band(ru, cu, stream).enumerate() {
+                if narrator.pe || narrator.ops {
+                    let scanned = narrator.window(sink, fold, t, busy_trace.len() as u64);
+                    debug_assert_eq!(scanned, busy, "closed-form busy count, fold {fold_no}");
+                }
+                tick(sink, &mut busy_trace, Phase::Compute, busy);
+            }
+            for d in 0..drain {
+                narrator.drain(sink, fold, d, busy_trace.len() as u64);
+                tick(sink, &mut busy_trace, Phase::Drain, 0);
+            }
+            sink.on_event(&TraceEvent::FoldEnd {
+                fold: fold_no,
+                cycle: busy_trace.len() as u64,
+            });
+            fold_no += 1;
+        }
+
+        let busy_pe_cycles = busy_trace.iter().map(|&b| u64::from(b)).sum();
+        let output = Tensor::from_vec(out, &[m, n]).expect("m, n nonzero");
+        let sim = SimResult::new(
+            output,
+            (m * k * n) as u64,
+            busy_pe_cycles,
+            cfg.pe_count(),
+            fold_no,
+            busy_trace,
+        );
+        crate::record_sim_metrics(&sim);
+        Ok(sim)
+    }
+}
+
+/// Records one cycle of `phase` with `busy` PEs firing.
+fn tick(sink: &mut dyn TraceSink, busy_trace: &mut Vec<u32>, phase: Phase, busy: u32) {
+    let cycle = busy_trace.len() as u64;
+    sink.on_event(&TraceEvent::Cycle { cycle, phase, busy });
+    busy_trace.push(busy);
+}
+
+/// The MACs of one fold: `out[m, n] += a[m, k] · b[k, n]` over the box
+/// of `[m, k, n]` ranges, one output row at a time with the reduction
+/// ascending. Row-outer keeps the output slice hot: a WS fold spans every
+/// `M` row, so a reduction-outer loop would re-stream an `M × cu` tile per
+/// step.
+fn fold_macs(
+    out: &mut [f32],
+    av: &[f32],
+    bv: &[f32],
+    [k, n]: [usize; 2],
+    ranges: [Range<usize>; 3],
+) {
+    let [mr, kr, nr] = ranges;
+    for mi in mr {
+        let orow = &mut out[mi * n..][nr.clone()];
+        for (kk, &a) in kr.clone().zip(&av[mi * k..][kr.clone()]) {
+            let brow = &bv[kk * n..][nr.clone()];
+            for (o, &b) in orow.iter_mut().zip(brow) {
+                *o += a * b;
+            }
+        }
+    }
+}
+
+/// Generates the per-PE and per-element events a sink opted into. It
+/// never touches the MACs or the busy trace.
+struct Narrator {
+    flow: Stationary,
+    dims: [usize; 3],
+    stream: usize,
+    pe: bool,
+    ops: bool,
+}
+
+impl Narrator {
+    /// PE `(i, j)`'s SRAM access to `op` at GEMM index `[m, k, n]`: ifmap
+    /// rows enter along array rows, filter columns along array columns.
+    fn access(&self, cycle: u64, op: Operand, i: usize, j: usize, ix: [usize; 3]) -> TraceEvent {
+        let ([m, k, n], [_, kd, nd]) = (ix, self.dims);
+        let (lane, addr) = match op {
+            Operand::Ifmap => (i, m * kd + k),
+            Operand::Filter => (j, k * nd + n),
+            Operand::Ofmap => {
+                let addr = (m * nd + n) as u64;
+                return TraceEvent::OutputWrite { cycle, addr };
+            }
+        };
+        TraceEvent::OperandRead {
+            cycle,
+            operand: op,
+            lane: lane as u32,
+            addr: addr as u64,
+        }
+    }
+
+    /// Fill cycle `p`: the preloaded operand's slice for array column `p`
+    /// (ifmap) or array row `p` (filter).
+    fn fill(&self, sink: &mut dyn TraceSink, fold: Fold, p: usize, cycle: u64) {
+        let Some(op) = self.flow.preload().filter(|_| self.ops) else {
+            return;
+        };
+        let ifmap = op == Operand::Ifmap;
+        for lane in 0..if ifmap { fold.ru } else { fold.cu } {
+            let (i, j) = if ifmap { (lane, p) } else { (p, lane) };
+            sink.on_event(&self.access(cycle, op, i, j, self.flow.index(fold, i, j, 0)));
+        }
+    }
+
+    /// Window cycle `t`: every PE with stream step `s = t − i − j` in
+    /// range fires, reads its streamed operands and, on the exit edge,
+    /// writes its partial sum. Returns the number of PEs that fired.
+    fn window(&self, sink: &mut dyn TraceSink, fold: Fold, t: usize, cycle: u64) -> u32 {
+        let preload = self.flow.preload();
+        let mut busy = 0;
+        for i in 0..fold.ru.min(t + 1) {
+            for j in (t - i + 1).saturating_sub(self.stream)..fold.cu.min(t - i + 1) {
+                busy += 1;
+                let ix = self.flow.index(fold, i, j, t - i - j);
+                if self.pe {
+                    let (row, col) = (i as u32, j as u32);
+                    sink.on_event(&TraceEvent::PeFire { cycle, row, col });
+                }
+                if !self.ops {
+                    continue;
+                }
+                for op in [Operand::Ifmap, Operand::Filter] {
+                    if preload != Some(op) {
+                        sink.on_event(&self.access(cycle, op, i, j, ix));
+                    }
+                }
+                if self.flow.exits(fold.ru, fold.cu, i, j) {
+                    sink.on_event(&self.access(cycle, Operand::Ofmap, i, j, ix));
+                }
+            }
+        }
+        busy
+    }
+
+    /// Output-stationary drain cycle `d`: array row `d` flushes its
+    /// outputs down the columns.
+    fn drain(&self, sink: &mut dyn TraceSink, fold: Fold, d: usize, cycle: u64) {
+        for j in (0..fold.cu).filter(|_| self.ops) {
+            let ix = self.flow.index(fold, d, j, 0);
+            sink.on_event(&self.access(cycle, Operand::Ofmap, d, j, ix));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fuseconv_tensor::gemm::matmul;
+    use fuseconv_tensor::rng::Rng;
+    use fuseconv_trace::{NullSink, VecSink};
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn closed_form_band_matches_brute_force_count() {
+        let mut rng = Rng::seed_from_u64(0x6261_6e64);
+        let mut cases = vec![(1, 1, 1), (1, 7, 3), (6, 1, 4), (5, 4, 1)];
+        cases.extend((0..200).map(|_| (1 + rng.below(9), 1 + rng.below(9), 1 + rng.below(20))));
+        for (ru, cu, s) in cases {
+            let closed: Vec<u32> = band(ru, cu, s).collect();
+            let brute: Vec<u32> = (0..s + ru + cu - 2)
+                .map(|t| {
+                    let mut busy = 0;
+                    for i in 0..ru {
+                        for j in 0..cu {
+                            if i + j <= t && t - i - j < s {
+                                busy += 1;
+                            }
+                        }
+                    }
+                    busy
+                })
+                .collect();
+            assert_eq!(closed, brute, "ru={ru} cu={cu} s={s}");
+        }
+    }
+
+    /// Every dataflow computes exactly the golden GEMM, bit for bit, and
+    /// exactly its analytic cycle count, over generated array shapes and
+    /// `(M, K, N)` including unit dimensions and remainder folds. The
+    /// traced run (which narrates per-PE events and, in debug builds,
+    /// checks the closed-form busy count against them) returns the same
+    /// result as the untraced one.
+    #[test]
+    fn dataflows_match_golden_bit_for_bit_on_generated_grid() {
+        let mut rng = Rng::seed_from_u64(0x6772_6964);
+        for case in 0..40 {
+            let cfg = ArrayConfig::new(1 + rng.below(6), 1 + rng.below(6)).unwrap();
+            let mut dims = [0; 3].map(|_| 1 + rng.below(14));
+            if case % 3 == 0 {
+                dims[rng.below(3)] = 1;
+            }
+            let [m, k, n] = dims;
+            let a = Tensor::from_fn(&[m, k], |_| rng.uniform(-0.5, 0.5)).unwrap();
+            let b = Tensor::from_fn(&[k, n], |_| rng.uniform(-0.5, 0.5)).unwrap();
+            let gold = bits(&matmul(&a, &b).unwrap());
+            for flow in [Stationary::Output, Stationary::Weight, Stationary::Input] {
+                let ctx = format!("{flow:?} {}x{} array, {m}x{k}x{n}", cfg.rows(), cfg.cols());
+                let sim = flow.simulate(&cfg, &a, &b, &mut NullSink).unwrap();
+                assert_eq!(bits(sim.output()), gold, "{ctx}");
+                assert_eq!(sim.cycles(), flow.analytic_cycles(&cfg, m, k, n), "{ctx}");
+                assert_eq!(sim.macs(), (m * k * n) as u64, "{ctx}");
+                assert_eq!(sim.busy_pe_cycles(), sim.macs(), "{ctx}");
+                let trace = sim.busy_trace();
+                let total: u64 = trace.iter().map(|&x| u64::from(x)).sum();
+                assert_eq!(total, sim.busy_pe_cycles(), "{ctx}");
+                assert!(trace.iter().all(|&x| x as usize <= cfg.pe_count()), "{ctx}");
+                let traced = flow
+                    .simulate(&cfg, &a, &b, &mut VecSink::default())
+                    .unwrap();
+                assert_eq!(traced, sim, "{ctx}");
+            }
+        }
+    }
+}

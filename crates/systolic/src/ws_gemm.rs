@@ -19,9 +19,10 @@
 //! columns); `K`-tiles accumulate into the same outputs, which a real
 //! accelerator does in its output SRAM at no extra array cycles.
 
+use crate::wavefront::Stationary;
 use crate::{ArrayConfig, ConfigError, SimResult};
 use fuseconv_tensor::Tensor;
-use fuseconv_trace::{FoldKind, NullSink, Operand, Phase, TraceEvent, TraceSink};
+use fuseconv_trace::{NullSink, TraceSink};
 
 /// Exact cycles of one weight-stationary fold using `ru` rows, `cu`
 /// columns and `m` streamed input rows.
@@ -30,8 +31,7 @@ use fuseconv_trace::{FoldKind, NullSink, Operand, Phase, TraceEvent, TraceSink};
 ///
 /// Panics if any argument is zero.
 pub fn fold_cycles(ru: usize, cu: usize, m: usize) -> u64 {
-    assert!(ru > 0 && cu > 0 && m > 0, "fold dimensions must be nonzero");
-    (ru + (m + ru + cu - 2)) as u64
+    Stationary::Weight.fold_cycles(ru, cu, m)
 }
 
 /// Simulates `C = A·B` under the weight-stationary dataflow, cycle by
@@ -61,126 +61,7 @@ pub fn simulate_traced(
     b: &Tensor,
     sink: &mut dyn TraceSink,
 ) -> Result<SimResult, ConfigError> {
-    let _span = fuseconv_telemetry::span("sim.gemm_ws");
-    crate::legality::gate(crate::legality::DataflowKind::WeightStationary, cfg)?;
-    let (ad, bd) = (a.shape().dims(), b.shape().dims());
-    if ad.len() != 2 || bd.len() != 2 || ad[1] != bd[0] {
-        return Err(ConfigError::BadOperand {
-            what: "gemm operands must be MxK and KxN",
-        });
-    }
-    let (m, k, n) = (ad[0], ad[1], bd[1]);
-    let (av, bv) = (a.as_slice(), b.as_slice());
-    let mut out = vec![0.0f32; m * n];
-    let mut busy_trace: Vec<u32> = Vec::new();
-    let mut busy_pe_cycles = 0u64;
-    let mut folds = 0u64;
-    let wants_pe = sink.wants_pe_fires();
-    let wants_ops = sink.wants_operand_events();
-
-    for k0 in (0..k).step_by(cfg.rows()) {
-        let ru = cfg.rows().min(k - k0);
-        for n0 in (0..n).step_by(cfg.cols()) {
-            let cu = cfg.cols().min(n - n0);
-            sink.on_event(&TraceEvent::FoldStart {
-                fold: folds,
-                tag: folds,
-                cycle: busy_trace.len() as u64,
-                kind: FoldKind::WeightStationary,
-                rows_used: ru as u32,
-                cols_used: cu as u32,
-            });
-            folds += 1;
-            // Weight preload: one array row per cycle, no MACs.
-            for p in 0..ru {
-                let cycle = busy_trace.len() as u64;
-                if wants_ops {
-                    for j in 0..cu {
-                        sink.on_event(&TraceEvent::OperandRead {
-                            cycle,
-                            operand: Operand::Filter,
-                            lane: j as u32,
-                            addr: ((k0 + p) * n + (n0 + j)) as u64,
-                        });
-                    }
-                }
-                sink.on_event(&TraceEvent::Cycle {
-                    cycle,
-                    phase: Phase::Fill,
-                    busy: 0,
-                });
-                busy_trace.push(0);
-            }
-            // Skewed streaming: PE (i, j) multiplies a[m', k0+i] with its
-            // stationary b[k0+i, n0+j] at cycle t = m' + i + j.
-            let window = m + ru + cu - 2;
-            for t in 0..window {
-                let cycle = busy_trace.len() as u64;
-                let mut busy = 0u32;
-                for i in 0..ru {
-                    if t < i {
-                        continue;
-                    }
-                    for j in 0..cu {
-                        if t < i + j {
-                            break;
-                        }
-                        let mm = t - i - j;
-                        if mm < m {
-                            out[mm * n + (n0 + j)] +=
-                                av[mm * k + (k0 + i)] * bv[(k0 + i) * n + (n0 + j)];
-                            busy += 1;
-                            if wants_pe {
-                                sink.on_event(&TraceEvent::PeFire {
-                                    cycle,
-                                    row: i as u32,
-                                    col: j as u32,
-                                });
-                            }
-                            if wants_ops {
-                                sink.on_event(&TraceEvent::OperandRead {
-                                    cycle,
-                                    operand: Operand::Ifmap,
-                                    lane: i as u32,
-                                    addr: (mm * k + (k0 + i)) as u64,
-                                });
-                                if i == ru - 1 {
-                                    // The partial sum leaves the bottom row.
-                                    sink.on_event(&TraceEvent::OutputWrite {
-                                        cycle,
-                                        addr: (mm * n + (n0 + j)) as u64,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-                sink.on_event(&TraceEvent::Cycle {
-                    cycle,
-                    phase: Phase::Compute,
-                    busy,
-                });
-                busy_trace.push(busy);
-                busy_pe_cycles += busy as u64;
-            }
-            sink.on_event(&TraceEvent::FoldEnd {
-                fold: folds - 1,
-                cycle: busy_trace.len() as u64,
-            });
-        }
-    }
-
-    let output = Tensor::from_vec(out, &[m, n]).expect("m, n nonzero");
-    let sim = SimResult::new(
-        output,
-        (m * k * n) as u64,
-        busy_pe_cycles,
-        cfg.pe_count(),
-        folds,
-        busy_trace,
-    );
-    crate::record_sim_metrics(&sim);
-    Ok(sim)
+    Stationary::Weight.simulate(cfg, a, b, sink)
 }
 
 /// Analytic total cycles for an `M×K·K×N` weight-stationary GEMM — the
@@ -190,16 +71,7 @@ pub fn simulate_traced(
 ///
 /// Panics if any dimension is zero.
 pub fn analytic_cycles(cfg: &ArrayConfig, m: usize, k: usize, n: usize) -> u64 {
-    assert!(m > 0 && k > 0 && n > 0, "gemm dimensions must be nonzero");
-    let mut total = 0u64;
-    for k0 in (0..k).step_by(cfg.rows()) {
-        let ru = cfg.rows().min(k - k0);
-        for n0 in (0..n).step_by(cfg.cols()) {
-            let cu = cfg.cols().min(n - n0);
-            total += fold_cycles(ru, cu, m);
-        }
-    }
-    total
+    Stationary::Weight.analytic_cycles(cfg, m, k, n)
 }
 
 #[cfg(test)]
@@ -280,38 +152,5 @@ mod tests {
         let a = tensor(&[2, 3], |_| 0.0);
         let b = tensor(&[4, 2], |_| 0.0);
         assert!(simulate(&cfg, &a, &b).is_err());
-    }
-}
-
-#[cfg(test)]
-mod grid_tests {
-    use super::*;
-    use fuseconv_tensor::gemm::matmul;
-    use fuseconv_tensor::rng::Rng;
-
-    /// Weight-stationary simulation is functionally exact and matches its
-    /// closed form across a deterministic grid of shapes and array sizes.
-    #[test]
-    fn simulator_matches_golden_and_analytic_on_grid() {
-        let mut rng = Rng::seed_from_u64(0x7773_6765);
-        for &(rows, cols) in &[(1, 1), (2, 5), (4, 4), (5, 2), (3, 1)] {
-            let cfg = ArrayConfig::new(rows, cols).unwrap();
-            for &(m, k, n) in &[
-                (1, 1, 1),
-                (1, 7, 1),
-                (9, 1, 5),
-                (4, 5, 6),
-                (7, 5, 9),
-                (8, 9, 1),
-            ] {
-                let a = Tensor::from_fn(&[m, k], |_| rng.uniform(-0.5, 0.5)).unwrap();
-                let b = Tensor::from_fn(&[k, n], |_| rng.uniform(-0.5, 0.5)).unwrap();
-                let sim = simulate(&cfg, &a, &b).unwrap();
-                let gold = matmul(&a, &b).unwrap();
-                let ctx = format!("{rows}x{cols} array, {m}x{k}x{n}");
-                assert!(sim.output().max_abs_diff(&gold).unwrap() < 1e-4, "{ctx}");
-                assert_eq!(sim.cycles(), analytic_cycles(&cfg, m, k, n), "{ctx}");
-            }
-        }
     }
 }

@@ -12,8 +12,10 @@
 
 use fuseconv::latency::{Dataflow, LatencyModel};
 use fuseconv::nn::ops::{Axis1d, Op};
+use fuseconv::perf::CounterSink;
 use fuseconv::systolic::conv1d::ChannelLines;
 use fuseconv::systolic::{conv1d, gemm, is_gemm, ws_gemm, ArrayConfig, SimResult};
+use fuseconv::telemetry::fnv1a64;
 use fuseconv::tensor::rng::Rng;
 use fuseconv::tensor::Tensor;
 use fuseconv::trace::{replay, FoldSpec, TraceSink, UtilizationSink, VecSink};
@@ -205,4 +207,146 @@ fn replay_of_simulated_fold_stats_reproduces_the_simulation() {
     assert_eq!(replayed, sim.cycles());
     assert_eq!(resink.busy_pe_cycles(), sim.busy_pe_cycles());
     assert_eq!(resink.fold_stats().len() as u64, sim.folds());
+}
+
+/// FNV-1a fingerprints of the GEMM simulators' observable output over
+/// [`fingerprint_grid`], one row per dataflow (OS, WS, IS): `[VecSink event
+/// stream (Debug-rendered), busy_trace, output bits, CounterSink
+/// counters]`. The SCALE-Sim CSV, Chrome and heatmap traces are all
+/// functions of these streams, so pinning them pins those artifacts byte
+/// for byte.
+#[rustfmt::skip]
+const GEMM_FINGERPRINTS: [[u64; 4]; 3] = [
+    [0xa113_7f37_18a9_ee09, 0xbc1f_3136_459c_b9a8, 0xc171_3e2e_57b3_03d9, 0x01f9_dfef_464d_5185],
+    [0xa051_3298_d7aa_aa2b, 0x3ea9_213c_e552_f95e, 0xc171_3e2e_57b3_03d9, 0xa8a8_adcb_f523_228e],
+    [0xdee2_042b_f21c_90af, 0xc9f0_cba0_1765_6144, 0xc171_3e2e_57b3_03d9, 0xb328_20d7_63f7_f390],
+];
+
+/// The grid behind [`GEMM_FINGERPRINTS`]: one 1×N, one N×1, one
+/// non-square and one square array, each with `(M, K, N)` drawn from
+/// `1..=13` (a 1 forced into every other shape) so that unit dimensions
+/// and remainder folds both occur.
+fn fingerprint_grid() -> Vec<(ArrayConfig, usize, usize, usize)> {
+    let mut rng = Rng::seed_from_u64(0x4650_5249_4e54);
+    let mut side = |lo: usize, hi: usize| lo + rng.below(hi - lo + 1);
+    let square = side(3, 5);
+    let arrays = [
+        (1, side(2, 6)),
+        (side(2, 6), 1),
+        (side(2, 4), side(5, 7)),
+        (square, square),
+    ];
+    let mut grid = Vec::new();
+    for (rows, cols) in arrays {
+        let cfg = ArrayConfig::new(rows, cols).unwrap();
+        for case in 0..6 {
+            let mut dims = [0; 3].map(|_| 1 + rng.below(13));
+            if case % 2 == 1 {
+                dims[rng.below(3)] = 1;
+            }
+            grid.push((cfg, dims[0], dims[1], dims[2]));
+        }
+    }
+    grid
+}
+
+#[test]
+fn gemm_event_streams_match_pinned_fingerprints() {
+    let cases: [(Dataflow, TracedGemm); 3] = [
+        (Dataflow::OutputStationary, gemm::simulate_traced),
+        (Dataflow::WeightStationary, ws_gemm::simulate_traced),
+        (Dataflow::InputStationary, is_gemm::simulate_traced),
+    ];
+    let grid = fingerprint_grid();
+    for ((dataflow, sim_fn), pinned) in cases.into_iter().zip(GEMM_FINGERPRINTS) {
+        let (mut events, mut busy, mut bits, mut counters) =
+            (String::new(), Vec::new(), Vec::new(), String::new());
+        for &(cfg, m, k, n) in &grid {
+            let (a, b) = tensors(m, k, n);
+            let ctx = format!("{}x{} {dataflow:?} {m}x{k}x{n}", cfg.rows(), cfg.cols());
+            let mut vec_sink = VecSink::default();
+            let traced = sim_fn(&cfg, &a, &b, &mut vec_sink).unwrap();
+            let plain = sim_fn(&cfg, &a, &b, &mut fuseconv::trace::NullSink).unwrap();
+            assert_eq!(traced, plain, "{ctx}: tracing must not change the result");
+            let mut counter_sink = CounterSink::new(cfg.rows(), cfg.cols());
+            sim_fn(&cfg, &a, &b, &mut counter_sink).unwrap();
+            events += &format!("{ctx}\n{:?}\n", vec_sink.events);
+            busy.extend(plain.busy_trace().iter().flat_map(|x| x.to_le_bytes()));
+            bits.extend(
+                plain
+                    .output()
+                    .as_slice()
+                    .iter()
+                    .flat_map(|x| x.to_bits().to_le_bytes()),
+            );
+            counters += &format!("{ctx}\n{:?}\n", counter_sink.into_counters());
+        }
+        let got = [
+            fnv1a64(events.as_bytes()),
+            fnv1a64(&busy),
+            fnv1a64(&bits),
+            fnv1a64(counters.as_bytes()),
+        ];
+        assert_eq!(
+            got, pinned,
+            "{dataflow:?}: [events, busy_trace, output, counters]"
+        );
+    }
+}
+
+/// The `(channels, lines, l_out, k)` grid and operands of
+/// `traced_conv1d_cycles_match_simulator_and_model`, for fingerprinting.
+const CONV1D_SHAPES: [(usize, usize, usize, usize); 5] = [
+    (1, 1, 6, 3),
+    (3, 4, 9, 3),
+    (5, 7, 2, 2),
+    (2, 9, 12, 5),
+    (8, 3, 4, 3),
+];
+
+fn conv1d_work(channels: usize, lines: usize, l_out: usize, k: usize) -> Vec<ChannelLines> {
+    let l_in = l_out + k - 1;
+    let mut rng = Rng::seed_from_u64(0x5852_4332);
+    (0..channels)
+        .map(|_| ChannelLines {
+            kernel: (0..k).map(|_| rng.uniform(-0.5, 0.5)).collect(),
+            lines: (0..lines)
+                .map(|_| (0..l_in).map(|_| rng.uniform(-0.5, 0.5)).collect())
+                .collect(),
+        })
+        .collect()
+}
+
+#[test]
+fn packed_conv1d_event_stream_matches_pinned_fingerprint() {
+    // [VecSink event stream (Debug-rendered), busy_trace, output bits]
+    // of the row-broadcast simulator over the conv1d grid.
+    let (mut events, mut busy, mut bits) = (String::new(), Vec::new(), Vec::new());
+    for (rows, cols) in ARRAYS {
+        let cfg = ArrayConfig::new(rows, cols).unwrap().with_broadcast(true);
+        for (channels, lines, l_out, k) in CONV1D_SHAPES {
+            let work = conv1d_work(channels, lines, l_out, k);
+            let mut sink = VecSink::default();
+            let traced = conv1d::simulate_packed_traced(&cfg, &work, &mut sink).unwrap();
+            let plain = conv1d::simulate_packed(&cfg, &work).unwrap();
+            let ctx = format!("{rows}x{cols} c{channels} l{lines} out{l_out} k{k}");
+            assert_eq!(traced, plain, "{ctx}: tracing must not change the result");
+            events += &format!("{ctx}\n{:?}\n", sink.events);
+            busy.extend(plain.busy_trace().iter().flat_map(|x| x.to_le_bytes()));
+            bits.extend(
+                plain
+                    .output()
+                    .as_slice()
+                    .iter()
+                    .flat_map(|x| x.to_bits().to_le_bytes()),
+            );
+        }
+    }
+    let got = [fnv1a64(events.as_bytes()), fnv1a64(&busy), fnv1a64(&bits)];
+    let pinned = [
+        0x2a7c_35af_41f8_f206,
+        0xb46a_c441_5d0f_c0e3,
+        0x4910_c3d4_ec35_4b6d,
+    ];
+    assert_eq!(got, pinned, "[events, busy_trace, output]");
 }
