@@ -1,12 +1,11 @@
 //! Fusion-legality analysis (FUS001–FUS006): static liveness, dependence
-//! and on-array residency proofs over the fold-plan IR.
+//! and on-array residency proofs over pairs of fold plans.
 //!
 //! FuSeConv's row/col 1-D banks feed straight into the block's 1×1
 //! pointwise projection, yet every fold of today's flat plan round-trips
 //! its intermediate through SRAM — exactly the producer/consumer traffic
-//! a fused depthwise+pointwise schedule eliminates. This module lifts
-//! each candidate pair into a [`PlanIr`] ([`fuseconv_latency::ir`]) and
-//! proves, statically:
+//! a fused depthwise+pointwise schedule eliminates. For each candidate
+//! pair this module proves, statically:
 //!
 //! * **FUS001** — the pair is fusible: a producer→consumer dependence
 //!   edge set connects their fold plans, the intermediate tile fits the
@@ -18,7 +17,7 @@
 //!   on-array forwarding is impossible at this array size.
 //! * **FUS003** — the fold dependence graph has a cycle: no schedule,
 //!   fused or not, exists. Lifted plans are acyclic by construction, so
-//!   this fires only on hand-mutated IRs.
+//!   this fires only on hand-mutated IRs ([`diagnose_pair_ir`]).
 //! * **FUS004** — the consumer's dataflow preloads its inputs during the
 //!   fill phase (input-stationary), so the producer cannot forward
 //!   results into a running fold.
@@ -28,13 +27,20 @@
 //!   work.
 //! * **FUS006** — per-network fusion headroom: layers ranked by the SRAM
 //!   round-trip traffic fusion would avoid.
+//!
+//! Each operator's fold plan is summarized once, in one pass over its
+//! [`fold_footprint`]s, and each pair is priced in closed form from its
+//! two summaries. The pair lifted into a [`PlanIr`] is the reference: a
+//! differential test pins the closed form to it on every zoo pair, and
+//! [`diagnose_pair_ir`] judges hand-built or mutated IRs.
 
 use crate::diagnostics::{Diagnostic, RuleId, Severity};
 use crate::memory::MemoryBudget;
 use fuseconv_latency::ir::ValueClass;
-use fuseconv_latency::{Dataflow, LatencyModel, PlanIr};
+use fuseconv_latency::{fold_footprint, Dataflow, FoldFootprint, LatencyModel, PlanIr};
 use fuseconv_models::{op_consumes, Network};
 use fuseconv_nn::ops::Op;
+use fuseconv_trace::FoldSpec;
 
 /// A statically fusible producer/consumer pair, with the proof artifacts
 /// behind its FUS001 verdict.
@@ -63,73 +69,206 @@ pub struct FusiblePair {
     pub traffic_bytes: u64,
 }
 
-/// Outcome of checking one lifted producer/consumer pair.
+/// What a pair's verdict is computed from: the facts the lifted pair IR
+/// states about its intermediate tensor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PairFacts {
+    edges: usize,
+    tile_elems: u64,
+    interval: (usize, usize),
+    saving_elems: u64,
+    traffic_elems: u64,
+}
+
+/// Outcome of checking one producer/consumer pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PairCheck {
-    Fusible {
-        edges: usize,
-        tile_elems: u64,
-        interval: (usize, usize),
-        saving_elems: u64,
-        traffic_elems: u64,
-    },
-    ResidencyExceeded {
-        tile_elems: u64,
-        budget_elems: u64,
-    },
+    Fusible(PairFacts),
+    ResidencyExceeded { tile_elems: u64, budget_elems: u64 },
     Cycle,
     DataflowMismatch,
 }
 
-/// Classifies a lifted pair IR against an array's residency budget and
-/// GEMM dataflow.
+impl PairFacts {
+    /// Reads the facts off a lifted pair IR: the reference semantics.
+    fn of_ir(ir: &PlanIr) -> PairFacts {
+        let mut inter = fuseconv_latency::ir::ValueSet::empty(ir.values().len());
+        for &v in ir.intermediates() {
+            inter.insert(v);
+        }
+        let (start, end) = ir
+            .live_intervals()
+            .iter()
+            .filter(|iv| inter.contains(iv.value))
+            .fold((usize::MAX, 0), |(s, e), iv| {
+                (s.min(iv.start), e.max(iv.end))
+            });
+        let tiles = || ir.intermediates().iter().map(|&v| ir.value(v));
+        PairFacts {
+            edges: ir.nodes().iter().map(|n| n.succs.len()).sum(),
+            tile_elems: tiles()
+                .filter(|v| v.class == ValueClass::Ofmap)
+                .map(|v| v.elems)
+                .max()
+                .unwrap_or(0),
+            // No live intermediate leaves (usize::MAX, 0): report (0, 0).
+            interval: (start.min(end), end),
+            saving_elems: ir
+                .high_water()
+                .total()
+                .saturating_sub(ir.high_water_without(ir.intermediates()).total()),
+            traffic_elems: tiles().map(|v| v.elems).sum(),
+        }
+    }
+
+    /// The facts of `PlanIr::from_pair` in closed form, from the two
+    /// plans' summaries. The intermediates are the producer's output
+    /// tiles and the consumer's input tiles; every producer fold has one
+    /// edge to the first consumer fold; the intermediates stay live from
+    /// the first fold to the last; and dropping them from SRAM zeroes the
+    /// producer's ofmap and the consumer's ifmap stream.
+    fn of_plans(producer: &PlanSummary, consumer: &PlanSummary) -> PairFacts {
+        let (p, c) = (producer.high_water, consumer.high_water);
+        let fused = FoldFootprint {
+            ofmap_elems: 0,
+            ..p
+        }
+        .max(FoldFootprint {
+            ifmap_elems: 0,
+            ..c
+        });
+        let edges = if consumer.folds > 0 {
+            producer.folds
+        } else {
+            0
+        };
+        PairFacts {
+            edges,
+            tile_elems: p.ofmap_elems,
+            interval: (0, (producer.folds + consumer.folds).saturating_sub(1)),
+            saving_elems: p.max(c).total().saturating_sub(fused.total()),
+            traffic_elems: producer.ofmap_elems + consumer.ifmap_elems,
+        }
+    }
+
+    /// Classifies an acyclic pair against an array's residency budget and
+    /// GEMM dataflow.
+    fn check(self, rows: u64, cols: u64, dataflow: Dataflow) -> PairCheck {
+        let budget_elems = rows * cols;
+        if dataflow == Dataflow::InputStationary {
+            PairCheck::DataflowMismatch
+        } else if self.tile_elems > budget_elems {
+            PairCheck::ResidencyExceeded {
+                tile_elems: self.tile_elems,
+                budget_elems,
+            }
+        } else {
+            PairCheck::Fusible(self)
+        }
+    }
+}
+
+/// Classifies a lifted pair IR: a dependence cycle first, then
+/// [`PairFacts::check`].
 fn check_pair(ir: &PlanIr, rows: u64, cols: u64, dataflow: Dataflow) -> PairCheck {
     if ir.has_cycle() {
         return PairCheck::Cycle;
     }
-    if dataflow == Dataflow::InputStationary {
-        return PairCheck::DataflowMismatch;
+    PairFacts::of_ir(ir).check(rows, cols, dataflow)
+}
+
+/// What the FUS rules read of one operator's fold plan, gathered in one
+/// pass over its folds' [`fold_footprint`]s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PlanSummary {
+    /// Folds in the plan, one output tile each.
+    folds: usize,
+    /// Per-stream maximum over the folds (`plan_high_water`).
+    high_water: FoldFootprint,
+    /// Input tile elements summed over the folds.
+    ifmap_elems: u64,
+    /// Output tile elements summed over the folds.
+    ofmap_elems: u64,
+}
+
+impl PlanSummary {
+    /// Summarizes one fold plan.
+    fn of(plan: &[FoldSpec]) -> PlanSummary {
+        let mut s = PlanSummary {
+            folds: plan.len(),
+            high_water: FoldFootprint::default(),
+            ifmap_elems: 0,
+            ofmap_elems: 0,
+        };
+        for fp in plan.iter().map(fold_footprint) {
+            s.high_water = s.high_water.max(fp);
+            s.ifmap_elems += fp.ifmap_elems;
+            s.ofmap_elems += fp.ofmap_elems;
+        }
+        s
     }
-    let tile_elems = ir
-        .intermediates()
-        .iter()
-        .filter(|&&v| ir.value(v).class == ValueClass::Ofmap)
-        .map(|&v| ir.value(v).elems)
-        .max()
-        .unwrap_or(0);
-    let budget_elems = rows * cols;
-    if tile_elems > budget_elems {
-        return PairCheck::ResidencyExceeded {
+}
+
+/// Renders one pair verdict as its FUS001–FUS004 finding.
+fn render(
+    check: PairCheck,
+    rows: u64,
+    cols: u64,
+    bytes_per_elem: u64,
+    context: &str,
+    pair: &str,
+) -> Diagnostic {
+    match check {
+        PairCheck::Cycle => Diagnostic {
+            rule: RuleId::Fus003DependenceCycle,
+            severity: Severity::Error,
+            context: context.to_string(),
+            message: format!("{pair}: the fold dependence graph contains a cycle; no schedule (fused or not) exists"),
+            dependence: None,
+            suggestion: "the lifted plan pair is self-contradictory; rebuild the IR from fold_plan output".into(),
+        },
+        PairCheck::DataflowMismatch => Diagnostic {
+            rule: RuleId::Fus004DataflowMismatch,
+            severity: Severity::Warning,
+            context: context.to_string(),
+            message: format!(
+                "{pair}: the consumer runs input-stationary, preloading its inputs during fill — the producer cannot forward results into a running fold"
+            ),
+            dependence: None,
+            suggestion: "fuse under an output- or weight-stationary consumer dataflow, which streams inputs during compute".into(),
+        },
+        PairCheck::ResidencyExceeded {
             tile_elems,
             budget_elems,
-        };
-    }
-    let edges = ir.nodes().iter().map(|n| n.succs.len()).sum();
-    let mut inter = fuseconv_latency::ir::ValueSet::empty(ir.values().len());
-    for &v in ir.intermediates() {
-        inter.insert(v);
-    }
-    let intervals = ir.live_intervals();
-    let mut interval = (usize::MAX, 0usize);
-    for iv in &intervals {
-        if inter.contains(iv.value) {
-            interval.0 = interval.0.min(iv.start);
-            interval.1 = interval.1.max(iv.end);
-        }
-    }
-    if interval.0 == usize::MAX {
-        interval = (0, 0);
-    }
-    let saving_elems = ir
-        .high_water()
-        .total()
-        .saturating_sub(ir.high_water_without(ir.intermediates()).total());
-    let traffic_elems = ir.intermediates().iter().map(|&v| ir.value(v).elems).sum();
-    PairCheck::Fusible {
-        edges,
-        tile_elems,
-        interval,
-        saving_elems,
-        traffic_elems,
+        } => Diagnostic {
+            rule: RuleId::Fus002ResidencyExceeded,
+            severity: Severity::Warning,
+            context: context.to_string(),
+            message: format!(
+                "{pair}: intermediate tile holds {tile_elems} elements but the array retains only {budget_elems} ({rows}x{cols}) on-array; forwarding is impossible at this array size"
+            ),
+            dependence: None,
+            suggestion: "re-tile the producer so each output tile fits the array, or fuse on a larger array".into(),
+        },
+        PairCheck::Fusible(PairFacts {
+            edges,
+            tile_elems,
+            interval,
+            saving_elems,
+            ..
+        }) => Diagnostic {
+            rule: RuleId::Fus001FusiblePair,
+            severity: Severity::Info,
+            context: context.to_string(),
+            message: format!(
+                "{pair}: statically fusible — {edges} dependence edges, intermediate tile {tile_elems} elems fits {rows}x{cols} on-array residency over folds {}..={}; keeping it on-array saves {} bytes of SRAM high-water",
+                interval.0,
+                interval.1,
+                saving_elems * bytes_per_elem,
+            ),
+            dependence: None,
+            suggestion: "schedule the pair back-to-back and forward the producer's output through the array (ROADMAP item 4)".into(),
+        },
     }
 }
 
@@ -146,58 +285,8 @@ pub fn diagnose_pair_ir(
     context: &str,
     pair: &str,
 ) -> Vec<Diagnostic> {
-    match check_pair(ir, rows, cols, dataflow) {
-        PairCheck::Cycle => vec![Diagnostic {
-            rule: RuleId::Fus003DependenceCycle,
-            severity: Severity::Error,
-            context: context.to_string(),
-            message: format!("{pair}: the fold dependence graph contains a cycle; no schedule (fused or not) exists"),
-            dependence: None,
-            suggestion: "the lifted plan pair is self-contradictory; rebuild the IR from fold_plan output".into(),
-        }],
-        PairCheck::DataflowMismatch => vec![Diagnostic {
-            rule: RuleId::Fus004DataflowMismatch,
-            severity: Severity::Warning,
-            context: context.to_string(),
-            message: format!(
-                "{pair}: the consumer runs input-stationary, preloading its inputs during fill — the producer cannot forward results into a running fold"
-            ),
-            dependence: None,
-            suggestion: "fuse under an output- or weight-stationary consumer dataflow, which streams inputs during compute".into(),
-        }],
-        PairCheck::ResidencyExceeded {
-            tile_elems,
-            budget_elems,
-        } => vec![Diagnostic {
-            rule: RuleId::Fus002ResidencyExceeded,
-            severity: Severity::Warning,
-            context: context.to_string(),
-            message: format!(
-                "{pair}: intermediate tile holds {tile_elems} elements but the array retains only {budget_elems} ({rows}x{cols}) on-array; forwarding is impossible at this array size"
-            ),
-            dependence: None,
-            suggestion: "re-tile the producer so each output tile fits the array, or fuse on a larger array".into(),
-        }],
-        PairCheck::Fusible {
-            edges,
-            tile_elems,
-            interval,
-            saving_elems,
-            ..
-        } => vec![Diagnostic {
-            rule: RuleId::Fus001FusiblePair,
-            severity: Severity::Info,
-            context: context.to_string(),
-            message: format!(
-                "{pair}: statically fusible — {edges} dependence edges, intermediate tile {tile_elems} elems fits {rows}x{cols} on-array residency over folds {}..={}; keeping it on-array saves {} bytes of SRAM high-water",
-                interval.0,
-                interval.1,
-                saving_elems * bytes_per_elem,
-            ),
-            dependence: None,
-            suggestion: "schedule the pair back-to-back and forward the producer's output through the array (ROADMAP item 4)".into(),
-        }],
-    }
+    let check = check_pair(ir, rows, cols, dataflow);
+    vec![render(check, rows, cols, bytes_per_elem, context, pair)]
 }
 
 /// Candidate producer/consumer pairs of one block's op expansion: each
@@ -222,6 +311,55 @@ fn candidate_pairs(ops: &[Op]) -> Vec<(usize, usize)> {
     out
 }
 
+/// One block of a network with the summary of each operator's fold plan
+/// (`None` where the latency model rejects the operator).
+pub(crate) struct PlannedBlock<'a> {
+    name: &'a str,
+    ops: Vec<Op>,
+    plans: Vec<Option<PlanSummary>>,
+}
+
+/// Plans every operator of `net` once, block by block. `visit` sees each
+/// operator's plan (`None` where the model rejects the operator); only
+/// its summary is kept.
+pub(crate) fn plan_blocks<'a>(
+    model: &LatencyModel,
+    net: &'a Network,
+    mut visit: impl FnMut(&str, &Op, Option<&[FoldSpec]>),
+) -> Vec<PlannedBlock<'a>> {
+    let mut blocks = Vec::with_capacity(net.blocks().len());
+    for (name, block) in net.blocks() {
+        let ops = block.ops();
+        let mut plans = Vec::with_capacity(ops.len());
+        for op in &ops {
+            let plan = model.fold_plan(op).ok();
+            visit(name, op, plan.as_deref());
+            plans.push(plan.as_deref().map(PlanSummary::of));
+        }
+        blocks.push(PlannedBlock { name, ops, plans });
+    }
+    blocks
+}
+
+/// The checked candidate pairs `(producer, consumer, verdict)` of one
+/// planned block; pairs with an unplannable op are skipped.
+fn checked_pairs<'a>(
+    model: &'a LatencyModel,
+    block: &'a PlannedBlock,
+) -> impl Iterator<Item = (usize, usize, PairCheck)> + 'a {
+    let rows = model.array().rows() as u64;
+    let cols = model.array().cols() as u64;
+    candidate_pairs(&block.ops)
+        .into_iter()
+        .filter_map(move |(i, j)| {
+            let (Some(producer), Some(consumer)) = (&block.plans[i], &block.plans[j]) else {
+                return None;
+            };
+            let facts = PairFacts::of_plans(producer, consumer);
+            Some((i, j, facts.check(rows, cols, model.dataflow())))
+        })
+}
+
 /// The statically fusible pairs of a network, with their proof artifacts.
 /// Pairs that fail a legality check (residency, dataflow) are omitted —
 /// [`analyze_fusion`] reports those as FUS002/FUS004 findings instead.
@@ -230,35 +368,20 @@ pub fn fusible_pairs(
     net: &Network,
     budget: &MemoryBudget,
 ) -> Vec<FusiblePair> {
-    let rows = model.array().rows() as u64;
-    let cols = model.array().cols() as u64;
     let mut out = Vec::new();
-    for (block_name, block) in net.blocks() {
-        let ops = block.ops();
-        for (i, j) in candidate_pairs(&ops) {
-            let (Ok(producer), Ok(consumer)) = (model.fold_plan(&ops[i]), model.fold_plan(&ops[j]))
-            else {
-                continue;
-            };
-            let ir = PlanIr::from_pair(&producer, &consumer);
-            if let PairCheck::Fusible {
-                edges,
-                tile_elems,
-                interval,
-                saving_elems,
-                traffic_elems,
-            } = check_pair(&ir, rows, cols, model.dataflow())
-            {
+    for block in plan_blocks(model, net, |_, _, _| {}) {
+        for (i, j, check) in checked_pairs(model, &block) {
+            if let PairCheck::Fusible(f) = check {
                 out.push(FusiblePair {
-                    block: block_name.clone(),
-                    producer: ops[i],
-                    consumer: ops[j],
-                    edges,
-                    tile_elems,
-                    interval,
-                    saving_elems,
-                    saving_bytes: saving_elems * budget.bytes_per_elem,
-                    traffic_bytes: traffic_elems * budget.bytes_per_elem,
+                    block: block.name.to_string(),
+                    producer: block.ops[i],
+                    consumer: block.ops[j],
+                    edges: f.edges,
+                    tile_elems: f.tile_elems,
+                    interval: f.interval,
+                    saving_elems: f.saving_elems,
+                    saving_bytes: f.saving_elems * budget.bytes_per_elem,
+                    traffic_bytes: f.traffic_elems * budget.bytes_per_elem,
                 });
             }
         }
@@ -274,43 +397,37 @@ pub fn analyze_fusion(
     net: &Network,
     budget: &MemoryBudget,
 ) -> Vec<Diagnostic> {
+    let blocks = plan_blocks(model, net, |_, _, _| {});
+    diagnose_fusion(model, net, budget, &blocks)
+}
+
+/// [`analyze_fusion`] over plan summaries the caller already holds, one
+/// [`PlannedBlock`] per block of `net`.
+pub(crate) fn diagnose_fusion(
+    model: &LatencyModel,
+    net: &Network,
+    budget: &MemoryBudget,
+    blocks: &[PlannedBlock],
+) -> Vec<Diagnostic> {
     let _span = fuseconv_telemetry::span("analyze.fusion");
     let rows = model.array().rows() as u64;
     let cols = model.array().cols() as u64;
+    let bpe = budget.bytes_per_elem;
     let label = format!("{}[{}]", net.name(), net.variant_label());
     let mut out = Vec::new();
     let mut headroom: Vec<(String, String, u64)> = Vec::new();
 
-    for (block_name, block) in net.blocks() {
-        let ops = block.ops();
-        let context = format!("{label}/{block_name}");
-        for (i, j) in candidate_pairs(&ops) {
-            let (Ok(producer), Ok(consumer)) = (model.fold_plan(&ops[i]), model.fold_plan(&ops[j]))
-            else {
-                continue;
-            };
-            let ir = PlanIr::from_pair(&producer, &consumer);
-            let pair = format!("`{}` -> `{}`", ops[i], ops[j]);
-            if let PairCheck::Fusible { traffic_elems, .. } =
-                check_pair(&ir, rows, cols, model.dataflow())
-            {
-                headroom.push((
-                    block_name.clone(),
-                    pair.clone(),
-                    traffic_elems * budget.bytes_per_elem,
-                ));
+    for block in blocks {
+        let context = format!("{label}/{}", block.name);
+        for (i, j, check) in checked_pairs(model, block) {
+            let pair = format!("`{}` -> `{}`", block.ops[i], block.ops[j]);
+            if let PairCheck::Fusible(f) = check {
+                let bytes = f.traffic_elems * bpe;
+                headroom.push((block.name.to_string(), pair.clone(), bytes));
             }
-            out.extend(diagnose_pair_ir(
-                &ir,
-                rows,
-                cols,
-                model.dataflow(),
-                budget.bytes_per_elem,
-                &context,
-                &pair,
-            ));
+            out.push(render(check, rows, cols, bpe, &context, &pair));
         }
-        out.extend(diagnose_dead_ops(model, &ops, &context));
+        out.extend(diagnose_dead_ops(block, &context));
     }
 
     // FUS006: rank blocks by the SRAM round-trip traffic fusion avoids.
@@ -339,10 +456,10 @@ pub fn analyze_fusion(
     out
 }
 
-/// FUS005: ops whose output no later op in the block consumes. The IR
-/// confirms the structural verdict: lifting the op against an empty
-/// consumer shows every output tile dead.
-fn diagnose_dead_ops(model: &LatencyModel, ops: &[Op], context: &str) -> Vec<Diagnostic> {
+/// FUS005: ops whose output no later op in the block consumes. Every one
+/// of the op's output tiles — one per fold of its plan — is dead work.
+fn diagnose_dead_ops(block: &PlannedBlock, context: &str) -> Vec<Diagnostic> {
+    let ops = &block.ops;
     let mut out = Vec::new();
     for (i, op) in ops.iter().enumerate() {
         // The block's last op is the block output: always consumed.
@@ -352,10 +469,7 @@ fn diagnose_dead_ops(model: &LatencyModel, ops: &[Op], context: &str) -> Vec<Dia
         if ops[i + 1..].iter().any(|c| op_consumes(op, c)) {
             continue;
         }
-        let dead_tiles = model
-            .fold_plan(op)
-            .map(|plan| PlanIr::from_pair(&plan, &[]).dead_values().len())
-            .unwrap_or(0);
+        let dead_tiles = block.plans[i].map_or(0, |plan| plan.folds);
         out.push(Diagnostic {
             rule: RuleId::Fus005DeadValue,
             severity: Severity::Warning,
@@ -565,8 +679,19 @@ mod tests {
         // depthwise(c=7) followed only by pointwise(in_c=3): 3 neither
         // covers nor evenly slices 7 channels, so the depthwise output is
         // dead by the slice-or-concat rule.
-        let ops = [Op::depthwise(8, 8, 7, 3, 1, 1), Op::pointwise(8, 8, 3, 16)];
-        let diags = diagnose_dead_ops(&model(), &ops, "test");
+        let m = model();
+        let ops = vec![Op::depthwise(8, 8, 7, 3, 1, 1), Op::pointwise(8, 8, 3, 16)];
+        let dead_tiles = m.fold_plan(&ops[0]).expect("depthwise plans").len();
+        let plans = ops
+            .iter()
+            .map(|op| m.fold_plan(op).ok().map(|plan| PlanSummary::of(&plan)))
+            .collect();
+        let block = PlannedBlock {
+            name: "b",
+            ops,
+            plans,
+        };
+        let diags = diagnose_dead_ops(&block, "test");
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule, RuleId::Fus005DeadValue);
         assert_eq!(diags[0].severity, Severity::Warning);
@@ -575,5 +700,72 @@ mod tests {
             "{}",
             diags[0].message
         );
+        // One dead output tile per fold of the op's plan.
+        assert!(
+            diags[0]
+                .message
+                .contains(&format!("all {dead_tiles} output tiles")),
+            "{}",
+            diags[0].message
+        );
+    }
+
+    #[test]
+    fn closed_form_matches_the_lifted_ir_on_every_zoo_pair() {
+        // The closed form must agree with the lifted IR, fact by fact and
+        // verdict by verdict, on every candidate pair of the `analyze --all`
+        // networks, plus the 1-fold and empty-consumer edge cases of each.
+        // A pair's plans depend only on its two ops and the model, so
+        // each distinct pair is checked once per model.
+        let mut nets = zoo::all_baselines();
+        nets.extend([zoo::resnet50(), zoo::efficientnet_b0()]);
+        assert_eq!(nets.len(), 7);
+        let mut seen = std::collections::HashSet::new();
+        let mut pairs = Vec::new();
+        for base in &nets {
+            for variant in [FuSeVariant::Full, FuSeVariant::Half] {
+                for net in [base.clone(), base.transform_all(variant)] {
+                    for (_, block) in net.blocks() {
+                        let ops = block.ops();
+                        for (i, j) in candidate_pairs(&ops) {
+                            if seen.insert((ops[i], ops[j])) {
+                                pairs.push((ops[i], ops[j]));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(pairs.len() > 100, "{} distinct pairs", pairs.len());
+        let dataflows = [
+            Dataflow::OutputStationary,
+            Dataflow::WeightStationary,
+            Dataflow::InputStationary,
+        ];
+        for side in [16, 64] {
+            let array = ArrayConfig::square(side)
+                .expect("nonzero")
+                .with_broadcast(true);
+            let (rows, cols) = (array.rows() as u64, array.cols() as u64);
+            for dataflow in dataflows {
+                let m = LatencyModel::new(array).with_dataflow(dataflow);
+                for (producer, consumer) in &pairs {
+                    let p = m.fold_plan(producer).expect("zoo op plans");
+                    let c = m.fold_plan(consumer).expect("zoo op plans");
+                    for (p, c) in [(&p[..], &c[..]), (&p[..1], &c[..1]), (&p[..], &[][..])] {
+                        let ir = PlanIr::from_pair(p, c);
+                        let facts = PairFacts::of_plans(&PlanSummary::of(p), &PlanSummary::of(c));
+                        assert_eq!(facts, PairFacts::of_ir(&ir));
+                        assert_eq!(
+                            facts.check(rows, cols, dataflow),
+                            check_pair(&ir, rows, cols, dataflow),
+                            "{side}x{side} {dataflow:?}: `{producer}` -> `{consumer}`, {} + {} folds",
+                            p.len(),
+                            c.len(),
+                        );
+                    }
+                }
+            }
+        }
     }
 }

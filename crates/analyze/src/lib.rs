@@ -38,8 +38,9 @@
 //!    `fuseconv serve` can refuse a million-request simulation of a
 //!    configuration already provably broken.
 //! 10. **Fusion legality** (FUS001–FUS006): liveness, dependence and
-//!     on-array residency proofs over the fold-plan IR
-//!     ([`fuseconv_latency::ir`]) — statically fusible producer/consumer
+//!     on-array residency proofs over pairs of fold plans, in a closed
+//!     form pinned to the fold-plan IR ([`fuseconv_latency::ir`]) —
+//!     statically fusible producer/consumer
 //!     pairs (FuSe row/col or depthwise → pointwise) with the exact SRAM
 //!     bytes fusion saves, illegal-fusion findings (residency exceeded,
 //!     dependence cycle, dataflow mismatch), dead-value findings, and a

@@ -25,6 +25,7 @@ use fuseconv_latency::{Dataflow, LatencyError, LatencyModel};
 use fuseconv_models::Network;
 use fuseconv_nn::ops::Op;
 use fuseconv_systolic::legality::{canonical_mapping, DataflowKind};
+use fuseconv_trace::FoldSpec;
 
 /// SRAM element address space assumed by the trace sinks (32-bit).
 const SRAM_ADDRESS_SPACE: u64 = 1 << 32;
@@ -123,6 +124,22 @@ fn operand_footprints(model: &LatencyModel, op: &Op) -> [(&'static str, u64); 3]
 /// Analyzes one operator under one latency model, returning every
 /// finding. `context` labels the findings (e.g. `network/block/op`).
 pub fn analyze_op(model: &LatencyModel, op: &Op, context: &str) -> Vec<Diagnostic> {
+    let plan = if estimated_folds(model, op) <= MAX_UTL003_FOLDS {
+        model.fold_plan(op).ok()
+    } else {
+        None
+    };
+    op_findings(model, op, plan.as_deref(), context)
+}
+
+/// [`analyze_op`] over the operator's fold plan, which the caller already
+/// holds (`None` if planning failed or was skipped).
+fn op_findings(
+    model: &LatencyModel,
+    op: &Op,
+    plan: Option<&[FoldSpec]>,
+    context: &str,
+) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let cols = model.array().cols();
     let rows = model.array().rows();
@@ -247,13 +264,8 @@ pub fn analyze_op(model: &LatencyModel, op: &Op, context: &str) -> Vec<Diagnosti
     // compute phase actually is rather than bounding it by shape alone.
     // Skipped for shapes whose plan would not fit in memory; those trip
     // the RES rules above instead.
-    let plan = if estimated_folds(model, op) <= MAX_UTL003_FOLDS {
-        model.fold_plan(op).ok()
-    } else {
-        None
-    };
-    if let Some(plan) = plan {
-        let counters = fuseconv_perf::PerfCounters::from_fold_plan(&plan, rows, cols);
+    if let Some(plan) = plan.filter(|_| estimated_folds(model, op) <= MAX_UTL003_FOLDS) {
+        let counters = fuseconv_perf::PerfCounters::from_fold_plan(plan, rows, cols);
         let stall = counters.compute_stall_fraction();
         if stall >= COMPUTE_STALL_THRESHOLD {
             out.push(Diagnostic {
@@ -295,11 +307,10 @@ pub fn analyze_network_with_budget(
 ) -> Report {
     let _span = fuseconv_telemetry::span("analyze.network");
     let mut report = Report::new();
-    let ops = net.ops();
 
     // Mapping legality, once per dataflow the network actually uses.
     let mut kinds = vec![gemm_dataflow_kind(model)];
-    if ops.iter().any(|n| matches!(n.op, Op::FuSe1d { .. })) {
+    if net.ops().iter().any(|n| matches!(n.op, Op::FuSe1d { .. })) {
         kinds.push(DataflowKind::RowBroadcast);
     }
     for kind in kinds {
@@ -308,26 +319,27 @@ pub fn analyze_network_with_budget(
         }
     }
 
-    // Operator rules, including the per-plan coverage and memory audits
-    // (the plan is computed once and shared by both rule families).
+    // Operator rules. Each operator is planned once: UTL003 and the plan
+    // coverage and memory audits read the plan, the fusion rules below
+    // its summary.
     let label = format!("{}[{}]", net.name(), net.variant_label());
-    for named in &ops {
-        let context = format!("{label}/{}/{}", named.block_name, named.op);
-        for d in analyze_op(model, &named.op, &context) {
+    let blocks = crate::fusion::plan_blocks(model, net, |block, op, plan| {
+        let context = format!("{label}/{block}/{op}");
+        for d in op_findings(model, op, plan, &context) {
             report.push(d);
         }
-        if let Ok(plan) = model.fold_plan(&named.op) {
-            for d in crate::plan::diagnose_plan(model, &named.op, &plan, &context) {
+        if let Some(plan) = plan {
+            for d in crate::plan::diagnose_plan(model, op, plan, &context) {
                 report.push(d);
             }
-            for d in crate::memory::diagnose_memory(&named.op, &plan, budget, &context) {
+            for d in crate::memory::diagnose_memory(op, plan, budget, &context) {
                 report.push(d);
             }
         }
-    }
+    });
 
-    // Fusion legality over the fold-plan IR.
-    for d in crate::fusion::analyze_fusion(model, net, budget) {
+    // Fusion legality of each producer/consumer pair of plans.
+    for d in crate::fusion::diagnose_fusion(model, net, budget, &blocks) {
         report.push(d);
     }
 

@@ -8,7 +8,8 @@
 //! calibration pass, then as many iterations as fit the per-bench budget
 //! (default 100 ms, overridable via `FUSECONV_BENCH_BUDGET_MS`), spent as
 //! five equal batches of which the fastest is reported (min-of-5
-//! discards scheduler noise).
+//! discards scheduler noise). [`Micro::bench_alternating`] interleaves the
+//! batches of two benches whose ratio matters.
 
 use fuseconv_telemetry::Stopwatch;
 use std::fmt::Display;
@@ -42,22 +43,35 @@ impl Bencher {
     /// scheduler/migration noise that a single long batch would fold
     /// into its mean.
     pub fn iter<R, F: FnMut() -> R>(&mut self, mut f: F) {
-        let t0 = Stopwatch::start();
-        std::hint::black_box(f());
-        let once = t0.elapsed().max(Duration::from_nanos(1));
-        let n = (self.budget.as_nanos() / once.as_nanos()).clamp(1, 100_000) as u64;
-        let per_batch = (n / 5).max(1);
-        let mut best = Duration::MAX;
-        for _ in 0..5 {
-            let t1 = Stopwatch::start();
-            for _ in 0..per_batch {
-                std::hint::black_box(f());
-            }
-            best = best.min(t1.elapsed());
-        }
-        self.total = best;
+        let per_batch = batch_len(self.budget, &mut f);
+        self.total = (0..BATCHES)
+            .map(|_| time_batch(per_batch, &mut f))
+            .min()
+            .unwrap_or(Duration::ZERO);
         self.iters = per_batch;
     }
+}
+
+/// Timed batches per bench; the fastest one is reported.
+const BATCHES: usize = 5;
+
+/// Iterations per batch that spend `budget` on [`BATCHES`] batches of `f`,
+/// sized by one untimed calibration call.
+fn batch_len<R>(budget: Duration, f: &mut impl FnMut() -> R) -> u64 {
+    let t0 = Stopwatch::start();
+    std::hint::black_box(f());
+    let once = t0.elapsed().max(Duration::from_nanos(1));
+    let n = (budget.as_nanos() / once.as_nanos()).clamp(1, 100_000) as u64;
+    (n / BATCHES as u64).max(1)
+}
+
+/// Wall time of `iters` back-to-back calls of `f`.
+fn time_batch<R>(iters: u64, f: &mut impl FnMut() -> R) -> Duration {
+    let t = Stopwatch::start();
+    for _ in 0..iters {
+        std::hint::black_box(f());
+    }
+    t.elapsed()
 }
 
 /// The timing outcome of one completed bench.
@@ -142,6 +156,35 @@ impl Micro {
         };
         f(&mut b);
         self.run(name, &mut b);
+        self
+    }
+
+    /// Times two benches in alternating batches — `a`, `b`, `a`, `b`, … —
+    /// and records each, in that order, as its fastest batch. A slow
+    /// stretch of the host then hits both alike, so the ratio of the two
+    /// records does not depend on which bench happened to run during it.
+    pub fn bench_alternating<RA, RB>(
+        &mut self,
+        (name_a, mut fa): (&str, impl FnMut() -> RA),
+        (name_b, mut fb): (&str, impl FnMut() -> RB),
+    ) -> &mut Self {
+        let (na, nb) = (
+            batch_len(self.budget, &mut fa),
+            batch_len(self.budget, &mut fb),
+        );
+        let (mut best_a, mut best_b) = (Duration::MAX, Duration::MAX);
+        for _ in 0..BATCHES {
+            best_a = best_a.min(time_batch(na, &mut fa));
+            best_b = best_b.min(time_batch(nb, &mut fb));
+        }
+        for (name, iters, total) in [(name_a, na, best_a), (name_b, nb, best_b)] {
+            let mut b = Bencher {
+                budget: self.budget,
+                iters,
+                total,
+            };
+            self.run(name, &mut b);
+        }
         self
     }
 
@@ -230,6 +273,18 @@ mod tests {
         assert_eq!(rec.name, "noop");
         assert!(rec.iters >= 1);
         assert!(rec.ns_per_iter >= 0.0);
+    }
+
+    #[test]
+    fn alternating_benches_record_both_in_order() {
+        let mut h = tiny();
+        let (mut a, mut b) = (0u64, 0u64);
+        h.bench_alternating(("a", || a += 1), ("b", || b += 1));
+        // One calibration call plus at least one call per batch each.
+        assert!(a > BATCHES as u64 && b > BATCHES as u64);
+        let names: Vec<&str> = h.records().iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["a", "b"]);
+        assert!(h.records().iter().all(|r| r.iters >= 1));
     }
 
     #[test]

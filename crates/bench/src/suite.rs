@@ -3,19 +3,19 @@
 //!
 //! Five cycle-exact simulator benches (one per dataflow plus the packed
 //! FuSe path), two analytic benches (fold planning and counter replay),
-//! one static-analysis bench (fold-plan-IR fusion legality) and three
-//! serving-simulator benches (10k-request pod runs, one with the
-//! time-series recorder attached) run under
-//! the [`crate::micro`] harness; each reports wall time per iteration
-//! *and* the simulated cycle count of its workload, giving a
-//! machine-independent `cycles/sec` throughput figure.
+//! one static-analysis bench (fusion legality) and three
+//! serving-simulator benches (10k-request pod runs; the plain FIFO run
+//! and the one with the time-series recorder attached are timed in
+//! alternating batches) run under the [`crate::micro`] harness; each
+//! reports wall time per iteration *and* the simulated cycle count of its
+//! workload, giving a machine-independent `cycles/sec` throughput figure.
 //!
 //! Regression gating normalizes per-bench ratios by the suite geomean
 //! before comparing against the committed baseline, so a uniformly faster
 //! or slower CI machine cancels out and only *relative* regressions of a
 //! single bench trip the gate.
 
-use crate::micro::Micro;
+use crate::micro::{BenchRecord, Micro};
 use fuseconv_latency::LatencyModel;
 use fuseconv_models::zoo;
 use fuseconv_nn::ops::Op;
@@ -58,14 +58,17 @@ fn tensor(rng: &mut Rng, dims: &[usize]) -> Tensor {
     Tensor::from_fn(dims, |_| rng.uniform(-1.0, 1.0)).expect("nonzero dims")
 }
 
-fn record(h: &Micro, cycles: u64) -> SuiteBench {
-    let rec = h.last_record().expect("bench just ran");
+fn suite_bench(rec: &BenchRecord, cycles: u64) -> SuiteBench {
     SuiteBench {
         name: rec.name.clone(),
         ns_per_iter: rec.ns_per_iter,
         iters: rec.iters,
         cycles,
     }
+}
+
+fn record(h: &Micro, cycles: u64) -> SuiteBench {
+    suite_bench(h.last_record().expect("bench just ran"), cycles)
 }
 
 /// Runs the fixed suite under `h`, returning one [`SuiteBench`] per bench
@@ -169,11 +172,12 @@ pub fn run_suite(h: &mut Micro) -> Vec<SuiteBench> {
     });
     out.push(record(h, cycles));
 
-    // Fusion-legality analysis over the fold-plan IR: lifts every
-    // FuSe row/col -> pointwise pair of FuSe-Full MobileNet-V2, runs the
-    // liveness/dependence checks and prices the SRAM savings. `cycles` is
-    // the analytic fold-plan total of the analyzed network, so the figure
-    // reads as "modeled cycles statically audited per second".
+    // Fusion-legality analysis of FuSe-Full MobileNet-V2: plans every op
+    // once and prices each FuSe row/col -> pointwise pair in closed form
+    // from the two fold plans (dependence edges, residency, SRAM saving);
+    // the lifted `PlanIr` is the test reference, not this path. `cycles`
+    // is the analytic fold-plan total of the analyzed network, so the
+    // figure reads as "modeled cycles statically audited per second".
     let fused_v2 = zoo::mobilenet_v2().transform_all(fuseconv_nn::FuSeVariant::Full);
     let budget = fuseconv_analyze::MemoryBudget::paper_default();
     let fused_cycles: u64 = fused_v2
@@ -199,14 +203,6 @@ pub fn run_suite(h: &mut Micro) -> Vec<SuiteBench> {
         requests: 10_000,
         ..serve::ServeConfig::default()
     };
-    let cycles = serve::simulate(&pod, &workload, &fifo_cfg, None)
-        .expect("pod simulation runs")
-        .makespan_cycles;
-    h.bench_function("serve/fifo_10k_requests", |ben| {
-        ben.iter(|| serve::simulate(&pod, &workload, &fifo_cfg, None).expect("pod simulation runs"))
-    });
-    out.push(record(h, cycles));
-
     let bucketed_cfg = serve::ServeConfig {
         requests: 10_000,
         policy: serve::BatchPolicy::Bucketed {
@@ -226,21 +222,33 @@ pub fn run_suite(h: &mut Micro) -> Vec<SuiteBench> {
     });
     out.push(record(h, cycles));
 
-    // The FIFO run again with the time-series recorder attached: the
-    // figure prices the observability layer itself, and the overhead
-    // test pins it within 10% of the plain `serve/fifo_10k_requests`.
+    // The FIFO run plain and with the time-series recorder attached: the
+    // second figure prices the observability layer itself, and a test
+    // pins it within 10% of the first. The two are timed in alternating
+    // batches so their ratio does not depend on host noise between them.
     let ts_cfg = serve::TimeSeriesConfig::new();
-    let cycles = serve::simulate_observed(&pod, &workload, &fifo_cfg, None, Some(&ts_cfg))
+    let fifo_cycles = serve::simulate(&pod, &workload, &fifo_cfg, None)
+        .expect("pod simulation runs")
+        .makespan_cycles;
+    let ts_cycles = serve::simulate_observed(&pod, &workload, &fifo_cfg, None, Some(&ts_cfg))
         .expect("pod simulation runs")
         .0
         .makespan_cycles;
-    h.bench_function("serve/timeseries_10k_requests", |ben| {
-        ben.iter(|| {
+    h.bench_alternating(
+        ("serve/fifo_10k_requests", || {
+            serve::simulate(&pod, &workload, &fifo_cfg, None).expect("pod simulation runs")
+        }),
+        ("serve/timeseries_10k_requests", || {
             serve::simulate_observed(&pod, &workload, &fifo_cfg, None, Some(&ts_cfg))
                 .expect("pod simulation runs")
-        })
-    });
-    out.push(record(h, cycles));
+        }),
+    );
+    let pair = &h.records()[h.records().len() - 2..];
+    out.extend(
+        pair.iter()
+            .zip([fifo_cycles, ts_cycles])
+            .map(|(rec, cycles)| suite_bench(rec, cycles)),
+    );
 
     out
 }

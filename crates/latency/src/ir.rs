@@ -30,9 +30,15 @@
 //!   covered by on-array residency never needs its SRAM round-trip, and
 //!   [`PlanIr::high_water_without`] prices exactly that saving.
 //!
-//! The `FUS` rule family (`fuseconv_analyze::fusion`) is the first
-//! client; the fusing scheduler, sparsity packing and fast-simulator
-//! skip-ahead of the roadmap build on the same graph.
+//! The IR is the reference semantics of the `FUS` rule family
+//! (`fuseconv_analyze::fusion`), not its hot path: the analyzer prices
+//! each producer/consumer pair in closed form from the two fold plans,
+//! and a differential test pins that closed form to
+//! [`PlanIr::from_pair`]'s edges, intervals and high-water saving on
+//! every zoo pair. Hand-built and mutated IRs (a dependence cycle, a
+//! dead value) still go through the IR. The fusing scheduler, sparsity
+//! packing and fast-simulator skip-ahead of the roadmap build on the
+//! same graph.
 
 use crate::audit::{fold_footprint, FoldFootprint};
 use fuseconv_trace::{tag_plan, FoldSpec};
@@ -135,7 +141,7 @@ impl PlanIr {
     /// (the PLAN audit proves it), so no dependence edges exist between
     /// them — program order is pure schedule.
     pub fn from_plan(plan: &[FoldSpec]) -> PlanIr {
-        PlanIr::from_plans(std::slice::from_ref(&plan.to_vec()), &[])
+        PlanIr::lift(&[plan], &[])
     }
 
     /// Lifts a producer plan and a consumer plan connected by one tensor:
@@ -143,7 +149,7 @@ impl PlanIr {
     /// input tiles re-read. Shorthand for [`PlanIr::from_plans`] with the
     /// single edge `(0, 1)`.
     pub fn from_pair(producer: &[FoldSpec], consumer: &[FoldSpec]) -> PlanIr {
-        PlanIr::from_plans(&[producer.to_vec(), consumer.to_vec()], &[(0, 1)])
+        PlanIr::lift(&[producer, consumer], &[(0, 1)])
     }
 
     /// Lifts a sequence of per-operator fold plans into one graph.
@@ -168,6 +174,12 @@ impl PlanIr {
     ///
     /// Panics if an edge names an operator index out of range.
     pub fn from_plans(plans: &[Vec<FoldSpec>], edges: &[(usize, usize)]) -> PlanIr {
+        let plans: Vec<&[FoldSpec]> = plans.iter().map(Vec::as_slice).collect();
+        PlanIr::lift(&plans, edges)
+    }
+
+    /// [`PlanIr::from_plans`] over borrowed plans.
+    fn lift(plans: &[&[FoldSpec]], edges: &[(usize, usize)]) -> PlanIr {
         let starts: Vec<usize> = plans
             .iter()
             .scan(0usize, |acc, p| {
@@ -184,7 +196,7 @@ impl PlanIr {
             intermediates: Vec::new(),
         };
         for (op, plan) in plans.iter().enumerate() {
-            for spec in plan {
+            for spec in *plan {
                 let node = ir.nodes.len();
                 let fp = fold_footprint(spec);
                 let ifmap = ir.push_value(ValueInfo {
@@ -224,53 +236,51 @@ impl PlanIr {
         let mut marked = ValueSet::empty(ir.values.len());
         for &(p, c) in edges {
             assert!(p < plans.len() && c < plans.len(), "edge op out of range");
-            let producer: Vec<usize> = op_nodes(p).collect();
-            let consumers: Vec<usize> = op_nodes(c).collect();
-            let first_consumer_fold = consumers.first().copied();
+            let producer = op_nodes(p);
+            let consumers = op_nodes(c);
             // Every consumer fold conservatively reads every producer
             // output tile; the use lists record that read span by its
             // earliest and final reader (program order chains the folds
             // in between, so liveness spans them either way) — O(P + C)
             // instead of the O(P·C) full cross product.
-            let span: Vec<usize> = match (consumers.first(), consumers.last()) {
-                (Some(&f), Some(&l)) if f != l => vec![f, l],
-                (Some(&f), _) => vec![f],
-                _ => Vec::new(),
+            let span: &[usize] = match consumers.len() {
+                0 => &[],
+                1 => &[consumers.start],
+                _ => &[consumers.start, consumers.end - 1],
             };
-            for &pn in &producer {
-                if let Some(cn) = first_consumer_fold {
+            for pn in producer.clone() {
+                if let Some(&cn) = span.first() {
                     ir.add_dependence(pn, cn);
                 }
                 // The producer's output no longer escapes: the lifted
                 // consumer absorbs it.
                 // (A node's defs can also carry ifmap aliases added by an
                 // earlier edge; only output tiles are this edge's tensor.)
-                for vid in ir.nodes[pn].defs.clone() {
+                for d in 0..ir.nodes[pn].defs.len() {
+                    let vid = ir.nodes[pn].defs[d];
                     if ir.values[vid.0].class != ValueClass::Ofmap {
                         continue;
                     }
                     let v = &mut ir.values[vid.0];
                     v.live_out = false;
-                    v.uses = span.clone();
+                    v.uses = span.to_vec();
                     if marked.insert(vid) {
                         ir.intermediates.push(vid);
                     }
-                    for &cn in &span {
+                    for &cn in span {
                         ir.nodes[cn].uses.push(vid);
                     }
                 }
             }
-            let last_producer_fold = producer.last().copied();
-            for &cn in &consumers {
+            let last_producer_fold = producer.last();
+            for cn in consumers {
                 // The consumer's input tiles are re-tilings of the tensor
                 // the producer finished writing at its last fold.
-                let ifmaps: Vec<ValueId> = ir.nodes[cn]
-                    .uses
-                    .iter()
-                    .copied()
-                    .filter(|vid| ir.values[vid.0].class == ValueClass::Ifmap)
-                    .collect();
-                for vid in ifmaps {
+                for u in 0..ir.nodes[cn].uses.len() {
+                    let vid = ir.nodes[cn].uses[u];
+                    if ir.values[vid.0].class != ValueClass::Ifmap {
+                        continue;
+                    }
                     if let Some(d) = last_producer_fold {
                         ir.values[vid.0].def = ValueDef::Node(d);
                         ir.nodes[d].defs.push(vid);
@@ -500,12 +510,13 @@ impl PlanIr {
             Black,
         }
         let mut color = vec![Color::White; self.nodes.len()];
+        // Stack of (node, next-successor-position); empty between roots.
+        let mut stack: Vec<(usize, usize)> = Vec::new();
         for root in 0..self.nodes.len() {
             if color[root] != Color::White {
                 continue;
             }
-            // Stack of (node, next-successor-position).
-            let mut stack = vec![(root, 0usize)];
+            stack.push((root, 0));
             color[root] = Color::Grey;
             while let Some(&mut (n, ref mut pos)) = stack.last_mut() {
                 if let Some(&succ) = self.nodes[n].succs.get(*pos) {
