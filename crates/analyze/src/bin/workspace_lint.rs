@@ -12,8 +12,10 @@
 //! 4. every `#[allow(...)]` attribute anywhere in the workspace (crate
 //!    sources, `examples/`, `tests/`) carries a trailing `// reason:`
 //!    comment on the same line justifying the suppression;
-//! 5. no bare `println!`/`eprintln!` in library-crate non-test code —
-//!    libraries report through return values and sinks, not stdio
+//! 5. no bare `println!`/`eprintln!` and no `cfg!(debug_assertions)` in
+//!    library-crate non-test code — libraries report through return
+//!    values and sinks, not stdio, and never branch on the build profile,
+//!    so a release build cannot print a number a debug build would reject
 //!    (binaries, examples and tests are exempt);
 //! 6. no `std::time::Instant::now` in library-crate non-test code
 //!    outside `crates/telemetry` — host timing goes through
@@ -330,10 +332,10 @@ fn main() -> ExitCode {
         }
     }
 
-    // Rule 5: no stdio macros in library crates. Library crates are the
-    // ones with a `src/lib.rs` (so `crates/cli`, a pure binary, is
-    // exempt), plus the umbrella crate; their `src/bin/` trees are
-    // binaries and stay exempt.
+    // Rule 5: no stdio macros and no build-profile branches in library
+    // crates. Library crates are the ones with a `src/lib.rs` (so
+    // `crates/cli`, a pure binary, is exempt), plus the umbrella crate;
+    // their `src/bin/` trees are binaries and stay exempt.
     let mut lib_dirs = vec![root.join("src")];
     if let Ok(entries) = fs::read_dir(root.join("crates")) {
         for entry in entries.flatten() {
@@ -356,6 +358,13 @@ fn main() -> ExitCode {
                 .to_string_lossy()
                 .into_owned();
             check_no_stdio_macros(&root, &rel, &mut findings);
+            check_forbidden(
+                &root,
+                &rel,
+                "cfg!(debug_assertions)",
+                "library behaviour must not depend on the build profile",
+                &mut findings,
+            );
         }
     }
 
@@ -409,8 +418,9 @@ fn main() -> ExitCode {
     if findings.is_empty() {
         println!(
             "workspace-lint: {} crate roots, the latency/simulator sources, library \
-             stdio and host-clock discipline, serve/analyze/latency/telemetry API \
-             docs, and all workspace/example/test suppressions are clean",
+             stdio, build-profile and host-clock discipline, \
+             serve/analyze/latency/telemetry API docs, and all \
+             workspace/example/test suppressions are clean",
             roots.len() + 1
         );
         ExitCode::SUCCESS

@@ -7,6 +7,7 @@
 //! diagnostics and renders them as text or JSON (hand-rolled — the
 //! workspace carries no serde).
 
+use fuseconv_telemetry::json_escape;
 use std::fmt;
 
 /// Stable identifier of one analyzer rule.
@@ -518,23 +519,6 @@ impl Report {
             fuseconv_telemetry::RunManifest::capture().to_json_compact()
         )
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -54,9 +54,9 @@
 //! conventions across the workspace.
 //!
 //! The mapping-level verdicts themselves live in
-//! [`fuseconv_systolic::legality`] so the simulators can gate their own
-//! entry points without a dependency cycle; this crate wraps them into
-//! the diagnostic vocabulary and adds the operator/network rules.
+//! [`fuseconv_systolic::legality`], next to the simulators whose
+//! dataflows they describe; this crate wraps them into the diagnostic
+//! vocabulary and adds the operator/network rules.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

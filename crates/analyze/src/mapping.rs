@@ -1,12 +1,11 @@
 //! Mapping-level analysis: RIA well-formedness, schedule legality and
 //! locality of each simulator dataflow, reported as diagnostics.
 //!
-//! The underlying verification lives in [`fuseconv_systolic::legality`]
-//! (where the simulators' entry gates can reach it without a dependency
-//! cycle); this module converts its violations into the structured
-//! [`Diagnostic`]s of the report format, and analyzes arbitrary — possibly
-//! tampered — [`DataflowMapping`]s, which is how the mutation-grid tests
-//! prove each rule actually fires.
+//! The underlying verification lives in [`fuseconv_systolic::legality`],
+//! next to the simulators; this module converts its violations into the
+//! structured [`Diagnostic`]s of the report format, and analyzes
+//! arbitrary — possibly tampered — [`DataflowMapping`]s, which is how the
+//! mutation-grid tests prove each rule actually fires.
 
 use crate::diagnostics::{Diagnostic, Report, RuleId, Severity};
 use fuseconv_ria::RiaViolation;

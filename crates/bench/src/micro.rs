@@ -159,10 +159,12 @@ impl Micro {
         self
     }
 
-    /// Times two benches in alternating batches — `a`, `b`, `a`, `b`, … —
-    /// and records each, in that order, as its fastest batch. A slow
-    /// stretch of the host then hits both alike, so the ratio of the two
-    /// records does not depend on which bench happened to run during it.
+    /// Times two benches in alternating batches — `a`, `b`, then `b`, `a`,
+    /// and so on, swapping which runs first every other round — and
+    /// records each, `a` then `b`, as its fastest batch. A slow stretch of
+    /// the host then hits both alike, and neither bench always runs second
+    /// (on a cache or allocator the other one just warmed), so the ratio
+    /// of the two records does not depend on the order they ran in.
     pub fn bench_alternating<RA, RB>(
         &mut self,
         (name_a, mut fa): (&str, impl FnMut() -> RA),
@@ -173,9 +175,14 @@ impl Micro {
             batch_len(self.budget, &mut fb),
         );
         let (mut best_a, mut best_b) = (Duration::MAX, Duration::MAX);
-        for _ in 0..BATCHES {
-            best_a = best_a.min(time_batch(na, &mut fa));
-            best_b = best_b.min(time_batch(nb, &mut fb));
+        for round in 0..BATCHES {
+            if round % 2 == 0 {
+                best_a = best_a.min(time_batch(na, &mut fa));
+                best_b = best_b.min(time_batch(nb, &mut fb));
+            } else {
+                best_b = best_b.min(time_batch(nb, &mut fb));
+                best_a = best_a.min(time_batch(na, &mut fa));
+            }
         }
         for (name, iters, total) in [(name_a, na, best_a), (name_b, nb, best_b)] {
             let mut b = Bencher {
@@ -285,6 +292,22 @@ mod tests {
         let names: Vec<&str> = h.records().iter().map(|r| r.name.as_str()).collect();
         assert_eq!(names, ["a", "b"]);
         assert!(h.records().iter().all(|r| r.iters >= 1));
+    }
+
+    #[test]
+    fn alternating_benches_swap_which_runs_first() {
+        let mut h = tiny();
+        let log = std::cell::RefCell::new(Vec::new());
+        h.bench_alternating(
+            ("a", || log.borrow_mut().push('a')),
+            ("b", || log.borrow_mut().push('b')),
+        );
+        let mut runs = log.into_inner();
+        runs.dedup();
+        // Calibration `a`, `b`, then round 0 `a`, `b`. Every later round
+        // starts with the bench the previous round ended on, so it adds one
+        // run; a fixed order would add two.
+        assert_eq!(runs.len(), 2 + 2 + (BATCHES - 1), "{runs:?}");
     }
 
     #[test]

@@ -8,24 +8,20 @@
 //! analysis over the fold grid) and classifies every divergence of an
 //! actual plan as a [`PlanViolation`].
 //!
-//! Two consumers build on the audit:
-//!
-//! * [`gate`] — a cached per-configuration verdict consulted by every
-//!   [`LatencyModel`] entry point, mirroring the dataflow-legality gate in
-//!   `fuseconv_systolic::legality`: debug builds refuse to estimate with a
-//!   model whose probe plans fail the audit, release builds warn once per
-//!   configuration and continue.
-//! * `fuseconv-analyze` — the `PLAN001–PLAN004` rules wrap
-//!   [`audit_plan`]'s violations as diagnostics, and the `MEM001–MEM003`
-//!   rules budget the [`fold_footprint`] working sets against SRAM.
+//! The planner passing the audit is a property of constant code, so it is
+//! proved at test time, not re-checked on every [`LatencyModel`] call: this
+//! module's tests audit one probe operator per lowering class over a grid
+//! of array shapes × dataflows × batch sizes × broadcast, plus a seeded
+//! random sample. At run time the audit is a reference check for
+//! `fuseconv-analyze`: the `PLAN001–PLAN004` rules wrap [`audit_plan`]'s
+//! violations as diagnostics, and the `MEM001–MEM003` rules budget the
+//! [`fold_footprint`] working sets against SRAM.
 
-use crate::map::{c64, Dataflow, LatencyError, LatencyModel};
+use crate::map::{c64, Dataflow, LatencyModel};
 use fuseconv_nn::ops::{Axis1d, Op};
 use fuseconv_systolic::conv1d;
 use fuseconv_trace::{FoldKind, FoldSpec};
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// One divergence between a fold plan and the expected partition of the
 /// operator's output iteration space.
@@ -413,128 +409,73 @@ fn c64u32(x: u32) -> u64 {
     u64::from(x)
 }
 
-/// Cache key: everything that changes a model's fold plans.
-type Key = (usize, usize, bool, Dataflow, usize);
-
-fn key_of(model: &LatencyModel) -> Key {
-    (
-        model.array().rows(),
-        model.array().cols(),
-        model.array().has_broadcast(),
-        model.dataflow(),
-        model.batch(),
-    )
-}
-
-/// The probe operators the gate audits: one per lowering class, with
-/// remainder tiles on every array at or above 2×2 (the same shapes the
-/// plan unit tests sweep).
-fn probe_ops(has_broadcast: bool) -> Vec<Op> {
-    let mut ops = vec![
-        Op::conv2d(14, 14, 8, 24, 3, 1, 1),
-        Op::depthwise(9, 9, 6, 3, 1, 1),
-        Op::pointwise(7, 7, 12, 20),
-        Op::fc(100, 37),
-    ];
-    if has_broadcast {
-        ops.push(Op::fuse1d(12, 12, 5, 3, 1, 1, Axis1d::Row));
-        ops.push(Op::fuse1d(7, 7, 9, 5, 1, 2, Axis1d::Col));
-    }
-    ops
-}
-
-/// Computes the audit verdict for one model configuration by planning and
-/// auditing every probe operator.
-fn verdict_for(model: &LatencyModel) -> Result<(), LatencyError> {
-    for op in probe_ops(model.array().has_broadcast()) {
-        let plan = model.fold_plan_ungated(&op)?;
-        let violations = audit_plan(model, &op, &plan);
-        if let Some(v) = violations.first() {
-            return Err(LatencyError::PlanAudit {
-                detail: format!("probe `{op}` on this configuration: {v}"),
-            });
-        }
-    }
-    Ok(())
-}
-
-static VERDICTS: OnceLock<Mutex<HashMap<Key, Result<(), LatencyError>>>> = OnceLock::new();
-
-/// Plan-audit gate consulted by every [`LatencyModel`] entry point.
-///
-/// The first call per `(array, dataflow, batch)` configuration audits the
-/// probe plans and caches the verdict. Debug builds propagate a failed
-/// verdict as [`LatencyError::PlanAudit`] on every call; release builds
-/// log one warning per configuration (through the telemetry logger,
-/// counted as `latency.gate_warnings`) when the verdict is first computed
-/// and then continue (the shipped planner passes the audit — the gate
-/// exists so a planner regression cannot silently produce latency numbers
-/// from a plan that no longer partitions the iteration space).
-///
-/// # Errors
-///
-/// [`LatencyError::PlanAudit`] in debug builds when the audit fails.
-pub fn gate(model: &LatencyModel) -> Result<(), LatencyError> {
-    let _span = fuseconv_telemetry::span("latency.audit_gate");
-    let cache = VERDICTS.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut map = cache.lock().unwrap_or_else(PoisonError::into_inner);
-    let verdict = map.entry(key_of(model)).or_insert_with(|| {
-        let v = verdict_for(model);
-        if let Err(e) = &v {
-            fuseconv_telemetry::counter("latency.gate_warnings").inc();
-            if !cfg!(debug_assertions) {
-                fuseconv_telemetry::log::warn(
-                    "latency::audit",
-                    &format!("{e} (release build: continuing)"),
-                );
-            }
-        }
-        v
-    });
-    if cfg!(debug_assertions) {
-        verdict.clone()
-    } else {
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fuseconv_systolic::ArrayConfig;
+    use fuseconv_tensor::rng::Rng;
 
     fn model(rows: usize, cols: usize) -> LatencyModel {
         LatencyModel::new(ArrayConfig::new(rows, cols).unwrap().with_broadcast(true))
     }
 
-    fn all_ops() -> Vec<Op> {
-        probe_ops(true)
+    /// One probe operator per lowering class, with remainder tiles on
+    /// every array at or above 2×2. FuSe operators need the broadcast link.
+    fn probe_ops(has_broadcast: bool) -> Vec<Op> {
+        let mut ops = vec![
+            Op::conv2d(14, 14, 8, 24, 3, 1, 1),
+            Op::depthwise(9, 9, 6, 3, 1, 1),
+            Op::pointwise(7, 7, 12, 20),
+            Op::fc(100, 37),
+        ];
+        if has_broadcast {
+            ops.push(Op::fuse1d(12, 12, 5, 3, 1, 1, Axis1d::Row));
+            ops.push(Op::fuse1d(7, 7, 9, 5, 1, 2, Axis1d::Col));
+        }
+        ops
     }
 
-    #[test]
-    fn shipped_plans_audit_clean_everywhere() {
-        for (rows, cols) in [(4usize, 6usize), (8, 8), (5, 3), (64, 64)] {
+    /// Every probe plan of every dataflow audits clean on `rows × cols`
+    /// at `batch`, with and without the broadcast link.
+    fn assert_config_audits_clean(rows: usize, cols: usize, batch: usize) {
+        let plain = ArrayConfig::new(rows, cols).unwrap();
+        for array in [plain, plain.with_broadcast(true)] {
             for dataflow in [
                 Dataflow::OutputStationary,
                 Dataflow::WeightStationary,
                 Dataflow::InputStationary,
             ] {
-                let m = model(rows, cols).with_dataflow(dataflow);
-                for op in all_ops() {
-                    let plan = m.fold_plan_ungated(&op).unwrap();
-                    let v = audit_plan(&m, &op, &plan);
-                    assert!(v.is_empty(), "{rows}x{cols} {dataflow:?} {op}: {v:?}");
+                let m = LatencyModel::new(array)
+                    .with_dataflow(dataflow)
+                    .with_batch(batch);
+                for op in probe_ops(array.has_broadcast()) {
+                    let v = audit_plan(&m, &op, &m.fold_plan(&op).unwrap());
+                    assert!(
+                        v.is_empty(),
+                        "{rows}x{cols} bcast={} {dataflow:?} batch {batch} {op}: {v:?}",
+                        array.has_broadcast()
+                    );
                 }
             }
         }
     }
 
     #[test]
-    fn gate_accepts_shipped_configurations() {
-        for side in [4usize, 8, 64] {
-            assert!(model(side, side)
-                .cycles(&Op::pointwise(7, 7, 12, 20))
-                .is_ok());
+    fn shipped_plans_audit_clean_everywhere() {
+        const SIDES: [usize; 11] = [1, 2, 3, 5, 7, 8, 13, 16, 31, 64, 128];
+        for rows in SIDES {
+            for cols in SIDES {
+                for batch in [1, 2, 3, 8] {
+                    assert_config_audits_clean(rows, cols, batch);
+                }
+            }
+        }
+        let mut rng = Rng::seed_from_u64(0x00a0_d17e);
+        for _ in 0..64 {
+            let rows = 1 + rng.below(200);
+            let cols = 1 + rng.below(200);
+            let batch = 1 + rng.below(16);
+            assert_config_audits_clean(rows, cols, batch);
         }
     }
 
@@ -542,7 +483,7 @@ mod tests {
     fn dropped_fold_is_a_gap() {
         let m = model(8, 8);
         let op = Op::pointwise(7, 7, 12, 20);
-        let mut plan = m.fold_plan_ungated(&op).unwrap();
+        let mut plan = m.fold_plan(&op).unwrap();
         plan.pop();
         let v = audit_plan(&m, &op, &plan);
         assert!(
@@ -560,7 +501,7 @@ mod tests {
     fn duplicated_fold_is_an_overlap() {
         let m = model(8, 8);
         let op = Op::pointwise(7, 7, 12, 20);
-        let mut plan = m.fold_plan_ungated(&op).unwrap();
+        let mut plan = m.fold_plan(&op).unwrap();
         let dup = plan[plan.len() - 1];
         plan.push(dup);
         let v = audit_plan(&m, &op, &plan);
@@ -574,7 +515,7 @@ mod tests {
     fn widened_tile_is_an_overlap_and_oversized() {
         let m = model(8, 8);
         let op = Op::pointwise(7, 7, 12, 20);
-        let mut plan = m.fold_plan_ungated(&op).unwrap();
+        let mut plan = m.fold_plan(&op).unwrap();
         plan[0].rows_used = 9; // beyond the 8-row array
         let v = audit_plan(&m, &op, &plan);
         assert!(
@@ -592,7 +533,7 @@ mod tests {
     fn narrowed_tile_is_a_gap() {
         let m = model(8, 8);
         let op = Op::conv2d(14, 14, 8, 24, 3, 1, 1);
-        let mut plan = m.fold_plan_ungated(&op).unwrap();
+        let mut plan = m.fold_plan(&op).unwrap();
         plan[0].cols_used -= 1;
         plan[0].macs -= 1;
         let v = audit_plan(&m, &op, &plan);
@@ -606,7 +547,7 @@ mod tests {
     fn mutated_macs_alone_is_a_macs_mismatch() {
         let m = model(8, 8);
         let op = Op::fuse1d(12, 12, 5, 3, 1, 1, Axis1d::Row);
-        let mut plan = m.fold_plan_ungated(&op).unwrap();
+        let mut plan = m.fold_plan(&op).unwrap();
         plan[0].macs += 7;
         let v = audit_plan(&m, &op, &plan);
         assert!(
@@ -621,7 +562,7 @@ mod tests {
         // OS pointwise on 8x8: full 8x8 tiles with reduction 12 → ifmap
         // 8·12, filter 12·8, ofmap 8·8.
         let m = model(8, 8);
-        let plan = m.fold_plan_ungated(&Op::pointwise(8, 8, 12, 8)).unwrap();
+        let plan = m.fold_plan(&Op::pointwise(8, 8, 12, 8)).unwrap();
         let fp = fold_footprint(&plan[0]);
         assert_eq!(fp.ifmap_elems, 8 * 12);
         assert_eq!(fp.filter_elems, 12 * 8);

@@ -27,13 +27,6 @@ pub enum LatencyError {
         /// The offending operator, pretty-printed.
         op: String,
     },
-    /// The cached fold-plan self-audit found an inconsistent plan for this
-    /// model configuration (debug builds only; release builds warn once
-    /// and continue). See [`crate::audit`].
-    PlanAudit {
-        /// What the audit found, pretty-printed.
-        detail: String,
-    },
 }
 
 impl fmt::Display for LatencyError {
@@ -48,9 +41,6 @@ impl fmt::Display for LatencyError {
             }
             LatencyError::ArithmeticOverflow { op } => {
                 write!(f, "cycle count of operator `{op}` overflows u64")
-            }
-            LatencyError::PlanAudit { detail } => {
-                write!(f, "fold-plan self-audit failed: {detail}")
             }
         }
     }
@@ -284,11 +274,6 @@ impl LatencyModel {
 
     /// Estimated cycles for one operator.
     ///
-    /// The first call per model configuration runs the cached fold-plan
-    /// self-audit (see [`crate::audit`]); an inconsistent plan is an
-    /// [`LatencyError::PlanAudit`] in debug builds and a once-per-config
-    /// warning in release builds.
-    ///
     /// # Errors
     ///
     /// Returns [`LatencyError::BroadcastRequired`] for a FuSe operator on a
@@ -297,15 +282,6 @@ impl LatencyModel {
     /// does not fit in `u64`.
     pub fn cycles(&self, op: &Op) -> Result<u64, LatencyError> {
         let _span = fuseconv_telemetry::span("latency.cycles");
-        crate::audit::gate(self)?;
-        self.cycles_ungated(op)
-    }
-
-    /// [`LatencyModel::cycles`] without the plan-audit gate — used by the
-    /// audit itself (which must not recurse) and by [`fold_plan`].
-    ///
-    /// [`fold_plan`]: LatencyModel::fold_plan
-    pub(crate) fn cycles_ungated(&self, op: &Op) -> Result<u64, LatencyError> {
         let (oh, ow, _) = op.output_shape();
         let overflow = || LatencyError::ArithmeticOverflow { op: op.to_string() };
         match *op {

@@ -183,19 +183,9 @@ impl LatencyModel {
     /// total the plan describes does not fit `u64`.
     pub fn fold_plan(&self, op: &Op) -> Result<Vec<FoldSpec>, LatencyError> {
         let _span = fuseconv_telemetry::span("latency.fold_plan");
-        crate::audit::gate(self)?;
-        let plan = self.fold_plan_ungated(op)?;
-        fuseconv_telemetry::counter("latency.folds_planned_total")
-            .add(u64::try_from(plan.len()).unwrap_or(u64::MAX));
-        Ok(plan)
-    }
-
-    /// [`LatencyModel::fold_plan`] without the plan-audit gate — used by
-    /// the audit itself, which must not recurse through the gate.
-    pub(crate) fn fold_plan_ungated(&self, op: &Op) -> Result<Vec<FoldSpec>, LatencyError> {
         // Plans document serial accounting; prove that total fits u64
         // before emitting a single spec, so overflow is an error here too.
-        self.with_overlap(FoldOverlap::Serial).cycles_ungated(op)?;
+        self.with_overlap(FoldOverlap::Serial).cycles(op)?;
         let (oh, ow, _) = op.output_shape();
         let mut plan = Vec::new();
         match *op {
@@ -237,6 +227,8 @@ impl LatencyModel {
                 self.gemm_plan(1, in_features, out_features, &mut plan);
             }
         }
+        fuseconv_telemetry::counter("latency.folds_planned_total")
+            .add(u64::try_from(plan.len()).unwrap_or(u64::MAX));
         Ok(plan)
     }
 }

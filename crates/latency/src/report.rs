@@ -4,26 +4,9 @@
 use crate::map::{LatencyError, LatencyModel};
 use fuseconv_models::Network;
 use fuseconv_nn::ops::{Op, OpClass};
+use fuseconv_telemetry::json_escape;
 use std::collections::BTreeMap;
 use std::fmt;
-
-/// Escapes a string for embedding in a JSON string literal (hand-rolled;
-/// the workspace carries no serde).
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Latency of a single operator within a network.
 #[derive(Debug, Clone, PartialEq)]
@@ -428,11 +411,5 @@ mod tests {
         let csv = r.to_csv();
         assert_eq!(csv.lines().count(), r.ops.len() + 1);
         assert!(csv.starts_with("block_index,block_name,op_label,class,macs,cycles"));
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(super::json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(super::json_escape("\u{1}"), "\\u0001");
     }
 }

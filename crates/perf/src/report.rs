@@ -7,7 +7,7 @@ use crate::counters::PerfCounters;
 use fuseconv_latency::memory::{network_traffic, roofline, Roofline, Traffic};
 use fuseconv_latency::{estimate_network, Dataflow, LatencyError, LatencyModel};
 use fuseconv_models::Network;
-use fuseconv_telemetry::RunManifest;
+use fuseconv_telemetry::{json_escape, RunManifest};
 use std::fmt::Write as _;
 
 /// Analytic performance counters for one operator of a network.
@@ -439,24 +439,6 @@ fn truncate(s: &str, max: usize) -> String {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -514,11 +496,5 @@ mod tests {
         // Sanity: balanced braces/brackets.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

@@ -8,25 +8,8 @@
 //! though manifests differ in wall-clock fields. Schema pinned by
 //! `tests/serve_schema.rs`.
 
-use fuseconv_telemetry::{fnv1a64, RunManifest};
+use fuseconv_telemetry::{fnv1a64, json_escape, RunManifest};
 use std::fmt::Write as _;
-
-/// Escapes a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Nearest-rank percentile of an ascending-sorted slice, `q` in
 /// per-mille (500 = p50, 999 = p99.9). Returns 0 for empty input.

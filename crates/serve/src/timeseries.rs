@@ -32,25 +32,8 @@
 
 use crate::spec::ServeError;
 use crate::trace::PodTraceSink;
-use fuseconv_telemetry::{fnv1a64, QuantileSketch, RunManifest};
+use fuseconv_telemetry::{fnv1a64, json_escape, QuantileSketch, RunManifest};
 use std::fmt::Write as _;
-
-/// Escapes a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Schema tag of the time-series artifact.
 pub const TIMESERIES_SCHEMA: &str = "fuseconv-serve-timeseries-v1";

@@ -9,24 +9,7 @@
 //! single-array `ChromeTraceSink` convention.
 
 use crate::spec::PodSpec;
-use fuseconv_telemetry::RunManifest;
-
-/// Escapes a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use fuseconv_telemetry::{json_escape, RunManifest};
 
 /// Default cap on recorded events; million-request runs would
 /// otherwise emit gigabyte traces.

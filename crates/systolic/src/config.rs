@@ -114,14 +114,6 @@ pub enum ConfigError {
         /// Description of the problem.
         what: &'static str,
     },
-    /// The static legality gate rejected the dataflow's space–time mapping
-    /// (see [`crate::legality`]).
-    IllegalMapping {
-        /// Name of the rejected dataflow.
-        dataflow: &'static str,
-        /// The concatenated legality violations.
-        detail: String,
-    },
 }
 
 impl fmt::Display for ConfigError {
@@ -135,9 +127,6 @@ impl fmt::Display for ConfigError {
                 "the fuseconv dataflow requires an array with row-broadcast links"
             ),
             ConfigError::BadOperand { what } => write!(f, "invalid operand: {what}"),
-            ConfigError::IllegalMapping { dataflow, detail } => {
-                write!(f, "illegal {dataflow} mapping: {detail}")
-            }
         }
     }
 }

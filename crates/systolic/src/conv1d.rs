@@ -92,7 +92,6 @@ pub fn simulate_traced(
     if !cfg.has_broadcast() {
         return Err(ConfigError::BroadcastUnavailable);
     }
-    crate::legality::gate(crate::legality::DataflowKind::RowBroadcast, cfg)?;
     if inputs.is_empty() || inputs.len() != kernels.len() {
         return Err(ConfigError::BadOperand {
             what: "batch must be nonempty with one kernel per input",
@@ -360,7 +359,6 @@ pub fn simulate_packed_traced(
     if !cfg.has_broadcast() {
         return Err(ConfigError::BroadcastUnavailable);
     }
-    crate::legality::gate(crate::legality::DataflowKind::RowBroadcast, cfg)?;
     let Some(first) = work.first() else {
         return Err(ConfigError::BadOperand {
             what: "packed batch must be nonempty",
@@ -583,6 +581,12 @@ mod tests {
     fn requires_broadcast_links() {
         let cfg = ArrayConfig::new(4, 4).unwrap();
         let r = simulate(&cfg, &[vec![1.0; 5]], &[vec![1.0; 3]]);
+        assert_eq!(r.unwrap_err(), ConfigError::BroadcastUnavailable);
+        let work = [ChannelLines {
+            kernel: vec![1.0; 3],
+            lines: vec![vec![1.0; 5]],
+        }];
+        let r = simulate_packed(&cfg, &work);
         assert_eq!(r.unwrap_err(), ConfigError::BroadcastUnavailable);
     }
 

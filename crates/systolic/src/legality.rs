@@ -18,18 +18,19 @@
 //!    served by the paper's per-row weight-broadcast link (§IV-C-1), in
 //!    which case the array must physically have that link.
 //!
-//! Every `simulate`/`simulate_traced` entry point calls the [`gate`]:
-//! in debug builds an illegal mapping is a hard
-//! [`ConfigError::IllegalMapping`]; release builds warn once on stderr
-//! and proceed (the shipped mappings are all legal — the gate exists to
-//! catch future dataflow changes, and its result is cached per dataflow).
+//! The verdict depends only on the dataflow kind and whether the array has
+//! the broadcast link, so legality of the shipped mappings is a property of
+//! constant code: it is proved once, by this module's tests, for every kind
+//! on plain and broadcast arrays. The simulators do not re-check it. The
+//! GEMM mappings are legal on every array, and the row-broadcast simulators
+//! refuse a plain array with [`crate::ConfigError::BroadcastUnavailable`]
+//! before they run. The `RIA`/`SCH`/`LOC` analyzer rules report the same
+//! verdict on request.
 
-use crate::{ArrayConfig, ConfigError};
+use crate::ArrayConfig;
 use fuseconv_ria::schedule::find_schedule;
 use fuseconv_ria::{RecurrenceSystem, RiaViolation, Schedule};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 /// The dataflows implemented by this crate's simulators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -327,109 +328,6 @@ pub fn verify_mapping(
     }
 }
 
-/// Verifies an explicit mapping and converts failure into the simulator
-/// error the gate raises — the seam tests use to prove that an injected
-/// illegal schedule is rejected *before* simulation starts.
-///
-/// # Errors
-///
-/// Returns [`ConfigError::IllegalMapping`] listing every violation.
-pub fn gate_mapping(mapping: &DataflowMapping, cfg: &ArrayConfig) -> Result<(), ConfigError> {
-    verify_mapping(mapping, cfg).map_err(|violations| {
-        let detail = violations
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join("; ");
-        ConfigError::IllegalMapping {
-            dataflow: mapping.kind.name(),
-            detail,
-        }
-    })
-}
-
-/// The per-dataflow verification cache: deriving and verifying a mapping
-/// allocates and runs a schedule search, so each (dataflow, broadcast)
-/// combination is verified once per process.
-static GATE_CACHE: [[OnceLock<Result<(), ConfigError>>; 2]; 4] = [
-    [OnceLock::new(), OnceLock::new()],
-    [OnceLock::new(), OnceLock::new()],
-    [OnceLock::new(), OnceLock::new()],
-    [OnceLock::new(), OnceLock::new()],
-];
-
-/// One warn-once flag per *mapping* (not per call site and not per
-/// `(mapping, broadcast)` cache cell): however many entry points gate the
-/// same illegal mapping, and on however many array flavours, the release
-/// warning is printed exactly once per process.
-static GATE_WARNED: [AtomicBool; 4] = [
-    AtomicBool::new(false),
-    AtomicBool::new(false),
-    AtomicBool::new(false),
-    AtomicBool::new(false),
-];
-
-/// How many distinct mappings have claimed their warn-once flag — the
-/// observable the exactly-once regression test pins (flags are claimed in
-/// both build profiles; only the printing is release-only).
-static GATE_WARN_CLAIMS: AtomicUsize = AtomicUsize::new(0);
-
-#[cfg(test)]
-fn gate_warn_claims() -> usize {
-    GATE_WARN_CLAIMS.load(Ordering::SeqCst)
-}
-
-/// The legality gate every `simulate`/`simulate_traced` entry point runs
-/// before touching operands: verifies the canonical mapping of `kind` on
-/// `cfg`. Debug builds hard-error on an illegal mapping; release builds
-/// warn once per mapping through the telemetry logger and proceed.
-/// Cache hits/misses and claimed warnings are counted in the metrics
-/// registry (`legality.cache_hits` / `legality.cache_misses` /
-/// `legality.gate_warnings`).
-///
-/// # Errors
-///
-/// Returns [`ConfigError::IllegalMapping`] in debug builds when the
-/// mapping fails verification.
-pub fn gate(kind: DataflowKind, cfg: &ArrayConfig) -> Result<(), ConfigError> {
-    let row = match kind {
-        DataflowKind::OutputStationary => 0,
-        DataflowKind::WeightStationary => 1,
-        DataflowKind::InputStationary => 2,
-        DataflowKind::RowBroadcast => 3,
-    };
-    let col = usize::from(cfg.has_broadcast());
-    let cell = &GATE_CACHE[row][col];
-    if cell.get().is_some() {
-        fuseconv_telemetry::counter("legality.cache_hits").inc();
-    } else {
-        fuseconv_telemetry::counter("legality.cache_misses").inc();
-    }
-    let cached = cell.get_or_init(|| gate_mapping(&canonical_mapping(kind), cfg));
-    if let Err(e) = cached {
-        // compare_exchange claims the mapping's flag exactly once across
-        // every call site and cache cell.
-        if GATE_WARNED[row]
-            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            GATE_WARN_CLAIMS.fetch_add(1, Ordering::SeqCst);
-            fuseconv_telemetry::counter("legality.gate_warnings").inc();
-            if !cfg!(debug_assertions) {
-                fuseconv_telemetry::log::warn(
-                    "systolic::legality",
-                    &format!("{e} (release build: continuing)"),
-                );
-            }
-        }
-    }
-    if cfg!(debug_assertions) {
-        cached.clone()
-    } else {
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -439,29 +337,25 @@ mod tests {
         ArrayConfig::square(side).unwrap()
     }
 
-    fn bcast(side: usize) -> ArrayConfig {
-        plain(side).with_broadcast(true)
-    }
-
     #[test]
-    fn every_canonical_mapping_is_legal_on_a_broadcast_array() {
-        for kind in DataflowKind::ALL {
-            let mapping = canonical_mapping(kind);
-            assert!(
-                verify_mapping(&mapping, &bcast(8)).is_ok(),
-                "{kind} should verify clean"
-            );
-        }
-    }
-
-    #[test]
-    fn gemm_mappings_need_no_broadcast() {
-        for kind in [
-            DataflowKind::OutputStationary,
-            DataflowKind::WeightStationary,
-            DataflowKind::InputStationary,
-        ] {
-            assert!(verify_mapping(&canonical_mapping(kind), &plain(8)).is_ok());
+    fn shipped_mappings_are_legal_exactly_where_the_simulators_run_them() {
+        // The whole verdict table: every kind on plain and broadcast
+        // arrays of several shapes. Only row-broadcast on a plain array is
+        // illegal, and the conv1d simulators refuse that configuration
+        // with BroadcastUnavailable before simulating.
+        for (rows, cols) in [(1, 1), (1, 8), (3, 5), (8, 8), (64, 16)] {
+            let array = ArrayConfig::new(rows, cols).unwrap();
+            for cfg in [array, array.with_broadcast(true)] {
+                for kind in DataflowKind::ALL {
+                    let legal = kind != DataflowKind::RowBroadcast || cfg.has_broadcast();
+                    assert_eq!(
+                        verify_mapping(&canonical_mapping(kind), &cfg).is_ok(),
+                        legal,
+                        "{kind} on {rows}x{cols} broadcast={}",
+                        cfg.has_broadcast()
+                    );
+                }
+            }
         }
     }
 
@@ -476,9 +370,9 @@ mod tests {
 
     #[test]
     fn injected_illegal_schedule_is_rejected_before_simulation() {
-        // The acceptance-criterion test: tamper the canonical OS mapping
-        // with τ = [1, 1, -1] so the accumulation dependence (0,0,1) gets
-        // τ·d = -1 < 1, and check the gate refuses it up front.
+        // Tamper the canonical OS mapping with τ = [1, 1, -1] so the
+        // accumulation dependence (0,0,1) gets τ·d = -1 < 1, and check the
+        // verifier refuses it statically.
         let mapping = canonical_mapping(DataflowKind::OutputStationary)
             .with_schedule(Schedule::new(vec![1, 1, -1]));
         let errs = verify_mapping(&mapping, &plain(8)).unwrap_err();
@@ -486,11 +380,6 @@ mod tests {
             v,
             LegalityViolation::ScheduleViolatesDependence { product, .. } if *product < 1
         )));
-        let gate_err = gate_mapping(&mapping, &plain(8)).unwrap_err();
-        assert!(matches!(
-            gate_err,
-            ConfigError::IllegalMapping { dataflow, .. } if dataflow.contains("output-stationary")
-        ));
     }
 
     #[test]
@@ -545,39 +434,6 @@ mod tests {
         let mapping = canonical_mapping(DataflowKind::OutputStationary)
             .with_schedule(Schedule::new(vec![1, 1]));
         assert!(verify_mapping(&mapping, &plain(8)).is_err());
-    }
-
-    #[test]
-    fn gate_accepts_all_shipped_dataflows() {
-        for kind in DataflowKind::ALL {
-            assert!(gate(kind, &bcast(4)).is_ok(), "{kind}");
-        }
-    }
-
-    #[test]
-    fn gate_warns_exactly_once_across_repeated_calls() {
-        // Row-broadcast on a plain array is the one canonically illegal
-        // mapping; the simulate entry points short-circuit on
-        // BroadcastUnavailable before gating, so drive the gate directly,
-        // as every call site would in release builds. However many times
-        // (and on however many array shapes) the illegal mapping is gated,
-        // the shared per-mapping once-flag is claimed exactly once.
-        let before = gate_warn_claims();
-        for _ in 0..3 {
-            let verdict = gate(DataflowKind::RowBroadcast, &plain(4));
-            if cfg!(debug_assertions) {
-                assert!(matches!(verdict, Err(ConfigError::IllegalMapping { .. })));
-            } else {
-                assert!(verdict.is_ok());
-            }
-        }
-        // Further calls — even from other call sites — share the flag.
-        let _ = gate(DataflowKind::RowBroadcast, &plain(8));
-        assert_eq!(
-            gate_warn_claims(),
-            before + 1,
-            "warn-once flag must be claimed exactly once per mapping"
-        );
     }
 
     #[test]

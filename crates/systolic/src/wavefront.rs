@@ -22,7 +22,6 @@
 //!   narrates; it runs only when the sink opts in, and debug builds assert
 //!   that its busy count equals the closed form.
 
-use crate::legality::{self, DataflowKind};
 use crate::{ArrayConfig, ConfigError, SimResult};
 use fuseconv_tensor::Tensor;
 use fuseconv_trace::{FoldKind, Operand, Phase, TraceEvent, TraceSink};
@@ -38,8 +37,8 @@ pub(crate) enum Axis {
 
 /// A GEMM dataflow as the driver sees it. Which operand (if any) stays in
 /// the PEs decides everything else about a fold: the index map, the fill,
-/// the drain, the edge partial sums leave through, and the trace, legality
-/// and telemetry names.
+/// the drain, the edge partial sums leave through, and the trace and
+/// telemetry names.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Stationary {
     /// Outputs accumulate in the PEs: PE `(i, j)` at stream step `s`
@@ -88,14 +87,12 @@ fn band(ru: usize, cu: usize, s: usize) -> impl Iterator<Item = u32> {
 }
 
 impl Stationary {
-    /// Trace kind of every fold, legality mapping checked before
-    /// simulating, and telemetry span around one simulation.
-    fn names(self) -> (FoldKind, DataflowKind, &'static str) {
-        use {DataflowKind as D, FoldKind as F};
+    /// Trace kind of every fold and telemetry span around one simulation.
+    fn names(self) -> (FoldKind, &'static str) {
         match self {
-            Self::Output => (F::OutputStationary, D::OutputStationary, "sim.gemm_os"),
-            Self::Weight => (F::WeightStationary, D::WeightStationary, "sim.gemm_ws"),
-            Self::Input => (F::InputStationary, D::InputStationary, "sim.gemm_is"),
+            Self::Output => (FoldKind::OutputStationary, "sim.gemm_os"),
+            Self::Weight => (FoldKind::WeightStationary, "sim.gemm_ws"),
+            Self::Input => (FoldKind::InputStationary, "sim.gemm_is"),
         }
     }
 
@@ -192,8 +189,7 @@ impl Stationary {
     ///
     /// # Errors
     ///
-    /// [`ConfigError::BadOperand`] unless `a` is `M×K` and `b` is `K×N`,
-    /// and whatever the legality gate reports for `cfg`.
+    /// [`ConfigError::BadOperand`] unless `a` is `M×K` and `b` is `K×N`.
     pub fn simulate(
         self,
         cfg: &ArrayConfig,
@@ -201,9 +197,8 @@ impl Stationary {
         b: &Tensor,
         sink: &mut dyn TraceSink,
     ) -> Result<SimResult, ConfigError> {
-        let (kind, legality, span) = self.names();
+        let (kind, span) = self.names();
         let _span = fuseconv_telemetry::span(span);
-        legality::gate(legality, cfg)?;
         let (ad, bd) = (a.shape().dims(), b.shape().dims());
         if ad.len() != 2 || bd.len() != 2 || ad[1] != bd[0] {
             return Err(ConfigError::BadOperand {

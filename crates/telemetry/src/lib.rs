@@ -10,7 +10,7 @@
 //!   trace-event JSON ([`SpanTree::chrome_trace_json`]) so host spans
 //!   can be viewed beside the simulator's fold events;
 //! * [`metrics`] — a process-wide registry of named counters, gauges
-//!   and log₂ histograms (`sim.folds_total`, `legality.cache_hits`, …)
+//!   and log₂ histograms (`sim.folds_total`, `latency.folds_planned_total`, …)
 //!   with a deterministic snapshot API and `fuseconv-metrics-v1` JSON;
 //! * [`sketch`] — a log-linear [`QuantileSketch`] with a documented
 //!   1/64 relative-error bound, the p99/p999 substrate of the serving
@@ -21,8 +21,7 @@
 //!   artifact the workspace emits.
 //!
 //! A structured stderr [`log`] with a process-wide level filter rounds
-//! it out, replacing ad-hoc `eprintln!` call sites in binaries and the
-//! warn-once gate messages in `systolic`/`latency`.
+//! it out, replacing ad-hoc `eprintln!` call sites in binaries.
 //!
 //! The crate is dependency-free by design (hand-rolled JSON) and sits
 //! below every other workspace crate, including `fuseconv-trace`. It is
@@ -40,7 +39,7 @@ pub mod sketch;
 pub mod span;
 pub mod time;
 
-pub use manifest::{fnv1a64, RunManifest, MANIFEST_SCHEMA};
+pub use manifest::{fnv1a64, json_escape, RunManifest, MANIFEST_SCHEMA};
 pub use metrics::{
     counter, gauge, histogram, snapshot as metrics_snapshot, Counter, Gauge, Histogram,
     MetricsSnapshot, METRICS_SCHEMA,

@@ -1,7 +1,6 @@
 //! Structured stderr logger with a process-wide level filter.
 //!
-//! Replaces the ad-hoc `eprintln!` call sites in binaries and the
-//! release-mode warn-once gate messages in `systolic`/`latency`. Every
+//! Replaces the ad-hoc `eprintln!` call sites in binaries. Every
 //! line has the shape `[LEVEL target] message`; emitted and suppressed
 //! lines are counted in the metrics registry (`log.emitted_total`,
 //! `log.suppressed_total`, `log.<level>_total`).

@@ -36,8 +36,7 @@ fn profiled_fold_planning_stays_within_ten_percent() {
     let model = LatencyModel::new(array);
     let net = zoo::mobilenet_v1();
 
-    // Warm caches and the legality-gate memoization in both modes before
-    // any timed run.
+    // Warm caches in both modes before any timed run.
     for on in [false, true] {
         set_spans_enabled(on);
         black_box(workload(&model, &net));
