@@ -17,9 +17,14 @@
 //! * **Deadline** — a batching max-wait expired; re-run dispatch.
 //!
 //! Dispatch picks, per launched batch, the idle array with the lowest
-//! analytic cost for that network/batch size ([`crate::CostOracle`]).
+//! analytic cost for that network/batch size ([`crate::CostOracle`]),
+//! scanning the array states in place so ties go to the lowest index.
 //! Under [`Dispatch::Sharded`] the whole pod serves one batch at a
-//! time via the oracle's LPT shard plan. Optional preemption lets a
+//! time via the oracle's LPT shard plan, borrowed from its memo. The
+//! steady-state loop hashes and allocates nothing per request beyond
+//! the batch itself: oracle probes are hash-free, trace labels are
+//! formatted only when a [`PodTraceSink`] is attached, and metrics are
+//! flushed once after the loop. Optional preemption lets a
 //! high-priority arrival evict a running non-priority batch at fold
 //! granularity, but only when that finishes the arrival earlier than
 //! waiting for the first free array would; the victim's remaining
@@ -32,7 +37,9 @@ use crate::batch::{Batch, BatchPolicy, Pending, RequestQueue};
 use crate::oracle::CostOracle;
 use crate::report::{ArrayReport, LatencyStats, NetworkReport, QueueStats, ServeReport};
 use crate::spec::{PodSpec, ServeError};
-use crate::timeseries::{Exemplar, TimeSeriesConfig, TimeSeriesRecorder, TimeSeriesReport};
+use crate::timeseries::{
+    Exemplar, Tallies, TimeSeriesConfig, TimeSeriesRecorder, TimeSeriesReport,
+};
 use crate::trace::PodTraceSink;
 use crate::traffic::{TrafficGen, Workload};
 use fuseconv_telemetry::RunManifest;
@@ -214,18 +221,31 @@ impl<'a> Engine<'a> {
         self.seq += 1;
     }
 
-    /// Advances the queue-depth integral to `now` (call before any
-    /// queue mutation). The flushed interval feeds the time-series
-    /// recorder too, so its per-window depth intervals exactly tile
-    /// `[0, makespan]`.
-    fn tick_depth(&mut self, now: u64) {
-        let dt = now.saturating_sub(self.depth_last_t);
-        let depth = self.queue.len() as u64;
-        self.depth_area += depth as u128 * dt as u128;
-        if let Some(ts) = self.ts.as_mut() {
-            ts.queue_depth_to(now, depth);
+    /// Advances the queue-depth integral, and the time-series
+    /// recorder's clock, to `now`. Called once per event before the
+    /// event changes anything, so the flushed interval carries the
+    /// depth the queue held throughout it, the recorder's depth
+    /// intervals exactly tile `[0, makespan]`, and the tallies it reads
+    /// cover exactly the events before `now`.
+    fn tick(&mut self, now: u64) {
+        let from = self.depth_last_t;
+        if now <= from {
+            return;
         }
+        let depth = self.queue.len() as u64;
+        let area_from = self.depth_area;
+        self.depth_area += depth as u128 * (now - from) as u128;
         self.depth_last_t = now;
+        if let Some(ts) = &mut self.ts {
+            ts.tick(from, now, depth, area_from, || Tallies {
+                offered: self.offered,
+                dropped: self.dropped,
+                latencies: &self.latencies,
+                net_completed: &self.net_completed,
+                net_slo_met: &self.net_slo_met,
+                depth_area: self.depth_area,
+            });
+        }
     }
 
     fn note_depth(&mut self, now: u64) {
@@ -234,12 +254,6 @@ impl<'a> Engine<'a> {
         if let Some(trace) = self.trace.as_deref_mut() {
             trace.queue_depth(now, depth as usize);
         }
-    }
-
-    fn batch_label(&self, batch: &Batch) -> String {
-        let name = &self.net_names[batch.net];
-        let prio = if batch.high_priority { " !" } else { "" };
-        format!("{} x{}{}", name, batch.requests.len(), prio)
     }
 
     fn launch(&mut self, array: usize, mut batch: Batch, service: u64, now: u64, resumed: bool) {
@@ -272,8 +286,8 @@ impl<'a> Engine<'a> {
         self.arrays[array].busy_cycles += now.saturating_sub(run.started);
         self.arrays[array].requests += run.batch.requests.len() as u64;
         run.batch.phase.on_array += now.saturating_sub(run.started);
-        let label = self.batch_label(&run.batch);
         if let Some(trace) = self.trace.as_deref_mut() {
+            let label = batch_label(&self.net_names, &run.batch);
             trace.batch_span(array, run.started, now, &label);
         }
         if let Some(ts) = self.ts.as_mut() {
@@ -288,11 +302,6 @@ impl<'a> Engine<'a> {
         // than on-array time; clamp so compute never underflows.
         let refill = ph.refill.min(ph.on_array);
         let compute = ph.on_array - refill;
-        if let Some(ts) = self.ts.as_mut() {
-            // Every request in the batch completes at `now`; roll the
-            // completion window once for all of them.
-            ts.completions_at(now);
-        }
         for p in &batch.requests {
             let latency = now.saturating_sub(p.arrived);
             let form_wait = ph.formed_at.saturating_sub(p.arrived);
@@ -311,8 +320,7 @@ impl<'a> Engine<'a> {
             if met {
                 self.net_slo_met[p.net] += 1;
             }
-            if let Some(ts) = self.ts.as_mut() {
-                ts.record(latency, p.net, met);
+            if let Some(ts) = &mut self.ts {
                 // The full phase-accounted record is assembled only
                 // for the rare tail candidate.
                 if ts.wants_exemplar(latency, p.id) {
@@ -393,8 +401,8 @@ impl<'a> Engine<'a> {
         run.batch.phase.refill += refill;
         let remaining = run.done.saturating_sub(now).saturating_add(refill);
         self.preemptions += 1;
-        let label = self.batch_label(&run.batch);
         if let Some(trace) = self.trace.as_deref_mut() {
+            let label = batch_label(&self.net_names, &run.batch);
             trace.batch_span(victim, run.started, now, &format!("{label} (preempted)"));
             trace.preemption(victim, now, &label);
         }
@@ -409,18 +417,22 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    /// Launches `batch` on whichever of the `idle` arrays prices it
-    /// cheapest.
+    /// Launches `batch` on whichever idle array prices it cheapest,
+    /// scanning from `first_idle` (the lowest-index idle array) upward
+    /// so ties go to the lowest index.
     fn launch_cheapest(
         &mut self,
-        idle: &[usize],
+        first_idle: usize,
         batch: Batch,
         now: u64,
     ) -> Result<(), ServeError> {
         let size = batch.requests.len();
-        let mut best = idle[0];
+        let mut best = first_idle;
         let mut best_cost = u64::MAX;
-        for &a in idle {
+        for a in first_idle..self.arrays.len() {
+            if self.arrays[a].busy {
+                continue;
+            }
             let cost = self.oracle.request_cycles(a, batch.net, size)?;
             if cost < best_cost {
                 best_cost = cost;
@@ -432,20 +444,13 @@ impl<'a> Engine<'a> {
     }
 
     fn dispatch_whole(&mut self, now: u64) -> Result<(), ServeError> {
-        loop {
-            let idle: Vec<usize> = (0..self.arrays.len())
-                .filter(|&a| !self.arrays[a].busy)
-                .collect();
-            if idle.is_empty() {
-                break;
-            }
+        while let Some(first_idle) = self.arrays.iter().position(|a| !a.busy) {
             // The high-priority lane outranks preempted work: when an
             // eviction frees an array, the triggering request must take
             // it, not the victim it just displaced.
-            self.tick_depth(now);
             if let Some(batch) = self.queue.pop_high() {
                 self.note_depth(now);
-                self.launch_cheapest(&idle, batch, now)?;
+                self.launch_cheapest(first_idle, batch, now)?;
                 continue;
             }
             if let Some(mut job) = self.resume.pop_front() {
@@ -453,7 +458,7 @@ impl<'a> Engine<'a> {
                 // re-running them anywhere at face value idealises the
                 // resume (fold-granularity approximation).
                 job.batch.phase.queue_wait += now.saturating_sub(job.evicted_at);
-                self.launch(idle[0], job.batch, job.remaining, now, true);
+                self.launch(first_idle, job.batch, job.remaining, now, true);
                 continue;
             }
             let Some(batch) = self.queue.pop_batch(now) else {
@@ -461,7 +466,7 @@ impl<'a> Engine<'a> {
                 break;
             };
             self.note_depth(now);
-            self.launch_cheapest(&idle, batch, now)?;
+            self.launch_cheapest(first_idle, batch, now)?;
         }
         self.schedule_deadline(now, !self.arrays.iter().all(|a| a.busy));
         Ok(())
@@ -469,13 +474,17 @@ impl<'a> Engine<'a> {
 
     fn dispatch_sharded(&mut self, now: u64) -> Result<(), ServeError> {
         if self.pod_running.is_none() {
-            self.tick_depth(now);
             let popped = self.queue.pop_batch(now);
             self.note_depth(now);
             if let Some(mut batch) = popped {
                 batch.phase.queue_wait += now.saturating_sub(batch.phase.formed_at);
-                let plan = self.oracle.shard_plan(batch.net, batch.requests.len())?;
-                let label = self.batch_label(&batch);
+                let plan = self
+                    .oracle
+                    .shard_plan_ref(batch.net, batch.requests.len())?;
+                let label = self
+                    .trace
+                    .is_some()
+                    .then(|| batch_label(&self.net_names, &batch));
                 // The critical array (largest share) carries the
                 // request count so per-array sums stay accountable.
                 let critical = plan
@@ -496,11 +505,12 @@ impl<'a> Engine<'a> {
                     let state = &mut self.arrays[a];
                     state.busy_cycles += share;
                     state.batches += 1;
-                    if let Some(trace) = self.trace.as_deref_mut() {
-                        trace.batch_span(a, now, now + share, &label);
+                    let end = now.saturating_add(share);
+                    if let (Some(trace), Some(label)) = (self.trace.as_deref_mut(), &label) {
+                        trace.batch_span(a, now, end, label);
                     }
                     if let Some(ts) = self.ts.as_mut() {
-                        ts.busy(a, now, now + share);
+                        ts.busy(a, now, end);
                     }
                 }
                 self.batches += 1;
@@ -522,7 +532,7 @@ impl<'a> Engine<'a> {
             return;
         }
         if let Some(d) = self.queue.next_deadline() {
-            let at = d.max(now + 1);
+            let at = d.max(now.saturating_add(1));
             let stale = match self.deadline_scheduled {
                 None => true,
                 Some(s) => at < s || s <= now,
@@ -691,6 +701,7 @@ pub fn simulate_observed(
     while let Some(Reverse((now, _seq, kind))) = engine.heap.pop() {
         engine.events += 1;
         engine.makespan = engine.makespan.max(now);
+        engine.tick(now);
         match kind {
             EvKind::Arrival { net, high } => {
                 engine.offered += 1;
@@ -701,16 +712,9 @@ pub fn simulate_observed(
                     high_priority: high,
                 };
                 engine.next_id += 1;
-                engine.tick_depth(now);
                 let admitted = engine.queue.push(pending);
                 if !admitted {
                     engine.dropped += 1;
-                }
-                if let Some(ts) = engine.ts.as_mut() {
-                    ts.offered(now);
-                    if !admitted {
-                        ts.dropped(now);
-                    }
                 }
                 engine.note_depth(now);
                 if engine.emitted < cfg.requests {
@@ -753,11 +757,20 @@ pub fn simulate_observed(
             }
         }
     }
-    engine.tick_depth(engine.makespan);
 
+    let latency = LatencyStats::from_latencies(&engine.latencies);
     let ts_report = engine.ts.take().map(|rec| {
         rec.finish(
             engine.makespan.max(1),
+            &Tallies {
+                offered: engine.offered,
+                dropped: engine.dropped,
+                latencies: &engine.latencies,
+                net_completed: &engine.net_completed,
+                net_slo_met: &engine.net_slo_met,
+                depth_area: engine.depth_area,
+            },
+            &latency,
             pod.arrays.iter().map(|a| a.name()).collect(),
             engine.net_names.clone(),
             RunManifest::capture()
@@ -782,10 +795,7 @@ pub fn simulate_observed(
     fuseconv_telemetry::counter("serve.events_total").add(engine.events);
     fuseconv_telemetry::counter("serve.oracle_hits_total").add(engine.oracle.memo_hits());
     fuseconv_telemetry::counter("serve.oracle_misses_total").add(engine.oracle.memo_misses());
-    let latency_hist = fuseconv_telemetry::histogram("serve.latency_cycles");
-    for &l in &engine.latencies {
-        latency_hist.record(l);
-    }
+    fuseconv_telemetry::histogram("serve.latency_cycles").record_all(&engine.latencies);
 
     let makespan = engine.makespan.max(1);
     let completed = engine.latencies.len() as u64;
@@ -832,7 +842,7 @@ pub fn simulate_observed(
         makespan_cycles: engine.makespan,
         slo_met,
         high_priority_completed: engine.high_latencies.len() as u64,
-        latency: LatencyStats::from_latencies(&engine.latencies),
+        latency,
         high_priority_latency: LatencyStats::from_latencies(&engine.high_latencies),
         queue: QueueStats {
             mean_depth: engine.depth_area as f64 / makespan as f64,
@@ -854,6 +864,14 @@ pub fn simulate_observed(
             .with_seed(cfg.seed),
     };
     Ok((report, ts_report))
+}
+
+/// The pod-trace label of a batch: network, size and a `!` for the
+/// high-priority lane. Built only when a trace sink is attached.
+fn batch_label(net_names: &[String], batch: &Batch) -> String {
+    let name = &net_names[batch.net];
+    let prio = if batch.high_priority { " !" } else { "" };
+    format!("{} x{}{}", name, batch.requests.len(), prio)
 }
 
 #[cfg(test)]

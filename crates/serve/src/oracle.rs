@@ -4,16 +4,19 @@
 //! comes from [`LatencyModel::cycles`] — the closed form whose totals
 //! equal the cycle simulator exactly under serial fold accounting (the
 //! invariant `tests/serve_cross_check.rs` spot-checks). The oracle
-//! memoises per `(array, network, batch)` triple, so steady-state
-//! serving costs one `HashMap` probe per dispatch, and it precomputes
-//! the LPT shard plan used by [`crate::engine::Dispatch::Sharded`].
+//! memoises per `(array, network, batch)` triple in a table indexed by
+//! array and network whose entries are short batch-ordered lists, so a
+//! steady-state probe is an indexed load plus a binary search over the
+//! few batch sizes a policy launches: no hashing, no allocation. The LPT
+//! shard plans used by [`crate::engine::Dispatch::Sharded`] are
+//! memoised the same way, per network, and lent to the engine by
+//! reference.
 
 use crate::engine::Dispatch;
 use crate::spec::ServeError;
 use fuseconv_latency::LatencyModel;
 use fuseconv_models::Network;
 use fuseconv_nn::ops::Op;
-use std::collections::HashMap;
 
 /// How a sharded request's ops spread across the pod.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,14 +33,29 @@ pub struct ShardPlan {
     pub makespan: u64,
 }
 
+/// Memo entries under one (array, network) or network key, ascending
+/// by batch size. A list rather than a table indexed by batch: batch
+/// sizes reach the oracle from user input (`--max-batch` through the
+/// SRV analyzer), so memory must stay proportional to the sizes
+/// actually priced.
+type BatchMemo<T> = Vec<(usize, T)>;
+
+/// `Ok(index)` of `batch`'s entry in `memo`, or `Err(index)` where
+/// inserting it keeps the list sorted.
+fn probe<T>(memo: &BatchMemo<T>, batch: usize) -> Result<usize, usize> {
+    memo.binary_search_by_key(&batch, |&(b, _)| b)
+}
+
 /// Memoising cost oracle: batch-aware per-request cycles and shard
 /// plans for every (array, network) pair of the pod.
 #[derive(Debug)]
 pub struct CostOracle {
     models: Vec<LatencyModel>,
     ops: Vec<Vec<Op>>,
-    cost_cache: HashMap<(usize, usize, usize), u64>,
-    shard_cache: HashMap<(usize, usize), ShardPlan>,
+    /// Request costs, indexed `array * networks + net`.
+    costs: Vec<BatchMemo<u64>>,
+    /// Shard plans, indexed by network.
+    plans: Vec<BatchMemo<ShardPlan>>,
     hits: u64,
     misses: u64,
 }
@@ -46,15 +64,15 @@ impl CostOracle {
     /// Builds the oracle for `models` (pod order) over `networks`
     /// (workload order). Ops are flattened once; nothing is simulated.
     pub fn new(models: Vec<LatencyModel>, networks: &[Network]) -> Self {
-        let ops = networks
+        let ops: Vec<Vec<Op>> = networks
             .iter()
             .map(|n| n.ops().into_iter().map(|named| named.op).collect())
             .collect();
         CostOracle {
+            costs: vec![Vec::new(); models.len() * ops.len()],
+            plans: vec![Vec::new(); ops.len()],
             models,
             ops,
-            cost_cache: HashMap::new(),
-            shard_cache: HashMap::new(),
             hits: 0,
             misses: 0,
         }
@@ -85,13 +103,36 @@ impl CostOracle {
         self.hits
     }
 
-    /// Memo probes that had to price ops through the latency model.
+    /// Memo probes that had to price ops through the latency model; a
+    /// probe with an out-of-range index finds no entry and counts here
+    /// too.
     pub fn memo_misses(&self) -> u64 {
         self.misses
     }
 
     fn op_cycles(model: &LatencyModel, op: &Op) -> Result<u64, ServeError> {
         model.cycles(op).map_err(ServeError::Latency)
+    }
+
+    fn check_net(&self, net: usize) -> Result<(), ServeError> {
+        if net < self.ops.len() {
+            Ok(())
+        } else {
+            Err(ServeError::Config(format!(
+                "network index {net} out of range"
+            )))
+        }
+    }
+
+    /// Index of `(array, net)` in `costs`.
+    fn cost_slot(&self, array: usize, net: usize) -> Result<usize, ServeError> {
+        if array >= self.models.len() {
+            return Err(ServeError::Config(format!(
+                "array index {array} out of range"
+            )));
+        }
+        self.check_net(net)?;
+        Ok(array * self.ops.len() + net)
     }
 
     /// Whole-network cycles for one request batch of size `batch` of
@@ -109,29 +150,26 @@ impl CostOracle {
         net: usize,
         batch: usize,
     ) -> Result<u64, ServeError> {
-        if let Some(&cycles) = self.cost_cache.get(&(array, net, batch)) {
-            self.hits += 1;
-            return Ok(cycles);
-        }
+        let slot = self
+            .cost_slot(array, net)
+            .inspect_err(|_| self.misses += 1)?;
+        let at = match probe(&self.costs[slot], batch) {
+            Ok(i) => {
+                self.hits += 1;
+                return Ok(self.costs[slot][i].1);
+            }
+            Err(at) => at,
+        };
         self.misses += 1;
-        let model = self
-            .models
-            .get(array)
-            .copied()
-            .ok_or_else(|| ServeError::Config(format!("array index {array} out of range")))?
-            .with_batch(batch.max(1));
-        let ops = self
-            .ops
-            .get(net)
-            .ok_or_else(|| ServeError::Config(format!("network index {net} out of range")))?;
+        let model = self.models[array].with_batch(batch.max(1));
         let mut total: u64 = 0;
-        for op in ops {
+        for op in &self.ops[net] {
             let c = Self::op_cycles(&model, op)?;
             total = total.checked_add(c).ok_or_else(|| {
                 ServeError::Config("network cost overflows u64 cycles".to_string())
             })?;
         }
-        self.cost_cache.insert((array, net, batch), total);
+        self.costs[slot].insert(at, (batch, total));
         Ok(total)
     }
 
@@ -155,26 +193,44 @@ impl CostOracle {
     /// the classic list-scheduling bound for unrelated machines; the
     /// resulting makespan idealises perfectly overlapped inter-array
     /// execution (no cross-array activation traffic is modelled).
-    /// Memoised per `(net, batch)`.
+    /// Memoised per `(net, batch)`; this returns an owned copy of the
+    /// memoised plan.
     ///
     /// # Errors
     ///
     /// Propagates [`ServeError::Latency`] from op costing.
     pub fn shard_plan(&mut self, net: usize, batch: usize) -> Result<ShardPlan, ServeError> {
+        self.shard_plan_ref(net, batch).cloned()
+    }
+
+    /// [`Self::shard_plan`] lent by reference: the engine reads one
+    /// plan per sharded batch and never keeps it.
+    pub(crate) fn shard_plan_ref(
+        &mut self,
+        net: usize,
+        batch: usize,
+    ) -> Result<&ShardPlan, ServeError> {
         let batch = batch.max(1);
-        if let Some(plan) = self.shard_cache.get(&(net, batch)) {
-            self.hits += 1;
-            return Ok(plan.clone());
-        }
+        self.check_net(net).inspect_err(|_| self.misses += 1)?;
+        let at = match probe(&self.plans[net], batch) {
+            Ok(i) => {
+                self.hits += 1;
+                return Ok(&self.plans[net][i].1);
+            }
+            Err(at) => at,
+        };
         self.misses += 1;
-        let ops = self
-            .ops
-            .get(net)
-            .ok_or_else(|| ServeError::Config(format!("network index {net} out of range")))?
-            .clone();
+        let plan = self.lpt_plan(net, batch)?;
+        self.plans[net].insert(at, (batch, plan));
+        Ok(&self.plans[net][at].1)
+    }
+
+    /// Computes the LPT plan [`Self::shard_plan`] memoises.
+    fn lpt_plan(&self, net: usize, batch: usize) -> Result<ShardPlan, ServeError> {
+        let ops = &self.ops[net];
         // Cost table: per op, per array.
         let mut table: Vec<Vec<u64>> = Vec::with_capacity(ops.len());
-        for op in &ops {
+        for op in ops {
             let mut row = Vec::with_capacity(self.models.len());
             for model in &self.models {
                 let m = (*model).with_batch(batch);
@@ -205,13 +261,11 @@ impl CostOracle {
             assignment[i] = best_array;
         }
         let makespan = shares.iter().copied().max().unwrap_or(0);
-        let plan = ShardPlan {
+        Ok(ShardPlan {
             shares,
             assignment,
             makespan,
-        };
-        self.shard_cache.insert((net, batch), plan.clone());
-        Ok(plan)
+        })
     }
 
     /// Estimated pod throughput in requests per cycle for a workload
@@ -250,7 +304,7 @@ impl CostOracle {
             Dispatch::Sharded => {
                 let mut mean = 0.0;
                 for (net, &frac) in mix_frac.iter().enumerate() {
-                    mean += frac * self.shard_plan(net, 1)?.makespan as f64;
+                    mean += frac * self.shard_plan_ref(net, 1)?.makespan as f64;
                 }
                 Ok(1.0 / mean)
             }
@@ -367,5 +421,85 @@ mod tests {
             o.request_cycles(0, 9, 1),
             Err(ServeError::Config(_))
         ));
+        assert!(matches!(o.shard_plan(9, 1), Err(ServeError::Config(_))));
+        // Each failed probe found no entry, as before, and priced nothing
+        // into the memo.
+        assert_eq!((o.memo_hits(), o.memo_misses()), (0, 3));
+        assert!(o.costs.iter().all(Vec::is_empty));
+        assert!(o.plans.iter().all(Vec::is_empty));
+    }
+
+    #[test]
+    fn memo_counts_hits_and_misses_like_a_map_keyed_by_probe() {
+        use std::collections::HashSet;
+        // The reference: a set of the keys priced so far, keyed exactly
+        // as the memo's contract says — `(array, net, batch)` for
+        // request costs (batch 0 is its own key), `(net, max(batch, 1))`
+        // for shard plans.
+        let pod = PodSpec::parse("16x16:os,8x8:ws,8x8:is").expect("valid pod");
+        let nets = vec![zoo::mobilenet_v1(), zoo::mobilenet_v2()];
+        let mut o = CostOracle::new(pod.models().expect("models"), &nets);
+        let mut costs: HashSet<(usize, usize, usize)> = HashSet::new();
+        let mut plans: HashSet<(usize, usize)> = HashSet::new();
+        let (mut hits, mut misses) = (0u64, 0u64);
+        enum Probe {
+            Cost(usize, usize, usize),
+            Plan(usize, usize),
+        }
+        let script = [
+            Probe::Cost(0, 0, 3),
+            Probe::Cost(0, 0, 1),
+            Probe::Cost(0, 0, 3),
+            Probe::Cost(0, 0, 8),
+            Probe::Cost(0, 0, 2),
+            Probe::Cost(0, 0, 0),
+            Probe::Cost(0, 0, 1),
+            Probe::Cost(2, 1, 2),
+            Probe::Cost(1, 1, 2),
+            Probe::Cost(2, 1, 2),
+            Probe::Plan(1, 4),
+            Probe::Plan(1, 0),
+            Probe::Plan(1, 1),
+            Probe::Plan(0, 4),
+            Probe::Plan(1, 4),
+            Probe::Cost(0, 0, 8),
+            Probe::Cost(0, 0, 0),
+            Probe::Plan(1, 2),
+            Probe::Plan(1, 4),
+        ];
+        let fresh = || CostOracle::new(pod.models().expect("models"), &nets);
+        for (step, probe) in script.iter().enumerate() {
+            match *probe {
+                Probe::Cost(a, n, b) => {
+                    let memo = o.request_cycles(a, n, b).expect("price");
+                    assert_eq!(memo, fresh().request_cycles(a, n, b).expect("price"));
+                    if costs.insert((a, n, b)) {
+                        misses += 1;
+                    } else {
+                        hits += 1;
+                    }
+                }
+                Probe::Plan(n, b) => {
+                    let memo = o.shard_plan(n, b).expect("plan");
+                    assert_eq!(memo, fresh().shard_plan(n, b).expect("plan"));
+                    if plans.insert((n, b.max(1))) {
+                        misses += 1;
+                    } else {
+                        hits += 1;
+                    }
+                }
+            }
+            assert_eq!(
+                (o.memo_hits(), o.memo_misses()),
+                (hits, misses),
+                "after probe {step}"
+            );
+        }
+        // The memo lists stay sorted by batch, one entry per key.
+        for memo in &o.costs {
+            assert!(memo.windows(2).all(|w| w[0].0 < w[1].0));
+        }
+        assert_eq!(o.costs.iter().map(Vec::len).sum::<usize>(), costs.len());
+        assert_eq!(o.plans.iter().map(Vec::len).sum::<usize>(), plans.len());
     }
 }

@@ -3,9 +3,11 @@
 //!
 //! The serve report is an end-of-run aggregate; this module makes the
 //! *trajectory* observable while staying O(1) per request. The engine
-//! feeds a [`TimeSeriesRecorder`] from its existing event stream —
-//! arrivals, completions, queue-depth ticks and busy segments — and the
-//! recorder bins everything into fixed simulated-cycle windows:
+//! ticks a [`TimeSeriesRecorder`] with its event clock and queue depth
+//! and reports busy segments; arrivals, drops and completions the
+//! recorder reads from the engine's own accumulators whenever the
+//! clock leaves a window. It bins everything into fixed
+//! simulated-cycle windows:
 //!
 //! * offered vs completed vs dropped requests per window;
 //! * queue depth min / time-weighted mean / max;
@@ -30,6 +32,7 @@
 //! utilization counter tracks to a [`PodTraceSink`], composing with the
 //! pid-0 pod lanes and pid-1 host spans in one Perfetto view.
 
+use crate::report::LatencyStats;
 use crate::spec::ServeError;
 use crate::trace::PodTraceSink;
 use fuseconv_telemetry::{fnv1a64, json_escape, QuantileSketch, RunManifest};
@@ -37,10 +40,6 @@ use std::fmt::Write as _;
 
 /// Schema tag of the time-series artifact.
 pub const TIMESERIES_SCHEMA: &str = "fuseconv-serve-timeseries-v1";
-
-/// Completion latencies staged before a batched sketch flush (see
-/// [`TimeSeriesRecorder`]'s `stage` field).
-const STAGE_CAP: usize = 256;
 
 /// Configuration of the time-series layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -222,11 +221,10 @@ pub struct SketchSummary {
     pub max: u64,
 }
 
-/// Per-window accumulators while the simulation runs. Deliberately
-/// small (no inline sketch): the recorder keeps one hot
-/// [`QuantileSketch`] for the window currently receiving completions
-/// and stores only the finalized quantiles here when it rolls over.
-#[derive(Debug, Clone)]
+/// Scalar accumulators of one window while the simulation runs; the
+/// per-array and per-network counters live in the recorder's flat
+/// window-major tables.
+#[derive(Debug, Clone, Copy)]
 struct WindowAcc {
     offered: u64,
     completed: u64,
@@ -235,45 +233,97 @@ struct WindowAcc {
     depth_min: u64,
     depth_max: u64,
     depth_area: u128,
-    busy: Vec<u64>,
-    net_completed: Vec<u64>,
-    net_slo_met: Vec<u64>,
     p50: u64,
     p99: u64,
     p999: u64,
 }
 
 impl WindowAcc {
-    fn new(n_arrays: usize, n_nets: usize) -> Self {
-        WindowAcc {
-            offered: 0,
-            completed: 0,
-            dropped: 0,
-            slo_met: 0,
-            depth_min: u64::MAX,
-            depth_max: 0,
-            depth_area: 0,
-            busy: vec![0; n_arrays],
-            net_completed: vec![0; n_nets],
-            net_slo_met: vec![0; n_nets],
-            p50: 0,
-            p99: 0,
-            p999: 0,
+    const EMPTY: WindowAcc = WindowAcc {
+        offered: 0,
+        completed: 0,
+        dropped: 0,
+        slo_met: 0,
+        depth_min: u64::MAX,
+        depth_max: 0,
+        depth_area: 0,
+        p50: 0,
+        p99: 0,
+        p999: 0,
+    };
+}
+
+/// A stream's monotone window cursor: the window it writes to and
+/// that window's first and last cycle. The last cycle is inclusive so
+/// the final window of the `u64` clock needs no bound past
+/// `u64::MAX`; moving the cursor is one division, and staying put is
+/// one compare.
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    win: usize,
+    first: u64,
+    last: u64,
+}
+
+impl Cursor {
+    fn new(window: u64) -> Self {
+        Cursor {
+            win: 0,
+            first: 0,
+            last: window - 1,
         }
+    }
+
+    /// Points the cursor at the window holding cycle `t`.
+    fn seek(&mut self, t: u64, window: u64) {
+        let win = t / window;
+        self.win = win as usize;
+        self.first = win * window;
+        self.last = self.first.saturating_add(window - 1);
     }
 }
 
-/// Streaming recorder the engine feeds; O(1) per event (interval hooks
-/// cost O(windows overlapped), and a single batch segment rarely spans
-/// more than a few windows).
+/// Exclusive end of the window holding cycle `t`, saturated at
+/// `u64::MAX` (every interval the recorder splits ends at or before
+/// that cycle anyway).
+fn window_end(t: u64, window: u64) -> u64 {
+    (t / window * window).saturating_add(window)
+}
+
+/// The engine's running tallies at one instant, lent to the recorder
+/// when its event clock leaves a window, and at the end of the run.
+pub(crate) struct Tallies<'a> {
+    /// Arrivals so far.
+    pub(crate) offered: u64,
+    /// Arrivals dropped at admission so far.
+    pub(crate) dropped: u64,
+    /// Every completion's latency so far, in completion order.
+    pub(crate) latencies: &'a [u64],
+    /// Completions so far per network.
+    pub(crate) net_completed: &'a [u64],
+    /// SLO-met completions so far per network.
+    pub(crate) net_slo_met: &'a [u64],
+    /// Queue-depth integral (depth × cycles) up to the last tick.
+    pub(crate) depth_area: u128,
+}
+
+/// Streaming recorder the engine feeds. The engine reports each step
+/// of its event clock with the queue depth held over it, each busy
+/// segment and each completion; each costs a compare or two, and only
+/// a window boundary does real work.
 ///
-/// The engine pops events off a time-ordered heap, so completions
-/// arrive with non-decreasing timestamps; the recorder exploits that by
-/// keeping a single hot latency sketch for the *current* completion
-/// window ([`QuantileSketch`] is ~30 KiB — one per window would wreck
-/// cache locality and the ≤10 % recording-overhead budget), finalizing
-/// its quantiles and merging it into the run total each time the
-/// completion window advances.
+/// Arrivals, drops and completions cost the recorder nothing per
+/// request: the engine already tallies them (every latency, and
+/// per-network completion and SLO counts), and events pop off a
+/// time-ordered heap, so when the event clock leaves a window every
+/// tally change since the window opened belongs to it. The recorder
+/// remembers the tallies at each window's start and closes the window
+/// from the differences. The window's slice of latencies goes through
+/// one hot [`QuantileSketch`] (~30 KiB; one per window would wreck
+/// cache locality), read and emptied in one pass. The whole-run summary
+/// reports the sketch bucket ceilings of the engine's exact
+/// percentiles, which is what a sketch of every completion would
+/// report.
 #[derive(Debug)]
 pub(crate) struct TimeSeriesRecorder {
     cfg: TimeSeriesConfig,
@@ -281,59 +331,46 @@ pub(crate) struct TimeSeriesRecorder {
     n_arrays: usize,
     n_nets: usize,
     windows: Vec<WindowAcc>,
-    /// Latencies staged for a batched flush into `cur`: individual
-    /// sketch records touch scattered bucket cache lines that the
-    /// engine evicts between completions, so the hot path is one
-    /// append here and the bucket lines are touched with high
-    /// locality once per [`STAGE_CAP`] completions.
-    stage: Vec<u64>,
-    /// Latency sketch of the window currently receiving completions.
+    /// Busy cycles, `window * n_arrays + array`.
+    busy: Vec<u64>,
+    /// Completions per network, `window * n_nets + net`.
+    net_completed: Vec<u64>,
+    /// SLO-met completions per network, `window * n_nets + net`.
+    net_slo_met: Vec<u64>,
+    /// Window of the event clock, and the engine's tallies when it
+    /// opened: arrival counts, the index of its first completion in
+    /// the latency list, and per-network counts.
+    clock: Cursor,
+    /// The last cycle a tick can reach without leaving the clock's or
+    /// the depth cursor's window.
+    quiet_until: u64,
+    offered_base: u64,
+    dropped_base: u64,
+    done_first: usize,
+    net_completed_base: Vec<u64>,
+    net_slo_met_base: Vec<u64>,
+    /// Latency sketch the closing window is read through.
     cur: QuantileSketch,
-    /// Window index `cur` is recording.
-    cur_win: usize,
-    /// Exclusive upper cycle bound of `cur_win` — completions advance
-    /// monotonically, so window lookup is a compare, not a division.
-    cur_hi: u64,
-    /// Whole-run latency sketch; absorbs `cur` at each window roll.
-    total: QuantileSketch,
+    /// Smallest latency of the windows closed so far.
+    min: u64,
     exemplars: Vec<Exemplar>,
-    /// Index of the least-worst kept exemplar, valid once the set is
-    /// full: makes the common keep/discard decision one comparison.
-    worst_slot: usize,
-    /// Monotone arrival-window cursor (index and exclusive bound).
-    arr_win: usize,
-    arr_hi: u64,
-    /// Per-array monotone busy cursors — an array executes segments
-    /// serially, so each array's segment start only advances.
-    busy_win: Vec<usize>,
-    busy_hi: Vec<u64>,
-    /// Window the queue-depth integral has advanced into (index and
-    /// exclusive cycle bound), plus the cycle it has advanced to —
-    /// depth ticks tile `[0, makespan]` in order, so the common case
-    /// is one compare against `depth_hi`.
-    depth_win: usize,
-    depth_hi: u64,
-    depth_last: u64,
-    /// Hot scratch accumulators, one set per event stream. The engine
-    /// is only a few hundred nanoseconds per request, so the hooks
-    /// cannot afford to chase into the `windows` Vec (a cold cache
-    /// line per window) on every event; instead each stream counts
-    /// into these recorder-resident scalars and flushes to its
-    /// cursor's window only when the cursor moves (and in `finish`).
-    /// Arrival scratch for `arr_win`:
-    a_offered: u64,
-    a_dropped: u64,
-    /// Completion scratch for `cur_win`:
-    c_completed: u64,
-    c_slo_met: u64,
-    c_net_completed: Vec<u64>,
-    c_net_slo_met: Vec<u64>,
-    /// Queue-depth scratch for `depth_win`:
-    d_area: u128,
+    /// `(latency, id)` a completion must beat to enter the exemplar
+    /// set, `None` while the set has room: the keep/discard decision
+    /// is one comparison.
+    floor: Option<(u64, u64)>,
+    /// Per-array busy cursors — an array executes segments serially,
+    /// so each array's segment start only advances.
+    busy_at: Vec<Cursor>,
+    /// Per-array busy-cycle scratch for `busy_at[array]`.
+    busy_acc: Vec<u64>,
+    /// Window the queue-depth intervals have advanced into; they tile
+    /// `[0, makespan]` in order.
+    depth: Cursor,
+    /// Queue-depth scratch for `depth`: the engine's integral where the
+    /// window opened, and the depth extremes seen in it.
+    depth_base: u128,
     d_min: u64,
     d_max: u64,
-    /// Per-array busy-cycle scratch for `busy_win[array]`:
-    busy_acc: Vec<u64>,
 }
 
 impl TimeSeriesRecorder {
@@ -354,93 +391,119 @@ impl TimeSeriesRecorder {
             n_arrays,
             n_nets,
             windows: Vec::new(),
-            stage: Vec::with_capacity(STAGE_CAP),
+            busy: Vec::new(),
+            net_completed: Vec::new(),
+            net_slo_met: Vec::new(),
+            clock: Cursor::new(window),
+            quiet_until: window - 1,
+            offered_base: 0,
+            dropped_base: 0,
+            done_first: 0,
+            net_completed_base: vec![0; n_nets],
+            net_slo_met_base: vec![0; n_nets],
             cur: QuantileSketch::new(),
-            cur_win: 0,
-            cur_hi: window,
-            total: QuantileSketch::new(),
+            min: u64::MAX,
             exemplars: Vec::new(),
-            worst_slot: 0,
-            arr_win: 0,
-            arr_hi: window,
-            busy_win: vec![0; n_arrays],
-            busy_hi: vec![window; n_arrays],
-            depth_win: 0,
-            depth_hi: window,
-            depth_last: 0,
-            a_offered: 0,
-            a_dropped: 0,
-            c_completed: 0,
-            c_slo_met: 0,
-            c_net_completed: vec![0; n_nets],
-            c_net_slo_met: vec![0; n_nets],
-            d_area: 0,
+            floor: (cfg.exemplars == 0).then_some((u64::MAX, 0)),
+            busy_at: vec![Cursor::new(window); n_arrays],
+            busy_acc: vec![0; n_arrays],
+            depth: Cursor::new(window),
+            depth_base: 0,
             d_min: u64::MAX,
             d_max: 0,
-            busy_acc: vec![0; n_arrays],
         }
     }
 
-    #[inline]
+    /// The accumulators of window `idx`, growing every table to cover
+    /// it.
     fn acc_idx(&mut self, idx: usize) -> &mut WindowAcc {
-        while self.windows.len() <= idx {
-            self.windows
-                .push(WindowAcc::new(self.n_arrays, self.n_nets));
+        if self.windows.len() <= idx {
+            self.windows.resize(idx + 1, WindowAcc::EMPTY);
+            self.busy.resize((idx + 1) * self.n_arrays, 0);
+            self.net_completed.resize((idx + 1) * self.n_nets, 0);
+            self.net_slo_met.resize((idx + 1) * self.n_nets, 0);
         }
         &mut self.windows[idx]
     }
 
-    #[inline]
     fn acc(&mut self, at: u64) -> &mut WindowAcc {
         let idx = (at / self.window) as usize;
         self.acc_idx(idx)
     }
 
-    /// Writes the arrival scratch into its cursor's window.
-    fn flush_arrivals(&mut self) {
-        if self.a_offered == 0 && self.a_dropped == 0 {
+    /// The event clock stepped from `from` to `now`, and the queue held
+    /// `depth` requests over `[from, now)`, with the engine's depth
+    /// integral at `area_from` at `from`. The engine ticks before it
+    /// applies any event at `now`, and `tallies` builds its tallies of
+    /// that moment; they are read only when the clock leaves a window,
+    /// so a tick inside both cursors' windows costs one compare and
+    /// the depth extremes.
+    #[inline]
+    pub(crate) fn tick<'t>(
+        &mut self,
+        from: u64,
+        now: u64,
+        depth: u64,
+        area_from: u128,
+        tallies: impl FnOnce() -> Tallies<'t>,
+    ) {
+        debug_assert!(from < now && from.saturating_sub(1) <= self.depth.last);
+        if now <= self.quiet_until {
+            if depth < self.d_min {
+                self.d_min = depth;
+            }
+            if depth > self.d_max {
+                self.d_max = depth;
+            }
             return;
         }
-        let (offered, dropped) = (self.a_offered, self.a_dropped);
-        self.a_offered = 0;
-        self.a_dropped = 0;
-        let idx = self.arr_win;
-        let acc = self.acc_idx(idx);
-        acc.offered += offered;
-        acc.dropped += dropped;
-    }
-
-    /// Advances the arrival cursor to the window of time `at`;
-    /// arrivals pop off the event heap in time order, so this is a
-    /// compare, not a division, and the scratch flushes only when the
-    /// cursor actually moves.
-    #[inline]
-    fn arrival_advance(&mut self, at: u64) {
-        debug_assert!(
-            at + self.window >= self.arr_hi,
-            "arrivals must advance in event-time order"
-        );
-        if at >= self.arr_hi {
-            self.flush_arrivals();
-            while at >= self.arr_hi {
-                self.arr_win += 1;
-                self.arr_hi += self.window;
-            }
+        self.queue_depth(from, now, depth, area_from);
+        if now > self.clock.last {
+            self.close_clock_window(&tallies());
+            self.clock.seek(now, self.window);
         }
+        self.quiet_until = self.clock.last.min(self.depth.last);
     }
 
-    /// An arrival was offered at `at`.
-    #[inline]
-    pub(crate) fn offered(&mut self, at: u64) {
-        self.arrival_advance(at);
-        self.a_offered += 1;
-    }
-
-    /// An arrival was dropped at admission at `at`.
-    #[inline]
-    pub(crate) fn dropped(&mut self, at: u64) {
-        self.arrival_advance(at);
-        self.a_dropped += 1;
+    /// Closes the event clock's window: everything the engine tallied
+    /// since the window opened happened in it. Its completions' slice
+    /// of latencies is read through the sketch. Windows without
+    /// arrivals or completions are left untouched (zero quantiles).
+    fn close_clock_window(&mut self, t: &Tallies<'_>) {
+        let win = self.clock.win;
+        let offered = t.offered - self.offered_base;
+        let dropped = t.dropped - self.dropped_base;
+        if offered > 0 || dropped > 0 {
+            let acc = self.acc_idx(win);
+            acc.offered += offered;
+            acc.dropped += dropped;
+            self.offered_base = t.offered;
+            self.dropped_base = t.dropped;
+        }
+        let slice = &t.latencies[self.done_first..];
+        if slice.is_empty() {
+            return;
+        }
+        self.done_first = t.latencies.len();
+        self.cur.record_batch(slice);
+        self.min = self.min.min(self.cur.min());
+        let [p50, p99, p999] = self.cur.take_quantiles([500, 990, 999]);
+        let acc = self.acc_idx(win);
+        acc.completed += slice.len() as u64;
+        acc.p50 = p50;
+        acc.p99 = p99;
+        acc.p999 = p999;
+        let at = win * self.n_nets;
+        let mut slo_met = 0;
+        for net in 0..self.n_nets {
+            let met = t.net_slo_met[net] - self.net_slo_met_base[net];
+            self.net_completed[at + net] += t.net_completed[net] - self.net_completed_base[net];
+            self.net_slo_met[at + net] += met;
+            slo_met += met;
+        }
+        self.windows[win].slo_met += slo_met;
+        self.net_completed_base.copy_from_slice(t.net_completed);
+        self.net_slo_met_base.copy_from_slice(t.net_slo_met);
     }
 
     /// Index of the least-worst exemplar under the deterministic
@@ -454,107 +517,17 @@ impl TimeSeriesRecorder {
             .expect("exemplar set is nonempty")
     }
 
-    /// Drains the staged latencies into the current window's sketch.
-    fn flush_stage(&mut self) {
-        self.cur.record_batch(&self.stage);
-        self.stage.clear();
-    }
-
-    /// Closes the completion window the cursor points at: drains the
-    /// stage, writes the scratch counters and the finalized sketch
-    /// quantiles into the window, and folds the sketch into the run
-    /// total. Idle windows (no completions) are a no-op and keep
-    /// their zero quantiles.
-    fn close_completion_window(&mut self) {
-        self.flush_stage();
-        if self.cur.is_empty() {
-            return;
-        }
-        let (p50, p99, p999) = (
-            self.cur.quantile(500),
-            self.cur.quantile(990),
-            self.cur.quantile(999),
-        );
-        let completed = self.c_completed;
-        let slo_met = self.c_slo_met;
-        self.c_completed = 0;
-        self.c_slo_met = 0;
-        let net_completed = std::mem::take(&mut self.c_net_completed);
-        let net_slo_met = std::mem::take(&mut self.c_net_slo_met);
-        let cur_win = self.cur_win;
-        let acc = self.acc_idx(cur_win);
-        acc.completed += completed;
-        acc.slo_met += slo_met;
-        for (dst, src) in acc.net_completed.iter_mut().zip(&net_completed) {
-            *dst += *src;
-        }
-        for (dst, src) in acc.net_slo_met.iter_mut().zip(&net_slo_met) {
-            *dst += *src;
-        }
-        acc.p50 = p50;
-        acc.p99 = p99;
-        acc.p999 = p999;
-        self.total.merge(&self.cur);
-        self.cur.clear();
-        self.c_net_completed = net_completed;
-        self.c_net_completed.fill(0);
-        self.c_net_slo_met = net_slo_met;
-        self.c_net_slo_met.fill(0);
-    }
-
-    /// Closes the current completion window and steps to the next.
-    fn roll_window(&mut self) {
-        self.close_completion_window();
-        self.cur_win += 1;
-        self.cur_hi += self.window;
-    }
-
-    /// Advances the completion window to `now`. The engine calls this
-    /// once per completing batch (every request in a batch finishes at
-    /// the same cycle), so the per-request hook skips the roll check.
-    #[inline]
-    pub(crate) fn completions_at(&mut self, now: u64) {
-        debug_assert!(
-            now + self.window >= self.cur_hi,
-            "completions must advance in event-time order"
-        );
-        while now >= self.cur_hi {
-            self.roll_window();
-        }
-    }
-
-    /// A request completed at the cycle last passed to
-    /// [`Self::completions_at`] — pure scratch-counter updates.
-    #[inline]
-    pub(crate) fn record(&mut self, latency: u64, net: usize, slo_met: bool) {
-        self.stage.push(latency);
-        if self.stage.len() == STAGE_CAP {
-            self.flush_stage();
-        }
-        self.c_completed += 1;
-        self.c_net_completed[net] += 1;
-        if slo_met {
-            self.c_slo_met += 1;
-            self.c_net_slo_met[net] += 1;
-        }
-    }
-
     /// Whether a completion with this `latency` and `id` would enter
     /// the exemplar set — lets the engine skip assembling the full
     /// phase-accounted [`Exemplar`] record for the overwhelming
-    /// majority of requests (one comparison against the cached
-    /// least-worst kept exemplar).
+    /// majority of requests. Ties keep the earlier request so the set
+    /// is deterministic.
     #[inline]
     pub(crate) fn wants_exemplar(&self, latency: u64, id: u64) -> bool {
-        if self.cfg.exemplars == 0 {
-            return false;
+        match self.floor {
+            None => true,
+            Some((l, i)) => latency > l || (latency == l && id < i),
         }
-        if self.exemplars.len() < self.cfg.exemplars {
-            return true;
-        }
-        // Ties keep the earlier request so the set is deterministic.
-        let worst = &self.exemplars[self.worst_slot];
-        (latency, std::cmp::Reverse(id)) > (worst.latency, std::cmp::Reverse(worst.id))
     }
 
     /// Admits an exemplar candidate ([`Self::wants_exemplar`] was true
@@ -563,85 +536,67 @@ impl TimeSeriesRecorder {
         debug_assert!(self.wants_exemplar(req.latency, req.id));
         if self.exemplars.len() < self.cfg.exemplars {
             self.exemplars.push(req);
-            if self.exemplars.len() == self.cfg.exemplars {
-                self.worst_slot = Self::least_worst(&self.exemplars);
-            }
-            return;
+        } else {
+            let worst = Self::least_worst(&self.exemplars);
+            self.exemplars[worst] = req;
         }
-        self.exemplars[self.worst_slot] = req;
-        self.worst_slot = Self::least_worst(&self.exemplars);
-    }
-
-    /// One-call completion hook combining [`Self::completions_at`],
-    /// [`Self::record`] and the exemplar offer — the convenience form
-    /// used by unit tests (the engine calls the pieces directly to
-    /// amortize the roll check over a whole batch).
-    #[cfg(test)]
-    pub(crate) fn completed(&mut self, req: Exemplar, slo_met: bool) {
-        self.completions_at(req.completed_at);
-        self.record(req.latency, req.net, slo_met);
-        if self.wants_exemplar(req.latency, req.id) {
-            self.offer_exemplar(req);
+        if self.exemplars.len() == self.cfg.exemplars {
+            let worst = &self.exemplars[Self::least_worst(&self.exemplars)];
+            self.floor = Some((worst.latency, worst.id));
         }
     }
 
-    /// Writes the queue-depth scratch into its cursor's window.
-    fn flush_depth(&mut self) {
+    /// Writes the queue-depth scratch into its cursor's window, whose
+    /// integral ends at `area`.
+    fn flush_depth(&mut self, area: u128) {
         if self.d_min == u64::MAX {
             return;
         }
-        let (area, min, max) = (self.d_area, self.d_min, self.d_max);
-        self.d_area = 0;
+        let (min, max, area) = (self.d_min, self.d_max, area - self.depth_base);
         self.d_min = u64::MAX;
         self.d_max = 0;
-        let idx = self.depth_win;
-        let acc = self.acc_idx(idx);
+        let acc = self.acc_idx(self.depth.win);
         acc.depth_area += area;
         acc.depth_min = acc.depth_min.min(min);
         acc.depth_max = acc.depth_max.max(max);
     }
 
-    /// The queue held `depth` requests from the last tick up to `now`.
-    /// The engine ticks the depth integral before every queue
-    /// mutation, so the recorder keeps its own advancing edge and the
-    /// fast path is a single window-bound compare.
-    #[inline]
-    pub(crate) fn queue_depth_to(&mut self, now: u64, depth: u64) {
-        let from = self.depth_last;
-        if now <= from {
+    /// The queue held `depth` requests over `[from, now)`, and the
+    /// engine's depth integral stood at `area_from` at `from`; these
+    /// intervals arrive in order and without gaps.
+    fn queue_depth(&mut self, from: u64, now: u64, depth: u64, area_from: u128) {
+        if now - 1 <= self.depth.last {
+            if depth < self.d_min {
+                self.d_min = depth;
+            }
+            if depth > self.d_max {
+                self.d_max = depth;
+            }
             return;
         }
-        self.depth_last = now;
-        // Fast path: the interval stays inside the current window.
-        if now <= self.depth_hi {
-            self.d_area += depth as u128 * (now - from) as u128;
+        // Slow path: close the cursor's window at its end, fill the
+        // whole windows the interval covers, and restart the scratch
+        // in the window holding `now − 1`. Intervals tile time, so
+        // `from` never lies past the cursor's window.
+        let window = self.window;
+        let end = self.depth.last + 1;
+        if from < end {
             self.d_min = self.d_min.min(depth);
             self.d_max = self.d_max.max(depth);
-            return;
         }
-        // Slow path: flush the old window's scratch, write any whole
-        // intermediate windows directly, and restart the scratch with
-        // the segment that lands in the final window.
-        self.flush_depth();
-        let window = self.window;
-        self.depth_win = ((now - 1) / window) as usize;
-        self.depth_hi = (self.depth_win as u64 + 1) * window;
-        let depth_lo = self.depth_hi - window;
-        let mut t = from;
-        while t < now {
-            let end = ((t / window + 1) * window).min(now);
-            if t >= depth_lo {
-                self.d_area += depth as u128 * (end - t) as u128;
-                self.d_min = self.d_min.min(depth);
-                self.d_max = self.d_max.max(depth);
-            } else {
-                let acc = self.acc(t);
-                acc.depth_area += depth as u128 * (end - t) as u128;
-                acc.depth_min = acc.depth_min.min(depth);
-                acc.depth_max = acc.depth_max.max(depth);
-            }
-            t = end;
+        self.flush_depth(area_from + depth as u128 * (end - from) as u128);
+        self.depth.seek(now - 1, window);
+        let mut t = end;
+        while t < self.depth.first {
+            let acc = self.acc(t);
+            acc.depth_area += depth as u128 * window as u128;
+            acc.depth_min = acc.depth_min.min(depth);
+            acc.depth_max = acc.depth_max.max(depth);
+            t += window;
         }
+        self.depth_base = area_from + depth as u128 * (self.depth.first - from) as u128;
+        self.d_min = depth;
+        self.d_max = depth;
     }
 
     /// Writes one array's busy scratch into its cursor's window.
@@ -651,8 +606,9 @@ impl TimeSeriesRecorder {
             return;
         }
         self.busy_acc[array] = 0;
-        let idx = self.busy_win[array];
-        self.acc_idx(idx).busy[array] += cycles;
+        let idx = self.busy_at[array].win;
+        self.acc_idx(idx);
+        self.busy[idx * self.n_arrays + array] += cycles;
     }
 
     /// Array `array` executed a batch segment over `[from, to)`. Each
@@ -664,63 +620,63 @@ impl TimeSeriesRecorder {
         if to <= from {
             return;
         }
+        let cursor = self.busy_at[array];
         debug_assert!(
-            from + self.window >= self.busy_hi[array],
+            from >= cursor.first,
             "an array's busy segments must advance in time order"
         );
-        if from >= self.busy_hi[array] {
-            self.flush_busy(array);
-            while from >= self.busy_hi[array] {
-                self.busy_win[array] += 1;
-                self.busy_hi[array] += self.window;
-            }
-        }
         // Fast path: the whole segment lies in the cursor's window.
-        if to <= self.busy_hi[array] {
+        if to - 1 <= cursor.last {
             self.busy_acc[array] += to - from;
             return;
         }
-        // Slow path: flush the current window's scratch, write whole
-        // intermediate windows directly, restart the scratch with the
-        // tail segment and move the cursor to its window.
+        // Slow path: flush the cursor window's scratch, write whole
+        // earlier windows directly, restart the scratch with the tail
+        // segment and move the cursor to its window.
         self.flush_busy(array);
         let window = self.window;
-        let last = ((to - 1) / window) as usize;
+        self.busy_at[array].seek(to - 1, window);
+        let last = self.busy_at[array].win;
         let mut t = from;
         while t < to {
-            let end = ((t / window + 1) * window).min(to);
+            let end = window_end(t, window).min(to);
             let idx = (t / window) as usize;
             if idx == last {
                 self.busy_acc[array] += end - t;
             } else {
-                self.acc_idx(idx).busy[array] += end - t;
+                self.acc_idx(idx);
+                self.busy[idx * self.n_arrays + array] += end - t;
             }
             t = end;
         }
-        self.busy_win[array] = last;
-        self.busy_hi[array] = (last as u64 + 1) * window;
     }
 
     /// Closes the recording at `makespan` and builds the report.
+    /// `tallies` are the engine's final ones and `latency` its exact
+    /// distribution over the same completions; the whole-run sketch
+    /// summary reports its samples' bucket ceilings, like the windows
+    /// do.
     pub(crate) fn finish(
         mut self,
         makespan: u64,
+        tallies: &Tallies<'_>,
+        latency: &LatencyStats,
         arrays: Vec<String>,
         networks: Vec<String>,
         manifest: RunManifest,
     ) -> TimeSeriesReport {
-        // Drain every stream's scratch and close the active completion
-        // window (quantiles + fold into the run total).
-        self.flush_arrivals();
-        self.flush_depth();
+        // Drain every stream's scratch and close the clock's window.
+        self.flush_depth(tallies.depth_area);
         for a in 0..self.n_arrays {
             self.flush_busy(a);
         }
-        self.close_completion_window();
+        self.close_clock_window(tallies);
+        let count = tallies.latencies.len() as u64;
         // Cover the full makespan even if the tail saw no events.
         self.acc(makespan.saturating_sub(1));
         let window = self.window;
         let makespan = makespan.max(1);
+        let (na, nn) = (self.n_arrays, self.n_nets);
         let windows: Vec<WindowReport> = self
             .windows
             .iter()
@@ -728,7 +684,11 @@ impl TimeSeriesRecorder {
             .map(|(i, acc)| {
                 let start = i as u64 * window;
                 // The last window may be clipped by the makespan.
-                let width = (start + window).min(makespan).saturating_sub(start).max(1);
+                let width = start
+                    .saturating_add(window)
+                    .min(makespan)
+                    .saturating_sub(start)
+                    .max(1);
                 WindowReport {
                     index: i as u64,
                     offered: acc.offered,
@@ -742,13 +702,12 @@ impl TimeSeriesRecorder {
                     },
                     queue_mean: acc.depth_area as f64 / width as f64,
                     queue_max: acc.depth_max,
-                    busy_frac: acc
-                        .busy
+                    busy_frac: self.busy[i * na..(i + 1) * na]
                         .iter()
                         .map(|&b| (b as f64 / width as f64).min(1.0))
                         .collect(),
-                    net_completed: acc.net_completed.clone(),
-                    net_slo_met: acc.net_slo_met.clone(),
+                    net_completed: self.net_completed[i * nn..(i + 1) * nn].to_vec(),
+                    net_slo_met: self.net_slo_met[i * nn..(i + 1) * nn].to_vec(),
                     p50: acc.p50,
                     p99: acc.p99,
                     p999: acc.p999,
@@ -758,6 +717,7 @@ impl TimeSeriesRecorder {
         let alerts = burn_alerts(&windows, &self.cfg);
         let mut exemplars = self.exemplars;
         exemplars.sort_by_key(|e| (std::cmp::Reverse(e.latency), e.id));
+        let sketched = |v: u64| QuantileSketch::bucket_ceiling(v).min(latency.max);
         TimeSeriesReport {
             window_cycles: window,
             makespan_cycles: makespan,
@@ -772,13 +732,13 @@ impl TimeSeriesRecorder {
             alerts,
             exemplars,
             total: SketchSummary {
-                count: self.total.count(),
-                mean: self.total.mean(),
-                min: self.total.min(),
-                p50: self.total.quantile(500),
-                p99: self.total.quantile(990),
-                p999: self.total.quantile(999),
-                max: self.total.max(),
+                count,
+                mean: latency.mean,
+                min: if count == 0 { 0 } else { self.min },
+                p50: sketched(latency.p50),
+                p99: sketched(latency.p99),
+                p999: sketched(latency.p999),
+                max: latency.max,
             },
             manifest,
         }
@@ -1161,6 +1121,88 @@ fn sparkline(values: &[f64]) -> String {
 mod tests {
     use super::*;
 
+    /// The engine-side tallies of a [`Feed`], borrowed field by field
+    /// so the recorder beside them stays mutable.
+    macro_rules! tallies {
+        ($feed:expr) => {
+            Tallies {
+                offered: $feed.offered,
+                dropped: $feed.dropped,
+                latencies: &$feed.latencies,
+                net_completed: &$feed.net_completed,
+                net_slo_met: &$feed.net_slo_met,
+                depth_area: $feed.depth_area,
+            }
+        };
+    }
+
+    /// Plays the engine's part for a recorder: keeps the tallies the
+    /// recorder reads when a window closes.
+    struct Feed {
+        rec: TimeSeriesRecorder,
+        offered: u64,
+        dropped: u64,
+        latencies: Vec<u64>,
+        net_completed: Vec<u64>,
+        net_slo_met: Vec<u64>,
+        depth_area: u128,
+        last: u64,
+    }
+
+    impl Feed {
+        fn new(cfg: &TimeSeriesConfig, expected_makespan: u64, arrays: usize, nets: usize) -> Self {
+            Feed {
+                rec: TimeSeriesRecorder::new(cfg, expected_makespan, arrays, nets),
+                offered: 0,
+                dropped: 0,
+                latencies: Vec::new(),
+                net_completed: vec![0; nets],
+                net_slo_met: vec![0; nets],
+                depth_area: 0,
+                last: 0,
+            }
+        }
+
+        /// Advances the clock to `now` the way the engine does; the
+        /// queue held `depth` requests since the previous tick.
+        fn tick(&mut self, now: u64, depth: u64) {
+            if now > self.last {
+                let (from, area_from) = (self.last, self.depth_area);
+                self.rec
+                    .tick(from, now, depth, area_from, || tallies!(self));
+                self.depth_area += depth as u128 * (now - from) as u128;
+                self.last = now;
+            }
+        }
+
+        /// Books one completion the way the engine does.
+        fn completed(&mut self, req: Exemplar, slo_met: bool) {
+            self.tick(req.completed_at, 0);
+            self.latencies.push(req.latency);
+            self.net_completed[req.net] += 1;
+            if slo_met {
+                self.net_slo_met[req.net] += 1;
+            }
+            if self.rec.wants_exemplar(req.latency, req.id) {
+                self.rec.offer_exemplar(req);
+            }
+        }
+
+        fn finish(self, makespan: u64, arrays: &[&str], nets: &[&str]) -> TimeSeriesReport {
+            let latency = LatencyStats::from_latencies(&self.latencies);
+            let names = |n: &[&str]| n.iter().map(|s| s.to_string()).collect();
+            let tallies = tallies!(self);
+            self.rec.finish(
+                makespan,
+                &tallies,
+                &latency,
+                names(arrays),
+                names(nets),
+                RunManifest::capture(),
+            )
+        }
+    }
+
     fn window(index: u64, completed: u64, slo_met: u64) -> WindowReport {
         WindowReport {
             index,
@@ -1233,20 +1275,17 @@ mod tests {
             window_cycles: Some(100),
             ..TimeSeriesConfig::new()
         };
-        let mut rec = TimeSeriesRecorder::new(&ts_cfg, 1000, 2, 1);
+        let mut feed = Feed::new(&ts_cfg, 1000, 2, 1);
+        // One arrival at cycle 10, dropped at admission.
+        feed.tick(10, 0);
+        feed.offered += 1;
+        feed.dropped += 1;
+        // Queue depth 0 up to cycle 50, then 4 up to cycle 230.
+        feed.tick(50, 0);
+        feed.tick(230, 4);
         // A busy segment spanning three windows: 50 + 100 + 30 cycles.
-        rec.busy(0, 50, 230);
-        // Queue depth 0 up to cycle 50, then 4 over the same interval.
-        rec.queue_depth_to(50, 0);
-        rec.queue_depth_to(230, 4);
-        rec.offered(10);
-        rec.dropped(10);
-        let report = rec.finish(
-            250,
-            vec!["a0".to_string(), "a1".to_string()],
-            vec!["net".to_string()],
-            RunManifest::capture(),
-        );
+        feed.rec.busy(0, 50, 230);
+        let report = feed.finish(250, &["a0", "a1"], &["net"]);
         assert_eq!(report.windows.len(), 3);
         assert!((report.windows[0].busy_frac[0] - 0.5).abs() < 1e-9);
         assert!((report.windows[1].busy_frac[0] - 1.0).abs() < 1e-9);
@@ -1265,9 +1304,9 @@ mod tests {
             exemplars: 3,
             ..TimeSeriesConfig::new()
         };
-        let mut rec = TimeSeriesRecorder::new(&ts_cfg, 1000, 1, 1);
+        let mut feed = Feed::new(&ts_cfg, 1000, 1, 1);
         for (id, latency) in [(0, 50), (1, 900), (2, 10), (3, 700), (4, 800), (5, 900)] {
-            rec.completed(
+            feed.completed(
                 Exemplar {
                     id,
                     net: 0,
@@ -1283,12 +1322,7 @@ mod tests {
                 true,
             );
         }
-        let report = rec.finish(
-            1000,
-            vec!["a".to_string()],
-            vec!["net".to_string()],
-            RunManifest::capture(),
-        );
+        let report = feed.finish(1000, &["a"], &["net"]);
         let kept: Vec<(u64, u64)> = report.exemplars.iter().map(|e| (e.latency, e.id)).collect();
         // Worst first; the 900-latency tie keeps the earlier id first.
         assert_eq!(kept, vec![(900, 1), (900, 5), (800, 4)]);
@@ -1300,9 +1334,10 @@ mod tests {
             window_cycles: Some(100),
             ..TimeSeriesConfig::new()
         };
-        let mut rec = TimeSeriesRecorder::new(&ts_cfg, 300, 1, 1);
-        rec.offered(5);
-        rec.completed(
+        let mut feed = Feed::new(&ts_cfg, 300, 1, 1);
+        feed.tick(5, 0);
+        feed.offered += 1;
+        feed.completed(
             Exemplar {
                 id: 0,
                 net: 0,
@@ -1317,12 +1352,7 @@ mod tests {
             },
             true,
         );
-        let report = rec.finish(
-            300,
-            vec!["8x8:os".to_string()],
-            vec!["tiny".to_string()],
-            RunManifest::capture(),
-        );
+        let report = feed.finish(300, &["8x8:os"], &["tiny"]);
         let json = report.to_json();
         assert!(json.contains("\"schema\": \"fuseconv-serve-timeseries-v1\""));
         assert!(json.contains("\"results_fnv1a64\": \"fnv1a64:"));

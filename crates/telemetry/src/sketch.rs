@@ -18,9 +18,11 @@
 //! Recording is O(1) (a `leading_zeros`, a shift, one add on a plain
 //! `u64` array — no atomics: the serving engine is single-threaded and
 //! sketches are owned values), and the whole sketch is
-//! `(65 − 6) · 64 = 3776` buckets ≈ 30 KiB. [`QuantileSketch::clear`]
-//! and [`QuantileSketch::merge`] let a recorder roll one hot sketch
-//! across time-series windows instead of allocating one per window.
+//! `(65 − 6) · 64 = 3776` buckets ≈ 30 KiB.
+//! [`QuantileSketch::take_quantiles`] reads several quantiles and
+//! empties the sketch in one pass over its occupied buckets, so a
+//! recorder rolls one hot sketch across time-series windows instead of
+//! allocating one per window.
 
 /// Sub-buckets per power-of-two octave (2^[`SKETCH_SUB_BITS`]).
 pub const SKETCH_SUBBUCKETS: u64 = 1 << SKETCH_SUB_BITS;
@@ -94,28 +96,23 @@ impl QuantileSketch {
         low + ((1u64 << shift) - 1)
     }
 
+    /// What [`Self::quantile`] reports when `value` is the sample at
+    /// the requested rank, before clamping to the recorded maximum:
+    /// the inclusive upper edge of `value`'s bucket. A caller holding
+    /// the exact samples can therefore reproduce any quantile of a
+    /// sketch over them as `bucket_ceiling(v).min(max)` for the exact
+    /// nearest-rank sample `v`, without building the sketch.
+    #[must_use]
+    pub fn bucket_ceiling(value: u64) -> u64 {
+        Self::bucket_high(Self::index(value))
+    }
+
     /// Occupied bucket range `lo..=hi` — [`Self::index`] is monotone
     /// in the value, so the recorded min/max bound every nonzero
     /// bucket. Only meaningful when the sketch is nonempty.
     #[inline]
     fn occupied(&self) -> (usize, usize) {
         (Self::index(self.min), Self::index(self.max))
-    }
-
-    /// Resets the sketch to its empty state, keeping the bucket
-    /// allocation (the serve recorder rolls one sketch across
-    /// time-series windows instead of allocating one per window).
-    /// Cost is proportional to the occupied bucket span, not the
-    /// full table.
-    pub fn clear(&mut self) {
-        if self.count > 0 {
-            let (lo, hi) = self.occupied();
-            self.counts[lo..=hi].fill(0);
-        }
-        self.count = 0;
-        self.sum = 0;
-        self.min = u64::MAX;
-        self.max = 0;
     }
 
     /// Record one sample.
@@ -131,7 +128,7 @@ impl QuantileSketch {
     /// Record a batch of samples in one pass. Equivalent to calling
     /// [`Self::record`] per value, but the count/sum/min/max header
     /// aggregates stay in registers across the loop — the form the
-    /// serve recorder's staged-latency flush wants.
+    /// serve recorder's window close wants.
     pub fn record_batch(&mut self, values: &[u64]) {
         let (mut sum, mut min, mut max) = (0u128, u64::MAX, 0u64);
         for &v in values {
@@ -184,22 +181,6 @@ impl QuantileSketch {
         }
     }
 
-    /// Folds another sketch's samples into this one. Cost is
-    /// proportional to the other sketch's occupied bucket span.
-    pub fn merge(&mut self, other: &QuantileSketch) {
-        if other.count == 0 {
-            return;
-        }
-        let (lo, hi) = other.occupied();
-        for (c, &o) in self.counts[lo..=hi].iter_mut().zip(&other.counts[lo..=hi]) {
-            *c += o;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Nearest-rank quantile estimate, `q` in per-mille (500 = p50,
     /// 999 = p99.9), using the same ceiling-rank convention as the
     /// serve report's exact `percentile`. Returns 0 when empty.
@@ -228,6 +209,48 @@ impl QuantileSketch {
             }
         }
         self.max
+    }
+
+    /// [`Self::quantile`] at each of the ascending per-mille ranks
+    /// `q_permille`, computed in one pass over the occupied buckets
+    /// that also empties the sketch — the form a recorder that rolls
+    /// one sketch across time windows wants. Returns zeros when empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q_permille` is not ascending.
+    pub fn take_quantiles<const N: usize>(&mut self, q_permille: [u64; N]) -> [u64; N] {
+        assert!(
+            q_permille.windows(2).all(|w| w[0] <= w[1]),
+            "quantile ranks must ascend"
+        );
+        let mut out = [0u64; N];
+        if self.count > 0 {
+            let (lo, hi) = self.occupied();
+            let counts = &mut self.counts[lo..=hi];
+            // Each rank resumes the cumulative scan where the last one
+            // stopped; a rank past the count reports the maximum.
+            let (mut i, mut seen) = (0, 0u64);
+            for (out, q) in out.iter_mut().zip(q_permille) {
+                let rank = (self.count as u128 * q as u128).div_ceil(1000).max(1);
+                let rank = u64::try_from(rank).unwrap_or(u64::MAX);
+                while seen < rank && i < counts.len() {
+                    seen += counts[i];
+                    i += 1;
+                }
+                *out = if seen >= rank {
+                    Self::bucket_high(lo + i - 1).min(self.max)
+                } else {
+                    self.max
+                };
+            }
+            counts.fill(0);
+        }
+        self.count = 0;
+        self.sum = 0;
+        self.min = u64::MAX;
+        self.max = 0;
+        out
     }
 }
 
@@ -321,16 +344,66 @@ mod tests {
     }
 
     #[test]
-    fn clear_returns_to_the_empty_state() {
-        let mut s = QuantileSketch::new();
-        for v in [3u64, 900, 1 << 40] {
-            s.record(v);
+    fn take_quantiles_equals_repeated_quantile_calls_and_empties() {
+        let qs = [500, 900, 990, 999, 1000];
+        let mut x = 0x9E3779B97F4A7C15u64;
+        let heavy: Vec<u64> = (0..100_000)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                1_000 + (x % 1_000_000) * ((x >> 32) % 7 + 1)
+            })
+            .collect();
+        let inputs: [&[u64]; 5] = [
+            &[0, 1, 2, 3, 10, 63],
+            &[3, 900, 1 << 40],
+            &[7],
+            &[u64::MAX, 0, u64::MAX],
+            &heavy,
+        ];
+        for values in inputs {
+            let mut s = QuantileSketch::new();
+            s.record_batch(values);
+            let each = qs.map(|q| s.quantile(q));
+            assert_eq!(s.take_quantiles(qs), each, "{} samples", values.len());
+            assert_eq!(
+                s,
+                QuantileSketch::new(),
+                "take_quantiles empties the sketch"
+            );
+            // The emptied sketch records afresh.
+            s.record(7);
+            assert_eq!(s.take_quantiles([500]), [7]);
         }
-        s.clear();
-        assert_eq!(s, QuantileSketch::new());
-        s.record(7);
-        assert_eq!(s.quantile(500), 7);
-        assert_eq!(s.min(), 7);
+        assert_eq!(QuantileSketch::new().take_quantiles([500, 999]), [0, 0]);
+    }
+
+    #[test]
+    fn bucket_ceiling_of_the_exact_sample_is_the_quantile() {
+        // What lets a holder of the exact samples report sketch
+        // quantiles without building the sketch.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut samples: Vec<u64> = (0..20_000)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x >> (x % 50)
+            })
+            .collect();
+        samples.extend([0, 1, 63, 64, u64::MAX]);
+        let mut sketch = QuantileSketch::new();
+        sketch.record_batch(&samples);
+        samples.sort_unstable();
+        let max = *samples.last().expect("nonempty");
+        for q in [1, 500, 900, 990, 999, 1000] {
+            assert_eq!(
+                QuantileSketch::bucket_ceiling(exact(&samples, q)).min(max),
+                sketch.quantile(q),
+                "p{q}"
+            );
+        }
     }
 
     #[test]
@@ -345,19 +418,5 @@ mod tests {
         batched.record_batch(&[]);
         batched.record_batch(&vals[200..]);
         assert_eq!(one_by_one, batched);
-    }
-
-    #[test]
-    fn merge_equals_recording_everything_in_one_sketch() {
-        let mut a = QuantileSketch::new();
-        let mut b = QuantileSketch::new();
-        let mut whole = QuantileSketch::new();
-        for v in 0..1000u64 {
-            let target = if v % 2 == 0 { &mut a } else { &mut b };
-            target.record(v * v);
-            whole.record(v * v);
-        }
-        a.merge(&b);
-        assert_eq!(a, whole);
     }
 }

@@ -259,6 +259,71 @@ fn burn_rate_alerts_fire_under_overload_and_stay_silent_when_healthy() {
 }
 
 #[test]
+fn recording_survives_a_clock_saturated_at_u64_max() {
+    // At a vanishing load every inter-arrival gap saturates the `u64`
+    // clock, so arrivals, batches and completions all pile up at
+    // `u64::MAX`; the recorder's window bounds must not overflow there
+    // (the last window's exclusive end is past `u64::MAX`).
+    use fuseconv::serve::{BatchPolicy, Dispatch};
+    let pod = PodSpec::parse("16x16:os,8x8:ws").expect("valid pod");
+    let workload = Workload::uniform(vec![
+        zoo::mobilenet_v3_small().transform_all(FuSeVariant::Full)
+    ])
+    .expect("valid workload");
+    let dynamic = BatchPolicy::Dynamic {
+        max_batch: 4,
+        max_wait: 10_000,
+    };
+    let base = ServeConfig {
+        requests: 200,
+        load: 1e-12,
+        ..ServeConfig::default()
+    };
+    let cases = [
+        ("whole", base.clone()),
+        (
+            "whole dynamic, preempting",
+            ServeConfig {
+                policy: dynamic,
+                preemption: true,
+                high_priority_frac: 0.2,
+                ..base.clone()
+            },
+        ),
+        (
+            "sharded dynamic",
+            ServeConfig {
+                policy: dynamic,
+                dispatch: Dispatch::Sharded,
+                ..base
+            },
+        ),
+    ];
+    for (label, cfg) in cases {
+        let (report, ts) =
+            simulate_observed(&pod, &workload, &cfg, None, Some(&TimeSeriesConfig::new()))
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+        let ts = ts.expect("time-series requested");
+        assert_eq!(report.makespan_cycles, u64::MAX, "{label}: clock saturates");
+        assert_eq!(report.offered, 200, "{label}");
+        assert_eq!(report.completed + report.dropped, report.offered, "{label}");
+        let sum = |f: fn(&fuseconv::serve::timeseries::WindowReport) -> u64| -> u64 {
+            ts.windows.iter().map(f).sum()
+        };
+        assert_eq!(sum(|w| w.offered), report.offered, "{label}");
+        assert_eq!(sum(|w| w.completed), report.completed, "{label}");
+        assert_eq!(sum(|w| w.dropped), report.dropped, "{label}");
+        assert_eq!(sum(|w| w.slo_met), report.slo_met, "{label}");
+        assert_eq!(ts.total.count, report.completed, "{label}");
+        assert_eq!(
+            ts.windows.len() as u64,
+            ts.makespan_cycles.div_ceil(ts.window_cycles),
+            "{label}: windows tile the makespan"
+        );
+    }
+}
+
+#[test]
 fn committed_bench_baseline_prices_recording_within_ten_percent() {
     // The live measurement below can only see this machine; the
     // committed `BENCH_fuseconv.json` trajectory must tell the same
