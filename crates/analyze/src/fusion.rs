@@ -37,10 +37,11 @@
 use crate::diagnostics::{Diagnostic, RuleId, Severity};
 use crate::memory::MemoryBudget;
 use fuseconv_latency::ir::ValueClass;
-use fuseconv_latency::{fold_footprint, Dataflow, FoldFootprint, LatencyModel, PlanIr};
+use fuseconv_latency::{
+    fold_footprint, AsFoldRuns, Dataflow, FoldFootprint, FoldRuns, LatencyModel, PlanIr,
+};
 use fuseconv_models::{op_consumes, Network};
 use fuseconv_nn::ops::Op;
-use fuseconv_trace::FoldSpec;
 
 /// A statically fusible producer/consumer pair, with the proof artifacts
 /// behind its FUS001 verdict.
@@ -178,9 +179,9 @@ fn check_pair(ir: &PlanIr, rows: u64, cols: u64, dataflow: Dataflow) -> PairChec
 }
 
 /// What the FUS rules read of one operator's fold plan, gathered in one
-/// pass over its folds' [`fold_footprint`]s.
+/// pass over its runs' [`fold_footprint`]s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PlanSummary {
+pub struct PlanSummary {
     /// Folds in the plan, one output tile each.
     folds: usize,
     /// Per-stream maximum over the folds (`plan_high_water`).
@@ -192,18 +193,21 @@ struct PlanSummary {
 }
 
 impl PlanSummary {
-    /// Summarizes one fold plan.
-    fn of(plan: &[FoldSpec]) -> PlanSummary {
+    /// Summarizes one fold plan, as runs or flat.
+    pub fn of(plan: &(impl AsFoldRuns + ?Sized)) -> PlanSummary {
+        let plan = plan.as_fold_runs();
         let mut s = PlanSummary {
-            folds: plan.len(),
+            folds: usize::try_from(plan.len()).unwrap_or(usize::MAX),
             high_water: FoldFootprint::default(),
             ifmap_elems: 0,
             ofmap_elems: 0,
         };
-        for fp in plan.iter().map(fold_footprint) {
+        for (_, f, n) in plan.runs() {
+            let fp = fold_footprint(f);
+            let add = |sum: u64, elems: u64| sum.saturating_add(elems.saturating_mul(n));
             s.high_water = s.high_water.max(fp);
-            s.ifmap_elems += fp.ifmap_elems;
-            s.ofmap_elems += fp.ofmap_elems;
+            s.ifmap_elems = add(s.ifmap_elems, fp.ifmap_elems);
+            s.ofmap_elems = add(s.ofmap_elems, fp.ofmap_elems);
         }
         s
     }
@@ -325,16 +329,16 @@ pub(crate) struct PlannedBlock<'a> {
 pub(crate) fn plan_blocks<'a>(
     model: &LatencyModel,
     net: &'a Network,
-    mut visit: impl FnMut(&str, &Op, Option<&[FoldSpec]>),
+    mut visit: impl FnMut(&str, &Op, Option<&FoldRuns>),
 ) -> Vec<PlannedBlock<'a>> {
     let mut blocks = Vec::with_capacity(net.blocks().len());
     for (name, block) in net.blocks() {
         let ops = block.ops();
         let mut plans = Vec::with_capacity(ops.len());
         for op in &ops {
-            let plan = model.fold_plan(op).ok();
-            visit(name, op, plan.as_deref());
-            plans.push(plan.as_deref().map(PlanSummary::of));
+            let plan = model.fold_runs(op).ok();
+            visit(name, op, plan.as_ref());
+            plans.push(plan.as_ref().map(PlanSummary::of));
         }
         blocks.push(PlannedBlock { name, ops, plans });
     }

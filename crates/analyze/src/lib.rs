@@ -71,10 +71,10 @@ pub mod serve;
 pub mod shapes;
 
 pub use diagnostics::{Diagnostic, Report, RuleId, Severity};
-pub use fusion::{analyze_fusion, diagnose_pair_ir, fusible_pairs, FusiblePair};
+pub use fusion::{analyze_fusion, diagnose_pair_ir, fusible_pairs, FusiblePair, PlanSummary};
 pub use mapping::{analyze_dataflows, analyze_mapping};
-pub use memory::{analyze_memory, diagnose_memory, MemoryBudget};
+pub use memory::{diagnose_memory, MemoryBudget};
 pub use ops::{analyze_network, analyze_network_with_budget, analyze_op, gemm_dataflow_kind};
-pub use plan::{analyze_plan, diagnose_plan};
+pub use plan::diagnose_plan;
 pub use serve::analyze_pod;
 pub use shapes::analyze_shapes;

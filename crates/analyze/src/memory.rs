@@ -1,6 +1,7 @@
 //! Memory-feasibility rules (`MEM001–MEM003`).
 //!
-//! Checks every fold of a plan against an SRAM/DRAM budget, statically:
+//! Checks every fold of a plan against an SRAM/DRAM budget, statically,
+//! once per run of identical folds:
 //!
 //! * **MEM001** (error) — a fold's single-buffered operand working set
 //!   exceeds its SRAM buffer: the fold cannot be made resident at all and
@@ -20,9 +21,8 @@
 
 use crate::diagnostics::{Diagnostic, RuleId, Severity};
 use fuseconv_latency::memory::SramConfig;
-use fuseconv_latency::{fold_footprint, LatencyModel};
+use fuseconv_latency::{fold_footprint, AsFoldRuns};
 use fuseconv_nn::ops::Op;
-use fuseconv_trace::FoldSpec;
 
 /// The memory system the MEM rules budget against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,21 +61,23 @@ impl Default for MemoryBudget {
     }
 }
 
-/// Audits the folds of an already-computed plan against `budget`,
-/// reporting at most one diagnostic per `MEM` rule (the worst fold of
-/// each).
+/// Audits the folds of an already-computed plan, as runs or flat, against
+/// `budget`, reporting at most one diagnostic per `MEM` rule (the worst
+/// fold of each, the first one on ties).
 pub fn diagnose_memory(
     op: &Op,
-    plan: &[FoldSpec],
+    plan: &(impl AsFoldRuns + ?Sized),
     budget: &MemoryBudget,
     context: &str,
 ) -> Vec<Diagnostic> {
     // Worst offender per rule: (fold index, stream, used, capacity).
-    let mut single: Option<(usize, &'static str, u64, u64)> = None;
-    let mut double: Option<(usize, &'static str, u64, u64)> = None;
-    let mut bandwidth: Option<(usize, u64, u64)> = None;
+    let mut single: Option<(u64, &'static str, u64, u64)> = None;
+    let mut double: Option<(u64, &'static str, u64, u64)> = None;
+    let mut bandwidth: Option<(u64, u64, u64)> = None;
 
-    for (i, f) in plan.iter().enumerate() {
+    // A run's folds are identical and its first fold precedes the rest, so
+    // each run is budgeted once, at its first fold.
+    for (i, f, _) in plan.as_fold_runs().runs() {
         let fp = fold_footprint(f);
         let streams = [
             ("ifmap", fp.ifmap_elems, budget.sram.ifmap_elems),
@@ -155,23 +157,10 @@ pub fn diagnose_memory(
     out
 }
 
-/// Plans `op` under `model` and budgets the result. Planning failures are
-/// reported by `analyze_op`, not here.
-pub fn analyze_memory(
-    model: &LatencyModel,
-    op: &Op,
-    budget: &MemoryBudget,
-    context: &str,
-) -> Vec<Diagnostic> {
-    match model.fold_plan(op) {
-        Ok(plan) => diagnose_memory(op, &plan, budget, context),
-        Err(_) => Vec::new(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fuseconv_latency::LatencyModel;
     use fuseconv_systolic::ArrayConfig;
 
     fn model() -> LatencyModel {

@@ -14,30 +14,23 @@
 //!   ever busy, so utilization is statically bounded by `1/W` — the
 //!   Fig. 1(d) argument, reported here as a warning while the FuSe
 //!   row-broadcast lowering of the same work passes clean;
-//! * **UTL003** — the cycle-accounted counters derived from the fold plan
-//!   predict ≥ 90% of compute-phase PE slots idle: the operator is
-//!   compute-stall dominated regardless of its fill/drain overheads.
+//! * **UTL003** — the cycle-accounted counters priced run by run from the
+//!   fold plan predict ≥ 90% of compute-phase PE slots idle: the operator
+//!   is compute-stall dominated regardless of its fill/drain overheads.
 
 use crate::diagnostics::{Diagnostic, Report, RuleId, Severity};
 use crate::mapping::analyze_mapping;
 use crate::memory::MemoryBudget;
-use fuseconv_latency::{Dataflow, LatencyError, LatencyModel};
+use fuseconv_latency::{Dataflow, FoldRuns, LatencyError, LatencyModel};
 use fuseconv_models::Network;
 use fuseconv_nn::ops::Op;
 use fuseconv_systolic::legality::{canonical_mapping, DataflowKind};
-use fuseconv_trace::FoldSpec;
 
 /// SRAM element address space assumed by the trace sinks (32-bit).
 const SRAM_ADDRESS_SPACE: u64 = 1 << 32;
 
 /// Compute-phase PE idleness at or above which UTL003 fires.
 const COMPUTE_STALL_THRESHOLD: f64 = 0.90;
-
-/// Upper bound on the estimated fold count for which UTL003 will
-/// materialize a fold plan. Every zoo operator plans well under 10⁴
-/// folds; pathological shapes (which already trip the RES rules) would
-/// materialize billions of `FoldSpec`s just to be told they stall.
-const MAX_UTL003_FOLDS: u64 = 1_000_000;
 
 /// The legality-mapping kind a model's GEMM-lowered operators execute on.
 pub fn gemm_dataflow_kind(model: &LatencyModel) -> DataflowKind {
@@ -66,29 +59,6 @@ fn gemm_lowering(model: &LatencyModel, op: &Op) -> Option<(u64, u64, u64)> {
             in_features,
             out_features,
         } => Some((1, in_features as u64, out_features as u64)),
-    }
-}
-
-/// Cheap upper-bound estimate of how many folds the operator's plan
-/// holds, without materializing it (the plan is `O(folds)` memory).
-fn estimated_folds(model: &LatencyModel, op: &Op) -> u64 {
-    let rows = model.array().rows() as u64;
-    let cols = model.array().cols() as u64;
-    let tiles = |m: u64, n: u64| m.div_ceil(rows).saturating_mul(n.div_ceil(cols));
-    match (gemm_lowering(model, op), *op) {
-        // Depthwise lowers to one such GEMM *per channel*.
-        (Some((m, _, n)), Op::Depthwise { c, .. }) => tiles(m, n).saturating_mul(c as u64),
-        (Some((m, _, n)), _) => tiles(m, n),
-        // FuSe 1-D: one conv per (channel, line), `l_out` outputs wide;
-        // bound both by the larger spatial extent.
-        (None, _) => {
-            let (oh, ow, c) = op.output_shape();
-            let extent = oh.max(ow) as u64;
-            let convs = (c as u64)
-                .saturating_mul(extent)
-                .saturating_mul(model.batch() as u64);
-            tiles(convs, extent)
-        }
     }
 }
 
@@ -124,20 +94,15 @@ fn operand_footprints(model: &LatencyModel, op: &Op) -> [(&'static str, u64); 3]
 /// Analyzes one operator under one latency model, returning every
 /// finding. `context` labels the findings (e.g. `network/block/op`).
 pub fn analyze_op(model: &LatencyModel, op: &Op, context: &str) -> Vec<Diagnostic> {
-    let plan = if estimated_folds(model, op) <= MAX_UTL003_FOLDS {
-        model.fold_plan(op).ok()
-    } else {
-        None
-    };
-    op_findings(model, op, plan.as_deref(), context)
+    op_findings(model, op, model.fold_runs(op).ok().as_ref(), context)
 }
 
 /// [`analyze_op`] over the operator's fold plan, which the caller already
-/// holds (`None` if planning failed or was skipped).
+/// holds (`None` if planning failed).
 fn op_findings(
     model: &LatencyModel,
     op: &Op,
-    plan: Option<&[FoldSpec]>,
+    plan: Option<&FoldRuns>,
     context: &str,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
@@ -258,15 +223,14 @@ fn op_findings(
         }
     }
 
-    // Stall attribution: derive cycle-accounted counters analytically from
-    // the fold plan and flag compute-stall-dominated operators. This is
-    // the dynamic counterpart of UTL001/UTL002 — it measures how idle the
-    // compute phase actually is rather than bounding it by shape alone.
-    // Skipped for shapes whose plan would not fit in memory; those trip
-    // the RES rules above instead.
-    if let Some(plan) = plan.filter(|_| estimated_folds(model, op) <= MAX_UTL003_FOLDS) {
-        let counters = fuseconv_perf::PerfCounters::from_fold_plan(plan, rows, cols);
-        let stall = counters.compute_stall_fraction();
+    // Stall attribution: price cycle-accounted counters analytically from
+    // the fold plan, run by run, and flag compute-stall-dominated
+    // operators. This is the dynamic counterpart of UTL001/UTL002 — it
+    // measures how idle the compute phase actually is rather than bounding
+    // it by shape alone.
+    if let Some(plan) = plan {
+        let counters = fuseconv_perf::StallTotals::of_plan(plan, rows, cols);
+        let stall = counters.fraction();
         if stall >= COMPUTE_STALL_THRESHOLD {
             out.push(Diagnostic {
                 rule: RuleId::Utl003ComputeStallDominated,
@@ -276,8 +240,8 @@ fn op_findings(
                     "`{op}` is compute-stall dominated: {:.1}% of compute-phase PE \
                      slots are idle ({} of {} PE-cycles busy)",
                     stall * 100.0,
-                    counters.busy_pe_cycles(),
-                    counters.compute_pe_cycles(),
+                    counters.busy_pe_cycles,
+                    counters.compute_pe_cycles,
                 ),
                 dependence: None,
                 suggestion: "inspect `fuseconv perf` for the fill/active/bubble/drain \
@@ -319,9 +283,9 @@ pub fn analyze_network_with_budget(
         }
     }
 
-    // Operator rules. Each operator is planned once: UTL003 and the plan
-    // coverage and memory audits read the plan, the fusion rules below
-    // its summary.
+    // Operator rules. Each operator is planned once, as runs: UTL003 and
+    // the plan coverage and memory audits price the runs, the fusion rules
+    // below read its summary.
     let label = format!("{}[{}]", net.name(), net.variant_label());
     let blocks = crate::fusion::plan_blocks(model, net, |block, op, plan| {
         let context = format!("{label}/{block}/{op}");
@@ -423,6 +387,24 @@ mod tests {
         assert!(diags
             .iter()
             .all(|d| d.rule != RuleId::Utl003ComputeStallDominated));
+    }
+
+    #[test]
+    fn pathological_depthwise_is_utl003_without_expanding_its_plan() {
+        // 100 000 channels of 196 single-column folds at 16×16: 19.6 M
+        // folds, priced as one run.
+        let m = LatencyModel::new(ArrayConfig::square(16).unwrap().with_broadcast(true));
+        let op = Op::depthwise(56, 56, 100_000, 3, 1, 1);
+        let plan = m.fold_runs(&op).unwrap();
+        assert_eq!(plan.len(), 19_600_000);
+        assert_eq!(plan.runs().count(), 1);
+        let diags = analyze_op(&m, &op, "test");
+        assert!(
+            diags
+                .iter()
+                .any(|d| d.rule == RuleId::Utl003ComputeStallDominated),
+            "{diags:?}"
+        );
     }
 
     #[test]

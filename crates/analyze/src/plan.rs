@@ -8,9 +8,8 @@
 //! coverage proof: the folds partition the output iteration space exactly.
 
 use crate::diagnostics::{Diagnostic, RuleId, Severity};
-use fuseconv_latency::{audit_plan, LatencyModel, PlanViolation};
+use fuseconv_latency::{audit_plan, AsFoldRuns, LatencyModel, PlanViolation};
 use fuseconv_nn::ops::Op;
-use fuseconv_trace::FoldSpec;
 
 /// Classifies one violation into its rule.
 fn rule_of(v: &PlanViolation) -> (RuleId, String, &'static str) {
@@ -46,13 +45,14 @@ fn rule_of(v: &PlanViolation) -> (RuleId, String, &'static str) {
     }
 }
 
-/// Audits an already-computed fold plan of `op`, reporting at most one
+/// Audits an already-computed fold plan of `op`, as runs or flat,
+/// reporting at most one
 /// diagnostic per `PLAN` rule (the first violation of each kind — plans
 /// with thousands of folds would otherwise flood the report).
 pub fn diagnose_plan(
     model: &LatencyModel,
     op: &Op,
-    plan: &[FoldSpec],
+    plan: &(impl AsFoldRuns + ?Sized),
     context: &str,
 ) -> Vec<Diagnostic> {
     let mut out: Vec<Diagnostic> = Vec::new();
@@ -71,16 +71,6 @@ pub fn diagnose_plan(
         });
     }
     out
-}
-
-/// Plans `op` under `model` and audits the result. Planning failures are
-/// not reported here — `analyze_op` already converts [`LatencyModel`]
-/// errors to `RES`/`LOC` findings.
-pub fn analyze_plan(model: &LatencyModel, op: &Op, context: &str) -> Vec<Diagnostic> {
-    match model.fold_plan(op) {
-        Ok(plan) => diagnose_plan(model, op, &plan, context),
-        Err(_) => Vec::new(),
-    }
 }
 
 #[cfg(test)]
@@ -106,7 +96,8 @@ mod tests {
             Op::fuse1d(12, 12, 5, 3, 1, 1, fuseconv_nn::ops::Axis1d::Row),
             Op::fc(100, 37),
         ] {
-            assert!(analyze_plan(&m, &op, "test").is_empty(), "{op}");
+            let plan = m.fold_runs(&op).unwrap();
+            assert!(diagnose_plan(&m, &op, &plan, "test").is_empty(), "{op}");
         }
     }
 

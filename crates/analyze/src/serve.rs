@@ -417,7 +417,7 @@ fn audit_shard_plan(
         shares[a] = shares[a].saturating_add(cost);
         // PLAN-audit the op's fold plan on its target array: the share
         // is only meaningful if the fold accounting behind it is sound.
-        let folds = model.fold_plan(op)?;
+        let folds = model.fold_runs(op)?;
         for v in audit_plan(&model, op, &folds) {
             report.push(diag(
                 RuleId::Srv004ShardPlanIllegal,

@@ -1,12 +1,15 @@
 //! Static self-audit of fold plans: coverage, occupancy and footprints.
 //!
-//! [`LatencyModel::fold_plan`] promises that its folds partition the
+//! [`LatencyModel::fold_runs`] promises that its folds partition the
 //! operator's output iteration space — every output element computed by
 //! exactly one fold, every fold within the physical array. This module
 //! proves that promise from the *outside*: it independently reconstructs
 //! the expected tile partition of the iteration space (an interval
-//! analysis over the fold grid) and classifies every divergence of an
-//! actual plan as a [`PlanViolation`].
+//! analysis over the fold grid, as runs of identical tiles) and
+//! merge-walks the plan's runs against it, classifying every divergence as
+//! a [`PlanViolation`]. Every fold of a run pair classifies alike, so a
+//! clean pair is skipped whole; a flat plan is audited through
+//! [`FoldRuns::from_folds`](crate::plan::Runs::from_folds).
 //!
 //! The planner passing the audit is a property of constant code, so it is
 //! proved at test time, not re-checked on every [`LatencyModel`] call: this
@@ -17,7 +20,8 @@
 //! violations as diagnostics, and the `MEM001–MEM003` rules budget the
 //! [`fold_footprint`] working sets against SRAM.
 
-use crate::map::{c64, Dataflow, LatencyModel};
+use crate::map::{c64, tile_classes, Dataflow, LatencyModel};
+use crate::plan::{AsFoldRuns, FoldRuns, Runs};
 use fuseconv_nn::ops::{Axis1d, Op};
 use fuseconv_systolic::conv1d;
 use fuseconv_trace::{FoldKind, FoldSpec};
@@ -100,77 +104,62 @@ struct Tile {
     macs: u64,
 }
 
-/// Splits `total` into `tile`-sized chunks (full chunks then remainder),
-/// the canonical 1-D interval partition all fold grids are built from.
-fn chunks(total: u64, tile: u64) -> Vec<u64> {
-    let mut out = Vec::new();
-    if tile == 0 {
-        return out;
-    }
-    let mut done = 0u64;
-    while done < total {
-        let step = tile.min(total - done);
-        out.push(step);
-        done += step;
-    }
-    out
-}
-
 /// The expected tile sequence of one GEMM fold grid: the cross product of
-/// the row-axis and column-axis partitions, row-major, each tile carrying
-/// `ru · cu · reduction` MACs.
-fn gemm_tiles(dim_r: u64, rows: u64, dim_c: u64, cols: u64, reduction: u64) -> Vec<Tile> {
-    let mut out = Vec::new();
-    for ru in chunks(dim_r, rows) {
-        for cu in chunks(dim_c, cols) {
-            out.push(Tile {
-                rows: ru,
-                cols: cu,
-                macs: ru.saturating_mul(cu).saturating_mul(reduction),
-            });
-        }
+/// the row-axis and column-axis interval partitions (full chunks, then the
+/// remainder), row-major, each tile carrying `ru · cu · reduction` MACs.
+fn gemm_tiles(dim_r: u64, rows: u64, dim_c: u64, cols: u64, reduction: u64) -> Runs<Tile> {
+    let mut out = Runs::default();
+    for (ru, row_tiles) in tile_classes(dim_r, rows) {
+        let row = tile_classes(dim_c, cols).map(|(cu, n)| {
+            let macs = ru.saturating_mul(cu).saturating_mul(reduction);
+            (
+                Tile {
+                    rows: ru,
+                    cols: cu,
+                    macs,
+                },
+                n,
+            )
+        });
+        out.push_segment(row, row_tiles);
     }
     out
 }
 
 /// The expected tile sequence of a packed row-broadcast (FuSe 1-D) plan,
-/// reconstructed from the same packing decision the planner makes.
+/// reconstructed from the packing decision the cycle simulator makes: each
+/// channel's lines fill `lpr`-line slots, its last slot holding the
+/// remainder, and every `rows` consecutive slots make one tile.
 fn fuse_tiles(
     model: &LatencyModel,
     channels: usize,
     lines: usize,
     l_out: usize,
     k: usize,
-) -> Vec<Tile> {
-    let (rows, cols) = (model.array().rows(), model.array().cols());
-    let lpr = conv1d::lines_per_row(model.array(), channels, lines, l_out, k);
+) -> Runs<Tile> {
+    let array = model.array();
+    let (rows, cols) = (array.rows(), c64(array.cols()));
+    let lpr = c64(conv1d::lines_per_row(array, channels, lines, l_out, k));
+    let (lines, l_out, k) = (c64(lines), c64(l_out), c64(k));
     let slots_per_channel = lines.div_ceil(lpr);
-    let slot_lines: Vec<usize> = (0..channels)
-        .flat_map(|_| (0..slots_per_channel).map(move |s| lpr.min(lines - s * lpr)))
-        .collect();
-    let mut out = Vec::new();
-    for slot0 in (0..slot_lines.len()).step_by(rows) {
-        let chunk = &slot_lines[slot0..slot_lines.len().min(slot0 + rows)];
-        let ru = c64(chunk.len());
-        if lpr == 1 {
-            for cw in chunks(c64(l_out), c64(cols)) {
-                out.push(Tile {
-                    rows: ru,
-                    cols: cw,
-                    macs: ru.saturating_mul(cw).saturating_mul(c64(k)),
-                });
-            }
-        } else {
-            let busy: u64 = chunk
-                .iter()
-                .map(|&n| c64(n).saturating_mul(c64(l_out)))
-                .fold(0u64, u64::saturating_add);
-            out.push(Tile {
-                rows: ru,
-                cols: c64(lpr).saturating_mul(c64(l_out)),
-                macs: busy.saturating_mul(c64(k)),
-            });
-        }
+    let slots = c64(channels).saturating_mul(slots_per_channel);
+    if lpr == 1 {
+        // One line per slot: a `slots × l_out` grid reducing over `k`.
+        return gemm_tiles(slots, c64(rows), l_out, cols, k);
+    }
+    // Lines missing from each channel's last slot.
+    let short = lpr * slots_per_channel - lines;
+    let mut out = Runs::default();
+    for slot0 in (0..slots).step_by(rows) {
+        let end = slots.min(slot0 + c64(rows));
+        let last_slots = end / slots_per_channel - slot0 / slots_per_channel;
+        let busy = ((end - slot0) * lpr - last_slots * short).saturating_mul(l_out);
+        let tile = Tile {
+            rows: end - slot0,
+            cols: lpr.saturating_mul(l_out),
+            macs: busy.saturating_mul(k),
+        };
+        out.push(tile, 1);
     }
     out
 }
@@ -178,7 +167,7 @@ fn fuse_tiles(
 /// The expected iteration-space partition for `op` under `model`, or
 /// `None` when the operator is degenerate / unsupported on this array (the
 /// planner itself errors there, so there is nothing to audit).
-fn expected_tiles(model: &LatencyModel, op: &Op) -> Option<Vec<Tile>> {
+fn expected_tiles(model: &LatencyModel, op: &Op) -> Option<Runs<Tile>> {
     let (oh, ow, _) = op.output_shape();
     let (rows, cols) = (c64(model.array().rows()), c64(model.array().cols()));
     let m = c64(oh)
@@ -191,12 +180,7 @@ fn expected_tiles(model: &LatencyModel, op: &Op) -> Option<Vec<Tile>> {
         }
         Op::Depthwise { c, k, .. } => {
             let kk = c64(k).checked_mul(c64(k))?;
-            let per_channel = grid_for(model.dataflow(), m, kk, 1, rows, cols);
-            let mut out = Vec::new();
-            for _ in 0..c {
-                out.extend_from_slice(&per_channel);
-            }
-            Some(out)
+            Some(grid_for(model.dataflow(), m, kk, 1, rows, cols).repeated(c64(c)))
         }
         Op::Pointwise { in_c, out_c, .. } => Some(grid_for(
             model.dataflow(),
@@ -235,7 +219,7 @@ fn expected_tiles(model: &LatencyModel, op: &Op) -> Option<Vec<Tile>> {
 
 /// Maps a GEMM's `(m, k, n)` to its fold-grid axes under a dataflow: which
 /// two dims tile onto the array, and which is the temporal reduction.
-fn grid_for(dataflow: Dataflow, m: u64, k: u64, n: u64, rows: u64, cols: u64) -> Vec<Tile> {
+fn grid_for(dataflow: Dataflow, m: u64, k: u64, n: u64, rows: u64, cols: u64) -> Runs<Tile> {
     match dataflow {
         Dataflow::OutputStationary => gemm_tiles(m, rows, n, cols, k),
         Dataflow::WeightStationary => gemm_tiles(k, rows, n, cols, m),
@@ -243,22 +227,94 @@ fn grid_for(dataflow: Dataflow, m: u64, k: u64, n: u64, rows: u64, cols: u64) ->
     }
 }
 
-/// Audits a fold plan against the expected partition of `op`'s iteration
-/// space under `model`. Returns every divergence found; an empty vector is
-/// the coverage proof (no gaps, no double-compute, tiles within the array,
-/// MAC totals exact).
-pub fn audit_plan(model: &LatencyModel, op: &Op, plan: &[FoldSpec]) -> Vec<PlanViolation> {
-    let mut out = Vec::new();
-    let (rows, cols) = (model.array().rows(), model.array().cols());
+/// Classifies fold `i` of a plan against expected tile `i` of the
+/// partition (either may be past its end), pushing what diverges.
+fn classify(f: Option<FoldSpec>, t: Option<Tile>, i: u64, out: &mut Vec<PlanViolation>) {
+    match (f, t) {
+        (Some(f), Some(t)) => {
+            let (fr, fc) = (c64u32(f.rows_used), c64u32(f.cols_used));
+            if fr < t.rows || fc < t.cols {
+                out.push(PlanViolation::Gap {
+                    missing_macs: t.macs.saturating_sub(f.macs),
+                    detail: format!(
+                        "fold {i} covers {fr}x{fc} of the expected {}x{} tile",
+                        t.rows, t.cols
+                    ),
+                });
+            }
+            if fr > t.rows || fc > t.cols {
+                out.push(PlanViolation::Overlap {
+                    extra_macs: f.macs.saturating_sub(t.macs),
+                    detail: format!(
+                        "fold {i} covers {fr}x{fc}, beyond the expected {}x{} tile",
+                        t.rows, t.cols
+                    ),
+                });
+            }
+        }
+        (None, Some(t)) => out.push(PlanViolation::Gap {
+            missing_macs: t.macs,
+            detail: format!("plan ends before expected tile {i} ({}x{})", t.rows, t.cols),
+        }),
+        (Some(f), None) => out.push(PlanViolation::Overlap {
+            extra_macs: f.macs,
+            detail: format!(
+                "fold {i} ({}x{}) lies beyond the iteration space",
+                f.rows_used, f.cols_used
+            ),
+        }),
+        (None, None) => {}
+    }
+}
 
-    // PLAN003: physical occupancy, independent of the partition.
-    for (i, f) in plan.iter().enumerate() {
-        if c64u32(f.rows_used) > c64(rows) || c64u32(f.cols_used) > c64(cols) {
-            out.push(PlanViolation::OversizedTile {
-                fold_index: i,
-                rows_used: f.rows_used,
-                cols_used: f.cols_used,
-            });
+/// Merge-walks a plan's runs against the expected partition's in emission
+/// order, classifying under- and over-coverage. Each step pairs the `n`
+/// folds both current runs still cover; they classify alike, so a clean
+/// step is skipped whole and a divergent one reported fold by fold.
+fn walk(plan: &FoldRuns, expected: &Runs<Tile>, out: &mut Vec<PlanViolation>) {
+    let (mut folds, mut tiles) = (plan.ordered_runs(), expected.ordered_runs());
+    let (mut f, mut t) = (folds.next(), tiles.next());
+    let mut i = 0u64;
+    while f.is_some() || t.is_some() {
+        let n = f.map_or(u64::MAX, |r| r.1).min(t.map_or(u64::MAX, |r| r.1));
+        let before = out.len();
+        classify(f.map(|r| r.0), t.map(|r| r.0), i, out);
+        if out.len() > before {
+            for j in i.saturating_add(1)..i.saturating_add(n) {
+                classify(f.map(|r| r.0), t.map(|r| r.0), j, out);
+            }
+        }
+        i = i.saturating_add(n);
+        f = f.and_then(|(x, c)| (c > n).then_some((x, c - n)).or_else(|| folds.next()));
+        t = t.and_then(|(x, c)| (c > n).then_some((x, c - n)).or_else(|| tiles.next()));
+    }
+}
+
+/// Audits a fold plan, as runs or flat, against the expected partition of
+/// `op`'s iteration space under `model`. Returns every divergence found,
+/// fold by fold; an empty vector is the coverage proof (no gaps, no
+/// double-compute, tiles within the array, MAC totals exact).
+pub fn audit_plan(
+    model: &LatencyModel,
+    op: &Op,
+    plan: &(impl AsFoldRuns + ?Sized),
+) -> Vec<PlanViolation> {
+    let plan = plan.as_fold_runs();
+    let mut out = Vec::new();
+    let (rows, cols) = (c64(model.array().rows()), c64(model.array().cols()));
+    let oversized = |f: &FoldSpec| c64u32(f.rows_used) > rows || c64u32(f.cols_used) > cols;
+
+    // PLAN003: physical occupancy; expanded only when a run is oversized.
+    if plan.runs().any(|(_, f, _)| oversized(f)) {
+        for (fold_index, f) in plan.expand().into_iter().enumerate() {
+            if oversized(&f) {
+                let (rows_used, cols_used) = (f.rows_used, f.cols_used);
+                out.push(PlanViolation::OversizedTile {
+                    fold_index,
+                    rows_used,
+                    cols_used,
+                });
+            }
         }
     }
 
@@ -266,54 +322,22 @@ pub fn audit_plan(model: &LatencyModel, op: &Op, plan: &[FoldSpec]) -> Vec<PlanV
         return out;
     };
 
-    // PLAN001/PLAN002: walk the plan against the expected partition in
-    // emission order, classifying under- and over-coverage tile by tile.
-    let pairs = plan.len().max(expected.len());
-    for i in 0..pairs {
-        match (plan.get(i), expected.get(i)) {
-            (Some(f), Some(t)) => {
-                let (fr, fc) = (c64u32(f.rows_used), c64u32(f.cols_used));
-                if fr < t.rows || fc < t.cols {
-                    out.push(PlanViolation::Gap {
-                        missing_macs: t.macs.saturating_sub(f.macs),
-                        detail: format!(
-                            "fold {i} covers {fr}x{fc} of the expected {}x{} tile",
-                            t.rows, t.cols
-                        ),
-                    });
-                }
-                if fr > t.rows || fc > t.cols {
-                    out.push(PlanViolation::Overlap {
-                        extra_macs: f.macs.saturating_sub(t.macs),
-                        detail: format!(
-                            "fold {i} covers {fr}x{fc}, beyond the expected {}x{} tile",
-                            t.rows, t.cols
-                        ),
-                    });
-                }
-            }
-            (None, Some(t)) => out.push(PlanViolation::Gap {
-                missing_macs: t.macs,
-                detail: format!("plan ends before expected tile {i} ({}x{})", t.rows, t.cols),
-            }),
-            (Some(f), None) => out.push(PlanViolation::Overlap {
-                extra_macs: f.macs,
-                detail: format!(
-                    "fold {i} ({}x{}) lies beyond the iteration space",
-                    f.rows_used, f.cols_used
-                ),
-            }),
-            (None, None) => {}
-        }
+    // PLAN001/PLAN002: a plan whose runs have the partition's tile shapes,
+    // run for run and repeat for repeat, matches it fold for fold; any
+    // other plan is merge-walked against it.
+    let shape = |f: &FoldSpec| (c64u32(f.rows_used), c64u32(f.cols_used));
+    if plan.map(shape) != expected.map(|t| (t.rows, t.cols)) {
+        walk(&plan, &expected, &mut out);
     }
 
     // PLAN004: MAC totals, an independent global invariant (catches
     // compensating per-fold errors the tile walk cannot see).
-    let plan_macs: u64 = plan.iter().map(|f| f.macs).fold(0u64, u64::saturating_add);
-    let expected_macs: u64 = expected
-        .iter()
-        .map(|t| t.macs)
-        .fold(0u64, u64::saturating_add);
+    let plan_macs = plan.runs().fold(0u64, |a, (_, f, n)| {
+        a.saturating_add(f.macs.saturating_mul(n))
+    });
+    let expected_macs = expected.runs().fold(0u64, |a, (_, t, n)| {
+        a.saturating_add(t.macs.saturating_mul(n))
+    });
     if plan_macs != expected_macs {
         out.push(PlanViolation::MacsMismatch {
             plan_macs,
@@ -396,11 +420,13 @@ pub fn fold_footprint(f: &FoldSpec) -> FoldFootprint {
     }
 }
 
-/// Per-stream high-water mark over a whole plan: the largest single-fold
-/// working set each SRAM buffer must hold.
-pub fn plan_high_water(plan: &[FoldSpec]) -> FoldFootprint {
-    plan.iter()
-        .map(fold_footprint)
+/// Per-stream high-water mark over a whole plan, as runs or flat: the
+/// largest single-fold working set each SRAM buffer must hold, one
+/// footprint per run.
+pub fn plan_high_water(plan: &(impl AsFoldRuns + ?Sized)) -> FoldFootprint {
+    plan.as_fold_runs()
+        .runs()
+        .map(|(_, f, _)| fold_footprint(f))
         .fold(FoldFootprint::default(), FoldFootprint::max)
 }
 

@@ -16,10 +16,10 @@
 //! | FuSe 1-D bank | row-broadcast dataflow | `#convs = C·out_lines`, `L_out`, `K` |
 //! | fully connected | GEMM | `M = 1`, `K = in`, `N = out` |
 //!
-//! The closed-form cycle counts come from
-//! [`fuseconv_systolic::gemm::analytic_cycles`] and
+//! Cycle counts are the planner's fold runs priced in checked arithmetic;
+//! they equal [`fuseconv_systolic::gemm::analytic_cycles`] and
 //! [`fuseconv_systolic::conv1d::analytic_cycles`], which are validated
-//! against the cycle-level simulator; this crate therefore inherits exact
+//! against the cycle-level simulator, so this crate inherits exact
 //! agreement with simulation.
 //!
 //! # Examples
@@ -58,6 +58,7 @@ pub use ir::{
     ReachingDefs, ValueClass, ValueDef, ValueId, ValueInfo, ValueSet,
 };
 pub use map::{Dataflow, FoldOverlap, LatencyError, LatencyModel};
+pub use plan::{AsFoldRuns, FoldRuns, Runs};
 pub use report::{
     block_speedups, estimate_network, BlockLatency, ClassBreakdown, NetworkLatency, OpLatency,
 };

@@ -1,7 +1,9 @@
-//! Lowering of operator descriptors to array cycle counts.
+//! The latency model: its configuration, errors and cycle pricing.
 
-use fuseconv_nn::ops::{Axis1d, Op};
+use crate::plan::Emit;
+use fuseconv_nn::ops::Op;
 use fuseconv_systolic::ArrayConfig;
+use fuseconv_trace::{FoldKind, FoldSpec};
 use std::error::Error;
 use std::fmt;
 
@@ -171,108 +173,9 @@ impl LatencyModel {
         self.overlap
     }
 
-    /// GEMM cycles under the configured dataflow and overlap mode.
-    ///
-    /// Closed-form over tile classes (full tiles + remainder), all in
-    /// checked `u64` arithmetic: equals the fold-by-fold loop accounting
-    /// of the cycle simulators exactly, but costs O(1) and returns `None`
-    /// instead of wrapping when the total exceeds `u64`.
-    fn gemm_cycles(&self, m: u64, k: u64, n: u64) -> Option<u64> {
-        let (rows, cols) = (c64(self.array.rows()), c64(self.array.cols()));
-        match (self.dataflow, self.overlap) {
-            // Serial folds pay the full fold_cycles of each simulator.
-            (Dataflow::OutputStationary, FoldOverlap::Serial) => {
-                sum_folds(m, rows, n, cols, |ru, cu| {
-                    // 2·ru + cu + k − 2
-                    ru.checked_mul(2)?
-                        .checked_add(cu)?
-                        .checked_add(k)?
-                        .checked_sub(2)
-                })
-            }
-            (Dataflow::WeightStationary, FoldOverlap::Serial) => {
-                sum_folds(k, rows, n, cols, |ru, cu| {
-                    // ru + (m + ru + cu − 2)
-                    ru.checked_mul(2)?
-                        .checked_add(cu)?
-                        .checked_add(m)?
-                        .checked_sub(2)
-                })
-            }
-            (Dataflow::InputStationary, FoldOverlap::Serial) => {
-                sum_folds(m, rows, k, cols, |ru, cu| {
-                    // cu + (n + ru + cu − 2)
-                    cu.checked_mul(2)?
-                        .checked_add(ru)?
-                        .checked_add(n)?
-                        .checked_sub(2)
-                })
-            }
-            (Dataflow::OutputStationary, FoldOverlap::DoubleBuffered) => {
-                // Each fold pays fill + compute (ru + cu + k − 2); drains
-                // overlap the next fold's fill, except the final one.
-                let folds = sum_folds(m, rows, n, cols, |ru, cu| {
-                    ru.checked_add(cu)?.checked_add(k)?.checked_sub(2)
-                })?;
-                folds.checked_add(last_tile(m, rows))
-            }
-            (Dataflow::WeightStationary, FoldOverlap::DoubleBuffered) => {
-                // The next tile's weight preload overlaps the current
-                // fold's drain; each fold pays its streaming window only,
-                // plus the first preload.
-                let folds = sum_folds(k, rows, n, cols, |ru, cu| {
-                    m.checked_add(ru)?.checked_add(cu)?.checked_sub(2)
-                })?;
-                folds.checked_add(rows.min(k))
-            }
-            (Dataflow::InputStationary, FoldOverlap::DoubleBuffered) => {
-                // Mirror of the weight-stationary treatment: the next
-                // tile's input preload overlaps the current drain.
-                let folds = sum_folds(m, rows, k, cols, |ru, cu| {
-                    n.checked_add(ru)?.checked_add(cu)?.checked_sub(2)
-                })?;
-                folds.checked_add(cols.min(k))
-            }
-        }
-    }
-
-    /// Packed 1-D convolution cycles under the configured overlap mode,
-    /// in checked arithmetic (see [`LatencyModel::gemm_cycles`]).
-    fn fuse_cycles(&self, channels: u64, lines: u64, l_out: u64, k: u64) -> Option<u64> {
-        let (rows, cols) = (c64(self.array.rows()), c64(self.array.cols()));
-        let lpr = best_lpr(rows, cols, channels, lines, l_out, k);
-        let slots_per_channel = div_ceil(lines, lpr)?;
-        let n_slots = channels.checked_mul(slots_per_channel)?;
-        match self.overlap {
-            FoldOverlap::Serial => fuse_cycles_at_lpr(rows, cols, n_slots, l_out, k, lpr),
-            FoldOverlap::DoubleBuffered => {
-                // Per fold: fill + broadcast compute ((width + k − 1) + k);
-                // only the final fold drains its ru rows.
-                let mut total = 0u64;
-                for (_ru, count) in tile_classes(n_slots, rows) {
-                    if count == 0 {
-                        continue;
-                    }
-                    if lpr == 1 {
-                        for (cw, cc) in tile_classes(l_out, cols) {
-                            if cc == 0 {
-                                continue;
-                            }
-                            let fold = cw.checked_add(k.checked_mul(2)?)?.checked_sub(1)?;
-                            total = total.checked_add(fold.checked_mul(count)?.checked_mul(cc)?)?;
-                        }
-                    } else {
-                        let width = lpr.checked_mul(l_out)?;
-                        let fold = width.checked_add(k.checked_mul(2)?)?.checked_sub(1)?;
-                        total = total.checked_add(fold.checked_mul(count)?)?;
-                    }
-                }
-                total.checked_add(last_tile(n_slots, rows))
-            }
-        }
-    }
-
-    /// Estimated cycles for one operator.
+    /// Estimated cycles for one operator: its fold runs
+    /// ([`LatencyModel::fold_runs`]) priced under the configured overlap
+    /// mode, in checked arithmetic.
     ///
     /// # Errors
     ///
@@ -282,65 +185,40 @@ impl LatencyModel {
     /// does not fit in `u64`.
     pub fn cycles(&self, op: &Op) -> Result<u64, LatencyError> {
         let _span = fuseconv_telemetry::span("latency.cycles");
-        let (oh, ow, _) = op.output_shape();
-        let overflow = || LatencyError::ArithmeticOverflow { op: op.to_string() };
-        match *op {
-            Op::Conv2d { in_c, out_c, k, .. } => {
-                check_nonzero(op, &[oh, ow, self.batch, k, in_c, out_c])?;
-                let m = mul3(oh, ow, self.batch).ok_or_else(overflow)?;
-                let kdim = mul3(k, k, in_c).ok_or_else(overflow)?;
-                self.gemm_cycles(m, kdim, c64(out_c)).ok_or_else(overflow)
-            }
-            Op::Depthwise { c, k, .. } => {
-                check_nonzero(op, &[oh, ow, self.batch, k, c])?;
-                let m = mul3(oh, ow, self.batch).ok_or_else(overflow)?;
-                let kk = c64(k).checked_mul(c64(k)).ok_or_else(overflow)?;
-                // One single-column GEMM per channel: no reuse across
-                // channels, one array column used (§III-B). Batching adds
-                // rows but never a second column — it cannot rescue
-                // depthwise utilization.
-                let per_channel = self.gemm_cycles(m, kk, 1).ok_or_else(overflow)?;
-                c64(c).checked_mul(per_channel).ok_or_else(overflow)
-            }
-            Op::Pointwise { in_c, out_c, .. } => {
-                check_nonzero(op, &[oh, ow, self.batch, in_c, out_c])?;
-                let m = mul3(oh, ow, self.batch).ok_or_else(overflow)?;
-                self.gemm_cycles(m, c64(in_c), c64(out_c))
-                    .ok_or_else(overflow)
-            }
-            Op::FuSe1d { c, k, axis, .. } => {
-                if !self.array.has_broadcast() {
-                    return Err(LatencyError::BroadcastRequired { op: op.to_string() });
-                }
-                // Each surviving output line of each channel is one
-                // independent 1-D convolution (Fig. 6's slicing); lines of
-                // the same channel share their kernel and can pack side by
-                // side within an array row.
-                let (lines, l_out) = match axis {
-                    Axis1d::Row => (oh, ow),
-                    Axis1d::Col => (ow, oh),
-                };
-                check_nonzero(op, &[c, lines, l_out, k])?;
-                self.fuse_cycles(c64(c), c64(lines), c64(l_out), c64(k))
-                    .ok_or_else(overflow)
-            }
-            Op::Fc {
-                in_features,
-                out_features,
-            } => {
-                check_nonzero(op, &[in_features, out_features])?;
-                self.gemm_cycles(1, c64(in_features), c64(out_features))
-                    .ok_or_else(overflow)
-            }
-        }
+        self.priced(op, &mut |_, _| {}).map(|(cycles, _)| cycles)
     }
-}
 
-fn check_nonzero(op: &Op, dims: &[usize]) -> Result<(), LatencyError> {
-    if dims.contains(&0) {
-        Err(LatencyError::DegenerateOp { op: op.to_string() })
-    } else {
-        Ok(())
+    /// `op`'s cycles and plan-instance count, pricing each emitted segment
+    /// before passing it to `emit`. Serial folds pay fill + compute +
+    /// drain; double-buffered ones hide OS/row-broadcast drains and WS/IS
+    /// preloads under a neighbour, paying one per instance.
+    pub(crate) fn priced(&self, op: &Op, emit: &mut Emit) -> Result<(u64, u64), LatencyError> {
+        let hides_drain =
+            |f: &FoldSpec| matches!(f.kind, FoldKind::OutputStationary | FoldKind::RowBroadcast);
+        let hidden = |f: &FoldSpec| match self.overlap {
+            FoldOverlap::Serial => 0,
+            FoldOverlap::DoubleBuffered if hides_drain(f) => f.drain,
+            FoldOverlap::DoubleBuffered => f.fill,
+        };
+        let (mut total, mut first, mut last) = (Some(0u64), None, None);
+        let instances = self.lower(op, &mut |runs, repeat| {
+            for &(f, n) in runs.iter().filter(|r| r.1 > 0 && repeat > 0) {
+                let fold = f
+                    .fill
+                    .checked_add(f.compute)
+                    .and_then(|c| c.checked_add(f.drain));
+                let cost = fold.and_then(|c| (c - hidden(&f)).checked_mul(n)?.checked_mul(repeat));
+                total = total.zip(cost).and_then(|(t, c)| t.checked_add(c));
+                (first, last) = (first.or(Some(f)), Some(f));
+            }
+            emit(runs, repeat);
+        })?;
+        let edge = first.filter(|f| !hides_drain(f)).or(last);
+        let total = total.and_then(|t| t.checked_add(edge.map_or(0, |f| hidden(&f))));
+        match total.and_then(|t| t.checked_mul(instances)) {
+            Some(cycles) => Ok((cycles, instances)),
+            None => Err(LatencyError::ArithmeticOverflow { op: op.to_string() }),
+        }
     }
 }
 
@@ -350,62 +228,12 @@ pub(crate) fn c64(x: usize) -> u64 {
     u64::try_from(x).unwrap_or(u64::MAX)
 }
 
-/// Saturating `usize → u64 → u32` conversion for fold-occupancy fields.
-pub(crate) fn c32(x: usize) -> u32 {
-    u32::try_from(x).unwrap_or(u32::MAX)
-}
-
-fn mul3(a: usize, b: usize, c: usize) -> Option<u64> {
-    c64(a).checked_mul(c64(b))?.checked_mul(c64(c))
-}
-
-fn div_ceil(a: u64, b: u64) -> Option<u64> {
-    Some(a.checked_add(b.checked_sub(1)?)? / b)
-}
-
 /// The tile classes of `total` split into `tile`-sized folds: full tiles
 /// plus an optional remainder, as `(size, count)` pairs. A class with
 /// `count == 0` must be skipped.
-fn tile_classes(total: u64, tile: u64) -> [(u64, u64); 2] {
+pub(crate) fn tile_classes(total: u64, tile: u64) -> [(u64, u64); 2] {
     let rem = total % tile;
     [(tile, total / tile), (rem, u64::from(rem != 0))]
-}
-
-/// Size of the *last* tile when `total` is split into `tile`-sized folds —
-/// the remainder if one exists, else a full tile (clamped for
-/// `total < tile`).
-fn last_tile(total: u64, tile: u64) -> u64 {
-    let rem = total % tile;
-    if rem != 0 {
-        rem
-    } else {
-        tile.min(total)
-    }
-}
-
-/// Checked Σ over the 2-D fold grid `tiles(dim_r, rows) × tiles(dim_c,
-/// cols)` of a per-fold cycle cost — the closed form of the simulators'
-/// fold loops.
-fn sum_folds(
-    dim_r: u64,
-    rows: u64,
-    dim_c: u64,
-    cols: u64,
-    fold: impl Fn(u64, u64) -> Option<u64>,
-) -> Option<u64> {
-    let mut total = 0u64;
-    for (ru, rc) in tile_classes(dim_r, rows) {
-        if rc == 0 {
-            continue;
-        }
-        for (cu, cc) in tile_classes(dim_c, cols) {
-            if cc == 0 {
-                continue;
-            }
-            total = total.checked_add(fold(ru, cu)?.checked_mul(rc)?.checked_mul(cc)?)?;
-        }
-    }
-    Some(total)
 }
 
 /// Serial packed-conv1d cycles at a fixed packing factor, mirroring
@@ -450,7 +278,7 @@ fn fuse_cycles_at_lpr(
 /// The packing factor `conv1d::lines_per_row` would choose, evaluated with
 /// the checked closed form (candidates whose cycle count overflows are
 /// never selected).
-fn best_lpr(rows: u64, cols: u64, channels: u64, lines: u64, l_out: u64, k: u64) -> u64 {
+pub(crate) fn best_lpr(rows: u64, cols: u64, channels: u64, lines: u64, l_out: u64, k: u64) -> u64 {
     let max_lpr = if l_out >= cols {
         1
     } else {
@@ -458,8 +286,8 @@ fn best_lpr(rows: u64, cols: u64, channels: u64, lines: u64, l_out: u64, k: u64)
     };
     (1..=max_lpr)
         .min_by_key(|&lpr| {
-            div_ceil(lines, lpr)
-                .and_then(|spc| channels.checked_mul(spc))
+            channels
+                .checked_mul(lines.div_ceil(lpr))
                 .and_then(|n_slots| fuse_cycles_at_lpr(rows, cols, n_slots, l_out, k, lpr))
                 .unwrap_or(u64::MAX)
         })
@@ -469,12 +297,30 @@ fn best_lpr(rows: u64, cols: u64, channels: u64, lines: u64, l_out: u64, k: u64)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fuseconv_nn::ops::Axis1d;
     use fuseconv_nn::FuSeVariant;
     use fuseconv_systolic::{conv1d, gemm, is_gemm, ws_gemm, ConfigError};
     use fuseconv_tensor::Tensor;
 
     fn array64() -> ArrayConfig {
         ArrayConfig::square(64).unwrap().with_broadcast(true)
+    }
+
+    impl LatencyModel {
+        /// Checked cycles of an `m × k × n` GEMM: an `m × 1` pointwise op.
+        fn gemm_cycles(&self, m: u64, k: u64, n: u64) -> Option<u64> {
+            let dim = |x: u64| usize::try_from(x).unwrap();
+            self.cycles(&Op::pointwise(dim(m), 1, dim(k), dim(n))).ok()
+        }
+
+        /// Checked cycles of a packed 1-D convolution batch: an unpadded
+        /// row bank whose `lines` rows each produce `l_out` outputs.
+        fn fuse_cycles(&self, channels: u64, lines: u64, l_out: u64, k: u64) -> Option<u64> {
+            let dim = |x: u64| usize::try_from(x).unwrap();
+            let (in_w, c, k) = (dim(l_out + k - 1), dim(channels), dim(k));
+            self.cycles(&Op::fuse1d(dim(lines), in_w, c, k, 1, 0, Axis1d::Row))
+                .ok()
+        }
     }
 
     #[test]

@@ -1,9 +1,14 @@
-//! Per-fold provenance: the analytic model's fold-by-fold plan.
+//! The fold planner: the analytic model's fold plan, run-length encoded.
 //!
-//! [`LatencyModel::cycles`] reports one number per operator; this module
-//! exposes the folds behind that number as [`FoldSpec`]s, each tagged with
-//! its dataflow, occupancy and fill/compute/drain split. The specs serve
-//! two purposes:
+//! A [`FoldSpec`] is one fold's dataflow, occupancy and fill/compute/drain
+//! split. It carries shape, never an offset, so plans repeat themselves: a
+//! GEMM's folds take at most four shapes (full or remainder tile on each
+//! axis), and depthwise repeats one single-column GEMM per channel
+//! (§III-B). [`LatencyModel::fold_runs`] therefore emits [`FoldRuns`],
+//! repeated segments of `(FoldSpec, count)` runs, whose size does not
+//! depend on `M`, `N`, `K` or `C`. It is the only planner:
+//! [`LatencyModel::cycles`] and the analyzer price it run by run, and
+//! [`LatencyModel::fold_plan`] expands it for consumers of single folds:
 //!
 //! * **Cross-referencing** — a traced simulation of the same op produces
 //!   folds in the same order with the same phase lengths, so analytic and
@@ -13,162 +18,405 @@
 //!   event stream directly, which is how whole-network traces are produced
 //!   without cycle-simulating millions of cycles.
 //!
-//! Plans always use [`FoldOverlap::Serial`] accounting (folds back to
-//! back, exactly like the cycle simulator): under the default serial mode
-//! the plan's total cycles equal [`LatencyModel::cycles`] exactly.
-//!
-//! [`FoldOverlap::Serial`]: crate::FoldOverlap::Serial
+//! Plans use serial accounting (folds back to back, like the cycle
+//! simulator): their total equals serial [`LatencyModel::cycles`].
 
-use crate::map::{c32, c64, Dataflow, FoldOverlap, LatencyError, LatencyModel};
+use crate::map::{best_lpr, c64, tile_classes, Dataflow, FoldOverlap, LatencyError, LatencyModel};
 use fuseconv_nn::ops::{Axis1d, Op};
-use fuseconv_systolic::conv1d;
 use fuseconv_trace::{FoldKind, FoldSpec};
+use std::borrow::Cow;
 
-fn check_nonzero(op: &Op, dims: &[usize]) -> Result<(), LatencyError> {
-    if dims.contains(&0) {
-        Err(LatencyError::DegenerateOp { op: op.to_string() })
-    } else {
-        Ok(())
-    }
-}
-
-/// Saturating `Σ dims − sub` in `u64`: a fold-phase length. Saturation is
-/// unreachable in practice because [`LatencyModel::fold_plan`] first
-/// proves the plan's total cycles fit `u64` via the checked accounting.
-fn phase(dims: &[usize], sub: u64) -> u64 {
+/// Saturating `Σ dims − sub`: a fold-phase length. A saturated phase never
+/// goes unnoticed: every fold has another nonzero phase, so the checked
+/// cycle total of [`LatencyModel::cycles`] overflows.
+fn phase(dims: &[u64], sub: u64) -> u64 {
     dims.iter()
-        .map(|&d| c64(d))
-        .fold(0u64, u64::saturating_add)
+        .fold(0u64, |a, &d| a.saturating_add(d))
         .saturating_sub(sub)
 }
 
-/// Saturating three-way product in `u64`: a fold's MAC count.
-fn macs3(a: usize, b: usize, c: usize) -> u64 {
-    c64(a).saturating_mul(c64(b)).saturating_mul(c64(c))
+/// Saturating `u64 → u32` conversion for fold-occupancy fields.
+fn c32(x: u64) -> u32 {
+    u32::try_from(x).unwrap_or(u32::MAX)
 }
 
+/// A segment of [`Runs`]: its runs back to back, `repeat` times.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Segment<T> {
+    runs: Vec<(T, u64)>,
+    repeat: u64,
+}
+
+impl<T> Segment<T> {
+    /// Items in one pass over the runs.
+    fn len(&self) -> u64 {
+        self.runs.iter().fold(0u64, |a, r| a.saturating_add(r.1))
+    }
+}
+
+/// A run-length sequence: segments of `(item, count)` runs, each segment
+/// repeated, and the segment list itself repeated. Adjacent equal items of
+/// a segment merge into one run. Counts saturate at `u64::MAX`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Runs<T> {
+    segments: Vec<Segment<T>>,
+    repeat: u64,
+}
+
+/// A run-length fold plan, as [`LatencyModel::fold_runs`] emits it.
+pub type FoldRuns = Runs<FoldSpec>;
+
+impl<T> Default for Runs<T> {
+    fn default() -> Self {
+        Runs {
+            segments: Vec::new(),
+            repeat: 1,
+        }
+    }
+}
+
+impl<T> Runs<T> {
+    /// The same structure with every item mapped by `f` (no runs merge).
+    pub(crate) fn map<U>(&self, f: impl Fn(&T) -> U) -> Runs<U> {
+        let segments = self.segments.iter().map(|s| Segment {
+            runs: s.runs.iter().map(|(item, n)| (f(item), *n)).collect(),
+            repeat: s.repeat,
+        });
+        Runs {
+            segments: segments.collect(),
+            repeat: self.repeat,
+        }
+    }
+}
+
+impl<T: Copy + PartialEq> Runs<T> {
+    /// One segment holding `items`, adjacent equal items merged.
+    pub fn from_folds(items: &[T]) -> Self {
+        let mut out = Runs::default();
+        for &item in items {
+            out.push(item, 1);
+        }
+        out
+    }
+
+    /// Appends `count` copies of `item`.
+    pub(crate) fn push(&mut self, item: T, count: u64) {
+        if count == 0 {
+            return;
+        }
+        match self.segments.last_mut() {
+            Some(s) if s.repeat == 1 => match s.runs.last_mut() {
+                Some((last, n)) if *last == item => *n = n.saturating_add(count),
+                _ => s.runs.push((item, count)),
+            },
+            _ => self.segments.push(Segment {
+                runs: vec![(item, count)],
+                repeat: 1,
+            }),
+        }
+    }
+
+    /// Appends `runs`, back to back, `repeat` times; unread if zero times.
+    pub(crate) fn push_segment(&mut self, runs: impl IntoIterator<Item = (T, u64)>, repeat: u64) {
+        if repeat == 0 {
+            return;
+        }
+        let mut seg = Runs::default();
+        for (item, count) in runs {
+            seg.push(item, count);
+        }
+        match seg.segments.pop().map(|s| s.runs) {
+            // A lone run repeated is one longer run.
+            Some(runs) if runs.len() == 1 => {
+                runs.into_iter()
+                    .for_each(|(t, n)| self.push(t, n.saturating_mul(repeat)));
+            }
+            Some(runs) => self.segments.push(Segment { runs, repeat }),
+            None => {}
+        }
+    }
+
+    /// The whole sequence, `times` times over. Build the sequence first:
+    /// items pushed afterwards would repeat with it.
+    pub(crate) fn repeated(mut self, times: u64) -> Self {
+        self.repeat = self.repeat.saturating_mul(times);
+        self
+    }
+
+    /// Items in the expanded sequence.
+    pub fn len(&self) -> u64 {
+        self.runs().fold(0u64, |a, (_, _, n)| a.saturating_add(n))
+    }
+
+    /// Whether the expanded sequence is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Each run once, in order of first occurrence, as `(index of its first
+    /// item, item, count)` with the count spanning every repetition: what
+    /// run-priced consumers visit, so their cost is independent of size.
+    pub fn runs(&self) -> impl Iterator<Item = (u64, &T, u64)> {
+        let outer = self.repeat;
+        let mut start = 0u64;
+        self.segments.iter().flat_map(move |s| {
+            let (mut at, times) = (start, s.repeat.saturating_mul(outer));
+            start = start.saturating_add(s.len().saturating_mul(s.repeat));
+            s.runs.iter().map(move |(item, n)| {
+                at = at.saturating_add(*n);
+                (at - n, item, n.saturating_mul(times))
+            })
+        })
+    }
+
+    /// The expanded sequence: each segment's first pass written out, every
+    /// repetition copied from it.
+    pub(crate) fn expand(&self) -> Vec<T> {
+        let mut out = Vec::with_capacity(usize::try_from(self.len()).unwrap_or(0));
+        for s in &self.segments {
+            let start = out.len();
+            for &(item, n) in &s.runs {
+                let n = usize::try_from(n).unwrap_or(usize::MAX);
+                out.extend(std::iter::repeat_n(item, n));
+            }
+            let pass = start..out.len();
+            (1..s.repeat).for_each(|_| out.extend_from_within(pass.clone()));
+        }
+        let once = out.len();
+        (1..self.repeat).for_each(|_| out.extend_from_within(..once));
+        out
+    }
+
+    /// Every occurrence of every run in expanded order, as `(item, count)`:
+    /// one entry per run per repetition.
+    pub(crate) fn ordered_runs(&self) -> impl Iterator<Item = (T, u64)> + '_ {
+        (0..self.repeat).flat_map(move |_| {
+            self.segments
+                .iter()
+                .flat_map(|s| (0..s.repeat).flat_map(move |_| s.runs.iter().copied()))
+        })
+    }
+}
+
+/// A fold plan in either form. Run-priced consumers accept both: a
+/// [`FoldRuns`] is read as is, a flat plan converted once with
+/// [`Runs::from_folds`].
+pub trait AsFoldRuns {
+    /// The plan as runs.
+    fn as_fold_runs(&self) -> Cow<'_, FoldRuns>;
+}
+
+impl AsFoldRuns for FoldRuns {
+    fn as_fold_runs(&self) -> Cow<'_, FoldRuns> {
+        Cow::Borrowed(self)
+    }
+}
+
+impl AsFoldRuns for [FoldSpec] {
+    fn as_fold_runs(&self) -> Cow<'_, FoldRuns> {
+        Cow::Owned(FoldRuns::from_folds(self))
+    }
+}
+
+impl AsFoldRuns for Vec<FoldSpec> {
+    fn as_fold_runs(&self) -> Cow<'_, FoldRuns> {
+        self.as_slice().as_fold_runs()
+    }
+}
+
+/// Receives a plan segment by segment as `(runs, repeat)`; counts may be 0.
+pub(crate) type Emit<'a> = dyn FnMut(&[(FoldSpec, u64)], u64) + 'a;
+
 impl LatencyModel {
-    /// Emits one fold per GEMM tile under the configured dataflow.
-    fn gemm_plan(&self, m: usize, k: usize, n: usize, out: &mut Vec<FoldSpec>) {
-        let (rows, cols) = (self.array().rows(), self.array().cols());
-        match self.dataflow() {
-            Dataflow::OutputStationary => {
-                for row0 in (0..m).step_by(rows) {
-                    let ru = rows.min(m - row0);
-                    for col0 in (0..n).step_by(cols) {
-                        let cu = cols.min(n - col0);
-                        out.push(FoldSpec {
-                            tag: 0,
-                            kind: FoldKind::OutputStationary,
-                            rows_used: c32(ru),
-                            cols_used: c32(cu),
-                            fill: 0,
-                            compute: phase(&[ru, cu, k], 2),
-                            drain: c64(ru),
-                            macs: macs3(ru, cu, k),
-                        });
-                    }
-                }
+    /// Emits the GEMM's fold grid under the configured dataflow: the
+    /// column-tile runs, repeated once per row tile of each width.
+    fn gemm_grid(&self, m: u64, k: u64, n: u64, emit: &mut Emit) {
+        let dataflow = self.dataflow();
+        // The two dims tiled onto the array, and the temporal one.
+        let (dim_r, dim_c, t) = match dataflow {
+            Dataflow::OutputStationary => (m, n, k),
+            Dataflow::WeightStationary => (k, n, m),
+            Dataflow::InputStationary => (m, k, n),
+        };
+        let spec = |ru: u64, cu: u64| {
+            let (kind, fill, drain) = match dataflow {
+                Dataflow::OutputStationary => (FoldKind::OutputStationary, 0, ru),
+                Dataflow::WeightStationary => (FoldKind::WeightStationary, ru, 0),
+                Dataflow::InputStationary => (FoldKind::InputStationary, cu, 0),
+            };
+            FoldSpec {
+                tag: 0,
+                kind,
+                rows_used: c32(ru),
+                cols_used: c32(cu),
+                fill,
+                compute: phase(&[ru, cu, t], 2),
+                drain,
+                macs: ru.saturating_mul(cu).saturating_mul(t),
             }
-            Dataflow::WeightStationary => {
-                for k0 in (0..k).step_by(rows) {
-                    let ru = rows.min(k - k0);
-                    for n0 in (0..n).step_by(cols) {
-                        let cu = cols.min(n - n0);
-                        out.push(FoldSpec {
-                            tag: 0,
-                            kind: FoldKind::WeightStationary,
-                            rows_used: c32(ru),
-                            cols_used: c32(cu),
-                            fill: c64(ru),
-                            compute: phase(&[m, ru, cu], 2),
-                            drain: 0,
-                            macs: macs3(ru, cu, m),
-                        });
-                    }
-                }
-            }
-            Dataflow::InputStationary => {
-                for m0 in (0..m).step_by(rows) {
-                    let ru = rows.min(m - m0);
-                    for k0 in (0..k).step_by(cols) {
-                        let cu = cols.min(k - k0);
-                        out.push(FoldSpec {
-                            tag: 0,
-                            kind: FoldKind::InputStationary,
-                            rows_used: c32(ru),
-                            cols_used: c32(cu),
-                            fill: c64(cu),
-                            compute: phase(&[n, ru, cu], 2),
-                            drain: 0,
-                            macs: macs3(ru, cu, n),
-                        });
-                    }
-                }
-            }
+        };
+        let (rows, cols) = (c64(self.array().rows()), c64(self.array().cols()));
+        for (ru, row_tiles) in tile_classes(dim_r, rows) {
+            emit(
+                &tile_classes(dim_c, cols).map(|(cu, n)| (spec(ru, cu), n)),
+                row_tiles,
+            );
         }
     }
 
     /// Emits the packed row-broadcast folds (mirrors
-    /// `conv1d::analytic_cycles_packed` tile by tile).
-    fn fuse_plan(
+    /// `conv1d::analytic_cycles_packed` tile by tile), or `None` when the
+    /// slot count overflows. Each channel's lines pack `lpr` to a slot, its
+    /// last slot holding the remainder; slots fill the array rows
+    /// channel-major, one fold per `rows` slots.
+    fn fuse_grid(
         &self,
-        channels: usize,
-        lines: usize,
-        l_out: usize,
-        k: usize,
-        out: &mut Vec<FoldSpec>,
-    ) {
-        let (rows, cols) = (self.array().rows(), self.array().cols());
-        let lpr = conv1d::lines_per_row(self.array(), channels, lines, l_out, k);
-        let slots_per_channel = lines.div_ceil(lpr);
-        // Per-slot line counts, channel-major: full slots of `lpr` lines
-        // plus one remainder slot per channel.
-        let slot_lines: Vec<usize> = (0..channels)
-            .flat_map(|_| (0..slots_per_channel).map(move |s| lpr.min(lines - s * lpr)))
-            .collect();
-        for slot0 in (0..slot_lines.len()).step_by(rows) {
-            let chunk = &slot_lines[slot0..slot_lines.len().min(slot0 + rows)];
-            let ru = chunk.len();
-            if lpr == 1 {
-                for c0 in (0..l_out).step_by(cols) {
-                    let cw = cols.min(l_out - c0);
-                    out.push(FoldSpec {
-                        tag: 0,
-                        kind: FoldKind::RowBroadcast,
-                        rows_used: c32(ru),
-                        cols_used: c32(cw),
-                        fill: phase(&[cw, k], 1),
-                        compute: c64(k),
-                        drain: c64(ru),
-                        macs: macs3(ru, cw, k),
-                    });
-                }
-            } else {
-                let nominal_width = lpr * l_out;
-                let busy: u64 = chunk
-                    .iter()
-                    .map(|&n| c64(n).saturating_mul(c64(l_out)))
-                    .fold(0u64, u64::saturating_add);
-                out.push(FoldSpec {
-                    tag: 0,
-                    kind: FoldKind::RowBroadcast,
-                    rows_used: c32(ru),
-                    cols_used: c32(nominal_width),
-                    fill: phase(&[nominal_width, k], 1),
-                    compute: c64(k),
-                    drain: c64(ru),
-                    macs: busy.saturating_mul(c64(k)),
-                });
+        channels: u64,
+        lines: u64,
+        l_out: u64,
+        k: u64,
+        emit: &mut Emit,
+    ) -> Option<()> {
+        let (rows, cols) = (c64(self.array().rows()), c64(self.array().cols()));
+        let lpr = best_lpr(rows, cols, channels, lines, l_out, k);
+        let per_channel = lines.div_ceil(lpr);
+        let slots = channels.checked_mul(per_channel)?;
+        let spec = |ru: u64, width: u64, busy: u64| FoldSpec {
+            tag: 0,
+            kind: FoldKind::RowBroadcast,
+            rows_used: c32(ru),
+            cols_used: c32(width),
+            fill: phase(&[width, k], 1),
+            compute: k,
+            drain: ru,
+            macs: busy.saturating_mul(k),
+        };
+        if lpr == 1 {
+            for (ru, row_tiles) in tile_classes(slots, rows) {
+                emit(
+                    &tile_classes(l_out, cols).map(|(cw, n)| (spec(ru, cw, ru * cw), n)),
+                    row_tiles,
+                );
             }
+            return Some(());
         }
+        // Fold `j` holds slots `j·rows..`; its busy lines fall `short` of
+        // `lpr` per channel-final slot among them. That count depends only
+        // on `j·rows mod per_channel`, so the full folds repeat with a
+        // period of `per_channel` folds.
+        let short = lpr * per_channel - lines;
+        let width = lpr.saturating_mul(l_out);
+        let fold = |j: u64| {
+            let (start, end) = (j * rows, (j * rows).saturating_add(rows).min(slots));
+            let finals = end / per_channel - start / per_channel;
+            let busy = ((end - start) * lpr - finals * short).saturating_mul(l_out);
+            (spec(end - start, width, busy), 1)
+        };
+        let periods = slots / rows / per_channel;
+        if periods > 0 {
+            emit(&(0..per_channel).map(fold).collect::<Vec<_>>(), periods);
+        }
+        for j in periods * per_channel..slots.div_ceil(rows) {
+            emit(&[fold(j)], 1);
+        }
+        Some(())
+    }
+
+    /// Emits one instance of `op`'s fold plan and returns how many times it
+    /// runs back to back: once per channel for depthwise, else once.
+    pub(crate) fn lower(&self, op: &Op, emit: &mut Emit) -> Result<u64, LatencyError> {
+        let (oh, ow, _) = op.output_shape();
+        let batch = self.batch();
+        let overflow = || LatencyError::ArithmeticOverflow { op: op.to_string() };
+        let nonzero = |dims: &[usize]| match dims.contains(&0) {
+            true => Err(LatencyError::DegenerateOp { op: op.to_string() }),
+            false => Ok(()),
+        };
+        let mul3 = |a: usize, b: usize, c: usize| {
+            let ab = c64(a).checked_mul(c64(b));
+            ab.and_then(|ab| ab.checked_mul(c64(c)))
+                .ok_or_else(overflow)
+        };
+        let (m, k, n, instances) = match *op {
+            Op::Conv2d { in_c, out_c, k, .. } => {
+                nonzero(&[oh, ow, batch, k, in_c, out_c])?;
+                (mul3(oh, ow, batch)?, mul3(k, k, in_c)?, c64(out_c), 1)
+            }
+            Op::Depthwise { c, k, .. } => {
+                nonzero(&[oh, ow, batch, k, c])?;
+                // One single-column GEMM per channel: no reuse across
+                // channels, one array column used (§III-B). Batching adds
+                // rows but never a second column — it cannot rescue
+                // depthwise utilization.
+                (mul3(oh, ow, batch)?, mul3(k, k, 1)?, 1, c64(c))
+            }
+            Op::Pointwise { in_c, out_c, .. } => {
+                nonzero(&[oh, ow, batch, in_c, out_c])?;
+                (mul3(oh, ow, batch)?, c64(in_c), c64(out_c), 1)
+            }
+            Op::FuSe1d { c, k, axis, .. } => {
+                if !self.array().has_broadcast() {
+                    return Err(LatencyError::BroadcastRequired { op: op.to_string() });
+                }
+                // Each surviving output line of each channel is one
+                // independent 1-D convolution (Fig. 6's slicing); lines of
+                // the same channel share their kernel and can pack side by
+                // side within an array row.
+                let (lines, l_out) = match axis {
+                    Axis1d::Row => (oh, ow),
+                    Axis1d::Col => (ow, oh),
+                };
+                nonzero(&[c, lines, l_out, k])?;
+                let [c, lines, l_out, k] = [c, lines, l_out, k].map(c64);
+                self.fuse_grid(c, lines, l_out, k, emit)
+                    .ok_or_else(overflow)?;
+                return Ok(1);
+            }
+            Op::Fc {
+                in_features,
+                out_features,
+            } => {
+                nonzero(&[in_features, out_features])?;
+                (1, c64(in_features), c64(out_features), 1)
+            }
+        };
+        self.gemm_grid(m, k, n, emit);
+        Ok(instances)
+    }
+
+    /// The fold plan behind [`LatencyModel::cycles`] for one operator, as
+    /// runs, under serial fold accounting.
+    ///
+    /// This is the only planner: [`LatencyModel::cycles`] prices the same
+    /// segments as they are emitted, and [`LatencyModel::fold_plan`]
+    /// expands the runs. Storage does not depend
+    /// on the operator's size: a GEMM plans in at most two segments of at
+    /// most two runs, and depthwise repeats one channel's GEMM plan `C`
+    /// times. The `latency.folds_planned_total` counter counts the
+    /// expanded folds.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`LatencyModel::fold_plan`].
+    pub fn fold_runs(&self, op: &Op) -> Result<FoldRuns, LatencyError> {
+        // Plans document serial accounting; pricing them serially proves
+        // the total fits u64, so overflow is an error here too.
+        let mut plan = FoldRuns::default();
+        let serial = self.with_overlap(FoldOverlap::Serial);
+        let (_, instances) = serial.priced(op, &mut |runs, repeat| {
+            plan.push_segment(runs.iter().copied(), repeat);
+        })?;
+        let plan = plan.repeated(instances);
+        fuseconv_telemetry::counter("latency.folds_planned_total").add(plan.len());
+        Ok(plan)
     }
 
     /// The fold-by-fold plan behind [`LatencyModel::cycles`] for one
-    /// operator, under serial fold accounting.
+    /// operator, under serial fold accounting: [`LatencyModel::fold_runs`]
+    /// expanded in order.
     ///
     /// Folds are emitted in exactly the order the cycle simulator executes
-    /// them; with [`FoldOverlap::Serial`](crate::FoldOverlap::Serial) (the
+    /// them; with [`FoldOverlap::Serial`] (the
     /// default) the plan's summed cycles equal [`LatencyModel::cycles`]
     /// and the per-fold MACs sum to
     /// [`Op::macs`]. All specs carry `tag = 0`; callers
@@ -183,53 +431,7 @@ impl LatencyModel {
     /// total the plan describes does not fit `u64`.
     pub fn fold_plan(&self, op: &Op) -> Result<Vec<FoldSpec>, LatencyError> {
         let _span = fuseconv_telemetry::span("latency.fold_plan");
-        // Plans document serial accounting; prove that total fits u64
-        // before emitting a single spec, so overflow is an error here too.
-        self.with_overlap(FoldOverlap::Serial).cycles(op)?;
-        let (oh, ow, _) = op.output_shape();
-        let mut plan = Vec::new();
-        match *op {
-            Op::Conv2d { in_c, out_c, k, .. } => {
-                let m = oh * ow * self.batch();
-                let kdim = k * k * in_c;
-                check_nonzero(op, &[m, kdim, out_c])?;
-                self.gemm_plan(m, kdim, out_c, &mut plan);
-            }
-            Op::Depthwise { c, k, .. } => {
-                let m = oh * ow * self.batch();
-                check_nonzero(op, &[m, k * k, c])?;
-                // One single-column GEMM per channel (§III-B).
-                for _ in 0..c {
-                    self.gemm_plan(m, k * k, 1, &mut plan);
-                }
-            }
-            Op::Pointwise { in_c, out_c, .. } => {
-                let m = oh * ow * self.batch();
-                check_nonzero(op, &[m, in_c, out_c])?;
-                self.gemm_plan(m, in_c, out_c, &mut plan);
-            }
-            Op::FuSe1d { c, k, axis, .. } => {
-                if !self.array().has_broadcast() {
-                    return Err(LatencyError::BroadcastRequired { op: op.to_string() });
-                }
-                let (lines, l_out) = match axis {
-                    Axis1d::Row => (oh, ow),
-                    Axis1d::Col => (ow, oh),
-                };
-                check_nonzero(op, &[c, lines, l_out, k])?;
-                self.fuse_plan(c, lines, l_out, k, &mut plan);
-            }
-            Op::Fc {
-                in_features,
-                out_features,
-            } => {
-                check_nonzero(op, &[in_features, out_features])?;
-                self.gemm_plan(1, in_features, out_features, &mut plan);
-            }
-        }
-        fuseconv_telemetry::counter("latency.folds_planned_total")
-            .add(u64::try_from(plan.len()).unwrap_or(u64::MAX));
-        Ok(plan)
+        Ok(self.fold_runs(op)?.expand())
     }
 }
 

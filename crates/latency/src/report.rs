@@ -3,7 +3,7 @@
 
 use crate::map::{LatencyError, LatencyModel};
 use fuseconv_models::Network;
-use fuseconv_nn::ops::{Op, OpClass};
+use fuseconv_nn::ops::OpClass;
 use fuseconv_telemetry::json_escape;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -248,11 +248,6 @@ pub fn block_speedups(
         .zip(&t)
         .map(|(bb, tb)| (bb.name.clone(), bb.cycles as f64 / tb.cycles as f64))
         .collect()
-}
-
-/// Convenience: latency of `op` classes alone.
-pub fn op_cycles(model: &LatencyModel, op: &Op) -> Result<u64, LatencyError> {
-    model.cycles(op)
 }
 
 #[cfg(test)]

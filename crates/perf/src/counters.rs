@@ -19,11 +19,15 @@
 //! * directly from the latency model's fold plan via
 //!   [`PerfCounters::from_fold_plan`], with no event stream at all.
 //!
+//! The stall attribution alone ([`StallTotals`]) is also priced straight
+//! off a run-length plan, one [`FoldCounters`] per run.
+//!
 //! All three agree fold by fold for every supported workload — the
 //! `perf_accountability` integration test pins that equality.
 //!
 //! [`SimResult::cycles`]: fuseconv_systolic::SimResult::cycles
 
+use fuseconv_latency::AsFoldRuns;
 use fuseconv_trace::{FoldKind, FoldSpec, Phase, TraceEvent, TraceSink};
 
 /// Cycle attribution for one fold.
@@ -107,6 +111,50 @@ impl FoldCounters {
             } else {
                 0
             },
+        }
+    }
+}
+
+/// The compute-window totals the stall attribution reads:
+/// [`PerfCounters::compute_stall_fraction`] of a whole plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StallTotals {
+    /// PE·cycles inside the compute window, busy or not.
+    pub compute_pe_cycles: u64,
+    /// PE·cycles of useful work (MACs performed).
+    pub busy_pe_cycles: u64,
+}
+
+impl StallTotals {
+    /// Prices a plan, as runs or flat, on a `rows × cols` array: each
+    /// run's [`FoldCounters`] once, scaled by the run's count with
+    /// saturating arithmetic. Equal to the totals of
+    /// [`PerfCounters::from_fold_plan`] over the expanded plan.
+    pub fn of_plan(plan: &(impl AsFoldRuns + ?Sized), rows: usize, cols: usize) -> StallTotals {
+        let (mut compute, mut busy) = (0u64, 0u64);
+        for (_, spec, n) in plan.as_fold_runs().runs() {
+            let fc = FoldCounters::from_spec(spec);
+            compute = compute.saturating_add(fc.compute().saturating_mul(n));
+            busy = busy.saturating_add(fc.busy_pe_cycles.saturating_mul(n));
+        }
+        let pes = u64::try_from(rows.saturating_mul(cols)).unwrap_or(u64::MAX);
+        StallTotals {
+            compute_pe_cycles: compute.saturating_mul(pes),
+            busy_pe_cycles: busy,
+        }
+    }
+
+    /// Idle PE·cycles inside the compute window.
+    pub fn stall_pe_cycles(&self) -> u64 {
+        self.compute_pe_cycles.saturating_sub(self.busy_pe_cycles)
+    }
+
+    /// `stall_pe_cycles / compute_pe_cycles`, or 0 for an empty plan.
+    pub fn fraction(&self) -> f64 {
+        if self.compute_pe_cycles == 0 {
+            0.0
+        } else {
+            self.stall_pe_cycles() as f64 / self.compute_pe_cycles as f64
         }
     }
 }
@@ -263,21 +311,24 @@ impl PerfCounters {
         self.compute() * self.pe_count() as u64
     }
 
+    /// The compute-window totals of the run.
+    pub fn stall_totals(&self) -> StallTotals {
+        StallTotals {
+            compute_pe_cycles: self.compute_pe_cycles(),
+            busy_pe_cycles: self.busy_pe_cycles,
+        }
+    }
+
     /// Idle PE·cycles *inside the compute window* — the structural stall
     /// the paper's Fig. 1(d) depthwise pathology is made of (work confined
     /// to one array column leaves the other `W−1` columns stalled).
     pub fn stall_pe_cycles(&self) -> u64 {
-        self.compute_pe_cycles().saturating_sub(self.busy_pe_cycles)
+        self.stall_totals().stall_pe_cycles()
     }
 
     /// `stall_pe_cycles / compute_pe_cycles`, or 0 for an empty run.
     pub fn compute_stall_fraction(&self) -> f64 {
-        let total = self.compute_pe_cycles();
-        if total == 0 {
-            0.0
-        } else {
-            self.stall_pe_cycles() as f64 / total as f64
-        }
+        self.stall_totals().fraction()
     }
 
     /// Verifies the accountability invariants:

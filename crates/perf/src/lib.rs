@@ -41,7 +41,7 @@ mod counters;
 mod report;
 mod sim;
 
-pub use counters::{CounterSink, FoldCounters, PerfCounters};
+pub use counters::{CounterSink, FoldCounters, PerfCounters, StallTotals};
 pub use report::{network_perf_report, OpPerf, PerfReport};
 pub use sim::{
     conv1d_counted, conv1d_packed_counted, gemm_counted, is_gemm_counted, plan_counters,
