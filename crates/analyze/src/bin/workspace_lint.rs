@@ -38,6 +38,10 @@
 //!     the quantile sketch made the telemetry crate part of the serving
 //!     observability contract (sketch error bound, manifest schema), so
 //!     its `pub` surface is documented like the other three.
+//! 11. no `json_escape` in library-crate non-test code outside
+//!     `crates/telemetry` — every JSON artifact is rendered through
+//!     `fuseconv_telemetry::Json`, the one place that escapes strings
+//!     and writes separators (same exemptions as rule 6).
 //!
 //! Exits nonzero when any convention is violated, printing one line per
 //! finding.
@@ -128,6 +132,23 @@ fn rs_files(dir: &Path) -> Vec<PathBuf> {
     out
 }
 
+/// Workspace-relative paths of every `.rs` file under `dir`, sorted;
+/// `skip_bin` drops its `bin/` tree (binaries are exempt from the
+/// library-code rules).
+fn sources(root: &Path, dir: &Path, skip_bin: bool) -> Vec<String> {
+    let bin_dir = dir.join("bin");
+    rs_files(dir)
+        .into_iter()
+        .filter(|path| !(skip_bin && path.starts_with(&bin_dir)))
+        .map(|path| {
+            path.strip_prefix(root)
+                .unwrap_or(&path)
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect()
+}
+
 /// Flags every `#[allow(...)]` attribute lacking a same-line `// reason:`
 /// justification. Comment lines are skipped (prose may mention the
 /// attribute); the needle is assembled so this lint never flags itself.
@@ -147,47 +168,23 @@ fn check_allow_reasons(root: &Path, rel: &str, findings: &mut Vec<String>) {
     }
 }
 
-/// Flags every `println!`/`eprintln!` in a library file's non-test,
-/// non-comment code. The needles are assembled so this lint (a binary,
-/// itself exempt) never flags its own source when scanned.
-fn check_no_stdio_macros(root: &Path, rel: &str, findings: &mut Vec<String>) {
-    let needles = [concat!("print", "ln!("), concat!("eprint", "ln!(")];
+/// Flags every line of a library file's non-test, non-comment code
+/// that contains `needle`. Callers assemble needles with `concat!` so
+/// this lint (a binary, itself exempt) never flags its own source.
+fn check_library_lines(
+    root: &Path,
+    rel: &str,
+    needle: &str,
+    why: &str,
+    findings: &mut Vec<String>,
+) {
     let source = read(&root.join(rel));
     for (i, line) in non_test_code(&source).lines().enumerate() {
-        if line.trim_start().starts_with("//") {
-            continue;
-        }
-        for needle in needles {
-            if line.contains(needle) {
-                findings.push(format!(
-                    "{rel}:{}: `{needle}...)` in library non-test code \
-                     (report through return values or sinks, not stdio)",
-                    i + 1
-                ));
-            }
-        }
-    }
-}
-
-/// Flags host-clock reads in a library file's non-test, non-comment
-/// code. Host timing must flow through `fuseconv_telemetry::Stopwatch`
-/// so profiler spans and bench timings share one clock discipline;
-/// `crates/telemetry` is the sanctioned home of the call and is skipped
-/// by the caller. The needle is assembled so this lint (a binary,
-/// itself exempt) never flags its own source when scanned.
-fn check_no_instant_now(root: &Path, rel: &str, findings: &mut Vec<String>) {
-    let needle = concat!("Instant", "::now(");
-    let source = read(&root.join(rel));
-    for (i, line) in non_test_code(&source).lines().enumerate() {
-        if line.trim_start().starts_with("//") {
-            continue;
-        }
-        if line.contains(needle) {
+        if !line.trim_start().starts_with("//") && line.contains(needle) {
             findings.push(format!(
-                "{rel}:{}: `{needle}...)` in library non-test code (time \
-                 through fuseconv_telemetry::Stopwatch; only crates/telemetry \
-                 reads the host clock)",
-                i + 1
+                "{rel}:{}: `{}` in library non-test code ({why})",
+                i + 1,
+                needle.trim_end_matches('(')
             ));
         }
     }
@@ -272,19 +269,7 @@ fn main() -> ExitCode {
 
     // Rule 2: no `.unwrap()` in simulator / latency-model non-test code.
     for dir in ["crates/systolic/src", "crates/latency/src"] {
-        let mut files: Vec<_> = fs::read_dir(root.join(dir))
-            .into_iter()
-            .flatten()
-            .flatten()
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "rs"))
-            .collect();
-        files.sort();
-        for path in files {
-            let rel = format!(
-                "{dir}/{}",
-                path.file_name().unwrap_or_default().to_string_lossy()
-            );
+        for rel in sources(&root, &root.join(dir), true) {
             check_forbidden(
                 &root,
                 &rel,
@@ -322,20 +307,17 @@ fn main() -> ExitCode {
     }
     scan_dirs.sort();
     for dir in scan_dirs {
-        for path in rs_files(&dir) {
-            let rel = path
-                .strip_prefix(&root)
-                .unwrap_or(&path)
-                .to_string_lossy()
-                .into_owned();
+        for rel in sources(&root, &dir, false) {
             check_allow_reasons(&root, &rel, &mut findings);
         }
     }
 
-    // Rule 5: no stdio macros and no build-profile branches in library
-    // crates. Library crates are the ones with a `src/lib.rs` (so
-    // `crates/cli`, a pure binary, is exempt), plus the umbrella crate;
-    // their `src/bin/` trees are binaries and stay exempt.
+    // Rules 5, 6 and 11 cover library crates: the ones with a
+    // `src/lib.rs` (so `crates/cli`, a pure binary, is exempt), plus the
+    // umbrella crate; their `src/bin/` trees are binaries and stay
+    // exempt. Rule 5: no stdio macros and no build-profile branches.
+    // Rule 6: only `crates/telemetry` reads the host clock. Rule 11:
+    // only `crates/telemetry` escapes JSON by hand.
     let mut lib_dirs = vec![root.join("src")];
     if let Ok(entries) = fs::read_dir(root.join("crates")) {
         for entry in entries.flatten() {
@@ -346,18 +328,27 @@ fn main() -> ExitCode {
         }
     }
     lib_dirs.sort();
+    let telemetry_src = root.join("crates/telemetry/src");
     for dir in &lib_dirs {
-        let bin_dir = dir.join("bin");
-        for path in rs_files(dir) {
-            if path.starts_with(&bin_dir) {
-                continue;
+        for rel in sources(&root, dir, true) {
+            let mut forbid = |needle: &str, why: &str| {
+                check_library_lines(&root, &rel, needle, why, &mut findings);
+            };
+            let stdio = "report through return values or sinks, not stdio";
+            forbid(concat!("print", "ln!("), stdio);
+            forbid(concat!("eprint", "ln!("), stdio);
+            if *dir != telemetry_src {
+                forbid(
+                    concat!("Instant", "::now("),
+                    "time through fuseconv_telemetry::Stopwatch; only \
+                     crates/telemetry reads the host clock",
+                );
+                forbid(
+                    concat!("json_", "escape"),
+                    "render through fuseconv_telemetry::Json; only \
+                     crates/telemetry writes JSON syntax by hand",
+                );
             }
-            let rel = path
-                .strip_prefix(&root)
-                .unwrap_or(&path)
-                .to_string_lossy()
-                .into_owned();
-            check_no_stdio_macros(&root, &rel, &mut findings);
             check_forbidden(
                 &root,
                 &rel,
@@ -368,49 +359,12 @@ fn main() -> ExitCode {
         }
     }
 
-    // Rule 6: host-clock discipline — only `crates/telemetry` may call
-    // `Instant::now`; every other library crate times through its
-    // `Stopwatch` (same library-crate set and binary exemptions as
-    // rule 5).
-    let telemetry_src = root.join("crates/telemetry/src");
-    for dir in &lib_dirs {
-        if *dir == telemetry_src {
-            continue;
-        }
-        let bin_dir = dir.join("bin");
-        for path in rs_files(dir) {
-            if path.starts_with(&bin_dir) {
-                continue;
-            }
-            let rel = path
-                .strip_prefix(&root)
-                .unwrap_or(&path)
-                .to_string_lossy()
-                .into_owned();
-            check_no_instant_now(&root, &rel, &mut findings);
-        }
-    }
-
     // Rules 7–10: the serving simulator's, the analyzer's, the latency
     // model's and the telemetry crate's public APIs are fully
     // documented. The analyzer's `src/bin/` tree (this driver) is a
     // binary and exempt, like rules 5/6.
-    for dir in [
-        root.join("crates/serve/src"),
-        root.join("crates/analyze/src"),
-        root.join("crates/latency/src"),
-        root.join("crates/telemetry/src"),
-    ] {
-        let bin_dir = dir.join("bin");
-        for path in rs_files(&dir) {
-            if path.starts_with(&bin_dir) {
-                continue;
-            }
-            let rel = path
-                .strip_prefix(&root)
-                .unwrap_or(&path)
-                .to_string_lossy()
-                .into_owned();
+    for dir in ["serve", "analyze", "latency", "telemetry"] {
+        for rel in sources(&root, &root.join(format!("crates/{dir}/src")), true) {
             check_pub_docs(&root, &rel, &mut findings);
         }
     }
@@ -418,7 +372,7 @@ fn main() -> ExitCode {
     if findings.is_empty() {
         println!(
             "workspace-lint: {} crate roots, the latency/simulator sources, library \
-             stdio, build-profile and host-clock discipline, \
+             stdio, build-profile, host-clock and JSON-writer discipline, \
              serve/analyze/latency/telemetry API docs, and all \
              workspace/example/test suppressions are clean",
             roots.len() + 1
@@ -509,12 +463,7 @@ mod tests {
         let root = workspace_root();
         let dir = root.join("crates/telemetry/src");
         let mut findings = Vec::new();
-        for path in rs_files(&dir) {
-            let rel = path
-                .strip_prefix(&root)
-                .unwrap_or(&path)
-                .to_string_lossy()
-                .into_owned();
+        for rel in sources(&root, &dir, false) {
             check_pub_docs(&root, &rel, &mut findings);
         }
         assert!(findings.is_empty(), "{findings:?}");
@@ -538,6 +487,29 @@ mod tests {
         assert_eq!(findings.len(), 2, "{findings:?}");
         assert!(findings[0].contains("sketch_like.rs:4"), "{findings:?}");
         assert!(findings[1].contains("sketch_like.rs:5"), "{findings:?}");
+    }
+
+    #[test]
+    fn hand_escaped_json_is_flagged_outside_comments_and_tests() {
+        let dir = std::env::temp_dir().join("fuseconv-workspace-lint-test");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(
+            dir.join("writer.rs"),
+            concat!(
+                "// json_escape in prose is fine\n",
+                "fn out(s: &str) -> String { json_escape(s) }\n",
+                "#[cfg(test)]\nmod tests { fn t() { json_escape(\"\"); } }\n",
+            ),
+        )
+        .unwrap();
+        let mut findings = Vec::new();
+        check_library_lines(&dir, "writer.rs", "json_escape", "why", &mut findings);
+        fs::remove_file(dir.join("writer.rs")).unwrap();
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(
+            findings[0].starts_with("writer.rs:2: `json_escape`"),
+            "{findings:?}"
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! diagnostics and renders them as text or JSON (hand-rolled — the
 //! workspace carries no serde).
 
-use fuseconv_telemetry::json_escape;
+use fuseconv_telemetry::{Json, RunManifest};
 use std::fmt;
 
 /// Stable identifier of one analyzer rule.
@@ -401,25 +401,21 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
-    /// Serializes the diagnostic as one JSON object.
-    pub fn to_json(&self) -> String {
-        let dep = match &self.dependence {
-            Some(d) => {
-                let parts: Vec<String> = d.iter().map(i64::to_string).collect();
-                format!("[{}]", parts.join(","))
-            }
-            None => "null".to_string(),
+    /// Writes the diagnostic's members into an open JSON object.
+    fn write_json(&self, j: &mut Json) {
+        j.str("rule", self.rule.code())
+            .str("severity", &self.severity.to_string())
+            .str("context", &self.context)
+            .str("message", &self.message);
+        match &self.dependence {
+            Some(d) => j.arr("dependence", |j| {
+                for v in d {
+                    j.raw("", v);
+                }
+            }),
+            None => j.raw("dependence", "null"),
         };
-        format!(
-            "{{\"rule\":\"{}\",\"severity\":\"{}\",\"context\":\"{}\",\
-             \"message\":\"{}\",\"dependence\":{},\"suggestion\":\"{}\"}}",
-            self.rule,
-            self.severity,
-            json_escape(&self.context),
-            json_escape(&self.message),
-            dep,
-            json_escape(&self.suggestion),
-        )
+        j.str("suggestion", &self.suggestion);
     }
 }
 
@@ -510,14 +506,16 @@ impl Report {
     /// Renders the report as one JSON document, with run provenance
     /// (`fuseconv-manifest-v1`) embedded under `"manifest"`.
     pub fn to_json(&self) -> String {
-        let items: Vec<String> = self.diagnostics.iter().map(Diagnostic::to_json).collect();
-        format!(
-            "{{\"errors\":{},\"warnings\":{},\"diagnostics\":[{}],\"manifest\":{}}}",
-            self.error_count(),
-            self.warning_count(),
-            items.join(","),
-            fuseconv_telemetry::RunManifest::capture().to_json_compact()
-        )
+        let mut j = Json::compact();
+        j.raw("errors", self.error_count())
+            .raw("warnings", self.warning_count())
+            .arr("diagnostics", |j| {
+                for d in &self.diagnostics {
+                    j.obj("", |j| d.write_json(j));
+                }
+            })
+            .manifest(&RunManifest::capture());
+        j.finish()
     }
 }
 
@@ -630,7 +628,9 @@ mod tests {
     fn json_escapes_quotes() {
         let mut d = sample();
         d.message = "say \"hi\"".into();
-        assert!(d.to_json().contains("say \\\"hi\\\""));
+        let mut r = Report::new();
+        r.push(d);
+        assert!(r.to_json().contains("say \\\"hi\\\""));
     }
 
     #[test]

@@ -23,10 +23,10 @@ use fuseconv_perf::replay_counted;
 use fuseconv_serve as serve;
 use fuseconv_systolic::conv1d::ChannelLines;
 use fuseconv_systolic::{conv1d, gemm, is_gemm, ws_gemm, ArrayConfig};
+use fuseconv_telemetry::{Json, RunManifest};
 use fuseconv_tensor::rng::Rng;
 use fuseconv_tensor::Tensor;
 use fuseconv_trace::FoldSpec;
-use std::fmt::Write as _;
 
 /// One suite bench's outcome: wall time plus the simulated-cycle count of
 /// the workload it times.
@@ -282,27 +282,21 @@ pub fn min_merge(runs: &[Vec<SuiteBench>]) -> Vec<SuiteBench> {
 /// embedded under `"manifest"`. [`parse_json`] ignores the manifest: its
 /// line prefixes (`"name":`, `"ns_per_iter":`) never occur in one.
 pub fn to_json(benches: &[SuiteBench]) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"fuseconv-bench-v1\",");
-    let _ = writeln!(out, "  \"benches\": [");
-    for (i, b) in benches.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"name\": \"{}\",", b.name);
-        let _ = writeln!(out, "      \"ns_per_iter\": {:.1},", b.ns_per_iter);
-        let _ = writeln!(out, "      \"iters\": {},", b.iters);
-        let _ = writeln!(out, "      \"cycles\": {},", b.cycles);
-        let _ = writeln!(out, "      \"cycles_per_sec\": {:.1}", b.cycles_per_sec());
-        let _ = write!(out, "    }}");
-        out.push_str(if i + 1 < benches.len() { ",\n" } else { "\n" });
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(
-        out,
-        "  \"manifest\": {}",
-        fuseconv_telemetry::RunManifest::capture().to_json_pretty("  ")
-    );
-    out.push_str("}\n");
-    out
+    let mut j = Json::pretty();
+    j.str("schema", "fuseconv-bench-v1")
+        .arr("benches", |j| {
+            for b in benches {
+                j.obj("", |j| {
+                    j.str("name", &b.name)
+                        .raw("ns_per_iter", format_args!("{:.1}", b.ns_per_iter))
+                        .raw("iters", b.iters)
+                        .raw("cycles", b.cycles)
+                        .raw("cycles_per_sec", format_args!("{:.1}", b.cycles_per_sec()));
+                });
+            }
+        })
+        .manifest(&RunManifest::capture());
+    j.finish() + "\n"
 }
 
 /// Parses a `fuseconv-bench-v1` JSON file back to `(name, ns_per_iter)`

@@ -86,19 +86,28 @@ impl ParsedArgs {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Parses `--name` as `usize`, with a default.
+    /// Parses `--name` as `usize`, `None` when absent.
     ///
     /// # Errors
     ///
     /// Returns [`ParseArgsError`] if the value is present but not an
     /// integer.
+    pub fn opt_usize_flag(&self, name: &str) -> Result<Option<usize>, ParseArgsError> {
+        self.flag(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| ParseArgsError(format!("--{name} expects an integer, got `{v}`")))
+            })
+            .transpose()
+    }
+
+    /// Parses `--name` as `usize`, with a default.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::opt_usize_flag`].
     pub fn usize_flag(&self, name: &str, default: usize) -> Result<usize, ParseArgsError> {
-        match self.flag(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| ParseArgsError(format!("--{name} expects an integer, got `{v}`"))),
-        }
+        Ok(self.opt_usize_flag(name)?.unwrap_or(default))
     }
 
     /// Parses `--name` as `f64`, with a default.

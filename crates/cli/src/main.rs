@@ -1,41 +1,7 @@
 //! `fuseconv` — command-line interface to the FuSeConv reproduction.
 //!
-//! ```text
-//! fuseconv table1    [--array 64]
-//! fuseconv layerwise [--network MobileNet-V2] [--variant full|half] [--array 64]
-//! fuseconv breakdown [--array 64]
-//! fuseconv scaling   [--sizes 8,16,32,64,128]
-//! fuseconv overhead  [--sizes 8,16,32,64,128,256]
-//! fuseconv energy    [--array 64] [--mhz 700]
-//! fuseconv nos       [--network MobileNet-V2] [--array 64]
-//! fuseconv topology  <file> [--array 64]
-//! fuseconv reports   [--dir reports] [--array 64]
-//! fuseconv trace     [--network MobileNet-V2] [--variant baseline|full|half]
-//!                    [--layer N] [--format scalesim|chrome|heatmap] [--out trace.json]
-//! fuseconv analyze   [--all | --network NAME] [--variant baseline|full|half]
-//!                    [--array 64] [--fusion] [--format text|json] [--out PATH]
-//! fuseconv analyze   --serve [serve flags] [--format text|json] [--out PATH]
-//! fuseconv perf      [--network MobileNet-V2] [--variant baseline|full|half]
-//!                    [--array 64] [--bytes-per-elem 2] [--bandwidth 64]
-//!                    [--format text|json] [--out PATH]
-//! fuseconv bench     [--json] [--out BENCH_fuseconv.json]
-//!                    [--baseline PATH] [--max-regress 25] [--budget-ms N]
-//!                    [--runs 1]
-//! fuseconv profile   [NETWORK] [--variant baseline|full|half] [--array 64]
-//!                    [--chrome-trace[=PATH]] [--metrics-json[=PATH]]
-//! fuseconv serve     [--pod 64x64:os,32x32:ws,...] [--networks NAME,...|zoo]
-//!                    [--variant baseline|full|half] [--requests N] [--load F]
-//!                    [--policy fifo|dynamic|bucketed] [--max-batch N] [--max-wait N]
-//!                    [--dispatch whole|sharded] [--preempt[=false]] [--high-frac F]
-//!                    [--queue-cap N] [--slo-mult F] [--slo-budget N] [--buckets N]
-//!                    [--seed N] [--force]
-//!                    [--format text|json] [--out PATH] [--chrome-trace[=PATH]]
-//!                    [--timeseries[=PATH]]
-//! fuseconv help
-//! ```
-//!
-//! Every command also accepts `--log-level error|warn|info|debug|trace`
-//! (default `warn`) for the structured stderr logger.
+//! `fuseconv help` prints [`HELP`], the one list of every command and
+//! flag.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,14 +17,15 @@ use fuseconv_core::trace as tracecap;
 use fuseconv_core::variant::{apply_variant, Variant};
 use fuseconv_latency::{estimate_network, Dataflow, LatencyModel};
 use fuseconv_models::{topology, zoo, Network};
-use fuseconv_nn::FuSeVariant;
 use fuseconv_serve as serve;
-use fuseconv_systolic::ArrayConfig;
+use fuseconv_systolic::{conv1d, ArrayConfig};
 use fuseconv_telemetry as telemetry;
 use fuseconv_trace::{ChromeTraceSink, NullSink, ScaleSimSink, UtilizationSink};
+use std::error::Error;
 use std::path::Path;
 use std::process::ExitCode;
 
+/// Usage text: every command, its flags and the common flags.
 const HELP: &str = "\
 fuseconv — FuSeConv (DATE 2021) reproduction CLI
 
@@ -145,11 +112,77 @@ Common flags: --array N (square array side, default 64);
               --log-level error|warn|info|debug|trace (stderr logger,
               default warn).";
 
-fn find_network(name: &str) -> Option<Network> {
-    zoo::all_baselines()
+/// Every network the CLI knows: the paper's baselines plus ResNet-50
+/// and EfficientNet-B0.
+fn all_networks() -> Vec<Network> {
+    let mut nets = zoo::all_baselines();
+    nets.extend([zoo::resnet50(), zoo::efficientnet_b0()]);
+    nets
+}
+
+fn find_network(name: &str) -> Result<Network, Box<dyn Error>> {
+    all_networks()
         .into_iter()
-        .chain([zoo::resnet50(), zoo::efficientnet_b0()])
         .find(|n| n.name().eq_ignore_ascii_case(name))
+        .ok_or_else(|| format!("unknown network `{name}`").into())
+}
+
+/// `--network NAME`, MobileNet-V2 when absent.
+fn network_flag(parsed: &ParsedArgs) -> Result<Network, Box<dyn Error>> {
+    find_network(parsed.flag("network").unwrap_or("MobileNet-V2"))
+}
+
+/// `--variant baseline|full|half`, `default` when absent.
+fn variant_flag(parsed: &ParsedArgs, default: &str) -> Result<Variant, Box<dyn Error>> {
+    match parsed.flag("variant").unwrap_or(default) {
+        "baseline" => Ok(Variant::Baseline),
+        "full" => Ok(Variant::FuseFull),
+        "half" => Ok(Variant::FuseHalf),
+        other => Err(format!("--variant must be baseline, full or half, got `{other}`").into()),
+    }
+}
+
+/// `--sizes` as a list of nonzero array sides.
+fn sizes_flag(parsed: &ParsedArgs, default: &[usize]) -> Result<Vec<usize>, Box<dyn Error>> {
+    let sizes = parsed.usize_list_flag("sizes", default)?;
+    if sizes.contains(&0) {
+        return Err("--sizes must all be nonzero".into());
+    }
+    Ok(sizes)
+}
+
+/// The path a `--flag[=PATH]` switch names: `default` for the bare
+/// switch, `None` when the flag is absent.
+fn path_flag<'a>(parsed: &'a ParsedArgs, flag: &str, default: &'a str) -> Option<&'a str> {
+    parsed
+        .flag(flag)
+        .map(|value| if value == "true" { default } else { value })
+}
+
+/// Writes one artifact and prints its path.
+fn write_artifact(path: &str, bytes: impl AsRef<[u8]>) -> Result<(), Box<dyn Error>> {
+    std::fs::write(path, bytes).map_err(|e| format!("cannot write {path}: {e}"))?;
+    println!("{path}");
+    Ok(())
+}
+
+/// Renders a report as `--format text|json` and prints it, or writes it
+/// to `--out`.
+fn emit(
+    parsed: &ParsedArgs,
+    text: impl FnOnce() -> String,
+    json: impl FnOnce() -> String,
+) -> Result<(), Box<dyn Error>> {
+    let rendered = match parsed.flag("format").unwrap_or("text") {
+        "text" => text(),
+        "json" => json(),
+        other => return Err(format!("--format must be text or json, got `{other}`").into()),
+    };
+    match parsed.flag("out") {
+        Some(path) => write_artifact(path, rendered)?,
+        None => println!("{}", rendered.trim_end()),
+    }
+    Ok(())
 }
 
 /// Parses the pod / workload / serving-config flags shared by
@@ -157,11 +190,11 @@ fn find_network(name: &str) -> Option<Network> {
 /// and its static preflight always see the same configuration.
 fn serve_setup(
     parsed: &ParsedArgs,
-) -> Result<(serve::PodSpec, serve::Workload, serve::ServeConfig), String> {
+) -> Result<(serve::PodSpec, serve::Workload, serve::ServeConfig), Box<dyn Error>> {
     let pod_spec = parsed
         .flag("pod")
         .unwrap_or("64x64:os,32x32:ws,16x16:os,8x8:os");
-    let pod = serve::PodSpec::parse(pod_spec).map_err(|e| e.to_string())?;
+    let pod = serve::PodSpec::parse(pod_spec)?;
     let names = parsed.flag("networks").unwrap_or("MobileNet-V2");
     let mut networks: Vec<Network> = if names == "zoo" {
         zoo::all_baselines()
@@ -169,42 +202,15 @@ fn serve_setup(
         names
             .split(',')
             .filter(|s| !s.trim().is_empty())
-            .map(|name| {
-                find_network(name.trim())
-                    .ok_or_else(|| format!("unknown network `{}`", name.trim()))
-            })
+            .map(|name| find_network(name.trim()))
             .collect::<Result<_, _>>()?
     };
-    match parsed.flag("variant").unwrap_or("full") {
-        "baseline" => {}
-        "full" => {
-            networks = networks
-                .iter()
-                .map(|n| n.transform_all(FuSeVariant::Full))
-                .collect();
-        }
-        "half" => {
-            networks = networks
-                .iter()
-                .map(|n| n.transform_all(FuSeVariant::Half))
-                .collect();
-        }
-        other => {
-            return Err(format!(
-                "--variant must be baseline, full or half, got `{other}`"
-            ))
-        }
+    if let Some(fuse) = variant_flag(parsed, "full")?.fuse_variant() {
+        networks = networks.iter().map(|n| n.transform_all(fuse)).collect();
     }
-    let workload = serve::Workload::uniform(networks).map_err(|e| e.to_string())?;
-    let requests = parsed
-        .usize_flag("requests", 100_000)
-        .map_err(|e| e.to_string())?;
-    let max_batch = parsed
-        .usize_flag("max-batch", 8)
-        .map_err(|e| e.to_string())?;
-    let max_wait = parsed
-        .usize_flag("max-wait", 50_000)
-        .map_err(|e| e.to_string())?;
+    let workload = serve::Workload::uniform(networks)?;
+    let max_batch = parsed.usize_flag("max-batch", 8)?;
+    let max_wait = parsed.usize_flag("max-wait", 50_000)?;
     let policy_name = parsed.flag("policy").unwrap_or("fifo");
     let policy =
         serve::BatchPolicy::parse(policy_name, max_batch, max_wait as u64).ok_or_else(|| {
@@ -219,124 +225,90 @@ fn serve_setup(
         .flag("preempt")
         .is_some_and(|v| v != "false" && v != "0");
     let high_default = if preemption { 0.05 } else { 0.0 };
-    let slo_budget_cycles = match parsed.flag("slo-budget") {
-        None => None,
-        Some(_) => Some(
-            parsed
-                .usize_flag("slo-budget", 0)
-                .map_err(|e| e.to_string())? as u64,
-        ),
-    };
-    let shape_buckets = match parsed.flag("buckets") {
-        None => None,
-        Some(_) => Some(parsed.usize_flag("buckets", 0).map_err(|e| e.to_string())?),
-    };
     let cfg = serve::ServeConfig {
         policy,
         dispatch,
         preemption,
-        queue_capacity: parsed
-            .usize_flag("queue-cap", 4096)
-            .map_err(|e| e.to_string())?,
-        requests: requests as u64,
-        load: parsed.f64_flag("load", 0.8).map_err(|e| e.to_string())?,
-        seed: parsed.usize_flag("seed", 42).map_err(|e| e.to_string())? as u64,
-        high_priority_frac: parsed
-            .f64_flag("high-frac", high_default)
-            .map_err(|e| e.to_string())?,
-        slo_multiplier: parsed
-            .f64_flag("slo-mult", 10.0)
-            .map_err(|e| e.to_string())?,
-        slo_budget_cycles,
-        shape_buckets,
+        queue_capacity: parsed.usize_flag("queue-cap", 4096)?,
+        requests: parsed.usize_flag("requests", 100_000)? as u64,
+        load: parsed.f64_flag("load", 0.8)?,
+        seed: parsed.usize_flag("seed", 42)? as u64,
+        high_priority_frac: parsed.f64_flag("high-frac", high_default)?,
+        slo_multiplier: parsed.f64_flag("slo-mult", 10.0)?,
+        slo_budget_cycles: parsed.opt_usize_flag("slo-budget")?.map(|c| c as u64),
+        shape_buckets: parsed.opt_usize_flag("buckets")?,
     };
     Ok((pod, workload, cfg))
 }
 
-fn array_of(parsed: &ParsedArgs) -> Result<ArrayConfig, String> {
-    let side = parsed.usize_flag("array", 64).map_err(|e| e.to_string())?;
-    let array = ArrayConfig::square(side)
-        .map(|a| a.with_broadcast(true))
-        .map_err(|e| e.to_string())?;
+fn array_of(parsed: &ParsedArgs) -> Result<ArrayConfig, Box<dyn Error>> {
+    let side = parsed.usize_flag("array", 64)?;
+    let array = ArrayConfig::square(side)?.with_broadcast(true);
     // Record the array in the process run-config so every manifest
     // captured later in this invocation carries the real dimensions.
     telemetry::manifest::set_run_array(
         array.rows(),
         array.cols(),
-        dataflow_name(Dataflow::OutputStationary),
+        Dataflow::OutputStationary.short_name(),
         array.has_broadcast(),
     );
     Ok(array)
 }
 
-/// Short manifest name for a dataflow.
-fn dataflow_name(d: Dataflow) -> &'static str {
-    match d {
-        Dataflow::OutputStationary => "os",
-        Dataflow::WeightStationary => "ws",
-        Dataflow::InputStationary => "is",
+/// Fails the command when a report holds error-severity findings.
+fn fail_on_errors(report: &analyze::Report) -> Result<(), Box<dyn Error>> {
+    if report.has_errors() {
+        return Err(format!("{} error-severity diagnostic(s)", report.error_count()).into());
     }
+    Ok(())
 }
 
-fn run(parsed: &ParsedArgs) -> Result<(), String> {
+fn run(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     match parsed.command.as_str() {
-        "help" | "--help" | "-h" => {
-            println!("{HELP}");
-            Ok(())
-        }
+        "help" | "--help" | "-h" => println!("{HELP}"),
         "table1" => {
-            let array = array_of(parsed)?;
-            let rows = experiments::table1(&array).map_err(|e| e.to_string())?;
+            let rows = experiments::table1(&array_of(parsed)?)?;
             println!("{}", report::table1_csv(&rows).trim_end());
-            Ok(())
         }
         "layerwise" => {
             let array = array_of(parsed)?;
-            let name = parsed.flag("network").unwrap_or("MobileNet-V2");
-            let net = find_network(name).ok_or_else(|| format!("unknown network `{name}`"))?;
+            let net = network_flag(parsed)?;
             let variant = match parsed.flag("variant").unwrap_or("full") {
                 "full" => Variant::FuseFull,
                 "half" => Variant::FuseHalf,
-                other => return Err(format!("--variant must be full or half, got `{other}`")),
+                other => {
+                    return Err(format!("--variant must be full or half, got `{other}`").into())
+                }
             };
-            let rows = experiments::layerwise(&net, variant, &array).map_err(|e| e.to_string())?;
+            let rows = experiments::layerwise(&net, variant, &array)?;
             println!("{}", report::layerwise_csv(&rows).trim_end());
-            Ok(())
         }
         "breakdown" => {
-            let array = array_of(parsed)?;
-            let rows = experiments::operator_breakdown(&array).map_err(|e| e.to_string())?;
+            let rows = experiments::operator_breakdown(&array_of(parsed)?)?;
             println!("{}", report::breakdown_csv(&rows).trim_end());
-            Ok(())
         }
         "scaling" => {
-            let sizes = parsed
-                .usize_list_flag("sizes", &[8, 16, 32, 64, 128])
-                .map_err(|e| e.to_string())?;
-            let rows = experiments::array_scaling(&sizes).map_err(|e| e.to_string())?;
+            let sizes = sizes_flag(parsed, &[8, 16, 32, 64, 128])?;
+            let rows = experiments::array_scaling(&sizes)?;
             println!("{}", report::scaling_csv(&rows).trim_end());
-            Ok(())
         }
         "overhead" => {
-            let sizes = parsed
-                .usize_list_flag("sizes", &[8, 16, 32, 64, 128, 256])
-                .map_err(|e| e.to_string())?;
+            let sizes = sizes_flag(parsed, &[8, 16, 32, 64, 128, 256])?;
             let rows = experiments::hw_overhead(&sizes);
             println!("{}", report::overhead_csv(&rows).trim_end());
-            Ok(())
         }
         "energy" => {
-            let side = parsed.usize_flag("array", 64).map_err(|e| e.to_string())?;
-            let mhz = parsed.f64_flag("mhz", 700.0).map_err(|e| e.to_string())?;
-            let rows = experiments::energy_study(side, mhz).map_err(|e| e.to_string())?;
+            let side = array_of(parsed)?.rows();
+            let mhz = parsed.f64_flag("mhz", 700.0)?;
+            if !(mhz.is_finite() && mhz > 0.0) {
+                return Err(format!("--mhz must be finite and positive, got `{mhz}`").into());
+            }
+            let rows = experiments::energy_study(side, mhz)?;
             println!("{}", report::energy_csv(&rows).trim_end());
-            Ok(())
         }
         "nos" => {
             let array = array_of(parsed)?;
-            let name = parsed.flag("network").unwrap_or("MobileNet-V2");
-            let net = find_network(name).ok_or_else(|| format!("unknown network `{name}`"))?;
-            let frontier = nos::pareto_frontier(&net, &array).map_err(|e| e.to_string())?;
+            let frontier = nos::pareto_frontier(&network_flag(parsed)?, &array)?;
             println!("latency_cycles,params,assignment");
             for p in &frontier {
                 let asg: String = p
@@ -350,7 +322,6 @@ fn run(parsed: &ParsedArgs) -> Result<(), String> {
                     .collect();
                 println!("{},{},{asg}", p.latency, p.params);
             }
-            Ok(())
         }
         "topology" => {
             let file = parsed
@@ -359,14 +330,14 @@ fn run(parsed: &ParsedArgs) -> Result<(), String> {
                 .ok_or("usage: fuseconv topology <file> [--array N]")?;
             let text =
                 std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
-            let net = topology::parse(file, &text).map_err(|e| e.to_string())?;
+            let net = topology::parse(file, &text)?;
             let array = array_of(parsed)?;
             let model = LatencyModel::new(array);
-            let base = estimate_network(&model, &net).map_err(|e| e.to_string())?;
+            let base = estimate_network(&model, &net)?;
             println!("network,variant,macs,params,latency_cycles,speedup");
             for variant in Variant::ALL {
-                let v = apply_variant(&net, variant, &array).map_err(|e| e.to_string())?;
-                let lat = estimate_network(&model, &v).map_err(|e| e.to_string())?;
+                let v = apply_variant(&net, variant, &array)?;
+                let lat = estimate_network(&model, &v)?;
                 println!(
                     "{},{},{},{},{},{:.4}",
                     net.name(),
@@ -377,28 +348,13 @@ fn run(parsed: &ParsedArgs) -> Result<(), String> {
                     lat.speedup_over(&base)
                 );
             }
-            Ok(())
         }
         "trace" => {
             let array = array_of(parsed)?;
             let model = LatencyModel::new(array);
-            let name = parsed.flag("network").unwrap_or("MobileNet-V2");
-            let net = find_network(name).ok_or_else(|| format!("unknown network `{name}`"))?;
-            let variant = match parsed.flag("variant").unwrap_or("baseline") {
-                "baseline" => Variant::Baseline,
-                "full" => Variant::FuseFull,
-                "half" => Variant::FuseHalf,
-                other => {
-                    return Err(format!(
-                        "--variant must be baseline, full or half, got `{other}`"
-                    ))
-                }
-            };
-            let net = apply_variant(&net, variant, &array).map_err(|e| e.to_string())?;
-            let layer = match parsed.flag("layer") {
-                None => None,
-                Some(_) => Some(parsed.usize_flag("layer", 0).map_err(|e| e.to_string())?),
-            };
+            let net = network_flag(parsed)?;
+            let net = apply_variant(&net, variant_flag(parsed, "baseline")?, &array)?;
+            let layer = parsed.opt_usize_flag("layer")?;
             let pick_op = |i: usize| {
                 let ops = net.ops();
                 ops.get(i).cloned().ok_or(format!(
@@ -413,52 +369,40 @@ fn run(parsed: &ParsedArgs) -> Result<(), String> {
                     match layer {
                         // One layer: cycle-exact, with per-row PE tracks.
                         Some(i) => {
-                            let named = pick_op(i)?;
-                            tracecap::simulate_op_traced(&model, &named.op, &mut sink)
-                                .map_err(|e| e.to_string())?;
+                            tracecap::simulate_op_traced(&model, &pick_op(i)?.op, &mut sink)?;
                         }
                         // Whole network: analytic fold-plan replay.
                         None => {
-                            let plan = tracecap::network_fold_plan(&model, &net, None)
-                                .map_err(|e| e.to_string())?;
+                            let plan = tracecap::network_fold_plan(&model, &net, None)?;
                             for (tag, label) in &plan.labels {
                                 sink.label_tag(*tag, label);
                             }
                             fuseconv_trace::replay(&plan.folds, &mut sink);
                         }
                     }
-                    let path = parsed.flag("out").unwrap_or("trace.json");
-                    std::fs::write(path, sink.into_json())
-                        .map_err(|e| format!("cannot write {path}: {e}"))?;
-                    println!("{path}");
-                    Ok(())
+                    write_artifact(parsed.flag("out").unwrap_or("trace.json"), sink.into_json())?;
                 }
                 "heatmap" => {
                     let i = layer.ok_or("--format heatmap needs --layer N")?;
                     let named = pick_op(i)?;
                     let mut sink = UtilizationSink::new(array.rows(), array.cols());
-                    let traced = tracecap::simulate_op_traced(&model, &named.op, &mut sink)
-                        .map_err(|e| e.to_string())?;
+                    let traced = tracecap::simulate_op_traced(&model, &named.op, &mut sink)?;
                     let (fill, compute, drain) = sink.phase_cycles();
                     println!(
-                        "{} / {}  ({} on {}x{})",
+                        "{} / {}  ({} on {}x{})\n\
+                         cycles {} (x{} repeats = {})  fill {}  compute {}  drain {}\n\
+                         active rows {}/{}  active cols {}/{}  utilization {:.2}%",
                         net.name(),
                         named.op,
                         named.block_name,
                         array.rows(),
-                        array.cols()
-                    );
-                    println!(
-                        "cycles {} (x{} repeats = {})  fill {}  compute {}  drain {}",
+                        array.cols(),
                         sink.cycles(),
                         traced.repeats,
                         traced.total_cycles(),
                         fill,
                         compute,
-                        drain
-                    );
-                    println!(
-                        "active rows {}/{}  active cols {}/{}  utilization {:.2}%",
+                        drain,
                         sink.active_rows(),
                         array.rows(),
                         sink.active_cols(),
@@ -467,38 +411,31 @@ fn run(parsed: &ParsedArgs) -> Result<(), String> {
                     );
                     println!("{}", sink.heatmap_ascii());
                     if let Some(path) = parsed.flag("out") {
-                        std::fs::write(path, sink.heatmap_csv())
-                            .map_err(|e| format!("cannot write {path}: {e}"))?;
-                        println!("{path}");
+                        write_artifact(path, sink.heatmap_csv())?;
                     }
-                    Ok(())
                 }
                 "scalesim" => {
                     let i = layer.ok_or("--format scalesim needs --layer N")?;
-                    let named = pick_op(i)?;
                     let mut sink = ScaleSimSink::new();
-                    tracecap::simulate_op_traced(&model, &named.op, &mut sink)
-                        .map_err(|e| e.to_string())?;
+                    tracecap::simulate_op_traced(&model, &pick_op(i)?.op, &mut sink)?;
                     let stem = parsed
                         .flag("out")
                         .unwrap_or("trace")
-                        .trim_end_matches(".csv")
-                        .to_string();
+                        .trim_end_matches(".csv");
                     for (suffix, csv) in [
                         ("ifmap_read", sink.ifmap_read_csv()),
                         ("filter_read", sink.filter_read_csv()),
                         ("ofmap_write", sink.ofmap_write_csv()),
                     ] {
-                        let path = format!("{stem}_{suffix}.csv");
-                        std::fs::write(&path, csv)
-                            .map_err(|e| format!("cannot write {path}: {e}"))?;
-                        println!("{path}");
+                        write_artifact(&format!("{stem}_{suffix}.csv"), csv)?;
                     }
-                    Ok(())
                 }
-                other => Err(format!(
-                    "--format must be scalesim, chrome or heatmap, got `{other}`"
-                )),
+                other => {
+                    return Err(format!(
+                        "--format must be scalesim, chrome or heatmap, got `{other}`"
+                    )
+                    .into())
+                }
             }
         }
         "analyze" => {
@@ -506,56 +443,26 @@ fn run(parsed: &ParsedArgs) -> Result<(), String> {
                 // Serving-feasibility mode: audit a pod/workload/SLO
                 // deployment statically instead of per-network mappings.
                 let (pod, workload, cfg) = serve_setup(parsed)?;
-                let report =
-                    analyze::analyze_pod(&pod, &workload, &cfg).map_err(|e| e.to_string())?;
-                let rendered = match parsed.flag("format").unwrap_or("text") {
-                    "text" => report.to_text(),
-                    "json" => report.to_json(),
-                    other => return Err(format!("--format must be text or json, got `{other}`")),
-                };
-                match parsed.flag("out") {
-                    Some(path) => {
-                        std::fs::write(path, &rendered)
-                            .map_err(|e| format!("cannot write {path}: {e}"))?;
-                        println!("{path}");
-                    }
-                    None => println!("{}", rendered.trim_end()),
-                }
-                if report.has_errors() {
-                    return Err(format!(
-                        "{} error-severity diagnostic(s)",
-                        report.error_count()
-                    ));
-                }
-                return Ok(());
+                let report = analyze::analyze_pod(&pod, &workload, &cfg)?;
+                emit(parsed, || report.to_text(), || report.to_json())?;
+                return fail_on_errors(&report);
             }
             let array = array_of(parsed)?;
             let model = LatencyModel::new(array);
-            let nets: Vec<Network> = if parsed.flag("all").is_some() {
-                zoo::all_baselines()
-                    .into_iter()
-                    .chain([zoo::resnet50(), zoo::efficientnet_b0()])
-                    .collect()
+            let nets = if parsed.flag("all").is_some() {
+                all_networks()
             } else {
-                let name = parsed.flag("network").unwrap_or("MobileNet-V2");
-                vec![find_network(name).ok_or_else(|| format!("unknown network `{name}`"))?]
+                vec![network_flag(parsed)?]
             };
             let variants: Vec<Variant> = match parsed.flag("variant") {
                 None => Variant::ALL.to_vec(),
-                Some("baseline") => vec![Variant::Baseline],
-                Some("full") => vec![Variant::FuseFull],
-                Some("half") => vec![Variant::FuseHalf],
-                Some(other) => {
-                    return Err(format!(
-                        "--variant must be baseline, full or half, got `{other}`"
-                    ))
-                }
+                Some(_) => vec![variant_flag(parsed, "baseline")?],
             };
             let fusion_only = parsed.flag("fusion").is_some();
             let mut report = analyze::Report::new();
             for net in &nets {
                 for &variant in &variants {
-                    let v = apply_variant(net, variant, &array).map_err(|e| e.to_string())?;
+                    let v = apply_variant(net, variant, &array)?;
                     let diagnostics = if fusion_only {
                         analyze::analyze_fusion(&model, &v, &analyze::MemoryBudget::paper_default())
                     } else {
@@ -570,58 +477,23 @@ fn run(parsed: &ParsedArgs) -> Result<(), String> {
                     }
                 }
             }
-            let rendered = match parsed.flag("format").unwrap_or("text") {
-                "text" => report.to_text(),
-                "json" => report.to_json(),
-                other => return Err(format!("--format must be text or json, got `{other}`")),
-            };
-            match parsed.flag("out") {
-                Some(path) => {
-                    std::fs::write(path, &rendered)
-                        .map_err(|e| format!("cannot write {path}: {e}"))?;
-                    println!("{path}");
-                }
-                None => println!("{}", rendered.trim_end()),
-            }
-            if report.has_errors() {
-                return Err(format!(
-                    "{} error-severity diagnostic(s)",
-                    report.error_count()
-                ));
-            }
-            Ok(())
+            emit(parsed, || report.to_text(), || report.to_json())?;
+            fail_on_errors(&report)?;
         }
         "reports" => {
             let array = array_of(parsed)?;
             let dir = parsed.flag("dir").unwrap_or("reports");
-            let written = report::write_all(Path::new(dir), &array).map_err(|e| e.to_string())?;
-            for p in written {
+            for p in report::write_all(Path::new(dir), &array)? {
                 println!("{}", p.display());
             }
-            Ok(())
         }
         "perf" => {
             let array = array_of(parsed)?;
             let model = LatencyModel::new(array);
-            let name = parsed.flag("network").unwrap_or("MobileNet-V2");
-            let net = find_network(name).ok_or_else(|| format!("unknown network `{name}`"))?;
-            let variant = match parsed.flag("variant").unwrap_or("baseline") {
-                "baseline" => Variant::Baseline,
-                "full" => Variant::FuseFull,
-                "half" => Variant::FuseHalf,
-                other => {
-                    return Err(format!(
-                        "--variant must be baseline, full or half, got `{other}`"
-                    ))
-                }
-            };
-            let net = apply_variant(&net, variant, &array).map_err(|e| e.to_string())?;
-            let bytes_per_elem = parsed
-                .usize_flag("bytes-per-elem", 2)
-                .map_err(|e| e.to_string())?;
-            let bandwidth = parsed
-                .usize_flag("bandwidth", 64)
-                .map_err(|e| e.to_string())?;
+            let variant = variant_flag(parsed, "baseline")?;
+            let net = apply_variant(&network_flag(parsed)?, variant, &array)?;
+            let bytes_per_elem = parsed.usize_flag("bytes-per-elem", 2)?;
+            let bandwidth = parsed.usize_flag("bandwidth", 64)?;
             if bandwidth == 0 {
                 return Err("--bandwidth must be nonzero".into());
             }
@@ -631,35 +503,17 @@ fn run(parsed: &ParsedArgs) -> Result<(), String> {
                 &variant.to_string(),
                 bytes_per_elem as u64,
                 bandwidth as u64,
-            )
-            .map_err(|e| e.to_string())?;
-            let rendered = match parsed.flag("format").unwrap_or("text") {
-                "text" => report.to_text(),
-                "json" => report.to_json(),
-                other => return Err(format!("--format must be text or json, got `{other}`")),
-            };
-            match parsed.flag("out") {
-                Some(path) => {
-                    std::fs::write(path, &rendered)
-                        .map_err(|e| format!("cannot write {path}: {e}"))?;
-                    println!("{path}");
-                }
-                None => println!("{}", rendered.trim_end()),
-            }
-            Ok(())
+            )?;
+            emit(parsed, || report.to_text(), || report.to_json())?;
         }
         "bench" => {
-            let mut harness = match parsed.flag("budget-ms") {
-                Some(_) => fuseconv_bench::micro::Micro::with_budget_ms(
-                    parsed
-                        .usize_flag("budget-ms", 100)
-                        .map_err(|e| e.to_string())? as u64,
-                ),
+            let mut harness = match parsed.opt_usize_flag("budget-ms")? {
+                Some(ms) => fuseconv_bench::micro::Micro::with_budget_ms(ms as u64),
                 None => fuseconv_bench::micro::Micro::from_env(),
             };
-            let runs = parsed.usize_flag("runs", 1).map_err(|e| e.to_string())?;
+            let runs = parsed.usize_flag("runs", 1)?;
             if runs == 0 {
-                return Err("--runs must be at least 1".to_string());
+                return Err("--runs must be at least 1".into());
             }
             // One-sided noise: a bench can only measure slower than the
             // code allows, so the per-bench min over spaced runs is the
@@ -670,27 +524,20 @@ fn run(parsed: &ParsedArgs) -> Result<(), String> {
             let results = fuseconv_bench::suite::min_merge(&all);
             if parsed.flag("json").is_some() || parsed.flag("out").is_some() {
                 let path = parsed.flag("out").unwrap_or("BENCH_fuseconv.json");
-                std::fs::write(path, fuseconv_bench::suite::to_json(&results))
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
-                println!("{path}");
+                write_artifact(path, fuseconv_bench::suite::to_json(&results))?;
                 // Standalone provenance sibling, so CI can archive the
                 // manifest next to the bench numbers it describes.
-                let mpath = format!("{path}.manifest.json");
-                let manifest = telemetry::RunManifest::capture().to_json_pretty("");
-                std::fs::write(&mpath, format!("{manifest}\n"))
-                    .map_err(|e| format!("cannot write {mpath}: {e}"))?;
-                println!("{mpath}");
+                let manifest = telemetry::RunManifest::capture().to_json_pretty();
+                write_artifact(&format!("{path}.manifest.json"), manifest + "\n")?;
             }
             if let Some(base_path) = parsed.flag("baseline") {
                 let text = std::fs::read_to_string(base_path)
                     .map_err(|e| format!("cannot read {base_path}: {e}"))?;
                 let baseline = fuseconv_bench::suite::parse_json(&text);
                 if baseline.is_empty() {
-                    return Err(format!("no benches parsed from baseline {base_path}"));
+                    return Err(format!("no benches parsed from baseline {base_path}").into());
                 }
-                let max_regress = parsed
-                    .f64_flag("max-regress", 25.0)
-                    .map_err(|e| e.to_string())?;
+                let max_regress = parsed.f64_flag("max-regress", 25.0)?;
                 let cmp = fuseconv_bench::suite::compare(&results, &baseline, max_regress);
                 println!("baseline comparison (fail above +{max_regress:.0}% of geomean):");
                 for line in &cmp.lines {
@@ -701,10 +548,10 @@ fn run(parsed: &ParsedArgs) -> Result<(), String> {
                         "{} bench(es) regressed past the {max_regress:.0}% gate: {}",
                         cmp.failures.len(),
                         cmp.failures.join(", ")
-                    ));
+                    )
+                    .into());
                 }
             }
-            Ok(())
         }
         "profile" => {
             let array = array_of(parsed)?;
@@ -715,18 +562,8 @@ fn run(parsed: &ParsedArgs) -> Result<(), String> {
                 .map(String::as_str)
                 .or_else(|| parsed.flag("network"))
                 .unwrap_or("MobileNet-V2");
-            let net = find_network(name).ok_or_else(|| format!("unknown network `{name}`"))?;
-            let variant = match parsed.flag("variant").unwrap_or("baseline") {
-                "baseline" => Variant::Baseline,
-                "full" => Variant::FuseFull,
-                "half" => Variant::FuseHalf,
-                other => {
-                    return Err(format!(
-                        "--variant must be baseline, full or half, got `{other}`"
-                    ))
-                }
-            };
-            let net = apply_variant(&net, variant, &array).map_err(|e| e.to_string())?;
+            let variant = variant_flag(parsed, "baseline")?;
+            let net = apply_variant(&find_network(name)?, variant, &array)?;
 
             // Fresh registry + profiler, enabled only around the profiled
             // pipeline; the closure keeps error paths from leaving the
@@ -734,7 +571,7 @@ fn run(parsed: &ParsedArgs) -> Result<(), String> {
             telemetry::metrics::reset();
             telemetry::span::reset();
             telemetry::set_spans_enabled(true);
-            let profiled = (|| -> Result<(), String> {
+            let profiled = (|| -> Result<(), Box<dyn Error>> {
                 let _root = telemetry::span("profile");
                 {
                     let _s = telemetry::span("profile.analyze");
@@ -742,8 +579,7 @@ fn run(parsed: &ParsedArgs) -> Result<(), String> {
                 }
                 {
                     let _s = telemetry::span("profile.plan");
-                    let plan = tracecap::network_fold_plan(&model, &net, None)
-                        .map_err(|e| e.to_string())?;
+                    let plan = tracecap::network_fold_plan(&model, &net, None)?;
                     fuseconv_trace::replay(&plan.folds, &mut NullSink);
                 }
                 {
@@ -758,12 +594,12 @@ fn run(parsed: &ParsedArgs) -> Result<(), String> {
                         .collect();
                     let kernels: Vec<Vec<f32>> =
                         (0..array.rows()).map(|_| vec![1.0, 0.5, -1.0]).collect();
-                    fuseconv_perf::conv1d_counted(&array, &lines, &kernels)
-                        .map_err(|e| e.to_string())?;
+                    fuseconv_perf::counted(&array, |sink| {
+                        conv1d::simulate_traced(&array, &lines, &kernels, sink)
+                    })?;
                 }
                 let _s = telemetry::span("profile.perf");
-                fuseconv_perf::network_perf_report(&model, &net, &variant.to_string(), 2, 64)
-                    .map_err(|e| e.to_string())?;
+                fuseconv_perf::network_perf_report(&model, &net, &variant.to_string(), 2, 64)?;
                 Ok(())
             })();
             telemetry::set_spans_enabled(false);
@@ -784,7 +620,7 @@ fn run(parsed: &ParsedArgs) -> Result<(), String> {
             let metrics = telemetry::metrics_snapshot();
             let manifest = telemetry::RunManifest::capture()
                 .with_array(array.rows(), array.cols(), array.has_broadcast())
-                .with_dataflow(dataflow_name(model.dataflow()));
+                .with_dataflow(model.dataflow().short_name());
             println!(
                 "profile: {} [{variant}] on {}x{} — {} folds, {} sim cycles",
                 net.name(),
@@ -796,34 +632,18 @@ fn run(parsed: &ParsedArgs) -> Result<(), String> {
             println!("{}", tree.to_text().trim_end());
             println!();
             println!("{}", metrics.to_text().trim_end());
-            if let Some(value) = parsed.flag("chrome-trace") {
-                let path = if value == "true" {
-                    "profile_trace.json"
-                } else {
-                    value
-                };
-                std::fs::write(path, tree.chrome_trace_json(&manifest))
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
-                println!("{path}");
+            if let Some(path) = path_flag(parsed, "chrome-trace", "profile_trace.json") {
+                write_artifact(path, tree.chrome_trace_json(&manifest))?;
             }
-            if let Some(value) = parsed.flag("metrics-json") {
-                let path = if value == "true" {
-                    "profile_metrics.json"
-                } else {
-                    value
-                };
-                std::fs::write(path, metrics.to_json(&manifest))
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
-                println!("{path}");
+            if let Some(path) = path_flag(parsed, "metrics-json", "profile_metrics.json") {
+                write_artifact(path, metrics.to_json(&manifest))?;
             }
-            Ok(())
         }
         "serve" => {
             let (pod, workload, cfg) = serve_setup(parsed)?;
             // Static preflight: prove the deployment feasible before
             // spending a single simulated cycle on it.
-            let preflight =
-                analyze::analyze_pod(&pod, &workload, &cfg).map_err(|e| e.to_string())?;
+            let preflight = analyze::analyze_pod(&pod, &workload, &cfg)?;
             for d in &preflight.diagnostics {
                 telemetry::log::warn("serve", &format!("preflight: {d}"));
             }
@@ -833,32 +653,18 @@ fn run(parsed: &ParsedArgs) -> Result<(), String> {
                      infeasible (pass --force to simulate it anyway):\n{}",
                     preflight.error_count(),
                     preflight.to_text().trim_end()
-                ));
+                )
+                .into());
             }
             telemetry::manifest::set_run_seed(cfg.seed);
-            let mut sink = parsed
-                .flag("chrome-trace")
-                .map(|_| serve::PodTraceSink::new(&pod));
-            let ts_cfg = parsed
-                .flag("timeseries")
-                .map(|_| serve::TimeSeriesConfig::new());
+            let trace_path = path_flag(parsed, "chrome-trace", "serve_trace.json");
+            let ts_path = path_flag(parsed, "timeseries", "serve_timeseries.json");
+            let mut sink = trace_path.map(|_| serve::PodTraceSink::new(&pod));
+            let ts_cfg = ts_path.map(|_| serve::TimeSeriesConfig::new());
             let (report, ts) =
-                serve::simulate_observed(&pod, &workload, &cfg, sink.as_mut(), ts_cfg.as_ref())
-                    .map_err(|e| e.to_string())?;
-            let rendered = match parsed.flag("format").unwrap_or("text") {
-                "text" => report.to_text(),
-                "json" => report.to_json(),
-                other => return Err(format!("--format must be text or json, got `{other}`")),
-            };
-            match parsed.flag("out") {
-                Some(path) => {
-                    std::fs::write(path, &rendered)
-                        .map_err(|e| format!("cannot write {path}: {e}"))?;
-                    println!("{path}");
-                }
-                None => println!("{}", rendered.trim_end()),
-            }
-            if let Some(ts) = &ts {
+                serve::simulate_observed(&pod, &workload, &cfg, sink.as_mut(), ts_cfg.as_ref())?;
+            emit(parsed, || report.to_text(), || report.to_json())?;
+            if let (Some(ts), Some(path)) = (&ts, ts_path) {
                 if let Some(sink) = sink.as_mut() {
                     // Counter tracks render beside the pid-0 batch
                     // lanes in the same Perfetto view.
@@ -867,31 +673,15 @@ fn run(parsed: &ParsedArgs) -> Result<(), String> {
                 if parsed.flag("format").unwrap_or("text") == "text" {
                     println!("{}", ts.to_text().trim_end());
                 }
-                let value = parsed.flag("timeseries").unwrap_or("true");
-                let path = if value == "true" {
-                    "serve_timeseries.json"
-                } else {
-                    value
-                };
-                std::fs::write(path, ts.to_json())
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
-                println!("{path}");
+                write_artifact(path, ts.to_json())?;
             }
-            if let Some(sink) = sink {
-                let value = parsed.flag("chrome-trace").unwrap_or("true");
-                let path = if value == "true" {
-                    "serve_trace.json"
-                } else {
-                    value
-                };
-                std::fs::write(path, sink.into_json())
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
-                println!("{path}");
+            if let (Some(sink), Some(path)) = (sink, trace_path) {
+                write_artifact(path, sink.into_json())?;
             }
-            Ok(())
         }
-        other => Err(format!("unknown command `{other}`; try `fuseconv help`")),
+        other => return Err(format!("unknown command `{other}`; try `fuseconv help`").into()),
     }
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -919,7 +709,7 @@ fn main() -> ExitCode {
     match run(&parsed) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            telemetry::log::error("cli", &e);
+            telemetry::log::error("cli", &e.to_string());
             ExitCode::FAILURE
         }
     }
@@ -941,7 +731,7 @@ mod tests {
     #[test]
     fn unknown_command_errors() {
         let e = run(&parsed(&["frobnicate"])).unwrap_err();
-        assert!(e.contains("unknown command"));
+        assert!(e.to_string().contains("unknown command"));
     }
 
     #[test]
@@ -970,6 +760,23 @@ mod tests {
         assert!(run(&parsed(&["overhead", "--sizes", "8,32"])).is_ok());
         assert!(run(&parsed(&["scaling", "--sizes", "8"])).is_ok());
         assert!(run(&parsed(&["scaling", "--sizes", "8,x"])).is_err());
+    }
+
+    #[test]
+    fn zero_sizes_are_rejected() {
+        for cmd in ["overhead", "scaling"] {
+            let e = run(&parsed(&[cmd, "--sizes", "8,0"])).unwrap_err();
+            assert!(e.to_string().contains("nonzero"), "{cmd}: {e}");
+        }
+    }
+
+    #[test]
+    fn energy_rejects_degenerate_array_and_clock() {
+        assert!(run(&parsed(&["energy", "--array", "0"])).is_err());
+        for mhz in ["0", "-5", "nan", "inf"] {
+            let e = run(&parsed(&["energy", "--array", "8", "--mhz", mhz])).unwrap_err();
+            assert!(e.to_string().contains("--mhz"), "{mhz}: {e}");
+        }
     }
 
     #[test]
@@ -1296,6 +1103,27 @@ mod tests {
     }
 
     #[test]
+    fn serve_rejects_high_frac_outside_unit_interval() {
+        for frac in ["2", "-0.1", "nan"] {
+            let e = run(&parsed(&[
+                "serve",
+                "--pod",
+                "8x8:os",
+                "--requests",
+                "50",
+                "--high-frac",
+                frac,
+                "--force",
+            ]))
+            .unwrap_err();
+            assert!(
+                e.to_string().contains("high-priority fraction"),
+                "{frac}: {e}"
+            );
+        }
+    }
+
+    #[test]
     fn serve_preempt_switch_is_negatable() {
         // `--preempt=false` must really disable preemption: the
         // sharded-dispatch config check only rejects it when enabled.
@@ -1430,8 +1258,8 @@ mod tests {
             "1.5",
         ];
         let e = run(&parsed(&base)).unwrap_err();
-        assert!(e.contains("preflight"), "{e}");
-        assert!(e.contains("SRV001"), "{e}");
+        assert!(e.to_string().contains("preflight"), "{e}");
+        assert!(e.to_string().contains("SRV001"), "{e}");
         let mut forced = base.to_vec();
         forced.push("--force");
         assert!(run(&parsed(&forced)).is_ok());
@@ -1465,7 +1293,7 @@ mod tests {
             "1",
         ]))
         .unwrap_err();
-        assert!(e.contains("bucketed"), "{e}");
+        assert!(e.to_string().contains("bucketed"), "{e}");
         assert!(run(&parsed(&[
             "serve",
             "--pod",
@@ -1506,7 +1334,7 @@ mod tests {
             "1.5",
         ]))
         .unwrap_err();
-        assert!(e.contains("error-severity"), "{e}");
+        assert!(e.to_string().contains("error-severity"), "{e}");
     }
 
     #[test]
@@ -1530,7 +1358,7 @@ mod tests {
             out,
         ]))
         .unwrap_err();
-        assert!(e.contains("error-severity"), "{e}");
+        assert!(e.to_string().contains("error-severity"), "{e}");
         let text = std::fs::read_to_string(out).unwrap();
         assert!(text.contains("\"rule\":\"SRV001\""), "{text}");
         std::fs::remove_file(out).unwrap();

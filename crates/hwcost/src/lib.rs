@@ -171,15 +171,6 @@ impl ArrayCost {
     pub fn power_mw(&self) -> f64 {
         self.power_uw / 1e3
     }
-
-    /// Serializes to a single JSON object (hand-rolled; the workspace
-    /// carries no serde).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"rows\":{},\"cols\":{},\"broadcast\":{},\"area_um2\":{},\"power_uw\":{}}}",
-            self.rows, self.cols, self.broadcast, self.area_um2, self.power_uw
-        )
-    }
 }
 
 impl fmt::Display for ArrayCost {
@@ -203,17 +194,6 @@ pub struct Overhead {
     pub area_pct: f64,
     /// Power overhead in percent.
     pub power_pct: f64,
-}
-
-impl Overhead {
-    /// Serializes to a single JSON object (hand-rolled; the workspace
-    /// carries no serde).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"area_pct\":{},\"power_pct\":{}}}",
-            self.area_pct, self.power_pct
-        )
-    }
 }
 
 impl fmt::Display for Overhead {
@@ -308,18 +288,6 @@ mod tests {
         assert!(c.to_string().contains("+broadcast"));
         let o = tech.broadcast_overhead(32, 32);
         assert!(o.to_string().contains('%'));
-    }
-
-    #[test]
-    fn json_writers_emit_objects() {
-        let tech = TechnologyProfile::nangate45();
-        let j = tech.array_cost(8, 8, true).to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"broadcast\":true"));
-        assert!(tech
-            .broadcast_overhead(8, 8)
-            .to_json()
-            .contains("\"area_pct\":"));
     }
 
     #[test]

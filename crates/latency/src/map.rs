@@ -69,6 +69,17 @@ pub enum Dataflow {
     InputStationary,
 }
 
+impl Dataflow {
+    /// Short name: `os`, `ws` or `is` (CLI pod specs, manifests, reports).
+    pub fn short_name(self) -> &'static str {
+        match self {
+            Dataflow::OutputStationary => "os",
+            Dataflow::WeightStationary => "ws",
+            Dataflow::InputStationary => "is",
+        }
+    }
+}
+
 /// How consecutive folds of one operator share the array in time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FoldOverlap {

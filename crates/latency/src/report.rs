@@ -4,7 +4,6 @@
 use crate::map::{LatencyError, LatencyModel};
 use fuseconv_models::Network;
 use fuseconv_nn::ops::OpClass;
-use fuseconv_telemetry::json_escape;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -23,21 +22,6 @@ pub struct OpLatency {
     pub macs: u64,
     /// Estimated cycles.
     pub cycles: u64,
-}
-
-impl OpLatency {
-    /// Serializes to a single JSON object. `class` is omitted, matching
-    /// the crate's historical wire format.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"block_index\":{},\"block_name\":\"{}\",\"op_label\":\"{}\",\"macs\":{},\"cycles\":{}}}",
-            self.block_index,
-            json_escape(&self.block_name),
-            json_escape(&self.op_label),
-            self.macs,
-            self.cycles
-        )
-    }
 }
 
 /// Aggregate latency of one network block.
@@ -139,19 +123,6 @@ impl NetworkLatency {
     /// Speed-up of `self` relative to `baseline` (`>1` means faster).
     pub fn speedup_over(&self, baseline: &NetworkLatency) -> f64 {
         baseline.total_cycles as f64 / self.total_cycles as f64
-    }
-
-    /// Serializes the whole report to JSON (hand-rolled; the workspace
-    /// carries no serde).
-    pub fn to_json(&self) -> String {
-        let ops: Vec<String> = self.ops.iter().map(|o| o.to_json()).collect();
-        format!(
-            "{{\"network\":\"{}\",\"variant\":\"{}\",\"total_cycles\":{},\"ops\":[{}]}}",
-            json_escape(&self.network),
-            json_escape(&self.variant),
-            self.total_cycles,
-            ops.join(",")
-        )
     }
 
     /// Serializes the per-operator detail to CSV, one row per operator
@@ -396,13 +367,9 @@ mod tests {
     }
 
     #[test]
-    fn json_and_csv_writers_cover_every_op() {
+    fn csv_writer_covers_every_op() {
         let net = zoo::mobilenet_v2();
         let r = estimate_network(&model64(), &net).unwrap();
-        let json = r.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains(&format!("\"total_cycles\":{}", r.total_cycles)));
-        assert_eq!(json.matches("\"op_label\":").count(), r.ops.len());
         let csv = r.to_csv();
         assert_eq!(csv.lines().count(), r.ops.len() + 1);
         assert!(csv.starts_with("block_index,block_name,op_label,class,macs,cycles"));

@@ -4,10 +4,10 @@
 //! `perf_schema` golden test).
 
 use crate::counters::PerfCounters;
-use fuseconv_latency::memory::{network_traffic, roofline, Roofline, Traffic};
-use fuseconv_latency::{estimate_network, Dataflow, LatencyError, LatencyModel};
+use fuseconv_latency::memory::{network_traffic, roofline, Bound, Roofline, Traffic};
+use fuseconv_latency::{estimate_network, LatencyError, LatencyModel};
 use fuseconv_models::Network;
-use fuseconv_telemetry::{json_escape, RunManifest};
+use fuseconv_telemetry::{Json, Layout, RunManifest};
 use std::fmt::Write as _;
 
 /// Analytic performance counters for one operator of a network.
@@ -86,11 +86,7 @@ pub fn network_perf_report(
     let roofline = roofline(model, network, &latency, bytes_per_elem, bytes_per_cycle)?;
     let manifest = RunManifest::capture()
         .with_array(rows, cols, model.array().has_broadcast())
-        .with_dataflow(match model.dataflow() {
-            Dataflow::OutputStationary => "os",
-            Dataflow::WeightStationary => "ws",
-            Dataflow::InputStationary => "is",
-        });
+        .with_dataflow(model.dataflow().short_name());
     Ok(PerfReport {
         network: network.name().to_string(),
         variant: variant.to_string(),
@@ -312,121 +308,78 @@ impl PerfReport {
 
     /// Renders the report as JSON (schema `fuseconv-perf-v1`).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema\": \"fuseconv-perf-v1\",");
-        let _ = writeln!(out, "  \"network\": \"{}\",", json_escape(&self.network));
-        let _ = writeln!(out, "  \"variant\": \"{}\",", json_escape(&self.variant));
-        let _ = writeln!(
-            out,
-            "  \"array\": {{ \"rows\": {}, \"cols\": {}, \"pe_count\": {} }},",
-            self.rows,
-            self.cols,
-            self.pe_count()
-        );
-        let _ = writeln!(out, "  \"totals\": {{");
-        let _ = writeln!(out, "    \"cycles\": {},", self.total_cycles());
-        let _ = writeln!(out, "    \"fill\": {},", self.total_fill());
-        let _ = writeln!(out, "    \"active\": {},", self.total_active());
-        let _ = writeln!(out, "    \"bubble\": {},", self.total_bubble());
-        let _ = writeln!(out, "    \"drain\": {},", self.total_drain());
-        let _ = writeln!(
-            out,
-            "    \"busy_pe_cycles\": {},",
-            self.total_busy_pe_cycles()
-        );
-        let _ = writeln!(out, "    \"stall_pe_cycles\": {},", self.stall_pe_cycles());
-        let _ = writeln!(
-            out,
-            "    \"broadcast_ticks\": {},",
-            self.total_broadcast_ticks()
-        );
-        let _ = writeln!(out, "    \"utilization\": {:.6},", self.utilization());
-        let _ = writeln!(
-            out,
-            "    \"compute_stall_fraction\": {:.6}",
-            self.compute_stall_fraction()
-        );
-        let _ = writeln!(out, "  }},");
-        let _ = writeln!(out, "  \"roofline\": {{");
-        let _ = writeln!(out, "    \"bytes_per_elem\": {},", self.bytes_per_elem);
-        let _ = writeln!(out, "    \"bytes_per_cycle\": {},", self.bytes_per_cycle);
-        let _ = writeln!(
-            out,
-            "    \"compute_cycles\": {},",
-            self.roofline.compute_cycles
-        );
-        let _ = writeln!(
-            out,
-            "    \"transfer_cycles\": {},",
-            self.roofline.transfer_cycles
-        );
-        let _ = writeln!(
-            out,
-            "    \"bound_cycles\": {},",
-            self.roofline.bound_cycles()
-        );
-        let _ = writeln!(
-            out,
-            "    \"bound\": \"{}\",",
-            match self.roofline.bound {
-                fuseconv_latency::memory::Bound::Compute => "compute",
-                fuseconv_latency::memory::Bound::Memory => "memory",
-            }
-        );
-        let _ = writeln!(out, "    \"peak_macs_per_cycle\": {},", self.pe_count());
-        let _ = writeln!(
-            out,
-            "    \"achieved_macs_per_cycle\": {:.6},",
-            self.achieved_macs_per_cycle()
-        );
-        let _ = writeln!(
-            out,
-            "    \"arithmetic_intensity\": {:.6},",
-            self.arithmetic_intensity()
-        );
-        let _ = writeln!(
-            out,
-            "    \"machine_balance\": {:.6}",
-            self.machine_balance()
-        );
-        let _ = writeln!(out, "  }},");
-        let _ = writeln!(out, "  \"traffic\": {{");
-        let _ = writeln!(out, "    \"input_elems\": {},", self.traffic.input_elems);
-        let _ = writeln!(out, "    \"weight_elems\": {},", self.traffic.weight_elems);
-        let _ = writeln!(out, "    \"output_elems\": {},", self.traffic.output_elems);
-        let _ = writeln!(out, "    \"total_elems\": {}", self.traffic.total());
-        let _ = writeln!(out, "  }},");
-        let _ = writeln!(out, "  \"ops\": [");
-        for (i, op) in self.ops.iter().enumerate() {
-            let c = &op.counters;
-            let _ = writeln!(out, "    {{");
-            let _ = writeln!(out, "      \"block\": \"{}\",", json_escape(&op.block));
-            let _ = writeln!(out, "      \"op\": \"{}\",", json_escape(&op.op));
-            let _ = writeln!(out, "      \"cycles\": {},", c.cycles());
-            let _ = writeln!(out, "      \"fill\": {},", c.fill());
-            let _ = writeln!(out, "      \"active\": {},", c.active());
-            let _ = writeln!(out, "      \"bubble\": {},", c.bubble());
-            let _ = writeln!(out, "      \"drain\": {},", c.drain());
-            let _ = writeln!(out, "      \"busy_pe_cycles\": {},", c.busy_pe_cycles());
-            let _ = writeln!(out, "      \"broadcast_ticks\": {},", c.broadcast_ticks());
-            let _ = writeln!(out, "      \"folds\": {},", c.folds().len());
-            let _ = writeln!(out, "      \"utilization\": {:.6},", c.utilization());
-            let _ = writeln!(
-                out,
-                "      \"compute_stall_fraction\": {:.6}",
-                c.compute_stall_fraction()
-            );
-            let _ = write!(out, "    }}");
-            out.push_str(if i + 1 < self.ops.len() { ",\n" } else { "\n" });
-        }
-        let _ = writeln!(out, "  ],");
-        let _ = writeln!(
-            out,
-            "  \"manifest\": {}",
-            self.manifest.to_json_pretty("  ")
-        );
-        out.push_str("}\n");
-        out
+        let f6 = |v: f64| format!("{v:.6}");
+        let mut j = Json::pretty();
+        j.str("schema", "fuseconv-perf-v1")
+            .str("network", &self.network)
+            .str("variant", &self.variant)
+            .nest("array", Layout::Inline, '{', |j| {
+                j.raw("rows", self.rows)
+                    .raw("cols", self.cols)
+                    .raw("pe_count", self.pe_count());
+            })
+            .obj("totals", |j| {
+                j.raw("cycles", self.total_cycles())
+                    .raw("fill", self.total_fill())
+                    .raw("active", self.total_active())
+                    .raw("bubble", self.total_bubble())
+                    .raw("drain", self.total_drain())
+                    .raw("busy_pe_cycles", self.total_busy_pe_cycles())
+                    .raw("stall_pe_cycles", self.stall_pe_cycles())
+                    .raw("broadcast_ticks", self.total_broadcast_ticks())
+                    .raw("utilization", f6(self.utilization()))
+                    .raw("compute_stall_fraction", f6(self.compute_stall_fraction()));
+            })
+            .obj("roofline", |j| {
+                let r = &self.roofline;
+                j.raw("bytes_per_elem", self.bytes_per_elem)
+                    .raw("bytes_per_cycle", self.bytes_per_cycle)
+                    .raw("compute_cycles", r.compute_cycles)
+                    .raw("transfer_cycles", r.transfer_cycles)
+                    .raw("bound_cycles", r.bound_cycles())
+                    .str(
+                        "bound",
+                        match r.bound {
+                            Bound::Compute => "compute",
+                            Bound::Memory => "memory",
+                        },
+                    )
+                    .raw("peak_macs_per_cycle", self.pe_count())
+                    .raw(
+                        "achieved_macs_per_cycle",
+                        f6(self.achieved_macs_per_cycle()),
+                    )
+                    .raw("arithmetic_intensity", f6(self.arithmetic_intensity()))
+                    .raw("machine_balance", f6(self.machine_balance()));
+            })
+            .obj("traffic", |j| {
+                let t = &self.traffic;
+                j.raw("input_elems", t.input_elems)
+                    .raw("weight_elems", t.weight_elems)
+                    .raw("output_elems", t.output_elems)
+                    .raw("total_elems", t.total());
+            })
+            .arr("ops", |j| {
+                for op in &self.ops {
+                    let c = &op.counters;
+                    j.obj("", |j| {
+                        j.str("block", &op.block)
+                            .str("op", &op.op)
+                            .raw("cycles", c.cycles())
+                            .raw("fill", c.fill())
+                            .raw("active", c.active())
+                            .raw("bubble", c.bubble())
+                            .raw("drain", c.drain())
+                            .raw("busy_pe_cycles", c.busy_pe_cycles())
+                            .raw("broadcast_ticks", c.broadcast_ticks())
+                            .raw("folds", c.folds().len())
+                            .raw("utilization", f6(c.utilization()))
+                            .raw("compute_stall_fraction", f6(c.compute_stall_fraction()));
+                    });
+                }
+            })
+            .manifest(&self.manifest);
+        j.finish() + "\n"
     }
 }
 

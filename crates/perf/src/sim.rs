@@ -1,4 +1,4 @@
-//! Counted simulation wrappers: every entry point returns its result
+//! Counted simulation: every entry point returns its result
 //! *plus* fully cycle-accounted [`PerfCounters`], with the accountability
 //! invariant (`fill + active + bubble + drain == SimResult::cycles()`)
 //! enforced by `debug_assert` in debug builds.
@@ -7,16 +7,29 @@ use crate::counters::{CounterSink, PerfCounters};
 use fuseconv_core::trace::{simulate_op_traced, TraceError, TracedSim};
 use fuseconv_latency::{LatencyError, LatencyModel};
 use fuseconv_nn::ops::Op;
-use fuseconv_systolic::conv1d::ChannelLines;
-use fuseconv_systolic::{conv1d, gemm, is_gemm, ws_gemm, ArrayConfig, ConfigError, SimResult};
-use fuseconv_tensor::Tensor;
+use fuseconv_systolic::{ArrayConfig, SimResult};
 use fuseconv_trace::FoldSpec;
 
-/// Debug-build enforcement of the hard invariant: every simulated cycle is
-/// attributed to exactly one category, and the PE·cycle work counters
-/// match the simulator's own accounting.
-fn audited(sink: CounterSink, sim: &SimResult) -> PerfCounters {
+/// Runs one traced simulation through a [`CounterSink`] sized to `cfg`
+/// and returns its result with the audited counters, e.g.
+/// `counted(&cfg, |sink| gemm::simulate_traced(&cfg, &a, &b, sink))`.
+/// Every cycle-exact simulator (`gemm`, `ws_gemm`, `is_gemm`,
+/// `conv1d::simulate_traced`, `conv1d::simulate_packed_traced`) plugs in
+/// the same way.
+///
+/// # Errors
+///
+/// Whatever `simulate` returns.
+pub fn counted<E>(
+    cfg: &ArrayConfig,
+    simulate: impl FnOnce(&mut CounterSink) -> Result<SimResult, E>,
+) -> Result<(SimResult, PerfCounters), E> {
+    let mut sink = CounterSink::new(cfg.rows(), cfg.cols());
+    let sim = simulate(&mut sink)?;
     let counters = sink.into_counters();
+    // Debug-build enforcement of the hard invariant: every simulated
+    // cycle is attributed to exactly one category, and the PE·cycle
+    // work counters match the simulator's own accounting.
     debug_assert!(
         counters.verify_total(sim.cycles()).is_ok(),
         "{}",
@@ -30,85 +43,6 @@ fn audited(sink: CounterSink, sim: &SimResult) -> PerfCounters {
         sim.busy_pe_cycles(),
         "counter busy_pe_cycles diverged from SimResult"
     );
-    counters
-}
-
-/// Output-stationary GEMM with performance counters.
-///
-/// # Errors
-///
-/// Same as [`gemm::simulate`].
-pub fn gemm_counted(
-    cfg: &ArrayConfig,
-    a: &Tensor,
-    b: &Tensor,
-) -> Result<(SimResult, PerfCounters), ConfigError> {
-    let mut sink = CounterSink::new(cfg.rows(), cfg.cols());
-    let sim = gemm::simulate_traced(cfg, a, b, &mut sink)?;
-    let counters = audited(sink, &sim);
-    Ok((sim, counters))
-}
-
-/// Weight-stationary GEMM with performance counters.
-///
-/// # Errors
-///
-/// Same as [`ws_gemm::simulate`].
-pub fn ws_gemm_counted(
-    cfg: &ArrayConfig,
-    a: &Tensor,
-    b: &Tensor,
-) -> Result<(SimResult, PerfCounters), ConfigError> {
-    let mut sink = CounterSink::new(cfg.rows(), cfg.cols());
-    let sim = ws_gemm::simulate_traced(cfg, a, b, &mut sink)?;
-    let counters = audited(sink, &sim);
-    Ok((sim, counters))
-}
-
-/// Input-stationary GEMM with performance counters.
-///
-/// # Errors
-///
-/// Same as [`is_gemm::simulate`].
-pub fn is_gemm_counted(
-    cfg: &ArrayConfig,
-    a: &Tensor,
-    b: &Tensor,
-) -> Result<(SimResult, PerfCounters), ConfigError> {
-    let mut sink = CounterSink::new(cfg.rows(), cfg.cols());
-    let sim = is_gemm::simulate_traced(cfg, a, b, &mut sink)?;
-    let counters = audited(sink, &sim);
-    Ok((sim, counters))
-}
-
-/// Row-broadcast 1-D convolution batch with performance counters.
-///
-/// # Errors
-///
-/// Same as [`conv1d::simulate`].
-pub fn conv1d_counted(
-    cfg: &ArrayConfig,
-    inputs: &[Vec<f32>],
-    kernels: &[Vec<f32>],
-) -> Result<(SimResult, PerfCounters), ConfigError> {
-    let mut sink = CounterSink::new(cfg.rows(), cfg.cols());
-    let sim = conv1d::simulate_traced(cfg, inputs, kernels, &mut sink)?;
-    let counters = audited(sink, &sim);
-    Ok((sim, counters))
-}
-
-/// Line-packed row-broadcast 1-D convolution with performance counters.
-///
-/// # Errors
-///
-/// Same as [`conv1d::simulate_packed`].
-pub fn conv1d_packed_counted(
-    cfg: &ArrayConfig,
-    work: &[ChannelLines],
-) -> Result<(SimResult, PerfCounters), ConfigError> {
-    let mut sink = CounterSink::new(cfg.rows(), cfg.cols());
-    let sim = conv1d::simulate_packed_traced(cfg, work, &mut sink)?;
-    let counters = audited(sink, &sim);
     Ok((sim, counters))
 }
 
@@ -125,10 +59,14 @@ pub fn simulate_op_counted(
     op: &Op,
 ) -> Result<(TracedSim, PerfCounters), TraceError> {
     let _span = fuseconv_telemetry::span("perf.sim_counted");
-    let mut sink = CounterSink::new(model.array().rows(), model.array().cols());
-    let traced = simulate_op_traced(model, op, &mut sink)?;
-    let counters = audited(sink, &traced.sim);
-    Ok((traced, counters))
+    let mut repeats = 1;
+    let (sim, counters) = counted(model.array(), |sink| {
+        simulate_op_traced(model, op, sink).map(|traced| {
+            repeats = traced.repeats;
+            traced.sim
+        })
+    })?;
+    Ok((TracedSim { sim, repeats }, counters))
 }
 
 /// Performance counters derived from an analytic fold plan by event
@@ -170,7 +108,9 @@ pub fn plan_counters(model: &LatencyModel, op: &Op) -> Result<PerfCounters, Late
 mod tests {
     use super::*;
     use fuseconv_nn::ops::Axis1d;
+    use fuseconv_systolic::{conv1d, gemm, is_gemm, ws_gemm};
     use fuseconv_tensor::rng::Rng;
+    use fuseconv_tensor::Tensor;
 
     fn cfg(side: usize) -> ArrayConfig {
         ArrayConfig::square(side).unwrap().with_broadcast(true)
@@ -191,9 +131,18 @@ mod tests {
         let b = tensor(&mut rng, &[7, 12]);
         let cfg = cfg(8);
         for (name, result) in [
-            ("os", gemm_counted(&cfg, &a, &b)),
-            ("ws", ws_gemm_counted(&cfg, &a, &b)),
-            ("is", is_gemm_counted(&cfg, &a, &b)),
+            (
+                "os",
+                counted(&cfg, |s| gemm::simulate_traced(&cfg, &a, &b, s)),
+            ),
+            (
+                "ws",
+                counted(&cfg, |s| ws_gemm::simulate_traced(&cfg, &a, &b, s)),
+            ),
+            (
+                "is",
+                counted(&cfg, |s| is_gemm::simulate_traced(&cfg, &a, &b, s)),
+            ),
         ] {
             let (sim, counters) = result.unwrap();
             counters
@@ -209,7 +158,11 @@ mod tests {
     fn conv1d_counts_broadcast_ticks() {
         let inputs: Vec<Vec<f32>> = (0..5).map(|i| vec![i as f32; 9]).collect();
         let kernels: Vec<Vec<f32>> = (0..5).map(|_| vec![1.0, 2.0, 3.0]).collect();
-        let (sim, counters) = conv1d_counted(&cfg(4), &inputs, &kernels).unwrap();
+        let cfg = cfg(4);
+        let (sim, counters) = counted(&cfg, |s| {
+            conv1d::simulate_traced(&cfg, &inputs, &kernels, s)
+        })
+        .unwrap();
         counters.verify_total(sim.cycles()).unwrap();
         // Every fold broadcasts one tap per used row per compute cycle.
         let expected: u64 = counters

@@ -610,6 +610,12 @@ pub fn simulate_observed(
             cfg.load
         )));
     }
+    if !(0.0..=1.0).contains(&cfg.high_priority_frac) {
+        return Err(ServeError::Config(format!(
+            "high-priority fraction must lie in [0, 1], got {}",
+            cfg.high_priority_frac
+        )));
+    }
     if cfg.preemption && cfg.dispatch == Dispatch::Sharded {
         return Err(ServeError::Config(
             "preemption requires whole-request dispatch".to_string(),
@@ -808,7 +814,7 @@ pub fn simulate_observed(
             name: spec.name(),
             rows: spec.rows,
             cols: spec.cols,
-            dataflow: spec.dataflow_name().to_string(),
+            dataflow: spec.dataflow.short_name().to_string(),
             batches: state.batches,
             requests: state.requests,
             busy_cycles: state.busy_cycles,

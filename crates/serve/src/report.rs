@@ -8,7 +8,7 @@
 //! though manifests differ in wall-clock fields. Schema pinned by
 //! `tests/serve_schema.rs`.
 
-use fuseconv_telemetry::{fnv1a64, json_escape, RunManifest};
+use fuseconv_telemetry::{Json, RunManifest};
 use std::fmt::Write as _;
 
 /// Nearest-rank percentile of an ascending-sorted slice, `q` in
@@ -197,128 +197,92 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// Renders every deterministic field (everything except the
-    /// manifest) — the byte stream behind [`Self::results_hash`].
-    fn results_body(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "  \"schema\": \"fuseconv-serve-v1\",");
-        let _ = writeln!(out, "  \"config\": {{");
-        let _ = writeln!(out, "    \"pod\": \"{}\",", json_escape(&self.pod));
-        let _ = writeln!(out, "    \"policy\": \"{}\",", json_escape(&self.policy));
-        let _ = writeln!(
-            out,
-            "    \"dispatch\": \"{}\",",
-            json_escape(&self.dispatch)
-        );
-        let _ = writeln!(out, "    \"preemption\": {},", self.preemption);
-        let _ = writeln!(out, "    \"seed\": {},", self.seed);
-        let _ = writeln!(out, "    \"load\": {:.6},", self.load);
-        let _ = writeln!(out, "    \"queue_capacity\": {},", self.queue_capacity);
-        let _ = writeln!(out, "    \"slo_multiplier\": {:.6}", self.slo_multiplier);
-        let _ = writeln!(out, "  }},");
-        let _ = writeln!(out, "  \"totals\": {{");
-        let _ = writeln!(out, "    \"offered\": {},", self.offered);
-        let _ = writeln!(out, "    \"completed\": {},", self.completed);
-        let _ = writeln!(out, "    \"dropped\": {},", self.dropped);
-        let _ = writeln!(out, "    \"batches\": {},", self.batches);
-        let _ = writeln!(out, "    \"preemptions\": {},", self.preemptions);
-        let _ = writeln!(out, "    \"events\": {},", self.events);
-        let _ = writeln!(out, "    \"makespan_cycles\": {},", self.makespan_cycles);
-        let _ = writeln!(out, "    \"slo_met\": {},", self.slo_met);
-        let _ = writeln!(
-            out,
-            "    \"high_priority_completed\": {}",
-            self.high_priority_completed
-        );
-        let _ = writeln!(out, "  }},");
-        let _ = writeln!(out, "  \"latency_cycles\": {{");
-        let _ = writeln!(out, "    \"mean\": {:.3},", self.latency.mean);
-        let _ = writeln!(out, "    \"p50\": {},", self.latency.p50);
-        let _ = writeln!(out, "    \"p99\": {},", self.latency.p99);
-        let _ = writeln!(out, "    \"p999\": {},", self.latency.p999);
-        let _ = writeln!(out, "    \"max\": {}", self.latency.max);
-        let _ = writeln!(out, "  }},");
-        let _ = writeln!(out, "  \"high_priority_latency_cycles\": {{");
-        let _ = writeln!(out, "    \"mean\": {:.3},", self.high_priority_latency.mean);
-        let _ = writeln!(out, "    \"p50\": {},", self.high_priority_latency.p50);
-        let _ = writeln!(out, "    \"p99\": {},", self.high_priority_latency.p99);
-        let _ = writeln!(out, "    \"p999\": {},", self.high_priority_latency.p999);
-        let _ = writeln!(out, "    \"max\": {}", self.high_priority_latency.max);
-        let _ = writeln!(out, "  }},");
-        let _ = writeln!(out, "  \"queue_depth\": {{");
-        let _ = writeln!(out, "    \"mean\": {:.3},", self.queue.mean_depth);
-        let _ = writeln!(out, "    \"max\": {}", self.queue.max_depth);
-        let _ = writeln!(out, "  }},");
-        let _ = writeln!(out, "  \"throughput\": {{");
-        let _ = writeln!(
-            out,
-            "    \"offered_per_mcycle\": {:.6},",
-            self.offered_per_mcycle
-        );
-        let _ = writeln!(
-            out,
-            "    \"goodput_per_mcycle\": {:.6}",
-            self.goodput_per_mcycle
-        );
-        let _ = writeln!(out, "  }},");
-        let _ = writeln!(out, "  \"arrays\": [");
-        for (i, a) in self.arrays.iter().enumerate() {
-            let _ = writeln!(out, "    {{");
-            let _ = writeln!(out, "      \"name\": \"{}\",", json_escape(&a.name));
-            let _ = writeln!(out, "      \"rows\": {},", a.rows);
-            let _ = writeln!(out, "      \"cols\": {},", a.cols);
-            let _ = writeln!(out, "      \"dataflow\": \"{}\",", json_escape(&a.dataflow));
-            let _ = writeln!(out, "      \"batches\": {},", a.batches);
-            let _ = writeln!(out, "      \"requests\": {},", a.requests);
-            let _ = writeln!(out, "      \"busy_cycles\": {},", a.busy_cycles);
-            let _ = writeln!(out, "      \"utilization\": {:.6}", a.utilization);
-            let _ = write!(out, "    }}");
-            out.push_str(if i + 1 < self.arrays.len() {
-                ",\n"
-            } else {
-                "\n"
+    /// Every deterministic field (everything except the manifest), the
+    /// open document behind [`Self::results_hash`].
+    fn results(&self) -> Json {
+        let f3 = |v: f64| format!("{v:.3}");
+        let f6 = |v: f64| format!("{v:.6}");
+        let latency = |j: &mut Json, l: &LatencyStats| {
+            j.raw("mean", f3(l.mean))
+                .raw("p50", l.p50)
+                .raw("p99", l.p99)
+                .raw("p999", l.p999)
+                .raw("max", l.max);
+        };
+        let mut j = Json::pretty();
+        j.str("schema", "fuseconv-serve-v1")
+            .obj("config", |j| {
+                j.str("pod", &self.pod)
+                    .str("policy", &self.policy)
+                    .str("dispatch", &self.dispatch)
+                    .raw("preemption", self.preemption)
+                    .raw("seed", self.seed)
+                    .raw("load", f6(self.load))
+                    .raw("queue_capacity", self.queue_capacity)
+                    .raw("slo_multiplier", f6(self.slo_multiplier));
+            })
+            .obj("totals", |j| {
+                j.raw("offered", self.offered)
+                    .raw("completed", self.completed)
+                    .raw("dropped", self.dropped)
+                    .raw("batches", self.batches)
+                    .raw("preemptions", self.preemptions)
+                    .raw("events", self.events)
+                    .raw("makespan_cycles", self.makespan_cycles)
+                    .raw("slo_met", self.slo_met)
+                    .raw("high_priority_completed", self.high_priority_completed);
+            })
+            .obj("latency_cycles", |j| latency(j, &self.latency))
+            .obj("high_priority_latency_cycles", |j| {
+                latency(j, &self.high_priority_latency);
+            })
+            .obj("queue_depth", |j| {
+                j.raw("mean", f3(self.queue.mean_depth))
+                    .raw("max", self.queue.max_depth);
+            })
+            .obj("throughput", |j| {
+                j.raw("offered_per_mcycle", f6(self.offered_per_mcycle))
+                    .raw("goodput_per_mcycle", f6(self.goodput_per_mcycle));
+            })
+            .arr("arrays", |j| {
+                for a in &self.arrays {
+                    j.obj("", |j| {
+                        j.str("name", &a.name)
+                            .raw("rows", a.rows)
+                            .raw("cols", a.cols)
+                            .str("dataflow", &a.dataflow)
+                            .raw("batches", a.batches)
+                            .raw("requests", a.requests)
+                            .raw("busy_cycles", a.busy_cycles)
+                            .raw("utilization", f6(a.utilization));
+                    });
+                }
+            })
+            .arr("networks", |j| {
+                for n in &self.networks {
+                    j.obj("", |j| {
+                        j.str("name", &n.name)
+                            .raw("weight", n.weight)
+                            .raw("completed", n.completed)
+                            .raw("slo_target_cycles", n.slo_target_cycles)
+                            .raw("slo_met", n.slo_met);
+                    });
+                }
             });
-        }
-        let _ = writeln!(out, "  ],");
-        let _ = writeln!(out, "  \"networks\": [");
-        for (i, n) in self.networks.iter().enumerate() {
-            let _ = writeln!(out, "    {{");
-            let _ = writeln!(out, "      \"name\": \"{}\",", json_escape(&n.name));
-            let _ = writeln!(out, "      \"weight\": {},", n.weight);
-            let _ = writeln!(out, "      \"completed\": {},", n.completed);
-            let _ = writeln!(out, "      \"slo_target_cycles\": {},", n.slo_target_cycles);
-            let _ = writeln!(out, "      \"slo_met\": {}", n.slo_met);
-            let _ = write!(out, "    }}");
-            out.push_str(if i + 1 < self.networks.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        let _ = writeln!(out, "  ],");
-        out
+        j
     }
 
     /// `fnv1a64:<16 hex>` fingerprint of every deterministic result
     /// field. Two same-seed runs must produce identical hashes — the
     /// CI serve job diffs exactly this.
     pub fn results_hash(&self) -> String {
-        format!("fnv1a64:{:016x}", fnv1a64(self.results_body().as_bytes()))
+        self.results().fingerprint()
     }
 
     /// Renders the report as JSON (schema `fuseconv-serve-v1`), the
     /// determinism fingerprint and embedded run manifest included.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&self.results_body());
-        let _ = writeln!(out, "  \"results_fnv1a64\": \"{}\",", self.results_hash());
-        let _ = writeln!(
-            out,
-            "  \"manifest\": {}",
-            self.manifest.to_json_pretty("  ")
-        );
-        out.push_str("}\n");
-        out
+        self.results().finish_fingerprinted(&self.manifest)
     }
 
     /// Renders the report as a human-readable text summary.

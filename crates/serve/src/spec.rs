@@ -110,16 +110,7 @@ impl ArraySpec {
     /// Short display name, e.g. `64x64:os` — also the Chrome-trace lane
     /// label and the per-array report key.
     pub fn name(&self) -> String {
-        format!("{}x{}:{}", self.rows, self.cols, self.dataflow_name())
-    }
-
-    /// The dataflow as its CLI short name (`os` / `ws` / `is`).
-    pub fn dataflow_name(&self) -> &'static str {
-        match self.dataflow {
-            Dataflow::OutputStationary => "os",
-            Dataflow::WeightStationary => "ws",
-            Dataflow::InputStationary => "is",
-        }
+        format!("{}x{}:{}", self.rows, self.cols, self.dataflow.short_name())
     }
 
     /// Pipeline-refill penalty a preemption charges the victim on this

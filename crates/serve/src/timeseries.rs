@@ -35,7 +35,7 @@
 use crate::report::LatencyStats;
 use crate::spec::ServeError;
 use crate::trace::PodTraceSink;
-use fuseconv_telemetry::{fnv1a64, json_escape, QuantileSketch, RunManifest};
+use fuseconv_telemetry::{Json, Layout, QuantileSketch, RunManifest};
 use std::fmt::Write as _;
 
 /// Schema tag of the time-series artifact.
@@ -832,175 +832,134 @@ pub struct TimeSeriesReport {
 }
 
 impl TimeSeriesReport {
-    /// Renders every deterministic field (everything except the
-    /// manifest) — the byte stream behind [`Self::results_hash`].
-    fn results_body(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "  \"schema\": \"{TIMESERIES_SCHEMA}\",");
-        let _ = writeln!(out, "  \"config\": {{");
-        let _ = writeln!(out, "    \"window_cycles\": {},", self.window_cycles);
-        let _ = writeln!(out, "    \"objective\": {:.6},", self.objective);
-        let _ = writeln!(out, "    \"fast_windows\": {},", self.fast_windows);
-        let _ = writeln!(out, "    \"slow_windows\": {},", self.slow_windows);
-        let _ = writeln!(out, "    \"burn_threshold\": {:.6},", self.burn_threshold);
-        let _ = writeln!(
-            out,
-            "    \"exemplar_capacity\": {},",
-            self.exemplar_capacity
-        );
-        let _ = writeln!(
-            out,
-            "    \"sketch_relative_error_bound\": {:.6}",
-            QuantileSketch::RELATIVE_ERROR_BOUND
-        );
-        let _ = writeln!(out, "  }},");
+    /// Every deterministic field (everything except the manifest), the
+    /// open document behind [`Self::results_hash`].
+    fn results(&self) -> Json {
         let (offered, completed, dropped, slo_met) = self
             .windows
             .iter()
             .fold((0u64, 0u64, 0u64, 0u64), |(o, c, d, s), w| {
                 (o + w.offered, c + w.completed, d + w.dropped, s + w.slo_met)
             });
-        let _ = writeln!(out, "  \"totals\": {{");
-        let _ = writeln!(out, "    \"windows\": {},", self.windows.len());
-        let _ = writeln!(out, "    \"alerts\": {},", self.alerts.len());
-        let _ = writeln!(out, "    \"makespan_cycles\": {},", self.makespan_cycles);
-        let _ = writeln!(out, "    \"offered\": {offered},");
-        let _ = writeln!(out, "    \"completed\": {completed},");
-        let _ = writeln!(out, "    \"dropped\": {dropped},");
-        let _ = writeln!(out, "    \"slo_met\": {slo_met}");
-        let _ = writeln!(out, "  }},");
-        let _ = writeln!(out, "  \"latency_sketch\": {{");
-        let _ = writeln!(out, "    \"count\": {},", self.total.count);
-        let _ = writeln!(out, "    \"mean\": {:.3},", self.total.mean);
-        let _ = writeln!(out, "    \"min\": {},", self.total.min);
-        let _ = writeln!(out, "    \"p50\": {},", self.total.p50);
-        let _ = writeln!(out, "    \"p99\": {},", self.total.p99);
-        let _ = writeln!(out, "    \"p999\": {},", self.total.p999);
-        let _ = writeln!(out, "    \"max\": {}", self.total.max);
-        let _ = writeln!(out, "  }},");
-        let quoted = |names: &[String]| {
-            names
-                .iter()
-                .map(|n| format!("\"{}\"", json_escape(n)))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let _ = writeln!(out, "  \"arrays\": [{}],", quoted(&self.arrays));
-        let _ = writeln!(out, "  \"networks\": [{}],", quoted(&self.networks));
-        let _ = writeln!(out, "  \"windows\": [");
-        let fmt_f64s = |vals: &[f64]| {
-            vals.iter()
-                .map(|v| format!("{v:.6}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let fmt_u64s = |vals: &[u64]| {
-            vals.iter()
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        for (i, w) in self.windows.iter().enumerate() {
-            let _ = writeln!(out, "    {{");
-            let _ = writeln!(out, "      \"index\": {},", w.index);
-            let _ = writeln!(
-                out,
-                "      \"start_cycle\": {},",
-                w.index * self.window_cycles
-            );
-            let _ = writeln!(out, "      \"offered\": {},", w.offered);
-            let _ = writeln!(out, "      \"completed\": {},", w.completed);
-            let _ = writeln!(out, "      \"dropped\": {},", w.dropped);
-            let _ = writeln!(out, "      \"slo_met\": {},", w.slo_met);
-            let _ = writeln!(out, "      \"queue_min\": {},", w.queue_min);
-            let _ = writeln!(out, "      \"queue_mean\": {:.3},", w.queue_mean);
-            let _ = writeln!(out, "      \"queue_max\": {},", w.queue_max);
-            let _ = writeln!(out, "      \"busy_frac\": [{}],", fmt_f64s(&w.busy_frac));
-            let _ = writeln!(
-                out,
-                "      \"net_completed\": [{}],",
-                fmt_u64s(&w.net_completed)
-            );
-            let _ = writeln!(
-                out,
-                "      \"net_slo_met\": [{}],",
-                fmt_u64s(&w.net_slo_met)
-            );
-            let _ = writeln!(out, "      \"p50\": {},", w.p50);
-            let _ = writeln!(out, "      \"p99\": {},", w.p99);
-            let _ = writeln!(out, "      \"p999\": {}", w.p999);
-            let _ = write!(out, "    }}");
-            out.push_str(if i + 1 < self.windows.len() {
-                ",\n"
-            } else {
-                "\n"
+        let f3 = |v: f64| format!("{v:.3}");
+        let f6 = |v: f64| format!("{v:.6}");
+        let mut j = Json::pretty();
+        j.str("schema", TIMESERIES_SCHEMA)
+            .obj("config", |j| {
+                j.raw("window_cycles", self.window_cycles)
+                    .raw("objective", f6(self.objective))
+                    .raw("fast_windows", self.fast_windows)
+                    .raw("slow_windows", self.slow_windows)
+                    .raw("burn_threshold", f6(self.burn_threshold))
+                    .raw("exemplar_capacity", self.exemplar_capacity)
+                    .raw(
+                        "sketch_relative_error_bound",
+                        f6(QuantileSketch::RELATIVE_ERROR_BOUND),
+                    );
+            })
+            .obj("totals", |j| {
+                j.raw("windows", self.windows.len())
+                    .raw("alerts", self.alerts.len())
+                    .raw("makespan_cycles", self.makespan_cycles)
+                    .raw("offered", offered)
+                    .raw("completed", completed)
+                    .raw("dropped", dropped)
+                    .raw("slo_met", slo_met);
+            })
+            .obj("latency_sketch", |j| {
+                let t = &self.total;
+                j.raw("count", t.count)
+                    .raw("mean", f3(t.mean))
+                    .raw("min", t.min)
+                    .raw("p50", t.p50)
+                    .raw("p99", t.p99)
+                    .raw("p999", t.p999)
+                    .raw("max", t.max);
             });
-        }
-        let _ = writeln!(out, "  ],");
-        let _ = writeln!(out, "  \"alerts\": [");
-        for (i, a) in self.alerts.iter().enumerate() {
-            let _ = writeln!(out, "    {{");
-            let _ = writeln!(out, "      \"start_window\": {},", a.start_window);
-            let _ = writeln!(out, "      \"end_window\": {},", a.end_window);
-            let _ = writeln!(
-                out,
-                "      \"peak_fast_miss_rate\": {:.6},",
-                a.peak_fast_miss_rate
-            );
-            let _ = writeln!(out, "      \"peak_burn_rate\": {:.3}", a.peak_burn_rate);
-            let _ = write!(out, "    }}");
-            out.push_str(if i + 1 < self.alerts.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        let _ = writeln!(out, "  ],");
-        let _ = writeln!(out, "  \"exemplars\": [");
-        for (i, e) in self.exemplars.iter().enumerate() {
-            let name = self.networks.get(e.net).map(String::as_str).unwrap_or("?");
-            let _ = writeln!(out, "    {{");
-            let _ = writeln!(out, "      \"id\": {},", e.id);
-            let _ = writeln!(out, "      \"network\": \"{}\",", json_escape(name));
-            let _ = writeln!(out, "      \"high_priority\": {},", e.high_priority);
-            let _ = writeln!(out, "      \"arrived_cycle\": {},", e.arrived);
-            let _ = writeln!(out, "      \"completed_cycle\": {},", e.completed_at);
-            let _ = writeln!(out, "      \"latency_cycles\": {},", e.latency);
-            let _ = writeln!(out, "      \"form_wait_cycles\": {},", e.form_wait);
-            let _ = writeln!(out, "      \"queue_wait_cycles\": {},", e.queue_wait);
-            let _ = writeln!(out, "      \"compute_cycles\": {},", e.compute);
-            let _ = writeln!(out, "      \"refill_cycles\": {}", e.refill);
-            let _ = write!(out, "    }}");
-            out.push_str(if i + 1 < self.exemplars.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        let _ = writeln!(out, "  ],");
-        out
+        j.nest("arrays", Layout::Inline, '[', |j| {
+            for name in &self.arrays {
+                j.str("", name);
+            }
+        })
+        .nest("networks", Layout::Inline, '[', |j| {
+            for name in &self.networks {
+                j.str("", name);
+            }
+        })
+        .arr("windows", |j| {
+            for w in &self.windows {
+                j.obj("", |j| {
+                    j.raw("index", w.index)
+                        .raw("start_cycle", w.index * self.window_cycles)
+                        .raw("offered", w.offered)
+                        .raw("completed", w.completed)
+                        .raw("dropped", w.dropped)
+                        .raw("slo_met", w.slo_met)
+                        .raw("queue_min", w.queue_min)
+                        .raw("queue_mean", f3(w.queue_mean))
+                        .raw("queue_max", w.queue_max)
+                        .nest("busy_frac", Layout::Inline, '[', |j| {
+                            for &v in &w.busy_frac {
+                                j.raw("", f6(v));
+                            }
+                        })
+                        .nest("net_completed", Layout::Inline, '[', |j| {
+                            for v in &w.net_completed {
+                                j.raw("", v);
+                            }
+                        })
+                        .nest("net_slo_met", Layout::Inline, '[', |j| {
+                            for v in &w.net_slo_met {
+                                j.raw("", v);
+                            }
+                        })
+                        .raw("p50", w.p50)
+                        .raw("p99", w.p99)
+                        .raw("p999", w.p999);
+                });
+            }
+        })
+        .arr("alerts", |j| {
+            for a in &self.alerts {
+                j.obj("", |j| {
+                    j.raw("start_window", a.start_window)
+                        .raw("end_window", a.end_window)
+                        .raw("peak_fast_miss_rate", f6(a.peak_fast_miss_rate))
+                        .raw("peak_burn_rate", f3(a.peak_burn_rate));
+                });
+            }
+        })
+        .arr("exemplars", |j| {
+            for e in &self.exemplars {
+                let name = self.networks.get(e.net).map_or("?", String::as_str);
+                j.obj("", |j| {
+                    j.raw("id", e.id)
+                        .str("network", name)
+                        .raw("high_priority", e.high_priority)
+                        .raw("arrived_cycle", e.arrived)
+                        .raw("completed_cycle", e.completed_at)
+                        .raw("latency_cycles", e.latency)
+                        .raw("form_wait_cycles", e.form_wait)
+                        .raw("queue_wait_cycles", e.queue_wait)
+                        .raw("compute_cycles", e.compute)
+                        .raw("refill_cycles", e.refill);
+                });
+            }
+        });
+        j
     }
 
     /// `fnv1a64:<16 hex>` fingerprint of every deterministic result
     /// field; two same-seed runs must produce identical hashes.
     pub fn results_hash(&self) -> String {
-        format!("fnv1a64:{:016x}", fnv1a64(self.results_body().as_bytes()))
+        self.results().fingerprint()
     }
 
     /// Renders the report as JSON (schema
     /// `fuseconv-serve-timeseries-v1`), fingerprint and embedded run
     /// manifest included.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&self.results_body());
-        let _ = writeln!(out, "  \"results_fnv1a64\": \"{}\",", self.results_hash());
-        let _ = writeln!(
-            out,
-            "  \"manifest\": {}",
-            self.manifest.to_json_pretty("  ")
-        );
-        out.push_str("}\n");
-        out
+        self.results().finish_fingerprinted(&self.manifest)
     }
 
     /// Appends counter tracks to a pod trace: per-window goodput and

@@ -9,7 +9,7 @@
 //! single-array `ChromeTraceSink` convention.
 
 use crate::spec::PodSpec;
-use fuseconv_telemetry::{json_escape, RunManifest};
+use fuseconv_telemetry::{chrome, Json};
 
 /// Default cap on recorded events; million-request runs would
 /// otherwise emit gigabyte traces.
@@ -55,13 +55,7 @@ impl PodTraceSink {
     /// Records one executed batch as a complete span on the array's
     /// lane.
     pub fn batch_span(&mut self, array: usize, start: u64, end: u64, label: &str) {
-        self.push(format!(
-            "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{}}}",
-            json_escape(label),
-            start,
-            end.saturating_sub(start).max(1),
-            array
-        ));
+        self.push(chrome::span(label, array as u64, start, end));
     }
 
     /// Samples the queue depth; emitted only when the value changes so
@@ -71,32 +65,28 @@ impl PodTraceSink {
             return;
         }
         self.last_depth = Some(depth);
-        self.push(format!(
-            "{{\"name\":\"queue_depth\",\"ph\":\"C\",\"ts\":{at},\"pid\":0,\"args\":{{\"depth\":{depth}}}}}"
-        ));
+        self.push(chrome::counter("queue_depth", at, "depth", depth));
     }
 
     /// Emits a sample on a named counter track (`ph: "C"`); the
     /// time-series layer uses this for goodput and per-array
     /// utilization tracks beside the batch lanes.
     pub fn counter(&mut self, name: &str, at: u64, value: f64) {
-        self.push(format!(
-            "{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{},\"pid\":0,\"args\":{{\"value\":{:.3}}}}}",
-            json_escape(name),
-            at,
-            value
-        ));
+        let value = format!("{value:.3}");
+        self.push(chrome::counter(name, at, "value", value));
     }
 
     /// Marks a preemption as an instant event on the victim array's
     /// lane.
     pub fn preemption(&mut self, array: usize, at: u64, label: &str) {
-        self.push(format!(
-            "{{\"name\":\"preempt: {}\",\"ph\":\"i\",\"ts\":{},\"pid\":0,\"tid\":{},\"s\":\"t\"}}",
-            json_escape(label),
-            at,
-            array
-        ));
+        let mut j = Json::compact();
+        j.str("name", &format!("preempt: {label}"))
+            .str("ph", "i")
+            .raw("ts", at)
+            .raw("pid", 0)
+            .raw("tid", array)
+            .str("s", "t");
+        self.push(j.finish());
     }
 
     /// Number of span/counter/instant events recorded so far.
@@ -113,25 +103,13 @@ impl PodTraceSink {
     /// array lane, the recorded events, and the run manifest under a
     /// top-level `"manifest"` key (viewers ignore unknown keys).
     pub fn into_json(self) -> String {
-        let mut meta = vec![
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"args\":{\"name\":\"serving pod\"}}"
-                .to_string(),
-        ];
+        let mut meta = vec![chrome::meta("process_name", 0, None, "serving pod")];
         for (i, lane) in self.lanes.iter().enumerate() {
-            meta.push(format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{},\"args\":{{\"name\":\"array {}: {}\"}}}}",
-                i,
-                i,
-                json_escape(lane)
-            ));
+            let label = format!("array {i}: {lane}");
+            meta.push(chrome::meta("thread_name", 0, Some(i as u64), &label));
         }
         meta.extend(self.events);
-        format!(
-            "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{}],\"truncated\":{},\"manifest\":{}}}\n",
-            meta.join(","),
-            self.truncated,
-            RunManifest::capture().to_json_compact()
-        )
+        chrome::document(&meta, Some(self.truncated))
     }
 }
 

@@ -18,12 +18,13 @@
 //! * [`manifest`] — run provenance: a [`RunManifest`]
 //!   (`fuseconv-manifest-v1`: tool version, config hash, array
 //!   dims/dataflow, seed, host triple, timing) embedded into every JSON
-//!   artifact the workspace emits.
+//!   artifact the workspace emits;
+//! * [`json`] — the one [`Json`] writer all of those artifacts use.
 //!
 //! A structured stderr [`log`] with a process-wide level filter rounds
 //! it out, replacing ad-hoc `eprintln!` call sites in binaries.
 //!
-//! The crate is dependency-free by design (hand-rolled JSON) and sits
+//! The crate is dependency-free by design (its own JSON writer) and sits
 //! below every other workspace crate, including `fuseconv-trace`. It is
 //! also the only crate allowed to call `std::time::Instant::now`
 //! (workspace-lint rule 6): all other host timing goes through
@@ -32,6 +33,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod chrome;
+pub mod json;
 pub mod log;
 pub mod manifest;
 pub mod metrics;
@@ -39,7 +42,8 @@ pub mod sketch;
 pub mod span;
 pub mod time;
 
-pub use manifest::{fnv1a64, json_escape, RunManifest, MANIFEST_SCHEMA};
+pub use json::{Json, Layout};
+pub use manifest::{fnv1a64, RunManifest, MANIFEST_SCHEMA};
 pub use metrics::{
     counter, gauge, histogram, snapshot as metrics_snapshot, Counter, Gauge, Histogram,
     MetricsSnapshot, METRICS_SCHEMA,

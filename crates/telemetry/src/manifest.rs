@@ -12,8 +12,8 @@
 //! The field list is flat and its order is fixed — golden schema tests
 //! (`tests/golden/manifest_schema.json`) pin both.
 
+use crate::json::Json;
 use crate::time::{unix_millis, Stopwatch};
-use std::fmt::Write as _;
 use std::sync::{Mutex, OnceLock};
 
 /// Schema tag written into every rendered manifest.
@@ -186,70 +186,39 @@ impl RunManifest {
         format!("fnv1a64:{:016x}", fnv1a64(self.config.as_bytes()))
     }
 
-    fn fields(&self) -> Vec<(&'static str, String)> {
-        vec![
-            ("schema", format!("\"{MANIFEST_SCHEMA}\"")),
-            ("tool", format!("\"{}\"", json_escape(&self.tool))),
-            ("version", format!("\"{}\"", json_escape(&self.version))),
-            ("config", format!("\"{}\"", json_escape(&self.config))),
-            ("config_hash", format!("\"{}\"", self.config_hash())),
-            ("rows", self.rows.to_string()),
-            ("cols", self.cols.to_string()),
-            ("dataflow", format!("\"{}\"", json_escape(&self.dataflow))),
-            ("broadcast", self.broadcast.to_string()),
-            ("seed", self.seed.to_string()),
-            ("host", format!("\"{}\"", json_escape(&self.host))),
-            ("started_unix_ms", self.started_unix_ms.to_string()),
-            ("elapsed_ms", self.elapsed_ms.to_string()),
-        ]
+    /// Writes every field, in schema order, into the open container.
+    pub(crate) fn write_fields(&self, j: &mut Json) {
+        j.str("schema", MANIFEST_SCHEMA)
+            .str("tool", &self.tool)
+            .str("version", &self.version)
+            .str("config", &self.config)
+            .str("config_hash", &self.config_hash())
+            .raw("rows", self.rows)
+            .raw("cols", self.cols)
+            .str("dataflow", &self.dataflow)
+            .raw("broadcast", self.broadcast)
+            .raw("seed", self.seed)
+            .str("host", &self.host)
+            .raw("started_unix_ms", self.started_unix_ms)
+            .raw("elapsed_ms", self.elapsed_ms);
     }
 
-    /// Pretty JSON object (`"key": value`, 2-space indent) for embedding
-    /// in pretty artifacts. `base` is the indentation of the line that
-    /// holds the opening brace; inner lines get one more level.
+    /// Pretty JSON object (`"key": value`, 2-space indent).
     #[must_use]
-    pub fn to_json_pretty(&self, base: &str) -> String {
-        let fields = self.fields();
-        let mut out = String::from("{\n");
-        for (i, (key, value)) in fields.iter().enumerate() {
-            let comma = if i + 1 == fields.len() { "" } else { "," };
-            let _ = writeln!(out, "{base}  \"{key}\": {value}{comma}");
-        }
-        let _ = write!(out, "{base}}}");
-        out
+    pub fn to_json_pretty(&self) -> String {
+        self.render(Json::pretty())
     }
 
-    /// Compact JSON object (`"key":value`) for embedding in compact
-    /// artifacts (analyze reports, Chrome traces).
+    /// Compact JSON object (`"key":value`).
     #[must_use]
     pub fn to_json_compact(&self) -> String {
-        let body: Vec<String> = self
-            .fields()
-            .iter()
-            .map(|(key, value)| format!("\"{key}\":{value}"))
-            .collect();
-        format!("{{{}}}", body.join(","))
+        self.render(Json::compact())
     }
-}
 
-/// Escape a string for inclusion in a JSON string literal.
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+    fn render(&self, mut j: Json) -> String {
+        self.write_fields(&mut j);
+        j.finish()
     }
-    out
 }
 
 #[cfg(test)]
@@ -290,7 +259,7 @@ mod tests {
     #[test]
     fn both_renderings_carry_the_schema_tag_and_same_keys() {
         let m = RunManifest::capture().with_config("render");
-        let pretty = m.to_json_pretty("  ");
+        let pretty = m.to_json_pretty();
         let compact = m.to_json_compact();
         assert!(pretty.contains("\"schema\": \"fuseconv-manifest-v1\""));
         assert!(compact.contains("\"schema\":\"fuseconv-manifest-v1\""));
@@ -311,11 +280,5 @@ mod tests {
             assert!(pretty.contains(&format!("\"{key}\": ")), "pretty {key}");
             assert!(compact.contains(&format!("\"{key}\":")), "compact {key}");
         }
-    }
-
-    #[test]
-    fn json_escape_handles_quotes_and_control_chars() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

@@ -9,7 +9,8 @@
 //! rendering order is the metric-name order — deterministic across runs
 //! regardless of registration order.
 
-use crate::manifest::{json_escape, RunManifest};
+use crate::json::{Json, Layout};
+use crate::manifest::RunManifest;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -283,39 +284,31 @@ impl MetricsSnapshot {
     /// histograms, manifest); metric keys are name-ordered.
     #[must_use]
     pub fn to_json(&self, manifest: &RunManifest) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{METRICS_SCHEMA}\",");
-        let _ = writeln!(out, "  \"counters\": {{");
-        write_scalar_map(
-            &mut out,
-            self.counters.iter().map(|(k, v)| (k, v.to_string())),
-        );
-        let _ = writeln!(out, "  }},");
-        let _ = writeln!(out, "  \"gauges\": {{");
-        write_scalar_map(
-            &mut out,
-            self.gauges.iter().map(|(k, v)| (k, v.to_string())),
-        );
-        let _ = writeln!(out, "  }},");
-        let _ = writeln!(out, "  \"histograms\": {{");
-        let n = self.histograms.len();
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            let comma = if i + 1 == n { "" } else { "," };
-            let _ = writeln!(
-                out,
-                "    \"{}\": {{\"count\":{},\"sum\":{},\"mean\":{},\"p50\":{},\"p99\":{}}}{comma}",
-                json_escape(name),
-                h.count,
-                h.sum,
-                h.mean(),
-                h.quantile_bound(50),
-                h.quantile_bound(99),
-            );
-        }
-        let _ = writeln!(out, "  }},");
-        let _ = writeln!(out, "  \"manifest\": {}", manifest.to_json_pretty("  "));
-        out.push_str("}\n");
-        out
+        let mut j = Json::pretty();
+        j.str("schema", METRICS_SCHEMA)
+            .obj("counters", |j| {
+                for (name, v) in &self.counters {
+                    j.raw(name, v);
+                }
+            })
+            .obj("gauges", |j| {
+                for (name, v) in &self.gauges {
+                    j.raw(name, v);
+                }
+            })
+            .obj("histograms", |j| {
+                for (name, h) in &self.histograms {
+                    j.nest(name, Layout::Compact, '{', |j| {
+                        j.raw("count", h.count)
+                            .raw("sum", h.sum)
+                            .raw("mean", h.mean())
+                            .raw("p50", h.quantile_bound(50))
+                            .raw("p99", h.quantile_bound(99));
+                    });
+                }
+            })
+            .manifest(manifest);
+        j.finish() + "\n"
     }
 
     /// Human-readable listing (counters, gauges, histogram summaries).
@@ -339,17 +332,6 @@ impl MetricsSnapshot {
             );
         }
         out
-    }
-}
-
-fn write_scalar_map<'a>(
-    out: &mut String,
-    entries: impl ExactSizeIterator<Item = (&'a String, String)>,
-) {
-    let n = entries.len();
-    for (i, (key, value)) in entries.enumerate() {
-        let comma = if i + 1 == n { "" } else { "," };
-        let _ = writeln!(out, "    \"{}\": {value}{comma}", json_escape(key));
     }
 }
 

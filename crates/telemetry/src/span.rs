@@ -21,7 +21,9 @@
 //! `fuseconv-trace` sink (host spans live on pid 1; the simulated
 //! array uses pid 0).
 
-use crate::manifest::{json_escape, RunManifest};
+use crate::chrome;
+use crate::json::Json;
+use crate::manifest::RunManifest;
 use crate::time::Stopwatch;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -365,35 +367,33 @@ impl SpanTree {
     /// pid 1 and the run manifest embedded alongside the event array.
     #[must_use]
     pub fn chrome_trace_json(&self, manifest: &RunManifest) -> String {
-        let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-        let _ = writeln!(
-            out,
-            " {{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{{\"name\":\"fuseconv host\"}}}},"
-        );
+        let mut lines = vec![chrome::meta("process_name", 1, Some(0), "fuseconv host")];
         let mut tids: Vec<u64> = self.events.iter().map(|e| e.1).collect();
         tids.sort_unstable();
         tids.dedup();
-        for tid in &tids {
-            let _ = writeln!(
-                out,
-                " {{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":\"host thread {tid}\"}}}},"
-            );
+        for &tid in &tids {
+            let label = format!("host thread {tid}");
+            lines.push(chrome::meta("thread_name", 1, Some(tid), &label));
         }
-        let n = self.events.len();
-        for (i, (name, tid, start_ns, dur_ns)) in self.events.iter().enumerate() {
-            let comma = if i + 1 == n { "" } else { "," };
-            let _ = writeln!(
-                out,
-                " {{\"name\":\"{}\",\"cat\":\"host\",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{}.{:03},\"dur\":{}.{:03}}}{comma}",
-                json_escape(name),
-                start_ns / 1_000,
-                start_ns % 1_000,
-                dur_ns / 1_000,
-                dur_ns % 1_000,
-            );
+        let micros = |ns: u64| format!("{}.{:03}", ns / 1_000, ns % 1_000);
+        for (name, tid, start_ns, dur_ns) in &self.events {
+            let mut j = Json::compact();
+            j.str("name", name)
+                .str("cat", "host")
+                .str("ph", "X")
+                .raw("pid", 1)
+                .raw("tid", tid)
+                .raw("ts", micros(*start_ns))
+                .raw("dur", micros(*dur_ns));
+            lines.push(j.finish());
         }
-        let _ = writeln!(out, "],\"manifest\":{}}}", manifest.to_json_compact());
-        out
+        // One event per line, framed by hand: the writer's compact
+        // layout has no line breaks.
+        format!(
+            "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n {}\n],\"manifest\":{}}}\n",
+            lines.join(",\n "),
+            manifest.to_json_compact()
+        )
     }
 }
 

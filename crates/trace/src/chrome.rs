@@ -18,7 +18,7 @@
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
 use crate::event::{TraceEvent, TraceSink};
-use fuseconv_telemetry::json_escape;
+use fuseconv_telemetry::chrome;
 use std::collections::BTreeMap;
 
 /// Builds Chrome trace JSON from trace events.
@@ -45,13 +45,7 @@ impl ChromeTraceSink {
     }
 
     fn emit_span(&mut self, name: &str, tid: u64, start: u64, end: u64) {
-        self.events.push(format!(
-            "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{}}}",
-            json_escape(name),
-            start,
-            end.saturating_sub(start).max(1),
-            tid
-        ));
+        self.events.push(chrome::span(name, tid, start, end));
     }
 
     fn flush_row(&mut self, row: usize) {
@@ -76,23 +70,15 @@ impl ChromeTraceSink {
             self.flush_row(row);
         }
         let mut meta = vec![
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"args\":{\"name\":\"systolic array\"}}"
-                .to_string(),
-            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"folds\"}}"
-                .to_string(),
+            chrome::meta("process_name", 0, None, "systolic array"),
+            chrome::meta("thread_name", 0, Some(0), "folds"),
         ];
         for row in 0..self.row_spans.len() {
-            meta.push(format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{},\"args\":{{\"name\":\"row {row}\"}}}}",
-                1 + row as u64
-            ));
+            let label = format!("row {row}");
+            meta.push(chrome::meta("thread_name", 0, Some(1 + row as u64), &label));
         }
         meta.extend(self.events);
-        format!(
-            "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{}],\"manifest\":{}}}\n",
-            meta.join(","),
-            fuseconv_telemetry::RunManifest::capture().to_json_compact()
-        )
+        chrome::document(&meta, None)
     }
 
     /// Number of span/counter events recorded so far (metadata excluded).
@@ -129,9 +115,8 @@ impl TraceSink for ChromeTraceSink {
             }
             TraceEvent::Cycle { cycle, busy, .. } if self.last_busy != Some(busy) => {
                 self.last_busy = Some(busy);
-                self.events.push(format!(
-                    "{{\"name\":\"busy_pes\",\"ph\":\"C\",\"ts\":{cycle},\"pid\":0,\"args\":{{\"busy\":{busy}}}}}"
-                ));
+                self.events
+                    .push(chrome::counter("busy_pes", cycle, "busy", busy));
             }
             TraceEvent::Cycle { .. } => {}
             TraceEvent::PeFire { cycle, row, .. } => {

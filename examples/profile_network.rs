@@ -56,6 +56,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Provenance: the same manifest every JSON artifact embeds.
     let manifest = RunManifest::capture().with_dataflow("os");
-    println!("\nrun manifest:\n{}", manifest.to_json_pretty(""));
+    println!("\nrun manifest:\n{}", manifest.to_json_pretty());
     Ok(())
 }

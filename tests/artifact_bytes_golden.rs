@@ -13,7 +13,7 @@
 //!
 //! A refactor of the JSON writers must leave every hash here unchanged.
 
-use fuseconv::analyze::{analyze_network, Diagnostic, Report, RuleId, Severity};
+use fuseconv::analyze::{analyze_network, Diagnostic, RuleId, Severity};
 use fuseconv::core::trace::simulate_op_traced;
 use fuseconv::latency::LatencyModel;
 use fuseconv::models::zoo;
@@ -28,6 +28,20 @@ use fuseconv::telemetry::{fnv1a64, Histogram, MetricsSnapshot, RunManifest};
 use fuseconv::trace::ChromeTraceSink;
 use fuseconv_bench::suite::{to_json as bench_to_json, SuiteBench};
 use std::collections::BTreeMap;
+
+/// FNV-1a of each artifact, in [`artifacts`] order.
+const PINNED: [(&str, u64); 10] = [
+    ("manifest compact", 0x5006b012950f5c96),
+    ("perf baseline", 0xc23bde9ea971d1ac),
+    ("perf fuse-full", 0x34684960041639b7),
+    ("analyze report", 0xa00d205fe4fde552),
+    ("metrics", 0xcb1331b2b0edf752),
+    ("metrics empty", 0x7cea783609c85c1d),
+    ("bench", 0xd1922a149df4995b),
+    ("chrome trace", 0xa8c11d028d4d1f2b),
+    ("serve report", 0x209c356ebfc45578),
+    ("timeseries", 0x073aed2f30d497a9),
+];
 
 /// A manifest with every field fixed, strings chosen to need escaping.
 fn fixed_manifest() -> RunManifest {
@@ -55,42 +69,26 @@ fn before_manifest(mut json: String) -> String {
     json
 }
 
-fn hash(json: &str) -> String {
-    format!("{:016x}", fnv1a64(json.as_bytes()))
-}
-
-fn model8() -> LatencyModel {
-    LatencyModel::new(
-        ArrayConfig::square(8)
-            .expect("8 is nonzero")
-            .with_broadcast(true),
-    )
-}
-
 /// Every pinned artifact, `(name, bytes)`.
 fn artifacts() -> Vec<(&'static str, String)> {
-    let model = model8();
+    let array = ArrayConfig::square(8)
+        .expect("nonzero")
+        .with_broadcast(true);
+    let model = LatencyModel::new(array);
     let net = zoo::mobilenet_v2();
-    let mut out = Vec::new();
+    let mut out = vec![("manifest compact", fixed_manifest().to_json_compact())];
 
-    out.push(("manifest compact", fixed_manifest().to_json_compact()));
-
+    let fused = net.transform_all(FuSeVariant::Full);
     for (name, variant, network) in [
-        ("perf baseline", "baseline", net.clone()),
-        (
-            "perf fuse-full",
-            "FuSe \"Full\"",
-            net.transform_all(FuSeVariant::Full),
-        ),
+        ("perf baseline", "baseline", &net),
+        ("perf fuse-full", "FuSe \"Full\"", &fused),
     ] {
-        let mut report =
-            network_perf_report(&model, &network, variant, 2, 64).expect("perf report");
+        let mut report = network_perf_report(&model, network, variant, 2, 64).expect("perf");
         report.manifest = fixed_manifest();
         out.push((name, report.to_json()));
     }
 
-    let mut analysis = Report::new();
-    analysis.merge(analyze_network(&model, &net));
+    let mut analysis = analyze_network(&model, &net);
     analysis.push(Diagnostic {
         rule: RuleId::Sch001ScheduleViolatesDependence,
         severity: Severity::Error,
@@ -106,40 +104,26 @@ fn artifacts() -> Vec<(&'static str, String)> {
         hist.record(v);
     }
     let metrics = MetricsSnapshot {
-        counters: BTreeMap::from([
-            ("a.count".to_owned(), 3),
-            ("b \"quoted\"".to_owned(), u64::MAX),
-        ]),
-        gauges: BTreeMap::from([("depth".to_owned(), -4)]),
+        counters: BTreeMap::from([("a.count".into(), 3), ("b \"quoted\"".into(), u64::MAX)]),
+        gauges: BTreeMap::from([("depth".into(), -4)]),
         histograms: BTreeMap::from([
-            ("lat".to_owned(), hist.snapshot()),
-            ("empty".to_owned(), Histogram::default().snapshot()),
+            ("lat".into(), hist.snapshot()),
+            ("empty".into(), Histogram::default().snapshot()),
         ]),
     };
     out.push(("metrics", metrics.to_json(&fixed_manifest())));
-    out.push((
-        "metrics empty",
-        MetricsSnapshot {
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            histograms: BTreeMap::new(),
-        }
-        .to_json(&fixed_manifest()),
-    ));
+    let empty = MetricsSnapshot::default().to_json(&fixed_manifest());
+    out.push(("metrics empty", empty));
 
+    let bench = |name: &str, ns_per_iter, iters, cycles| SuiteBench {
+        name: name.to_owned(),
+        ns_per_iter,
+        iters,
+        cycles,
+    };
     let benches = [
-        SuiteBench {
-            name: "gemm.os.64".to_owned(),
-            ns_per_iter: 1234.56,
-            iters: 100,
-            cycles: 4096,
-        },
-        SuiteBench {
-            name: "serve.fifo".to_owned(),
-            ns_per_iter: 0.05,
-            iters: 7,
-            cycles: 1,
-        },
+        bench("gemm.os.64", 1234.56, 100, 4096),
+        bench("serve.fifo", 0.05, 7, 1),
     ];
     out.push(("bench", before_manifest(bench_to_json(&benches))));
 
@@ -155,11 +139,10 @@ fn artifacts() -> Vec<(&'static str, String)> {
     out.push(("chrome trace", before_manifest(sink.into_json())));
 
     let pod = PodSpec::parse("8x8:os,16x16:ws").expect("pod parses");
-    let workload = Workload::uniform(vec![
+    let nets = vec![
         zoo::mobilenet_v3_small(),
         zoo::mobilenet_v1().transform_all(FuSeVariant::Half),
-    ])
-    .expect("workload");
+    ];
     let cfg = ServeConfig {
         policy: BatchPolicy::Dynamic {
             max_batch: 4,
@@ -176,6 +159,7 @@ fn artifacts() -> Vec<(&'static str, String)> {
         exemplars: 2,
         ..TimeSeriesConfig::new()
     };
+    let workload = Workload::uniform(nets).expect("workload");
     let (mut report, ts) =
         simulate_observed(&pod, &workload, &cfg, None, Some(&ts_cfg)).expect("serve run");
     report.manifest = fixed_manifest();
@@ -186,29 +170,11 @@ fn artifacts() -> Vec<(&'static str, String)> {
     out
 }
 
-/// FNV-1a of each artifact, in [`artifacts`] order.
-const PINNED: [(&str, &str); 10] = [
-    ("manifest compact", "5006b012950f5c96"),
-    ("perf baseline", "c23bde9ea971d1ac"),
-    ("perf fuse-full", "34684960041639b7"),
-    ("analyze report", "a00d205fe4fde552"),
-    ("metrics", "cb1331b2b0edf752"),
-    ("metrics empty", "7cea783609c85c1d"),
-    ("bench", "d1922a149df4995b"),
-    ("chrome trace", "a8c11d028d4d1f2b"),
-    ("serve report", "209c356ebfc45578"),
-    ("timeseries", "073aed2f30d497a9"),
-];
-
 #[test]
 fn artifact_bytes_are_pinned() {
-    let got: Vec<(&str, String)> = artifacts()
-        .into_iter()
-        .map(|(name, json)| (name, hash(&json)))
-        .collect();
-    let want: Vec<(&str, String)> = PINNED
+    let got: Vec<(&str, u64)> = artifacts()
         .iter()
-        .map(|&(name, h)| (name, h.to_owned()))
+        .map(|(name, json)| (*name, fnv1a64(json.as_bytes())))
         .collect();
-    assert_eq!(got, want, "an artifact's bytes changed");
+    assert_eq!(got, PINNED, "an artifact's bytes changed");
 }

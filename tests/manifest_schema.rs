@@ -18,62 +18,10 @@ use fuseconv::trace::{ChromeTraceSink, FoldKind, TraceEvent, TraceSink};
 use fuseconv_bench::micro::Micro;
 use fuseconv_bench::suite::{run_suite, to_json as bench_to_json};
 
+mod common;
+use common::{golden_list, keys_at_depth};
+
 const GOLDEN: &str = include_str!("golden/manifest_schema.json");
-
-/// The quoted strings of one named golden array, e.g.
-/// `golden_list("manifest_keys")`.
-fn golden_list(name: &str) -> Vec<String> {
-    let start = GOLDEN
-        .find(&format!("\"{name}\""))
-        .unwrap_or_else(|| panic!("golden file lacks section `{name}`"));
-    let open = GOLDEN[start..].find('[').expect("section is an array") + start;
-    let close = GOLDEN[open..].find(']').expect("array closes") + open;
-    let mut out = Vec::new();
-    let mut rest = &GOLDEN[open + 1..close];
-    while let Some(q0) = rest.find('"') {
-        let q1 = rest[q0 + 1..].find('"').expect("string closes") + q0 + 1;
-        out.push(rest[q0 + 1..q1].to_string());
-        rest = &rest[q1 + 1..];
-    }
-    out
-}
-
-/// Distinct object keys found at a given brace depth of a JSON document
-/// (depth 1 = the outermost object), in first-appearance order. Works
-/// for both pretty (`"key": v`) and compact (`"key":v`) renderings.
-fn keys_at_depth(json: &str, target: usize) -> Vec<String> {
-    let bytes = json.as_bytes();
-    let mut keys: Vec<String> = Vec::new();
-    let mut depth = 0usize;
-    let mut i = 0usize;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'{' | b'[' => depth += 1,
-            b'}' | b']' => depth = depth.saturating_sub(1),
-            b'"' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < bytes.len() && bytes[j] != b'"' {
-                    if bytes[j] == b'\\' {
-                        j += 1;
-                    }
-                    j += 1;
-                }
-                let is_key = bytes.get(j + 1) == Some(&b':');
-                if is_key && depth == target {
-                    let key = json[start..j].to_string();
-                    if !keys.contains(&key) {
-                        keys.push(key);
-                    }
-                }
-                i = j;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    keys
-}
 
 /// Extracts the (last) top-level `"manifest"` object of an artifact by
 /// brace matching. Manifest string fields never contain braces, so the
@@ -101,13 +49,13 @@ fn manifest_object(json: &str) -> String {
 
 #[test]
 fn manifest_renderings_match_golden_schema() {
-    let golden = golden_list("manifest_keys");
+    let golden = golden_list(GOLDEN, "manifest_keys");
     let manifest = RunManifest::capture()
         .with_config("test invocation")
         .with_seed(7)
         .with_array(8, 8, true)
         .with_dataflow("os");
-    for json in [manifest.to_json_pretty(""), manifest.to_json_compact()] {
+    for json in [manifest.to_json_pretty(), manifest.to_json_compact()] {
         assert_eq!(
             keys_at_depth(&json, 1),
             golden,
@@ -116,12 +64,12 @@ fn manifest_renderings_match_golden_schema() {
         assert!(json.contains(MANIFEST_SCHEMA));
     }
     assert!(manifest.config_hash().starts_with("fnv1a64:"));
-    assert_eq!(golden_list("schema_version"), vec![MANIFEST_SCHEMA]);
+    assert_eq!(golden_list(GOLDEN, "schema_version"), vec![MANIFEST_SCHEMA]);
 }
 
 #[test]
 fn every_json_artifact_embeds_a_golden_manifest() {
-    let golden = golden_list("manifest_keys");
+    let golden = golden_list(GOLDEN, "manifest_keys");
     let array = ArrayConfig::square(8)
         .expect("8 is nonzero")
         .with_broadcast(true);

@@ -1,16 +1,14 @@
 //! Differential test for the simulator's metrics instrumentation: the
 //! registry's `sim.cycles_total` / `sim.runs_total` / `sim.folds_total`
 //! counters must advance by exactly what the returned [`SimResult`]s
-//! report, across every counted entry point (all five delegate to the
-//! instrumented `simulate_traced` simulators). Deltas (not absolutes)
+//! report, across all five instrumented `simulate_traced` simulators run
+//! through the counted entry point. Deltas (not absolutes)
 //! are asserted so the test is robust to other code in this binary
 //! having already driven the process-wide registry.
 
-use fuseconv::perf::{
-    conv1d_counted, conv1d_packed_counted, gemm_counted, is_gemm_counted, ws_gemm_counted,
-};
-use fuseconv::systolic::conv1d::ChannelLines;
-use fuseconv::systolic::ArrayConfig;
+use fuseconv::perf::counted;
+use fuseconv::systolic::conv1d::{self, ChannelLines};
+use fuseconv::systolic::{gemm, is_gemm, ws_gemm, ArrayConfig};
 use fuseconv::telemetry::counter;
 use fuseconv::tensor::Tensor;
 
@@ -42,15 +40,19 @@ fn sim_counters_equal_sum_of_returned_sim_results() {
         folds += sim.folds();
         runs += 1;
     };
-    tally(&gemm_counted(&cfg, &a, &b).expect("os gemm").0);
-    tally(&ws_gemm_counted(&cfg, &a, &b).expect("ws gemm").0);
-    tally(&is_gemm_counted(&cfg, &a, &b).expect("is gemm").0);
-    tally(&conv1d_counted(&cfg, &lines, &kernels).expect("conv1d").0);
-    tally(
-        &conv1d_packed_counted(&cfg, &packed)
-            .expect("packed conv1d")
-            .0,
-    );
+    let gemms = [
+        gemm::simulate_traced,
+        ws_gemm::simulate_traced,
+        is_gemm::simulate_traced,
+    ];
+    for simulate in gemms {
+        let gemm = counted(&cfg, |s| simulate(&cfg, &a, &b, s));
+        tally(&gemm.expect("gemm").0);
+    }
+    let conv = counted(&cfg, |s| conv1d::simulate_traced(&cfg, &lines, &kernels, s));
+    tally(&conv.expect("conv1d").0);
+    let packed = counted(&cfg, |s| conv1d::simulate_packed_traced(&cfg, &packed, s));
+    tally(&packed.expect("packed conv1d").0);
     assert!(cycles > 0 && folds > 0);
 
     assert_eq!(
