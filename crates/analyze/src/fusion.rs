@@ -741,17 +741,12 @@ mod tests {
             }
         }
         assert!(pairs.len() > 100, "{} distinct pairs", pairs.len());
-        let dataflows = [
-            Dataflow::OutputStationary,
-            Dataflow::WeightStationary,
-            Dataflow::InputStationary,
-        ];
         for side in [16, 64] {
             let array = ArrayConfig::square(side)
                 .expect("nonzero")
                 .with_broadcast(true);
             let (rows, cols) = (array.rows() as u64, array.cols() as u64);
-            for dataflow in dataflows {
+            for dataflow in Dataflow::ALL {
                 let m = LatencyModel::new(array).with_dataflow(dataflow);
                 for (producer, consumer) in &pairs {
                     let p = m.fold_plan(producer).expect("zoo op plans");

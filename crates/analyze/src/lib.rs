@@ -74,7 +74,7 @@ pub use diagnostics::{Diagnostic, Report, RuleId, Severity};
 pub use fusion::{analyze_fusion, diagnose_pair_ir, fusible_pairs, FusiblePair, PlanSummary};
 pub use mapping::{analyze_dataflows, analyze_mapping};
 pub use memory::{diagnose_memory, MemoryBudget};
-pub use ops::{analyze_network, analyze_network_with_budget, analyze_op, gemm_dataflow_kind};
+pub use ops::{analyze_network, analyze_network_with_budget, analyze_op};
 pub use plan::diagnose_plan;
 pub use serve::analyze_pod;
 pub use shapes::analyze_shapes;

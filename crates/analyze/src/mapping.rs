@@ -10,9 +10,10 @@
 use crate::diagnostics::{Diagnostic, Report, RuleId, Severity};
 use fuseconv_ria::RiaViolation;
 use fuseconv_systolic::legality::{
-    canonical_mapping, verify_mapping, DataflowKind, DataflowMapping, LegalityViolation,
+    canonical_mapping, verify_mapping, DataflowMapping, LegalityViolation,
 };
 use fuseconv_systolic::ArrayConfig;
+use fuseconv_trace::FoldKind;
 
 /// Analyzes one space–time mapping on one array, returning every finding.
 ///
@@ -142,7 +143,7 @@ fn ria_diagnostic(context: &str, v: &RiaViolation) -> Diagnostic {
 /// row-broadcast dataflow.
 pub fn analyze_dataflows(cfg: &ArrayConfig) -> Report {
     let mut report = Report::new();
-    for kind in DataflowKind::ALL {
+    for kind in FoldKind::ALL {
         for d in analyze_mapping(&canonical_mapping(kind), cfg) {
             report.push(d);
         }
@@ -176,7 +177,7 @@ mod tests {
 
     #[test]
     fn tampered_schedule_yields_sch001_with_dependence() {
-        let mapping = canonical_mapping(DataflowKind::OutputStationary)
+        let mapping = canonical_mapping(FoldKind::OutputStationary)
             .with_schedule(Schedule::new(vec![1, 1, -1]));
         let diags = analyze_mapping(&mapping, &bcast());
         let sch: Vec<_> = diags

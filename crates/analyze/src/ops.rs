@@ -21,25 +21,17 @@
 use crate::diagnostics::{Diagnostic, Report, RuleId, Severity};
 use crate::mapping::analyze_mapping;
 use crate::memory::MemoryBudget;
-use fuseconv_latency::{Dataflow, FoldRuns, LatencyError, LatencyModel};
+use fuseconv_latency::{FoldRuns, LatencyError, LatencyModel};
 use fuseconv_models::Network;
 use fuseconv_nn::ops::Op;
-use fuseconv_systolic::legality::{canonical_mapping, DataflowKind};
+use fuseconv_systolic::legality::canonical_mapping;
+use fuseconv_trace::FoldKind;
 
 /// SRAM element address space assumed by the trace sinks (32-bit).
 const SRAM_ADDRESS_SPACE: u64 = 1 << 32;
 
 /// Compute-phase PE idleness at or above which UTL003 fires.
 const COMPUTE_STALL_THRESHOLD: f64 = 0.90;
-
-/// The legality-mapping kind a model's GEMM-lowered operators execute on.
-pub fn gemm_dataflow_kind(model: &LatencyModel) -> DataflowKind {
-    match model.dataflow() {
-        Dataflow::OutputStationary => DataflowKind::OutputStationary,
-        Dataflow::WeightStationary => DataflowKind::WeightStationary,
-        Dataflow::InputStationary => DataflowKind::InputStationary,
-    }
-}
 
 /// The GEMM dimensions `(M, K, N)` an operator lowers to, or `None` for
 /// the FuSe 1-D operators (which use the packed row-broadcast mapping,
@@ -273,9 +265,9 @@ pub fn analyze_network_with_budget(
     let mut report = Report::new();
 
     // Mapping legality, once per dataflow the network actually uses.
-    let mut kinds = vec![gemm_dataflow_kind(model)];
+    let mut kinds = vec![model.dataflow().fold_kind()];
     if net.ops().iter().any(|n| matches!(n.op, Op::FuSe1d { .. })) {
-        kinds.push(DataflowKind::RowBroadcast);
+        kinds.push(FoldKind::RowBroadcast);
     }
     for kind in kinds {
         for d in analyze_mapping(&canonical_mapping(kind), model.array()) {

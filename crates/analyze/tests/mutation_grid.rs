@@ -8,9 +8,10 @@
 
 use fuseconv_analyze::{analyze_mapping, RuleId, Severity};
 use fuseconv_ria::{IndexExpr, Recurrence, RecurrenceSystem, Schedule, Term};
-use fuseconv_systolic::legality::{canonical_mapping, DataflowKind, DataflowMapping};
+use fuseconv_systolic::legality::{canonical_mapping, DataflowMapping};
 use fuseconv_systolic::ArrayConfig;
 use fuseconv_tensor::rng::Rng;
+use fuseconv_trace::FoldKind;
 
 fn array() -> ArrayConfig {
     ArrayConfig::square(8)
@@ -42,7 +43,7 @@ fn assert_rejected(mapping: &DataflowMapping, rule: RuleId, what: &str) {
 
 #[test]
 fn pristine_mappings_are_clean() {
-    for kind in DataflowKind::ALL {
+    for kind in FoldKind::ALL {
         let diags = analyze_mapping(&canonical_mapping(kind), &array());
         assert!(diags.is_empty(), "{kind}: {diags:?}");
     }
@@ -51,7 +52,7 @@ fn pristine_mappings_are_clean() {
 #[test]
 fn tampered_schedules_raise_sch001() {
     let mut rng = Rng::seed_from_u64(0xF05E);
-    for kind in DataflowKind::ALL {
+    for kind in FoldKind::ALL {
         for _ in 0..8 {
             let pristine = canonical_mapping(kind);
             let mut tau = pristine.schedule.coefficients().to_vec();
@@ -72,7 +73,7 @@ fn tampered_schedules_raise_sch001() {
 
 #[test]
 fn truncated_schedules_raise_sch001() {
-    for kind in DataflowKind::ALL {
+    for kind in FoldKind::ALL {
         let pristine = canonical_mapping(kind);
         let short = pristine.schedule.coefficients()[1..].to_vec();
         let mapping = pristine.with_schedule(Schedule::new(short));
@@ -86,7 +87,7 @@ fn truncated_schedules_raise_sch001() {
 
 #[test]
 fn duplicate_assignment_raises_ria001() {
-    for kind in DataflowKind::ALL {
+    for kind in FoldKind::ALL {
         let mut mapping = canonical_mapping(kind);
         let rank = rank_of(&mapping);
         let rec = || Recurrence::new("X", rank, vec![Term::new("X", identity(rank))]);
@@ -101,7 +102,7 @@ fn duplicate_assignment_raises_ria001() {
 
 #[test]
 fn non_constant_offset_raises_ria002() {
-    for kind in DataflowKind::ALL {
+    for kind in FoldKind::ALL {
         let mut mapping = canonical_mapping(kind);
         let rank = rank_of(&mapping);
         // The §III-A pathology: a ⌊x0/3⌋ access, as direct 2-D convolution
@@ -122,7 +123,7 @@ fn non_constant_offset_raises_ria002() {
 
 #[test]
 fn rank_mismatch_raises_ria003() {
-    for kind in DataflowKind::ALL {
+    for kind in FoldKind::ALL {
         let mut mapping = canonical_mapping(kind);
         let rank = rank_of(&mapping);
         mapping.system = RecurrenceSystem::new(
@@ -140,7 +141,7 @@ fn rank_mismatch_raises_ria003() {
 #[test]
 fn two_hop_dependences_raise_loc001() {
     let mut rng = Rng::seed_from_u64(0x10CA);
-    for kind in DataflowKind::ALL {
+    for kind in FoldKind::ALL {
         let mut mapping = canonical_mapping(kind);
         let rank = rank_of(&mapping);
         // Offset −2..−3 on a space axis: schedulable, but the projected
@@ -164,7 +165,7 @@ fn two_hop_dependences_raise_loc001() {
 #[test]
 fn broadcast_reuse_needs_the_link() {
     let plain = ArrayConfig::square(8).expect("8 is nonzero");
-    let diags = analyze_mapping(&canonical_mapping(DataflowKind::RowBroadcast), &plain);
+    let diags = analyze_mapping(&canonical_mapping(FoldKind::RowBroadcast), &plain);
     assert!(
         diags
             .iter()

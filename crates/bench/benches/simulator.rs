@@ -4,7 +4,7 @@
 
 use fuseconv_bench::banner;
 use fuseconv_bench::micro::{BenchmarkId, Micro};
-use fuseconv_systolic::{conv1d, gemm, ArrayConfig};
+use fuseconv_systolic::{conv1d, gemm, ArrayConfig, Dataflow};
 use fuseconv_tensor::Tensor;
 use std::hint::black_box;
 
@@ -75,7 +75,7 @@ fn bench_simulator(c: &mut Micro) {
     // Table I evaluates thousands of them).
     c.bench_function("simulator/analytic_gemm_cycles", |b| {
         let array = ArrayConfig::square(64).expect("64");
-        b.iter(|| gemm::analytic_cycles(&array, black_box(12544), 64, 128))
+        b.iter(|| Dataflow::OutputStationary.analytic_cycles(&array, black_box(12544), 64, 128))
     });
     c.bench_function("simulator/analytic_packed_cycles", |b| {
         let array = ArrayConfig::square(64).expect("64").with_broadcast(true);

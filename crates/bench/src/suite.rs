@@ -22,11 +22,11 @@ use fuseconv_nn::ops::Op;
 use fuseconv_perf::replay_counted;
 use fuseconv_serve as serve;
 use fuseconv_systolic::conv1d::ChannelLines;
-use fuseconv_systolic::{conv1d, gemm, is_gemm, ws_gemm, ArrayConfig};
+use fuseconv_systolic::{conv1d, ArrayConfig, Dataflow};
 use fuseconv_telemetry::{Json, RunManifest};
 use fuseconv_tensor::rng::Rng;
 use fuseconv_tensor::Tensor;
-use fuseconv_trace::FoldSpec;
+use fuseconv_trace::{FoldSpec, NullSink};
 
 /// One suite bench's outcome: wall time plus the simulated-cycle count of
 /// the workload it times.
@@ -88,27 +88,18 @@ pub fn run_suite(h: &mut Micro) -> Vec<SuiteBench> {
     let a = tensor(&mut rng, &[48, 32]);
     let b = tensor(&mut rng, &[32, 40]);
 
-    let cycles = gemm::simulate(&cfg, &a, &b).expect("valid gemm").cycles();
-    h.bench_function("sim/gemm_os", |ben| {
-        ben.iter(|| gemm::simulate(&cfg, &a, &b).expect("valid gemm"))
-    });
-    out.push(record(h, cycles));
-
-    let cycles = ws_gemm::simulate(&cfg, &a, &b)
-        .expect("valid gemm")
-        .cycles();
-    h.bench_function("sim/gemm_ws", |ben| {
-        ben.iter(|| ws_gemm::simulate(&cfg, &a, &b).expect("valid gemm"))
-    });
-    out.push(record(h, cycles));
-
-    let cycles = is_gemm::simulate(&cfg, &a, &b)
-        .expect("valid gemm")
-        .cycles();
-    h.bench_function("sim/gemm_is", |ben| {
-        ben.iter(|| is_gemm::simulate(&cfg, &a, &b).expect("valid gemm"))
-    });
-    out.push(record(h, cycles));
+    for dataflow in Dataflow::ALL {
+        let sim = || {
+            dataflow
+                .simulate(&cfg, &a, &b, &mut NullSink)
+                .expect("valid gemm")
+        };
+        let cycles = sim().cycles();
+        h.bench_function(&format!("sim/gemm_{}", dataflow.short_name()), |ben| {
+            ben.iter(sim)
+        });
+        out.push(record(h, cycles));
+    }
 
     let inputs: Vec<Vec<f32>> = (0..20)
         .map(|_| (0..26).map(|_| rng.uniform(-1.0, 1.0)).collect())

@@ -494,6 +494,9 @@ fn run(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
             let net = apply_variant(&network_flag(parsed)?, variant, &array)?;
             let bytes_per_elem = parsed.usize_flag("bytes-per-elem", 2)?;
             let bandwidth = parsed.usize_flag("bandwidth", 64)?;
+            if bytes_per_elem == 0 {
+                return Err("--bytes-per-elem must be nonzero".into());
+            }
             if bandwidth == 0 {
                 return Err("--bandwidth must be nonzero".into());
             }
@@ -931,6 +934,7 @@ mod tests {
         assert!(run(&parsed(&["perf", "--variant", "quarter"])).is_err());
         assert!(run(&parsed(&["perf", "--format", "xml"])).is_err());
         assert!(run(&parsed(&["perf", "--bandwidth", "0"])).is_err());
+        assert!(run(&parsed(&["perf", "--bytes-per-elem", "0"])).is_err());
     }
 
     #[test]

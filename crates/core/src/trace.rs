@@ -17,11 +17,11 @@
 //! `trace_cross_check` integration test pins that equality.
 
 use crate::variant::{apply_variant, Variant};
-use fuseconv_latency::{Dataflow, LatencyError, LatencyModel};
+use fuseconv_latency::{LatencyError, LatencyModel};
 use fuseconv_models::Network;
 use fuseconv_nn::ops::{Axis1d, Op};
 use fuseconv_systolic::conv1d::ChannelLines;
-use fuseconv_systolic::{conv1d, gemm, is_gemm, ws_gemm, ConfigError, SimResult};
+use fuseconv_systolic::{conv1d, ConfigError, SimResult};
 use fuseconv_tensor::rng::Rng;
 use fuseconv_tensor::Tensor;
 use fuseconv_trace::{FoldSpec, TraceSink};
@@ -166,12 +166,7 @@ fn simulate_gemm(
     let mut rng = Rng::seed_from_u64(0x7472_6163);
     let a = synth(&mut rng, &[m, k]);
     let b = synth(&mut rng, &[k, n]);
-    let sim = match model.dataflow() {
-        Dataflow::OutputStationary => gemm::simulate_traced(model.array(), &a, &b, sink),
-        Dataflow::WeightStationary => ws_gemm::simulate_traced(model.array(), &a, &b, sink),
-        Dataflow::InputStationary => is_gemm::simulate_traced(model.array(), &a, &b, sink),
-    }?;
-    Ok(sim)
+    Ok(model.dataflow().simulate(model.array(), &a, &b, sink)?)
 }
 
 /// Runs the cycle-exact systolic simulator for one operator on synthetic

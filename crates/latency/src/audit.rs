@@ -466,11 +466,7 @@ mod tests {
     fn assert_config_audits_clean(rows: usize, cols: usize, batch: usize) {
         let plain = ArrayConfig::new(rows, cols).unwrap();
         for array in [plain, plain.with_broadcast(true)] {
-            for dataflow in [
-                Dataflow::OutputStationary,
-                Dataflow::WeightStationary,
-                Dataflow::InputStationary,
-            ] {
+            for dataflow in Dataflow::ALL {
                 let m = LatencyModel::new(array)
                     .with_dataflow(dataflow)
                     .with_batch(batch);

@@ -17,7 +17,7 @@
 //! | fully connected | GEMM | `M = 1`, `K = in`, `N = out` |
 //!
 //! Cycle counts are the planner's fold runs priced in checked arithmetic;
-//! they equal [`fuseconv_systolic::gemm::analytic_cycles`] and
+//! they equal [`fuseconv_systolic::Dataflow::analytic_cycles`] and
 //! [`fuseconv_systolic::conv1d::analytic_cycles`], which are validated
 //! against the cycle-level simulator, so this crate inherits exact
 //! agreement with simulation.

@@ -3,6 +3,7 @@
 use crate::plan::Emit;
 use fuseconv_nn::ops::Op;
 use fuseconv_systolic::ArrayConfig;
+pub use fuseconv_systolic::Dataflow;
 use fuseconv_trace::{FoldKind, FoldSpec};
 use std::error::Error;
 use std::fmt;
@@ -49,36 +50,6 @@ impl fmt::Display for LatencyError {
 }
 
 impl Error for LatencyError {}
-
-/// Which systolic dataflow executes GEMM-lowered operators.
-///
-/// The paper evaluates output-stationary only (§V-A-3); weight-stationary
-/// is provided for the ablation study. FuSeConv's broadcast dataflow is
-/// orthogonal and unaffected by this choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Dataflow {
-    /// Output-stationary: outputs accumulate in the PEs; the reduction
-    /// dimension is temporal. The paper's setting and the default.
-    #[default]
-    OutputStationary,
-    /// Weight-stationary: a weight tile is pinned in the PEs; the output
-    /// rows stream through.
-    WeightStationary,
-    /// Input-stationary: an activation tile is pinned in the PEs; the
-    /// weight columns stream through.
-    InputStationary,
-}
-
-impl Dataflow {
-    /// Short name: `os`, `ws` or `is` (CLI pod specs, manifests, reports).
-    pub fn short_name(self) -> &'static str {
-        match self {
-            Dataflow::OutputStationary => "os",
-            Dataflow::WeightStationary => "ws",
-            Dataflow::InputStationary => "is",
-        }
-    }
-}
 
 /// How consecutive folds of one operator share the array in time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -310,7 +281,7 @@ mod tests {
     use super::*;
     use fuseconv_nn::ops::Axis1d;
     use fuseconv_nn::FuSeVariant;
-    use fuseconv_systolic::{conv1d, gemm, is_gemm, ws_gemm, ConfigError};
+    use fuseconv_systolic::{conv1d, gemm, ConfigError};
     use fuseconv_tensor::Tensor;
 
     fn array64() -> ArrayConfig {
@@ -344,25 +315,14 @@ mod tests {
             for m in [1usize, 2, 7, 64, 65, 200] {
                 for k in [1usize, 3, 64, 130] {
                     for n in [1usize, 5, 64, 100] {
-                        let (mu, ku, nu) = (c64(m), c64(k), c64(n));
-                        let os = LatencyModel::new(cfg);
-                        assert_eq!(
-                            os.gemm_cycles(mu, ku, nu),
-                            Some(gemm::analytic_cycles(&cfg, m, k, n)),
-                            "OS {rows}x{cols} m={m} k={k} n={n}"
-                        );
-                        let ws = os.with_dataflow(Dataflow::WeightStationary);
-                        assert_eq!(
-                            ws.gemm_cycles(mu, ku, nu),
-                            Some(ws_gemm::analytic_cycles(&cfg, m, k, n)),
-                            "WS {rows}x{cols} m={m} k={k} n={n}"
-                        );
-                        let is = os.with_dataflow(Dataflow::InputStationary);
-                        assert_eq!(
-                            is.gemm_cycles(mu, ku, nu),
-                            Some(is_gemm::analytic_cycles(&cfg, m, k, n)),
-                            "IS {rows}x{cols} m={m} k={k} n={n}"
-                        );
+                        for dataflow in Dataflow::ALL {
+                            let model = LatencyModel::new(cfg).with_dataflow(dataflow);
+                            assert_eq!(
+                                model.gemm_cycles(c64(m), c64(k), c64(n)),
+                                Some(dataflow.analytic_cycles(&cfg, m, k, n)),
+                                "{dataflow:?} {rows}x{cols} m={m} k={k} n={n}"
+                            );
+                        }
                     }
                 }
             }
@@ -409,11 +369,7 @@ mod tests {
             Err(LatencyError::ArithmeticOverflow { .. })
         ));
         // Overflow holds across every dataflow × overlap combination.
-        for dataflow in [
-            Dataflow::OutputStationary,
-            Dataflow::WeightStationary,
-            Dataflow::InputStationary,
-        ] {
+        for dataflow in Dataflow::ALL {
             for overlap in [FoldOverlap::Serial, FoldOverlap::DoubleBuffered] {
                 let m = model.with_dataflow(dataflow).with_overlap(overlap);
                 assert!(

@@ -239,14 +239,14 @@ impl LatencyModel {
             Dataflow::InputStationary => (m, k, n),
         };
         let spec = |ru: u64, cu: u64| {
-            let (kind, fill, drain) = match dataflow {
-                Dataflow::OutputStationary => (FoldKind::OutputStationary, 0, ru),
-                Dataflow::WeightStationary => (FoldKind::WeightStationary, ru, 0),
-                Dataflow::InputStationary => (FoldKind::InputStationary, cu, 0),
+            let (fill, drain) = match dataflow {
+                Dataflow::OutputStationary => (0, ru),
+                Dataflow::WeightStationary => (ru, 0),
+                Dataflow::InputStationary => (cu, 0),
             };
             FoldSpec {
                 tag: 0,
-                kind,
+                kind: dataflow.fold_kind(),
                 rows_used: c32(ru),
                 cols_used: c32(cu),
                 fill,
@@ -459,11 +459,7 @@ mod tests {
     #[test]
     fn plan_totals_match_cycles_for_all_dataflows() {
         for (rows, cols) in [(4usize, 6usize), (8, 8), (5, 3), (64, 64)] {
-            for dataflow in [
-                Dataflow::OutputStationary,
-                Dataflow::WeightStationary,
-                Dataflow::InputStationary,
-            ] {
+            for dataflow in Dataflow::ALL {
                 let model = LatencyModel::new(array(rows, cols)).with_dataflow(dataflow);
                 for op in ops() {
                     let plan = model.fold_plan(&op).unwrap();

@@ -172,8 +172,6 @@ pub struct PerfCounters {
     busy_pe_cycles: u64,
     broadcast_ticks: u64,
     folds: Vec<FoldCounters>,
-    row_busy: Vec<u64>,
-    col_busy: Vec<u64>,
 }
 
 impl PerfCounters {
@@ -194,8 +192,6 @@ impl PerfCounters {
             busy_pe_cycles: 0,
             broadcast_ticks: 0,
             folds: Vec::new(),
-            row_busy: Vec::new(),
-            col_busy: Vec::new(),
         }
     }
 
@@ -276,18 +272,6 @@ impl PerfCounters {
     /// Per-fold counters, in execution order.
     pub fn folds(&self) -> &[FoldCounters] {
         &self.folds
-    }
-
-    /// Per-array-row useful-work counts (MACs), only populated when the
-    /// counters came from a [`CounterSink`] with
-    /// [`CounterSink::with_pe_detail`]; empty otherwise.
-    pub fn row_busy(&self) -> &[u64] {
-        &self.row_busy
-    }
-
-    /// Per-array-column useful-work counts (MACs); see [`Self::row_busy`].
-    pub fn col_busy(&self) -> &[u64] {
-        &self.col_busy
     }
 
     /// Fraction of PE·cycles doing MACs over the whole run, in `[0, 1]` —
@@ -396,8 +380,7 @@ impl PerfCounters {
     }
 
     /// Merges counters from a run that executed after this one: categories
-    /// add, folds concatenate. Per-PE row/column detail merges only when
-    /// both sides carry it for the same array shape.
+    /// add, folds concatenate.
     ///
     /// # Panics
     ///
@@ -416,17 +399,6 @@ impl PerfCounters {
         self.busy_pe_cycles += next.busy_pe_cycles;
         self.broadcast_ticks += next.broadcast_ticks;
         self.folds.extend(next.folds);
-        if self.row_busy.len() == next.row_busy.len() {
-            for (a, b) in self.row_busy.iter_mut().zip(&next.row_busy) {
-                *a += b;
-            }
-            for (a, b) in self.col_busy.iter_mut().zip(&next.col_busy) {
-                *a += b;
-            }
-        } else {
-            self.row_busy.clear();
-            self.col_busy.clear();
-        }
         self
     }
 }
@@ -434,13 +406,12 @@ impl PerfCounters {
 /// A [`TraceSink`] that aggregates a [`PerfCounters`] from any trace event
 /// stream — a cycle-exact simulation or an analytic replay.
 ///
-/// Subscribes to broadcast ticks but not per-element operand events; per-PE
-/// fires are opt-in via [`Self::with_pe_detail`] (they are the expensive
-/// part of a trace).
+/// Subscribes to broadcast ticks only, not to per-PE fires or per-element
+/// operand events (the expensive part of a trace); the per-PE view is
+/// [`fuseconv_trace::UtilizationSink`]'s.
 #[derive(Debug, Clone)]
 pub struct CounterSink {
     counters: PerfCounters,
-    pe_detail: bool,
 }
 
 impl CounterSink {
@@ -452,19 +423,7 @@ impl CounterSink {
     pub fn new(rows: usize, cols: usize) -> Self {
         CounterSink {
             counters: PerfCounters::new(rows, cols),
-            pe_detail: false,
         }
-    }
-
-    /// Also attribute useful work to individual array rows and columns
-    /// (requires the generator to emit `PeFire` events, which analytic
-    /// replay does not).
-    #[must_use]
-    pub fn with_pe_detail(mut self) -> Self {
-        self.pe_detail = true;
-        self.counters.row_busy = vec![0; self.counters.rows];
-        self.counters.col_busy = vec![0; self.counters.cols];
-        self
     }
 
     /// The counters collected so far.
@@ -529,23 +488,8 @@ impl TraceSink for CounterSink {
                     f.broadcast_ticks += 1;
                 }
             }
-            TraceEvent::PeFire { row, col, .. } if self.pe_detail => {
-                let (row, col) = (row as usize, col as usize);
-                if row < c.rows && col < c.cols {
-                    c.row_busy[row] += 1;
-                    c.col_busy[col] += 1;
-                }
-            }
             _ => {}
         }
-    }
-
-    fn wants_pe_fires(&self) -> bool {
-        self.pe_detail
-    }
-
-    fn wants_operand_events(&self) -> bool {
-        false
     }
 
     fn wants_broadcast_events(&self) -> bool {
@@ -595,6 +539,9 @@ mod tests {
         assert_eq!(c.active(), 4);
         assert_eq!(c.bubble(), 6);
         assert_eq!(c.cycles(), 10);
+        // 16 PEs × 10 compute cycles, 4 of them busy.
+        assert_eq!(c.stall_pe_cycles(), 156);
+        assert!((c.compute_stall_fraction() - 156.0 / 160.0).abs() < 1e-12);
     }
 
     #[test]
@@ -619,40 +566,6 @@ mod tests {
         replayed.verify_total(total).unwrap();
         let analytic = PerfCounters::from_fold_plan(&specs, 8, 8);
         assert_eq!(replayed, analytic);
-    }
-
-    #[test]
-    fn pe_detail_attributes_rows_and_cols() {
-        let mut sink = CounterSink::new(2, 2).with_pe_detail();
-        assert!(sink.wants_pe_fires());
-        sink.on_event(&TraceEvent::FoldStart {
-            fold: 0,
-            tag: 0,
-            cycle: 0,
-            kind: FoldKind::OutputStationary,
-            rows_used: 2,
-            cols_used: 1,
-        });
-        sink.on_event(&TraceEvent::PeFire {
-            cycle: 0,
-            row: 0,
-            col: 0,
-        });
-        sink.on_event(&TraceEvent::PeFire {
-            cycle: 0,
-            row: 1,
-            col: 0,
-        });
-        sink.on_event(&TraceEvent::Cycle {
-            cycle: 0,
-            phase: Phase::Compute,
-            busy: 2,
-        });
-        let c = sink.into_counters();
-        assert_eq!(c.row_busy(), &[1, 1]);
-        assert_eq!(c.col_busy(), &[2, 0]);
-        assert_eq!(c.stall_pe_cycles(), 2);
-        assert!((c.compute_stall_fraction() - 0.5).abs() < 1e-12);
     }
 
     #[test]

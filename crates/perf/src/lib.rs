@@ -15,13 +15,13 @@
 //! enforced in debug builds against [`SimResult::cycles`]. Supplementary
 //! work counters — busy PE·cycles (one MAC each), idle-during-compute
 //! stall PE·cycles, and weight-broadcast link ticks — attribute activity
-//! below cycle granularity, per fold and (opt-in) per array row/column.
+//! below cycle granularity, per fold.
 //!
 //! The same [`PerfCounters`] can be produced three independent ways and
 //! cross-checked:
 //!
 //! 1. cycle-exact simulation through a [`CounterSink`]
-//!    ([`counted`] around any `simulate_traced` simulator, and
+//!    ([`counted`] around any traced simulator, and
 //!    [`simulate_op_counted`]);
 //! 2. analytic fold replay ([`replay_counted`]);
 //! 3. the latency model's fold plan in closed form ([`plan_counters`],

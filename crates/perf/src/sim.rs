@@ -12,8 +12,8 @@ use fuseconv_trace::FoldSpec;
 
 /// Runs one traced simulation through a [`CounterSink`] sized to `cfg`
 /// and returns its result with the audited counters, e.g.
-/// `counted(&cfg, |sink| gemm::simulate_traced(&cfg, &a, &b, sink))`.
-/// Every cycle-exact simulator (`gemm`, `ws_gemm`, `is_gemm`,
+/// `counted(&cfg, |sink| dataflow.simulate(&cfg, &a, &b, sink))`.
+/// Every cycle-exact simulator (`Dataflow::simulate`,
 /// `conv1d::simulate_traced`, `conv1d::simulate_packed_traced`) plugs in
 /// the same way.
 ///
@@ -108,7 +108,7 @@ pub fn plan_counters(model: &LatencyModel, op: &Op) -> Result<PerfCounters, Late
 mod tests {
     use super::*;
     use fuseconv_nn::ops::Axis1d;
-    use fuseconv_systolic::{conv1d, gemm, is_gemm, ws_gemm};
+    use fuseconv_systolic::{conv1d, Dataflow};
     use fuseconv_tensor::rng::Rng;
     use fuseconv_tensor::Tensor;
 
@@ -130,21 +130,9 @@ mod tests {
         let a = tensor(&mut rng, &[10, 7]);
         let b = tensor(&mut rng, &[7, 12]);
         let cfg = cfg(8);
-        for (name, result) in [
-            (
-                "os",
-                counted(&cfg, |s| gemm::simulate_traced(&cfg, &a, &b, s)),
-            ),
-            (
-                "ws",
-                counted(&cfg, |s| ws_gemm::simulate_traced(&cfg, &a, &b, s)),
-            ),
-            (
-                "is",
-                counted(&cfg, |s| is_gemm::simulate_traced(&cfg, &a, &b, s)),
-            ),
-        ] {
-            let (sim, counters) = result.unwrap();
+        for dataflow in Dataflow::ALL {
+            let name = dataflow.short_name();
+            let (sim, counters) = counted(&cfg, |s| dataflow.simulate(&cfg, &a, &b, s)).unwrap();
             counters
                 .verify_total(sim.cycles())
                 .unwrap_or_else(|e| panic!("{name}: {e}"));

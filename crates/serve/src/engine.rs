@@ -99,11 +99,11 @@ pub struct ServeConfig {
     /// Fraction of requests tagged high priority.
     pub high_priority_frac: f64,
     /// SLO target multiplier over each network's best isolated
-    /// batch-1 service time.
+    /// batch-1 service time; finite and at least 1.
     pub slo_multiplier: f64,
     /// Absolute SLO budget in cycles; when set it overrides the
     /// relative multiplier for every network. Unlike the multiplier
-    /// (clamped to ≥ 1× the isolated floor, hence always attainable),
+    /// (at least 1× the isolated floor, hence always attainable),
     /// an absolute budget can sit below a network's zero-queueing
     /// floor — the SRV002 infeasibility the analyzer proves statically.
     pub slo_budget_cycles: Option<u64>,
@@ -616,6 +616,12 @@ pub fn simulate_observed(
             cfg.high_priority_frac
         )));
     }
+    if !(cfg.slo_multiplier.is_finite() && cfg.slo_multiplier >= 1.0) {
+        return Err(ServeError::Config(format!(
+            "SLO multiplier must be finite and at least 1, got {}",
+            cfg.slo_multiplier
+        )));
+    }
     if cfg.preemption && cfg.dispatch == Dispatch::Sharded {
         return Err(ServeError::Config(
             "preemption requires whole-request dispatch".to_string(),
@@ -637,7 +643,7 @@ pub fn simulate_observed(
         let best = oracle.best_cycles(net)? as f64;
         slo_target.push(match cfg.slo_budget_cycles {
             Some(budget) => budget,
-            None => (best * cfg.slo_multiplier.max(1.0)).round() as u64,
+            None => (best * cfg.slo_multiplier).round() as u64,
         });
     }
 
@@ -1198,6 +1204,16 @@ mod tests {
             ),
             Err(ServeError::Config(_))
         ));
+        for slo_multiplier in [f64::NAN, f64::INFINITY, -3.0, 0.5] {
+            let cfg = ServeConfig {
+                slo_multiplier,
+                ..base_cfg(10)
+            };
+            assert!(
+                matches!(simulate(&pod, &w, &cfg, None), Err(ServeError::Config(_))),
+                "slo multiplier {slo_multiplier}"
+            );
+        }
     }
 
     #[test]

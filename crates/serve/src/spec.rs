@@ -72,16 +72,14 @@ impl ArraySpec {
         let entry = entry.trim();
         let (dims, dataflow) = match entry.split_once(':') {
             Some((dims, df)) => {
-                let dataflow = match df {
-                    "os" => Dataflow::OutputStationary,
-                    "ws" => Dataflow::WeightStationary,
-                    "is" => Dataflow::InputStationary,
-                    other => {
-                        return Err(ServeError::Spec(format!(
-                            "unknown dataflow `{other}` in `{entry}` (expected os|ws|is)"
-                        )))
-                    }
-                };
+                let dataflow = Dataflow::ALL
+                    .into_iter()
+                    .find(|d| d.short_name() == df)
+                    .ok_or_else(|| {
+                        ServeError::Spec(format!(
+                            "unknown dataflow `{df}` in `{entry}` (expected os|ws|is)"
+                        ))
+                    })?;
                 (dims, dataflow)
             }
             None => (entry, Dataflow::OutputStationary),

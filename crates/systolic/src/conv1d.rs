@@ -669,7 +669,9 @@ mod tests {
         // The single-column GEMM alternative: each channel is a 16x9 · 9x1
         // GEMM (M = 16 outputs, K = 9 taps of a hypothetical 3x3 kernel with
         // the same MAC count), split into two row folds of 8.
-        let im2col_cycles: u64 = (0..16).map(|_| crate::gemm::fold_cycles(8, 1, 9) * 2).sum();
+        let im2col_cycles: u64 = (0..16)
+            .map(|_| crate::Dataflow::OutputStationary.fold_cycles(8, 1, 9) * 2)
+            .sum();
         assert!(
             fuse.cycles() < im2col_cycles,
             "broadcast {} should beat im2col {}",

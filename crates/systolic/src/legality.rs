@@ -18,6 +18,9 @@
 //!    served by the paper's per-row weight-broadcast link (§IV-C-1), in
 //!    which case the array must physically have that link.
 //!
+//! Dataflows are named by [`FoldKind`], the same type that labels the
+//! folds the simulators trace.
+//!
 //! The verdict depends only on the dataflow kind and whether the array has
 //! the broadcast link, so legality of the shipped mappings is a property of
 //! constant code: it is proved once, by this module's tests, for every kind
@@ -30,47 +33,8 @@
 use crate::ArrayConfig;
 use fuseconv_ria::schedule::find_schedule;
 use fuseconv_ria::{RecurrenceSystem, RiaViolation, Schedule};
+use fuseconv_trace::FoldKind;
 use std::fmt;
-
-/// The dataflows implemented by this crate's simulators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DataflowKind {
-    /// Output-stationary GEMM ([`crate::gemm`]).
-    OutputStationary,
-    /// Weight-stationary GEMM ([`crate::ws_gemm`]).
-    WeightStationary,
-    /// Input-stationary GEMM ([`crate::is_gemm`]).
-    InputStationary,
-    /// The FuSeConv row-broadcast 1-D convolution dataflow
-    /// ([`crate::conv1d`]).
-    RowBroadcast,
-}
-
-impl DataflowKind {
-    /// All dataflows, in the order the simulators were introduced.
-    pub const ALL: [DataflowKind; 4] = [
-        DataflowKind::OutputStationary,
-        DataflowKind::WeightStationary,
-        DataflowKind::InputStationary,
-        DataflowKind::RowBroadcast,
-    ];
-
-    /// Short human-readable name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            DataflowKind::OutputStationary => "output-stationary GEMM",
-            DataflowKind::WeightStationary => "weight-stationary GEMM",
-            DataflowKind::InputStationary => "input-stationary GEMM",
-            DataflowKind::RowBroadcast => "row-broadcast 1-D convolution",
-        }
-    }
-}
-
-impl fmt::Display for DataflowKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// One dependence of a recurrence system, with its provenance: which
 /// variable's read induced it.
@@ -89,7 +53,7 @@ pub struct Dependence {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataflowMapping {
     /// Which simulator dataflow this mapping describes.
-    pub kind: DataflowKind,
+    pub kind: FoldKind,
     /// The recurrence system the dataflow executes.
     pub system: RecurrenceSystem,
     /// The linear schedule `τ`.
@@ -219,24 +183,24 @@ impl fmt::Display for LegalityViolation {
 /// schedulability, derivation would yield a schedule that
 /// [`verify_mapping`] rejects, or none at all (encoded as the empty
 /// schedule, which then fails verification).
-pub fn canonical_mapping(kind: DataflowKind) -> DataflowMapping {
+pub fn canonical_mapping(kind: FoldKind) -> DataflowMapping {
     use fuseconv_ria::algorithms;
     let (system, space_axes, time_axis, broadcast_vars) = match kind {
         // Matmul over (i, j, k): PE grid is (i, j), time is the reduction
         // index k — Fig. 1(c)-(d).
-        DataflowKind::OutputStationary => (algorithms::matmul(), vec![0, 1], 2, vec![]),
+        FoldKind::OutputStationary => (algorithms::matmul(), vec![0, 1], 2, vec![]),
         // The weight tile is pinned: array rows hold the reduction index
         // k, columns the output column j; output rows stream over time.
-        DataflowKind::WeightStationary => (algorithms::matmul(), vec![2, 1], 0, vec![]),
+        FoldKind::WeightStationary => (algorithms::matmul(), vec![2, 1], 0, vec![]),
         // The input tile is pinned: rows hold output row i, columns the
         // reduction index k; output columns stream over time.
-        DataflowKind::InputStationary => (algorithms::matmul(), vec![0, 2], 1, vec![]),
+        FoldKind::InputStationary => (algorithms::matmul(), vec![0, 2], 1, vec![]),
         // 1-D convolution over (i positions, j taps): output positions
         // live along the array columns; taps are serialized in time with
         // each tap's weight reused across every position in the row — the
         // reuse the per-row broadcast link serves (§IV-C-1). Array rows
         // carry independent convolutions and are not an iteration axis.
-        DataflowKind::RowBroadcast => (algorithms::conv1d(), vec![0], 1, vec!["W".to_string()]),
+        FoldKind::RowBroadcast => (algorithms::conv1d(), vec![0], 1, vec!["W".to_string()]),
     };
     let rank = system
         .recurrences()
@@ -346,8 +310,8 @@ mod tests {
         for (rows, cols) in [(1, 1), (1, 8), (3, 5), (8, 8), (64, 16)] {
             let array = ArrayConfig::new(rows, cols).unwrap();
             for cfg in [array, array.with_broadcast(true)] {
-                for kind in DataflowKind::ALL {
-                    let legal = kind != DataflowKind::RowBroadcast || cfg.has_broadcast();
+                for kind in FoldKind::ALL {
+                    let legal = kind != FoldKind::RowBroadcast || cfg.has_broadcast();
                     assert_eq!(
                         verify_mapping(&canonical_mapping(kind), &cfg).is_ok(),
                         legal,
@@ -362,7 +326,7 @@ mod tests {
     #[test]
     fn row_broadcast_requires_the_link() {
         let errs =
-            verify_mapping(&canonical_mapping(DataflowKind::RowBroadcast), &plain(8)).unwrap_err();
+            verify_mapping(&canonical_mapping(FoldKind::RowBroadcast), &plain(8)).unwrap_err();
         assert!(errs.iter().any(
             |v| matches!(v, LegalityViolation::BroadcastLinkMissing { var, .. } if var == "W")
         ));
@@ -373,7 +337,7 @@ mod tests {
         // Tamper the canonical OS mapping with τ = [1, 1, -1] so the
         // accumulation dependence (0,0,1) gets τ·d = -1 < 1, and check the
         // verifier refuses it statically.
-        let mapping = canonical_mapping(DataflowKind::OutputStationary)
+        let mapping = canonical_mapping(FoldKind::OutputStationary)
             .with_schedule(Schedule::new(vec![1, 1, -1]));
         let errs = verify_mapping(&mapping, &plain(8)).unwrap_err();
         assert!(errs.iter().any(|v| matches!(
@@ -384,7 +348,7 @@ mod tests {
 
     #[test]
     fn non_ria_system_is_rejected() {
-        let mut mapping = canonical_mapping(DataflowKind::OutputStationary);
+        let mut mapping = canonical_mapping(FoldKind::OutputStationary);
         // Replace the C recurrence's A read with a ⌊k/3⌋-offset access —
         // the direct-convolution pathology of §III-A.
         let i = || IndexExpr::axis(0);
@@ -408,7 +372,7 @@ mod tests {
     fn non_local_projection_is_rejected() {
         // A dependence that jumps two PEs along i: schedulable (τ·d = 2)
         // but physically non-local.
-        let mut mapping = canonical_mapping(DataflowKind::OutputStationary);
+        let mut mapping = canonical_mapping(FoldKind::OutputStationary);
         let j = || IndexExpr::axis(1);
         let k = || IndexExpr::axis(2);
         mapping.system = RecurrenceSystem::new(
@@ -431,8 +395,8 @@ mod tests {
 
     #[test]
     fn rank_mismatched_schedule_is_rejected() {
-        let mapping = canonical_mapping(DataflowKind::OutputStationary)
-            .with_schedule(Schedule::new(vec![1, 1]));
+        let mapping =
+            canonical_mapping(FoldKind::OutputStationary).with_schedule(Schedule::new(vec![1, 1]));
         assert!(verify_mapping(&mapping, &plain(8)).is_err());
     }
 
@@ -454,7 +418,7 @@ mod tests {
 
     #[test]
     fn dependences_carry_provenance() {
-        let deps = canonical_mapping(DataflowKind::RowBroadcast).dependences();
+        let deps = canonical_mapping(FoldKind::RowBroadcast).dependences();
         assert!(deps.iter().any(|d| d.var == "W" && d.vector == vec![1, 0]));
         assert!(deps.iter().any(|d| d.var == "C" && d.vector == vec![0, 1]));
     }

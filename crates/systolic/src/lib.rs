@@ -2,29 +2,28 @@
 //!
 //! Four dataflows are modelled, matching §II-C and §IV-C of the paper:
 //!
-//! - [`gemm`] — the classic **output-stationary** GEMM: operand `A`
-//!   streams in from the left (one array row per output row), operand `B`
-//!   from the top (one array column per output column), skewed by one cycle
-//!   per position; each PE accumulates one output element; outputs drain
-//!   down the columns. Work larger than the array is executed in *folds*.
-//! - [`ws_gemm`] — **weight-stationary** GEMM: a `B` tile is preloaded,
-//!   rows of `A` stream through, partial sums leave at the bottom row.
-//! - [`is_gemm`] — **input-stationary** GEMM: an `A` tile is preloaded,
-//!   columns of `B` stream through, partial sums leave at the right edge.
+//! - [`Dataflow`] — the three GEMM dataflows, one fold driver:
+//!   **output-stationary** (`A` streams in from the left, `B` from the top,
+//!   skewed one cycle per position; each PE accumulates one output, which
+//!   drains down the columns), **weight-stationary** (a `B` tile is
+//!   preloaded, rows of `A` stream through, partial sums leave at the
+//!   bottom row) and **input-stationary** (an `A` tile is preloaded,
+//!   columns of `B` stream through, partial sums leave at the right edge).
+//!   Work larger than the array is executed in *folds*. The driver derives
+//!   each variant's index map from PE `(i, j)` and stream step `s` to
+//!   `(m, k, n)`, its preload and its drain; it computes each fold's MACs
+//!   in ascending reduction order (so outputs are bit-identical to
+//!   [`matmul`](fuseconv_tensor::gemm::matmul)), derives per-cycle busy
+//!   counts in closed form, and generates per-PE and per-operand trace
+//!   events only for sinks that ask for them. [`gemm`], [`ws_gemm`] and
+//!   [`is_gemm`] are its untraced entry points.
 //! - [`conv1d`] — the paper's **row-broadcast** dataflow for FuSeConv:
 //!   each array row runs an independent 1-D convolution. The row's weight
 //!   taps are broadcast (one per cycle) over a dedicated link while the
 //!   preloaded input slides left one PE per cycle; outputs stay stationary
 //!   and drain down the columns like the OS dataflow.
-//!
-//! The three GEMM dataflows share one fold driver: each module only names
-//! which operand stays in the PEs, and the driver derives from that the
-//! index map from PE `(i, j)` and stream step `s` to `(m, k, n)`, the
-//! preloaded operand and the drain. The driver computes each fold's MACs
-//! in ascending reduction order (so outputs are bit-identical to
-//! [`matmul`](fuseconv_tensor::gemm::matmul)), derives per-cycle busy
-//! counts in closed form from the fold's anti-diagonal band, and generates
-//! per-PE and per-operand trace events only for sinks that ask for them.
+//! - [`legality`] — the RIA space–time mapping of each dataflow, verified
+//!   statically.
 //!
 //! Every simulation returns a [`SimResult`] carrying the functional output
 //! (validated against golden models in tests), the exact cycle count, and a
@@ -63,10 +62,11 @@ pub mod ws_gemm;
 
 pub use config::{ArrayConfig, ConfigError};
 pub use result::SimResult;
+pub use wavefront::Dataflow;
 
 /// Count one finished simulation in the process-wide metrics registry:
 /// `sim.runs_total`, `sim.cycles_total` (simulated cycles) and
-/// `sim.folds_total`. Every `simulate_traced` entry point calls this
+/// `sim.folds_total`. Every traced simulator entry point calls this
 /// just before returning, so the registry's cycle total equals the sum
 /// of every returned [`SimResult::cycles`].
 fn record_sim_metrics(sim: &SimResult) {

@@ -6,8 +6,7 @@
 //! PE `(i, j)` handles stream step `s` at window cycle `t = s + i + j`. They
 //! differ only in which GEMM axes the array rows, array columns and stream
 //! steps index, and in which operand (if any) is preloaded — all of which
-//! follows from which operand is [`Stationary`]. [`Stationary::simulate`]
-//! does the rest:
+//! follows from the [`Dataflow`]. [`Dataflow::simulate`] does the rest:
 //!
 //! - **MACs** run per fold, output row by output row: each reduction step
 //!   adds a scaled `B` row slice to a contiguous output row slice. Every
@@ -35,24 +34,58 @@ pub(crate) enum Axis {
     N = 2,
 }
 
-/// A GEMM dataflow as the driver sees it. Which operand (if any) stays in
-/// the PEs decides everything else about a fold: the index map, the fill,
-/// the drain, the edge partial sums leave through, and the trace and
-/// telemetry names.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Stationary {
-    /// Outputs accumulate in the PEs: PE `(i, j)` at stream step `s`
-    /// handles `(m, k, n) = (r0 + i, s, c0 + j)`. No fill; the outputs
-    /// drain down the columns for `ru` cycles after the window.
-    Output,
-    /// A filter tile is pinned, one array row per fill cycle (`ru`
-    /// cycles): `(m, k, n) = (s, r0 + i, c0 + j)`. Partial sums leave
-    /// through the bottom row.
-    Weight,
-    /// An ifmap tile is pinned, one array column per fill cycle (`cu`
-    /// cycles): `(m, k, n) = (r0 + i, c0 + j, s)`. Partial sums leave
-    /// through the right column.
-    Input,
+/// Which systolic dataflow executes a GEMM (§II-C): which operand, if
+/// any, stays in the PEs. That one choice decides everything else about a
+/// fold — the index map, the fill, the drain, the edge partial sums leave
+/// through, and the trace and telemetry names.
+///
+/// The paper evaluates output-stationary only (§V-A-3); the other two
+/// serve the dataflow ablation. FuSeConv's row-broadcast dataflow
+/// ([`crate::conv1d`]) is orthogonal to this choice.
+///
+/// Work larger than the array runs in *folds*: array-sized tiles over the
+/// two GEMM axes the array rows and columns index. A fold of used size
+/// `ru × cu` streams `S` steps (the third axis) through a skewed window of
+/// `S + ru + cu − 2` cycles, plus the dataflow's fill and drain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Dataflow {
+    /// Outputs accumulate in the PEs (Fig. 1(d)): `A` streams in from the
+    /// left, one array row per output row, and `B` from the top, one array
+    /// column per output column. PE `(i, j)` at stream step `s` handles
+    /// `(m, k, n) = (r0 + i, s, c0 + j)`. Folds tile `M × N`; there is no
+    /// fill, and the outputs drain down the columns for `ru` cycles:
+    ///
+    /// ```text
+    /// T_fold = (ru + cu + K − 2) + ru = 2·ru + cu + K − 2
+    /// ```
+    ///
+    /// (the SCALE-Sim output-stationary formula). The paper's setting and
+    /// the default.
+    #[default]
+    OutputStationary,
+    /// A `B` (filter) tile is pinned, one array row per fill cycle, and the
+    /// rows of `A` stream through: `(m, k, n) = (s, r0 + i, c0 + j)`.
+    /// Partial sums flow down the columns and leave through the bottom
+    /// row. Folds tile `K × N`; the temporal dimension is `M`:
+    ///
+    /// ```text
+    /// T_fold = ru + (M + ru + cu − 2) = 2·ru + cu + M − 2
+    /// ```
+    ///
+    /// `K`-tiles accumulate into the same outputs, which a real
+    /// accelerator does in its output SRAM at no extra array cycles.
+    WeightStationary,
+    /// An `A` (ifmap) tile is pinned, one array column per fill cycle, and
+    /// the columns of `B` stream through: `(m, k, n) = (r0 + i, c0 + j, s)`.
+    /// Partial sums flow rightward along the rows and leave through the
+    /// right column. Folds tile `M × K`; the temporal dimension is `N`:
+    ///
+    /// ```text
+    /// T_fold = cu + (N + ru + cu − 2) = ru + 2·cu + N − 2
+    /// ```
+    ///
+    /// `K`-tiles accumulate in output SRAM, as under weight-stationary.
+    InputStationary,
 }
 
 /// One array-sized tile: origin and used extent along the row and column
@@ -86,13 +119,35 @@ fn band(ru: usize, cu: usize, s: usize) -> impl Iterator<Item = u32> {
     })
 }
 
-impl Stationary {
-    /// Trace kind of every fold and telemetry span around one simulation.
-    fn names(self) -> (FoldKind, &'static str) {
+impl Dataflow {
+    /// The three GEMM dataflows, output-stationary first.
+    pub const ALL: [Dataflow; 3] = [
+        Dataflow::OutputStationary,
+        Dataflow::WeightStationary,
+        Dataflow::InputStationary,
+    ];
+
+    /// The trace kind of every fold this dataflow runs.
+    pub fn fold_kind(self) -> FoldKind {
         match self {
-            Self::Output => (FoldKind::OutputStationary, "sim.gemm_os"),
-            Self::Weight => (FoldKind::WeightStationary, "sim.gemm_ws"),
-            Self::Input => (FoldKind::InputStationary, "sim.gemm_is"),
+            Self::OutputStationary => FoldKind::OutputStationary,
+            Self::WeightStationary => FoldKind::WeightStationary,
+            Self::InputStationary => FoldKind::InputStationary,
+        }
+    }
+
+    /// Short name: `os`, `ws` or `is` (CLI pod specs, manifests, reports),
+    /// the [`FoldKind::mnemonic`] of its folds.
+    pub fn short_name(self) -> &'static str {
+        self.fold_kind().mnemonic()
+    }
+
+    /// The telemetry span around one simulation.
+    fn span_name(self) -> &'static str {
+        match self {
+            Self::OutputStationary => "sim.gemm_os",
+            Self::WeightStationary => "sim.gemm_ws",
+            Self::InputStationary => "sim.gemm_is",
         }
     }
 
@@ -100,27 +155,27 @@ impl Stationary {
     /// and stream steps, in that order.
     fn axes(self) -> [Axis; 3] {
         match self {
-            Self::Output => [Axis::M, Axis::N, Axis::K],
-            Self::Weight => [Axis::K, Axis::N, Axis::M],
-            Self::Input => [Axis::M, Axis::K, Axis::N],
+            Self::OutputStationary => [Axis::M, Axis::N, Axis::K],
+            Self::WeightStationary => [Axis::K, Axis::N, Axis::M],
+            Self::InputStationary => [Axis::M, Axis::K, Axis::N],
         }
     }
 
     /// The operand pinned before streaming.
     fn preload(self) -> Option<Operand> {
         match self {
-            Self::Output => None,
-            Self::Weight => Some(Operand::Filter),
-            Self::Input => Some(Operand::Ifmap),
+            Self::OutputStationary => None,
+            Self::WeightStationary => Some(Operand::Filter),
+            Self::InputStationary => Some(Operand::Ifmap),
         }
     }
 
     /// Fill and drain cycles of a `ru × cu` fold.
     fn phases(self, ru: usize, cu: usize) -> (usize, usize) {
         match self {
-            Self::Output => (0, ru),
-            Self::Weight => (ru, 0),
-            Self::Input => (cu, 0),
+            Self::OutputStationary => (0, ru),
+            Self::WeightStationary => (ru, 0),
+            Self::InputStationary => (cu, 0),
         }
     }
 
@@ -128,14 +183,15 @@ impl Stationary {
     /// as it fires.
     fn exits(self, ru: usize, cu: usize, i: usize, j: usize) -> bool {
         match self {
-            Self::Output => false,
-            Self::Weight => i == ru - 1,
-            Self::Input => j == cu - 1,
+            Self::OutputStationary => false,
+            Self::WeightStationary => i == ru - 1,
+            Self::InputStationary => j == cu - 1,
         }
     }
 
     /// Exact cycles of one fold using `ru` rows, `cu` columns and `s`
-    /// stream steps: fill, skewed window, drain.
+    /// stream steps: fill, skewed window, drain (the per-variant `T_fold`
+    /// formulas above).
     ///
     /// # Panics
     ///
@@ -185,7 +241,15 @@ impl Stationary {
         ix
     }
 
-    /// Simulates `C = A·B`, narrating every cycle to `sink`.
+    /// Simulates `C = A·B` cycle by cycle, narrating every cycle to `sink`.
+    ///
+    /// Returns the product (bit-identical to the golden
+    /// [`matmul`](fuseconv_tensor::gemm::matmul)) with exact cycle counts and
+    /// the per-cycle busy trace. A preload is reported as the fold's fill
+    /// phase, the streaming window as its compute phase. Per-PE and
+    /// per-element events are generated only when the sink opts in
+    /// ([`TraceSink::wants_pe_fires`] / [`TraceSink::wants_operand_events`]);
+    /// the cycle numbers they carry match [`SimResult::cycles`] exactly.
     ///
     /// # Errors
     ///
@@ -197,8 +261,8 @@ impl Stationary {
         b: &Tensor,
         sink: &mut dyn TraceSink,
     ) -> Result<SimResult, ConfigError> {
-        let (kind, span) = self.names();
-        let _span = fuseconv_telemetry::span(span);
+        let _span = fuseconv_telemetry::span(self.span_name());
+        let kind = self.fold_kind();
         let (ad, bd) = (a.shape().dims(), b.shape().dims());
         if ad.len() != 2 || bd.len() != 2 || ad[1] != bd[0] {
             return Err(ConfigError::BadOperand {
@@ -305,7 +369,7 @@ fn fold_macs(
 /// Generates the per-PE and per-element events a sink opted into. It
 /// never touches the MACs or the busy trace.
 struct Narrator {
-    flow: Stationary,
+    flow: Dataflow,
     dims: [usize; 3],
     stream: usize,
     pe: bool,
@@ -440,7 +504,7 @@ mod tests {
             let a = Tensor::from_fn(&[m, k], |_| rng.uniform(-0.5, 0.5)).unwrap();
             let b = Tensor::from_fn(&[k, n], |_| rng.uniform(-0.5, 0.5)).unwrap();
             let gold = bits(&matmul(&a, &b).unwrap());
-            for flow in [Stationary::Output, Stationary::Weight, Stationary::Input] {
+            for flow in Dataflow::ALL {
                 let ctx = format!("{flow:?} {}x{} array, {m}x{k}x{n}", cfg.rows(), cfg.cols());
                 let sim = flow.simulate(&cfg, &a, &b, &mut NullSink).unwrap();
                 assert_eq!(bits(sim.output()), gold, "{ctx}");
@@ -457,5 +521,99 @@ mod tests {
                 assert_eq!(traced, sim, "{ctx}");
             }
         }
+    }
+
+    const OS: Dataflow = Dataflow::OutputStationary;
+    const WS: Dataflow = Dataflow::WeightStationary;
+    const IS: Dataflow = Dataflow::InputStationary;
+
+    fn ones(dims: &[usize]) -> Tensor {
+        Tensor::full(dims, 1.0).unwrap()
+    }
+
+    /// Folds tile the two array-mapped axes: `M × N` (OS), `K × N` (WS),
+    /// `M × K` (IS). A one-fold run costs exactly one `fold_cycles`.
+    #[test]
+    fn fold_counts_tile_the_array_mapped_axes() {
+        let cfg = ArrayConfig::new(3, 4).unwrap();
+        let (a, b) = (ones(&[7, 5]), ones(&[5, 9]));
+        // ⌈7/3⌉·⌈9/4⌉, ⌈5/3⌉·⌈9/4⌉, ⌈7/3⌉·⌈5/4⌉.
+        for (flow, folds) in [(OS, 9), (WS, 6), (IS, 6)] {
+            let sim = flow.simulate(&cfg, &a, &b, &mut NullSink).unwrap();
+            assert_eq!(sim.folds(), folds, "{flow:?}");
+        }
+        let cfg = ArrayConfig::new(8, 8).unwrap();
+        let (a, b) = (ones(&[4, 5]), ones(&[5, 6]));
+        let sim = OS.simulate(&cfg, &a, &b, &mut NullSink).unwrap();
+        assert_eq!(sim.folds(), 1);
+        assert_eq!(sim.cycles(), OS.fold_cycles(4, 6, 5));
+    }
+
+    #[test]
+    fn fold_formulas_match_scale_sim() {
+        // OS: 2·Sr + Sc + T − 2 with full array usage; a 1×1×1 fold is one
+        // compute cycle plus one drain cycle.
+        assert_eq!(OS.fold_cycles(32, 32, 100), 2 * 32 + 32 + 100 - 2);
+        assert_eq!(OS.fold_cycles(1, 1, 1), 2);
+        // WS preloads one row per cycle, IS one column per cycle.
+        assert_eq!(WS.fold_cycles(3, 5, 7), 2 * 3 + 5 + 7 - 2);
+        assert_eq!(IS.fold_cycles(3, 5, 7), 3 + 2 * 5 + 7 - 2);
+        assert_eq!(WS.fold_cycles(8, 8, 100), 8 + 100 + 8 + 8 - 2);
+        assert_eq!(IS.fold_cycles(8, 8, 100), 8 + 100 + 8 + 8 - 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be nonzero")]
+    fn fold_cycles_rejects_zero() {
+        let _ = OS.fold_cycles(0, 1, 1);
+    }
+
+    #[test]
+    fn bad_operands_rejected() {
+        let cfg = ArrayConfig::new(4, 4).unwrap();
+        let (a, b) = (ones(&[2, 3]), ones(&[4, 2]));
+        for flow in Dataflow::ALL {
+            assert!(flow.simulate(&cfg, &a, &b, &mut NullSink).is_err());
+            assert!(flow.simulate(&cfg, &a, &ones(&[3]), &mut NullSink).is_err());
+        }
+    }
+
+    /// The depthwise/im2col case of §III-B: N = 1 ⇒ only one array column
+    /// is ever busy ⇒ utilization bounded by 1/cols.
+    #[test]
+    fn single_column_gemm_uses_one_column() {
+        let cfg = ArrayConfig::new(8, 8).unwrap();
+        let (a, b) = (ones(&[8, 9]), ones(&[9, 1]));
+        let sim = OS.simulate(&cfg, &a, &b, &mut NullSink).unwrap();
+        let max_busy = sim.busy_trace().iter().copied().max().unwrap();
+        assert!(max_busy as usize <= cfg.rows());
+        assert!(sim.utilization() <= 1.0 / cfg.cols() as f64 + 1e-9);
+    }
+
+    /// Each dataflow's temporal dimension (OS `K`, WS `M`, IS `N`) makes it
+    /// the cheapest on the shapes that stretch that dimension.
+    #[test]
+    fn each_dataflow_wins_where_its_temporal_dimension_is_long() {
+        let cfg = ArrayConfig::new(8, 8).unwrap();
+        let cost = |flow: Dataflow, m, k, n| flow.analytic_cycles(&cfg, m, k, n);
+        // WS cycles grow with M, not K; K beyond the array adds folds,
+        // each re-streaming A.
+        assert!(cost(WS, 100, 8, 8) > cost(WS, 10, 8, 8));
+        assert_eq!(cost(WS, 10, 16, 8), 2 * cost(WS, 10, 8, 8));
+        // IS cycles grow with N. M = K = 8 fits the array, so N = 1000
+        // streams through once under IS but refolds N/cols times under
+        // the others.
+        assert!(cost(IS, 8, 8, 100) > cost(IS, 8, 8, 10));
+        assert!(cost(IS, 8, 8, 1000) < cost(OS, 8, 8, 1000));
+        assert!(cost(IS, 8, 8, 1000) < cost(WS, 8, 8, 1000));
+        let cfg = ArrayConfig::new(64, 64).unwrap();
+        let cost = |flow: Dataflow, m, k, n| flow.analytic_cycles(&cfg, m, k, n);
+        // The depthwise im2col shape (M large, K = 9, N = 1): WS keeps the
+        // 9 weights resident and streams the pixels once, while OS refolds
+        // every `rows` pixels.
+        assert!(cost(WS, 3136, 9, 1) < cost(OS, 3136, 9, 1) / 2);
+        // An FC layer (M = 1, K large): OS keeps the single output row
+        // resident; WS refolds over K.
+        assert!(cost(OS, 1, 1024, 64) < cost(WS, 1, 1024, 64));
     }
 }

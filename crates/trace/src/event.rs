@@ -55,7 +55,9 @@ impl fmt::Display for Phase {
     }
 }
 
-/// The dataflow a fold executes under.
+/// The dataflow a fold executes under: the three GEMM dataflows of §II-C
+/// and FuSeConv's row broadcast (§IV-C). The legality verifier and the
+/// analyzer's mapping rules name dataflows by this type too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FoldKind {
     /// Output-stationary GEMM: outputs accumulate in the PEs (§II-C).
@@ -69,6 +71,25 @@ pub enum FoldKind {
 }
 
 impl FoldKind {
+    /// All dataflows, in the order the simulators were introduced.
+    pub const ALL: [FoldKind; 4] = [
+        FoldKind::OutputStationary,
+        FoldKind::WeightStationary,
+        FoldKind::InputStationary,
+        FoldKind::RowBroadcast,
+    ];
+
+    /// Long human-readable name, e.g. `output-stationary GEMM` (the
+    /// analyzer's diagnostic context).
+    pub fn name(&self) -> &'static str {
+        match self {
+            FoldKind::OutputStationary => "output-stationary GEMM",
+            FoldKind::WeightStationary => "weight-stationary GEMM",
+            FoldKind::InputStationary => "input-stationary GEMM",
+            FoldKind::RowBroadcast => "row-broadcast 1-D convolution",
+        }
+    }
+
     /// Short lowercase mnemonic used in CSV/JSON output.
     pub fn mnemonic(&self) -> &'static str {
         match self {
@@ -278,5 +299,9 @@ mod tests {
         assert_eq!(Phase::Drain.to_string(), "drain");
         assert_eq!(FoldKind::RowBroadcast.to_string(), "bcast");
         assert_eq!(FoldKind::OutputStationary.mnemonic(), "os");
+        assert_eq!(
+            FoldKind::RowBroadcast.name(),
+            "row-broadcast 1-D convolution"
+        );
     }
 }

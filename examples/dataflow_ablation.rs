@@ -22,11 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "dataflow", "fold overlap", "base cycles", "full", "half"
     );
     println!("{}", "-".repeat(76));
-    for dataflow in [
-        Dataflow::OutputStationary,
-        Dataflow::WeightStationary,
-        Dataflow::InputStationary,
-    ] {
+    for dataflow in Dataflow::ALL {
         for overlap in [FoldOverlap::Serial, FoldOverlap::DoubleBuffered] {
             let model = LatencyModel::new(array)
                 .with_dataflow(dataflow)

@@ -63,11 +63,7 @@ fn assert_run_priced_equals_expanded(rows: usize, cols: usize) {
         .expect("nonzero array")
         .with_broadcast(true);
     let ops = zoo_ops(&array);
-    for dataflow in [
-        Dataflow::OutputStationary,
-        Dataflow::WeightStationary,
-        Dataflow::InputStationary,
-    ] {
+    for dataflow in Dataflow::ALL {
         for batch in [1, 3] {
             let model = LatencyModel::new(array)
                 .with_dataflow(dataflow)

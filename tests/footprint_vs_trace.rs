@@ -14,7 +14,7 @@ use std::collections::HashSet;
 use fuseconv::latency::{fold_footprint, plan_high_water, Dataflow, LatencyModel};
 use fuseconv::nn::ops::{Axis1d, Op};
 use fuseconv::systolic::conv1d::ChannelLines;
-use fuseconv::systolic::{conv1d, gemm, is_gemm, ws_gemm, ArrayConfig, SimResult};
+use fuseconv::systolic::{conv1d, ArrayConfig, SimResult};
 use fuseconv::tensor::Tensor;
 use fuseconv::trace::{Operand, TraceEvent, TraceSink};
 
@@ -109,26 +109,17 @@ fn gemm_fold_footprints_equal_traced_distinct_addresses() {
     // remainder-fold cases for each dataflow's tiling dimensions.
     let arrays = [(4usize, 4usize), (3, 5), (8, 2)];
     let gemms = [(1usize, 1usize, 1usize), (7, 5, 9), (9, 13, 4), (5, 20, 5)];
-    type Traced = fn(
-        &ArrayConfig,
-        &Tensor,
-        &Tensor,
-        &mut dyn TraceSink,
-    ) -> Result<SimResult, fuseconv::systolic::ConfigError>;
-    let cases: [(Dataflow, Traced); 3] = [
-        (Dataflow::OutputStationary, gemm::simulate_traced),
-        (Dataflow::WeightStationary, ws_gemm::simulate_traced),
-        (Dataflow::InputStationary, is_gemm::simulate_traced),
-    ];
     for (rows, cols) in arrays {
         let cfg = ArrayConfig::new(rows, cols).expect("nonzero array");
-        for (dataflow, sim_fn) in cases {
+        for dataflow in Dataflow::ALL {
             let model = LatencyModel::new(cfg).with_dataflow(dataflow);
             for (m, k, n) in gemms {
                 let a = Tensor::full(&[m, k], 1.0).expect("operand a");
                 let b = Tensor::full(&[k, n], 1.0).expect("operand b");
                 let mut sink = FootprintSink::default();
-                let sim = sim_fn(&cfg, &a, &b, &mut sink).expect("traced sim");
+                let sim = dataflow
+                    .simulate(&cfg, &a, &b, &mut sink)
+                    .expect("traced sim");
                 // A pointwise conv over an m×1 map lowers to exactly this
                 // (m, k, n) GEMM, so its plan is the trace's fold plan.
                 let op = Op::pointwise(m, 1, k, n);

@@ -23,7 +23,7 @@ use fuseconv::models::zoo;
 use fuseconv::nn::ops::{Axis1d, Op};
 use fuseconv::nn::FuSeVariant;
 use fuseconv::systolic::conv1d::ChannelLines;
-use fuseconv::systolic::{conv1d, gemm, is_gemm, ws_gemm, ArrayConfig, SimResult};
+use fuseconv::systolic::{conv1d, ArrayConfig, SimResult};
 use fuseconv::tensor::Tensor;
 use fuseconv::trace::{Operand, TraceEvent, TraceSink};
 
@@ -221,26 +221,17 @@ fn gemm_ir_high_water_equals_traced_distinct_addresses() {
     // shapes straddling the array on every axis.
     let arrays = [(4usize, 4usize), (3, 5), (8, 2)];
     let gemms = [(1usize, 1usize, 1usize), (7, 5, 9), (9, 13, 4), (5, 20, 5)];
-    type Traced = fn(
-        &ArrayConfig,
-        &Tensor,
-        &Tensor,
-        &mut dyn TraceSink,
-    ) -> Result<SimResult, fuseconv::systolic::ConfigError>;
-    let cases: [(Dataflow, Traced); 3] = [
-        (Dataflow::OutputStationary, gemm::simulate_traced),
-        (Dataflow::WeightStationary, ws_gemm::simulate_traced),
-        (Dataflow::InputStationary, is_gemm::simulate_traced),
-    ];
     for (rows, cols) in arrays {
         let cfg = ArrayConfig::new(rows, cols).expect("nonzero array");
-        for (dataflow, sim_fn) in cases {
+        for dataflow in Dataflow::ALL {
             let model = LatencyModel::new(cfg).with_dataflow(dataflow);
             for (m, k, n) in gemms {
                 let a = Tensor::full(&[m, k], 1.0).expect("operand a");
                 let b = Tensor::full(&[k, n], 1.0).expect("operand b");
                 let mut sink = FootprintSink::default();
-                let sim = sim_fn(&cfg, &a, &b, &mut sink).expect("traced sim");
+                let sim = dataflow
+                    .simulate(&cfg, &a, &b, &mut sink)
+                    .expect("traced sim");
                 let op = Op::pointwise(m, 1, k, n);
                 let ctx = format!("{rows}x{cols} {dataflow:?} {m}x{k}x{n}");
                 assert_ir_matches_trace(&model, &op, &sink, &sim, &ctx);

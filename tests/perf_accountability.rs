@@ -51,11 +51,7 @@ fn whole_zoo() -> Vec<Network> {
 
 #[test]
 fn zoo_counters_account_for_every_cycle_under_all_dataflows() {
-    for dataflow in [
-        Dataflow::OutputStationary,
-        Dataflow::WeightStationary,
-        Dataflow::InputStationary,
-    ] {
+    for dataflow in Dataflow::ALL {
         let model = paper_model(64, dataflow);
         for net in whole_zoo() {
             for (vname, variant) in variants(&net) {
@@ -119,11 +115,7 @@ fn simulator_agrees_with_analytic_prediction_fold_by_fold() {
         Op::fc(20, 12),
         Op::fc(64, 64),
     ];
-    for dataflow in [
-        Dataflow::OutputStationary,
-        Dataflow::WeightStationary,
-        Dataflow::InputStationary,
-    ] {
+    for dataflow in Dataflow::ALL {
         let model = paper_model(8, dataflow);
         for op in &ops {
             let ctx = format!("{dataflow:?} {op}");

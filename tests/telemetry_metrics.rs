@@ -1,14 +1,14 @@
 //! Differential test for the simulator's metrics instrumentation: the
 //! registry's `sim.cycles_total` / `sim.runs_total` / `sim.folds_total`
 //! counters must advance by exactly what the returned [`SimResult`]s
-//! report, across all five instrumented `simulate_traced` simulators run
+//! report, across all five instrumented traced simulators run
 //! through the counted entry point. Deltas (not absolutes)
 //! are asserted so the test is robust to other code in this binary
 //! having already driven the process-wide registry.
 
 use fuseconv::perf::counted;
 use fuseconv::systolic::conv1d::{self, ChannelLines};
-use fuseconv::systolic::{gemm, is_gemm, ws_gemm, ArrayConfig};
+use fuseconv::systolic::{ArrayConfig, Dataflow};
 use fuseconv::telemetry::counter;
 use fuseconv::tensor::Tensor;
 
@@ -40,13 +40,8 @@ fn sim_counters_equal_sum_of_returned_sim_results() {
         folds += sim.folds();
         runs += 1;
     };
-    let gemms = [
-        gemm::simulate_traced,
-        ws_gemm::simulate_traced,
-        is_gemm::simulate_traced,
-    ];
-    for simulate in gemms {
-        let gemm = counted(&cfg, |s| simulate(&cfg, &a, &b, s));
+    for dataflow in Dataflow::ALL {
+        let gemm = counted(&cfg, |s| dataflow.simulate(&cfg, &a, &b, s));
         tally(&gemm.expect("gemm").0);
     }
     let conv = counted(&cfg, |s| conv1d::simulate_traced(&cfg, &lines, &kernels, s));

@@ -14,11 +14,11 @@ use fuseconv::latency::{Dataflow, LatencyModel};
 use fuseconv::nn::ops::{Axis1d, Op};
 use fuseconv::perf::CounterSink;
 use fuseconv::systolic::conv1d::ChannelLines;
-use fuseconv::systolic::{conv1d, gemm, is_gemm, ws_gemm, ArrayConfig, SimResult};
+use fuseconv::systolic::{conv1d, ArrayConfig};
 use fuseconv::telemetry::fnv1a64;
 use fuseconv::tensor::rng::Rng;
 use fuseconv::tensor::Tensor;
-use fuseconv::trace::{replay, FoldSpec, TraceSink, UtilizationSink, VecSink};
+use fuseconv::trace::{replay, FoldSpec, UtilizationSink, VecSink};
 
 const ARRAYS: [(usize, usize); 4] = [(4, 4), (3, 5), (8, 2), (6, 6)];
 const GEMMS: [(usize, usize, usize); 5] =
@@ -32,28 +32,16 @@ fn tensors(m: usize, k: usize, n: usize) -> (Tensor, Tensor) {
     )
 }
 
-type TracedGemm = fn(
-    &ArrayConfig,
-    &Tensor,
-    &Tensor,
-    &mut dyn TraceSink,
-) -> Result<SimResult, fuseconv::systolic::ConfigError>;
-
 #[test]
 fn traced_gemm_cycles_match_simulator_and_model() {
-    let cases: [(Dataflow, TracedGemm); 3] = [
-        (Dataflow::OutputStationary, gemm::simulate_traced),
-        (Dataflow::WeightStationary, ws_gemm::simulate_traced),
-        (Dataflow::InputStationary, is_gemm::simulate_traced),
-    ];
     for (rows, cols) in ARRAYS {
         let cfg = ArrayConfig::new(rows, cols).unwrap();
-        for (dataflow, sim_fn) in cases {
+        for dataflow in Dataflow::ALL {
             let model = LatencyModel::new(cfg).with_dataflow(dataflow);
             for (m, k, n) in GEMMS {
                 let (a, b) = tensors(m, k, n);
                 let mut sink = UtilizationSink::new(rows, cols);
-                let sim = sim_fn(&cfg, &a, &b, &mut sink).unwrap();
+                let sim = dataflow.simulate(&cfg, &a, &b, &mut sink).unwrap();
                 let ctx = format!("{rows}x{cols} {dataflow:?} {m}x{k}x{n}");
                 // Simulator vs trace: identical cycle and busy accounting.
                 assert_eq!(sink.cycles(), sim.cycles(), "{ctx}");
@@ -118,11 +106,7 @@ fn fold_plan_replay_matches_model_for_every_op_kind() {
     ];
     for (rows, cols) in ARRAYS {
         let cfg = ArrayConfig::new(rows, cols).unwrap().with_broadcast(true);
-        for dataflow in [
-            Dataflow::OutputStationary,
-            Dataflow::WeightStationary,
-            Dataflow::InputStationary,
-        ] {
+        for dataflow in Dataflow::ALL {
             let model = LatencyModel::new(cfg).with_dataflow(dataflow);
             for op in &ops {
                 let plan = model.fold_plan(op).unwrap();
@@ -147,7 +131,9 @@ fn traced_event_stream_is_internally_consistent() {
     let cfg = ArrayConfig::new(3, 5).unwrap();
     let (a, b) = tensors(9, 13, 4);
     let mut sink = VecSink::default();
-    let sim = gemm::simulate_traced(&cfg, &a, &b, &mut sink).unwrap();
+    let sim = Dataflow::OutputStationary
+        .simulate(&cfg, &a, &b, &mut sink)
+        .unwrap();
     let mut last_cycle = 0u64;
     let mut fold_open = false;
     let mut cycle_events = 0u64;
@@ -187,7 +173,9 @@ fn replay_of_simulated_fold_stats_reproduces_the_simulation() {
     let cfg = ArrayConfig::new(4, 4).unwrap();
     let (a, b) = tensors(16, 3, 11);
     let mut sink = UtilizationSink::new(4, 4);
-    let sim = ws_gemm::simulate_traced(&cfg, &a, &b, &mut sink).unwrap();
+    let sim = Dataflow::WeightStationary
+        .simulate(&cfg, &a, &b, &mut sink)
+        .unwrap();
     let specs: Vec<FoldSpec> = sink
         .fold_stats()
         .iter()
@@ -217,9 +205,9 @@ fn replay_of_simulated_fold_stats_reproduces_the_simulation() {
 /// for byte.
 #[rustfmt::skip]
 const GEMM_FINGERPRINTS: [[u64; 4]; 3] = [
-    [0xa113_7f37_18a9_ee09, 0xbc1f_3136_459c_b9a8, 0xc171_3e2e_57b3_03d9, 0x01f9_dfef_464d_5185],
-    [0xa051_3298_d7aa_aa2b, 0x3ea9_213c_e552_f95e, 0xc171_3e2e_57b3_03d9, 0xa8a8_adcb_f523_228e],
-    [0xdee2_042b_f21c_90af, 0xc9f0_cba0_1765_6144, 0xc171_3e2e_57b3_03d9, 0xb328_20d7_63f7_f390],
+    [0xa113_7f37_18a9_ee09, 0xbc1f_3136_459c_b9a8, 0xc171_3e2e_57b3_03d9, 0xcf1f_918c_3c85_43f5],
+    [0xa051_3298_d7aa_aa2b, 0x3ea9_213c_e552_f95e, 0xc171_3e2e_57b3_03d9, 0x2ad9_ee8e_482a_cbb2],
+    [0xdee2_042b_f21c_90af, 0xc9f0_cba0_1765_6144, 0xc171_3e2e_57b3_03d9, 0x39eb_d6d1_cf6f_60cc],
 ];
 
 /// The grid behind [`GEMM_FINGERPRINTS`]: one 1×N, one N×1, one
@@ -252,24 +240,21 @@ fn fingerprint_grid() -> Vec<(ArrayConfig, usize, usize, usize)> {
 
 #[test]
 fn gemm_event_streams_match_pinned_fingerprints() {
-    let cases: [(Dataflow, TracedGemm); 3] = [
-        (Dataflow::OutputStationary, gemm::simulate_traced),
-        (Dataflow::WeightStationary, ws_gemm::simulate_traced),
-        (Dataflow::InputStationary, is_gemm::simulate_traced),
-    ];
     let grid = fingerprint_grid();
-    for ((dataflow, sim_fn), pinned) in cases.into_iter().zip(GEMM_FINGERPRINTS) {
+    for (dataflow, pinned) in Dataflow::ALL.into_iter().zip(GEMM_FINGERPRINTS) {
         let (mut events, mut busy, mut bits, mut counters) =
             (String::new(), Vec::new(), Vec::new(), String::new());
         for &(cfg, m, k, n) in &grid {
             let (a, b) = tensors(m, k, n);
             let ctx = format!("{}x{} {dataflow:?} {m}x{k}x{n}", cfg.rows(), cfg.cols());
             let mut vec_sink = VecSink::default();
-            let traced = sim_fn(&cfg, &a, &b, &mut vec_sink).unwrap();
-            let plain = sim_fn(&cfg, &a, &b, &mut fuseconv::trace::NullSink).unwrap();
+            let traced = dataflow.simulate(&cfg, &a, &b, &mut vec_sink).unwrap();
+            let plain = dataflow
+                .simulate(&cfg, &a, &b, &mut fuseconv::trace::NullSink)
+                .unwrap();
             assert_eq!(traced, plain, "{ctx}: tracing must not change the result");
             let mut counter_sink = CounterSink::new(cfg.rows(), cfg.cols());
-            sim_fn(&cfg, &a, &b, &mut counter_sink).unwrap();
+            dataflow.simulate(&cfg, &a, &b, &mut counter_sink).unwrap();
             events += &format!("{ctx}\n{:?}\n", vec_sink.events);
             busy.extend(plain.busy_trace().iter().flat_map(|x| x.to_le_bytes()));
             bits.extend(
