@@ -42,6 +42,11 @@
 //!     `crates/telemetry` — every JSON artifact is rendered through
 //!     `fuseconv_telemetry::Json`, the one place that escapes strings
 //!     and writes separators (same exemptions as rule 6).
+//! 12. no `OnceLock`, `LazyLock` or `thread_local!` in library-crate
+//!     non-test code outside `crates/telemetry` — process-wide and
+//!     per-thread state lives in one crate, whose telemetry runs are
+//!     scoped to a thread and joined explicitly (same exemptions as
+//!     rule 6).
 //!
 //! Exits nonzero when any convention is violated, printing one line per
 //! finding.
@@ -312,12 +317,13 @@ fn main() -> ExitCode {
         }
     }
 
-    // Rules 5, 6 and 11 cover library crates: the ones with a
+    // Rules 5, 6, 11 and 12 cover library crates: the ones with a
     // `src/lib.rs` (so `crates/cli`, a pure binary, is exempt), plus the
     // umbrella crate; their `src/bin/` trees are binaries and stay
     // exempt. Rule 5: no stdio macros and no build-profile branches.
     // Rule 6: only `crates/telemetry` reads the host clock. Rule 11:
-    // only `crates/telemetry` escapes JSON by hand.
+    // only `crates/telemetry` escapes JSON by hand. Rule 12: only
+    // `crates/telemetry` holds process-wide or per-thread state.
     let mut lib_dirs = vec![root.join("src")];
     if let Ok(entries) = fs::read_dir(root.join("crates")) {
         for entry in entries.flatten() {
@@ -348,6 +354,17 @@ fn main() -> ExitCode {
                     "render through fuseconv_telemetry::Json; only \
                      crates/telemetry writes JSON syntax by hand",
                 );
+                for needle in [
+                    concat!("Once", "Lock"),
+                    concat!("Lazy", "Lock"),
+                    concat!("thread_", "local!"),
+                ] {
+                    forbid(
+                        needle,
+                        "record into the caller's fuseconv_telemetry run; \
+                         only crates/telemetry holds process or thread state",
+                    );
+                }
             }
             check_forbidden(
                 &root,
@@ -372,7 +389,7 @@ fn main() -> ExitCode {
     if findings.is_empty() {
         println!(
             "workspace-lint: {} crate roots, the latency/simulator sources, library \
-             stdio, build-profile, host-clock and JSON-writer discipline, \
+             stdio, build-profile, host-clock, JSON-writer and shared-state discipline, \
              serve/analyze/latency/telemetry API docs, and all \
              workspace/example/test suppressions are clean",
             roots.len() + 1

@@ -92,38 +92,17 @@ fn policy_max_batch(policy: BatchPolicy) -> usize {
 /// # Errors
 ///
 /// Returns [`ServeError`] for inputs [`fuseconv_serve::simulate`]
-/// rejects before its event loop (zero requests, non-positive load,
-/// preemption under sharded dispatch, shape buckets without the
-/// bucketed policy, unbuildable arrays). Per-op pricing failures do
-/// *not* error — they become SRV004 diagnostics so the capacity rules
-/// that survive them still run.
+/// rejects before its event loop: every configuration
+/// [`ServeConfig::validate`] rejects, and unbuildable arrays. Per-op
+/// pricing failures do *not* error — they become SRV004 diagnostics so
+/// the capacity rules that survive them still run.
 pub fn analyze_pod(
     pod: &PodSpec,
     workload: &Workload,
     cfg: &ServeConfig,
 ) -> Result<Report, ServeError> {
     let _span = fuseconv_telemetry::span("analyze.pod");
-    if cfg.requests == 0 {
-        return Err(ServeError::Config(
-            "requests must be at least 1".to_string(),
-        ));
-    }
-    if !(cfg.load.is_finite() && cfg.load > 0.0) {
-        return Err(ServeError::Config(format!(
-            "load must be finite and positive, got {}",
-            cfg.load
-        )));
-    }
-    if cfg.preemption && cfg.dispatch == Dispatch::Sharded {
-        return Err(ServeError::Config(
-            "preemption requires whole-request dispatch".to_string(),
-        ));
-    }
-    if cfg.shape_buckets.is_some() && !matches!(cfg.policy, BatchPolicy::Bucketed { .. }) {
-        return Err(ServeError::Config(
-            "shape buckets require the bucketed batching policy".to_string(),
-        ));
-    }
+    cfg.validate()?;
 
     let mut report = Report::new();
     let mut oracle = CostOracle::new(pod.models()?, workload.networks());
@@ -510,6 +489,25 @@ mod tests {
             },
             ServeConfig {
                 shape_buckets: Some(1),
+                ..cfg()
+            },
+            ServeConfig {
+                slo_multiplier: f64::NAN,
+                ..cfg()
+            },
+            ServeConfig {
+                high_priority_frac: 2.0,
+                ..cfg()
+            },
+            ServeConfig {
+                policy: BatchPolicy::Dynamic {
+                    max_batch: 0,
+                    max_wait: 100,
+                },
+                ..cfg()
+            },
+            ServeConfig {
+                queue_capacity: 0,
                 ..cfg()
             },
         ] {

@@ -244,7 +244,7 @@ fn serve_setup(
 fn array_of(parsed: &ParsedArgs) -> Result<ArrayConfig, Box<dyn Error>> {
     let side = parsed.usize_flag("array", 64)?;
     let array = ArrayConfig::square(side)?.with_broadcast(true);
-    // Record the array in the process run-config so every manifest
+    // Record the array in the run's description so every manifest
     // captured later in this invocation carries the real dimensions.
     telemetry::manifest::set_run_array(
         array.rows(),
@@ -568,13 +568,11 @@ fn run(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
             let variant = variant_flag(parsed, "baseline")?;
             let net = apply_variant(&find_network(name)?, variant, &array)?;
 
-            // Fresh registry + profiler, enabled only around the profiled
-            // pipeline; the closure keeps error paths from leaving the
-            // process-wide profiler switched on.
-            telemetry::metrics::reset();
-            telemetry::span::reset();
+            // Spans cover the profiled pipeline only, and the metrics the
+            // whole command: both live in the calling thread's run, so an
+            // early error return leaves no other run's switch on.
             telemetry::set_spans_enabled(true);
-            let profiled = (|| -> Result<(), Box<dyn Error>> {
+            {
                 let _root = telemetry::span("profile");
                 {
                     let _s = telemetry::span("profile.analyze");
@@ -603,10 +601,8 @@ fn run(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
                 }
                 let _s = telemetry::span("profile.perf");
                 fuseconv_perf::network_perf_report(&model, &net, &variant.to_string(), 2, 64)?;
-                Ok(())
-            })();
+            }
             telemetry::set_spans_enabled(false);
-            profiled?;
 
             // Host throughput: how many simulated cycles each host second
             // of cycle-exact simulation buys at this array size.
@@ -726,58 +722,64 @@ mod tests {
         ParsedArgs::parse(args.iter().map(|s| s.to_string())).unwrap()
     }
 
+    /// A 50-request serve run of MobileNet-V1 on one 16x16 array.
+    const SERVE_SMALL: &str = "serve --pod 16x16:os --networks mobilenet-v1 --requests 50";
+
+    /// Runs the command line `line` (arguments split at whitespace).
+    fn cli(line: &str) -> Result<(), Box<dyn Error>> {
+        cli_with(line, &[])
+    }
+
+    /// Runs `line` with `tail` (paths, which may hold spaces) appended.
+    fn cli_with(line: &str, tail: &[&str]) -> Result<(), Box<dyn Error>> {
+        let mut args: Vec<&str> = line.split_whitespace().collect();
+        args.extend(tail);
+        run(&parsed(&args))
+    }
+
     #[test]
     fn help_runs() {
-        assert!(run(&parsed(&["help"])).is_ok());
+        cli("help").unwrap();
     }
 
     #[test]
     fn unknown_command_errors() {
-        let e = run(&parsed(&["frobnicate"])).unwrap_err();
+        let e = cli("frobnicate").unwrap_err();
         assert!(e.to_string().contains("unknown command"));
     }
 
     #[test]
     fn table1_runs_on_small_array() {
-        assert!(run(&parsed(&["table1", "--array", "8"])).is_ok());
+        cli("table1 --array 8").unwrap();
     }
 
     #[test]
     fn layerwise_validates_inputs() {
-        assert!(run(&parsed(&["layerwise", "--network", "nope"])).is_err());
-        assert!(run(&parsed(&["layerwise", "--variant", "quarter"])).is_err());
-        assert!(run(&parsed(&[
-            "layerwise",
-            "--network",
-            "mobilenet-v1",
-            "--variant",
-            "half",
-            "--array",
-            "16"
-        ]))
-        .is_ok());
+        cli("layerwise --network nope").unwrap_err();
+        cli("layerwise --variant quarter").unwrap_err();
+        cli("layerwise --network mobilenet-v1 --variant half --array 16").unwrap();
     }
 
     #[test]
     fn overhead_and_scaling_accept_size_lists() {
-        assert!(run(&parsed(&["overhead", "--sizes", "8,32"])).is_ok());
-        assert!(run(&parsed(&["scaling", "--sizes", "8"])).is_ok());
-        assert!(run(&parsed(&["scaling", "--sizes", "8,x"])).is_err());
+        cli("overhead --sizes 8,32").unwrap();
+        cli("scaling --sizes 8").unwrap();
+        cli("scaling --sizes 8,x").unwrap_err();
     }
 
     #[test]
     fn zero_sizes_are_rejected() {
         for cmd in ["overhead", "scaling"] {
-            let e = run(&parsed(&[cmd, "--sizes", "8,0"])).unwrap_err();
+            let e = cli(&format!("{cmd} --sizes 8,0")).unwrap_err();
             assert!(e.to_string().contains("nonzero"), "{cmd}: {e}");
         }
     }
 
     #[test]
     fn energy_rejects_degenerate_array_and_clock() {
-        assert!(run(&parsed(&["energy", "--array", "0"])).is_err());
+        cli("energy --array 0").unwrap_err();
         for mhz in ["0", "-5", "nan", "inf"] {
-            let e = run(&parsed(&["energy", "--array", "8", "--mhz", mhz])).unwrap_err();
+            let e = cli_with("energy --array 8 --mhz", &[mhz]).unwrap_err();
             assert!(e.to_string().contains("--mhz"), "{mhz}: {e}");
         }
     }
@@ -785,54 +787,44 @@ mod tests {
     #[test]
     fn nos_runs_for_resnet_too() {
         // ResNet-50 has no replaceable blocks: frontier is a single point.
-        assert!(run(&parsed(&["nos", "--network", "resnet-50", "--array", "16"])).is_ok());
+        cli("nos --network resnet-50 --array 16").unwrap();
     }
 
     #[test]
     fn topology_requires_file() {
-        assert!(run(&parsed(&["topology"])).is_err());
-        assert!(run(&parsed(&["topology", "/nonexistent/x.txt"])).is_err());
+        cli("topology").unwrap_err();
+        cli("topology /nonexistent/x.txt").unwrap_err();
     }
 
     #[test]
     fn zero_array_rejected() {
-        assert!(run(&parsed(&["table1", "--array", "0"])).is_err());
+        cli("table1 --array 0").unwrap_err();
     }
 
     #[test]
     fn trace_validates_inputs() {
-        assert!(run(&parsed(&["trace", "--network", "nope"])).is_err());
-        assert!(run(&parsed(&["trace", "--variant", "quarter"])).is_err());
-        assert!(run(&parsed(&["trace", "--format", "vcd"])).is_err());
+        cli("trace --network nope").unwrap_err();
+        cli("trace --variant quarter").unwrap_err();
+        cli("trace --format vcd").unwrap_err();
         // heatmap and scalesim need a concrete layer to simulate.
-        assert!(run(&parsed(&["trace", "--format", "heatmap", "--array", "8"])).is_err());
-        assert!(run(&parsed(&["trace", "--format", "scalesim", "--array", "8"])).is_err());
-        assert!(run(&parsed(&[
-            "trace", "--format", "heatmap", "--layer", "99999", "--array", "8"
-        ]))
-        .is_err());
+        cli("trace --format heatmap --array 8").unwrap_err();
+        cli("trace --format scalesim --array 8").unwrap_err();
+        cli("trace --format heatmap --layer 99999 --array 8").unwrap_err();
     }
 
     #[test]
     fn analyze_validates_inputs() {
-        assert!(run(&parsed(&["analyze", "--network", "nope"])).is_err());
-        assert!(run(&parsed(&["analyze", "--variant", "quarter"])).is_err());
-        assert!(run(&parsed(&["analyze", "--format", "xml"])).is_err());
+        cli("analyze --network nope").unwrap_err();
+        cli("analyze --variant quarter").unwrap_err();
+        cli("analyze --format xml").unwrap_err();
     }
 
     #[test]
     fn analyze_passes_shipped_networks() {
         // Warnings (the depthwise UTL001 pathology) must not fail the run;
         // only error-severity findings do.
-        assert!(run(&parsed(&[
-            "analyze",
-            "--network",
-            "mobilenet-v1",
-            "--array",
-            "8"
-        ]))
-        .is_ok());
-        assert!(run(&parsed(&["analyze", "--all", "--array", "8"])).is_ok());
+        cli("analyze --network mobilenet-v1 --array 8").unwrap();
+        cli("analyze --all --array 8").unwrap();
     }
 
     #[test]
@@ -841,18 +833,11 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("report.json");
         let out = out.to_str().unwrap();
-        assert!(run(&parsed(&[
-            "analyze",
-            "--network",
-            "mobilenet-v2",
-            "--array",
-            "8",
-            "--format",
-            "json",
-            "--out",
-            out
-        ]))
-        .is_ok());
+        cli_with(
+            "analyze --network mobilenet-v2 --array 8 --format json --out",
+            &[out],
+        )
+        .unwrap();
         let text = std::fs::read_to_string(out).unwrap();
         assert!(text.starts_with('{') && text.trim_end().ends_with('}'));
         assert!(text.contains("\"diagnostics\""), "{text}");
@@ -867,19 +852,11 @@ mod tests {
         let out = dir.join("fusion.json");
         let out = out.to_str().unwrap();
         // FuSe-Full MobileNet-V2 has fusible row/col -> pointwise pairs.
-        assert!(run(&parsed(&[
-            "analyze",
-            "--network",
-            "mobilenet-v2",
-            "--variant",
-            "full",
-            "--fusion",
-            "--format",
-            "json",
-            "--out",
-            out
-        ]))
-        .is_ok());
+        cli_with(
+            "analyze --network mobilenet-v2 --variant full --fusion --format json --out",
+            &[out],
+        )
+        .unwrap();
         let text = std::fs::read_to_string(out).unwrap();
         assert!(text.contains("\"rule\":\"FUS001\""), "{text}");
         assert!(text.contains("\"rule\":\"FUS006\""), "{text}");
@@ -888,17 +865,11 @@ mod tests {
         // A GEMM-only network has no separable blocks and thus no FUS findings.
         let out2 = dir.join("fusion_resnet.json");
         let out2 = out2.to_str().unwrap();
-        assert!(run(&parsed(&[
-            "analyze",
-            "--network",
-            "resnet-50",
-            "--fusion",
-            "--format",
-            "json",
-            "--out",
-            out2
-        ]))
-        .is_ok());
+        cli_with(
+            "analyze --network resnet-50 --fusion --format json --out",
+            &[out2],
+        )
+        .unwrap();
         let text2 = std::fs::read_to_string(out2).unwrap();
         assert!(!text2.contains("FUS"), "{text2}");
         std::fs::remove_file(out2).unwrap();
@@ -910,18 +881,11 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("trace.json");
         let out = out.to_str().unwrap();
-        assert!(run(&parsed(&[
-            "trace",
-            "--network",
-            "mobilenet-v2",
-            "--variant",
-            "half",
-            "--array",
-            "8",
-            "--out",
-            out
-        ]))
-        .is_ok());
+        cli_with(
+            "trace --network mobilenet-v2 --variant half --array 8 --out",
+            &[out],
+        )
+        .unwrap();
         let text = std::fs::read_to_string(out).unwrap();
         assert!(text.starts_with('{') && text.trim_end().ends_with('}'));
         assert!(text.contains("\"traceEvents\""));
@@ -930,25 +894,16 @@ mod tests {
 
     #[test]
     fn perf_validates_inputs() {
-        assert!(run(&parsed(&["perf", "--network", "nope"])).is_err());
-        assert!(run(&parsed(&["perf", "--variant", "quarter"])).is_err());
-        assert!(run(&parsed(&["perf", "--format", "xml"])).is_err());
-        assert!(run(&parsed(&["perf", "--bandwidth", "0"])).is_err());
-        assert!(run(&parsed(&["perf", "--bytes-per-elem", "0"])).is_err());
+        cli("perf --network nope").unwrap_err();
+        cli("perf --variant quarter").unwrap_err();
+        cli("perf --format xml").unwrap_err();
+        cli("perf --bandwidth 0").unwrap_err();
+        cli("perf --bytes-per-elem 0").unwrap_err();
     }
 
     #[test]
     fn perf_text_runs_on_small_array() {
-        assert!(run(&parsed(&[
-            "perf",
-            "--network",
-            "mobilenet-v1",
-            "--variant",
-            "half",
-            "--array",
-            "8"
-        ]))
-        .is_ok());
+        cli("perf --network mobilenet-v1 --variant half --array 8").unwrap();
     }
 
     #[test]
@@ -957,18 +912,11 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("perf.json");
         let out = out.to_str().unwrap();
-        assert!(run(&parsed(&[
-            "perf",
-            "--network",
-            "mobilenet-v2",
-            "--array",
-            "8",
-            "--format",
-            "json",
-            "--out",
-            out
-        ]))
-        .is_ok());
+        cli_with(
+            "perf --network mobilenet-v2 --array 8 --format json --out",
+            &[out],
+        )
+        .unwrap();
         let text = std::fs::read_to_string(out).unwrap();
         assert!(text.contains("\"schema\": \"fuseconv-perf-v1\""), "{text}");
         assert!(text.contains("\"compute_stall_fraction\""), "{text}");
@@ -981,46 +929,26 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("bench.json");
         let out = out.to_str().unwrap();
-        assert!(run(&parsed(&[
-            "bench",
-            "--json",
-            "--out",
-            out,
-            "--budget-ms",
-            "1"
-        ]))
-        .is_ok());
+        cli_with("bench --json --out", &[out, "--budget-ms", "1"]).unwrap();
         let text = std::fs::read_to_string(out).unwrap();
         assert!(text.contains("\"schema\": \"fuseconv-bench-v1\""), "{text}");
         assert!(text.contains("\"cycles_per_sec\""), "{text}");
         // A generous gate against the just-written baseline must pass even
         // with 1 ms timing noise.
-        assert!(run(&parsed(&[
-            "bench",
-            "--baseline",
-            out,
-            "--max-regress",
-            "10000",
-            "--budget-ms",
-            "1"
-        ]))
-        .is_ok());
+        cli_with(
+            "bench --baseline",
+            &[out, "--max-regress", "10000", "--budget-ms", "1"],
+        )
+        .unwrap();
         // Reading a missing baseline is an error.
-        assert!(run(&parsed(&["bench", "--baseline", "/nonexistent/b.json"])).is_err());
+        cli("bench --baseline /nonexistent/b.json").unwrap_err();
         std::fs::remove_file(out).unwrap();
     }
 
     #[test]
     fn profile_validates_inputs() {
-        assert!(run(&parsed(&["profile", "nope", "--array", "8"])).is_err());
-        assert!(run(&parsed(&[
-            "profile",
-            "--variant",
-            "quarter",
-            "--array",
-            "8"
-        ]))
-        .is_err());
+        cli("profile nope --array 8").unwrap_err();
+        cli("profile --variant quarter --array 8").unwrap_err();
     }
 
     #[test]
@@ -1031,24 +959,18 @@ mod tests {
         let metrics = dir.join("profile_metrics.json");
         let trace_flag = format!("--chrome-trace={}", trace.display());
         let metrics_flag = format!("--metrics-json={}", metrics.display());
-        assert!(run(&parsed(&[
-            "profile",
-            "mobilenet-v2",
-            "--variant",
-            "half",
-            "--array",
-            "8",
-            &trace_flag,
-            &metrics_flag
-        ]))
-        .is_ok());
+        cli_with(
+            "profile mobilenet-v2 --variant half --array 8",
+            &[&trace_flag, &metrics_flag],
+        )
+        .unwrap();
         // The aggregate left behind satisfies the balance invariant and
-        // contains the pipeline phases under the root span. (Concurrent
-        // tests may add unrelated roots; `find` pins the profile subtree.)
+        // holds one root, `profile`, with the pipeline phases under it.
         let tree = telemetry::span_snapshot();
         assert!(tree.is_balanced(), "span tree lost balance");
-        let root = tree.find("profile").expect("missing profile root span");
-        assert_eq!(root.count, 1);
+        assert_eq!(tree.roots.len(), 1, "{}", tree.to_text());
+        let root = &tree.roots[0];
+        assert_eq!((root.name.as_str(), root.count), ("profile", 1));
         for phase in [
             "profile.analyze",
             "profile.plan",
@@ -1068,8 +990,7 @@ mod tests {
         assert!(m.contains("\"schema\": \"fuseconv-metrics-v1\""), "{m}");
         assert!(m.contains("\"sim.cycles_total\""), "{m}");
         assert!(m.contains("\"profile.sim_cycles_per_host_sec\""), "{m}");
-        // The calibration sim ran for real cycles, so the registry (reset
-        // at the start of the profile arm) counted some.
+        // The calibration sim ran for real cycles, so the run counted some.
         assert!(telemetry::counter("sim.cycles_total").get() > 0);
         std::fs::remove_file(trace).unwrap();
         std::fs::remove_file(metrics).unwrap();
@@ -1081,7 +1002,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("bench.json");
         let out = out.to_str().unwrap();
-        assert!(run(&parsed(&["bench", "--out", out, "--budget-ms", "1"])).is_ok());
+        cli_with("bench --out", &[out, "--budget-ms", "1"]).unwrap();
         let sibling = format!("{out}.manifest.json");
         let text = std::fs::read_to_string(&sibling).unwrap();
         assert!(
@@ -1095,30 +1016,36 @@ mod tests {
 
     #[test]
     fn serve_validates_inputs() {
-        assert!(run(&parsed(&["serve", "--pod", "64x64:xx"])).is_err());
-        assert!(run(&parsed(&["serve", "--networks", "nope"])).is_err());
-        assert!(run(&parsed(&["serve", "--variant", "quarter"])).is_err());
-        assert!(run(&parsed(&["serve", "--policy", "lifo"])).is_err());
-        assert!(run(&parsed(&["serve", "--dispatch", "split"])).is_err());
-        assert!(run(&parsed(&["serve", "--format", "xml"])).is_err());
-        assert!(run(&parsed(&["serve", "--requests", "0"])).is_err());
-        assert!(run(&parsed(&["serve", "--load", "0"])).is_err());
-        assert!(run(&parsed(&["serve", "--preempt", "--dispatch", "sharded"])).is_err());
+        cli("serve --pod 64x64:xx").unwrap_err();
+        cli("serve --networks nope").unwrap_err();
+        cli("serve --variant quarter").unwrap_err();
+        cli("serve --policy lifo").unwrap_err();
+        cli("serve --dispatch split").unwrap_err();
+        cli("serve --format xml").unwrap_err();
+        cli("serve --requests 0").unwrap_err();
+        cli("serve --load 0").unwrap_err();
+        cli("serve --preempt --dispatch sharded").unwrap_err();
+        for bad in [
+            "--policy dynamic --max-batch 0",
+            "--policy bucketed --max-batch 0",
+            "--queue-cap 0",
+        ] {
+            let e = cli(&format!("serve --pod 8x8:os --requests 2 {bad}")).unwrap_err();
+            assert!(e.to_string().contains("at least 1"), "{bad}: {e}");
+        }
+        // The pod audit rejects what `serve` rejects.
+        for bad in ["--slo-mult nan", "--high-frac 2"] {
+            cli(&format!("analyze --serve --pod 8x8:os {bad}")).unwrap_err();
+        }
     }
 
     #[test]
     fn serve_rejects_high_frac_outside_unit_interval() {
         for frac in ["2", "-0.1", "nan"] {
-            let e = run(&parsed(&[
-                "serve",
-                "--pod",
-                "8x8:os",
-                "--requests",
-                "50",
-                "--high-frac",
-                frac,
-                "--force",
-            ]))
+            let e = cli_with(
+                "serve --pod 8x8:os --requests 50 --high-frac",
+                &[frac, "--force"],
+            )
             .unwrap_err();
             assert!(
                 e.to_string().contains("high-priority fraction"),
@@ -1131,39 +1058,16 @@ mod tests {
     fn serve_preempt_switch_is_negatable() {
         // `--preempt=false` must really disable preemption: the
         // sharded-dispatch config check only rejects it when enabled.
-        assert!(run(&parsed(&[
-            "serve",
-            "--preempt=false",
-            "--dispatch",
-            "sharded",
-            "--pod",
-            "16x16:os",
-            "--networks",
-            "mobilenet-v1",
-            "--requests",
-            "50"
-        ]))
-        .is_ok());
+        cli(&format!("{SERVE_SMALL} --preempt=false --dispatch sharded")).unwrap();
     }
 
     #[test]
     fn serve_text_runs_on_a_small_pod() {
-        assert!(run(&parsed(&[
-            "serve",
-            "--pod",
-            "16x16:os,8x8:ws",
-            "--networks",
-            "mobilenet-v1",
-            "--requests",
-            "500",
-            "--policy",
-            "dynamic",
-            "--max-batch",
-            "4",
-            "--max-wait",
-            "10000"
-        ]))
-        .is_ok());
+        let policy = "--policy dynamic --max-batch 4 --max-wait 10000";
+        cli(&format!(
+            "serve --pod 16x16:os,8x8:ws --networks mobilenet-v1 --requests 500 {policy}"
+        ))
+        .unwrap();
     }
 
     #[test]
@@ -1175,23 +1079,24 @@ mod tests {
         let trace = dir.join("serve_trace.json");
         let trace = trace.to_str().unwrap();
         let trace_flag = format!("--chrome-trace={trace}");
-        assert!(run(&parsed(&[
-            "serve",
-            "--pod",
-            "16x16:os,8x8:os",
-            "--networks",
-            "mobilenet-v1,mobilenet-v2",
-            "--requests",
-            "400",
-            "--seed",
-            "7",
-            "--format",
-            "json",
-            "--out",
-            out,
-            &trace_flag
-        ]))
-        .is_ok());
+        cli_with(
+            "serve --pod",
+            &[
+                "16x16:os, 8x8:os",
+                "--networks",
+                "mobilenet-v1, mobilenet-v2",
+                "--requests",
+                "400",
+                "--seed",
+                "7",
+                "--format",
+                "json",
+                "--out",
+                out,
+                &trace_flag,
+            ],
+        )
+        .unwrap();
         let text = std::fs::read_to_string(out).unwrap();
         assert!(text.contains("\"schema\": \"fuseconv-serve-v1\""), "{text}");
         assert!(text.contains("\"results_fnv1a64\": \"fnv1a64:"), "{text}");
@@ -1217,20 +1122,21 @@ mod tests {
         let trace = dir.join("serve_trace.json");
         let trace = trace.to_str().unwrap();
         let trace_flag = format!("--chrome-trace={trace}");
-        assert!(run(&parsed(&[
-            "serve",
-            "--pod",
-            "16x16:os,8x8:os",
-            "--networks",
-            "mobilenet-v1",
-            "--requests",
-            "400",
-            "--seed",
-            "7",
-            &ts_flag,
-            &trace_flag
-        ]))
-        .is_ok());
+        cli_with(
+            "serve --pod",
+            &[
+                "16x16:os, 8x8:os",
+                "--networks",
+                "mobilenet-v1",
+                "--requests",
+                "400",
+                "--seed",
+                "7",
+                &ts_flag,
+                &trace_flag,
+            ],
+        )
+        .unwrap();
         let body = std::fs::read_to_string(ts).unwrap();
         assert!(
             body.contains("\"schema\": \"fuseconv-serve-timeseries-v1\""),
@@ -1250,94 +1156,30 @@ mod tests {
 
     #[test]
     fn serve_preflight_refuses_overload_unless_forced() {
-        let base = [
-            "serve",
-            "--pod",
-            "16x16:os",
-            "--networks",
-            "mobilenet-v1",
-            "--requests",
-            "50",
-            "--load",
-            "1.5",
-        ];
-        let e = run(&parsed(&base)).unwrap_err();
+        let base = format!("{SERVE_SMALL} --load 1.5");
+        let e = cli(&base).unwrap_err();
         assert!(e.to_string().contains("preflight"), "{e}");
         assert!(e.to_string().contains("SRV001"), "{e}");
-        let mut forced = base.to_vec();
-        forced.push("--force");
-        assert!(run(&parsed(&forced)).is_ok());
+        cli(&format!("{base} --force")).unwrap();
     }
 
     #[test]
     fn serve_accepts_slo_budget_and_buckets_flags() {
         // A generous absolute budget passes preflight and the run.
-        assert!(run(&parsed(&[
-            "serve",
-            "--pod",
-            "16x16:os",
-            "--networks",
-            "mobilenet-v1",
-            "--requests",
-            "50",
-            "--slo-budget",
-            "999999999999"
-        ]))
-        .is_ok());
+        cli(&format!("{SERVE_SMALL} --slo-budget 999999999999")).unwrap();
         // --buckets demands the bucketed policy, same as the engine.
-        let e = run(&parsed(&[
-            "serve",
-            "--pod",
-            "16x16:os",
-            "--networks",
-            "mobilenet-v1",
-            "--requests",
-            "50",
-            "--buckets",
-            "1",
-        ]))
-        .unwrap_err();
+        let e = cli(&format!("{SERVE_SMALL} --buckets 1")).unwrap_err();
         assert!(e.to_string().contains("bucketed"), "{e}");
-        assert!(run(&parsed(&[
-            "serve",
-            "--pod",
-            "16x16:os",
-            "--networks",
-            "mobilenet-v1",
-            "--requests",
-            "50",
-            "--policy",
-            "bucketed",
-            "--buckets",
-            "1"
-        ]))
-        .is_ok());
+        cli(&format!("{SERVE_SMALL} --policy bucketed --buckets 1")).unwrap();
     }
 
     #[test]
     fn analyze_serve_mode_reports_feasibility() {
         // Clean pod: no findings, exit ok.
-        assert!(run(&parsed(&[
-            "analyze",
-            "--serve",
-            "--pod",
-            "16x16:os,16x16:os",
-            "--networks",
-            "mobilenet-v1"
-        ]))
-        .is_ok());
+        cli("analyze --serve --pod 16x16:os,16x16:os --networks mobilenet-v1").unwrap();
         // Overloaded pod: SRV001 is an error finding, so the command fails.
-        let e = run(&parsed(&[
-            "analyze",
-            "--serve",
-            "--pod",
-            "16x16:os",
-            "--networks",
-            "mobilenet-v1",
-            "--load",
-            "1.5",
-        ]))
-        .unwrap_err();
+        let e =
+            cli("analyze --serve --pod 16x16:os --networks mobilenet-v1 --load 1.5").unwrap_err();
         assert!(e.to_string().contains("error-severity"), "{e}");
     }
 
@@ -1347,20 +1189,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("feasibility.json");
         let out = out.to_str().unwrap();
-        let e = run(&parsed(&[
-            "analyze",
-            "--serve",
-            "--pod",
-            "16x16:os",
-            "--networks",
-            "mobilenet-v1",
-            "--load",
-            "2.0",
-            "--format",
-            "json",
-            "--out",
-            out,
-        ]))
+        let e = cli_with(
+            "analyze --serve --pod 16x16:os --networks mobilenet-v1 --load 2.0 --format json --out",
+            &[out],
+        )
         .unwrap_err();
         assert!(e.to_string().contains("error-severity"), "{e}");
         let text = std::fs::read_to_string(out).unwrap();
@@ -1372,17 +1204,6 @@ mod tests {
     fn trace_heatmap_runs_on_a_layer() {
         // Layer 1 of MobileNet-V1 is the first depthwise: the §III-B
         // pathology should confine activity to a single array column.
-        assert!(run(&parsed(&[
-            "trace",
-            "--network",
-            "mobilenet-v1",
-            "--format",
-            "heatmap",
-            "--layer",
-            "1",
-            "--array",
-            "8"
-        ]))
-        .is_ok());
+        cli("trace --network mobilenet-v1 --format heatmap --layer 1 --array 8").unwrap();
     }
 }

@@ -12,6 +12,7 @@ use fuseconv_models::{zoo, Network};
 use fuseconv_nn::ops::OpClass;
 use fuseconv_nn::NnError;
 use fuseconv_systolic::ArrayConfig;
+use fuseconv_telemetry::Telemetry;
 use fuseconv_train::dataset::{DiagonalStripes, OrientedTextures};
 use fuseconv_train::trainer::{train, TrainConfig};
 
@@ -157,18 +158,21 @@ pub struct ScalingRow {
 }
 
 /// Reproduces Fig. 8(d): Full-variant speed-up versus systolic-array size,
-/// for all five networks. Sizes are evaluated in parallel.
+/// for all five networks. Sizes are evaluated in parallel, each worker
+/// recording its spans and metrics into the caller's telemetry run.
 ///
 /// # Errors
 ///
 /// Propagates [`LatencyError`]; `ArrayConfig` construction failures cannot
 /// occur for nonzero sizes, which are validated here.
 pub fn array_scaling(sizes: &[usize]) -> Result<Vec<ScalingRow>, LatencyError> {
+    let run = &Telemetry::current();
     let results: Vec<Result<Vec<ScalingRow>, LatencyError>> = std::thread::scope(|scope| {
         let handles: Vec<_> = sizes
             .iter()
             .map(|&s| {
                 scope.spawn(move || -> Result<Vec<ScalingRow>, LatencyError> {
+                    run.join();
                     let array = ArrayConfig::square(s)
                         .expect("sizes must be nonzero")
                         .with_broadcast(true);
@@ -489,6 +493,19 @@ mod tests {
             s.sort_by_key(|r| r.array_size);
             assert!(s[0].speedup < s[1].speedup && s[1].speedup < s[2].speedup);
         }
+    }
+
+    #[test]
+    fn scaling_workers_record_into_the_callers_run() {
+        fuseconv_telemetry::set_spans_enabled(true);
+        let rows = array_scaling(&[8, 16]).unwrap();
+        fuseconv_telemetry::set_spans_enabled(false);
+        let tree = fuseconv_telemetry::span_snapshot();
+        let priced = tree.find("latency.cycles").map_or(0, |n| n.count);
+        let ops: usize = zoo::all_baselines().iter().map(|n| n.ops().len()).sum();
+        // Each worker prices every op of each baseline at least once.
+        assert!(priced >= (2 * ops) as u64, "{}", tree.to_text());
+        assert_eq!(rows.len(), 10);
     }
 
     #[test]

@@ -47,7 +47,6 @@ impl BatchPolicy {
     /// Parses a policy name with parameters supplied separately:
     /// `fifo`, `dynamic` or `bucketed`.
     pub fn parse(name: &str, max_batch: usize, max_wait: u64) -> Option<BatchPolicy> {
-        let max_batch = max_batch.max(1);
         match name {
             "fifo" => Some(BatchPolicy::Fifo),
             "dynamic" => Some(BatchPolicy::Dynamic {
@@ -151,7 +150,7 @@ impl RequestQueue {
     pub fn new(policy: BatchPolicy, capacity: usize, nets: usize) -> Self {
         RequestQueue {
             policy,
-            capacity: capacity.max(1),
+            capacity,
             covered: nets,
             buckets: (0..nets).map(|_| VecDeque::new()).collect(),
             high: VecDeque::new(),

@@ -141,6 +141,50 @@ impl Default for ServeConfig {
     }
 }
 
+impl ServeConfig {
+    /// Checks the configuration on its own, before any pod or workload
+    /// is consulted. [`simulate_observed`] and the analyzer's pod audit
+    /// both start here, so they reject exactly the same configurations.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServeError::Config`] for zero requests, a non-finite or
+    /// non-positive load, a high-priority fraction outside `[0, 1]`, an
+    /// SLO multiplier that is not finite and at least 1, preemption
+    /// under sharded dispatch, shape buckets without the bucketed
+    /// policy, a zero `max_batch` or a zero queue capacity.
+    pub fn validate(&self) -> Result<(), ServeError> {
+        let zero_batch = matches!(
+            self.policy,
+            BatchPolicy::Dynamic { max_batch: 0, .. } | BatchPolicy::Bucketed { max_batch: 0, .. }
+        );
+        let problem = if self.requests == 0 {
+            "requests must be at least 1".to_string()
+        } else if !(self.load.is_finite() && self.load > 0.0) {
+            format!("load must be finite and positive, got {}", self.load)
+        } else if !(0.0..=1.0).contains(&self.high_priority_frac) {
+            let frac = self.high_priority_frac;
+            format!("high-priority fraction must lie in [0, 1], got {frac}")
+        } else if !(self.slo_multiplier.is_finite() && self.slo_multiplier >= 1.0) {
+            let mult = self.slo_multiplier;
+            format!("SLO multiplier must be finite and at least 1, got {mult}")
+        } else if self.preemption && self.dispatch == Dispatch::Sharded {
+            "preemption requires whole-request dispatch".to_string()
+        } else if self.shape_buckets.is_some()
+            && !matches!(self.policy, BatchPolicy::Bucketed { .. })
+        {
+            "shape buckets require the bucketed batching policy".to_string()
+        } else if zero_batch {
+            "max_batch must be at least 1".to_string()
+        } else if self.queue_capacity == 0 {
+            "queue capacity must be at least 1".to_string()
+        } else {
+            return Ok(());
+        };
+        Err(ServeError::Config(problem))
+    }
+}
+
 /// Heap event payloads; `Ord` is derived but never decides order —
 /// the `(time, seq)` prefix of the heap key is already unique.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -599,39 +643,7 @@ pub fn simulate_observed(
     if let Some(ts_cfg) = timeseries {
         ts_cfg.validate()?;
     }
-    if cfg.requests == 0 {
-        return Err(ServeError::Config(
-            "requests must be at least 1".to_string(),
-        ));
-    }
-    if !(cfg.load.is_finite() && cfg.load > 0.0) {
-        return Err(ServeError::Config(format!(
-            "load must be finite and positive, got {}",
-            cfg.load
-        )));
-    }
-    if !(0.0..=1.0).contains(&cfg.high_priority_frac) {
-        return Err(ServeError::Config(format!(
-            "high-priority fraction must lie in [0, 1], got {}",
-            cfg.high_priority_frac
-        )));
-    }
-    if !(cfg.slo_multiplier.is_finite() && cfg.slo_multiplier >= 1.0) {
-        return Err(ServeError::Config(format!(
-            "SLO multiplier must be finite and at least 1, got {}",
-            cfg.slo_multiplier
-        )));
-    }
-    if cfg.preemption && cfg.dispatch == Dispatch::Sharded {
-        return Err(ServeError::Config(
-            "preemption requires whole-request dispatch".to_string(),
-        ));
-    }
-    if cfg.shape_buckets.is_some() && !matches!(cfg.policy, BatchPolicy::Bucketed { .. }) {
-        return Err(ServeError::Config(
-            "shape buckets require the bucketed batching policy".to_string(),
-        ));
-    }
+    cfg.validate()?;
     let models = pod.models()?;
     let mut oracle = CostOracle::new(models, workload.networks());
     let n_nets = workload.len();
@@ -1214,6 +1226,25 @@ mod tests {
                 "slo multiplier {slo_multiplier}"
             );
         }
+        // A zero batch limit would drain empty batches forever, and a
+        // zero queue capacity admits no request.
+        for policy in ["dynamic", "bucketed"] {
+            let policy = BatchPolicy::parse(policy, 0, 100).expect("known policy");
+            let cfg = ServeConfig {
+                policy,
+                ..base_cfg(2)
+            };
+            let got = simulate(&pod, &w, &cfg, None);
+            assert!(matches!(got, Err(ServeError::Config(_))), "{cfg:?}");
+        }
+        let cfg = ServeConfig {
+            queue_capacity: 0,
+            ..base_cfg(2)
+        };
+        assert!(matches!(
+            simulate(&pod, &w, &cfg, None),
+            Err(ServeError::Config(_))
+        ));
     }
 
     #[test]

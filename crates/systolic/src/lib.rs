@@ -64,7 +64,7 @@ pub use config::{ArrayConfig, ConfigError};
 pub use result::SimResult;
 pub use wavefront::Dataflow;
 
-/// Count one finished simulation in the process-wide metrics registry:
+/// Count one finished simulation in the telemetry run's metrics registry:
 /// `sim.runs_total`, `sim.cycles_total` (simulated cycles) and
 /// `sim.folds_total`. Every traced simulator entry point calls this
 /// just before returning, so the registry's cycle total equals the sum

@@ -1,4 +1,5 @@
-//! Structured stderr logger with a process-wide level filter.
+//! Structured stderr logger with a per-run level filter (see
+//! [`Telemetry`](crate::Telemetry)).
 //!
 //! Replaces the ad-hoc `eprintln!` call sites in binaries. Every
 //! line has the shape `[LEVEL target] message`; emitted and suppressed
@@ -6,10 +7,11 @@
 //! `log.suppressed_total`, `log.<level>_total`).
 
 use crate::metrics;
+use crate::run;
 use std::fmt;
 use std::io::Write as _;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::Ordering;
 
 /// Log severity, most severe first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -75,25 +77,23 @@ impl FromStr for Level {
     }
 }
 
-/// Process-wide threshold, stored as the `Level` discriminant.
-static MAX_LEVEL: AtomicU8 = AtomicU8::new(Level::Warn as u8);
-
-/// Set the process-wide log threshold: messages *more* verbose than
-/// `level` are suppressed (but still counted).
+/// Set the calling thread's run's log threshold (`warn` in a fresh
+/// run): messages *more* verbose than `level` are suppressed (but still
+/// counted).
 pub fn set_max_level(level: Level) {
-    MAX_LEVEL.store(level as u8, Ordering::Relaxed);
+    run::with(|t| t.max_level.store(level as u8, Ordering::Relaxed));
 }
 
-/// Current process-wide log threshold.
+/// The calling thread's run's log threshold.
 #[must_use]
 pub fn max_level() -> Level {
-    Level::ALL[MAX_LEVEL.load(Ordering::Relaxed) as usize]
+    Level::ALL[usize::from(run::with(|t| t.max_level.load(Ordering::Relaxed)))]
 }
 
 /// Whether a message at `level` would currently be emitted.
 #[must_use]
 pub fn enabled(level: Level) -> bool {
-    level as u8 <= MAX_LEVEL.load(Ordering::Relaxed)
+    level <= max_level()
 }
 
 /// Log `msg` under `target` (usually the crate or subsystem name) at
@@ -120,21 +120,6 @@ pub fn warn(target: &str, msg: &str) {
     log(Level::Warn, target, msg);
 }
 
-/// [`log`] at [`Level::Info`].
-pub fn info(target: &str, msg: &str) {
-    log(Level::Info, target, msg);
-}
-
-/// [`log`] at [`Level::Debug`].
-pub fn debug(target: &str, msg: &str) {
-    log(Level::Debug, target, msg);
-}
-
-/// [`log`] at [`Level::Trace`].
-pub fn trace(target: &str, msg: &str) {
-    log(Level::Trace, target, msg);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,20 +135,20 @@ mod tests {
 
     #[test]
     fn threshold_gates_enabled() {
-        // Note: global state; keep this the only test that mutates it.
-        let prev = max_level();
+        assert_eq!(max_level(), Level::Warn, "a fresh run's threshold");
         set_max_level(Level::Info);
         assert!(enabled(Level::Warn));
         assert!(enabled(Level::Info));
         assert!(!enabled(Level::Debug));
-        set_max_level(prev);
     }
 
     #[test]
     fn suppressed_messages_are_counted() {
-        let before = metrics::counter("log.trace_total").get();
-        // Trace is above every reasonable threshold in tests.
+        // Trace is above the fresh run's `warn` threshold.
         log(Level::Trace, "telemetry", "invisible");
-        assert_eq!(metrics::counter("log.trace_total").get(), before + 1);
+        let snap = metrics::snapshot();
+        assert_eq!(snap.counter("log.trace_total"), 1);
+        assert_eq!(snap.counter("log.suppressed_total"), 1);
+        assert_eq!(snap.counter("log.emitted_total"), 0);
     }
 }

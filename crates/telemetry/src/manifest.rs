@@ -4,17 +4,19 @@
 //! A [`RunManifest`] ties a result to the build that produced it (tool,
 //! version), the configuration it ran under (free-form config string plus
 //! an FNV-1a hash, array dims, dataflow, seed), the host it ran on, and
-//! when/how long it ran. Producers call [`capture`] to snapshot the
-//! process-wide run description (set once by the CLI via
-//! [`set_run_config`] / [`set_run_seed`] / [`set_run_array`]) and may
-//! refine individual fields with the `with_*` builders before rendering.
+//! when/how long it ran. Producers call [`RunManifest::capture`] to
+//! snapshot the calling thread's run description (set by the CLI via
+//! [`set_run_config`] / [`set_run_seed`] / [`set_run_array`]; see
+//! [`Telemetry`](crate::Telemetry)) and may refine individual fields
+//! with the `with_*` builders before rendering.
 //!
 //! The field list is flat and its order is fixed — golden schema tests
 //! (`tests/golden/manifest_schema.json`) pin both.
 
 use crate::json::Json;
+use crate::run::{self, lock};
 use crate::time::{unix_millis, Stopwatch};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// Schema tag written into every rendered manifest.
 pub const MANIFEST_SCHEMA: &str = "fuseconv-manifest-v1";
@@ -30,10 +32,10 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Process-wide run description, written by the CLI entry point and read
-/// by every [`capture`] call.
+/// One run's description, written by the CLI entry point and read by
+/// every [`RunManifest::capture`] on a thread in that run.
 #[derive(Debug, Clone)]
-struct RunConfig {
+pub(crate) struct RunConfig {
     config: String,
     seed: u64,
     rows: usize,
@@ -55,11 +57,6 @@ impl Default for RunConfig {
     }
 }
 
-fn run_config() -> &'static Mutex<RunConfig> {
-    static RUN: OnceLock<Mutex<RunConfig>> = OnceLock::new();
-    RUN.get_or_init(|| Mutex::new(RunConfig::default()))
-}
-
 /// Process start marker: Unix ms at first telemetry use plus a stopwatch
 /// for the `elapsed_ms` field.
 fn process_start() -> &'static (u64, Stopwatch) {
@@ -67,30 +64,31 @@ fn process_start() -> &'static (u64, Stopwatch) {
     START.get_or_init(|| (unix_millis(), Stopwatch::start()))
 }
 
-/// Record the process-wide run configuration string (typically the CLI
-/// subcommand and flags). Later [`capture`] calls embed it verbatim and
-/// as an FNV-1a hash.
+/// Applies `f` to the calling thread's run description.
+fn edit(f: impl FnOnce(&mut RunConfig)) {
+    run::with(|t| f(&mut lock(&t.config)));
+}
+
+/// Record the run's configuration string (typically the CLI subcommand
+/// and flags). Later [`RunManifest::capture`] calls embed it verbatim
+/// and as an FNV-1a hash.
 pub fn set_run_config(config: &str) {
-    if let Ok(mut run) = run_config().lock() {
-        run.config = config.to_owned();
-    }
+    edit(|run| run.config = config.to_owned());
 }
 
-/// Record the process-wide RNG seed for provenance.
+/// Record the run's RNG seed for provenance.
 pub fn set_run_seed(seed: u64) {
-    if let Ok(mut run) = run_config().lock() {
-        run.seed = seed;
-    }
+    edit(|run| run.seed = seed);
 }
 
-/// Record the process-wide array geometry and dataflow for provenance.
+/// Record the run's array geometry and dataflow for provenance.
 pub fn set_run_array(rows: usize, cols: usize, dataflow: &str, broadcast: bool) {
-    if let Ok(mut run) = run_config().lock() {
+    edit(|run| {
         run.rows = rows;
         run.cols = cols;
         run.dataflow = dataflow.to_owned();
         run.broadcast = broadcast;
-    }
+    });
 }
 
 /// One run-provenance record (`fuseconv-manifest-v1`).
@@ -125,11 +123,11 @@ pub struct RunManifest {
 }
 
 impl RunManifest {
-    /// Snapshot the process-wide run description into a manifest.
+    /// Snapshot the calling thread's run description into a manifest.
     #[must_use]
     pub fn capture() -> Self {
         let (started, sw) = *process_start();
-        let run = run_config().lock().map(|r| r.clone()).unwrap_or_default();
+        let run = run::with(|t| lock(&t.config).clone());
         RunManifest {
             tool: "fuseconv".to_owned(),
             version: env!("CARGO_PKG_VERSION").to_owned(),

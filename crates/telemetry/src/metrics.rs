@@ -1,20 +1,21 @@
-//! Process-wide metrics registry: named counters, gauges, and log₂
-//! histograms with a deterministic snapshot API and a
-//! `fuseconv-metrics-v1` JSON rendering.
+//! Metrics registry: named counters, gauges, and log₂ histograms with a
+//! deterministic snapshot API and a `fuseconv-metrics-v1` JSON
+//! rendering. Each [`Telemetry`](crate::Telemetry) run has its own
+//! registry; the free functions act on the calling thread's run.
 //!
-//! Handles are `&'static` (leaked once per name, looked up in a
-//! `BTreeMap` behind a mutex) so hot paths touch only an atomic after
-//! the first lookup; callers on genuinely hot loops should hoist the
-//! handle out of the loop. Snapshots iterate the `BTreeMap`s, so
+//! Handles are `&'static` (leaked once per run and name, looked up in
+//! a `BTreeMap` behind the run's mutex) so hot paths touch only an
+//! atomic after the first lookup; callers on genuinely hot loops should
+//! hoist the handle out of the loop. Snapshots iterate the `BTreeMap`s, so
 //! rendering order is the metric-name order — deterministic across runs
 //! regardless of registration order.
 
 use crate::json::{Json, Layout};
 use crate::manifest::RunManifest;
+use crate::run::{self, lock};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
 
 /// Schema tag written into every rendered metrics snapshot.
 pub const METRICS_SCHEMA: &str = "fuseconv-metrics-v1";
@@ -176,17 +177,25 @@ impl HistogramSnapshot {
     }
 }
 
-/// The three metric namespaces, keyed by registered name.
+/// One run's three metric namespaces, keyed by registered name.
 #[derive(Default)]
-struct Registry {
+pub(crate) struct Registry {
     counters: BTreeMap<&'static str, &'static Counter>,
     gauges: BTreeMap<&'static str, &'static Gauge>,
     histograms: BTreeMap<&'static str, &'static Histogram>,
 }
 
-fn registry() -> &'static Mutex<Registry> {
-    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Registry::default()))
+/// The handle registered under `name` in the calling thread's run,
+/// registering a zeroed one on first use.
+fn handle<T: Default + 'static>(
+    name: &'static str,
+    map: impl FnOnce(&mut Registry) -> &mut BTreeMap<&'static str, &'static T>,
+) -> &'static T {
+    run::with(|t| {
+        *map(&mut lock(&t.metrics))
+            .entry(name)
+            .or_insert_with(|| Box::leak(Box::default()))
+    })
 }
 
 /// Look up (or register) the counter named `name`.
@@ -195,47 +204,19 @@ fn registry() -> &'static Mutex<Registry> {
 /// registry lock on subsequent increments.
 #[must_use]
 pub fn counter(name: &'static str) -> &'static Counter {
-    let mut reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-    reg.counters
-        .entry(name)
-        .or_insert_with(|| Box::leak(Box::new(Counter::default())))
+    handle(name, |r| &mut r.counters)
 }
 
 /// Look up (or register) the gauge named `name`.
 #[must_use]
 pub fn gauge(name: &'static str) -> &'static Gauge {
-    let mut reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-    reg.gauges
-        .entry(name)
-        .or_insert_with(|| Box::leak(Box::new(Gauge::default())))
+    handle(name, |r| &mut r.gauges)
 }
 
 /// Look up (or register) the histogram named `name`.
 #[must_use]
 pub fn histogram(name: &'static str) -> &'static Histogram {
-    let mut reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-    reg.histograms
-        .entry(name)
-        .or_insert_with(|| Box::leak(Box::new(Histogram::default())))
-}
-
-/// Zero every registered metric (handles stay valid). Used by the CLI
-/// `profile` subcommand to scope its report to one run.
-pub fn reset() {
-    let reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-    for c in reg.counters.values() {
-        c.0.store(0, Ordering::Relaxed);
-    }
-    for g in reg.gauges.values() {
-        g.0.store(0, Ordering::Relaxed);
-    }
-    for h in reg.histograms.values() {
-        for b in &h.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        h.sum.store(0, Ordering::Relaxed);
-        h.count.store(0, Ordering::Relaxed);
-    }
+    handle(name, |r| &mut r.histograms)
 }
 
 /// Point-in-time copy of the whole registry, name-ordered.
@@ -249,26 +230,24 @@ pub struct MetricsSnapshot {
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
-/// Snapshot every registered metric.
+/// Snapshot every metric registered in the calling thread's run.
 #[must_use]
 pub fn snapshot() -> MetricsSnapshot {
-    let reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-    MetricsSnapshot {
-        counters: reg
-            .counters
-            .iter()
-            .map(|(name, c)| ((*name).to_owned(), c.get()))
-            .collect(),
-        gauges: reg
-            .gauges
-            .iter()
-            .map(|(name, g)| ((*name).to_owned(), g.get()))
-            .collect(),
-        histograms: reg
-            .histograms
-            .iter()
-            .map(|(name, h)| ((*name).to_owned(), h.snapshot()))
-            .collect(),
+    run::with(|t| lock(&t.metrics).snapshot())
+}
+
+impl Registry {
+    fn snapshot(&self) -> MetricsSnapshot {
+        fn copy<T, V>(map: &BTreeMap<&str, &T>, f: impl Fn(&T) -> V) -> BTreeMap<String, V> {
+            map.iter()
+                .map(|(name, m)| ((*name).to_owned(), f(m)))
+                .collect()
+        }
+        MetricsSnapshot {
+            counters: copy(&self.counters, Counter::get),
+            gauges: copy(&self.gauges, Gauge::get),
+            histograms: copy(&self.histograms, Histogram::snapshot),
+        }
     }
 }
 

@@ -9,10 +9,12 @@
 //! satisfies `total == self + Σ child.total` exactly (the acceptance
 //! invariant the CLI `profile` subcommand prints).
 //!
-//! Profiling is off by default: a disabled [`span`] is one relaxed
-//! atomic load and returns an unarmed guard, which keeps instrumented
-//! library code cheap for ordinary runs (the ≤10 % overhead budget is
-//! enforced by `tests/telemetry_overhead.rs`).
+//! Spans record into the calling thread's [`Telemetry`](crate::Telemetry)
+//! run, and a span closes into the run it was opened in. Profiling is
+//! off by default: a disabled [`span`] is one relaxed atomic load of
+//! its run's switch and returns an unarmed guard, which keeps
+//! instrumented library code cheap for ordinary runs (the ≤10 %
+//! overhead budget is enforced by `tests/telemetry_overhead.rs`).
 //!
 //! The first ~65 k span closures are also recorded as discrete events
 //! with start offsets from the profiler epoch, so
@@ -24,35 +26,45 @@
 use crate::chrome;
 use crate::json::Json;
 use crate::manifest::RunManifest;
+use crate::run::{self, lock, State};
 use crate::time::Stopwatch;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-/// Global on/off switch; off keeps instrumented code nearly free.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Enable or disable span collection process-wide.
+/// Enable or disable span collection in the calling thread's run.
 pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
+    run::with(|t| t.spans_on.store(on, Ordering::Relaxed));
 }
 
-/// Whether span collection is currently enabled.
+/// Whether span collection is enabled in the calling thread's run.
 #[must_use]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    run::with(|t| t.spans_on.load(Ordering::Relaxed))
 }
 
 /// One aggregation node: a unique *(parent, name)* path in the span tree.
 #[derive(Debug)]
 struct NodeData {
     name: &'static str,
-    parent: usize,
     count: u64,
     total_ns: u64,
     child_ns: u64,
+    /// `(name, node)` of each child, in first-seen order.
+    children: Vec<(&'static str, usize)>,
+}
+
+impl NodeData {
+    fn new(name: &'static str) -> Self {
+        NodeData {
+            name,
+            count: 0,
+            total_ns: 0,
+            child_ns: 0,
+            children: Vec::new(),
+        }
+    }
 }
 
 /// One recorded span closure, for Chrome-trace export.
@@ -67,59 +79,47 @@ struct SpanEvent {
 /// Cap on retained discrete events; aggregation continues past it.
 const EVENT_CAP: usize = 65_536;
 
-struct Agg {
-    /// Node 0 is the virtual root (name "", parent 0).
+/// One run's span aggregate.
+pub(crate) struct Agg {
+    /// Node 0 is the virtual root (name "").
     nodes: Vec<NodeData>,
-    index: HashMap<(usize, &'static str), usize>,
     events: Vec<SpanEvent>,
     /// Events dropped once `events` hit [`EVENT_CAP`].
     dropped_events: u64,
+    /// Clock every span start and end is read from.
     epoch: Stopwatch,
 }
 
 impl Agg {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Agg {
-            nodes: vec![NodeData {
-                name: "",
-                parent: 0,
-                count: 0,
-                total_ns: 0,
-                child_ns: 0,
-            }],
-            index: HashMap::new(),
+            nodes: vec![NodeData::new("")],
             events: Vec::new(),
             dropped_events: 0,
             epoch: Stopwatch::start(),
         }
     }
 
+    /// The node for `name` under `parent`; a parent has few distinct
+    /// children, so a scan beats hashing the name.
     fn node_id(&mut self, parent: usize, name: &'static str) -> usize {
-        if let Some(&id) = self.index.get(&(parent, name)) {
+        if let Some(&(_, id)) = self.nodes[parent].children.iter().find(|(n, _)| *n == name) {
             return id;
         }
         let id = self.nodes.len();
-        self.nodes.push(NodeData {
-            name,
-            parent,
-            count: 0,
-            total_ns: 0,
-            child_ns: 0,
-        });
-        self.index.insert((parent, name), id);
+        self.nodes.push(NodeData::new(name));
+        self.nodes[parent].children.push((name, id));
         id
     }
 }
 
-fn agg() -> &'static Mutex<Agg> {
-    static AGG: OnceLock<Mutex<Agg>> = OnceLock::new();
-    AGG.get_or_init(|| Mutex::new(Agg::new()))
-}
-
 /// Per-thread open-span stack frame.
 struct Frame {
+    /// The run the span was opened in, and closes into.
+    run: Arc<State>,
     node: usize,
-    sw: Stopwatch,
+    /// That run's profiler epoch, so neither clock read holds its lock.
+    epoch: Stopwatch,
     start_ns: u64,
     child_ns: u64,
 }
@@ -148,26 +148,31 @@ pub struct Span {
     _not_send: std::marker::PhantomData<*const ()>,
 }
 
-/// Open a profiled region named `name`, closed when the returned guard
-/// drops. Nesting is tracked per thread; names should be stable
-/// dotted paths (`"sim.gemm_os"`, `"latency.fold_plan"`).
+/// Open a profiled region named `name` in the calling thread's run,
+/// closed when the returned guard drops. Nesting is tracked per thread;
+/// names should be stable dotted paths (`"sim.gemm_os"`,
+/// `"latency.fold_plan"`).
 pub fn span(name: &'static str) -> Span {
-    if !enabled() {
+    let Some(run) = run::with(|t| t.spans_on.load(Ordering::Relaxed).then(|| Arc::clone(t))) else {
         return Span {
             armed: false,
             _not_send: std::marker::PhantomData,
         };
-    }
-    let parent = STACK.with(|s| s.borrow().last().map_or(0, |f| f.node));
-    let mut agg = agg().lock().unwrap_or_else(|e| e.into_inner());
-    let node = agg.node_id(parent, name);
-    let start_ns = agg.epoch.elapsed_ns();
-    drop(agg);
+    };
     STACK.with(|s| {
-        s.borrow_mut().push(Frame {
+        let mut stack = s.borrow_mut();
+        let parent = stack
+            .last()
+            .filter(|f| Arc::ptr_eq(&f.run, &run))
+            .map_or(0, |f| f.node);
+        let mut agg = lock(&run.spans);
+        let (node, epoch) = (agg.node_id(parent, name), agg.epoch);
+        drop(agg);
+        stack.push(Frame {
+            run,
             node,
-            sw: Stopwatch::start(),
-            start_ns,
+            epoch,
+            start_ns: epoch.elapsed_ns(),
             child_ns: 0,
         });
     });
@@ -182,44 +187,44 @@ impl Drop for Span {
         if !self.armed {
             return;
         }
-        let Some(frame) = STACK.with(|s| s.borrow_mut().pop()) else {
-            return; // reset() raced an open span; drop the sample.
-        };
-        let dur_ns = frame.sw.elapsed_ns();
-        // Credit this span to the parent frame's child time first, so
-        // the parent's eventual self-time excludes it.
         STACK.with(|s| {
-            if let Some(parent) = s.borrow_mut().last_mut() {
+            let mut stack = s.borrow_mut();
+            let Some(frame) = stack.pop() else {
+                return;
+            };
+            let dur_ns = frame.epoch.elapsed_ns().saturating_sub(frame.start_ns);
+            let tid = thread_tid();
+            let mut agg = lock(&frame.run.spans);
+            let Some(node) = agg.nodes.get_mut(frame.node) else {
+                return; // reset() raced an open span; drop the sample.
+            };
+            node.count += 1;
+            node.total_ns = node.total_ns.saturating_add(dur_ns);
+            node.child_ns = node.child_ns.saturating_add(frame.child_ns);
+            if agg.events.len() < EVENT_CAP {
+                agg.events.push(SpanEvent {
+                    node: frame.node,
+                    tid,
+                    start_ns: frame.start_ns,
+                    dur_ns,
+                });
+            } else {
+                agg.dropped_events += 1;
+            }
+            drop(agg);
+            // Credit the parent frame, so its self time excludes this span.
+            if let Some(parent) = stack.last_mut().filter(|p| Arc::ptr_eq(&p.run, &frame.run)) {
                 parent.child_ns = parent.child_ns.saturating_add(dur_ns);
             }
         });
-        let tid = thread_tid();
-        let mut agg = agg().lock().unwrap_or_else(|e| e.into_inner());
-        let Some(node) = agg.nodes.get_mut(frame.node) else {
-            return; // reset() raced an open span; drop the sample.
-        };
-        node.count += 1;
-        node.total_ns = node.total_ns.saturating_add(dur_ns);
-        node.child_ns = node.child_ns.saturating_add(frame.child_ns);
-        if agg.events.len() < EVENT_CAP {
-            agg.events.push(SpanEvent {
-                node: frame.node,
-                tid,
-                start_ns: frame.start_ns,
-                dur_ns,
-            });
-        } else {
-            agg.dropped_events += 1;
-        }
     }
 }
 
-/// Discard all aggregated spans and recorded events and restart the
-/// profiler epoch. Call only while no spans are open (open guards from
-/// before the reset are dropped without being counted).
+/// Discard the calling thread's run's aggregated spans and recorded
+/// events and restart its profiler epoch. Call only while no spans of
+/// that run are open (spans open across a reset are dropped uncounted).
 pub fn reset() {
-    let mut agg = agg().lock().unwrap_or_else(|e| e.into_inner());
-    *agg = Agg::new();
+    run::with(|t| *lock(&t.spans) = Agg::new());
 }
 
 /// One node of an aggregated [`SpanTree`].
@@ -248,7 +253,8 @@ impl SpanNode {
     }
 }
 
-/// Aggregated snapshot of every span closed since the last [`reset`].
+/// Aggregated snapshot of every span a run closed since it started (or
+/// since its last [`reset`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpanTree {
     /// Top-level spans (those opened with no enclosing span).
@@ -258,46 +264,44 @@ pub struct SpanTree {
     events: Vec<(String, u64, u64, u64)>,
 }
 
-/// Snapshot the aggregated span tree (and retained discrete events).
+/// Snapshot the calling thread's run's span tree (and retained
+/// discrete events).
 #[must_use]
 pub fn snapshot() -> SpanTree {
-    let agg = agg().lock().unwrap_or_else(|e| e.into_inner());
-    let mut children: Vec<Vec<usize>> = vec![Vec::new(); agg.nodes.len()];
-    for (id, node) in agg.nodes.iter().enumerate().skip(1) {
-        children[node.parent].push(id);
-    }
-    fn build(agg: &Agg, children: &[Vec<usize>], id: usize) -> SpanNode {
-        let node = &agg.nodes[id];
-        let kids: Vec<SpanNode> = children[id]
-            .iter()
-            .map(|&c| build(agg, children, c))
-            .collect();
-        SpanNode {
-            name: node.name.to_owned(),
-            count: node.count,
-            total_ns: node.total_ns,
-            self_ns: node.total_ns.saturating_sub(node.child_ns),
-            children: kids,
+    run::with(|t| lock(&t.spans).snapshot())
+}
+
+impl Agg {
+    fn snapshot(&self) -> SpanTree {
+        SpanTree {
+            roots: self.children(0),
+            dropped_events: self.dropped_events,
+            events: self
+                .events
+                .iter()
+                .map(|e| {
+                    let name = self.nodes[e.node].name.to_owned();
+                    (name, e.tid, e.start_ns, e.dur_ns)
+                })
+                .collect(),
         }
     }
-    SpanTree {
-        roots: children[0]
+
+    fn children(&self, id: usize) -> Vec<SpanNode> {
+        self.nodes[id]
+            .children
             .iter()
-            .map(|&c| build(&agg, &children, c))
-            .collect(),
-        dropped_events: agg.dropped_events,
-        events: agg
-            .events
-            .iter()
-            .map(|e| {
-                (
-                    agg.nodes[e.node].name.to_owned(),
-                    e.tid,
-                    e.start_ns,
-                    e.dur_ns,
-                )
+            .map(|&(_, c)| {
+                let node = &self.nodes[c];
+                SpanNode {
+                    name: node.name.to_owned(),
+                    count: node.count,
+                    total_ns: node.total_ns,
+                    self_ns: node.total_ns.saturating_sub(node.child_ns),
+                    children: self.children(c),
+                }
             })
-            .collect(),
+            .collect()
     }
 }
 
@@ -307,12 +311,6 @@ impl SpanTree {
     #[must_use]
     pub fn is_balanced(&self) -> bool {
         self.roots.iter().all(SpanNode::is_balanced)
-    }
-
-    /// Total nanoseconds across all top-level spans.
-    #[must_use]
-    pub fn total_ns(&self) -> u64 {
-        self.roots.iter().map(|r| r.total_ns).sum()
     }
 
     /// Find a node by slash-separated path (`"profile/profile.plan"`).
@@ -401,17 +399,8 @@ impl SpanTree {
 mod tests {
     use super::*;
 
-    /// Serialize tests that touch the global profiler state.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static GATE: Mutex<()> = Mutex::new(());
-        GATE.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn disabled_spans_record_nothing() {
-        let _g = lock();
-        set_enabled(false);
-        reset();
         {
             let _s = span("dead");
         }
@@ -420,9 +409,7 @@ mod tests {
 
     #[test]
     fn nesting_builds_a_tree_with_exact_balance() {
-        let _g = lock();
         set_enabled(true);
-        reset();
         {
             let _outer = span("outer");
             {
@@ -450,9 +437,7 @@ mod tests {
 
     #[test]
     fn random_nesting_keeps_stack_balanced_and_tree_exact() {
-        let _g = lock();
         set_enabled(true);
-        reset();
         // xorshift64* PRNG, fixed seed: deterministic random open/close.
         let mut state: u64 = 0x9e37_79b9_7f4a_7c15;
         let mut rng = move || {
@@ -485,10 +470,29 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_is_structurally_valid() {
-        let _g = lock();
+    fn a_span_closes_into_the_run_it_was_opened_in() {
+        let names = |t: &SpanTree| t.roots.iter().map(|r| r.name.clone()).collect::<Vec<_>>();
+        let first = crate::Telemetry::current();
         set_enabled(true);
-        reset();
+        let outer = span("outer");
+        crate::Telemetry::default().join();
+        set_enabled(true);
+        {
+            // Not a child of `outer`, which belongs to the first run.
+            let _inner = span("inner");
+        }
+        drop(outer);
+        assert_eq!(names(&snapshot()), ["inner"]);
+        first.join();
+        let tree = snapshot();
+        assert_eq!(names(&tree), ["outer"]);
+        assert!(tree.roots[0].children.is_empty());
+        assert_eq!(tree.roots[0].self_ns, tree.roots[0].total_ns);
+    }
+
+    #[test]
+    fn chrome_trace_is_structurally_valid() {
+        set_enabled(true);
         {
             let _s = span("export.me");
         }

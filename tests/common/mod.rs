@@ -1,9 +1,12 @@
-//! JSON scanners shared by the golden schema tests. The workspace has
-//! no JSON parser; these scans are all the schema tests need, and each
-//! accepts both the pretty (`"key": value`) and the compact
-//! (`"key":value`) separator.
+//! Helpers shared by the integration tests: the traced shape grids
+//! ([`traced`]) and the JSON scanners of the golden schema tests. The
+//! workspace has no JSON parser; these scans are all the schema tests
+//! need, and each accepts both the pretty (`"key": value`) and the
+//! compact (`"key":value`) separator.
 
 #![allow(dead_code)] // reason: each test binary uses its own subset
+
+pub mod traced;
 
 use fuseconv::models::zoo;
 use fuseconv::nn::FuSeVariant;

@@ -14,25 +14,39 @@
 //!    per-stream maximum of *distinct addresses* the traced simulators
 //!    actually touch.
 
-use std::collections::HashSet;
-
-use fuseconv::latency::{
-    plan_high_water, Dataflow, FoldFootprint, LatencyModel, PlanIr, ValueClass,
-};
+use fuseconv::latency::{plan_high_water, FoldFootprint, LatencyModel, PlanIr, ValueClass};
 use fuseconv::models::zoo;
-use fuseconv::nn::ops::{Axis1d, Op};
+use fuseconv::nn::ops::Op;
 use fuseconv::nn::FuSeVariant;
-use fuseconv::systolic::conv1d::ChannelLines;
-use fuseconv::systolic::{conv1d, ArrayConfig, SimResult};
-use fuseconv::tensor::Tensor;
-use fuseconv::trace::{Operand, TraceEvent, TraceSink};
+use fuseconv::systolic::{ArrayConfig, SimResult};
+use fuseconv::trace::FoldSpec;
 
-fn paper_model() -> LatencyModel {
-    LatencyModel::new(
-        ArrayConfig::square(64)
-            .expect("64 is nonzero")
-            .with_broadcast(true),
-    )
+mod common;
+use common::traced::{self, FootprintSink};
+
+/// Hands `check` the 64×64 fold plan of every operator of every zoo
+/// network (the five baselines, ResNet-50 and EfficientNet-B0) as
+/// published and in the Full and Half FuSe variants, with a label.
+fn for_each_zoo_plan(mut check: impl FnMut(&str, Vec<FoldSpec>)) {
+    let array = ArrayConfig::square(64).expect("64 is nonzero");
+    let model = LatencyModel::new(array.with_broadcast(true));
+    let mut nets = zoo::all_baselines();
+    nets.push(zoo::resnet50());
+    nets.push(zoo::efficientnet_b0());
+    for net in &nets {
+        for variant in [None, Some(FuSeVariant::Full), Some(FuSeVariant::Half)] {
+            let v = variant.map_or_else(|| net.clone(), |var| net.transform_all(var));
+            for (block_name, block) in v.blocks() {
+                for op in block.ops() {
+                    let ctx = format!("{}/{block_name} {op:?}", v.name());
+                    let plan = model
+                        .fold_plan(&op)
+                        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                    check(&ctx, plan);
+                }
+            }
+        }
+    }
 }
 
 /// Rebuilds a per-stream high-water mark from the liveness intervals: at
@@ -77,32 +91,10 @@ fn zoo_lift_lower_is_bit_exact() {
     // Every operator of every network × variant round-trips through the
     // IR unchanged — the exactness contract that lets `trace` replay a
     // lowered plan as if the IR had never existed.
-    let model = paper_model();
-    let mut nets = zoo::all_baselines();
-    nets.push(zoo::resnet50());
-    nets.push(zoo::efficientnet_b0());
-    for net in &nets {
-        for variant in [None, Some(FuSeVariant::Full), Some(FuSeVariant::Half)] {
-            let v = match variant {
-                None => net.clone(),
-                Some(var) => net.transform_all(var),
-            };
-            for (block_name, block) in v.blocks() {
-                for op in block.ops() {
-                    let plan = model
-                        .fold_plan(&op)
-                        .unwrap_or_else(|e| panic!("{}/{block_name}: {e}", v.name()));
-                    let ir = PlanIr::from_plan(&plan);
-                    assert_eq!(
-                        ir.lower(),
-                        plan,
-                        "{}/{block_name} {op:?}: lift/lower must be the identity",
-                        v.name()
-                    );
-                }
-            }
-        }
-    }
+    for_each_zoo_plan(|ctx, plan| {
+        let ir = PlanIr::from_plan(&plan);
+        assert_eq!(ir.lower(), plan, "{ctx}: lift/lower must be the identity");
+    });
 }
 
 #[test]
@@ -110,87 +102,16 @@ fn zoo_ir_high_water_equals_plan_high_water() {
     // Three accountings of the SRAM high-water agree on the whole zoo:
     // the flat plan's per-stream max, the IR's value-based max, and the
     // one rebuilt from liveness intervals.
-    let model = paper_model();
-    let mut nets = zoo::all_baselines();
-    nets.push(zoo::resnet50());
-    nets.push(zoo::efficientnet_b0());
-    for net in &nets {
-        for variant in [None, Some(FuSeVariant::Full), Some(FuSeVariant::Half)] {
-            let v = match variant {
-                None => net.clone(),
-                Some(var) => net.transform_all(var),
-            };
-            for (block_name, block) in v.blocks() {
-                for op in block.ops() {
-                    let plan = model
-                        .fold_plan(&op)
-                        .unwrap_or_else(|e| panic!("{}/{block_name}: {e}", v.name()));
-                    let ir = PlanIr::from_plan(&plan);
-                    let flat = plan_high_water(&plan);
-                    let ctx = format!("{}/{block_name} {op:?}", v.name());
-                    assert_eq!(ir.high_water(), flat, "{ctx}: IR vs flat high-water");
-                    assert_eq!(
-                        interval_high_water(&ir),
-                        flat,
-                        "{ctx}: liveness vs flat high-water"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Distinct addresses touched by each operand stream within one fold.
-#[derive(Debug, Default)]
-struct FoldAddrs {
-    ifmap: HashSet<u64>,
-    filter: HashSet<u64>,
-    ofmap: HashSet<u64>,
-}
-
-/// Sink that buckets operand/output addresses per fold.
-#[derive(Debug, Default)]
-struct FootprintSink {
-    folds: Vec<FoldAddrs>,
-}
-
-impl TraceSink for FootprintSink {
-    fn on_event(&mut self, event: &TraceEvent) {
-        match *event {
-            TraceEvent::FoldStart { .. } => self.folds.push(FoldAddrs::default()),
-            TraceEvent::OperandRead { operand, addr, .. } => {
-                let fold = self.folds.last_mut().expect("read outside a fold");
-                match operand {
-                    Operand::Ifmap => fold.ifmap.insert(addr),
-                    Operand::Filter => fold.filter.insert(addr),
-                    Operand::Ofmap => fold.ofmap.insert(addr),
-                };
-            }
-            TraceEvent::OutputWrite { addr, .. } => {
-                self.folds
-                    .last_mut()
-                    .expect("write outside a fold")
-                    .ofmap
-                    .insert(addr);
-            }
-            _ => {}
-        }
-    }
-
-    fn wants_operand_events(&self) -> bool {
-        true
-    }
-}
-
-/// The per-stream maximum of distinct addresses over the traced folds.
-fn traced_high_water(sink: &FootprintSink) -> (u64, u64, u64) {
-    sink.folds.iter().fold((0, 0, 0), |acc, f| {
-        (
-            acc.0.max(f.ifmap.len() as u64),
-            acc.1.max(f.filter.len() as u64),
-            acc.2.max(f.ofmap.len() as u64),
-        )
-    })
+    for_each_zoo_plan(|ctx, plan| {
+        let ir = PlanIr::from_plan(&plan);
+        let flat = plan_high_water(&plan);
+        assert_eq!(ir.high_water(), flat, "{ctx}: IR vs flat high-water");
+        assert_eq!(
+            interval_high_water(&ir),
+            flat,
+            "{ctx}: liveness vs flat high-water"
+        );
+    });
 }
 
 /// Asserts the IR lifted from `op`'s plan prices the same high-water the
@@ -210,60 +131,17 @@ fn assert_ir_matches_trace(
     let high = ir.high_water();
     assert_eq!(
         (high.ifmap_elems, high.filter_elems, high.ofmap_elems),
-        traced_high_water(sink),
+        sink.high_water(),
         "{ctx}: IR high-water vs traced distinct addresses"
     );
 }
 
 #[test]
 fn gemm_ir_high_water_equals_traced_distinct_addresses() {
-    // The three GEMM fold kinds (output-/weight-/input-stationary) on
-    // shapes straddling the array on every axis.
-    let arrays = [(4usize, 4usize), (3, 5), (8, 2)];
-    let gemms = [(1usize, 1usize, 1usize), (7, 5, 9), (9, 13, 4), (5, 20, 5)];
-    for (rows, cols) in arrays {
-        let cfg = ArrayConfig::new(rows, cols).expect("nonzero array");
-        for dataflow in Dataflow::ALL {
-            let model = LatencyModel::new(cfg).with_dataflow(dataflow);
-            for (m, k, n) in gemms {
-                let a = Tensor::full(&[m, k], 1.0).expect("operand a");
-                let b = Tensor::full(&[k, n], 1.0).expect("operand b");
-                let mut sink = FootprintSink::default();
-                let sim = dataflow
-                    .simulate(&cfg, &a, &b, &mut sink)
-                    .expect("traced sim");
-                let op = Op::pointwise(m, 1, k, n);
-                let ctx = format!("{rows}x{cols} {dataflow:?} {m}x{k}x{n}");
-                assert_ir_matches_trace(&model, &op, &sink, &sim, &ctx);
-            }
-        }
-    }
+    traced::gemm_grid(assert_ir_matches_trace);
 }
 
 #[test]
 fn conv1d_ir_high_water_equals_traced_distinct_addresses() {
-    // The fourth fold kind: the paper's broadcast conv1d, one line per
-    // channel so distinct addresses and working-set elements coincide.
-    let arrays = [(4usize, 4usize), (3, 5), (8, 2)];
-    let shapes = [(1usize, 6usize, 3usize), (5, 9, 3), (3, 12, 5), (9, 4, 3)];
-    for (rows, cols) in arrays {
-        let cfg = ArrayConfig::new(rows, cols)
-            .expect("nonzero array")
-            .with_broadcast(true);
-        let model = LatencyModel::new(cfg);
-        for (c, w, k) in shapes {
-            let l_in = w + k - 1;
-            let work: Vec<ChannelLines> = (0..c)
-                .map(|ch| ChannelLines {
-                    kernel: vec![1.0 + ch as f32; k],
-                    lines: vec![vec![1.0; l_in]],
-                })
-                .collect();
-            let mut sink = FootprintSink::default();
-            let sim = conv1d::simulate_packed_traced(&cfg, &work, &mut sink).expect("traced sim");
-            let op = Op::fuse1d(1, w, c, k, 1, k / 2, Axis1d::Row);
-            let ctx = format!("{rows}x{cols} broadcast c{c} w{w} k{k}");
-            assert_ir_matches_trace(&model, &op, &sink, &sim, &ctx);
-        }
-    }
+    traced::conv1d_grid(assert_ir_matches_trace);
 }

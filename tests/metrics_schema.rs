@@ -5,7 +5,7 @@
 //! the pinned surface — `tests/golden/metrics_schema.json` holds them.
 
 use fuseconv::telemetry::{
-    counter, gauge, histogram, metrics_snapshot, RunManifest, METRICS_SCHEMA,
+    counter, gauge, histogram, metrics_snapshot, RunManifest, Telemetry, METRICS_SCHEMA,
 };
 
 mod common;
@@ -38,9 +38,11 @@ fn metrics_json_envelope_matches_golden_schema() {
 fn snapshot_is_exact_and_deterministic_under_concurrency() {
     const THREADS: u64 = 8;
     const PER_THREAD: u64 = 10_000;
+    let run = &Telemetry::current();
     std::thread::scope(|scope| {
         for t in 0..THREADS {
             scope.spawn(move || {
+                run.join();
                 for i in 0..PER_THREAD {
                     counter("test.conc.counter").inc();
                     gauge("test.conc.gauge").add(1);
@@ -51,17 +53,14 @@ fn snapshot_is_exact_and_deterministic_under_concurrency() {
     });
     // No update is lost and no update is double-counted.
     let s1 = metrics_snapshot();
-    assert_eq!(s1.counter("test.conc.counter"), THREADS * PER_THREAD);
-    // Quiescent metrics render identically across snapshots (name-ordered
-    // maps, no iteration-order nondeterminism). Only this test's names are
-    // compared: sibling tests may mutate their own metrics concurrently.
-    let s2 = metrics_snapshot();
-    let ours = |text: &str| {
-        text.lines()
-            .filter(|l| l.starts_with("test.conc."))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(ours(&s1.to_text()), ours(&s2.to_text()));
-    assert!(!ours(&s1.to_text()).is_empty());
+    let n = THREADS * PER_THREAD;
+    assert_eq!(s1.counter("test.conc.counter"), n);
+    assert_eq!(s1.gauges["test.conc.gauge"], n as i64);
+    let hist = &s1.histograms["test.conc.hist"];
+    assert_eq!((hist.count, hist.sum), (n, n * (n - 1) / 2));
+    // The run holds exactly this test's metrics, and a quiescent run
+    // renders identically across snapshots (name-ordered maps, no
+    // iteration-order nondeterminism).
+    assert_eq!(s1.counters.len() + s1.gauges.len() + s1.histograms.len(), 3);
+    assert_eq!(s1.to_text(), metrics_snapshot().to_text());
 }

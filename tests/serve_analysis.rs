@@ -402,19 +402,17 @@ fn oracle_memo_prices_match_cold_computation() {
     assert_eq!(first, recomputed);
 }
 
-/// A pod simulation flushes its oracle tallies into the global metrics
+/// A pod simulation flushes its oracle tallies into its run's metrics
 /// registry, and a repeat-heavy run is overwhelmingly memo hits.
 #[test]
 fn engine_flushes_oracle_memo_counters() {
     let pod = PodSpec::parse("16x16:os").expect("pod");
     let w = Workload::uniform(vec![zoo::mobilenet_v1()]).expect("mix");
-    let hits_before = fuseconv::telemetry::counter("serve.oracle_hits_total").get();
-    let misses_before = fuseconv::telemetry::counter("serve.oracle_misses_total").get();
-
     run(&pod, &w, &cfg(500, 0.8));
 
-    let hits = fuseconv::telemetry::counter("serve.oracle_hits_total").get() - hits_before;
-    let misses = fuseconv::telemetry::counter("serve.oracle_misses_total").get() - misses_before;
+    let snap = fuseconv::telemetry::metrics_snapshot();
+    let hits = snap.counter("serve.oracle_hits_total");
+    let misses = snap.counter("serve.oracle_misses_total");
     assert!(misses > 0, "a cold oracle must miss at least once");
     assert!(
         hits > misses,

@@ -11,10 +11,11 @@
 //!
 //! The engine's outputs are a pure function of its inputs, so any
 //! change to the event loop, the oracle or the recorder that alters
-//! one bit of any artifact, or one memo probe, fails here. The whole
-//! grid runs inside one test function: the memo counters are read as
-//! deltas of process-wide metrics, which another test running
-//! concurrently in this binary would disturb.
+//! one bit of any artifact, or one memo probe, fails here. The memo
+//! counters are read as deltas of the test thread's telemetry run,
+//! which no concurrent test shares; the grid runs inside one test
+//! function so its coverage checks and regenerable golden table see
+//! every configuration at once.
 
 use fuseconv::models::{zoo, Network};
 use fuseconv::nn::FuSeVariant;

@@ -2,14 +2,13 @@
 //! registry's `sim.cycles_total` / `sim.runs_total` / `sim.folds_total`
 //! counters must advance by exactly what the returned [`SimResult`]s
 //! report, across all five instrumented traced simulators run
-//! through the counted entry point. Deltas (not absolutes)
-//! are asserted so the test is robust to other code in this binary
-//! having already driven the process-wide registry.
+//! through the counted entry point. The test thread's telemetry run
+//! records nothing else, so the counters are compared whole.
 
 use fuseconv::perf::counted;
 use fuseconv::systolic::conv1d::{self, ChannelLines};
 use fuseconv::systolic::{ArrayConfig, Dataflow};
-use fuseconv::telemetry::counter;
+use fuseconv::telemetry::metrics_snapshot;
 use fuseconv::tensor::Tensor;
 
 #[test]
@@ -27,10 +26,6 @@ fn sim_counters_equal_sum_of_returned_sim_results() {
             kernel: vec![1.0, 0.0, -1.0],
         })
         .collect();
-
-    let before_cycles = counter("sim.cycles_total").get();
-    let before_runs = counter("sim.runs_total").get();
-    let before_folds = counter("sim.folds_total").get();
 
     let mut cycles = 0u64;
     let mut folds = 0u64;
@@ -50,11 +45,12 @@ fn sim_counters_equal_sum_of_returned_sim_results() {
     tally(&packed.expect("packed conv1d").0);
     assert!(cycles > 0 && folds > 0);
 
+    let snap = metrics_snapshot();
     assert_eq!(
-        counter("sim.cycles_total").get() - before_cycles,
+        snap.counter("sim.cycles_total"),
         cycles,
         "sim.cycles_total diverged from the SimResults the simulators returned"
     );
-    assert_eq!(counter("sim.runs_total").get() - before_runs, runs);
-    assert_eq!(counter("sim.folds_total").get() - before_folds, folds);
+    assert_eq!(snap.counter("sim.runs_total"), runs);
+    assert_eq!(snap.counter("sim.folds_total"), folds);
 }
