@@ -20,8 +20,8 @@
 use fuseconv::models::{zoo, Network};
 use fuseconv::nn::FuSeVariant;
 use fuseconv::serve::{
-    simulate_observed, BatchPolicy, Dispatch, PodSpec, PodTraceSink, ServeConfig, TimeSeriesConfig,
-    Workload,
+    simulate, simulate_observed, BatchPolicy, Dispatch, PodSpec, PodTraceSink, ServeConfig,
+    TimeSeriesConfig, Workload,
 };
 use fuseconv::telemetry::{counter, fnv1a64};
 use fuseconv::tensor::rng::Rng;
@@ -310,4 +310,51 @@ fn serve_outputs_over_the_generated_grid_are_pinned() {
         "serve outputs drifted from the pinned grid:\n{}\nfull table of this build:\n{table}",
         mismatches.join("\n")
     );
+}
+
+/// High-priority fractions the preemption property is checked at.
+const PREEMPT_FRACS: [f64; 3] = [0.05, 0.2, 0.5];
+/// Runs of the property sweep in which at least one preemption fired:
+/// all of them (15 whole-dispatch configurations × 3 fractions).
+const PREEMPTING_RUNS: usize = 45;
+
+#[test]
+fn preemption_never_raises_high_priority_latency_over_the_grid() {
+    // Every whole-dispatch configuration, rerun at each fraction with
+    // preemption off and on: an eviction happens only when it finishes
+    // the triggering request earlier, so wherever one fires the
+    // high-priority mean and p99 must be no higher than without.
+    let mut preempting = 0;
+    let mut violations = Vec::new();
+    for case in grid().iter().filter(|c| c.cfg.dispatch == Dispatch::Whole) {
+        for high_priority_frac in PREEMPT_FRACS {
+            let sim = |preemption| {
+                let cfg = ServeConfig {
+                    preemption,
+                    high_priority_frac,
+                    ..case.cfg.clone()
+                };
+                simulate(&case.pod, &case.workload, &cfg, None)
+                    .unwrap_or_else(|e| panic!("{} high={high_priority_frac}: {e}", case.label))
+            };
+            let (without, with) = (sim(false), sim(true));
+            if with.preemptions == 0 {
+                continue;
+            }
+            preempting += 1;
+            let (w, wo) = (&with.high_priority_latency, &without.high_priority_latency);
+            if w.mean > wo.mean || w.p99 > wo.p99 {
+                violations.push(format!(
+                    "{} high={high_priority_frac}: mean {} vs {}, p99 {} vs {}",
+                    case.label, w.mean, wo.mean, w.p99, wo.p99
+                ));
+            }
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "preemption raised high-priority latency:\n{}",
+        violations.join("\n")
+    );
+    assert_eq!(preempting, PREEMPTING_RUNS, "preempting runs in the sweep");
 }
