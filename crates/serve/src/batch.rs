@@ -6,7 +6,11 @@
 //! batching entirely. The policies differ in *which* bucket launches
 //! and *when*:
 //!
-//! * [`BatchPolicy::Fifo`] — strict arrival order, batch size 1;
+//! * [`BatchPolicy::Fifo`] — strict arrival order, batch size 1. Every
+//!   bucket is FIFO and arrivals are monotone, so the oldest head across
+//!   buckets is simply the oldest request: the normal lane is a single
+//!   arrival-ordered bucket, and a launch pops its front without
+//!   scanning the networks;
 //! * [`BatchPolicy::Dynamic`] — arrival-order fair: the bucket holding
 //!   the oldest request launches, but only once it is full
 //!   (`max_batch`) or its head has waited `max_wait` cycles;
@@ -138,6 +142,8 @@ pub struct RequestQueue {
     policy: BatchPolicy,
     capacity: usize,
     covered: usize,
+    /// One FIFO bucket per network; under [`BatchPolicy::Fifo`] a single
+    /// arrival-ordered bucket holding every network's requests.
     buckets: Vec<VecDeque<Pending>>,
     high: VecDeque<Pending>,
     len: usize,
@@ -148,11 +154,12 @@ impl RequestQueue {
     /// requests under `policy`. Every network starts with a
     /// provisioned shape bucket; see [`Self::with_covered_buckets`].
     pub fn new(policy: BatchPolicy, capacity: usize, nets: usize) -> Self {
+        let lanes = if policy == BatchPolicy::Fifo { 1 } else { nets };
         RequestQueue {
             policy,
             capacity,
             covered: nets,
-            buckets: (0..nets).map(|_| VecDeque::new()).collect(),
+            buckets: (0..lanes).map(|_| VecDeque::new()).collect(),
             high: VecDeque::new(),
             len: 0,
         }
@@ -163,7 +170,7 @@ impl RequestQueue {
     /// request whose network has no bucket cannot be queued at all —
     /// [`Self::push`] rejects it exactly like an at-capacity queue.
     pub fn with_covered_buckets(mut self, covered: usize) -> Self {
-        self.covered = covered.min(self.buckets.len());
+        self.covered = covered.min(self.covered);
         self
     }
 
@@ -187,6 +194,8 @@ impl RequestQueue {
         self.len += 1;
         if p.high_priority {
             self.high.push_back(p);
+        } else if self.policy == BatchPolicy::Fifo {
+            self.buckets[0].push_back(p);
         } else {
             self.buckets[p.net].push_back(p);
         }
@@ -216,7 +225,7 @@ impl RequestQueue {
         // batch could not have existed before that arrival.
         let formed_at = requests.last().map_or(0, |p| p.arrived);
         Batch {
-            net: bucket,
+            net: requests.first().map_or(bucket, |p| p.net),
             requests,
             high_priority: false,
             phase: BatchPhase::formed(formed_at),
@@ -246,10 +255,7 @@ impl RequestQueue {
             return Some(batch);
         }
         match self.policy {
-            BatchPolicy::Fifo => {
-                let bucket = self.oldest_bucket()?;
-                Some(self.drain_bucket(bucket, 1))
-            }
+            BatchPolicy::Fifo => (!self.buckets[0].is_empty()).then(|| self.drain_bucket(0, 1)),
             BatchPolicy::Dynamic {
                 max_batch,
                 max_wait,
@@ -341,6 +347,45 @@ mod tests {
         assert_eq!((b.net, b.requests[0].id), (0, 1));
         assert_eq!(q.len(), 1);
         assert_eq!(q.next_deadline(), None);
+    }
+
+    #[test]
+    fn fifo_lane_pops_a_multi_network_stream_in_id_order() {
+        use fuseconv_tensor::rng::Rng;
+        let nets = 5;
+        let mut rng = Rng::seed_from_u64(0xF1F0);
+        let mut q = RequestQueue::new(BatchPolicy::Fifo, usize::MAX, nets);
+        let (mut pushed, mut popped) = (Vec::new(), Vec::new());
+        let mut now = 0u64;
+        for id in 0..20_000u64 {
+            now += rng.below(3) as u64;
+            let high_priority = rng.below(6) == 0;
+            let net = rng.below(nets);
+            assert!(q.push(Pending {
+                id,
+                net,
+                arrived: now,
+                high_priority,
+            }));
+            if !high_priority {
+                pushed.push((id, net));
+            }
+            // Pop a few, and everything once the stream has ended.
+            while id == 19_999 || rng.below(5) < 2 {
+                let Some(batch) = q.pop_batch(now) else {
+                    break;
+                };
+                let p = batch.requests[0];
+                assert_eq!(batch.requests.len(), 1);
+                assert_eq!((batch.net, batch.high_priority), (p.net, p.high_priority));
+                if !p.high_priority {
+                    popped.push((p.id, p.net));
+                }
+            }
+            assert_eq!(q.next_deadline(), None);
+        }
+        assert!(q.is_empty());
+        assert_eq!(popped, pushed, "normal lane pops in id order");
     }
 
     #[test]

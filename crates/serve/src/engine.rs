@@ -1,18 +1,22 @@
 //! The discrete-event serving engine.
 //!
-//! A single [`std::collections::BinaryHeap`] orders events by
-//! `(time, seq)` — `seq` is a monotone tie-breaker, so simultaneous
-//! events pop in creation order and the whole simulation is a pure
-//! function of its inputs. The clock is `u64` array cycles. Arrivals
-//! are generated lazily (one outstanding at a time), so the heap stays
-//! O(pod size) deep no matter how many requests are simulated.
+//! Events pop in `(time, seq)` order — `seq` is a monotone
+//! tie-breaker, so simultaneous events pop in creation order and the
+//! whole simulation is a pure function of its inputs. The clock is
+//! `u64` array cycles. Arrivals are generated lazily, so exactly one is
+//! ever pending: the event queue is the arrival slot plus a
+//! [`std::collections::BinaryHeap`] of the other kinds, which stays
+//! O(pod size) deep no matter how many requests are simulated. The next
+//! event is whichever of the slot and the heap's top is smaller, the
+//! same total order one heap of every event would give.
 //!
 //! Event kinds:
 //!
 //! * **Arrival** — admit (or drop) a request, draw the next arrival,
 //!   try to dispatch;
 //! * **ArrayDone** — an array finished its batch; stale generations
-//!   (preempted batches) are ignored;
+//!   (preempted batches) still pop and count in `events`, but change
+//!   nothing;
 //! * **PodDone** — a sharded batch's slowest share finished;
 //! * **Deadline** — a batching max-wait expired; re-run dispatch.
 //!
@@ -38,7 +42,7 @@ use crate::oracle::CostOracle;
 use crate::report::{ArrayReport, LatencyStats, NetworkReport, QueueStats, ServeReport};
 use crate::spec::{PodSpec, ServeError};
 use crate::timeseries::{
-    Exemplar, Tallies, TimeSeriesConfig, TimeSeriesRecorder, TimeSeriesReport,
+    BusyTally, Exemplar, Tallies, TimeSeriesConfig, TimeSeriesRecorder, TimeSeriesReport,
 };
 use crate::trace::PodTraceSink;
 use crate::traffic::{TrafficGen, Workload};
@@ -185,14 +189,52 @@ impl ServeConfig {
     }
 }
 
-/// Heap event payloads; `Ord` is derived but never decides order —
-/// the `(time, seq)` prefix of the heap key is already unique.
+/// Event payloads; `Ord` is derived but never decides order — the
+/// `(time, seq)` prefix of every key is already unique.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum EvKind {
     Arrival { net: usize, high: bool },
     ArrayDone { array: usize, gen: u64 },
     PodDone,
     Deadline,
+}
+
+/// A pending event: `(time, seq, kind)`.
+type Event = (u64, u64, EvKind);
+
+/// The event set, popped in `(time, seq)` order. Arrivals are drawn one
+/// at a time, so at most one is ever pending: it waits in its own slot
+/// and the heap holds only completions and deadlines, which keeps every
+/// arrival out of the heap's sift-up and sift-down.
+#[derive(Debug, Default)]
+struct EventQueue {
+    arrival: Option<Event>,
+    heap: BinaryHeap<Reverse<Event>>,
+    seq: u64,
+}
+
+impl EventQueue {
+    /// Schedules `kind` at `at`, after every event already scheduled
+    /// for the same time.
+    fn push(&mut self, at: u64, kind: EvKind) {
+        let ev = (at, self.seq, kind);
+        self.seq += 1;
+        if let EvKind::Arrival { .. } = kind {
+            debug_assert!(self.arrival.is_none(), "one pending arrival at a time");
+            self.arrival = Some(ev);
+        } else {
+            self.heap.push(Reverse(ev));
+        }
+    }
+
+    /// Removes and returns the event with the smallest `(time, seq)`.
+    fn pop(&mut self) -> Option<Event> {
+        let heap_first = self.heap.peek().map(|&Reverse((at, seq, _))| (at, seq));
+        match self.arrival {
+            Some((at, seq, _)) if heap_first.is_none_or(|h| (at, seq) < h) => self.arrival.take(),
+            _ => self.heap.pop().map(|Reverse(ev)| ev),
+        }
+    }
 }
 
 /// A batch currently executing on one array.
@@ -207,7 +249,6 @@ struct Running {
 struct ArrayState {
     busy: bool,
     gen: u64,
-    busy_cycles: u64,
     batches: u64,
     requests: u64,
     running: Option<Running>,
@@ -229,9 +270,11 @@ struct Engine<'a> {
     cfg: &'a ServeConfig,
     oracle: CostOracle,
     queue: RequestQueue,
-    heap: BinaryHeap<Reverse<(u64, u64, EvKind)>>,
-    seq: u64,
+    timeline: EventQueue,
     arrays: Vec<ArrayState>,
+    /// Per-array busy cycles, beside `arrays` so the recorder can
+    /// borrow them as one slice.
+    busy: Vec<BusyTally>,
     resume: VecDeque<ResumeJob>,
     pod_running: Option<(Batch, u64, u64)>,
     traffic: TrafficGen,
@@ -260,11 +303,6 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    fn push_event(&mut self, at: u64, kind: EvKind) {
-        self.heap.push(Reverse((at, self.seq, kind)));
-        self.seq += 1;
-    }
-
     /// Advances the queue-depth integral, and the time-series
     /// recorder's clock, to `now`. Called once per event before the
     /// event changes anything, so the flushed interval carries the
@@ -288,6 +326,7 @@ impl<'a> Engine<'a> {
                 net_completed: &self.net_completed,
                 net_slo_met: &self.net_slo_met,
                 depth_area: self.depth_area,
+                busy: &self.busy,
             });
         }
     }
@@ -307,6 +346,7 @@ impl<'a> Engine<'a> {
             batch.phase.queue_wait += now.saturating_sub(batch.phase.formed_at);
         }
         let done = now.saturating_add(service.max(1));
+        self.busy[array].book(now, done);
         let state = &mut self.arrays[array];
         state.busy = true;
         if !resumed {
@@ -319,7 +359,7 @@ impl<'a> Engine<'a> {
             done,
         });
         let gen = state.gen;
-        self.push_event(done, EvKind::ArrayDone { array, gen });
+        self.timeline.push(done, EvKind::ArrayDone { array, gen });
     }
 
     fn complete(&mut self, array: usize, now: u64) {
@@ -327,15 +367,11 @@ impl<'a> Engine<'a> {
             return;
         };
         self.arrays[array].busy = false;
-        self.arrays[array].busy_cycles += now.saturating_sub(run.started);
         self.arrays[array].requests += run.batch.requests.len() as u64;
         run.batch.phase.on_array += now.saturating_sub(run.started);
         if let Some(trace) = self.trace.as_deref_mut() {
             let label = batch_label(&self.net_names, &run.batch);
             trace.batch_span(array, run.started, now, &label);
-        }
-        if let Some(ts) = self.ts.as_mut() {
-            ts.busy(array, run.started, now);
         }
         self.record_completions(&run.batch, now);
     }
@@ -437,7 +473,7 @@ impl<'a> Engine<'a> {
         let Some(mut run) = state.running.take() else {
             return Ok(());
         };
-        state.busy_cycles += now.saturating_sub(run.started);
+        self.busy[victim].cut(now);
         run.batch.phase.on_array += now.saturating_sub(run.started);
         let refill = self.pod.arrays[victim].refill_penalty();
         // The refill cycles will replay on-array at resume time; book
@@ -449,9 +485,6 @@ impl<'a> Engine<'a> {
             let label = batch_label(&self.net_names, &run.batch);
             trace.batch_span(victim, run.started, now, &format!("{label} (preempted)"));
             trace.preemption(victim, now, &label);
-        }
-        if let Some(ts) = self.ts.as_mut() {
-            ts.busy(victim, run.started, now);
         }
         self.resume.push_back(ResumeJob {
             batch: run.batch,
@@ -546,21 +579,17 @@ impl<'a> Engine<'a> {
                     if share == 0 {
                         continue;
                     }
-                    let state = &mut self.arrays[a];
-                    state.busy_cycles += share;
-                    state.batches += 1;
+                    self.arrays[a].batches += 1;
                     let end = now.saturating_add(share);
+                    self.busy[a].book(now, end);
                     if let (Some(trace), Some(label)) = (self.trace.as_deref_mut(), &label) {
                         trace.batch_span(a, now, end, label);
-                    }
-                    if let Some(ts) = self.ts.as_mut() {
-                        ts.busy(a, now, end);
                     }
                 }
                 self.batches += 1;
                 let done = now.saturating_add(plan.makespan.max(1));
                 self.pod_running = Some((batch, now, done));
-                self.push_event(done, EvKind::PodDone);
+                self.timeline.push(done, EvKind::PodDone);
                 return Ok(());
             }
         }
@@ -583,7 +612,7 @@ impl<'a> Engine<'a> {
             };
             if stale {
                 self.deadline_scheduled = Some(at);
-                self.push_event(at, EvKind::Deadline);
+                self.timeline.push(at, EvKind::Deadline);
             }
         }
     }
@@ -606,8 +635,8 @@ impl<'a> Engine<'a> {
 ///
 /// Returns [`ServeError::Config`] for inconsistent configurations
 /// (zero requests, non-positive load, preemption under sharded
-/// dispatch) and propagates oracle errors for ops the latency model
-/// rejects.
+/// dispatch, a load offering more than one request per cycle) and
+/// propagates oracle errors for ops the latency model rejects.
 pub fn simulate(
     pod: &PodSpec,
     workload: &Workload,
@@ -620,9 +649,9 @@ pub fn simulate(
 /// Runs one pod simulation like [`simulate`], optionally recording a
 /// windowed [`TimeSeriesReport`] alongside the aggregate report.
 ///
-/// With `timeseries` set, the engine additionally streams arrivals,
-/// completions, queue-depth intervals and per-array busy segments into
-/// a [`TimeSeriesRecorder`]; the returned report carries per-window
+/// With `timeseries` set, the engine additionally bins its arrivals,
+/// completions, queue depth and per-array busy cycles into fixed
+/// windows; the returned [`TimeSeriesReport`] carries per-window
 /// counters, burn-rate alerts and tail exemplars whose phase cycles
 /// sum exactly to each request's end-to-end latency. Recording is
 /// deterministic: the time-series `results_fnv1a64` is a pure function
@@ -664,6 +693,13 @@ pub fn simulate_observed(
     // static and simulated offered loads agree by construction.
     let capacity = oracle.pod_capacity(&workload.mix_fractions(), cfg.dispatch)?;
     let mean_gap = 1.0 / (cfg.load * capacity);
+    if mean_gap.is_nan() || mean_gap < 1.0 {
+        return Err(ServeError::Config(format!(
+            "load {} offers {:.3} requests per cycle; arrivals are at least one cycle apart",
+            cfg.load,
+            cfg.load * capacity
+        )));
+    }
 
     // Automatic window sizing targets the *expected* makespan (the
     // arrival span at the offered rate); an overloaded run simply
@@ -680,9 +716,9 @@ pub fn simulate_observed(
         oracle,
         queue: RequestQueue::new(cfg.policy, cfg.queue_capacity, n_nets)
             .with_covered_buckets(covered),
-        heap: BinaryHeap::new(),
-        seq: 0,
+        timeline: EventQueue::default(),
         arrays: (0..pod.len()).map(|_| ArrayState::default()).collect(),
+        busy: vec![BusyTally::default(); pod.len()],
         resume: VecDeque::new(),
         pod_running: None,
         traffic: TrafficGen::new(cfg.seed, mean_gap, workload, cfg.high_priority_frac),
@@ -714,7 +750,7 @@ pub fn simulate_observed(
 
     let first = engine.traffic.next_after(0);
     engine.emitted = 1;
-    engine.push_event(
+    engine.timeline.push(
         first.at,
         EvKind::Arrival {
             net: first.net,
@@ -722,7 +758,7 @@ pub fn simulate_observed(
         },
     );
 
-    while let Some(Reverse((now, _seq, kind))) = engine.heap.pop() {
+    while let Some((now, _seq, kind)) = engine.timeline.pop() {
         engine.events += 1;
         engine.makespan = engine.makespan.max(now);
         engine.tick(now);
@@ -744,7 +780,7 @@ pub fn simulate_observed(
                 if engine.emitted < cfg.requests {
                     let next = engine.traffic.next_after(now);
                     engine.emitted += 1;
-                    engine.push_event(
+                    engine.timeline.push(
                         next.at,
                         EvKind::Arrival {
                             net: next.net,
@@ -793,6 +829,7 @@ pub fn simulate_observed(
                 net_completed: &engine.net_completed,
                 net_slo_met: &engine.net_slo_met,
                 depth_area: engine.depth_area,
+                busy: &engine.busy,
             },
             &latency,
             pod.arrays.iter().map(|a| a.name()).collect(),
@@ -827,16 +864,16 @@ pub fn simulate_observed(
     let arrays = pod
         .arrays
         .iter()
-        .zip(&engine.arrays)
-        .map(|(spec, state)| ArrayReport {
+        .zip(engine.arrays.iter().zip(&engine.busy))
+        .map(|(spec, (state, busy))| ArrayReport {
             name: spec.name(),
             rows: spec.rows,
             cols: spec.cols,
             dataflow: spec.dataflow.short_name().to_string(),
             batches: state.batches,
             requests: state.requests,
-            busy_cycles: state.busy_cycles,
-            utilization: state.busy_cycles as f64 / makespan as f64,
+            busy_cycles: busy.cycles,
+            utilization: busy.cycles as f64 / makespan as f64,
         })
         .collect();
     let networks = (0..n_nets)
@@ -912,6 +949,75 @@ mod tests {
             requests,
             ..ServeConfig::new()
         }
+    }
+
+    #[test]
+    fn event_queue_pops_in_reference_heap_order() {
+        use fuseconv_tensor::rng::Rng;
+        let (mut ties, mut stale) = (0, 0);
+        for seed in 0..16 {
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut q = EventQueue::default();
+            let mut reference = BinaryHeap::new();
+            let mut kinds = Vec::new();
+            let mut gens = [0u64; 3];
+            let (mut now, mut arrival_pending) = (0u64, false);
+            for step in 0.. {
+                // Mixed pushes and pops, then a full drain; times repeat
+                // often.
+                if step >= 2500 && reference.is_empty() {
+                    break;
+                }
+                if step < 2500 && rng.below(5) < 3 {
+                    let at = now + rng.below(3) as u64;
+                    let kind = match rng.below(6) {
+                        0 | 1 if !arrival_pending => {
+                            arrival_pending = true;
+                            let (net, high) = (rng.below(4), rng.below(2) == 0);
+                            EvKind::Arrival { net, high }
+                        }
+                        2 => EvKind::PodDone,
+                        3 => EvKind::Deadline,
+                        _ => {
+                            // Now and then a preemption: the array's
+                            // queued completion goes stale but still pops.
+                            let array = rng.below(gens.len());
+                            gens[array] += u64::from(rng.below(2) == 0);
+                            let gen = gens[array];
+                            EvKind::ArrayDone { array, gen }
+                        }
+                    };
+                    reference.push(Reverse((at, kinds.len() as u64)));
+                    kinds.push(kind);
+                    q.push(at, kind);
+                    continue;
+                }
+                let got = q.pop();
+                let want = reference
+                    .pop()
+                    .map(|Reverse((at, seq))| (at, seq, kinds[seq as usize]));
+                assert_eq!(got, want, "seed {seed} step {step}");
+                let Some((at, _, kind)) = got else {
+                    continue;
+                };
+                ties += u64::from(at == now);
+                match kind {
+                    EvKind::Arrival { .. } => arrival_pending = false,
+                    EvKind::ArrayDone { array, gen } if gen != gens[array] => stale += 1,
+                    _ => {}
+                }
+                now = at;
+            }
+            assert_eq!(
+                q.pop(),
+                None,
+                "seed {seed}: queue drained with the reference"
+            );
+        }
+        assert!(
+            ties > 0 && stale > 0,
+            "ties {ties}, stale completions {stale}"
+        );
     }
 
     #[test]
@@ -1239,6 +1345,16 @@ mod tests {
         }
         let cfg = ServeConfig {
             queue_capacity: 0,
+            ..base_cfg(2)
+        };
+        assert!(matches!(
+            simulate(&pod, &w, &cfg, None),
+            Err(ServeError::Config(_))
+        ));
+        // A load offering more than one request per cycle would need
+        // arrival gaps under one cycle.
+        let cfg = ServeConfig {
+            load: 1e9,
             ..base_cfg(2)
         };
         assert!(matches!(

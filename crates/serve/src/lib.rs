@@ -7,10 +7,11 @@
 //! arrays of mixed dimensions and dataflows behind a request queue fed
 //! by open-loop Poisson-ish traffic. Everything is hand-rolled and
 //! zero-dependency in the style of `fuseconv_tensor::rng` — no tokio,
-//! no async: a [`std::collections::BinaryHeap`] of `(time, seq)`-keyed
-//! events, a vendored xorshift PRNG for arrivals, and `u64` array
-//! cycles for the clock — so a fixed seed reproduces a million-request
-//! simulation bit for bit.
+//! no async: `(time, seq)`-keyed events held in the arrival slot plus
+//! a [`std::collections::BinaryHeap`] (a preempted batch's stale
+//! completion still pops and counts as an event), a vendored xorshift
+//! PRNG for arrivals, and `u64` array cycles for the clock — so a fixed
+//! seed reproduces a million-request simulation bit for bit.
 //!
 //! The pieces:
 //!

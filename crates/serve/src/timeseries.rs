@@ -3,11 +3,10 @@
 //!
 //! The serve report is an end-of-run aggregate; this module makes the
 //! *trajectory* observable while staying O(1) per request. The engine
-//! ticks a [`TimeSeriesRecorder`] with its event clock and queue depth
-//! and reports busy segments; arrivals, drops and completions the
-//! recorder reads from the engine's own accumulators whenever the
-//! clock leaves a window. It bins everything into fixed
-//! simulated-cycle windows:
+//! ticks its `TimeSeriesRecorder` with its event clock and queue depth;
+//! arrivals, drops, completions and busy cycles the recorder reads from
+//! the engine's own accumulators whenever the clock leaves a window. It
+//! bins everything into fixed simulated-cycle windows:
 //!
 //! * offered vs completed vs dropped requests per window;
 //! * queue depth min / time-weighted mean / max;
@@ -283,13 +282,6 @@ impl Cursor {
     }
 }
 
-/// Exclusive end of the window holding cycle `t`, saturated at
-/// `u64::MAX` (every interval the recorder splits ends at or before
-/// that cycle anyway).
-fn window_end(t: u64, window: u64) -> u64 {
-    (t / window * window).saturating_add(window)
-}
-
 /// The engine's running tallies at one instant, lent to the recorder
 /// when its event clock leaves a window, and at the end of the run.
 pub(crate) struct Tallies<'a> {
@@ -305,18 +297,56 @@ pub(crate) struct Tallies<'a> {
     pub(crate) net_slo_met: &'a [u64],
     /// Queue-depth integral (depth × cycles) up to the last tick.
     pub(crate) depth_area: u128,
+    /// Busy cycles per array.
+    pub(crate) busy: &'a [BusyTally],
+}
+
+/// One array's busy cycles as the engine books them: each busy segment
+/// counts in full from its launch, and `until` is where the latest one
+/// ends (a preemption cuts it short). An array runs its segments one
+/// after another, so the cycles busy before any `t` from the latest
+/// segment's start on are the total minus what lies past `t`.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct BusyTally {
+    /// Cycles of every segment booked so far.
+    pub(crate) cycles: u64,
+    /// End of the latest segment.
+    until: u64,
+}
+
+impl BusyTally {
+    /// Books a segment over `[from, to)`; `from` is at or after the end
+    /// of every earlier one.
+    pub(crate) fn book(&mut self, from: u64, to: u64) {
+        self.cycles += to - from;
+        self.until = to;
+    }
+
+    /// Ends the latest segment early, at `at`.
+    pub(crate) fn cut(&mut self, at: u64) {
+        self.cycles -= self.until - at;
+        self.until = at;
+    }
+
+    /// Busy cycles before `t`, for `t` at or after the latest
+    /// segment's start.
+    fn before(&self, t: u64) -> u64 {
+        self.cycles - self.until.saturating_sub(t)
+    }
 }
 
 /// Streaming recorder the engine feeds. The engine reports each step
-/// of its event clock with the queue depth held over it, each busy
-/// segment and each completion; each costs a compare or two, and only
-/// a window boundary does real work.
+/// of its event clock with the queue depth held over it, and each
+/// completion's exemplar candidacy; each costs a compare or two, and
+/// only a window boundary does real work.
 ///
-/// Arrivals, drops and completions cost the recorder nothing per
-/// request: the engine already tallies them (every latency, and
-/// per-network completion and SLO counts), and events pop off a
-/// time-ordered heap, so when the event clock leaves a window every
-/// tally change since the window opened belongs to it. The recorder
+/// Arrivals, drops, completions and busy cycles cost the recorder
+/// nothing per request: the engine already tallies them (every latency,
+/// per-network completion and SLO counts, per-array [`BusyTally`]s),
+/// and events pop in time order, so when the event clock leaves a
+/// window every tally change since the window opened belongs to it. A
+/// busy segment may outlast its window; the tally also tells the busy
+/// cycles before each boundary the clock crosses. The recorder
 /// remembers the tallies at each window's start and closes the window
 /// from the differences. The window's slice of latencies goes through
 /// one hot [`QuantileSketch`] (~30 KiB; one per window would wreck
@@ -358,11 +388,8 @@ pub(crate) struct TimeSeriesRecorder {
     /// set, `None` while the set has room: the keep/discard decision
     /// is one comparison.
     floor: Option<(u64, u64)>,
-    /// Per-array busy cursors — an array executes segments serially,
-    /// so each array's segment start only advances.
-    busy_at: Vec<Cursor>,
-    /// Per-array busy-cycle scratch for `busy_at[array]`.
-    busy_acc: Vec<u64>,
+    /// Per-array busy cycles before the clock window's start.
+    busy_base: Vec<u64>,
     /// Window the queue-depth intervals have advanced into; they tile
     /// `[0, makespan]` in order.
     depth: Cursor,
@@ -405,8 +432,7 @@ impl TimeSeriesRecorder {
             min: u64::MAX,
             exemplars: Vec::new(),
             floor: (cfg.exemplars == 0).then_some((u64::MAX, 0)),
-            busy_at: vec![Cursor::new(window); n_arrays],
-            busy_acc: vec![0; n_arrays],
+            busy_base: vec![0; n_arrays],
             depth: Cursor::new(window),
             depth_base: 0,
             d_min: u64::MAX,
@@ -459,7 +485,17 @@ impl TimeSeriesRecorder {
         }
         self.queue_depth(from, now, depth, area_from);
         if now > self.clock.last {
-            self.close_clock_window(&tallies());
+            let t = tallies();
+            self.close_clock_window(&t);
+            // Each boundary the clock crosses closes a window's busy
+            // cycles. Nothing changed over `[from, now)`, so the tallies
+            // tell the cycles before every such boundary.
+            let (mut win, mut end) = (self.clock.win, Some(self.clock.last + 1));
+            while let Some(b) = end.filter(|&b| b <= now) {
+                self.book_busy(win, t.busy, b);
+                win += 1;
+                end = b.checked_add(self.window);
+            }
             self.clock.seek(now, self.window);
         }
         self.quiet_until = self.clock.last.min(self.depth.last);
@@ -599,55 +635,16 @@ impl TimeSeriesRecorder {
         self.d_max = depth;
     }
 
-    /// Writes one array's busy scratch into its cursor's window.
-    fn flush_busy(&mut self, array: usize) {
-        let cycles = self.busy_acc[array];
-        if cycles == 0 {
-            return;
-        }
-        self.busy_acc[array] = 0;
-        let idx = self.busy_at[array].win;
-        self.acc_idx(idx);
-        self.busy[idx * self.n_arrays + array] += cycles;
-    }
-
-    /// Array `array` executed a batch segment over `[from, to)`. Each
-    /// array runs segments serially, so the per-array cursor advances
-    /// without division; only a segment spanning several windows takes
-    /// the splitting loop.
-    #[inline]
-    pub(crate) fn busy(&mut self, array: usize, from: u64, to: u64) {
-        if to <= from {
-            return;
-        }
-        let cursor = self.busy_at[array];
-        debug_assert!(
-            from >= cursor.first,
-            "an array's busy segments must advance in time order"
-        );
-        // Fast path: the whole segment lies in the cursor's window.
-        if to - 1 <= cursor.last {
-            self.busy_acc[array] += to - from;
-            return;
-        }
-        // Slow path: flush the cursor window's scratch, write whole
-        // earlier windows directly, restart the scratch with the tail
-        // segment and move the cursor to its window.
-        self.flush_busy(array);
-        let window = self.window;
-        self.busy_at[array].seek(to - 1, window);
-        let last = self.busy_at[array].win;
-        let mut t = from;
-        while t < to {
-            let end = window_end(t, window).min(to);
-            let idx = (t / window) as usize;
-            if idx == last {
-                self.busy_acc[array] += end - t;
-            } else {
-                self.acc_idx(idx);
-                self.busy[idx * self.n_arrays + array] += end - t;
+    /// Books into window `win` every array's busy cycles between the
+    /// window's start and `end`; windows without any stay untouched.
+    fn book_busy(&mut self, win: usize, busy: &[BusyTally], end: u64) {
+        for (a, tally) in busy.iter().enumerate() {
+            let before = tally.before(end);
+            if before > self.busy_base[a] {
+                self.acc_idx(win);
+                self.busy[win * self.n_arrays + a] += before - self.busy_base[a];
+                self.busy_base[a] = before;
             }
-            t = end;
         }
     }
 
@@ -667,9 +664,7 @@ impl TimeSeriesRecorder {
     ) -> TimeSeriesReport {
         // Drain every stream's scratch and close the clock's window.
         self.flush_depth(tallies.depth_area);
-        for a in 0..self.n_arrays {
-            self.flush_busy(a);
-        }
+        self.book_busy(self.clock.win, tallies.busy, u64::MAX);
         self.close_clock_window(tallies);
         let count = tallies.latencies.len() as u64;
         // Cover the full makespan even if the tail saw no events.
@@ -1091,6 +1086,7 @@ mod tests {
                 net_completed: &$feed.net_completed,
                 net_slo_met: &$feed.net_slo_met,
                 depth_area: $feed.depth_area,
+                busy: &$feed.busy,
             }
         };
     }
@@ -1105,6 +1101,7 @@ mod tests {
         net_completed: Vec<u64>,
         net_slo_met: Vec<u64>,
         depth_area: u128,
+        busy: Vec<BusyTally>,
         last: u64,
     }
 
@@ -1118,6 +1115,7 @@ mod tests {
                 net_completed: vec![0; nets],
                 net_slo_met: vec![0; nets],
                 depth_area: 0,
+                busy: vec![BusyTally::default(); arrays],
                 last: 0,
             }
         }
@@ -1239,11 +1237,11 @@ mod tests {
         feed.tick(10, 0);
         feed.offered += 1;
         feed.dropped += 1;
-        // Queue depth 0 up to cycle 50, then 4 up to cycle 230.
+        // Queue depth 0 up to cycle 50, then 4 up to cycle 230; a busy
+        // segment spanning three windows: 50 + 100 + 30 cycles.
         feed.tick(50, 0);
+        feed.busy[0].book(50, 230);
         feed.tick(230, 4);
-        // A busy segment spanning three windows: 50 + 100 + 30 cycles.
-        feed.rec.busy(0, 50, 230);
         let report = feed.finish(250, &["a0", "a1"], &["net"]);
         assert_eq!(report.windows.len(), 3);
         assert!((report.windows[0].busy_frac[0] - 0.5).abs() < 1e-9);

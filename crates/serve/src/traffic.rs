@@ -110,10 +110,11 @@ pub struct TrafficGen {
 }
 
 impl TrafficGen {
-    /// An arrival process with mean inter-arrival `mean_gap_cycles`,
-    /// network mix from `workload`, and a `high_frac` fraction of
-    /// high-priority requests, all drawn from a PRNG seeded with
-    /// `seed`.
+    /// An arrival process with mean inter-arrival `mean_gap_cycles`
+    /// (at least one cycle), network mix from `workload`, and a
+    /// `high_frac` fraction (in `[0, 1]`) of high-priority requests,
+    /// all drawn from a PRNG seeded with `seed`. The engine checks both
+    /// ranges before it builds the generator.
     pub fn new(seed: u64, mean_gap_cycles: f64, workload: &Workload, high_frac: f64) -> Self {
         let mut cumulative = Vec::with_capacity(workload.len());
         let mut total_weight = 0u64;
@@ -123,10 +124,10 @@ impl TrafficGen {
         }
         TrafficGen {
             rng: Rng::seed_from_u64(seed),
-            mean_gap: mean_gap_cycles.max(1.0),
+            mean_gap: mean_gap_cycles,
             cumulative,
             total_weight,
-            high_frac: high_frac.clamp(0.0, 1.0),
+            high_frac,
         }
     }
 
