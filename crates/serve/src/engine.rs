@@ -247,7 +247,6 @@ struct Running {
 
 #[derive(Debug, Default)]
 struct ArrayState {
-    busy: bool,
     gen: u64,
     batches: u64,
     requests: u64,
@@ -348,7 +347,6 @@ impl<'a> Engine<'a> {
         let done = now.saturating_add(service.max(1));
         self.busy[array].book(now, done);
         let state = &mut self.arrays[array];
-        state.busy = true;
         if !resumed {
             state.batches += 1;
             self.batches += 1;
@@ -366,7 +364,6 @@ impl<'a> Engine<'a> {
         let Some(mut run) = self.arrays[array].running.take() else {
             return;
         };
-        self.arrays[array].busy = false;
         self.arrays[array].requests += run.batch.requests.len() as u64;
         run.batch.phase.on_array += now.saturating_sub(run.started);
         if let Some(trace) = self.trace.as_deref_mut() {
@@ -433,7 +430,7 @@ impl<'a> Engine<'a> {
     /// preemption can only ever shorten the triggering request's
     /// latency.
     fn maybe_preempt(&mut self, now: u64, net: usize) -> Result<(), ServeError> {
-        if self.arrays.iter().any(|a| !a.busy) {
+        if self.arrays.iter().any(|a| a.running.is_none()) {
             return Ok(());
         }
         // Finish time without preempting: the first array to free runs
@@ -469,7 +466,6 @@ impl<'a> Engine<'a> {
         }
         let state = &mut self.arrays[victim];
         state.gen += 1; // invalidate the in-flight ArrayDone
-        state.busy = false;
         let Some(mut run) = state.running.take() else {
             return Ok(());
         };
@@ -507,7 +503,7 @@ impl<'a> Engine<'a> {
         let mut best = first_idle;
         let mut best_cost = u64::MAX;
         for a in first_idle..self.arrays.len() {
-            if self.arrays[a].busy {
+            if self.arrays[a].running.is_some() {
                 continue;
             }
             let cost = self.oracle.request_cycles(a, batch.net, size)?;
@@ -521,7 +517,7 @@ impl<'a> Engine<'a> {
     }
 
     fn dispatch_whole(&mut self, now: u64) -> Result<(), ServeError> {
-        while let Some(first_idle) = self.arrays.iter().position(|a| !a.busy) {
+        while let Some(first_idle) = self.arrays.iter().position(|a| a.running.is_none()) {
             // The high-priority lane outranks preempted work: when an
             // eviction frees an array, the triggering request must take
             // it, not the victim it just displaced.
@@ -545,7 +541,7 @@ impl<'a> Engine<'a> {
             self.note_depth(now);
             self.launch_cheapest(first_idle, batch, now)?;
         }
-        self.schedule_deadline(now, !self.arrays.iter().all(|a| a.busy));
+        self.schedule_deadline(now, self.arrays.iter().any(|a| a.running.is_none()));
         Ok(())
     }
 

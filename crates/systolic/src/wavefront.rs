@@ -8,11 +8,13 @@
 //! steps index, and in which operand (if any) is preloaded — all of which
 //! follows from the [`Dataflow`]. [`Dataflow::simulate`] does the rest:
 //!
-//! - **MACs** run per fold, output row by output row: each reduction step
-//!   adds a scaled `B` row slice to a contiguous output row slice. Every
+//! - **MACs** run per fold in register tiles of 2 output rows × 16
+//!   columns: a tile loads its accumulators from the output, and each
+//!   ascending reduction step adds one scaled `B` row slice per row. Every
 //!   output accumulates from `0.0` in ascending reduction order — also
-//!   across the `K`-tiles of WS and IS, whose tile loop ascends — so
-//!   results are bit-identical to [`matmul`](fuseconv_tensor::gemm::matmul).
+//!   across the `K`-tiles of WS and IS, whose tile loop ascends and whose
+//!   register tiles resume from the stored partial sum — so results are
+//!   bit-identical to [`matmul`](fuseconv_tensor::gemm::matmul).
 //! - **Busy counts** are closed-form. The PEs busy at window cycle `t` are
 //!   the anti-diagonals `d ∈ (t − S, t]` of the `ru × cu` fold, so
 //!   `busy(t) = busy(t − 1) + D(t) − D(t − S)` with
@@ -342,25 +344,74 @@ fn tick(sink: &mut dyn TraceSink, busy_trace: &mut Vec<u32>, phase: Phase, busy:
     busy_trace.push(busy);
 }
 
+/// Output columns of one register tile.
+const TILE_N: usize = 16;
+
 /// The MACs of one fold: `out[m, n] += a[m, k] · b[k, n]` over the box
-/// of `[m, k, n]` ranges, one output row at a time with the reduction
-/// ascending. Row-outer keeps the output slice hot: a WS fold spans every
-/// `M` row, so a reduction-outer loop would re-stream an `M × cu` tile per
-/// step.
+/// of `[m, k, n]` ranges, in register tiles of 2 output rows × [`TILE_N`]
+/// columns (an odd last row takes a 1-row tile). A tile loads its
+/// accumulators from `out`, streams the whole reduction range past them
+/// in ascending order — one `B` row slice per step, one broadcast `A`
+/// value per row — and stores them back. Each output thus still adds its
+/// products to its stored partial sum in ascending reduction order, as
+/// [`matmul`](fuseconv_tensor::gemm::matmul) does (Rust never contracts
+/// `+=` of a product into a fused multiply-add), so the result is
+/// bit-identical. Taller tiles run out of SSE2 registers.
 fn fold_macs(
     out: &mut [f32],
     av: &[f32],
     bv: &[f32],
-    [k, n]: [usize; 2],
-    ranges: [Range<usize>; 3],
+    kn: [usize; 2],
+    [mr, kr, nr]: [Range<usize>; 3],
 ) {
-    let [mr, kr, nr] = ranges;
-    for mi in mr {
-        let orow = &mut out[mi * n..][nr.clone()];
-        for (kk, &a) in kr.clone().zip(&av[mi * k..][kr.clone()]) {
-            let brow = &bv[kk * n..][nr.clone()];
+    let mut m0 = mr.start;
+    while m0 + 2 <= mr.end {
+        tile::<2>(out, av, bv, kn, m0, kr.clone(), nr.clone());
+        m0 += 2;
+    }
+    if m0 < mr.end {
+        tile::<1>(out, av, bv, kn, m0, kr, nr);
+    }
+}
+
+/// Output rows `m0..m0 + R` of [`fold_macs`]: full [`TILE_N`]-column
+/// register tiles, then the narrower column tail one row at a time.
+fn tile<const R: usize>(
+    out: &mut [f32],
+    av: &[f32],
+    bv: &[f32],
+    [k, n]: [usize; 2],
+    m0: usize,
+    kr: Range<usize>,
+    nr: Range<usize>,
+) {
+    let a: [&[f32]; R] = std::array::from_fn(|r| &av[(m0 + r) * k..][kr.clone()]);
+    let mut c0 = nr.start;
+    while c0 + TILE_N <= nr.end {
+        let mut acc = [[0.0f32; TILE_N]; R];
+        for (r, acc) in acc.iter_mut().enumerate() {
+            acc.copy_from_slice(&out[(m0 + r) * n + c0..][..TILE_N]);
+        }
+        for (s, kk) in kr.clone().enumerate() {
+            let brow = &bv[kk * n + c0..][..TILE_N];
+            for (acc, a) in acc.iter_mut().zip(a) {
+                let x = a[s];
+                for (o, &b) in acc.iter_mut().zip(brow) {
+                    *o += x * b;
+                }
+            }
+        }
+        for (r, acc) in acc.iter().enumerate() {
+            out[(m0 + r) * n + c0..][..TILE_N].copy_from_slice(acc);
+        }
+        c0 += TILE_N;
+    }
+    for (r, a) in a.iter().enumerate() {
+        let orow = &mut out[(m0 + r) * n..][c0..nr.end];
+        for (kk, &x) in kr.clone().zip(*a) {
+            let brow = &bv[kk * n..][c0..nr.end];
             for (o, &b) in orow.iter_mut().zip(brow) {
-                *o += a * b;
+                *o += x * b;
             }
         }
     }
@@ -519,6 +570,34 @@ mod tests {
                     .simulate(&cfg, &a, &b, &mut VecSink::default())
                     .unwrap();
                 assert_eq!(traced, sim, "{ctx}");
+            }
+        }
+    }
+
+    /// The MAC kernel's full 16-column register tiles, its 1-row tile and
+    /// its narrower column tail reproduce the golden GEMM bit for bit
+    /// under every dataflow: square and non-square arrays up to 64×64,
+    /// `M` of 1, 2 and odd, `N` a multiple of 16, just over one and under
+    /// 16, and `K` spanning several WS and IS `K`-tiles, so tiles start
+    /// from stored partial sums.
+    #[test]
+    fn register_tiles_match_golden_bit_for_bit_on_generated_grid() {
+        let mut rng = Rng::seed_from_u64(0x7469_6c65);
+        for (rows, cols) in [(16, 16), (64, 64), (24, 40)] {
+            let cfg = ArrayConfig::new(rows, cols).unwrap();
+            for m in [1, 2, 3 + 2 * rng.below(20)] {
+                let whole = 16 * (1 + rng.below(4));
+                for n in [whole, whole + 1 + rng.below(15), 1 + rng.below(15)] {
+                    let k = rows.max(cols) + 1 + rng.below(2 * rows.max(cols));
+                    let a = Tensor::from_fn(&[m, k], |_| rng.uniform(-0.5, 0.5)).unwrap();
+                    let b = Tensor::from_fn(&[k, n], |_| rng.uniform(-0.5, 0.5)).unwrap();
+                    let gold = bits(&matmul(&a, &b).unwrap());
+                    for flow in Dataflow::ALL {
+                        let sim = flow.simulate(&cfg, &a, &b, &mut NullSink).unwrap();
+                        let ctx = format!("{flow:?} {rows}x{cols} array, {m}x{k}x{n}");
+                        assert_eq!(bits(sim.output()), gold, "{ctx}");
+                    }
+                }
             }
         }
     }

@@ -78,8 +78,11 @@ impl Rng {
         lo + (hi - lo) * self.next_f32()
     }
 
-    /// Uniform integer in `[0, bound)` via Lemire's multiply-shift
-    /// (bias-free for all bounds that fit in `u32`).
+    /// Uniform integer in `[0, bound)` by rejection sampling: a 32-bit
+    /// draw at or above the largest multiple of `bound` is redrawn, and
+    /// the kept draw is reduced `v % bound`, which is bias-free for every
+    /// bound that fits in `u32`. A larger bound takes one 64-bit draw
+    /// `% bound`.
     ///
     /// # Panics
     ///
