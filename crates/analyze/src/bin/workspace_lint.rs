@@ -21,32 +21,24 @@
 //!    outside `crates/telemetry` — host timing goes through
 //!    `fuseconv_telemetry::Stopwatch` (or spans) so one crate owns the
 //!    clock (binaries, examples and tests are exempt);
-//! 7. every `pub` item in `crates/serve` non-test code carries a `///`
-//!    doc comment — the serving simulator is the workspace's newest
-//!    public surface and `#![warn(missing_docs)]` alone only warns
-//!    (`pub use` re-exports and `pub(crate)` items are exempt; modules
-//!    document themselves with inner `//!` comments);
-//! 8. the same doc-comment rule for `crates/analyze` library code — the
-//!    analyzer's diagnostic vocabulary and rule entry points are public
-//!    contract surface too (its `src/bin/` tree, this driver included,
-//!    is a binary and exempt like rules 5/6);
-//! 9. the same doc-comment rule for `crates/latency` library code — the
-//!    fold-plan IR (`ir.rs`) made the latency model's types a public
-//!    analysis substrate, so its `pub` surface is documented like the
-//!    serve and analyze crates;
-//! 10. the same doc-comment rule for `crates/telemetry` library code —
-//!     the quantile sketch made the telemetry crate part of the serving
-//!     observability contract (sketch error bound, manifest schema), so
-//!     its `pub` surface is documented like the other three.
-//! 11. no `json_escape` in library-crate non-test code outside
-//!     `crates/telemetry` — every JSON artifact is rendered through
-//!     `fuseconv_telemetry::Json`, the one place that escapes strings
-//!     and writes separators (same exemptions as rule 6).
-//! 12. no `OnceLock`, `LazyLock` or `thread_local!` in library-crate
-//!     non-test code outside `crates/telemetry` — process-wide and
-//!     per-thread state lives in one crate, whose telemetry runs are
-//!     scoped to a thread and joined explicitly (same exemptions as
-//!     rule 6).
+//! 7. every `pub` item in the non-test library code of `crates/serve`,
+//!    `crates/analyze`, `crates/latency` and `crates/telemetry` carries a
+//!    `///` doc comment — their types are the public contract of the
+//!    serving simulator, the analyzer, the fold-plan IR and the
+//!    observability artifacts, and `#![warn(missing_docs)]` alone only
+//!    warns (`pub use` re-exports and `pub(crate)` items are exempt;
+//!    modules document themselves with inner `//!` comments; the
+//!    analyzer's `src/bin/` tree, this driver included, is a binary and
+//!    exempt like rules 5/6);
+//! 8. no `json_escape` in library-crate non-test code outside
+//!    `crates/telemetry` — every JSON artifact is rendered through
+//!    `fuseconv_telemetry::Json`, the one place that escapes strings
+//!    and writes separators (same exemptions as rule 6).
+//! 9. no `OnceLock`, `LazyLock` or `thread_local!` in library-crate
+//!    non-test code outside `crates/telemetry` — process-wide and
+//!    per-thread state lives in one crate, whose telemetry runs are
+//!    scoped to a thread and joined explicitly (same exemptions as
+//!    rule 6).
 //!
 //! Exits nonzero when any convention is violated, printing one line per
 //! finding.
@@ -317,12 +309,12 @@ fn main() -> ExitCode {
         }
     }
 
-    // Rules 5, 6, 11 and 12 cover library crates: the ones with a
+    // Rules 5, 6, 8 and 9 cover library crates: the ones with a
     // `src/lib.rs` (so `crates/cli`, a pure binary, is exempt), plus the
     // umbrella crate; their `src/bin/` trees are binaries and stay
     // exempt. Rule 5: no stdio macros and no build-profile branches.
-    // Rule 6: only `crates/telemetry` reads the host clock. Rule 11:
-    // only `crates/telemetry` escapes JSON by hand. Rule 12: only
+    // Rule 6: only `crates/telemetry` reads the host clock. Rule 8:
+    // only `crates/telemetry` escapes JSON by hand. Rule 9: only
     // `crates/telemetry` holds process-wide or per-thread state.
     let mut lib_dirs = vec![root.join("src")];
     if let Ok(entries) = fs::read_dir(root.join("crates")) {
@@ -376,8 +368,7 @@ fn main() -> ExitCode {
         }
     }
 
-    // Rules 7–10: the serving simulator's, the analyzer's, the latency
-    // model's and the telemetry crate's public APIs are fully
+    // Rule 7: the public APIs of these four library crates are fully
     // documented. The analyzer's `src/bin/` tree (this driver) is a
     // binary and exempt, like rules 5/6.
     for dir in ["serve", "analyze", "latency", "telemetry"] {
@@ -454,8 +445,8 @@ mod tests {
 
     #[test]
     fn undocumented_trait_and_type_items_are_flagged() {
-        // The rule-9 extension to `crates/latency` covers the fold-plan
-        // IR's trait/type-alias-heavy surface: all of these must carry
+        // Rule 7 covers the `crates/latency` fold-plan IR's
+        // trait/type-alias-heavy surface: all of these must carry
         // docs, and a preceding `//` line comment does not count.
         let findings = pub_doc_findings(
             "ir_like.rs",
@@ -473,8 +464,8 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_sources_pass_the_rule_10_pub_docs_check() {
-        // Rule 10 extends the pub-docs rule to `crates/telemetry`; the
+    fn telemetry_sources_pass_the_rule_7_pub_docs_check() {
+        // Rule 7 covers `crates/telemetry` too; the
         // crate's real sources must already satisfy it (negative
         // coverage lives in `undocumented_pub_items_are_flagged`).
         let root = workspace_root();
@@ -488,7 +479,7 @@ mod tests {
 
     #[test]
     fn undocumented_sketch_like_items_are_flagged() {
-        // A rule-10 regression guard: associated consts and methods of
+        // A rule-7 regression guard: associated consts and methods of
         // a sketch-like surface need docs like everything else.
         let findings = pub_doc_findings(
             "sketch_like.rs",

@@ -1,9 +1,9 @@
-//! Shared helpers for the benchmark harness.
+//! The micro-bench harness behind `fuseconv bench`.
 //!
-//! Each bench target regenerates one of the paper's tables or figures —
-//! printing the same rows/series the paper reports — and then times the
-//! computation that produced it with the offline [`micro`] harness. The
-//! experiment ↔ bench mapping is indexed in `DESIGN.md` (E1–E10).
+//! [`suite`] is the fixed set of simulator, analytic-model, analyzer and
+//! serving benches whose per-bench wall times `BENCH_fuseconv.json`
+//! records and CI gates; [`micro`] is the timer it runs them under.
+//! End-to-end host time is measured by `perfbench/`, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -12,18 +12,12 @@ pub mod micro;
 pub mod suite;
 
 use fuseconv_systolic::ArrayConfig;
-use std::io::Write as _;
 
 /// The paper's evaluation array: 64×64 with row-broadcast links (§V-A-3).
 pub fn paper_array() -> ArrayConfig {
     ArrayConfig::square(64)
         .expect("64 is nonzero")
         .with_broadcast(true)
-}
-
-/// Prints a banner separating regenerated artifacts in bench output.
-pub fn banner(title: &str) {
-    let _ = writeln!(std::io::stdout(), "\n=== {title} ===");
 }
 
 #[cfg(test)]

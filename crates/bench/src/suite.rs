@@ -58,19 +58,6 @@ fn tensor(rng: &mut Rng, dims: &[usize]) -> Tensor {
     Tensor::from_fn(dims, |_| rng.uniform(-1.0, 1.0)).expect("nonzero dims")
 }
 
-fn suite_bench(rec: &BenchRecord, cycles: u64) -> SuiteBench {
-    SuiteBench {
-        name: rec.name.clone(),
-        ns_per_iter: rec.ns_per_iter,
-        iters: rec.iters,
-        cycles,
-    }
-}
-
-fn record(h: &Micro, cycles: u64) -> SuiteBench {
-    suite_bench(h.last_record().expect("bench just ran"), cycles)
-}
-
 /// Runs the fixed suite under `h`, returning one [`SuiteBench`] per bench
 /// in a stable order.
 ///
@@ -78,9 +65,9 @@ fn record(h: &Micro, cycles: u64) -> SuiteBench {
 ///
 /// Panics only if a fixed-shape workload is rejected by the simulator —
 /// impossible without a simulator bug.
-pub fn run_suite(h: &mut Micro) -> Vec<SuiteBench> {
+pub fn run_suite(h: &Micro) -> Vec<SuiteBench> {
     let _span = fuseconv_telemetry::span("bench.suite");
-    let mut out = Vec::new();
+    let mut out: Vec<(BenchRecord, u64)> = Vec::new();
     let cfg = ArrayConfig::new(16, 16)
         .expect("nonzero dims")
         .with_broadcast(true);
@@ -95,10 +82,10 @@ pub fn run_suite(h: &mut Micro) -> Vec<SuiteBench> {
                 .expect("valid gemm")
         };
         let cycles = sim().cycles();
-        h.bench_function(&format!("sim/gemm_{}", dataflow.short_name()), |ben| {
-            ben.iter(sim)
-        });
-        out.push(record(h, cycles));
+        out.push((
+            h.bench(&format!("sim/gemm_{}", dataflow.short_name()), sim),
+            cycles,
+        ));
     }
 
     let inputs: Vec<Vec<f32>> = (0..20)
@@ -110,10 +97,10 @@ pub fn run_suite(h: &mut Micro) -> Vec<SuiteBench> {
     let cycles = conv1d::simulate(&cfg, &inputs, &kernels)
         .expect("valid conv1d")
         .cycles();
-    h.bench_function("sim/conv1d_bcast", |ben| {
-        ben.iter(|| conv1d::simulate(&cfg, &inputs, &kernels).expect("valid conv1d"))
+    let rec = h.bench("sim/conv1d_bcast", || {
+        conv1d::simulate(&cfg, &inputs, &kernels).expect("valid conv1d")
     });
-    out.push(record(h, cycles));
+    out.push((rec, cycles));
 
     let work: Vec<ChannelLines> = (0..6)
         .map(|_| ChannelLines {
@@ -126,10 +113,10 @@ pub fn run_suite(h: &mut Micro) -> Vec<SuiteBench> {
     let cycles = conv1d::simulate_packed(&cfg, &work)
         .expect("valid packed conv1d")
         .cycles();
-    h.bench_function("sim/conv1d_packed", |ben| {
-        ben.iter(|| conv1d::simulate_packed(&cfg, &work).expect("valid packed conv1d"))
+    let rec = h.bench("sim/conv1d_packed", || {
+        conv1d::simulate_packed(&cfg, &work).expect("valid packed conv1d")
     });
-    out.push(record(h, cycles));
+    out.push((rec, cycles));
 
     let model = LatencyModel::new(crate::paper_array());
     let net = zoo::mobilenet_v1();
@@ -138,30 +125,28 @@ pub fn run_suite(h: &mut Micro) -> Vec<SuiteBench> {
         .iter()
         .map(|n| model.cycles(&n.op).expect("zoo op plans"))
         .sum();
-    h.bench_function("analytic/fold_plan_mobilenet_v1", |ben| {
-        ben.iter(|| {
-            net.ops()
-                .iter()
-                .map(|n| {
-                    model
-                        .fold_plan(&n.op)
-                        .expect("zoo op plans")
-                        .iter()
-                        .map(FoldSpec::cycles)
-                        .sum::<u64>()
-                })
-                .sum::<u64>()
-        })
+    let rec = h.bench("analytic/fold_plan_mobilenet_v1", || {
+        net.ops()
+            .iter()
+            .map(|n| {
+                model
+                    .fold_plan(&n.op)
+                    .expect("zoo op plans")
+                    .iter()
+                    .map(FoldSpec::cycles)
+                    .sum::<u64>()
+            })
+            .sum::<u64>()
     });
-    out.push(record(h, plan_cycles));
+    out.push((rec, plan_cycles));
 
     let dw = Op::depthwise(14, 14, 64, 3, 1, 1);
     let plan = model.fold_plan(&dw).expect("depthwise plans");
     let cycles: u64 = plan.iter().map(FoldSpec::cycles).sum();
-    h.bench_function("analytic/counter_replay_depthwise", |ben| {
-        ben.iter(|| replay_counted(&plan, 64, 64))
+    let rec = h.bench("analytic/counter_replay_depthwise", || {
+        replay_counted(&plan, 64, 64)
     });
-    out.push(record(h, cycles));
+    out.push((rec, cycles));
 
     // Fusion-legality analysis of FuSe-Full MobileNet-V2: plans every op
     // once and prices each FuSe row/col -> pointwise pair in closed form
@@ -176,10 +161,10 @@ pub fn run_suite(h: &mut Micro) -> Vec<SuiteBench> {
         .iter()
         .map(|n| model.cycles(&n.op).expect("zoo op plans"))
         .sum();
-    h.bench_function("analyze/fusion_mobilenet_v2", |ben| {
-        ben.iter(|| fuseconv_analyze::analyze_fusion(&model, &fused_v2, &budget))
+    let rec = h.bench("analyze/fusion_mobilenet_v2", || {
+        fuseconv_analyze::analyze_fusion(&model, &fused_v2, &budget)
     });
-    out.push(record(h, fused_cycles));
+    out.push((rec, fused_cycles));
 
     // Serving-simulator benches: 10k requests through the discrete-event
     // pod. Each iteration rebuilds the cost oracle too, so the figure
@@ -206,12 +191,10 @@ pub fn run_suite(h: &mut Micro) -> Vec<SuiteBench> {
     let cycles = serve::simulate(&pod, &workload, &bucketed_cfg, None)
         .expect("pod simulation runs")
         .makespan_cycles;
-    h.bench_function("serve/bucketed_sharded_10k_requests", |ben| {
-        ben.iter(|| {
-            serve::simulate(&pod, &workload, &bucketed_cfg, None).expect("pod simulation runs")
-        })
+    let rec = h.bench("serve/bucketed_sharded_10k_requests", || {
+        serve::simulate(&pod, &workload, &bucketed_cfg, None).expect("pod simulation runs")
     });
-    out.push(record(h, cycles));
+    out.push((rec, cycles));
 
     // The FIFO run plain and with the time-series recorder attached: the
     // second figure prices the observability layer itself, and a test
@@ -225,7 +208,7 @@ pub fn run_suite(h: &mut Micro) -> Vec<SuiteBench> {
         .expect("pod simulation runs")
         .0
         .makespan_cycles;
-    h.bench_alternating(
+    let (fifo, ts) = h.bench_alternating(
         ("serve/fifo_10k_requests", || {
             serve::simulate(&pod, &workload, &fifo_cfg, None).expect("pod simulation runs")
         }),
@@ -234,14 +217,16 @@ pub fn run_suite(h: &mut Micro) -> Vec<SuiteBench> {
                 .expect("pod simulation runs")
         }),
     );
-    let pair = &h.records()[h.records().len() - 2..];
-    out.extend(
-        pair.iter()
-            .zip([fifo_cycles, ts_cycles])
-            .map(|(rec, cycles)| suite_bench(rec, cycles)),
-    );
+    out.extend([(fifo, fifo_cycles), (ts, ts_cycles)]);
 
-    out
+    out.into_iter()
+        .map(|(rec, cycles)| SuiteBench {
+            name: rec.name,
+            ns_per_iter: rec.ns_per_iter,
+            iters: rec.iters,
+            cycles,
+        })
+        .collect()
 }
 
 /// Merges several suite runs into one result, keeping each bench's
@@ -472,12 +457,9 @@ mod tests {
 
     #[test]
     fn suite_runs_under_tiny_budget() {
-        // Smoke: FUSECONV_BENCH_BUDGET_MS is not read here; build a
-        // 1 ms harness directly through the public API.
-        std::env::set_var("FUSECONV_BENCH_BUDGET_MS", "1");
-        let mut h = Micro::from_env();
-        std::env::remove_var("FUSECONV_BENCH_BUDGET_MS");
-        let results = run_suite(&mut h);
+        // Smoke: a 1 ms harness built through the public API.
+        let h = Micro::with_budget_ms(1);
+        let results = run_suite(&h);
         assert_eq!(results.len(), 11);
         assert!(results.iter().all(|b| b.cycles > 0));
         assert!(results.iter().all(|b| b.iters >= 1));

@@ -68,7 +68,7 @@ COMMANDS:
              [--network NAME] [--variant baseline|full|half] [--array 64]
              [--bytes-per-elem 2] [--bandwidth 64] [--format text|json] [--out PATH]
   bench      run the fixed micro-bench suite (simulators + analytic paths)
-             [--json] [--out BENCH_fuseconv.json] [--budget-ms N]
+             [--json] [--out BENCH_fuseconv.json] [--budget-ms 100]
              [--runs N] (per-bench min over N suite runs; default 1)
              [--baseline PATH] [--max-regress 25]; with --baseline, exits
              nonzero when a bench regresses past the geomean-normalized gate;
@@ -510,10 +510,8 @@ fn run(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
             emit(parsed, || report.to_text(), || report.to_json())?;
         }
         "bench" => {
-            let mut harness = match parsed.opt_usize_flag("budget-ms")? {
-                Some(ms) => fuseconv_bench::micro::Micro::with_budget_ms(ms as u64),
-                None => fuseconv_bench::micro::Micro::from_env(),
-            };
+            let budget_ms = parsed.usize_flag("budget-ms", 100)?;
+            let harness = fuseconv_bench::micro::Micro::with_budget_ms(budget_ms as u64);
             let runs = parsed.usize_flag("runs", 1)?;
             if runs == 0 {
                 return Err("--runs must be at least 1".into());
@@ -522,7 +520,7 @@ fn run(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
             // code allows, so the per-bench min over spaced runs is the
             // robust estimate the gate should judge.
             let all: Vec<_> = (0..runs)
-                .map(|_| fuseconv_bench::suite::run_suite(&mut harness))
+                .map(|_| fuseconv_bench::suite::run_suite(&harness))
                 .collect();
             let results = fuseconv_bench::suite::min_merge(&all);
             if parsed.flag("json").is_some() || parsed.flag("out").is_some() {

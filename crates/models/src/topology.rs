@@ -160,7 +160,10 @@ pub fn parse(name: &str, text: &str) -> Result<Network, ParseTopologyError> {
                         let stripped = field
                             .strip_prefix("se")
                             .ok_or_else(|| err(line_no, "fifth field must be `se<div>`"))?;
-                        Some(parse_usize(line_no, stripped, "se divisor")?)
+                        match parse_usize(line_no, stripped, "se divisor")? {
+                            0 => return Err(err(line_no, "se divisor must be nonzero")),
+                            div => Some(div),
+                        }
                     }
                 };
                 if exp_c == 0 || out_c == 0 {
@@ -349,6 +352,13 @@ mod tests {
                 "`{text}` → `{e}` (expected `{needle}`)"
             );
         }
+    }
+
+    #[test]
+    fn se0_is_rejected_with_its_line() {
+        let e = parse("bad", "input, 32, 3\nsep, 8, 16, 3, 1, se0").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.to_string().contains("se divisor must be nonzero"), "{e}");
     }
 
     #[test]

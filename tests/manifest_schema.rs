@@ -101,8 +101,8 @@ fn every_json_artifact_embeds_a_golden_manifest() {
     sink.on_event(&TraceEvent::FoldEnd { fold: 0, cycle: 4 });
     artifacts.push(("chrome trace", sink.into_json()));
 
-    let mut harness = Micro::with_budget_ms(1);
-    let results = run_suite(&mut harness);
+    let harness = Micro::with_budget_ms(1);
+    let results = run_suite(&harness);
     artifacts.push(("bench suite", bench_to_json(&results)));
 
     fuseconv::telemetry::counter("test.manifest.counter").inc();
