@@ -1015,6 +1015,7 @@ mod tests {
     #[test]
     fn serve_validates_inputs() {
         cli("serve --pod 64x64:xx").unwrap_err();
+        cli("serve --pod 4x4:os,").unwrap_err();
         cli("serve --networks nope").unwrap_err();
         cli("serve --variant quarter").unwrap_err();
         cli("serve --policy lifo").unwrap_err();

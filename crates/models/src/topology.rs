@@ -232,17 +232,26 @@ pub fn parse(name: &str, text: &str) -> Result<Network, ParseTopologyError> {
     Ok(Network::new(name, blocks))
 }
 
+/// Rejects a zero kernel or stride, and a kernel or stride larger than
+/// the `h`×`w` input map: same-padding (`k/2`) would let such a layer
+/// "run", but it would mostly multiply padding, and its cost and any
+/// FuSe speed-up priced from it would be meaningless.
 fn validate_spatial(
     line: usize,
-    _h: usize,
-    _w: usize,
+    h: usize,
+    w: usize,
     k: usize,
     stride: usize,
 ) -> Result<(), ParseTopologyError> {
-    // With same-padding (k/2) every kernel fits any nonzero feature map,
-    // so only degenerate hyper-parameters can be rejected here.
     if k == 0 || stride == 0 {
         return Err(err(line, "kernel and stride must be nonzero"));
+    }
+    let side = h.min(w);
+    if k > side || stride > side {
+        return Err(err(
+            line,
+            format!("kernel {k} or stride {stride} exceeds the {h}x{w} input map"),
+        ));
     }
     Ok(())
 }
@@ -351,6 +360,26 @@ mod tests {
                 e.to_string().contains(needle),
                 "`{text}` → `{e}` (expected `{needle}`)"
             );
+        }
+    }
+
+    #[test]
+    fn kernel_or_stride_larger_than_the_map_is_rejected_with_its_line() {
+        // A 99-wide kernel once priced a 242x FuSe-Half "speed-up".
+        let kernel_wider_than_map = "input, 32, 3\nsep, 8, 16, 99, 1\nfc, 10";
+        let stride_longer_than_map = "input, 32, 3\nconv, 8, 3, 64";
+        // The map is 4x4 after the stride-2 conv.
+        let kernel_wider_than_strided_map = "input, 8, 3\nconv, 8, 3, 2\nsep, 8, 8, 5, 1";
+        let cases = [
+            (kernel_wider_than_map, 2, "32x32"),
+            (stride_longer_than_map, 2, "32x32"),
+            (kernel_wider_than_strided_map, 3, "4x4"),
+        ];
+        for (text, line, map) in cases {
+            let e = parse("bad", text).unwrap_err();
+            assert_eq!(e.line, line, "{e}");
+            let want = format!("exceeds the {map} input map");
+            assert!(e.to_string().contains(&want), "{e}");
         }
     }
 

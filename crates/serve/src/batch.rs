@@ -19,6 +19,12 @@
 //!
 //! `Dynamic` and `Bucketed` trade queueing delay for the sub-linear
 //! batch cost of [`crate::oracle::CostOracle::request_cycles`].
+//!
+//! A launched batch's member list is a buffer the queue lends out: the
+//! engine hands it back through [`RequestQueue::recycle`] when the
+//! batch completes, and the next launch refills it. The spare list
+//! never holds more buffers than batches were ever in flight at once,
+//! so steady-state serving allocates nothing per launch.
 
 use std::collections::VecDeque;
 
@@ -147,6 +153,9 @@ pub struct RequestQueue {
     buckets: Vec<VecDeque<Pending>>,
     high: VecDeque<Pending>,
     len: usize,
+    /// Emptied member buffers of completed batches, reused by the next
+    /// launches.
+    spare: Vec<Vec<Pending>>,
 }
 
 impl RequestQueue {
@@ -162,6 +171,7 @@ impl RequestQueue {
             buckets: (0..lanes).map(|_| VecDeque::new()).collect(),
             high: VecDeque::new(),
             len: 0,
+            spare: Vec::new(),
         }
     }
 
@@ -213,8 +223,14 @@ impl RequestQueue {
             .map(|(_, _, i)| i)
     }
 
+    /// Hands back a completed batch's member buffer for reuse.
+    pub fn recycle(&mut self, mut requests: Vec<Pending>) {
+        requests.clear();
+        self.spare.push(requests);
+    }
+
     fn drain_bucket(&mut self, bucket: usize, take: usize) -> Batch {
-        let mut requests = Vec::with_capacity(take);
+        let mut requests = self.spare.pop().unwrap_or_default();
         for _ in 0..take {
             if let Some(p) = self.buckets[bucket].pop_front() {
                 self.len -= 1;
@@ -239,9 +255,11 @@ impl RequestQueue {
     pub fn pop_high(&mut self) -> Option<Batch> {
         let p = self.high.pop_front()?;
         self.len -= 1;
+        let mut requests = self.spare.pop().unwrap_or_default();
+        requests.push(p);
         Some(Batch {
             net: p.net,
-            requests: vec![p],
+            requests,
             high_priority: true,
             phase: BatchPhase::formed(p.arrived),
         })
@@ -254,55 +272,39 @@ impl RequestQueue {
         if let Some(batch) = self.pop_high() {
             return Some(batch);
         }
-        match self.policy {
-            BatchPolicy::Fifo => (!self.buckets[0].is_empty()).then(|| self.drain_bucket(0, 1)),
+        let (max_batch, max_wait) = match self.policy {
+            BatchPolicy::Fifo => {
+                return (!self.buckets[0].is_empty()).then(|| self.drain_bucket(0, 1));
+            }
             BatchPolicy::Dynamic {
                 max_batch,
                 max_wait,
-            } => {
-                let bucket = self.oldest_bucket()?;
-                let depth = self.buckets[bucket].len();
-                let head = self.buckets[bucket].front().copied()?;
-                if depth >= max_batch || now >= head.arrived.saturating_add(max_wait) {
-                    Some(self.drain_bucket(bucket, depth.min(max_batch)))
-                } else {
-                    None
-                }
-            }
+            } => (max_batch, max_wait),
             BatchPolicy::Bucketed {
                 max_batch,
                 max_wait,
             } => {
                 // Any full bucket: deepest first, oldest head breaks ties.
-                let full = self
-                    .buckets
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, b)| b.len() >= max_batch)
-                    .filter_map(|(i, b)| {
-                        b.front()
-                            .map(|p| (std::cmp::Reverse(b.len()), p.arrived, p.id, i))
-                    })
-                    .min()
-                    .map(|(_, _, _, i)| i);
+                let full = (0..self.buckets.len())
+                    .filter(|&i| self.buckets[i].len() >= max_batch.max(1))
+                    .min_by_key(|&i| {
+                        let b = &self.buckets[i];
+                        (std::cmp::Reverse(b.len()), b[0].arrived, b[0].id)
+                    });
                 if let Some(bucket) = full {
                     return Some(self.drain_bucket(bucket, max_batch));
                 }
-                // Otherwise the oldest expired head launches partial.
-                let expired = self
-                    .buckets
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, b)| b.front().map(|p| (p.arrived, p.id, i)))
-                    .filter(|&(arrived, _, _)| now >= arrived.saturating_add(max_wait))
-                    .min()
-                    .map(|(_, _, i)| i);
-                expired.map(|bucket| {
-                    let take = self.buckets[bucket].len().min(max_batch);
-                    self.drain_bucket(bucket, take)
-                })
+                (max_batch, max_wait)
             }
-        }
+        };
+        // Otherwise the oldest bucket launches once full or once its
+        // head has waited `max_wait`. A later head expires no earlier,
+        // so the oldest head is also the oldest expired one.
+        let bucket = self.oldest_bucket()?;
+        let depth = self.buckets[bucket].len();
+        let head = self.buckets[bucket].front()?.arrived;
+        (depth >= max_batch || now >= head.saturating_add(max_wait))
+            .then(|| self.drain_bucket(bucket, depth.min(max_batch)))
     }
 
     /// The earliest future time at which a currently-unready batch
@@ -315,10 +317,9 @@ impl RequestQueue {
                 max_wait
             }
         };
-        self.buckets
-            .iter()
-            .filter_map(|b| b.front().map(|p| p.arrived.saturating_add(max_wait)))
-            .min()
+        // The oldest head expires first.
+        let head = self.buckets[self.oldest_bucket()?].front()?;
+        Some(head.arrived.saturating_add(max_wait))
     }
 }
 
@@ -449,6 +450,34 @@ mod tests {
         assert_eq!(b.requests.len(), 1);
         assert_eq!(b.requests[0].id, 1);
         assert!(q.pop_batch(3).is_none(), "normal lane still waits");
+    }
+
+    #[test]
+    fn a_recycled_buffer_carries_no_old_members() {
+        let policy = BatchPolicy::Bucketed {
+            max_batch: 8,
+            max_wait: 10,
+        };
+        let mut q = RequestQueue::new(policy, 64, 2);
+        let eight: Vec<Pending> = (0..8).map(|id| p(id, 0, id)).collect();
+        eight.iter().for_each(|&r| assert!(q.push(r)));
+        let batch = q.pop_batch(8).expect("full bucket");
+        assert_eq!(batch.requests, eight);
+        q.recycle(batch.requests);
+        // The next two launches each refill the one spare buffer.
+        q.push(p(8, 1, 20));
+        let one = q.pop_batch(30).expect("expired head");
+        assert_eq!((one.net, &one.requests[..]), (1, &[p(8, 1, 20)][..]));
+        assert!(one.requests.capacity() >= 8, "reuses the batch-8 buffer");
+        q.recycle(one.requests);
+        let high = Pending {
+            high_priority: true,
+            ..p(9, 0, 31)
+        };
+        q.push(high);
+        let lane = q.pop_high().expect("priority lane");
+        assert_eq!(lane.requests, [high]);
+        assert!(lane.requests.capacity() >= 8, "reuses the batch-8 buffer");
     }
 
     #[test]

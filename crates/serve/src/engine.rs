@@ -25,10 +25,11 @@
 //! scanning the array states in place so ties go to the lowest index.
 //! Under [`Dispatch::Sharded`] the whole pod serves one batch at a
 //! time via the oracle's LPT shard plan, borrowed from its memo. The
-//! steady-state loop hashes and allocates nothing per request beyond
-//! the batch itself: oracle probes are hash-free, trace labels are
-//! formatted only when a [`PodTraceSink`] is attached, and metrics are
-//! flushed once after the loop. Optional preemption lets a
+//! steady-state loop hashes and allocates nothing per request: oracle
+//! probes are hash-free, a completed batch hands its member buffer back
+//! to the queue for the next launch, trace labels are formatted only
+//! when a [`PodTraceSink`] is attached, and metrics are flushed once
+//! after the loop. Optional preemption lets a
 //! high-priority arrival evict a running non-priority batch at fold
 //! granularity, but only when that finishes the arrival earlier than
 //! waiting for the first free array would; the victim's remaining
@@ -370,10 +371,11 @@ impl<'a> Engine<'a> {
             let label = batch_label(&self.net_names, &run.batch);
             trace.batch_span(array, run.started, now, &label);
         }
-        self.record_completions(&run.batch, now);
+        self.record_completions(run.batch, now);
     }
 
-    fn record_completions(&mut self, batch: &Batch, now: u64) {
+    /// Records a completed batch's members and recycles its buffer.
+    fn record_completions(&mut self, batch: Batch, now: u64) {
         let ph = batch.phase;
         // Re-preemption during a refill replay can book more refill
         // than on-array time; clamp so compute never underflows.
@@ -416,6 +418,7 @@ impl<'a> Engine<'a> {
                 }
             }
         }
+        self.queue.recycle(batch.requests);
     }
 
     /// Evicts a running non-priority batch to free an array for a
@@ -801,7 +804,7 @@ pub fn simulate_observed(
             EvKind::PodDone => {
                 if let Some((mut batch, started, done)) = engine.pod_running.take() {
                     batch.phase.on_array += done.saturating_sub(started);
-                    engine.record_completions(&batch, done);
+                    engine.record_completions(batch, done);
                 }
                 engine.dispatch(now)?;
             }

@@ -87,14 +87,11 @@ impl ArraySpec {
         let (r, c) = dims.split_once('x').ok_or_else(|| {
             ServeError::Spec(format!("expected ROWSxCOLS in `{entry}` (e.g. 32x32)"))
         })?;
-        let rows: usize = r
-            .trim()
-            .parse()
-            .map_err(|_| ServeError::Spec(format!("bad row count `{r}` in `{entry}`")))?;
-        let cols: usize = c
-            .trim()
-            .parse()
-            .map_err(|_| ServeError::Spec(format!("bad column count `{c}` in `{entry}`")))?;
+        let count = |s: &str, what: &str| {
+            let bad = || ServeError::Spec(format!("bad {what} count `{s}` in `{entry}`"));
+            s.trim().parse::<usize>().map_err(|_| bad())
+        };
+        let (rows, cols) = (count(r, "row")?, count(c, "column")?);
         // Validate dimensions eagerly so parse errors surface before the
         // simulation starts.
         ArrayConfig::new(rows, cols)?;
@@ -143,38 +140,26 @@ impl PodSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Spec`] when empty or when any entry fails
+    /// Returns [`ServeError::Spec`] when any entry is empty (leading,
+    /// trailing or doubled commas, or an empty string), naming the
+    /// entry's 1-based position, or when any entry fails
     /// [`ArraySpec::parse`].
     pub fn parse(spec: &str) -> Result<Self, ServeError> {
-        let arrays: Vec<ArraySpec> = spec
+        let arrays = spec
             .split(',')
-            .filter(|s| !s.trim().is_empty())
-            .map(ArraySpec::parse)
+            .enumerate()
+            .map(|(i, entry)| {
+                if entry.trim().is_empty() {
+                    Err(ServeError::Spec(format!(
+                        "array entry {} of `{spec}` is empty",
+                        i + 1
+                    )))
+                } else {
+                    ArraySpec::parse(entry)
+                }
+            })
             .collect::<Result<_, _>>()?;
-        if arrays.is_empty() {
-            return Err(ServeError::Spec("pod has no arrays".to_string()));
-        }
         Ok(PodSpec { arrays })
-    }
-
-    /// A pod of identical square output-stationary arrays (test and
-    /// example convenience).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Array`] if `side` is rejected.
-    pub fn homogeneous(count: usize, side: usize) -> Result<Self, ServeError> {
-        ArrayConfig::new(side, side)?;
-        Ok(PodSpec {
-            arrays: vec![
-                ArraySpec {
-                    rows: side,
-                    cols: side,
-                    dataflow: Dataflow::OutputStationary,
-                };
-                count.max(1)
-            ],
-        })
     }
 
     /// One latency model per array, in pod order.
@@ -229,6 +214,25 @@ mod tests {
         assert!(matches!(PodSpec::parse("64"), Err(ServeError::Spec(_))));
         assert!(matches!(PodSpec::parse(""), Err(ServeError::Spec(_))));
         assert!(matches!(PodSpec::parse("0x4"), Err(ServeError::Array(_))));
+    }
+
+    #[test]
+    fn rejects_empty_entries_by_position() {
+        let cases = [
+            ("", 1),
+            (" ", 1),
+            ("4x4:os,", 2),
+            (",4x4", 1),
+            ("4x4,,8x8", 2),
+            ("4x4, 8x8, ", 3),
+        ];
+        for (spec, position) in cases {
+            let Err(ServeError::Spec(msg)) = PodSpec::parse(spec) else {
+                panic!("`{spec}` must be a spec error");
+            };
+            let want = format!("entry {position} ");
+            assert!(msg.contains(&want), "`{spec}`: {msg}");
+        }
     }
 
     #[test]

@@ -6,10 +6,14 @@
 //! a high-priority tag. Open-loop means arrivals never slow down under
 //! overload — exactly the regime where the goodput-vs-offered-load
 //! curve bends.
+//!
+//! Each arrival costs three PRNG draws and no division: the network
+//! pick reuses one precomputed [`Below`] sampler over the total weight
+//! and finds the network by binary search over cumulative weights.
 
 use crate::spec::ServeError;
 use fuseconv_models::Network;
-use fuseconv_tensor::rng::Rng;
+use fuseconv_tensor::rng::{Below, Rng};
 
 /// The request mix: which networks the pod serves and how often each
 /// one shows up.
@@ -104,8 +108,10 @@ pub struct Arrival {
 pub struct TrafficGen {
     rng: Rng,
     mean_gap: f64,
+    /// Running sums of the mix weights; a zero weight repeats the
+    /// previous sum, so no pick lands on its network.
     cumulative: Vec<u64>,
-    total_weight: u64,
+    pick: Below,
     high_frac: f64,
 }
 
@@ -126,7 +132,7 @@ impl TrafficGen {
             rng: Rng::seed_from_u64(seed),
             mean_gap: mean_gap_cycles,
             cumulative,
-            total_weight,
+            pick: Below::new(total_weight as usize),
             high_frac,
         }
     }
@@ -145,12 +151,9 @@ impl TrafficGen {
         } else {
             gap as u64
         };
-        let pick = self.rng.below(self.total_weight as usize) as u64;
-        let net = self
-            .cumulative
-            .iter()
-            .position(|&c| pick < c)
-            .unwrap_or(self.cumulative.len() - 1);
+        let pick = self.pick.sample(&mut self.rng) as u64;
+        // The first running sum above `pick`; `pick` is below the last.
+        let net = self.cumulative.partition_point(|&c| c <= pick);
         let high_priority = self.rng.next_f64() < self.high_frac;
         Arrival {
             at: now.saturating_add(gap),
@@ -206,6 +209,40 @@ mod tests {
         }
         // 3:1 mix — allow generous slack, this is a smoke check.
         assert!(counts[0] > counts[1] * 2);
+    }
+
+    #[test]
+    fn network_pick_matches_the_old_linear_scan() {
+        let mixes: [&[u64]; 6] = [
+            &[1],
+            &[0, 5, 2],
+            &[4, 0, 0, 1],
+            &[2, 7, 0],
+            &[0, 0, 1, 0, 3, 0, 0],
+            &[1; 14],
+        ];
+        for weights in mixes {
+            let nets = vec![zoo::mobilenet_v1(); weights.len()];
+            let w = Workload::weighted(nets, weights.to_vec()).expect("valid mix");
+            let mut gen = TrafficGen::new(5, 50.0, &w, 0.3);
+            // The old pick: a fresh `below` per arrival, then the first
+            // running sum above it by linear scan.
+            let (mut old, mut now) = (Rng::seed_from_u64(5), 0);
+            let total: u64 = weights.iter().sum();
+            for _ in 0..5_000 {
+                let next = gen.next_after(now);
+                old.next_f64();
+                let pick = old.below(total as usize) as u64;
+                old.next_f64();
+                let mut sum = 0;
+                let net = weights.iter().position(|&wt| {
+                    sum += wt;
+                    pick < sum
+                });
+                assert_eq!(Some(next.net), net, "{weights:?}");
+                now = next.at;
+            }
+        }
     }
 
     #[test]

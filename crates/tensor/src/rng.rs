@@ -78,37 +78,82 @@ impl Rng {
         lo + (hi - lo) * self.next_f32()
     }
 
-    /// Uniform integer in `[0, bound)` by rejection sampling: a 32-bit
-    /// draw at or above the largest multiple of `bound` is redrawn, and
-    /// the kept draw is reduced `v % bound`, which is bias-free for every
-    /// bound that fits in `u32`. A larger bound takes one 64-bit draw
-    /// `% bound`.
+    /// Uniform integer in `[0, bound)`: one draw from
+    /// [`Below::new`]`(bound)`. A loop that draws many values below the
+    /// same bound should build the [`Below`] once and call
+    /// [`Below::sample`], which skips the setup's two divisions.
     ///
     /// # Panics
     ///
     /// Panics if `bound == 0`.
     pub fn below(&mut self, bound: usize) -> usize {
-        assert!(bound > 0, "bound must be nonzero");
-        if bound <= u32::MAX as usize {
-            let bound32 = bound as u32;
-            // Rejection-free would need widening tricks; a simple rejection
-            // loop keeps it unbiased and is plenty fast for our workloads.
-            let zone = u32::MAX - (u32::MAX % bound32);
-            loop {
-                let v = self.next_u32();
-                if v < zone {
-                    return (v % bound32) as usize;
-                }
-            }
-        } else {
-            (self.next_u64() % bound as u64) as usize
-        }
+        Below::new(bound).sample(self)
     }
 
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
             slice.swap(i, self.below(i + 1));
+        }
+    }
+}
+
+/// A uniform sampler over `[0, bound)` with its setup precomputed.
+///
+/// Rejection sampling: a 32-bit draw at or above the largest multiple of
+/// `bound` is redrawn, and the kept draw `v` is reduced to `v % bound`,
+/// which is bias-free for every bound that fits in `u32`. The remainder
+/// is computed without a division (Lemire's "faster remainder by direct
+/// computation"): with `M = ⌊(2⁶⁴−1)/d⌋ + 1`, `v mod d` is the high 64
+/// bits of `(M·v mod 2⁶⁴)·d`, exact for every 32-bit `v` and `d`. `M`
+/// wraps to 0 for `d = 1`, which correctly gives 0. A bound above
+/// `u32::MAX` takes one 64-bit draw `% bound`. Every draw is the same
+/// value the plain `%` loop would return from the same generator state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Below {
+    bound: u64,
+    /// First rejected 32-bit draw: the largest multiple of `bound`
+    /// that fits in `u32`; unused when `bound` does not fit in `u32`.
+    zone: u32,
+    /// Lemire's multiplier `⌊(2⁶⁴−1)/bound⌋ + 1`, wrapping.
+    mul: u64,
+}
+
+impl Below {
+    /// A sampler for `[0, bound)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bound == 0`.
+    pub fn new(bound: usize) -> Self {
+        assert!(bound > 0, "bound must be nonzero");
+        let bound = bound as u64;
+        Below {
+            bound,
+            zone: u32::try_from(bound).map_or(0, |d| u32::MAX - (u32::MAX % d)),
+            mul: (u64::MAX / bound).wrapping_add(1),
+        }
+    }
+
+    /// `v % bound` for a kept 32-bit draw, `None` for a rejected one.
+    #[inline]
+    fn reduce(&self, v: u32) -> Option<usize> {
+        (v < self.zone).then(|| {
+            let low = self.mul.wrapping_mul(u64::from(v));
+            ((u128::from(low) * u128::from(self.bound)) >> 64) as usize
+        })
+    }
+
+    /// Draws one value in `[0, bound)` from `rng`.
+    #[inline]
+    pub fn sample(&self, rng: &mut Rng) -> usize {
+        if self.bound > u64::from(u32::MAX) {
+            return (rng.next_u64() % self.bound) as usize;
+        }
+        loop {
+            if let Some(x) = self.reduce(rng.next_u32()) {
+                return x;
+            }
         }
     }
 }
@@ -159,6 +204,61 @@ mod tests {
             seen[r.below(7)] = true;
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    /// The `%`-based rejection loop `below` ran before [`Below`]
+    /// existed: the reference the sampler must match bit for bit.
+    fn old_below(rng: &mut Rng, bound: usize) -> usize {
+        if bound <= u32::MAX as usize {
+            let bound32 = bound as u32;
+            let zone = u32::MAX - (u32::MAX % bound32);
+            loop {
+                let v = rng.next_u32();
+                if v < zone {
+                    return (v % bound32) as usize;
+                }
+            }
+        } else {
+            (rng.next_u64() % bound as u64) as usize
+        }
+    }
+
+    #[test]
+    fn sampler_matches_the_old_below() {
+        // Bounds 1, 2, 7, `u32::MAX - 1`, `u32::MAX`, every power of
+        // two, two 64-bit bounds, then PRNG-drawn bounds of every width.
+        let mut bounds = vec![1, 2, 7, u32::MAX as usize - 1, u32::MAX as usize];
+        bounds.extend((2..64).map(|k| 1usize << k));
+        bounds.extend([u32::MAX as usize + 1, usize::MAX]);
+        let mut r = Rng::seed_from_u64(0xB0_0D);
+        for _ in 0..200 {
+            let width = r.next_u32() % 32 + 1;
+            bounds.push(((r.next_u64() >> (64 - width)) as usize).max(1));
+        }
+        for bound in bounds {
+            let sampler = Below::new(bound);
+            let mut a = Rng::seed_from_u64(r.next_u64());
+            let mut b = a.clone();
+            for _ in 0..500 {
+                let (got, want) = (sampler.sample(&mut a), old_below(&mut b, bound));
+                assert_eq!((got, &a), (want, &b), "bound {bound}");
+            }
+            assert_eq!(a.below(bound), old_below(&mut b, bound), "bound {bound}");
+            // Random streams almost never draw the rejection edge, so
+            // check the reduction where an off-by-one zone or multiplier
+            // would show.
+            let Ok(d) = u32::try_from(bound) else {
+                continue;
+            };
+            let zone = u32::MAX - (u32::MAX % d);
+            let mut edges = vec![0, 1, d - 1, d, d.saturating_add(1), u32::MAX];
+            edges.extend([zone - 1, zone, zone.saturating_add(1)]);
+            edges.extend((0..50).map(|_| r.next_u32()));
+            for v in edges {
+                let want = (v < zone).then(|| (v % d) as usize);
+                assert_eq!(sampler.reduce(v), want, "bound {bound}, draw {v}");
+            }
+        }
     }
 
     #[test]

@@ -116,7 +116,7 @@ fn every_json_artifact_embeds_a_golden_manifest() {
         fuseconv::telemetry::span_snapshot().chrome_trace_json(&RunManifest::capture());
     artifacts.push(("host chrome trace", host_trace));
 
-    let pod = fuseconv::serve::PodSpec::homogeneous(2, 8).expect("valid pod");
+    let pod = fuseconv::serve::PodSpec::parse("8x8,8x8").expect("valid pod");
     let workload = fuseconv::serve::Workload::uniform(vec![zoo::mobilenet_v3_small()])
         .expect("valid workload");
     let cfg = fuseconv::serve::ServeConfig {
