@@ -1016,6 +1016,11 @@ mod tests {
     fn serve_validates_inputs() {
         cli("serve --pod 64x64:xx").unwrap_err();
         cli("serve --pod 4x4:os,").unwrap_err();
+        // `rows + cols` (the refill penalty) would wrap.
+        let huge = "18446744073709551615x18446744073709551615";
+        let flags = "--preempt --high-frac 0.5 --load 2 --force";
+        let e = cli(&format!("serve --pod {huge},8x8 {flags}")).unwrap_err();
+        assert!(e.to_string().contains(huge), "{e}");
         cli("serve --networks nope").unwrap_err();
         cli("serve --variant quarter").unwrap_err();
         cli("serve --policy lifo").unwrap_err();

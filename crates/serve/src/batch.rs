@@ -417,9 +417,9 @@ mod tests {
             max_batch: 2,
             max_wait: 1000,
         };
+        // Both buckets full at equal depth (two each): the older head
+        // (net 1) breaks the tie.
         let mut q = RequestQueue::new(policy, 16, 2);
-        // Bucket 1's head is older, but bucket 0 fills up first... both
-        // full: equal depth after cap, so the older head (net 1) wins.
         q.push(p(0, 1, 5));
         q.push(p(1, 0, 6));
         q.push(p(2, 0, 7));
@@ -429,6 +429,17 @@ mod tests {
         let second = q.pop_batch(9).expect("other full bucket");
         assert_eq!(second.net, 0);
         assert_eq!(second.requests.len(), 2);
+        // Bucket 0 is deeper (three to two) but its head is younger:
+        // depth wins over age.
+        let mut q = RequestQueue::new(policy, 16, 2);
+        q.push(p(0, 1, 5));
+        q.push(p(1, 0, 6));
+        q.push(p(2, 0, 7));
+        q.push(p(3, 1, 8));
+        q.push(p(4, 0, 9));
+        let first = q.pop_batch(10).expect("full bucket");
+        assert_eq!(first.net, 0, "the deeper bucket launches first");
+        assert_eq!(q.pop_batch(10).expect("other full bucket").net, 1);
     }
 
     #[test]

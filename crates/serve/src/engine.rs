@@ -4,25 +4,30 @@
 //! tie-breaker, so simultaneous events pop in creation order and the
 //! whole simulation is a pure function of its inputs. The clock is
 //! `u64` array cycles. Arrivals are generated lazily, so exactly one is
-//! ever pending: the event queue is the arrival slot plus a
-//! [`std::collections::BinaryHeap`] of the other kinds, which stays
-//! O(pod size) deep no matter how many requests are simulated. The next
-//! event is whichever of the slot and the heap's top is smaller, the
-//! same total order one heap of every event would give.
+//! ever pending: the event queue is the arrival slot plus a `Vec` of
+//! the other kinds kept sorted by descending `(time, seq)`. Its pending
+//! completions (one live per busy array, plus stale ones of preempted
+//! batches) and deadlines keep it about pod-size short however many
+//! requests are simulated, so an insert is a binary search and a short
+//! move, and the next event is its last. The queue pops whichever of
+//! the slot and that last event is smaller, the same total order one
+//! heap of every event would give.
 //!
 //! Event kinds:
 //!
 //! * **Arrival** — admit (or drop) a request, draw the next arrival,
 //!   try to dispatch;
-//! * **ArrayDone** — an array finished its batch; stale generations
-//!   (preempted batches) still pop and count in `events`, but change
-//!   nothing;
+//! * **ArrayDone** — an array finished its batch. The running batch
+//!   holds the `seq` of its completion; a completion with any other
+//!   `seq` belongs to a preempted batch, and it still pops and counts
+//!   in `events` and the makespan, but changes nothing;
 //! * **PodDone** — a sharded batch's slowest share finished;
 //! * **Deadline** — a batching max-wait expired; re-run dispatch.
 //!
 //! Dispatch picks, per launched batch, the idle array with the lowest
 //! analytic cost for that network/batch size ([`crate::CostOracle`]),
-//! scanning the array states in place so ties go to the lowest index.
+//! walking a bitset of the idle arrays upward so ties go to the lowest
+//! index.
 //! Under [`Dispatch::Sharded`] the whole pod serves one batch at a
 //! time via the oracle's LPT shard plan, borrowed from its memo. The
 //! steady-state loop hashes and allocates nothing per request: oracle
@@ -48,8 +53,7 @@ use crate::timeseries::{
 use crate::trace::PodTraceSink;
 use crate::traffic::{TrafficGen, Workload};
 use fuseconv_telemetry::RunManifest;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// How a request's work maps onto the pod.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,12 +194,11 @@ impl ServeConfig {
     }
 }
 
-/// Event payloads; `Ord` is derived but never decides order — the
-/// `(time, seq)` prefix of every key is already unique.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// Event payloads. Indices are `u32` so an [`Event`] stays 24 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EvKind {
-    Arrival { net: usize, high: bool },
-    ArrayDone { array: usize, gen: u64 },
+    Arrival { net: u32, high: bool },
+    ArrayDone { array: u32 },
     PodDone,
     Deadline,
 }
@@ -203,38 +206,96 @@ enum EvKind {
 /// A pending event: `(time, seq, kind)`.
 type Event = (u64, u64, EvKind);
 
+/// An array or network index as an [`EvKind`] stores it.
+fn ev_index(i: usize) -> u32 {
+    u32::try_from(i).expect("no pod or workload in memory has 2^32 members")
+}
+
 /// The event set, popped in `(time, seq)` order. Arrivals are drawn one
-/// at a time, so at most one is ever pending: it waits in its own slot
-/// and the heap holds only completions and deadlines, which keeps every
-/// arrival out of the heap's sift-up and sift-down.
+/// at a time, so at most one is ever pending: it waits in its own slot.
+/// The other events, about one per array, sit in a run sorted by
+/// descending `(time, seq)`, so the next one is last.
 #[derive(Debug, Default)]
 struct EventQueue {
     arrival: Option<Event>,
-    heap: BinaryHeap<Reverse<Event>>,
+    run: Vec<Event>,
     seq: u64,
 }
 
 impl EventQueue {
     /// Schedules `kind` at `at`, after every event already scheduled
-    /// for the same time.
-    fn push(&mut self, at: u64, kind: EvKind) {
-        let ev = (at, self.seq, kind);
+    /// for the same time, and returns the `seq` it was given.
+    fn push(&mut self, at: u64, kind: EvKind) -> u64 {
+        let seq = self.seq;
         self.seq += 1;
+        let ev = (at, seq, kind);
         if let EvKind::Arrival { .. } = kind {
             debug_assert!(self.arrival.is_none(), "one pending arrival at a time");
             self.arrival = Some(ev);
         } else {
-            self.heap.push(Reverse(ev));
+            // The newest `seq` sorts ahead of (pops after) every
+            // event already scheduled for `at`.
+            let i = self.run.partition_point(|e| e.0 > at);
+            self.run.insert(i, ev);
         }
+        seq
     }
 
     /// Removes and returns the event with the smallest `(time, seq)`.
     fn pop(&mut self) -> Option<Event> {
-        let heap_first = self.heap.peek().map(|&Reverse((at, seq, _))| (at, seq));
+        let next = self.run.last().map(|&(at, seq, _)| (at, seq));
         match self.arrival {
-            Some((at, seq, _)) if heap_first.is_none_or(|h| (at, seq) < h) => self.arrival.take(),
-            _ => self.heap.pop().map(|Reverse(ev)| ev),
+            Some((at, seq, _)) if next.is_none_or(|n| (at, seq) < n) => self.arrival.take(),
+            _ => self.run.pop(),
         }
+    }
+}
+
+/// The idle arrays of a pod, one bit per array in `u64` words, so the
+/// lowest idle array is a word scan away.
+#[derive(Debug)]
+struct IdleSet {
+    words: Vec<u64>,
+}
+
+impl IdleSet {
+    /// A set holding every one of `n` arrays.
+    fn full(n: usize) -> Self {
+        let len = n.div_ceil(64);
+        let mut words = vec![u64::MAX; len];
+        if let Some(last) = words.last_mut() {
+            *last >>= len * 64 - n;
+        }
+        IdleSet { words }
+    }
+
+    fn insert(&mut self, a: usize) {
+        self.words[a / 64] |= 1 << (a % 64);
+    }
+
+    fn remove(&mut self, a: usize) {
+        self.words[a / 64] &= !(1 << (a % 64));
+    }
+
+    /// The lowest idle array at or above `from`.
+    fn next_from(&self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut bits = self.words.get(w)? & (u64::MAX << (from % 64));
+        while bits == 0 {
+            w += 1;
+            bits = *self.words.get(w)?;
+        }
+        Some(w * 64 + bits.trailing_zeros() as usize)
+    }
+
+    /// The idle arrays at or above `from`, in increasing order.
+    fn iter_from(&self, from: usize) -> impl Iterator<Item = usize> + '_ {
+        let mut next = self.next_from(from);
+        std::iter::from_fn(move || {
+            let a = next?;
+            next = self.next_from(a + 1);
+            Some(a)
+        })
     }
 }
 
@@ -244,11 +305,13 @@ struct Running {
     batch: Batch,
     started: u64,
     done: u64,
+    /// `seq` of the batch's `ArrayDone`; any other completion popped
+    /// for the array belongs to a preempted batch.
+    seq: u64,
 }
 
 #[derive(Debug, Default)]
 struct ArrayState {
-    gen: u64,
     batches: u64,
     requests: u64,
     running: Option<Running>,
@@ -272,6 +335,9 @@ struct Engine<'a> {
     queue: RequestQueue,
     timeline: EventQueue,
     arrays: Vec<ArrayState>,
+    /// Arrays with no running batch; kept by `launch`, `complete` and
+    /// the eviction in `maybe_preempt`.
+    idle: IdleSet,
     /// Per-array busy cycles, beside `arrays` so the recorder can
     /// borrow them as one slice.
     busy: Vec<BusyTally>,
@@ -347,6 +413,13 @@ impl<'a> Engine<'a> {
         }
         let done = now.saturating_add(service.max(1));
         self.busy[array].book(now, done);
+        let seq = self.timeline.push(
+            done,
+            EvKind::ArrayDone {
+                array: ev_index(array),
+            },
+        );
+        self.idle.remove(array);
         let state = &mut self.arrays[array];
         if !resumed {
             state.batches += 1;
@@ -356,15 +429,18 @@ impl<'a> Engine<'a> {
             batch,
             started: now,
             done,
+            seq,
         });
-        let gen = state.gen;
-        self.timeline.push(done, EvKind::ArrayDone { array, gen });
     }
 
-    fn complete(&mut self, array: usize, now: u64) {
-        let Some(mut run) = self.arrays[array].running.take() else {
-            return;
+    /// Finishes the batch running on `array`, if its `ArrayDone` is the
+    /// one popped (sequence number `seq`); a preempted batch's stale
+    /// completion changes nothing and returns `false`.
+    fn complete(&mut self, array: usize, seq: u64, now: u64) -> bool {
+        let Some(mut run) = self.arrays[array].running.take_if(|run| run.seq == seq) else {
+            return false;
         };
+        self.idle.insert(array);
         self.arrays[array].requests += run.batch.requests.len() as u64;
         run.batch.phase.on_array += now.saturating_sub(run.started);
         if let Some(trace) = self.trace.as_deref_mut() {
@@ -372,6 +448,7 @@ impl<'a> Engine<'a> {
             trace.batch_span(array, run.started, now, &label);
         }
         self.record_completions(run.batch, now);
+        true
     }
 
     /// Records a completed batch's members and recycles its buffer.
@@ -433,7 +510,7 @@ impl<'a> Engine<'a> {
     /// preemption can only ever shorten the triggering request's
     /// latency.
     fn maybe_preempt(&mut self, now: u64, net: usize) -> Result<(), ServeError> {
-        if self.arrays.iter().any(|a| a.running.is_none()) {
+        if self.idle.next_from(0).is_some() {
             return Ok(());
         }
         // Finish time without preempting: the first array to free runs
@@ -467,11 +544,11 @@ impl<'a> Engine<'a> {
         if finish >= wait_finish {
             return Ok(()); // waiting is at least as fast: don't waste work
         }
-        let state = &mut self.arrays[victim];
-        state.gen += 1; // invalidate the in-flight ArrayDone
-        let Some(mut run) = state.running.take() else {
+        // Its in-flight ArrayDone goes stale with the batch.
+        let Some(mut run) = self.arrays[victim].running.take() else {
             return Ok(());
         };
+        self.idle.insert(victim);
         self.busy[victim].cut(now);
         run.batch.phase.on_array += now.saturating_sub(run.started);
         let refill = self.pod.arrays[victim].refill_penalty();
@@ -494,8 +571,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Launches `batch` on whichever idle array prices it cheapest,
-    /// scanning from `first_idle` (the lowest-index idle array) upward
-    /// so ties go to the lowest index.
+    /// walking the idle set from `first_idle` (the lowest-index idle
+    /// array) upward so ties go to the lowest index.
     fn launch_cheapest(
         &mut self,
         first_idle: usize,
@@ -505,10 +582,7 @@ impl<'a> Engine<'a> {
         let size = batch.requests.len();
         let mut best = first_idle;
         let mut best_cost = u64::MAX;
-        for a in first_idle..self.arrays.len() {
-            if self.arrays[a].running.is_some() {
-                continue;
-            }
+        for a in self.idle.iter_from(first_idle) {
             let cost = self.oracle.request_cycles(a, batch.net, size)?;
             if cost < best_cost {
                 best_cost = cost;
@@ -520,7 +594,7 @@ impl<'a> Engine<'a> {
     }
 
     fn dispatch_whole(&mut self, now: u64) -> Result<(), ServeError> {
-        while let Some(first_idle) = self.arrays.iter().position(|a| a.running.is_none()) {
+        while let Some(first_idle) = self.idle.next_from(0) {
             // The high-priority lane outranks preempted work: when an
             // eviction frees an array, the triggering request must take
             // it, not the victim it just displaced.
@@ -544,7 +618,7 @@ impl<'a> Engine<'a> {
             self.note_depth(now);
             self.launch_cheapest(first_idle, batch, now)?;
         }
-        self.schedule_deadline(now, self.arrays.iter().any(|a| a.running.is_none()));
+        self.schedule_deadline(now, self.idle.next_from(0).is_some());
         Ok(())
     }
 
@@ -717,6 +791,7 @@ pub fn simulate_observed(
             .with_covered_buckets(covered),
         timeline: EventQueue::default(),
         arrays: (0..pod.len()).map(|_| ArrayState::default()).collect(),
+        idle: IdleSet::full(pod.len()),
         busy: vec![BusyTally::default(); pod.len()],
         resume: VecDeque::new(),
         pod_running: None,
@@ -752,17 +827,18 @@ pub fn simulate_observed(
     engine.timeline.push(
         first.at,
         EvKind::Arrival {
-            net: first.net,
+            net: ev_index(first.net),
             high: first.high_priority,
         },
     );
 
-    while let Some((now, _seq, kind)) = engine.timeline.pop() {
+    while let Some((now, seq, kind)) = engine.timeline.pop() {
         engine.events += 1;
         engine.makespan = engine.makespan.max(now);
         engine.tick(now);
         match kind {
             EvKind::Arrival { net, high } => {
+                let net = net as usize;
                 engine.offered += 1;
                 let pending = Pending {
                     id: engine.next_id,
@@ -782,7 +858,7 @@ pub fn simulate_observed(
                     engine.timeline.push(
                         next.at,
                         EvKind::Arrival {
-                            net: next.net,
+                            net: ev_index(next.net),
                             high: next.high_priority,
                         },
                     );
@@ -794,11 +870,10 @@ pub fn simulate_observed(
                 }
                 engine.dispatch(now)?;
             }
-            EvKind::ArrayDone { array, gen } => {
-                if engine.arrays[array].gen != gen {
+            EvKind::ArrayDone { array } => {
+                if !engine.complete(array as usize, seq, now) {
                     continue; // preempted; the batch re-runs via the resume queue
                 }
-                engine.complete(array, now);
                 engine.dispatch(now)?;
             }
             EvKind::PodDone => {
@@ -953,13 +1028,17 @@ mod tests {
     #[test]
     fn event_queue_pops_in_reference_heap_order() {
         use fuseconv_tensor::rng::Rng;
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
         let (mut ties, mut stale) = (0, 0);
         for seed in 0..16 {
             let mut rng = Rng::seed_from_u64(seed);
             let mut q = EventQueue::default();
             let mut reference = BinaryHeap::new();
             let mut kinds = Vec::new();
-            let mut gens = [0u64; 3];
+            // Per array, the `seq` of the completion its running batch
+            // holds, as `Running::seq` does.
+            let mut running = [None; 3];
             let (mut now, mut arrival_pending) = (0u64, false);
             for step in 0.. {
                 // Mixed pushes and pops, then a full drain; times repeat
@@ -972,23 +1051,25 @@ mod tests {
                     let kind = match rng.below(6) {
                         0 | 1 if !arrival_pending => {
                             arrival_pending = true;
-                            let (net, high) = (rng.below(4), rng.below(2) == 0);
+                            let (net, high) = (ev_index(rng.below(4)), rng.below(2) == 0);
                             EvKind::Arrival { net, high }
                         }
                         2 => EvKind::PodDone,
                         3 => EvKind::Deadline,
-                        _ => {
-                            // Now and then a preemption: the array's
-                            // queued completion goes stale but still pops.
-                            let array = rng.below(gens.len());
-                            gens[array] += u64::from(rng.below(2) == 0);
-                            let gen = gens[array];
-                            EvKind::ArrayDone { array, gen }
-                        }
+                        // A launch on an array whose batch is still in
+                        // flight stands for a preemption and relaunch:
+                        // the old completion goes stale but still pops.
+                        _ => EvKind::ArrayDone {
+                            array: ev_index(rng.below(running.len())),
+                        },
                     };
-                    reference.push(Reverse((at, kinds.len() as u64)));
+                    let seq = q.push(at, kind);
+                    assert_eq!(seq, kinds.len() as u64, "seq counts pushes");
+                    if let EvKind::ArrayDone { array } = kind {
+                        running[array as usize] = Some(seq);
+                    }
+                    reference.push(Reverse((at, seq)));
                     kinds.push(kind);
-                    q.push(at, kind);
                     continue;
                 }
                 let got = q.pop();
@@ -996,13 +1077,18 @@ mod tests {
                     .pop()
                     .map(|Reverse((at, seq))| (at, seq, kinds[seq as usize]));
                 assert_eq!(got, want, "seed {seed} step {step}");
-                let Some((at, _, kind)) = got else {
+                let Some((at, seq, kind)) = got else {
                     continue;
                 };
                 ties += u64::from(at == now);
                 match kind {
                     EvKind::Arrival { .. } => arrival_pending = false,
-                    EvKind::ArrayDone { array, gen } if gen != gens[array] => stale += 1,
+                    EvKind::ArrayDone { array } => {
+                        let slot = &mut running[array as usize];
+                        if slot.take_if(|s| *s == seq).is_none() {
+                            stale += 1;
+                        }
+                    }
                     _ => {}
                 }
                 now = at;
@@ -1012,11 +1098,55 @@ mod tests {
                 None,
                 "seed {seed}: queue drained with the reference"
             );
+            assert_eq!(
+                running, [None; 3],
+                "seed {seed}: a live completion was lost"
+            );
         }
         assert!(
             ties > 0 && stale > 0,
             "ties {ties}, stale completions {stale}"
         );
+    }
+
+    #[test]
+    fn idle_set_matches_a_linear_scan() {
+        use fuseconv_tensor::rng::Rng;
+        for (seed, n) in [1usize, 63, 64, 65, 130].into_iter().enumerate() {
+            let mut rng = Rng::seed_from_u64(seed as u64);
+            let mut set = IdleSet::full(n);
+            let mut idle = vec![true; n];
+            for step in 0..4000 {
+                // Launch on the lowest idle array, complete one, or
+                // evict one (both make a busy array idle again); now
+                // and then launch on some other idle array.
+                let a = rng.below(n);
+                match rng.below(4) {
+                    0 => {
+                        if let Some(first) = idle.iter().position(|&i| i) {
+                            set.remove(first);
+                            idle[first] = false;
+                        }
+                    }
+                    1 if idle[a] => {
+                        set.remove(a);
+                        idle[a] = false;
+                    }
+                    _ if !idle[a] => {
+                        set.insert(a);
+                        idle[a] = true;
+                    }
+                    _ => {}
+                }
+                let from = rng.below(n + 1);
+                let want: Vec<usize> = (from..n).filter(|&i| idle[i]).collect();
+                // Bounded, so a walk that repeats an array fails
+                // instead of growing without end.
+                let got: Vec<usize> = set.iter_from(from).take(n + 1).collect();
+                assert_eq!(got, want, "n {n} step {step} from {from}");
+                assert_eq!(set.next_from(0), idle.iter().position(|&i| i));
+            }
+        }
     }
 
     #[test]
@@ -1394,8 +1524,8 @@ mod tests {
         assert_eq!(ts.total.count, report.completed);
         assert_eq!(ts.total.max, report.latency.max);
         // Busy fractions stay physical even under preemption.
-        for w in &ts.windows {
-            for &f in &w.busy_frac {
+        for w in 0..ts.windows.len() {
+            for &f in ts.busy_frac(w) {
                 assert!((0.0..=1.0).contains(&f), "busy fraction {f} out of range");
             }
         }

@@ -8,8 +8,8 @@
 //! by open-loop Poisson-ish traffic. Everything is hand-rolled and
 //! zero-dependency in the style of `fuseconv_tensor::rng` — no tokio,
 //! no async: `(time, seq)`-keyed events held in the arrival slot plus
-//! a [`std::collections::BinaryHeap`] (a preempted batch's stale
-//! completion still pops and counts as an event), a vendored xorshift
+//! a short sorted run (a preempted batch's stale completion, told apart
+//! by its `seq`, still pops and counts as an event), a vendored xorshift
 //! PRNG for arrivals, and `u64` array cycles for the clock — so a fixed
 //! seed reproduces a million-request simulation bit for bit.
 //!

@@ -65,9 +65,10 @@ impl ArraySpec {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Spec`] for malformed entries and
-    /// [`ServeError::Array`] for dimensions the simulator rejects
-    /// (e.g. zero).
+    /// Returns [`ServeError::Spec`] for malformed entries and for
+    /// dimensions whose `rows × cols` or `rows + cols` (the refill
+    /// penalty) overflows, and [`ServeError::Array`] for dimensions the
+    /// simulator rejects (e.g. zero).
     pub fn parse(entry: &str) -> Result<Self, ServeError> {
         let entry = entry.trim();
         let (dims, dataflow) = match entry.split_once(':') {
@@ -92,6 +93,11 @@ impl ArraySpec {
             s.trim().parse::<usize>().map_err(|_| bad())
         };
         let (rows, cols) = (count(r, "row")?, count(c, "column")?);
+        if rows.checked_mul(cols).is_none() || rows.checked_add(cols).is_none() {
+            return Err(ServeError::Spec(format!(
+                "array `{entry}` is too large: its PE count or refill penalty overflows"
+            )));
+        }
         // Validate dimensions eagerly so parse errors surface before the
         // simulation starts.
         ArrayConfig::new(rows, cols)?;
@@ -233,6 +239,26 @@ mod tests {
             let want = format!("entry {position} ");
             assert!(msg.contains(&want), "`{spec}`: {msg}");
         }
+    }
+
+    #[test]
+    fn rejects_dimensions_that_overflow_by_entry() {
+        let max = usize::MAX;
+        for entry in [
+            format!("{max}x{max}"),
+            format!("{max}x2:ws"),
+            format!("1x{max}"),
+            format!("{}x{}", 1usize << 32, 1usize << 32),
+        ] {
+            let spec = format!("8x8,{entry}");
+            let Err(ServeError::Spec(msg)) = PodSpec::parse(&spec) else {
+                panic!("`{spec}` must be a spec error");
+            };
+            assert!(msg.contains(&format!("`{entry}`")), "`{spec}`: {msg}");
+        }
+        // The largest square whose PE count and refill penalty fit.
+        let side = (1usize << (usize::BITS / 2)) - 1;
+        PodSpec::parse(&format!("{side}x{side}")).expect("fits");
     }
 
     #[test]

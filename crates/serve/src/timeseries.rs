@@ -171,12 +171,6 @@ pub struct WindowReport {
     pub queue_mean: f64,
     /// Maximum queue depth observed over the window.
     pub queue_max: u64,
-    /// Busy fraction per array, pod order.
-    pub busy_frac: Vec<f64>,
-    /// Completions per network, workload order.
-    pub net_completed: Vec<u64>,
-    /// SLO-met completions per network, workload order.
-    pub net_slo_met: Vec<u64>,
     /// Median completion latency in the window (sketch estimate).
     pub p50: u64,
     /// 99th-percentile completion latency (sketch estimate).
@@ -671,7 +665,8 @@ impl TimeSeriesRecorder {
         self.acc(makespan.saturating_sub(1));
         let window = self.window;
         let makespan = makespan.max(1);
-        let (na, nn) = (self.n_arrays, self.n_nets);
+        let na = self.n_arrays;
+        let mut busy_frac = Vec::with_capacity(self.busy.len());
         let windows: Vec<WindowReport> = self
             .windows
             .iter()
@@ -684,6 +679,8 @@ impl TimeSeriesRecorder {
                     .min(makespan)
                     .saturating_sub(start)
                     .max(1);
+                let busy = &self.busy[i * na..(i + 1) * na];
+                busy_frac.extend(busy.iter().map(|&b| (b as f64 / width as f64).min(1.0)));
                 WindowReport {
                     index: i as u64,
                     offered: acc.offered,
@@ -697,12 +694,6 @@ impl TimeSeriesRecorder {
                     },
                     queue_mean: acc.depth_area as f64 / width as f64,
                     queue_max: acc.depth_max,
-                    busy_frac: self.busy[i * na..(i + 1) * na]
-                        .iter()
-                        .map(|&b| (b as f64 / width as f64).min(1.0))
-                        .collect(),
-                    net_completed: self.net_completed[i * nn..(i + 1) * nn].to_vec(),
-                    net_slo_met: self.net_slo_met[i * nn..(i + 1) * nn].to_vec(),
                     p50: acc.p50,
                     p99: acc.p99,
                     p999: acc.p999,
@@ -724,6 +715,9 @@ impl TimeSeriesRecorder {
             arrays,
             networks,
             windows,
+            busy_frac,
+            net_completed: self.net_completed,
+            net_slo_met: self.net_slo_met,
             alerts,
             exemplars,
             total: SketchSummary {
@@ -810,12 +804,20 @@ pub struct TimeSeriesReport {
     pub burn_threshold: f64,
     /// Configured tail-exemplar capacity.
     pub exemplar_capacity: usize,
-    /// Array names, pod order (indexes `WindowReport::busy_frac`).
+    /// Array names, pod order (indexes [`Self::busy_frac()`]).
     pub arrays: Vec<String>,
-    /// Network names, workload order (indexes the per-net vectors).
+    /// Network names, workload order (indexes [`Self::net_completed()`]
+    /// and [`Self::net_slo_met()`]).
     pub networks: Vec<String>,
     /// Per-window records covering `[0, makespan)`.
     pub windows: Vec<WindowReport>,
+    /// Busy fraction per window and array, window-major: one table for
+    /// the run instead of one allocation per window.
+    busy_frac: Vec<f64>,
+    /// Completions per window and network, window-major.
+    net_completed: Vec<u64>,
+    /// SLO-met completions per window and network, window-major.
+    net_slo_met: Vec<u64>,
     /// Burn-rate alert episodes, in time order.
     pub alerts: Vec<BurnAlert>,
     /// Worst-latency requests with full phase breakdown, worst first.
@@ -827,6 +829,24 @@ pub struct TimeSeriesReport {
 }
 
 impl TimeSeriesReport {
+    /// Busy fraction of every array in window `w`, pod order.
+    pub fn busy_frac(&self, w: usize) -> &[f64] {
+        let n = self.arrays.len();
+        &self.busy_frac[w * n..(w + 1) * n]
+    }
+
+    /// Completions per network in window `w`, workload order.
+    pub fn net_completed(&self, w: usize) -> &[u64] {
+        let n = self.networks.len();
+        &self.net_completed[w * n..(w + 1) * n]
+    }
+
+    /// SLO-met completions per network in window `w`, workload order.
+    pub fn net_slo_met(&self, w: usize) -> &[u64] {
+        let n = self.networks.len();
+        &self.net_slo_met[w * n..(w + 1) * n]
+    }
+
     /// Every deterministic field (everything except the manifest), the
     /// open document behind [`Self::results_hash`].
     fn results(&self) -> Json {
@@ -882,7 +902,7 @@ impl TimeSeriesReport {
             }
         })
         .arr("windows", |j| {
-            for w in &self.windows {
+            for (i, w) in self.windows.iter().enumerate() {
                 j.obj("", |j| {
                     j.raw("index", w.index)
                         .raw("start_cycle", w.index * self.window_cycles)
@@ -894,17 +914,17 @@ impl TimeSeriesReport {
                         .raw("queue_mean", f3(w.queue_mean))
                         .raw("queue_max", w.queue_max)
                         .nest("busy_frac", Layout::Inline, '[', |j| {
-                            for &v in &w.busy_frac {
+                            for &v in self.busy_frac(i) {
                                 j.raw("", f6(v));
                             }
                         })
                         .nest("net_completed", Layout::Inline, '[', |j| {
-                            for v in &w.net_completed {
+                            for v in self.net_completed(i) {
                                 j.raw("", v);
                             }
                         })
                         .nest("net_slo_met", Layout::Inline, '[', |j| {
-                            for v in &w.net_slo_met {
+                            for v in self.net_slo_met(i) {
                                 j.raw("", v);
                             }
                         })
@@ -961,10 +981,10 @@ impl TimeSeriesReport {
     /// per-array utilization, composing with the pid-0 batch lanes and
     /// the engine's own queue-depth counter.
     pub fn append_counters(&self, sink: &mut PodTraceSink) {
-        for w in &self.windows {
+        for (i, w) in self.windows.iter().enumerate() {
             let at = w.index * self.window_cycles;
             sink.counter("goodput", at, w.slo_met as f64);
-            for (a, frac) in w.busy_frac.iter().enumerate() {
+            for (a, frac) in self.busy_frac(i).iter().enumerate() {
                 let name = self.arrays.get(a).map(String::as_str).unwrap_or("?");
                 sink.counter(&format!("util {name}"), at, 100.0 * frac);
             }
@@ -1170,9 +1190,6 @@ mod tests {
             queue_min: 0,
             queue_mean: 0.0,
             queue_max: 0,
-            busy_frac: vec![0.5],
-            net_completed: vec![completed],
-            net_slo_met: vec![slo_met],
             p50: 10,
             p99: 20,
             p999: 30,
@@ -1244,10 +1261,10 @@ mod tests {
         feed.tick(230, 4);
         let report = feed.finish(250, &["a0", "a1"], &["net"]);
         assert_eq!(report.windows.len(), 3);
-        assert!((report.windows[0].busy_frac[0] - 0.5).abs() < 1e-9);
-        assert!((report.windows[1].busy_frac[0] - 1.0).abs() < 1e-9);
+        assert!((report.busy_frac(0)[0] - 0.5).abs() < 1e-9);
+        assert!((report.busy_frac(1)[0] - 1.0).abs() < 1e-9);
         // Final window is clipped to the 250-cycle makespan: 30/50.
-        assert!((report.windows[2].busy_frac[0] - 0.6).abs() < 1e-9);
+        assert!((report.busy_frac(2)[0] - 0.6).abs() < 1e-9);
         assert_eq!(report.windows[0].queue_max, 4);
         assert!((report.windows[1].queue_mean - 4.0).abs() < 1e-9);
         assert_eq!(report.windows[0].offered, 1);

@@ -358,3 +358,34 @@ fn preemption_never_raises_high_priority_latency_over_the_grid() {
     );
     assert_eq!(preempting, PREEMPTING_RUNS, "preempting runs in the sweep");
 }
+
+/// Report `results_fnv1a64` and event count of the 65-array pod below.
+const WIDE_POD_PINNED: (&str, u64) = ("fnv1a64:f2f60e82bef3172e", 43580);
+
+#[test]
+fn a_pod_wider_than_one_idle_word_is_pinned() {
+    // 65 arrays span two 64-bit words of the engine's idle-array
+    // bitset; overload with high-priority traffic keeps every array
+    // busy often enough to preempt.
+    let arrays: Vec<&str> = (0..65).map(|i| ARRAYS[i % ARRAYS.len()]).collect();
+    let pod = PodSpec::parse(&arrays.join(",")).expect("wide pod parses");
+    let workload = Workload::uniform(vec![network(0), network(2)]).expect("valid workload");
+    let cfg = ServeConfig {
+        preemption: true,
+        high_priority_frac: 0.2,
+        load: 1.1,
+        requests: 20_000,
+        seed: 65,
+        ..ServeConfig::default()
+    };
+    let report = simulate(&pod, &workload, &cfg, None).expect("wide pod simulates");
+    assert!(report.preemptions > 0, "no preemption on the wide pod");
+    assert!(
+        report.arrays[64].batches > 0,
+        "the array in the second idle word never ran"
+    );
+    assert_eq!(
+        (report.results_hash().as_str(), report.events),
+        WIDE_POD_PINNED
+    );
+}

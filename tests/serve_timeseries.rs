@@ -65,8 +65,9 @@ fn million_request_windows_sum_to_the_aggregate_report() {
 
     // Per-network window sums match the aggregate per-network rows.
     for (net, agg) in report.networks.iter().enumerate() {
-        let completed: u64 = ts.windows.iter().map(|w| w.net_completed[net]).sum();
-        let slo_met: u64 = ts.windows.iter().map(|w| w.net_slo_met[net]).sum();
+        let windows = 0..ts.windows.len();
+        let completed: u64 = windows.clone().map(|w| ts.net_completed(w)[net]).sum();
+        let slo_met: u64 = windows.map(|w| ts.net_slo_met(w)[net]).sum();
         assert_eq!(completed, agg.completed, "net {} completions", agg.name);
         assert_eq!(slo_met, agg.slo_met, "net {} SLO attainment", agg.name);
     }
@@ -81,10 +82,11 @@ fn million_request_windows_sum_to_the_aggregate_report() {
         let busy_windowed: f64 = ts
             .windows
             .iter()
-            .map(|w| {
+            .enumerate()
+            .map(|(i, w)| {
                 let start = w.index * ts.window_cycles;
                 let width = (start + ts.window_cycles).min(ts.makespan_cycles) - start;
-                w.busy_frac[a] * width as f64
+                ts.busy_frac(i)[a] * width as f64
             })
             .sum();
         let err = (busy_windowed - agg.busy_cycles as f64).abs();
