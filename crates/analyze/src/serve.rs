@@ -128,7 +128,7 @@ pub fn analyze_pod(
                 report.push(diag(
                     RuleId::Srv004ShardPlanIllegal,
                     Severity::Error,
-                    format!("{} / {} on {}", pod_name, name, pod.arrays[array].name()),
+                    format!("{name} on array {array} ({})", pod.arrays[array].name()),
                     format!("operator unpriceable on its dispatch target: {e}"),
                     "remove the degenerate network from the mix or fix the array spec",
                 ));
@@ -333,7 +333,7 @@ pub fn analyze_pod(
                 report.push(diag(
                     RuleId::Srv007StaticallyDeadArray,
                     Severity::Warning,
-                    format!("{} / array {} ({})", pod_name, a, pod.arrays[a].name()),
+                    format!("array {a} ({})", pod.arrays[a].name()),
                     format!(
                         "array {} is never the cheapest dispatch target for any network in \
                          the mix: predicted utilization 0 until every cheaper array saturates",

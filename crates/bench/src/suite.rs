@@ -88,17 +88,22 @@ pub fn run_suite(h: &Micro) -> Vec<SuiteBench> {
         ));
     }
 
-    let inputs: Vec<Vec<f32>> = (0..20)
+    // One line per channel: one convolution per array row.
+    let lines: Vec<Vec<f32>> = (0..20)
         .map(|_| (0..26).map(|_| rng.uniform(-1.0, 1.0)).collect())
         .collect();
-    let kernels: Vec<Vec<f32>> = (0..20)
-        .map(|_| (0..3).map(|_| rng.uniform(-1.0, 1.0)).collect())
+    let bcast: Vec<ChannelLines> = lines
+        .into_iter()
+        .map(|line| ChannelLines {
+            kernel: (0..3).map(|_| rng.uniform(-1.0, 1.0)).collect(),
+            lines: vec![line],
+        })
         .collect();
-    let cycles = conv1d::simulate(&cfg, &inputs, &kernels)
+    let cycles = conv1d::simulate_packed(&cfg, &bcast)
         .expect("valid conv1d")
         .cycles();
     let rec = h.bench("sim/conv1d_bcast", || {
-        conv1d::simulate(&cfg, &inputs, &kernels).expect("valid conv1d")
+        conv1d::simulate_packed(&cfg, &bcast).expect("valid conv1d")
     });
     out.push((rec, cycles));
 

@@ -588,13 +588,14 @@ fn run(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
                     // real simulator work at this array size.
                     let _s = telemetry::span("profile.sim");
                     let width = 64 + 3;
-                    let lines: Vec<Vec<f32>> = (0..array.rows())
-                        .map(|r| (0..width).map(|i| ((r + i) % 7) as f32).collect())
+                    let work: Vec<conv1d::ChannelLines> = (0..array.rows())
+                        .map(|r| conv1d::ChannelLines {
+                            kernel: vec![1.0, 0.5, -1.0],
+                            lines: vec![(0..width).map(|i| ((r + i) % 7) as f32).collect()],
+                        })
                         .collect();
-                    let kernels: Vec<Vec<f32>> =
-                        (0..array.rows()).map(|_| vec![1.0, 0.5, -1.0]).collect();
                     fuseconv_perf::counted(&array, |sink| {
-                        conv1d::simulate_traced(&array, &lines, &kernels, sink)
+                        conv1d::simulate_packed_traced(&array, &work, sink)
                     })?;
                 }
                 let _s = telemetry::span("profile.perf");
@@ -888,6 +889,27 @@ mod tests {
         assert!(text.starts_with('{') && text.trim_end().ends_with('}'));
         assert!(text.contains("\"traceEvents\""));
         std::fs::remove_file(out).unwrap();
+    }
+
+    #[test]
+    fn trace_scalesim_writes_three_csvs() {
+        // Layer 45 of FuSe-Full MobileNet-V3-Small is a strided 1x5 FuSe
+        // row bank: a row-broadcast simulation of a few thousand cycles.
+        let dir = std::env::temp_dir().join("fuseconv-cli-scalesim-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let stem = dir.join("layer45");
+        cli_with(
+            "trace --network mobilenet-v3-small --variant full --layer 45 --format scalesim \
+             --array 8 --out",
+            &[stem.to_str().unwrap()],
+        )
+        .unwrap();
+        for suffix in ["ifmap_read", "filter_read", "ofmap_write"] {
+            let path = dir.join(format!("layer45_{suffix}.csv"));
+            let csv = std::fs::read_to_string(&path).unwrap();
+            assert!(!csv.trim().is_empty(), "{suffix}");
+            std::fs::remove_file(path).unwrap();
+        }
     }
 
     #[test]

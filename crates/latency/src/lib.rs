@@ -18,7 +18,7 @@
 //!
 //! Cycle counts are the planner's fold runs priced in checked arithmetic;
 //! they equal [`fuseconv_systolic::Dataflow::analytic_cycles`] and
-//! [`fuseconv_systolic::conv1d::analytic_cycles`], which are validated
+//! [`fuseconv_systolic::conv1d::analytic_cycles_packed`], which are validated
 //! against the cycle-level simulator, so this crate inherits exact
 //! agreement with simulation.
 //!

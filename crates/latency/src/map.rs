@@ -220,7 +220,7 @@ pub(crate) fn tile_classes(total: u64, tile: u64) -> [(u64, u64); 2] {
 
 /// Serial packed-conv1d cycles at a fixed packing factor, mirroring
 /// `conv1d::cycles_at_lpr` in checked arithmetic: each fold costs
-/// `(width + k − 1) + k + ru`.
+/// `(lpr·cw + k − 1) + k + ru` for `ru` rows and a `cw`-wide column tile.
 fn fuse_cycles_at_lpr(
     rows: u64,
     cols: u64,
@@ -231,27 +231,16 @@ fn fuse_cycles_at_lpr(
 ) -> Option<u64> {
     let mut total = 0u64;
     for (ru, rc) in tile_classes(n_slots, rows) {
-        if rc == 0 {
-            continue;
-        }
-        if lpr == 1 {
-            for (cw, cc) in tile_classes(l_out, cols) {
-                if cc == 0 {
-                    continue;
-                }
-                let fold = cw
-                    .checked_add(k.checked_mul(2)?)?
-                    .checked_sub(1)?
-                    .checked_add(ru)?;
-                total = total.checked_add(fold.checked_mul(rc)?.checked_mul(cc)?)?;
+        for (cw, cc) in tile_classes(l_out, cols) {
+            if rc == 0 || cc == 0 {
+                continue;
             }
-        } else {
-            let width = lpr.checked_mul(l_out)?;
-            let fold = width
+            let fold = lpr
+                .checked_mul(cw)?
                 .checked_add(k.checked_mul(2)?)?
                 .checked_sub(1)?
                 .checked_add(ru)?;
-            total = total.checked_add(fold.checked_mul(rc)?)?;
+            total = total.checked_add(fold.checked_mul(rc)?.checked_mul(cc)?)?;
         }
     }
     Some(total)

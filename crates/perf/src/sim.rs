@@ -13,9 +13,8 @@ use fuseconv_trace::FoldSpec;
 /// Runs one traced simulation through a [`CounterSink`] sized to `cfg`
 /// and returns its result with the audited counters, e.g.
 /// `counted(&cfg, |sink| dataflow.simulate(&cfg, &a, &b, sink))`.
-/// Every cycle-exact simulator (`Dataflow::simulate`,
-/// `conv1d::simulate_traced`, `conv1d::simulate_packed_traced`) plugs in
-/// the same way.
+/// Both cycle-exact simulators (`Dataflow::simulate` and
+/// `conv1d::simulate_packed_traced`) plug in the same way.
 ///
 /// # Errors
 ///
@@ -108,7 +107,8 @@ pub fn plan_counters(model: &LatencyModel, op: &Op) -> Result<PerfCounters, Late
 mod tests {
     use super::*;
     use fuseconv_nn::ops::Axis1d;
-    use fuseconv_systolic::{conv1d, Dataflow};
+    use fuseconv_systolic::conv1d::{self, ChannelLines};
+    use fuseconv_systolic::Dataflow;
     use fuseconv_tensor::rng::Rng;
     use fuseconv_tensor::Tensor;
 
@@ -144,13 +144,15 @@ mod tests {
 
     #[test]
     fn conv1d_counts_broadcast_ticks() {
-        let inputs: Vec<Vec<f32>> = (0..5).map(|i| vec![i as f32; 9]).collect();
-        let kernels: Vec<Vec<f32>> = (0..5).map(|_| vec![1.0, 2.0, 3.0]).collect();
+        let work: Vec<ChannelLines> = (0..5)
+            .map(|i| ChannelLines {
+                kernel: vec![1.0, 2.0, 3.0],
+                lines: vec![vec![i as f32; 9]],
+            })
+            .collect();
         let cfg = cfg(4);
-        let (sim, counters) = counted(&cfg, |s| {
-            conv1d::simulate_traced(&cfg, &inputs, &kernels, s)
-        })
-        .unwrap();
+        let (sim, counters) =
+            counted(&cfg, |s| conv1d::simulate_packed_traced(&cfg, &work, s)).unwrap();
         counters.verify_total(sim.cycles()).unwrap();
         // Every fold broadcasts one tap per used row per compute cycle.
         let expected: u64 = counters

@@ -1,11 +1,13 @@
 //! The FuSeConv row-broadcast dataflow (§IV-C, Figs. 5–7).
 //!
-//! A batch of independent stride-1 1-D convolutions — one per occupied array
-//! row — runs concurrently. Within a fold:
+//! A batch of independent stride-1 1-D convolutions runs concurrently, one
+//! array row per *slot*: `lpr` lines of the same channel, sharing the row's
+//! weight-broadcast link ([`lines_per_row`] picks `lpr`; one line per row
+//! is the paper's one-convolution-per-row mapping). Within a fold of `ru`
+//! occupied rows and a column tile of `cw` output positions per line:
 //!
-//! 1. **Load** — each row's input window (`cu + K − 1` values) is preloaded
-//!    through the row's edge port, one value per cycle, pipelined:
-//!    `cu + K − 1` cycles.
+//! 1. **Load** — each row's input window is preloaded through the row's
+//!    edge port, one value per cycle, pipelined: `lpr·cw + K − 1` cycles.
 //! 2. **Compute** — for `K` cycles, tap `w[τ]` is broadcast over the row's
 //!    weight link while the input slides one PE to the left each cycle;
 //!    PE `(r, c)` accumulates `w_r[τ] · a_r[c + τ]`. *Every* used PE does a
@@ -14,26 +16,16 @@
 //! 3. **Drain** — outputs leave down the columns: `ru` cycles.
 //!
 //! ```text
-//! T_fold = (cu + K − 1) + K + ru
+//! T_fold = (lpr·cw + K − 1) + K + ru
 //! ```
 //!
-//! Folds tile the batch (`⌈#convs/rows⌉`) and each convolution's output
-//! positions (`⌈L_out/cols⌉`).
+//! Folds tile the slots (`⌈#slots/rows⌉`) and each line's output positions
+//! (`⌈L_out/cols⌉`). Packing (`lpr > 1`) only happens when `L_out < cols`,
+//! so a packed row is always a single column tile.
 
-use crate::{ArrayConfig, ConfigError, SimResult};
+use crate::{tick, ArrayConfig, ConfigError, SimResult};
 use fuseconv_tensor::Tensor;
 use fuseconv_trace::{FoldKind, NullSink, Operand, Phase, TraceEvent, TraceSink};
-
-/// Exact cycles of one broadcast-dataflow fold using `ru` rows, `cu`
-/// output columns and kernel length `k`.
-///
-/// # Panics
-///
-/// Panics if any argument is zero.
-pub fn fold_cycles(ru: usize, cu: usize, k: usize) -> u64 {
-    assert!(ru > 0 && cu > 0 && k > 0, "fold dimensions must be nonzero");
-    ((cu + k - 1) + k + ru) as u64
-}
 
 /// Golden model: direct stride-1 1-D convolution (cross-correlation).
 ///
@@ -49,213 +41,6 @@ pub fn conv1d_direct(input: &[f32], kernel: &[f32]) -> Vec<f32> {
     (0..l_out)
         .map(|c| kernel.iter().zip(&input[c..]).map(|(w, a)| w * a).sum())
         .collect()
-}
-
-/// Simulates a batch of independent stride-1 1-D convolutions using the
-/// row-broadcast dataflow.
-///
-/// All convolutions share the kernel length; each row `r` of the batch
-/// convolves `inputs[r]` with `kernels[r]`. Returns one output row per
-/// convolution (shape `[#convs, L_out]`).
-///
-/// # Errors
-///
-/// - [`ConfigError::BroadcastUnavailable`] if `cfg` lacks broadcast links —
-///   the dataflow physically requires them.
-/// - [`ConfigError::BadOperand`] for an empty batch, mismatched batch
-///   lengths, ragged inputs, or kernels longer than inputs.
-pub fn simulate(
-    cfg: &ArrayConfig,
-    inputs: &[Vec<f32>],
-    kernels: &[Vec<f32>],
-) -> Result<SimResult, ConfigError> {
-    simulate_traced(cfg, inputs, kernels, &mut NullSink)
-}
-
-/// [`simulate`] with every cycle narrated to `sink` as trace events.
-///
-/// The pipelined input preload is the fold's fill phase, the `K` broadcast
-/// cycles its compute phase (each also reported as a
-/// [`TraceEvent::WeightBroadcast`] tick per used row), and the output
-/// drain its drain phase.
-///
-/// # Errors
-///
-/// Same as [`simulate`].
-pub fn simulate_traced(
-    cfg: &ArrayConfig,
-    inputs: &[Vec<f32>],
-    kernels: &[Vec<f32>],
-    sink: &mut dyn TraceSink,
-) -> Result<SimResult, ConfigError> {
-    let _span = fuseconv_telemetry::span("sim.conv1d_bcast");
-    if !cfg.has_broadcast() {
-        return Err(ConfigError::BroadcastUnavailable);
-    }
-    if inputs.is_empty() || inputs.len() != kernels.len() {
-        return Err(ConfigError::BadOperand {
-            what: "batch must be nonempty with one kernel per input",
-        });
-    }
-    let l_in = inputs[0].len();
-    let k = kernels[0].len();
-    if k == 0 || l_in < k {
-        return Err(ConfigError::BadOperand {
-            what: "kernel must be nonempty and no longer than the input",
-        });
-    }
-    if inputs.iter().any(|i| i.len() != l_in) || kernels.iter().any(|w| w.len() != k) {
-        return Err(ConfigError::BadOperand {
-            what: "all inputs and kernels in a batch must have equal lengths",
-        });
-    }
-
-    let n_convs = inputs.len();
-
-    let l_out = l_in - k + 1;
-    let mut out = vec![0.0f32; n_convs * l_out];
-    let mut busy_trace: Vec<u32> = Vec::new();
-    let mut busy_pe_cycles = 0u64;
-    let mut folds = 0u64;
-
-    let wants_pe = sink.wants_pe_fires();
-    let wants_ops = sink.wants_operand_events();
-    let wants_bcast = sink.wants_broadcast_events();
-    for conv0 in (0..n_convs).step_by(cfg.rows()) {
-        let ru = cfg.rows().min(n_convs - conv0);
-        for col0 in (0..l_out).step_by(cfg.cols()) {
-            let cu = cfg.cols().min(l_out - col0);
-            sink.on_event(&TraceEvent::FoldStart {
-                fold: folds,
-                tag: folds,
-                cycle: busy_trace.len() as u64,
-                kind: FoldKind::RowBroadcast,
-                rows_used: ru as u32,
-                cols_used: cu as u32,
-            });
-            folds += 1;
-            // Load: pipelined preload of cu + k - 1 inputs per row.
-            for p in 0..(cu + k - 1) {
-                let cycle = busy_trace.len() as u64;
-                if wants_ops {
-                    for r in 0..ru {
-                        sink.on_event(&TraceEvent::OperandRead {
-                            cycle,
-                            operand: Operand::Ifmap,
-                            lane: r as u32,
-                            addr: ((conv0 + r) * l_in + (col0 + p)) as u64,
-                        });
-                    }
-                }
-                sink.on_event(&TraceEvent::Cycle {
-                    cycle,
-                    phase: Phase::Fill,
-                    busy: 0,
-                });
-                busy_trace.push(0);
-            }
-            // Compute: k broadcast cycles, all ru*cu PEs busy.
-            for tap in 0..k {
-                let cycle = busy_trace.len() as u64;
-                for r in 0..ru {
-                    let w = kernels[conv0 + r][tap];
-                    let row_in = &inputs[conv0 + r];
-                    for c in 0..cu {
-                        out[(conv0 + r) * l_out + (col0 + c)] += w * row_in[col0 + c + tap];
-                    }
-                    if wants_bcast {
-                        sink.on_event(&TraceEvent::WeightBroadcast {
-                            cycle,
-                            row: r as u32,
-                            tap: tap as u32,
-                        });
-                    }
-                    if wants_ops {
-                        sink.on_event(&TraceEvent::OperandRead {
-                            cycle,
-                            operand: Operand::Filter,
-                            lane: r as u32,
-                            addr: ((conv0 + r) * k + tap) as u64,
-                        });
-                    }
-                    if wants_pe {
-                        for c in 0..cu {
-                            sink.on_event(&TraceEvent::PeFire {
-                                cycle,
-                                row: r as u32,
-                                col: c as u32,
-                            });
-                        }
-                    }
-                }
-                sink.on_event(&TraceEvent::Cycle {
-                    cycle,
-                    phase: Phase::Compute,
-                    busy: (ru * cu) as u32,
-                });
-                busy_trace.push((ru * cu) as u32);
-                busy_pe_cycles += (ru * cu) as u64;
-            }
-            // Drain: outputs of array row d exit down the columns.
-            for d in 0..ru {
-                let cycle = busy_trace.len() as u64;
-                if wants_ops {
-                    for c in 0..cu {
-                        sink.on_event(&TraceEvent::OutputWrite {
-                            cycle,
-                            addr: ((conv0 + d) * l_out + (col0 + c)) as u64,
-                        });
-                    }
-                }
-                sink.on_event(&TraceEvent::Cycle {
-                    cycle,
-                    phase: Phase::Drain,
-                    busy: 0,
-                });
-                busy_trace.push(0);
-            }
-            sink.on_event(&TraceEvent::FoldEnd {
-                fold: folds - 1,
-                cycle: busy_trace.len() as u64,
-            });
-        }
-    }
-
-    let output = Tensor::from_vec(out, &[n_convs, l_out]).expect("nonzero dims");
-    let macs = (n_convs * l_out * k) as u64;
-    let sim = SimResult::new(
-        output,
-        macs,
-        busy_pe_cycles,
-        cfg.pe_count(),
-        folds,
-        busy_trace,
-    );
-    crate::record_sim_metrics(&sim);
-    Ok(sim)
-}
-
-/// Analytic total cycles for a batch of `n_convs` stride-1 1-D convolutions
-/// with output length `l_out` and kernel length `k` — the closed form
-/// validated against [`simulate`].
-///
-/// # Panics
-///
-/// Panics if any argument is zero.
-pub fn analytic_cycles(cfg: &ArrayConfig, n_convs: usize, l_out: usize, k: usize) -> u64 {
-    assert!(
-        n_convs > 0 && l_out > 0 && k > 0,
-        "batch dimensions must be nonzero"
-    );
-    let mut total = 0u64;
-    for conv0 in (0..n_convs).step_by(cfg.rows()) {
-        let ru = cfg.rows().min(n_convs - conv0);
-        for col0 in (0..l_out).step_by(cfg.cols()) {
-            let cu = cfg.cols().min(l_out - col0);
-            total += fold_cycles(ru, cu, k);
-        }
-    }
-    total
 }
 
 /// All 1-D convolution work belonging to one channel: a single kernel
@@ -283,19 +68,13 @@ fn cycles_at_lpr(
     k: usize,
     lpr: usize,
 ) -> u64 {
-    let slots_per_channel = lines.div_ceil(lpr);
-    let n_slots = channels * slots_per_channel;
+    let n_slots = channels * lines.div_ceil(lpr);
     let mut total = 0u64;
     for slot0 in (0..n_slots).step_by(cfg.rows()) {
         let ru = cfg.rows().min(n_slots - slot0);
-        if lpr == 1 {
-            for c0 in (0..l_out).step_by(cfg.cols()) {
-                let cw = cfg.cols().min(l_out - c0);
-                total += ((cw + k - 1) + k + ru) as u64;
-            }
-        } else {
-            let max_width = lpr * l_out;
-            total += ((max_width + k - 1) + k + ru) as u64;
+        for c0 in (0..l_out).step_by(cfg.cols()) {
+            let cw = cfg.cols().min(l_out - c0);
+            total += ((lpr * cw + k - 1) + k + ru) as u64;
         }
     }
     total
@@ -323,8 +102,9 @@ pub fn lines_per_row(
         .unwrap_or(1)
 }
 
-/// Simulates a packed batch: each channel's lines are grouped
-/// [`lines_per_row`] to an array row (sharing the row's broadcast weight);
+/// Simulates a batch of row-broadcast 1-D convolutions: each channel's
+/// lines are grouped [`lines_per_row`] to an array row (sharing the row's
+/// broadcast weight; one-line channels run one convolution per row), and
 /// row groups from different channels fill the remaining array rows.
 ///
 /// Returns outputs of shape `[channels · lines, l_out]`, ordered channel-
@@ -403,14 +183,6 @@ pub fn simulate_packed_traced(
     let mut busy_trace: Vec<u32> = Vec::new();
     let mut busy_pe_cycles = 0u64;
     let mut folds = 0u64;
-    let col_tiles: Vec<(usize, usize)> = if lpr == 1 {
-        (0..l_out)
-            .step_by(cfg.cols())
-            .map(|c0| (c0, cfg.cols().min(l_out - c0)))
-            .collect()
-    } else {
-        vec![(0, 0)] // single tile; width is per-slot (n_lines · l_out)
-    };
 
     let wants_pe = sink.wants_pe_fires();
     let wants_ops = sink.wants_operand_events();
@@ -418,12 +190,12 @@ pub fn simulate_packed_traced(
     for slot0 in (0..slots.len()).step_by(cfg.rows()) {
         let chunk = &slots[slot0..slots.len().min(slot0 + cfg.rows())];
         let ru = chunk.len();
-        for &(c0, cw) in &col_tiles {
+        for c0 in (0..l_out).step_by(cfg.cols()) {
+            let cw = cfg.cols().min(l_out - c0);
             // Load time is charged for the nominal row width (lpr lines)
             // even in remainder folds — the input ports run for the full
             // schedule regardless; this matches `analytic_cycles_packed`.
-            let width = |n_lines: usize| if lpr == 1 { cw } else { n_lines * l_out };
-            let nominal_width = if lpr == 1 { cw } else { lpr * l_out };
+            let nominal_width = lpr * cw;
             sink.on_event(&TraceEvent::FoldStart {
                 fold: folds,
                 tag: folds,
@@ -434,8 +206,8 @@ pub fn simulate_packed_traced(
             });
             folds += 1;
             for p in 0..(nominal_width + k - 1) {
-                let cycle = busy_trace.len() as u64;
                 if wants_ops {
+                    let cycle = busy_trace.len() as u64;
                     for (r, &(ch, l0, _)) in chunk.iter().enumerate() {
                         sink.on_event(&TraceEvent::OperandRead {
                             cycle,
@@ -445,19 +217,13 @@ pub fn simulate_packed_traced(
                         });
                     }
                 }
-                sink.on_event(&TraceEvent::Cycle {
-                    cycle,
-                    phase: Phase::Fill,
-                    busy: 0,
-                });
-                busy_trace.push(0);
+                tick(sink, &mut busy_trace, Phase::Fill, 0);
             }
-            let fold_busy: u64 = chunk.iter().map(|&(_, _, n)| width(n) as u64).sum();
+            let fold_busy: u64 = chunk.iter().map(|&(_, _, n)| (n * cw) as u64).sum();
             for tap in 0..k {
                 let cycle = busy_trace.len() as u64;
                 for (r, &(ch, l0, n_lines)) in chunk.iter().enumerate() {
-                    let kernel = &work[ch].kernel;
-                    let span = if lpr == 1 { 1 } else { n_lines };
+                    let w = work[ch].kernel[tap];
                     if wants_bcast {
                         sink.on_event(&TraceEvent::WeightBroadcast {
                             cycle,
@@ -473,55 +239,42 @@ pub fn simulate_packed_traced(
                             addr: (ch * k + tap) as u64,
                         });
                     }
-                    let (cols0, colw) = if lpr == 1 { (c0, cw) } else { (0, l_out) };
-                    for li in 0..span.max(1) {
-                        let line_idx = l0 + li;
-                        let at = (ch * lines + line_idx) * l_out + cols0;
-                        let input = &work[ch].lines[line_idx][cols0 + tap..][..colw];
-                        for (o, &x) in out[at..at + colw].iter_mut().zip(input) {
-                            *o += kernel[tap] * x;
+                    for li in 0..n_lines {
+                        let at = (ch * lines + l0 + li) * l_out + c0;
+                        let input = &work[ch].lines[l0 + li][c0 + tap..][..cw];
+                        for (o, &x) in out[at..at + cw].iter_mut().zip(input) {
+                            *o += w * x;
                         }
                         if wants_pe {
-                            for c in 0..colw {
+                            for c in 0..cw {
                                 sink.on_event(&TraceEvent::PeFire {
                                     cycle,
                                     row: r as u32,
-                                    col: (li * l_out + c) as u32,
+                                    col: (li * cw + c) as u32,
                                 });
                             }
                         }
                     }
                 }
-                sink.on_event(&TraceEvent::Cycle {
-                    cycle,
-                    phase: Phase::Compute,
-                    busy: fold_busy as u32,
-                });
-                busy_trace.push(fold_busy as u32);
+                tick(sink, &mut busy_trace, Phase::Compute, fold_busy as u32);
                 busy_pe_cycles += fold_busy;
             }
             // One drain cycle per occupied slot, each flushing that slot's
             // outputs down the columns.
             for &(ch, l0, n_lines) in chunk {
-                let cycle = busy_trace.len() as u64;
                 if wants_ops {
-                    let span = if lpr == 1 { 1 } else { n_lines };
-                    for li in 0..span.max(1) {
-                        let (cols0, colw) = if lpr == 1 { (c0, cw) } else { (0, l_out) };
-                        for c in 0..colw {
+                    let cycle = busy_trace.len() as u64;
+                    for li in 0..n_lines {
+                        let at = (ch * lines + l0 + li) * l_out + c0;
+                        for addr in at..at + cw {
                             sink.on_event(&TraceEvent::OutputWrite {
                                 cycle,
-                                addr: ((ch * lines + l0 + li) * l_out + cols0 + c) as u64,
+                                addr: addr as u64,
                             });
                         }
                     }
                 }
-                sink.on_event(&TraceEvent::Cycle {
-                    cycle,
-                    phase: Phase::Drain,
-                    busy: 0,
-                });
-                busy_trace.push(0);
+                tick(sink, &mut busy_trace, Phase::Drain, 0);
             }
             sink.on_event(&TraceEvent::FoldEnd {
                 fold: folds - 1,
@@ -573,19 +326,28 @@ pub fn analytic_cycles_packed(
 mod tests {
     use super::*;
 
-    fn bcast(rows: usize, cols: usize) -> ArrayConfig {
+    pub(super) fn bcast(rows: usize, cols: usize) -> ArrayConfig {
         ArrayConfig::new(rows, cols).unwrap().with_broadcast(true)
+    }
+
+    /// One single-line channel per `(line, kernel)` pair: the
+    /// one-convolution-per-row mapping.
+    pub(super) fn one_line(lines: Vec<Vec<f32>>, kernels: Vec<Vec<f32>>) -> Vec<ChannelLines> {
+        assert_eq!(lines.len(), kernels.len());
+        lines
+            .into_iter()
+            .zip(kernels)
+            .map(|(line, kernel)| ChannelLines {
+                kernel,
+                lines: vec![line],
+            })
+            .collect()
     }
 
     #[test]
     fn requires_broadcast_links() {
         let cfg = ArrayConfig::new(4, 4).unwrap();
-        let r = simulate(&cfg, &[vec![1.0; 5]], &[vec![1.0; 3]]);
-        assert_eq!(r.unwrap_err(), ConfigError::BroadcastUnavailable);
-        let work = [ChannelLines {
-            kernel: vec![1.0; 3],
-            lines: vec![vec![1.0; 5]],
-        }];
+        let work = one_line(vec![vec![1.0; 5]], vec![vec![1.0; 3]]);
         let r = simulate_packed(&cfg, &work);
         assert_eq!(r.unwrap_err(), ConfigError::BroadcastUnavailable);
     }
@@ -595,15 +357,13 @@ mod tests {
         let cfg = bcast(4, 8);
         let input = vec![1.0, 2.0, 3.0, 4.0, 5.0];
         let kernel = vec![1.0, 0.0, -1.0];
-        let sim = simulate(
-            &cfg,
-            std::slice::from_ref(&input),
-            std::slice::from_ref(&kernel),
-        )
-        .unwrap();
-        assert_eq!(sim.output().as_slice(), conv1d_direct(&input, &kernel));
+        let gold = conv1d_direct(&input, &kernel);
+        let sim = simulate_packed(&cfg, &one_line(vec![input], vec![kernel])).unwrap();
+        assert_eq!(sim.output().as_slice(), gold);
         assert_eq!(sim.folds(), 1);
-        assert_eq!(sim.cycles(), fold_cycles(1, 3, 3));
+        // A single fold of (3 + 3 − 1) + 3 + 1 cycles.
+        assert_eq!(sim.cycles(), 9);
+        assert_eq!(sim.cycles(), analytic_cycles_packed(&cfg, 1, 1, 3, 3));
     }
 
     #[test]
@@ -615,17 +375,17 @@ mod tests {
         let kernels: Vec<Vec<f32>> = (0..5)
             .map(|r| (0..3).map(|t| (r + t) as f32 * 0.5 - 1.0).collect())
             .collect();
-        let sim = simulate(&cfg, &inputs, &kernels).unwrap();
-        for (r, (i, w)) in inputs.iter().zip(&kernels).enumerate() {
-            let gold = conv1d_direct(i, w);
-            let got = &sim.output().as_slice()[r * 7..(r + 1) * 7];
-            for (a, b) in got.iter().zip(&gold) {
-                assert!((a - b).abs() < 1e-5);
-            }
-        }
+        let gold: Vec<f32> = inputs
+            .iter()
+            .zip(&kernels)
+            .flat_map(|(i, w)| conv1d_direct(i, w))
+            .collect();
+        let sim = simulate_packed(&cfg, &one_line(inputs, kernels)).unwrap();
+        assert_eq!(sim.output().as_slice(), gold);
         // ceil(5/2)=3 row tiles, ceil(7/3)=3 col tiles.
         assert_eq!(sim.folds(), 9);
-        assert_eq!(sim.cycles(), analytic_cycles(&cfg, 5, 7, 3));
+        assert_eq!(sim.cycles(), 81);
+        assert_eq!(sim.cycles(), analytic_cycles_packed(&cfg, 5, 1, 7, 3));
     }
 
     #[test]
@@ -633,9 +393,8 @@ mod tests {
         // The headline property (§IV-C-3): during compute, every used PE
         // MACs every cycle.
         let cfg = bcast(4, 4);
-        let inputs: Vec<Vec<f32>> = (0..4).map(|_| vec![1.0; 6]).collect();
-        let kernels: Vec<Vec<f32>> = (0..4).map(|_| vec![1.0; 3]).collect();
-        let sim = simulate(&cfg, &inputs, &kernels).unwrap();
+        let work = one_line(vec![vec![1.0; 6]; 4], vec![vec![1.0; 3]; 4]);
+        let sim = simulate_packed(&cfg, &work).unwrap();
         let peak = sim.busy_trace().iter().copied().max().unwrap();
         assert_eq!(peak as usize, cfg.pe_count());
         // busy cycles = folds * k at full array occupancy
@@ -645,16 +404,16 @@ mod tests {
     #[test]
     fn ragged_batches_rejected() {
         let cfg = bcast(2, 2);
-        assert!(simulate(&cfg, &[], &[]).is_err());
-        assert!(simulate(&cfg, &[vec![1.0; 4]], &[]).is_err());
-        assert!(simulate(
-            &cfg,
-            &[vec![1.0; 4], vec![1.0; 5]],
-            &[vec![1.0; 2], vec![1.0; 2]]
-        )
-        .is_err());
-        assert!(simulate(&cfg, &[vec![1.0; 2]], &[vec![1.0; 3]]).is_err());
-        assert!(simulate(&cfg, &[vec![1.0; 2]], &[vec![]]).is_err());
+        assert!(simulate_packed(&cfg, &[]).is_err());
+        let no_line = ChannelLines {
+            kernel: vec![1.0; 2],
+            lines: vec![],
+        };
+        assert!(simulate_packed(&cfg, &[no_line]).is_err());
+        let w = one_line(vec![vec![1.0; 4], vec![1.0; 5]], vec![vec![1.0; 2]; 2]);
+        assert!(simulate_packed(&cfg, &w).is_err());
+        assert!(simulate_packed(&cfg, &one_line(vec![vec![1.0; 2]], vec![vec![1.0; 3]])).is_err());
+        assert!(simulate_packed(&cfg, &one_line(vec![vec![1.0; 2]], vec![vec![]])).is_err());
     }
 
     #[test]
@@ -663,9 +422,8 @@ mod tests {
         // 18-element inputs. Via im2col each is a 16x9 · 9x1 GEMM on one
         // column; via broadcast they pack the whole array.
         let cfg = bcast(8, 8);
-        let inputs: Vec<Vec<f32>> = (0..16).map(|_| vec![1.0; 18]).collect();
-        let kernels: Vec<Vec<f32>> = (0..16).map(|_| vec![1.0; 3]).collect();
-        let fuse = simulate(&cfg, &inputs, &kernels).unwrap();
+        let work = one_line(vec![vec![1.0; 18]; 16], vec![vec![1.0; 3]; 16]);
+        let fuse = simulate_packed(&cfg, &work).unwrap();
         // The single-column GEMM alternative: each channel is a 16x9 · 9x1
         // GEMM (M = 16 outputs, K = 9 taps of a hypothetical 3x3 kernel with
         // the same MAC count), split into two row folds of 8.
@@ -686,11 +444,8 @@ mod tests {
 
 #[cfg(test)]
 mod packed_tests {
+    use super::tests::{bcast, one_line};
     use super::*;
-
-    fn bcast(rows: usize, cols: usize) -> ArrayConfig {
-        ArrayConfig::new(rows, cols).unwrap().with_broadcast(true)
-    }
 
     fn work(channels: usize, lines: usize, l_in: usize, k: usize) -> Vec<ChannelLines> {
         (0..channels)
@@ -712,15 +467,14 @@ mod packed_tests {
         let cfg = bcast(4, 16);
         let w = work(3, 5, 9, 3);
         let sim = simulate_packed(&cfg, &w).unwrap();
-        for (ch, cw) in w.iter().enumerate() {
-            for (li, line) in cw.lines.iter().enumerate() {
-                let gold = conv1d_direct(line, &cw.kernel);
-                let got = &sim.output().as_slice()[(ch * 5 + li) * 7..(ch * 5 + li + 1) * 7];
-                for (a, b) in got.iter().zip(&gold) {
-                    assert!((a - b).abs() < 1e-5);
-                }
-            }
-        }
+        let gold: Vec<f32> = w
+            .iter()
+            .flat_map(|c| c.lines.iter().flat_map(|l| conv1d_direct(l, &c.kernel)))
+            .collect();
+        assert_eq!(sim.output().as_slice(), gold);
+        assert_eq!(sim.folds(), 4);
+        assert_eq!(sim.cycles(), 63);
+        assert_eq!(sim.cycles(), analytic_cycles_packed(&cfg, 3, 5, 7, 3));
     }
 
     #[test]
@@ -751,12 +505,14 @@ mod packed_tests {
         let cfg = bcast(64, 64);
         let w = work(64, 7, 9, 3);
         let packed = simulate_packed(&cfg, &w).unwrap();
-        let flat_inputs: Vec<Vec<f32>> = w.iter().flat_map(|c| c.lines.iter().cloned()).collect();
-        let flat_kernels: Vec<Vec<f32>> = w
-            .iter()
-            .flat_map(|c| std::iter::repeat_n(c.kernel.clone(), 7))
-            .collect();
-        let naive = simulate(&cfg, &flat_inputs, &flat_kernels).unwrap();
+        // The same lines split into one-line channels cannot pack.
+        let split = one_line(
+            w.iter().flat_map(|c| c.lines.iter().cloned()).collect(),
+            w.iter()
+                .flat_map(|c| std::iter::repeat_n(c.kernel.clone(), 7))
+                .collect(),
+        );
+        let naive = simulate_packed(&cfg, &split).unwrap();
         assert!(packed.cycles() < naive.cycles());
         assert_eq!(packed.folds(), 1);
         // Functional agreement between the two mappings.
@@ -789,7 +545,7 @@ mod packed_tests {
         assert_eq!(lines_per_row(&cfg, 4, 10, 100, 3), 1);
         // Plenty of row capacity but few slots either way: the optimizer
         // may legitimately pick any factor; it must never be slower than
-        // the unpacked mapping.
+        // one line per row.
         let best = lines_per_row(&cfg, 1, 2, 17, 1);
         assert!(cycles_at_lpr(&cfg, 1, 2, 17, 1, best) <= cycles_at_lpr(&cfg, 1, 2, 17, 1, 1));
     }
@@ -803,24 +559,26 @@ mod packed_tests {
             (bcast(16, 16), 2, 9, 3, 5),
         ] {
             let chosen = analytic_cycles_packed(&cfg, ch, lines, l_out, k);
-            let unpacked = cycles_at_lpr(&cfg, ch, lines, l_out, k, 1);
-            assert!(chosen <= unpacked, "{ch} {lines} {l_out} {k}");
+            let one_per_row = cycles_at_lpr(&cfg, ch, lines, l_out, k, 1);
+            assert!(chosen <= one_per_row, "{ch} {lines} {l_out} {k}");
         }
     }
 }
 
 #[cfg(test)]
 mod grid_tests {
+    use super::tests::{bcast, one_line};
     use super::*;
     use fuseconv_tensor::rng::Rng;
+    use fuseconv_trace::{Operand::Ifmap, TraceEvent::OperandRead, VecSink};
 
-    /// Packed mapping: functional exactness and analytic-cycle equality
-    /// across a deterministic grid of geometries.
+    /// Packed mapping: functional exactness, analytic-cycle equality and
+    /// MAC count across a deterministic grid of geometries.
     #[test]
     fn packed_matches_golden_and_analytic_on_grid() {
         let mut rng = Rng::seed_from_u64(0x7061_636b);
         for &(rows, cols) in &[(1, 1), (2, 9), (4, 4), (5, 2)] {
-            let cfg = ArrayConfig::new(rows, cols).unwrap().with_broadcast(true);
+            let cfg = bcast(rows, cols);
             for &(channels, lines, l_in, k) in &[
                 (1, 1, 1, 1),
                 (1, 7, 13, 4),
@@ -840,32 +598,35 @@ mod grid_tests {
                 let sim = simulate_packed(&cfg, &w).unwrap();
                 let l_out = l_in - k + 1;
                 let ctx = format!("{rows}x{cols} array, c{channels} l{lines} in{l_in} k{k}");
-                for (ch, cw) in w.iter().enumerate() {
-                    for (li, line) in cw.lines.iter().enumerate() {
-                        let gold = conv1d_direct(line, &cw.kernel);
-                        let got = &sim.output().as_slice()
-                            [(ch * lines + li) * l_out..(ch * lines + li + 1) * l_out];
-                        for (a, b) in got.iter().zip(&gold) {
-                            assert!((a - b).abs() < 1e-4, "{ctx}");
-                        }
-                    }
-                }
+                let gold: Vec<f32> = w
+                    .iter()
+                    .flat_map(|c| c.lines.iter().flat_map(|l| conv1d_direct(l, &c.kernel)))
+                    .collect();
+                assert_eq!(sim.output().as_slice(), gold, "{ctx}");
                 assert_eq!(
                     sim.cycles(),
                     analytic_cycles_packed(&cfg, channels, lines, l_out, k),
                     "{ctx}"
                 );
+                let macs = channels * lines * l_out * k;
+                assert_eq!(sim.macs(), macs as u64, "{ctx}");
             }
         }
     }
 
-    /// The broadcast simulator is functionally exact and its cycle count
-    /// matches the closed form, across a grid of batches and array sizes.
+    /// One-line channels (one convolution per row) are functionally exact
+    /// and match the closed form, across a grid of batches and array sizes.
+    /// They are also the mapping of the former unpacked simulator, bit for
+    /// bit: over this grid the busy trace, output bits and event stream hash
+    /// to the values it produced. Fill-phase ifmap reads are left out of the
+    /// hash: the unpacked simulator offset their addresses by the column
+    /// tile's start, where these are schedule-positional.
     #[test]
     fn simulator_matches_golden_and_analytic_on_grid() {
         let mut rng = Rng::seed_from_u64(0x6276_3164);
+        let (mut events, mut busy, mut bits) = (String::new(), Vec::new(), Vec::new());
         for &(rows, cols) in &[(1, 1), (2, 5), (4, 4), (5, 2)] {
-            let cfg = ArrayConfig::new(rows, cols).unwrap().with_broadcast(true);
+            let cfg = bcast(rows, cols);
             for &(n_convs, l_in, k) in &[
                 (1, 1, 1),
                 (1, 15, 5),
@@ -874,29 +635,52 @@ mod grid_tests {
                 (7, 9, 4),
                 (3, 5, 5),
             ] {
-                let inputs: Vec<Vec<f32>> = (0..n_convs)
-                    .map(|_| (0..l_in).map(|_| rng.uniform(-0.5, 0.5)).collect())
+                let mut draw = |len: usize| -> Vec<Vec<f32>> {
+                    (0..n_convs)
+                        .map(|_| (0..len).map(|_| rng.uniform(-0.5, 0.5)).collect())
+                        .collect()
+                };
+                let inputs = draw(l_in);
+                let kernels = draw(k);
+                let gold: Vec<f32> = inputs
+                    .iter()
+                    .zip(&kernels)
+                    .flat_map(|(i, w)| conv1d_direct(i, w))
                     .collect();
-                let kernels: Vec<Vec<f32>> = (0..n_convs)
-                    .map(|_| (0..k).map(|_| rng.uniform(-0.5, 0.5)).collect())
-                    .collect();
-                let sim = simulate(&cfg, &inputs, &kernels).unwrap();
+                let mut sink = VecSink::default();
+                let sim =
+                    simulate_packed_traced(&cfg, &one_line(inputs, kernels), &mut sink).unwrap();
                 let l_out = l_in - k + 1;
                 let ctx = format!("{rows}x{cols} array, n{n_convs} in{l_in} k{k}");
-                for (r, (i, w)) in inputs.iter().zip(&kernels).enumerate() {
-                    let gold = conv1d_direct(i, w);
-                    let got = &sim.output().as_slice()[r * l_out..(r + 1) * l_out];
-                    for (a, b) in got.iter().zip(&gold) {
-                        assert!((a - b).abs() < 1e-4, "{ctx}");
-                    }
-                }
+                assert_eq!(sim.output().as_slice(), gold, "{ctx}");
                 assert_eq!(
                     sim.cycles(),
-                    analytic_cycles(&cfg, n_convs, l_out, k),
+                    analytic_cycles_packed(&cfg, n_convs, 1, l_out, k),
                     "{ctx}"
                 );
                 assert_eq!(sim.macs(), (n_convs * l_out * k) as u64, "{ctx}");
+                sink.events
+                    .retain(|e| !matches!(e, OperandRead { operand: Ifmap, .. }));
+                events += &format!(
+                    "{rows}x{cols} n{n_convs} in{l_in} k{k}\n{:?}\n",
+                    sink.events
+                );
+                busy.extend(sim.busy_trace().iter().flat_map(|x| x.to_le_bytes()));
+                bits.extend(
+                    sim.output()
+                        .as_slice()
+                        .iter()
+                        .flat_map(|x| x.to_bits().to_le_bytes()),
+                );
             }
         }
+        let fnv = fuseconv_telemetry::fnv1a64;
+        let got = [fnv(events.as_bytes()), fnv(&busy), fnv(&bits)];
+        let pinned = [
+            0x6c0c_619a_b974_8b11,
+            0x7f32_5c86_214b_3c27,
+            0xde25_ace5_bb6f_8ecc,
+        ];
+        assert_eq!(got, pinned, "[events, busy_trace, output]");
     }
 }

@@ -17,11 +17,13 @@
 //!   counts in closed form, and generates per-PE and per-operand trace
 //!   events only for sinks that ask for them. [`gemm`], [`ws_gemm`] and
 //!   [`is_gemm`] are its untraced entry points.
-//! - [`conv1d`] — the paper's **row-broadcast** dataflow for FuSeConv:
-//!   each array row runs an independent 1-D convolution. The row's weight
-//!   taps are broadcast (one per cycle) over a dedicated link while the
-//!   preloaded input slides left one PE per cycle; outputs stay stationary
-//!   and drain down the columns like the OS dataflow.
+//! - [`conv1d`] — the paper's **row-broadcast** dataflow for FuSeConv,
+//!   one simulator: each array row runs the 1-D convolutions of one or
+//!   more lines of the same channel (short lines are packed side by side;
+//!   one line per row is the paper's mapping). The row's weight taps are
+//!   broadcast (one per cycle) over a dedicated link while the preloaded
+//!   input slides left one PE per cycle; outputs stay stationary and drain
+//!   down the columns like the OS dataflow.
 //! - [`legality`] — the RIA space–time mapping of each dataflow, verified
 //!   statically.
 //!
@@ -64,6 +66,8 @@ pub use config::{ArrayConfig, ConfigError};
 pub use result::SimResult;
 pub use wavefront::Dataflow;
 
+use fuseconv_trace::{Phase, TraceEvent, TraceSink};
+
 /// Count one finished simulation in the telemetry run's metrics registry:
 /// `sim.runs_total`, `sim.cycles_total` (simulated cycles) and
 /// `sim.folds_total`. Every traced simulator entry point calls this
@@ -73,4 +77,12 @@ fn record_sim_metrics(sim: &SimResult) {
     fuseconv_telemetry::counter("sim.runs_total").inc();
     fuseconv_telemetry::counter("sim.cycles_total").add(sim.cycles());
     fuseconv_telemetry::counter("sim.folds_total").add(sim.folds());
+}
+
+/// Records one simulated cycle of `phase` with `busy` PEs firing: narrates
+/// it to `sink` and appends it to the busy trace.
+fn tick(sink: &mut dyn TraceSink, busy_trace: &mut Vec<u32>, phase: Phase, busy: u32) {
+    let cycle = busy_trace.len() as u64;
+    sink.on_event(&TraceEvent::Cycle { cycle, phase, busy });
+    busy_trace.push(busy);
 }

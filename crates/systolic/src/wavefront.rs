@@ -23,7 +23,7 @@
 //!   narrates; it runs only when the sink opts in, and debug builds assert
 //!   that its busy count equals the closed form.
 
-use crate::{ArrayConfig, ConfigError, SimResult};
+use crate::{tick, ArrayConfig, ConfigError, SimResult};
 use fuseconv_tensor::Tensor;
 use fuseconv_trace::{FoldKind, Operand, Phase, TraceEvent, TraceSink};
 use std::ops::Range;
@@ -335,13 +335,6 @@ impl Dataflow {
         crate::record_sim_metrics(&sim);
         Ok(sim)
     }
-}
-
-/// Records one cycle of `phase` with `busy` PEs firing.
-fn tick(sink: &mut dyn TraceSink, busy_trace: &mut Vec<u32>, phase: Phase, busy: u32) {
-    let cycle = busy_trace.len() as u64;
-    sink.on_event(&TraceEvent::Cycle { cycle, phase, busy });
-    busy_trace.push(busy);
 }
 
 /// Output columns of one register tile.

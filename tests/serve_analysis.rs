@@ -352,6 +352,24 @@ fn srv007_dominated_array_matches_latency_harm() {
     assert!(r.arrays[1].requests > 0);
 }
 
+/// A wide pod names each dead array by index and spec alone: the
+/// dominated arrays of a 65-array pod do not each repeat the whole pod.
+#[test]
+fn srv007_names_dead_arrays_without_the_pod_string() {
+    let spec = format!("{}8x8:is", "16x16:os,8x8:ws,".repeat(32));
+    let pod = PodSpec::parse(&spec).expect("pod");
+    assert_eq!(pod.len(), 65);
+    let w = Workload::uniform(vec![zoo::mobilenet_v1()]).expect("mix");
+    let report = analyze_pod(&pod, &w, &cfg(400, 0.3)).expect("analysis");
+    let dead = report.with_rule(RuleId::Srv007StaticallyDeadArray);
+    assert!(dead.len() >= 32, "{} dead arrays", dead.len());
+    assert_eq!(dead[0].context, "array 1 (8x8:ws)");
+    let pod_string = pod.to_string();
+    for d in dead {
+        assert!(!d.context.contains(&pod_string), "{}", d.context);
+    }
+}
+
 // ------------------------------------------------------------- the oracle
 
 /// Memoised repricing is a cache hit with a bit-identical price: a

@@ -58,28 +58,10 @@ fn traced_gemm_cycles_match_simulator_and_model() {
 
 #[test]
 fn traced_conv1d_cycles_match_simulator_and_model() {
-    // (channels, lines, l_out, k) grids including multi-fold and packed
-    // (lpr > 1) schedules.
-    let shapes = [
-        (1, 1, 6, 3),
-        (3, 4, 9, 3),
-        (5, 7, 2, 2),
-        (2, 9, 12, 5),
-        (8, 3, 4, 3),
-    ];
     for (rows, cols) in ARRAYS {
         let cfg = ArrayConfig::new(rows, cols).unwrap().with_broadcast(true);
-        for (channels, lines, l_out, k) in shapes {
-            let l_in = l_out + k - 1;
-            let mut rng = Rng::seed_from_u64(0x5852_4332);
-            let work: Vec<ChannelLines> = (0..channels)
-                .map(|_| ChannelLines {
-                    kernel: (0..k).map(|_| rng.uniform(-0.5, 0.5)).collect(),
-                    lines: (0..lines)
-                        .map(|_| (0..l_in).map(|_| rng.uniform(-0.5, 0.5)).collect())
-                        .collect(),
-                })
-                .collect();
+        for (channels, lines, l_out, k) in CONV1D_SHAPES {
+            let work = conv1d_work(channels, lines, l_out, k);
             let mut sink = UtilizationSink::new(rows, cols);
             let sim = conv1d::simulate_packed_traced(&cfg, &work, &mut sink).unwrap();
             let ctx = format!("{rows}x{cols} c{channels} l{lines} out{l_out} k{k}");
@@ -279,8 +261,8 @@ fn gemm_event_streams_match_pinned_fingerprints() {
     }
 }
 
-/// The `(channels, lines, l_out, k)` grid and operands of
-/// `traced_conv1d_cycles_match_simulator_and_model`, for fingerprinting.
+/// The `(channels, lines, l_out, k)` conv1d grid, multi-fold and packed
+/// (`lpr > 1`) schedules included.
 const CONV1D_SHAPES: [(usize, usize, usize, usize); 5] = [
     (1, 1, 6, 3),
     (3, 4, 9, 3),
