@@ -72,7 +72,7 @@ pub enum RuleId {
     /// A FuSe substitution changes the output shape of the depthwise block
     /// it replaces.
     Shp002SubstitutionShapeChange,
-    /// Offered load ρ = Σ rateᵢ·E[costᵢ] / pod capacity ≥ 1: the open-loop
+    /// Offered load ρ = Σ rateᵢ·E\[costᵢ\] / pod capacity ≥ 1: the open-loop
     /// arrival process outruns the pod and the queue diverges.
     Srv001PodOverload,
     /// A network's zero-queueing latency floor on its cheapest array

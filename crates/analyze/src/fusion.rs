@@ -93,14 +93,14 @@ enum PairCheck {
 impl PairFacts {
     /// Reads the facts off a lifted pair IR: the reference semantics.
     fn of_ir(ir: &PlanIr) -> PairFacts {
-        let mut inter = fuseconv_latency::ir::ValueSet::empty(ir.values().len());
+        let mut inter = vec![false; ir.values().len()];
         for &v in ir.intermediates() {
-            inter.insert(v);
+            inter[v.0] = true;
         }
         let (start, end) = ir
             .live_intervals()
             .iter()
-            .filter(|iv| inter.contains(iv.value))
+            .filter(|iv| inter[iv.value.0])
             .fold((usize::MAX, 0), |(s, e), iv| {
                 (s.min(iv.start), e.max(iv.end))
             });

@@ -9,7 +9,7 @@
 //! and PLAN/MEM prove one fold plan sound, this family proves (or
 //! refutes) steady-state claims about a whole serving deployment:
 //!
-//! * **SRV001 pod overload** — offered load ρ = Σ rateᵢ·E[costᵢ] /
+//! * **SRV001 pod overload** — offered load ρ = Σ rateᵢ·E\[costᵢ\] /
 //!   aggregate pod capacity ≥ 1 means the open-loop queue diverges; no
 //!   simulation length changes the verdict. The capacity denominator is
 //!   [`fuseconv_serve::CostOracle::pod_capacity`], the *same* estimate

@@ -156,7 +156,8 @@ pub fn run_suite(h: &Micro) -> Vec<SuiteBench> {
     // Fusion-legality analysis of FuSe-Full MobileNet-V2: plans every op
     // once and prices each FuSe row/col -> pointwise pair in closed form
     // from the two fold plans (dependence edges, residency, SRAM saving);
-    // the lifted `PlanIr` is the test reference, not this path. `cycles`
+    // no `PlanIr` is built here (a unit test pins the closed form to the
+    // lifted pair). `cycles`
     // is the analytic fold-plan total of the analyzed network, so the
     // figure reads as "modeled cycles statically audited per second".
     let fused_v2 = zoo::mobilenet_v2().transform_all(fuseconv_nn::FuSeVariant::Full);

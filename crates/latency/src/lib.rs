@@ -53,10 +53,7 @@ pub mod plan;
 pub mod report;
 
 pub use audit::{audit_plan, fold_footprint, plan_high_water, FoldFootprint, PlanViolation};
-pub use ir::{
-    solve, DataflowProblem, Direction, FoldNode, LiveInterval, Liveness, NodeFacts, PlanIr,
-    ReachingDefs, ValueClass, ValueDef, ValueId, ValueInfo, ValueSet,
-};
+pub use ir::{FoldNode, LiveInterval, PlanIr, ValueClass, ValueDef, ValueId, ValueInfo};
 pub use map::{Dataflow, FoldOverlap, LatencyError, LatencyModel};
 pub use plan::{AsFoldRuns, FoldRuns, Runs};
 pub use report::{

@@ -89,12 +89,17 @@ impl Network {
 
     /// Total MACs.
     pub fn macs(&self) -> u64 {
-        self.ops().iter().map(|n| n.op.macs()).sum()
+        self.block_ops().map(|op| op.macs()).sum()
     }
 
     /// Total parameters.
     pub fn params(&self) -> u64 {
-        self.ops().iter().map(|n| n.op.params()).sum()
+        self.block_ops().map(|op| op.params()).sum()
+    }
+
+    /// Every block's operators, in order, without the [`NamedOp`] labels.
+    fn block_ops(&self) -> impl Iterator<Item = Op> + '_ {
+        self.blocks.iter().flat_map(|(_, b)| b.ops())
     }
 
     /// MAC/parameter summary.

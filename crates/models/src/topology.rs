@@ -38,6 +38,7 @@
 
 use crate::block::{Block, SeparableBlock, SpatialFilter};
 use crate::network::Network;
+use fuseconv_nn::FuSeVariant;
 use std::error::Error;
 use std::fmt;
 
@@ -79,11 +80,13 @@ fn parse_usize(line: usize, field: &str, what: &str) -> Result<usize, ParseTopol
 /// # Errors
 ///
 /// Returns [`ParseTopologyError`] for unknown directives, wrong arity,
-/// non-integer fields, a missing/duplicate `input` directive, or
-/// zero-sized dimensions.
+/// non-integer fields, a missing/duplicate `input` directive,
+/// zero-sized dimensions, or sizes whose geometry, FuSe channel count or
+/// MAC/parameter count overflows.
 pub fn parse(name: &str, text: &str) -> Result<Network, ParseTopologyError> {
     let mut blocks: Vec<(String, Block)> = Vec::new();
     let mut geom: Option<(usize, usize, usize)> = None; // (h, w, c)
+    let mut totals = [(0u64, 0u64); 3]; // (MACs, params): as written, Full, Half
 
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
@@ -115,7 +118,7 @@ pub fn parse(name: &str, text: &str) -> Result<Network, ParseTopologyError> {
             return Err(err(line_no, "the first directive must be `input`"));
         };
 
-        match kind.as_str() {
+        let block = match kind.as_str() {
             "conv" => {
                 if args.len() != 3 {
                     return Err(err(line_no, "`conv` takes <out_c>, <k>, <stride>"));
@@ -124,23 +127,20 @@ pub fn parse(name: &str, text: &str) -> Result<Network, ParseTopologyError> {
                 let k = parse_usize(line_no, args[1], "k")?;
                 let stride = parse_usize(line_no, args[2], "stride")?;
                 validate_spatial(line_no, h, w, k, stride)?;
-                blocks.push((
-                    format!("conv{}", blocks.len()),
-                    Block::Conv {
-                        in_h: h,
-                        in_w: w,
-                        in_c: c,
-                        out_c,
-                        k,
-                        stride,
-                    },
-                ));
                 let pad = k / 2;
                 geom = Some((
                     (h + 2 * pad - k) / stride + 1,
                     (w + 2 * pad - k) / stride + 1,
                     out_c,
                 ));
+                Block::Conv {
+                    in_h: h,
+                    in_w: w,
+                    in_c: c,
+                    out_c,
+                    k,
+                    stride,
+                }
             }
             "sep" => {
                 if args.len() != 4 && args.len() != 5 {
@@ -169,6 +169,9 @@ pub fn parse(name: &str, text: &str) -> Result<Network, ParseTopologyError> {
                 if exp_c == 0 || out_c == 0 {
                     return Err(err(line_no, "channel counts must be nonzero"));
                 }
+                if exp_c.checked_mul(2).is_none() {
+                    return Err(err(line_no, "exp_c overflows the FuSe channel count"));
+                }
                 let block = SeparableBlock {
                     in_h: h,
                     in_w: w,
@@ -181,38 +184,32 @@ pub fn parse(name: &str, text: &str) -> Result<Network, ParseTopologyError> {
                     filter: SpatialFilter::Depthwise,
                 };
                 let (oh, ow) = block.out_hw();
-                blocks.push((format!("sep{}", blocks.len()), Block::Separable(block)));
                 geom = Some((oh, ow, out_c));
+                Block::Separable(block)
             }
             "head" => {
                 if args.len() != 1 {
                     return Err(err(line_no, "`head` takes <out_c>"));
                 }
                 let out_c = parse_usize(line_no, args[0], "out_c")?;
-                blocks.push((
-                    format!("head{}", blocks.len()),
-                    Block::Head {
-                        in_h: h,
-                        in_w: w,
-                        in_c: c,
-                        out_c,
-                    },
-                ));
                 geom = Some((h, w, out_c));
+                Block::Head {
+                    in_h: h,
+                    in_w: w,
+                    in_c: c,
+                    out_c,
+                }
             }
             "fc" => {
                 if args.len() != 1 {
                     return Err(err(line_no, "`fc` takes <out_features>"));
                 }
                 let out = parse_usize(line_no, args[0], "out_features")?;
-                blocks.push((
-                    format!("fc{}", blocks.len()),
-                    Block::Fc {
-                        in_features: c,
-                        out_features: out,
-                    },
-                ));
                 geom = Some((1, 1, out));
+                Block::Fc {
+                    in_features: c,
+                    out_features: out,
+                }
             }
             other => {
                 return Err(err(
@@ -220,7 +217,9 @@ pub fn parse(name: &str, text: &str) -> Result<Network, ParseTopologyError> {
                     format!("unknown directive `{other}` (expected input/conv/sep/head/fc)"),
                 ));
             }
-        }
+        };
+        add_counts(line_no, block, &mut totals)?;
+        blocks.push((format!("{kind}{}", blocks.len()), block));
     }
 
     if geom.is_none() {
@@ -235,7 +234,8 @@ pub fn parse(name: &str, text: &str) -> Result<Network, ParseTopologyError> {
 /// Rejects a zero kernel or stride, and a kernel or stride larger than
 /// the `h`×`w` input map: same-padding (`k/2`) would let such a layer
 /// "run", but it would mostly multiply padding, and its cost and any
-/// FuSe speed-up priced from it would be meaningless.
+/// FuSe speed-up priced from it would be meaningless. Also rejects a map
+/// whose padded extent overflows.
 fn validate_spatial(
     line: usize,
     h: usize,
@@ -252,6 +252,37 @@ fn validate_spatial(
             line,
             format!("kernel {k} or stride {stride} exceeds the {h}x{w} input map"),
         ));
+    }
+    if h.max(w).checked_add(k / 2 * 2).is_none() {
+        return Err(err(
+            line,
+            format!("the {h}x{w} input map padded by {} overflows", k / 2),
+        ));
+    }
+    Ok(())
+}
+
+/// Adds `block`'s MAC and parameter counts — as written and under FuSe
+/// Full and Half — to the network `totals`, rejecting the block if any
+/// count or total overflows `u64`. A parsed network's `macs()`,
+/// `params()` and `transform_all` results therefore never overflow.
+fn add_counts(
+    line: usize,
+    block: Block,
+    totals: &mut [(u64, u64); 3],
+) -> Result<(), ParseTopologyError> {
+    let variants = [None, Some(FuSeVariant::Full), Some(FuSeVariant::Half)];
+    for (variant, (macs, params)) in variants.into_iter().zip(totals) {
+        for op in variant.map_or(block, |v| block.fused(v)).ops() {
+            let (Some(m), Some(p)) = (
+                op.checked_macs().and_then(|m| macs.checked_add(m)),
+                op.checked_params().and_then(|p| params.checked_add(p)),
+            ) else {
+                let message = format!("the MAC or parameter count of `{op}` overflows");
+                return Err(err(line, message));
+            };
+            (*macs, *params) = (m, p);
+        }
     }
     Ok(())
 }
@@ -388,6 +419,32 @@ mod tests {
         let e = parse("bad", "input, 32, 3\nsep, 8, 16, 3, 1, se0").unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.to_string().contains("se divisor must be nonzero"), "{e}");
+    }
+
+    #[test]
+    fn overflowing_input_side_is_rejected_with_its_line() {
+        // Once "attempt to add with overflow" in the conv geometry.
+        let padded = "input, 18446744073709551615, 3\nconv, 8, 3, 1";
+        // 1x1 kernels keep the geometry in range; the MAC count is not.
+        let macs = "input, 18446744073709551615, 3\nconv, 8, 1, 1";
+        for (text, needle) in [(padded, "padded by 1 overflows"), (macs, "MAC")] {
+            let e = parse("bad", text).unwrap_err();
+            assert_eq!(e.line, 2, "{e}");
+            assert!(e.to_string().contains(needle), "{e}");
+        }
+    }
+
+    #[test]
+    fn overflowing_expansion_is_rejected_with_its_line() {
+        // Once parsed, then "attempt to multiply with overflow" in
+        // `transform_all` (2 * exp_c) and in `macs()`.
+        let fuse = "input, 224, 3\nsep, 18446744073709551615, 320, 3, 1";
+        let macs = "input, 224, 3\nsep, 9223372036854775807, 320, 3, 1";
+        for (text, needle) in [(fuse, "FuSe channel count"), (macs, "MAC")] {
+            let e = parse("bad", text).unwrap_err();
+            assert_eq!(e.line, 2, "{e}");
+            assert!(e.to_string().contains(needle), "{e}");
+        }
     }
 
     #[test]

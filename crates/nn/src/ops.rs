@@ -280,35 +280,54 @@ impl Op {
     }
 
     /// Exact multiply-accumulate count (§II-D / §IV-A formulas).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the count overflows `u64` ([`Op::checked_macs`] returns
+    /// `None` instead).
     pub fn macs(&self) -> u64 {
+        self.checked_macs().expect("MAC count overflows u64")
+    }
+
+    /// [`Op::macs`], or `None` if the count overflows `u64`: every
+    /// operator does one MAC per weight per output pixel.
+    pub fn checked_macs(&self) -> Option<u64> {
         let (oh, ow, _) = self.output_shape();
-        match *self {
-            Op::Conv2d { in_c, out_c, k, .. } => (oh * ow * out_c * k * k * in_c) as u64,
-            Op::Depthwise { c, k, .. } => (oh * ow * c * k * k) as u64,
-            Op::Pointwise { in_c, out_c, .. } => (oh * ow * in_c * out_c) as u64,
-            Op::FuSe1d { c, k, .. } => (oh * ow * c * k) as u64,
-            Op::Fc {
-                in_features,
-                out_features,
-            } => (in_features * out_features) as u64,
-        }
+        product(&[oh, ow])?.checked_mul(self.checked_params()?)
     }
 
     /// Exact weight-parameter count (biases and batch-norm affine terms are
     /// excluded uniformly; the comparisons in the paper are insensitive to
     /// them).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the count overflows `u64` ([`Op::checked_params`]
+    /// returns `None` instead).
     pub fn params(&self) -> u64 {
+        self.checked_params()
+            .expect("parameter count overflows u64")
+    }
+
+    /// [`Op::params`], or `None` if the count overflows `u64`.
+    pub fn checked_params(&self) -> Option<u64> {
         match *self {
-            Op::Conv2d { in_c, out_c, k, .. } => (out_c * k * k * in_c) as u64,
-            Op::Depthwise { c, k, .. } => (c * k * k) as u64,
-            Op::Pointwise { in_c, out_c, .. } => (in_c * out_c) as u64,
-            Op::FuSe1d { c, k, .. } => (c * k) as u64,
+            Op::Conv2d { in_c, out_c, k, .. } => product(&[out_c, k, k, in_c]),
+            Op::Depthwise { c, k, .. } => product(&[c, k, k]),
+            Op::Pointwise { in_c, out_c, .. } => product(&[in_c, out_c]),
+            Op::FuSe1d { c, k, .. } => product(&[c, k]),
             Op::Fc {
                 in_features,
                 out_features,
-            } => (in_features * out_features) as u64,
+            } => product(&[in_features, out_features]),
         }
     }
+}
+
+/// Product of `dims` in `u64`, or `None` on overflow.
+fn product(dims: &[usize]) -> Option<u64> {
+    dims.iter()
+        .try_fold(1u64, |acc, &d| acc.checked_mul(u64::try_from(d).ok()?))
 }
 
 impl fmt::Display for Op {

@@ -213,7 +213,7 @@ pub fn simulate_packed_traced(
                             cycle,
                             operand: Operand::Ifmap,
                             lane: r as u32,
-                            addr: ((ch * lines + l0) * l_in + p) as u64,
+                            addr: ((ch * lines + l0) * l_in + c0 + p) as u64,
                         });
                     }
                 }
@@ -570,7 +570,7 @@ mod grid_tests {
     use super::tests::{bcast, one_line};
     use super::*;
     use fuseconv_tensor::rng::Rng;
-    use fuseconv_trace::{Operand::Ifmap, TraceEvent::OperandRead, VecSink};
+    use fuseconv_trace::VecSink;
 
     /// Packed mapping: functional exactness, analytic-cycle equality and
     /// MAC count across a deterministic grid of geometries.
@@ -617,10 +617,8 @@ mod grid_tests {
     /// One-line channels (one convolution per row) are functionally exact
     /// and match the closed form, across a grid of batches and array sizes.
     /// They are also the mapping of the former unpacked simulator, bit for
-    /// bit: over this grid the busy trace, output bits and event stream hash
-    /// to the values it produced. Fill-phase ifmap reads are left out of the
-    /// hash: the unpacked simulator offset their addresses by the column
-    /// tile's start, where these are schedule-positional.
+    /// bit: over this grid the busy trace, output bits and event stream
+    /// (fill-phase ifmap reads included) hash to the values it produced.
     #[test]
     fn simulator_matches_golden_and_analytic_on_grid() {
         let mut rng = Rng::seed_from_u64(0x6276_3164);
@@ -659,8 +657,6 @@ mod grid_tests {
                     "{ctx}"
                 );
                 assert_eq!(sim.macs(), (n_convs * l_out * k) as u64, "{ctx}");
-                sink.events
-                    .retain(|e| !matches!(e, OperandRead { operand: Ifmap, .. }));
                 events += &format!(
                     "{rows}x{cols} n{n_convs} in{l_in} k{k}\n{:?}\n",
                     sink.events
@@ -677,7 +673,7 @@ mod grid_tests {
         let fnv = fuseconv_telemetry::fnv1a64;
         let got = [fnv(events.as_bytes()), fnv(&busy), fnv(&bits)];
         let pinned = [
-            0x6c0c_619a_b974_8b11,
+            0x7afb_1a36_0602_8f58,
             0x7f32_5c86_214b_3c27,
             0xde25_ace5_bb6f_8ecc,
         ];

@@ -4,7 +4,7 @@
 //! (per-fold events, SCALE-Sim traces), this crate makes the *simulator
 //! process* observable. Three pillars:
 //!
-//! * [`span`] — an RAII span profiler: thread-local span stacks,
+//! * [`span`](mod@span) — an RAII span profiler: thread-local span stacks,
 //!   per-span wall-clock total and child-exclusive self time, exported
 //!   as an aggregated text tree ([`SpanTree::to_text`]) or as Chrome
 //!   trace-event JSON ([`SpanTree::chrome_trace_json`]) so host spans

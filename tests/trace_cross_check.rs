@@ -311,7 +311,7 @@ fn packed_conv1d_event_stream_matches_pinned_fingerprint() {
     }
     let got = [fnv1a64(events.as_bytes()), fnv1a64(&busy), fnv1a64(&bits)];
     let pinned = [
-        0x2a7c_35af_41f8_f206,
+        0x60fd_585b_82b8_1219,
         0xb46a_c441_5d0f_c0e3,
         0x4910_c3d4_ec35_4b6d,
     ];
