@@ -4,7 +4,11 @@
 //! conventions the compiler does not enforce on its own:
 //!
 //! 1. every crate root carries `#![forbid(unsafe_code)]` and
-//!    `#![warn(missing_docs)]` (binaries: at least `forbid(unsafe_code)`);
+//!    `#![warn(missing_docs)]`, and every library root also
+//!    `#![warn(unreachable_pub)]` (binaries: at least
+//!    `forbid(unsafe_code)`). With every `pub` item reachable, rustc's
+//!    `missing_docs` sees the whole public API, and CI's clippy step
+//!    (`-D warnings`) makes both lints errors;
 //! 2. no `.unwrap()` in simulator and latency-model non-test code — hot
 //!    loops must propagate errors, not abort;
 //! 3. no bare `as u64`/`as u32` casts in the latency accounting — cycle
@@ -21,20 +25,11 @@
 //!    outside `crates/telemetry` — host timing goes through
 //!    `fuseconv_telemetry::Stopwatch` (or spans) so one crate owns the
 //!    clock (binaries, examples and tests are exempt);
-//! 7. every `pub` item in the non-test library code of `crates/serve`,
-//!    `crates/analyze`, `crates/latency` and `crates/telemetry` carries a
-//!    `///` doc comment — their types are the public contract of the
-//!    serving simulator, the analyzer, the fold-plan IR and the
-//!    observability artifacts, and `#![warn(missing_docs)]` alone only
-//!    warns (`pub use` re-exports and `pub(crate)` items are exempt;
-//!    modules document themselves with inner `//!` comments; the
-//!    analyzer's `src/bin/` tree, this driver included, is a binary and
-//!    exempt like rules 5/6);
-//! 8. no `json_escape` in library-crate non-test code outside
+//! 7. no `json_escape` in library-crate non-test code outside
 //!    `crates/telemetry` — every JSON artifact is rendered through
 //!    `fuseconv_telemetry::Json`, the one place that escapes strings
-//!    and writes separators (same exemptions as rule 6).
-//! 9. no `OnceLock`, `LazyLock` or `thread_local!` in library-crate
+//!    and writes separators (same exemptions as rule 6);
+//! 8. no `OnceLock`, `LazyLock` or `thread_local!` in library-crate
 //!    non-test code outside `crates/telemetry` — process-wide and
 //!    per-thread state lives in one crate, whose telemetry runs are
 //!    scoped to a thread and joined explicitly (same exemptions as
@@ -80,15 +75,13 @@ fn line_of(source: &str, offset: usize) -> usize {
     source[..offset].bytes().filter(|&b| b == b'\n').count() + 1
 }
 
-/// Checks that a crate root declares the two lint attributes.
-fn check_lint_attrs(root: &Path, rel: &str, require_docs: bool, findings: &mut Vec<String>) {
-    let path = root.join(rel);
-    let source = read(&path);
-    if !source.contains("#![forbid(unsafe_code)]") {
-        findings.push(format!("{rel}: missing #![forbid(unsafe_code)]"));
-    }
-    if require_docs && !source.contains("#![warn(missing_docs)]") {
-        findings.push(format!("{rel}: missing #![warn(missing_docs)]"));
+/// Checks that a crate root declares each of the lint attributes `attrs`.
+fn check_lint_attrs(root: &Path, rel: &str, attrs: &[&str], findings: &mut Vec<String>) {
+    let source = read(&root.join(rel));
+    for attr in attrs {
+        if !source.contains(attr) {
+            findings.push(format!("{rel}: missing {attr}"));
+        }
     }
 }
 
@@ -187,46 +180,6 @@ fn check_library_lines(
     }
 }
 
-/// Flags every `pub` item in a file's non-test code that lacks a `///`
-/// doc comment on the line above (attribute lines in between are
-/// skipped). `pub use` re-exports, `pub(crate)`/`pub(super)` visibility
-/// restrictions and `pub mod` declarations are exempt — re-exports
-/// inherit docs, restricted items are not public API, and modules carry
-/// inner `//!` docs.
-fn check_pub_docs(root: &Path, rel: &str, findings: &mut Vec<String>) {
-    let source = read(&root.join(rel));
-    let lines: Vec<&str> = non_test_code(&source).lines().collect();
-    for (i, line) in lines.iter().enumerate() {
-        let t = line.trim_start();
-        if !t.starts_with("pub ") || t.starts_with("pub use ") || t.starts_with("pub mod ") {
-            continue;
-        }
-        // Walk back over attributes to the nearest prose line; a doc
-        // comment there attaches to this item.
-        let mut j = i;
-        let documented = loop {
-            if j == 0 {
-                break false;
-            }
-            j -= 1;
-            let prev = lines[j].trim_start();
-            if prev.starts_with("///") {
-                break true;
-            }
-            if prev.starts_with("#[") || prev.ends_with(")]") || prev.ends_with(']') {
-                continue;
-            }
-            break false;
-        };
-        if !documented {
-            findings.push(format!(
-                "{rel}:{}: undocumented `pub` item (public API requires /// docs)",
-                i + 1
-            ));
-        }
-    }
-}
-
 /// Every `crates/*/src/lib.rs`, sorted for stable output.
 fn crate_roots(root: &Path) -> Vec<String> {
     let mut out = Vec::new();
@@ -251,18 +204,20 @@ fn main() -> ExitCode {
     let mut findings = Vec::new();
 
     // Rule 1: lint attributes on every crate root (and the binaries).
+    let attrs = [
+        "#![forbid(unsafe_code)]",
+        "#![warn(missing_docs)]",
+        "#![warn(unreachable_pub)]",
+    ];
     let mut roots = crate_roots(&root);
     roots.push("src/lib.rs".to_string());
     for rel in &roots {
-        check_lint_attrs(&root, rel, true, &mut findings);
+        check_lint_attrs(&root, rel, &attrs, &mut findings);
     }
-    check_lint_attrs(&root, "crates/cli/src/main.rs", true, &mut findings);
-    check_lint_attrs(
-        &root,
-        "crates/analyze/src/bin/workspace_lint.rs",
-        false,
-        &mut findings,
-    );
+    // Binaries export nothing to reach; this driver needs only the first.
+    check_lint_attrs(&root, "crates/cli/src/main.rs", &attrs[..2], &mut findings);
+    let driver = "crates/analyze/src/bin/workspace_lint.rs";
+    check_lint_attrs(&root, driver, &attrs[..1], &mut findings);
 
     // Rule 2: no `.unwrap()` in simulator / latency-model non-test code.
     for dir in ["crates/systolic/src", "crates/latency/src"] {
@@ -309,12 +264,12 @@ fn main() -> ExitCode {
         }
     }
 
-    // Rules 5, 6, 8 and 9 cover library crates: the ones with a
+    // Rules 5–8 cover library crates: the ones with a
     // `src/lib.rs` (so `crates/cli`, a pure binary, is exempt), plus the
     // umbrella crate; their `src/bin/` trees are binaries and stay
     // exempt. Rule 5: no stdio macros and no build-profile branches.
-    // Rule 6: only `crates/telemetry` reads the host clock. Rule 8:
-    // only `crates/telemetry` escapes JSON by hand. Rule 9: only
+    // Rule 6: only `crates/telemetry` reads the host clock. Rule 7:
+    // only `crates/telemetry` escapes JSON by hand. Rule 8: only
     // `crates/telemetry` holds process-wide or per-thread state.
     let mut lib_dirs = vec![root.join("src")];
     if let Ok(entries) = fs::read_dir(root.join("crates")) {
@@ -368,21 +323,11 @@ fn main() -> ExitCode {
         }
     }
 
-    // Rule 7: the public APIs of these four library crates are fully
-    // documented. The analyzer's `src/bin/` tree (this driver) is a
-    // binary and exempt, like rules 5/6.
-    for dir in ["serve", "analyze", "latency", "telemetry"] {
-        for rel in sources(&root, &root.join(format!("crates/{dir}/src")), true) {
-            check_pub_docs(&root, &rel, &mut findings);
-        }
-    }
-
     if findings.is_empty() {
         println!(
             "workspace-lint: {} crate roots, the latency/simulator sources, library \
              stdio, build-profile, host-clock, JSON-writer and shared-state discipline, \
-             serve/analyze/latency/telemetry API docs, and all \
-             workspace/example/test suppressions are clean",
+             and all workspace/example/test suppressions are clean",
             roots.len() + 1
         );
         ExitCode::SUCCESS
@@ -398,104 +343,6 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Runs `check_pub_docs` on `source` written to a scratch file,
-    /// returning the findings it produced.
-    fn pub_doc_findings(name: &str, source: &str) -> Vec<String> {
-        let dir = std::env::temp_dir().join("fuseconv-workspace-lint-test");
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(name);
-        fs::write(&path, source).unwrap();
-        let mut findings = Vec::new();
-        check_pub_docs(&dir, name, &mut findings);
-        fs::remove_file(&path).unwrap();
-        findings
-    }
-
-    #[test]
-    fn undocumented_pub_items_are_flagged() {
-        let findings = pub_doc_findings(
-            "undocumented.rs",
-            "pub fn naked() {}\n\n#[derive(Debug)]\npub struct AlsoNaked;\n",
-        );
-        assert_eq!(findings.len(), 2, "{findings:?}");
-        assert!(findings[0].contains("undocumented.rs:1"), "{findings:?}");
-        // The attribute walk-back must not mistake `#[derive(..)]` for
-        // a doc comment.
-        assert!(findings[1].contains("undocumented.rs:4"), "{findings:?}");
-    }
-
-    #[test]
-    fn documented_and_exempt_pub_items_pass() {
-        let findings = pub_doc_findings(
-            "documented.rs",
-            concat!(
-                "/// Documented directly.\n",
-                "pub fn fine() {}\n",
-                "/// Documented through an attribute stack.\n",
-                "#[derive(Debug)]\n",
-                "pub struct Fine;\n",
-                "pub use other::Thing;\n",
-                "pub mod submodule;\n",
-                "pub(crate) fn internal() {}\n",
-            ),
-        );
-        assert!(findings.is_empty(), "{findings:?}");
-    }
-
-    #[test]
-    fn undocumented_trait_and_type_items_are_flagged() {
-        // Rule 7 covers the `crates/latency` fold-plan IR's
-        // trait/type-alias-heavy surface: all of these must carry
-        // docs, and a preceding `//` line comment does not count.
-        let findings = pub_doc_findings(
-            "ir_like.rs",
-            concat!(
-                "pub trait NakedTrait {}\n",
-                "pub type NakedAlias = u64;\n",
-                "// a line comment is not a doc comment\n",
-                "pub const NAKED: u32 = 0;\n",
-            ),
-        );
-        assert_eq!(findings.len(), 3, "{findings:?}");
-        assert!(findings[0].contains("ir_like.rs:1"), "{findings:?}");
-        assert!(findings[1].contains("ir_like.rs:2"), "{findings:?}");
-        assert!(findings[2].contains("ir_like.rs:4"), "{findings:?}");
-    }
-
-    #[test]
-    fn telemetry_sources_pass_the_rule_7_pub_docs_check() {
-        // Rule 7 covers `crates/telemetry` too; the
-        // crate's real sources must already satisfy it (negative
-        // coverage lives in `undocumented_pub_items_are_flagged`).
-        let root = workspace_root();
-        let dir = root.join("crates/telemetry/src");
-        let mut findings = Vec::new();
-        for rel in sources(&root, &dir, false) {
-            check_pub_docs(&root, &rel, &mut findings);
-        }
-        assert!(findings.is_empty(), "{findings:?}");
-    }
-
-    #[test]
-    fn undocumented_sketch_like_items_are_flagged() {
-        // A rule-7 regression guard: associated consts and methods of
-        // a sketch-like surface need docs like everything else.
-        let findings = pub_doc_findings(
-            "sketch_like.rs",
-            concat!(
-                "/// Documented type.\n",
-                "pub struct Sketch;\n",
-                "impl Sketch {\n",
-                "    pub const BOUND: f64 = 0.015625;\n",
-                "    pub fn quantile(&self) -> u64 { 0 }\n",
-                "}\n",
-            ),
-        );
-        assert_eq!(findings.len(), 2, "{findings:?}");
-        assert!(findings[0].contains("sketch_like.rs:4"), "{findings:?}");
-        assert!(findings[1].contains("sketch_like.rs:5"), "{findings:?}");
-    }
 
     #[test]
     fn hand_escaped_json_is_flagged_outside_comments_and_tests() {
@@ -518,14 +365,5 @@ mod tests {
             findings[0].starts_with("writer.rs:2: `json_escape`"),
             "{findings:?}"
         );
-    }
-
-    #[test]
-    fn test_module_code_is_exempt() {
-        let findings = pub_doc_findings(
-            "test_only.rs",
-            "#[cfg(test)]\nmod tests {\n    pub fn helper() {}\n}\n",
-        );
-        assert!(findings.is_empty(), "{findings:?}");
     }
 }

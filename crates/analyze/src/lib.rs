@@ -60,6 +60,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod diagnostics;
 pub mod fusion;

@@ -86,6 +86,11 @@ impl ParsedArgs {
             .map(|(_, v)| v.as_str())
     }
 
+    /// The names of the flags given, in order.
+    pub fn flag_names(&self) -> impl Iterator<Item = &str> {
+        self.flags.iter().map(|(k, _)| k.as_str())
+    }
+
     /// Parses `--name` as `usize`, `None` when absent.
     ///
     /// # Errors

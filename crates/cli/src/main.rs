@@ -108,9 +108,11 @@ COMMANDS:
                             also adds goodput/utilization counter tracks
   help       this text
 
-Common flags: --array N (square array side, default 64);
+Common flags: --array N (square array side, default 64; every command
+              but scaling, overhead, bench and serve);
               --log-level error|warn|info|debug|trace (stderr logger,
-              default warn).";
+              default warn).
+A flag the command does not read is an error.";
 
 /// Every network the CLI knows: the paper's baselines plus ResNet-50
 /// and EfficientNet-B0.
@@ -166,6 +168,9 @@ fn write_artifact(path: &str, bytes: impl AsRef<[u8]>) -> Result<(), Box<dyn Err
     Ok(())
 }
 
+/// The flags [`emit`] reads.
+const EMIT: &str = "format out";
+
 /// Renders a report as `--format text|json` and prints it, or writes it
 /// to `--out`.
 fn emit(
@@ -184,6 +189,10 @@ fn emit(
     }
     Ok(())
 }
+
+/// The flags [`serve_setup`] reads.
+const SERVE: &str = "pod networks variant max-batch max-wait policy dispatch preempt \
+    queue-cap requests load seed high-frac slo-mult slo-budget buckets";
 
 /// Parses the pod / workload / serving-config flags shared by
 /// `fuseconv serve` and `fuseconv analyze --serve`, so the simulator
@@ -263,7 +272,49 @@ fn fail_on_errors(report: &analyze::Report) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
+/// The flags [`array_of`], [`network_flag`] and [`variant_flag`] read.
+const MODEL: &str = "array network variant";
+
+/// The flags each command reads besides `--log-level`, as
+/// space-separated lists.
+const COMMAND_FLAGS: &[(&str, &[&str])] = &[
+    ("help", &[]),
+    ("table1", &["array"]),
+    ("layerwise", &[MODEL]),
+    ("breakdown", &["array"]),
+    ("scaling", &["sizes"]),
+    ("overhead", &["sizes"]),
+    ("energy", &["array mhz"]),
+    ("nos", &["array network"]),
+    ("topology", &["array"]),
+    ("reports", &["array dir"]),
+    ("trace", &[MODEL, "layer format out"]),
+    ("analyze", &[MODEL, "all fusion serve", EMIT, SERVE]),
+    ("perf", &[MODEL, "bytes-per-elem bandwidth", EMIT]),
+    ("bench", &["budget-ms runs json out baseline max-regress"]),
+    ("profile", &[MODEL, "chrome-trace metrics-json"]),
+    ("serve", &["force chrome-trace timeseries", EMIT, SERVE]),
+];
+
+/// Rejects a flag the command never reads, before the command does any
+/// work: a misspelt flag would otherwise silently leave its default in
+/// place. Unknown commands pass through to `run`'s own error.
+fn check_flags(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
+    let command = parsed.command.as_str();
+    let Some((_, lists)) = COMMAND_FLAGS.iter().find(|(c, _)| *c == command) else {
+        return Ok(());
+    };
+    for name in parsed.flag_names() {
+        let read = |list: &&str| list.split_whitespace().any(|f| f == name);
+        if name != "log-level" && !lists.iter().any(read) {
+            return Err(format!("`{command}` does not take --{name}; try `fuseconv help`").into());
+        }
+    }
+    Ok(())
+}
+
 fn run(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
+    check_flags(parsed)?;
     match parsed.command.as_str() {
         "help" | "--help" | "-h" => println!("{HELP}"),
         "table1" => {
@@ -750,6 +801,25 @@ mod tests {
     #[test]
     fn table1_runs_on_small_array() {
         cli("table1 --array 8").unwrap();
+    }
+
+    #[test]
+    fn flags_a_command_never_reads_are_rejected() {
+        let e = cli("table1 --arrray 8").unwrap_err().to_string();
+        assert!(e.contains("`table1` does not take --arrray"), "{e}");
+        let e = cli("scaling --size 8").unwrap_err().to_string();
+        assert!(e.contains("`scaling` does not take --size"), "{e}");
+        cli("table1 --array 8 --log-level warn").unwrap();
+    }
+
+    #[test]
+    fn every_declared_flag_is_in_help() {
+        for (command, lists) in COMMAND_FLAGS {
+            assert!(HELP.contains(&format!("\n  {command} ")), "{command}");
+            for flag in lists.iter().flat_map(|list| list.split_whitespace()) {
+                assert!(HELP.contains(&format!("--{flag}")), "{command} --{flag}");
+            }
+        }
     }
 
     #[test]

@@ -75,6 +75,14 @@ fn parse_usize(line: usize, field: &str, what: &str) -> Result<usize, ParseTopol
     })
 }
 
+/// [`parse_usize`] for a size or count, which must be nonzero.
+fn parse_nonzero(line: usize, field: &str, what: &str) -> Result<usize, ParseTopologyError> {
+    match parse_usize(line, field, what)? {
+        0 => Err(err(line, format!("{what} must be nonzero"))),
+        n => Ok(n),
+    }
+}
+
 /// Parses a topology description into a [`Network`].
 ///
 /// # Errors
@@ -105,11 +113,8 @@ pub fn parse(name: &str, text: &str) -> Result<Network, ParseTopologyError> {
             if args.len() != 2 {
                 return Err(err(line_no, "`input` takes <side>, <channels>"));
             }
-            let side = parse_usize(line_no, args[0], "input side")?;
-            let channels = parse_usize(line_no, args[1], "input channels")?;
-            if side == 0 || channels == 0 {
-                return Err(err(line_no, "input dimensions must be nonzero"));
-            }
+            let side = parse_nonzero(line_no, args[0], "input side")?;
+            let channels = parse_nonzero(line_no, args[1], "input channels")?;
             geom = Some((side, side, channels));
             continue;
         }
@@ -123,9 +128,9 @@ pub fn parse(name: &str, text: &str) -> Result<Network, ParseTopologyError> {
                 if args.len() != 3 {
                     return Err(err(line_no, "`conv` takes <out_c>, <k>, <stride>"));
                 }
-                let out_c = parse_usize(line_no, args[0], "out_c")?;
-                let k = parse_usize(line_no, args[1], "k")?;
-                let stride = parse_usize(line_no, args[2], "stride")?;
+                let out_c = parse_nonzero(line_no, args[0], "out_c")?;
+                let k = parse_nonzero(line_no, args[1], "k")?;
+                let stride = parse_nonzero(line_no, args[2], "stride")?;
                 validate_spatial(line_no, h, w, k, stride)?;
                 let pad = k / 2;
                 geom = Some((
@@ -149,10 +154,10 @@ pub fn parse(name: &str, text: &str) -> Result<Network, ParseTopologyError> {
                         "`sep` takes <exp_c>, <out_c>, <k>, <stride>[, se<div>]",
                     ));
                 }
-                let exp_c = parse_usize(line_no, args[0], "exp_c")?;
-                let out_c = parse_usize(line_no, args[1], "out_c")?;
-                let k = parse_usize(line_no, args[2], "k")?;
-                let stride = parse_usize(line_no, args[3], "stride")?;
+                let exp_c = parse_nonzero(line_no, args[0], "exp_c")?;
+                let out_c = parse_nonzero(line_no, args[1], "out_c")?;
+                let k = parse_nonzero(line_no, args[2], "k")?;
+                let stride = parse_nonzero(line_no, args[3], "stride")?;
                 validate_spatial(line_no, h, w, k, stride)?;
                 let se_div = match args.get(4) {
                     None => None,
@@ -160,15 +165,9 @@ pub fn parse(name: &str, text: &str) -> Result<Network, ParseTopologyError> {
                         let stripped = field
                             .strip_prefix("se")
                             .ok_or_else(|| err(line_no, "fifth field must be `se<div>`"))?;
-                        match parse_usize(line_no, stripped, "se divisor")? {
-                            0 => return Err(err(line_no, "se divisor must be nonzero")),
-                            div => Some(div),
-                        }
+                        Some(parse_nonzero(line_no, stripped, "se divisor")?)
                     }
                 };
-                if exp_c == 0 || out_c == 0 {
-                    return Err(err(line_no, "channel counts must be nonzero"));
-                }
                 if exp_c.checked_mul(2).is_none() {
                     return Err(err(line_no, "exp_c overflows the FuSe channel count"));
                 }
@@ -191,7 +190,7 @@ pub fn parse(name: &str, text: &str) -> Result<Network, ParseTopologyError> {
                 if args.len() != 1 {
                     return Err(err(line_no, "`head` takes <out_c>"));
                 }
-                let out_c = parse_usize(line_no, args[0], "out_c")?;
+                let out_c = parse_nonzero(line_no, args[0], "out_c")?;
                 geom = Some((h, w, out_c));
                 Block::Head {
                     in_h: h,
@@ -204,7 +203,7 @@ pub fn parse(name: &str, text: &str) -> Result<Network, ParseTopologyError> {
                 if args.len() != 1 {
                     return Err(err(line_no, "`fc` takes <out_features>"));
                 }
-                let out = parse_usize(line_no, args[0], "out_features")?;
+                let out = parse_nonzero(line_no, args[0], "out_features")?;
                 geom = Some((1, 1, out));
                 Block::Fc {
                     in_features: c,
@@ -231,11 +230,11 @@ pub fn parse(name: &str, text: &str) -> Result<Network, ParseTopologyError> {
     Ok(Network::new(name, blocks))
 }
 
-/// Rejects a zero kernel or stride, and a kernel or stride larger than
-/// the `h`×`w` input map: same-padding (`k/2`) would let such a layer
-/// "run", but it would mostly multiply padding, and its cost and any
-/// FuSe speed-up priced from it would be meaningless. Also rejects a map
-/// whose padded extent overflows.
+/// Rejects a kernel or stride larger than the `h`×`w` input map:
+/// same-padding (`k/2`) would let such a layer "run", but it would
+/// mostly multiply padding, and its cost and any FuSe speed-up priced
+/// from it would be meaningless. Also rejects a map whose padded extent
+/// overflows.
 fn validate_spatial(
     line: usize,
     h: usize,
@@ -243,9 +242,6 @@ fn validate_spatial(
     k: usize,
     stride: usize,
 ) -> Result<(), ParseTopologyError> {
-    if k == 0 || stride == 0 {
-        return Err(err(line, "kernel and stride must be nonzero"));
-    }
     let side = h.min(w);
     if k > side || stride > side {
         return Err(err(
@@ -419,6 +415,22 @@ mod tests {
         let e = parse("bad", "input, 32, 3\nsep, 8, 16, 3, 1, se0").unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.to_string().contains("se divisor must be nonzero"), "{e}");
+    }
+
+    #[test]
+    fn zero_widths_are_rejected_with_their_line() {
+        // Once parsed, then failed in the latency model with "zero-sized
+        // dimensions".
+        for (text, what) in [
+            ("input, 32, 3\nconv, 0, 3, 1", "out_c"),
+            ("input, 32, 3\nhead, 0", "out_c"),
+            ("input, 32, 3\nfc, 0", "out_features"),
+            ("input, 32, 3\nsep, 0, 16, 3, 1", "exp_c"),
+        ] {
+            let e = parse("bad", text).unwrap_err();
+            let want = format!("{what} must be nonzero");
+            assert!(e.line == 2 && e.to_string().contains(&want), "{e}");
+        }
     }
 
     #[test]

@@ -778,8 +778,10 @@ pub fn simulate_observed(
     // arrival span at the offered rate); an overloaded run simply
     // grows extra windows past the target count.
     let expected_makespan = (cfg.requests as f64 * mean_gap).ceil().max(1.0) as u64;
-    let recorder =
-        timeseries.map(|c| TimeSeriesRecorder::new(c, expected_makespan, pod.len(), n_nets));
+    let recorder = timeseries.map(|c| {
+        let window = (expected_makespan / c.target_windows as u64).max(1);
+        TimeSeriesRecorder::new(c, window, pod.len(), n_nets)
+    });
 
     let covered = cfg.shape_buckets.map_or(n_nets, |k| k.min(n_nets));
 
@@ -1599,7 +1601,7 @@ mod tests {
     fn observed_rejects_invalid_timeseries_config() {
         let pod = PodSpec::parse("8x8:os").expect("pod");
         let bad = TimeSeriesConfig {
-            window_cycles: Some(0),
+            target_windows: 0,
             ..TimeSeriesConfig::new()
         };
         assert!(matches!(

@@ -40,41 +40,34 @@ use std::fmt::Write as _;
 /// Schema tag of the time-series artifact.
 pub const TIMESERIES_SCHEMA: &str = "fuseconv-serve-timeseries-v1";
 
-/// Configuration of the time-series layer.
+/// SLO attainment objective the burn rate is measured against;
+/// `1 − OBJECTIVE` is the error budget (1 %).
+const OBJECTIVE: f64 = 0.99;
+/// Fast span of the multi-window burn-rate rule, in windows.
+const FAST_WINDOWS: usize = 1;
+/// Slow span of the multi-window burn-rate rule, in windows.
+const SLOW_WINDOWS: usize = 8;
+/// Burn-rate threshold: an alert needs both spans to consume error
+/// budget at ≥ this multiple of the sustainable rate.
+const BURN_THRESHOLD: f64 = 10.0;
+
+/// Configuration of the time-series layer. Windows are sized so the
+/// run's *expected* makespan spans [`Self::target_windows`] of them
+/// (overload runs simply grow more windows); alerts use a 99 % SLO
+/// objective and a 1-window / 8-window pair at 10× burn.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeriesConfig {
-    /// Window width in simulated cycles; `None` sizes windows so the
-    /// run's *expected* makespan spans [`Self::target_windows`] of them
-    /// (overload runs simply grow more windows).
-    pub window_cycles: Option<u64>,
     /// Window count the automatic width aims for.
     pub target_windows: usize,
-    /// SLO attainment objective the burn rate is measured against;
-    /// `1 − objective` is the error budget (0.99 → 1 % budget).
-    pub objective: f64,
-    /// Fast span of the multi-window burn-rate rule, in windows.
-    pub fast_windows: usize,
-    /// Slow span of the multi-window burn-rate rule, in windows.
-    pub slow_windows: usize,
-    /// Burn-rate threshold: an alert needs both spans to consume error
-    /// budget at ≥ this multiple of the sustainable rate.
-    pub burn_threshold: f64,
     /// How many worst-latency requests keep their phase breakdown.
     pub exemplars: usize,
 }
 
 impl TimeSeriesConfig {
-    /// Defaults: automatic window width targeting 64 windows, a 99 %
-    /// SLO objective, a 1-window / 8-window pair at 10× burn, and 8
-    /// tail exemplars.
+    /// Defaults: 64 windows and 8 tail exemplars.
     pub fn new() -> Self {
         TimeSeriesConfig {
-            window_cycles: None,
             target_windows: 64,
-            objective: 0.99,
-            fast_windows: 1,
-            slow_windows: 8,
-            burn_threshold: 10.0,
             exemplars: 8,
         }
     }
@@ -83,37 +76,12 @@ impl TimeSeriesConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Config`] for a zero window width or span,
-    /// a fast span longer than the slow one, an objective outside
-    /// (0, 1), or a non-positive burn threshold.
+    /// Returns [`ServeError::Config`] for a zero window count.
     pub fn validate(&self) -> Result<(), ServeError> {
-        if self.window_cycles == Some(0) {
-            return Err(ServeError::Config(
-                "timeseries window_cycles must be at least 1".to_string(),
-            ));
-        }
         if self.target_windows == 0 {
             return Err(ServeError::Config(
                 "timeseries target_windows must be at least 1".to_string(),
             ));
-        }
-        if self.fast_windows == 0 || self.slow_windows < self.fast_windows {
-            return Err(ServeError::Config(format!(
-                "burn-rate windows must satisfy 1 <= fast <= slow, got fast {} slow {}",
-                self.fast_windows, self.slow_windows
-            )));
-        }
-        if !(self.objective > 0.0 && self.objective < 1.0) {
-            return Err(ServeError::Config(format!(
-                "SLO objective must lie in (0, 1), got {}",
-                self.objective
-            )));
-        }
-        if !(self.burn_threshold.is_finite() && self.burn_threshold > 0.0) {
-            return Err(ServeError::Config(format!(
-                "burn threshold must be finite and positive, got {}",
-                self.burn_threshold
-            )));
         }
         Ok(())
     }
@@ -395,17 +363,8 @@ pub(crate) struct TimeSeriesRecorder {
 }
 
 impl TimeSeriesRecorder {
-    /// A recorder whose automatic window width spreads
-    /// `expected_makespan` over `cfg.target_windows` windows.
-    pub(crate) fn new(
-        cfg: &TimeSeriesConfig,
-        expected_makespan: u64,
-        n_arrays: usize,
-        n_nets: usize,
-    ) -> Self {
-        let window = cfg
-            .window_cycles
-            .unwrap_or_else(|| (expected_makespan / cfg.target_windows.max(1) as u64).max(1));
+    /// A recorder of `window`-cycle windows (at least 1).
+    pub(crate) fn new(cfg: &TimeSeriesConfig, window: u64, n_arrays: usize, n_nets: usize) -> Self {
         TimeSeriesRecorder {
             cfg: cfg.clone(),
             window,
@@ -700,17 +659,17 @@ impl TimeSeriesRecorder {
                 }
             })
             .collect();
-        let alerts = burn_alerts(&windows, &self.cfg);
+        let alerts = burn_alerts(&windows, FAST_WINDOWS, SLOW_WINDOWS);
         let mut exemplars = self.exemplars;
         exemplars.sort_by_key(|e| (std::cmp::Reverse(e.latency), e.id));
         let sketched = |v: u64| QuantileSketch::bucket_ceiling(v).min(latency.max);
         TimeSeriesReport {
             window_cycles: window,
             makespan_cycles: makespan,
-            objective: self.cfg.objective,
-            fast_windows: self.cfg.fast_windows,
-            slow_windows: self.cfg.slow_windows,
-            burn_threshold: self.cfg.burn_threshold,
+            objective: OBJECTIVE,
+            fast_windows: FAST_WINDOWS,
+            slow_windows: SLOW_WINDOWS,
+            burn_threshold: BURN_THRESHOLD,
             exemplar_capacity: self.cfg.exemplars,
             arrays,
             networks,
@@ -751,19 +710,20 @@ fn miss_rate(windows: &[WindowReport], lo: usize, hi: usize) -> f64 {
 }
 
 /// Multi-window burn-rate detection: window `w` alerts when both the
-/// fast span `[w−fast+1, w]` and the slow span `[w−slow+1, w]` show an
-/// SLO miss fraction ≥ `burn_threshold × (1 − objective)`. The slow
-/// span must be fully elapsed, so a run shorter than `slow_windows`
-/// windows never alerts. Consecutive alerting windows merge into one
-/// episode.
-fn burn_alerts(windows: &[WindowReport], cfg: &TimeSeriesConfig) -> Vec<BurnAlert> {
-    let budget = 1.0 - cfg.objective;
-    let trigger = cfg.burn_threshold * budget;
+/// fast span `[w−fast_span+1, w]` and the slow span
+/// `[w−slow_span+1, w]` show an SLO miss fraction
+/// ≥ `BURN_THRESHOLD × (1 − OBJECTIVE)`. The slow span must be fully
+/// elapsed, so a run shorter than `slow_span` windows never alerts.
+/// Consecutive alerting windows merge into one episode. Requires
+/// `1 <= fast_span <= slow_span`.
+fn burn_alerts(windows: &[WindowReport], fast_span: usize, slow_span: usize) -> Vec<BurnAlert> {
+    let budget = 1.0 - OBJECTIVE;
+    let trigger = BURN_THRESHOLD * budget;
     let mut alerts: Vec<BurnAlert> = Vec::new();
     let mut open: Option<BurnAlert> = None;
-    for w in (cfg.slow_windows.saturating_sub(1))..windows.len() {
-        let fast = miss_rate(windows, w + 1 - cfg.fast_windows, w);
-        let slow = miss_rate(windows, w + 1 - cfg.slow_windows, w);
+    for w in (slow_span - 1)..windows.len() {
+        let fast = miss_rate(windows, w + 1 - fast_span, w);
+        let slow = miss_rate(windows, w + 1 - slow_span, w);
         if fast >= trigger && slow >= trigger {
             let alert = open.get_or_insert(BurnAlert {
                 start_window: w as u64,
@@ -1126,9 +1086,9 @@ mod tests {
     }
 
     impl Feed {
-        fn new(cfg: &TimeSeriesConfig, expected_makespan: u64, arrays: usize, nets: usize) -> Self {
+        fn new(cfg: &TimeSeriesConfig, window: u64, arrays: usize, nets: usize) -> Self {
             Feed {
-                rec: TimeSeriesRecorder::new(cfg, expected_makespan, arrays, nets),
+                rec: TimeSeriesRecorder::new(cfg, window, arrays, nets),
                 offered: 0,
                 dropped: 0,
                 latencies: Vec::new(),
@@ -1196,21 +1156,11 @@ mod tests {
         }
     }
 
-    fn cfg() -> TimeSeriesConfig {
-        TimeSeriesConfig {
-            fast_windows: 1,
-            slow_windows: 4,
-            burn_threshold: 10.0,
-            objective: 0.99,
-            ..TimeSeriesConfig::new()
-        }
-    }
-
     #[test]
     fn healthy_windows_never_alert() {
         // 0.5% misses: below the 10x-budget (10%) trigger everywhere.
         let windows: Vec<WindowReport> = (0..16).map(|i| window(i, 200, 199)).collect();
-        assert!(burn_alerts(&windows, &cfg()).is_empty());
+        assert!(burn_alerts(&windows, 1, 4).is_empty());
     }
 
     #[test]
@@ -1221,7 +1171,7 @@ mod tests {
         for i in 6..16 {
             windows.push(window(i, 100, 50));
         }
-        let alerts = burn_alerts(&windows, &cfg());
+        let alerts = burn_alerts(&windows, 1, 4);
         assert_eq!(alerts.len(), 1, "{alerts:?}");
         let a = alerts[0];
         assert!(a.start_window >= 6);
@@ -1234,22 +1184,18 @@ mod tests {
     fn short_runs_cannot_alert() {
         // Fewer windows than the slow span: no verdict possible.
         let windows: Vec<WindowReport> = (0..3).map(|i| window(i, 10, 0)).collect();
-        assert!(burn_alerts(&windows, &cfg()).is_empty());
+        assert!(burn_alerts(&windows, 1, 4).is_empty());
     }
 
     #[test]
     fn empty_windows_do_not_divide_by_zero() {
         let windows: Vec<WindowReport> = (0..8).map(|i| window(i, 0, 0)).collect();
-        assert!(burn_alerts(&windows, &cfg()).is_empty());
+        assert!(burn_alerts(&windows, 1, 4).is_empty());
     }
 
     #[test]
     fn recorder_bins_intervals_across_window_boundaries() {
-        let ts_cfg = TimeSeriesConfig {
-            window_cycles: Some(100),
-            ..TimeSeriesConfig::new()
-        };
-        let mut feed = Feed::new(&ts_cfg, 1000, 2, 1);
+        let mut feed = Feed::new(&TimeSeriesConfig::new(), 100, 2, 1);
         // One arrival at cycle 10, dropped at admission.
         feed.tick(10, 0);
         feed.offered += 1;
@@ -1274,7 +1220,6 @@ mod tests {
     #[test]
     fn exemplars_keep_the_k_worst_deterministically() {
         let ts_cfg = TimeSeriesConfig {
-            window_cycles: Some(1000),
             exemplars: 3,
             ..TimeSeriesConfig::new()
         };
@@ -1304,11 +1249,7 @@ mod tests {
 
     #[test]
     fn json_is_balanced_tagged_and_fingerprinted() {
-        let ts_cfg = TimeSeriesConfig {
-            window_cycles: Some(100),
-            ..TimeSeriesConfig::new()
-        };
-        let mut feed = Feed::new(&ts_cfg, 300, 1, 1);
+        let mut feed = Feed::new(&TimeSeriesConfig::new(), 100, 1, 1);
         feed.tick(5, 0);
         feed.offered += 1;
         feed.completed(
@@ -1342,20 +1283,11 @@ mod tests {
     #[test]
     fn config_validation_rejects_nonsense() {
         assert!(TimeSeriesConfig::new().validate().is_ok());
-        let bad = |f: fn(&mut TimeSeriesConfig)| {
-            let mut c = TimeSeriesConfig::new();
-            f(&mut c);
-            c.validate().is_err()
+        let zero = TimeSeriesConfig {
+            target_windows: 0,
+            ..TimeSeriesConfig::new()
         };
-        assert!(bad(|c| c.window_cycles = Some(0)));
-        assert!(bad(|c| c.target_windows = 0));
-        assert!(bad(|c| c.fast_windows = 0));
-        assert!(bad(|c| {
-            c.fast_windows = 4;
-            c.slow_windows = 2;
-        }));
-        assert!(bad(|c| c.objective = 1.5));
-        assert!(bad(|c| c.burn_threshold = 0.0));
+        assert!(zero.validate().is_err());
     }
 
     #[test]

@@ -157,7 +157,6 @@ fn artifacts() -> Vec<(&'static str, String)> {
     let ts_cfg = TimeSeriesConfig {
         target_windows: 8,
         exemplars: 2,
-        ..TimeSeriesConfig::new()
     };
     let workload = Workload::uniform(nets).expect("workload");
     let (mut report, ts) =

@@ -118,7 +118,6 @@ fn grid() -> Vec<Case> {
             let timeseries = (rng.below(2) == 0).then(|| TimeSeriesConfig {
                 target_windows: [16, 64, 200][rng.below(3)],
                 exemplars: [0, 8][rng.below(2)],
-                ..TimeSeriesConfig::new()
             });
             // Preempting configurations always trace, so the pinned
             // trace bytes cover the preemption markers and labels.
