@@ -49,18 +49,14 @@
 //! Findings are structured [`Diagnostic`]s (stable rule ID, severity,
 //! offending dependence vector, suggested fix) aggregated into
 //! [`Report`]s that render as text or JSON. The `fuseconv analyze` CLI
-//! subcommand audits every zoo network with these rules; the
-//! `workspace-lint` binary in this crate additionally enforces source
-//! conventions across the workspace.
+//! subcommand audits every zoo network with these rules.
 //!
 //! The mapping-level verdicts themselves live in
 //! [`fuseconv_systolic::legality`], next to the simulators whose
 //! dataflows they describe; this crate wraps them into the diagnostic
 //! vocabulary and adds the operator/network rules.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(unreachable_pub)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod diagnostics;
 pub mod fusion;

@@ -5,9 +5,7 @@
 //! records and CI gates; [`micro`] is the timer it runs them under.
 //! End-to-end host time is measured by `perfbench/`, not here.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(unreachable_pub)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod micro;
 pub mod suite;

@@ -20,18 +20,18 @@ const SWITCHES: &[&str] = &[
 
 /// A parsed command line: the subcommand and its `--flag value` pairs.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ParsedArgs {
+pub(crate) struct ParsedArgs {
     /// The subcommand (first positional argument).
-    pub command: String,
+    pub(crate) command: String,
     /// Remaining positional arguments.
-    pub positional: Vec<String>,
+    pub(crate) positional: Vec<String>,
     /// `--flag value` pairs, in order.
     flags: Vec<(String, String)>,
 }
 
 /// Error from argument parsing.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseArgsError(pub String);
+pub(crate) struct ParseArgsError(pub(crate) String);
 
 impl fmt::Display for ParseArgsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -49,7 +49,7 @@ impl ParsedArgs {
     ///
     /// Returns [`ParseArgsError`] when a subcommand is missing or a flag
     /// lacks a value.
-    pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Self, ParseArgsError> {
+    pub(crate) fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Self, ParseArgsError> {
         let mut iter = argv.into_iter().peekable();
         let command = iter
             .next()
@@ -78,7 +78,7 @@ impl ParsedArgs {
     }
 
     /// The last occurrence of `--name`, if any.
-    pub fn flag(&self, name: &str) -> Option<&str> {
+    pub(crate) fn flag(&self, name: &str) -> Option<&str> {
         self.flags
             .iter()
             .rev()
@@ -87,7 +87,7 @@ impl ParsedArgs {
     }
 
     /// The names of the flags given, in order.
-    pub fn flag_names(&self) -> impl Iterator<Item = &str> {
+    pub(crate) fn flag_names(&self) -> impl Iterator<Item = &str> {
         self.flags.iter().map(|(k, _)| k.as_str())
     }
 
@@ -97,7 +97,7 @@ impl ParsedArgs {
     ///
     /// Returns [`ParseArgsError`] if the value is present but not an
     /// integer.
-    pub fn opt_usize_flag(&self, name: &str) -> Result<Option<usize>, ParseArgsError> {
+    pub(crate) fn opt_usize_flag(&self, name: &str) -> Result<Option<usize>, ParseArgsError> {
         self.flag(name)
             .map(|v| {
                 v.parse()
@@ -111,7 +111,7 @@ impl ParsedArgs {
     /// # Errors
     ///
     /// As [`Self::opt_usize_flag`].
-    pub fn usize_flag(&self, name: &str, default: usize) -> Result<usize, ParseArgsError> {
+    pub(crate) fn usize_flag(&self, name: &str, default: usize) -> Result<usize, ParseArgsError> {
         Ok(self.opt_usize_flag(name)?.unwrap_or(default))
     }
 
@@ -120,7 +120,7 @@ impl ParsedArgs {
     /// # Errors
     ///
     /// Returns [`ParseArgsError`] if the value is present but not a number.
-    pub fn f64_flag(&self, name: &str, default: f64) -> Result<f64, ParseArgsError> {
+    pub(crate) fn f64_flag(&self, name: &str, default: f64) -> Result<f64, ParseArgsError> {
         match self.flag(name) {
             None => Ok(default),
             Some(v) => v
@@ -135,7 +135,7 @@ impl ParsedArgs {
     /// # Errors
     ///
     /// Returns [`ParseArgsError`] on any non-integer element.
-    pub fn usize_list_flag(
+    pub(crate) fn usize_list_flag(
         &self,
         name: &str,
         default: &[usize],

@@ -3,9 +3,6 @@
 //! `fuseconv help` prints [`HELP`], the one list of every command and
 //! flag.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod args;
 
 use args::ParsedArgs;
@@ -144,11 +141,11 @@ fn variant_flag(parsed: &ParsedArgs, default: &str) -> Result<Variant, Box<dyn E
     }
 }
 
-/// `--sizes` as a list of nonzero array sides.
+/// `--sizes` as a list of array sides [`ArrayConfig::square`] accepts.
 fn sizes_flag(parsed: &ParsedArgs, default: &[usize]) -> Result<Vec<usize>, Box<dyn Error>> {
     let sizes = parsed.usize_list_flag("sizes", default)?;
-    if sizes.contains(&0) {
-        return Err("--sizes must all be nonzero".into());
+    for &side in &sizes {
+        ArrayConfig::square(side)?;
     }
     Ok(sizes)
 }
@@ -787,6 +784,14 @@ mod tests {
         run(&parsed(&args))
     }
 
+    /// A directory under the temp dir for one test and process, so two
+    /// test runs at once never share it. The test removes it when done.
+    fn scratch_dir(test: &str) -> String {
+        let dir = std::env::temp_dir().join(format!("fuseconv-cli-{test}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.display().to_string()
+    }
+
     #[test]
     fn help_runs() {
         cli("help").unwrap();
@@ -845,6 +850,21 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_array_sides_are_rejected() {
+        let side = 1usize << (usize::BITS / 2);
+        for line in [
+            format!("perf --array {side} --network mobilenet-v1"),
+            format!("energy --array {side}"),
+            format!("profile --array {side}"),
+            format!("scaling --sizes 8,{side}"),
+            format!("overhead --sizes {side}"),
+        ] {
+            let e = cli(&line).unwrap_err();
+            assert!(e.to_string().contains("too large"), "{line}: {e}");
+        }
+    }
+
+    #[test]
     fn energy_rejects_degenerate_array_and_clock() {
         cli("energy --array 0").unwrap_err();
         for mhz in ["0", "-5", "nan", "inf"] {
@@ -898,10 +918,8 @@ mod tests {
 
     #[test]
     fn analyze_writes_json_report() {
-        let dir = std::env::temp_dir().join("fuseconv-cli-analyze-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("report.json");
-        let out = out.to_str().unwrap();
+        let dir = scratch_dir("analyze");
+        let out = &format!("{dir}/report.json");
         cli_with(
             "analyze --network mobilenet-v2 --array 8 --format json --out",
             &[out],
@@ -911,15 +929,13 @@ mod tests {
         assert!(text.starts_with('{') && text.trim_end().ends_with('}'));
         assert!(text.contains("\"diagnostics\""), "{text}");
         assert!(text.contains("UTL001"), "{text}");
-        std::fs::remove_file(out).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn analyze_fusion_mode_reports_fus_rules_only() {
-        let dir = std::env::temp_dir().join("fuseconv-cli-analyze-fusion-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("fusion.json");
-        let out = out.to_str().unwrap();
+        let dir = scratch_dir("analyze-fusion");
+        let out = &format!("{dir}/fusion.json");
         // FuSe-Full MobileNet-V2 has fusible row/col -> pointwise pairs.
         cli_with(
             "analyze --network mobilenet-v2 --variant full --fusion --format json --out",
@@ -930,10 +946,8 @@ mod tests {
         assert!(text.contains("\"rule\":\"FUS001\""), "{text}");
         assert!(text.contains("\"rule\":\"FUS006\""), "{text}");
         assert!(!text.contains("\"rule\":\"UTL001\""), "{text}");
-        std::fs::remove_file(out).unwrap();
         // A GEMM-only network has no separable blocks and thus no FUS findings.
-        let out2 = dir.join("fusion_resnet.json");
-        let out2 = out2.to_str().unwrap();
+        let out2 = &format!("{dir}/fusion_resnet.json");
         cli_with(
             "analyze --network resnet-50 --fusion --format json --out",
             &[out2],
@@ -941,15 +955,13 @@ mod tests {
         .unwrap();
         let text2 = std::fs::read_to_string(out2).unwrap();
         assert!(!text2.contains("FUS"), "{text2}");
-        std::fs::remove_file(out2).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn trace_chrome_writes_valid_json() {
-        let dir = std::env::temp_dir().join("fuseconv-cli-trace-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("trace.json");
-        let out = out.to_str().unwrap();
+        let dir = scratch_dir("trace");
+        let out = &format!("{dir}/trace.json");
         cli_with(
             "trace --network mobilenet-v2 --variant half --array 8 --out",
             &[out],
@@ -958,28 +970,25 @@ mod tests {
         let text = std::fs::read_to_string(out).unwrap();
         assert!(text.starts_with('{') && text.trim_end().ends_with('}'));
         assert!(text.contains("\"traceEvents\""));
-        std::fs::remove_file(out).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn trace_scalesim_writes_three_csvs() {
         // Layer 45 of FuSe-Full MobileNet-V3-Small is a strided 1x5 FuSe
         // row bank: a row-broadcast simulation of a few thousand cycles.
-        let dir = std::env::temp_dir().join("fuseconv-cli-scalesim-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let stem = dir.join("layer45");
+        let dir = scratch_dir("scalesim");
         cli_with(
             "trace --network mobilenet-v3-small --variant full --layer 45 --format scalesim \
              --array 8 --out",
-            &[stem.to_str().unwrap()],
+            &[&format!("{dir}/layer45")],
         )
         .unwrap();
         for suffix in ["ifmap_read", "filter_read", "ofmap_write"] {
-            let path = dir.join(format!("layer45_{suffix}.csv"));
-            let csv = std::fs::read_to_string(&path).unwrap();
+            let csv = std::fs::read_to_string(format!("{dir}/layer45_{suffix}.csv")).unwrap();
             assert!(!csv.trim().is_empty(), "{suffix}");
-            std::fs::remove_file(path).unwrap();
         }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -998,10 +1007,8 @@ mod tests {
 
     #[test]
     fn perf_writes_json_report() {
-        let dir = std::env::temp_dir().join("fuseconv-cli-perf-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("perf.json");
-        let out = out.to_str().unwrap();
+        let dir = scratch_dir("perf");
+        let out = &format!("{dir}/perf.json");
         cli_with(
             "perf --network mobilenet-v2 --array 8 --format json --out",
             &[out],
@@ -1010,15 +1017,13 @@ mod tests {
         let text = std::fs::read_to_string(out).unwrap();
         assert!(text.contains("\"schema\": \"fuseconv-perf-v1\""), "{text}");
         assert!(text.contains("\"compute_stall_fraction\""), "{text}");
-        std::fs::remove_file(out).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn bench_writes_json_and_gates_against_itself() {
-        let dir = std::env::temp_dir().join("fuseconv-cli-bench-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("bench.json");
-        let out = out.to_str().unwrap();
+        let dir = scratch_dir("bench");
+        let out = &format!("{dir}/bench.json");
         cli_with("bench --json --out", &[out, "--budget-ms", "1"]).unwrap();
         let text = std::fs::read_to_string(out).unwrap();
         assert!(text.contains("\"schema\": \"fuseconv-bench-v1\""), "{text}");
@@ -1032,7 +1037,7 @@ mod tests {
         .unwrap();
         // Reading a missing baseline is an error.
         cli("bench --baseline /nonexistent/b.json").unwrap_err();
-        std::fs::remove_file(out).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1043,12 +1048,11 @@ mod tests {
 
     #[test]
     fn profile_prints_balanced_tree_and_writes_artifacts() {
-        let dir = std::env::temp_dir().join("fuseconv-cli-profile-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let trace = dir.join("profile_trace.json");
-        let metrics = dir.join("profile_metrics.json");
-        let trace_flag = format!("--chrome-trace={}", trace.display());
-        let metrics_flag = format!("--metrics-json={}", metrics.display());
+        let dir = scratch_dir("profile");
+        let trace = &format!("{dir}/profile_trace.json");
+        let metrics = &format!("{dir}/profile_metrics.json");
+        let trace_flag = format!("--chrome-trace={trace}");
+        let metrics_flag = format!("--metrics-json={metrics}");
         cli_with(
             "profile mobilenet-v2 --variant half --array 8",
             &[&trace_flag, &metrics_flag],
@@ -1072,26 +1076,23 @@ mod tests {
                 "missing phase span {phase}"
             );
         }
-        let t = std::fs::read_to_string(&trace).unwrap();
+        let t = std::fs::read_to_string(trace).unwrap();
         assert!(t.contains("\"traceEvents\""), "{t}");
         assert!(t.contains("\"manifest\":{\"schema\":\"fuseconv-manifest-v1\""));
         assert_eq!(t.matches('{').count(), t.matches('}').count());
-        let m = std::fs::read_to_string(&metrics).unwrap();
+        let m = std::fs::read_to_string(metrics).unwrap();
         assert!(m.contains("\"schema\": \"fuseconv-metrics-v1\""), "{m}");
         assert!(m.contains("\"sim.cycles_total\""), "{m}");
         assert!(m.contains("\"profile.sim_cycles_per_host_sec\""), "{m}");
         // The calibration sim ran for real cycles, so the run counted some.
         assert!(telemetry::counter("sim.cycles_total").get() > 0);
-        std::fs::remove_file(trace).unwrap();
-        std::fs::remove_file(metrics).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn bench_out_writes_manifest_sibling() {
-        let dir = std::env::temp_dir().join("fuseconv-cli-bench-manifest-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("bench.json");
-        let out = out.to_str().unwrap();
+        let dir = scratch_dir("bench-manifest");
+        let out = &format!("{dir}/bench.json");
         cli_with("bench --out", &[out, "--budget-ms", "1"]).unwrap();
         let sibling = format!("{out}.manifest.json");
         let text = std::fs::read_to_string(&sibling).unwrap();
@@ -1100,8 +1101,7 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("\"config_hash\": \"fnv1a64:"), "{text}");
-        std::fs::remove_file(out).unwrap();
-        std::fs::remove_file(sibling).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1168,12 +1168,9 @@ mod tests {
 
     #[test]
     fn serve_writes_json_report_and_chrome_trace() {
-        let dir = std::env::temp_dir().join("fuseconv-cli-serve-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("serve.json");
-        let out = out.to_str().unwrap();
-        let trace = dir.join("serve_trace.json");
-        let trace = trace.to_str().unwrap();
+        let dir = scratch_dir("serve");
+        let out = &format!("{dir}/serve.json");
+        let trace = &format!("{dir}/serve_trace.json");
         let trace_flag = format!("--chrome-trace={trace}");
         cli_with(
             "serve --pod",
@@ -1204,19 +1201,15 @@ mod tests {
         let tr = std::fs::read_to_string(trace).unwrap();
         assert!(tr.contains("\"traceEvents\""), "{tr}");
         assert!(tr.contains("array 0: 16x16:os"), "{tr}");
-        std::fs::remove_file(out).unwrap();
-        std::fs::remove_file(trace).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn serve_writes_timeseries_artifact_with_counter_tracks() {
-        let dir = std::env::temp_dir().join("fuseconv-cli-serve-ts-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let ts = dir.join("serve_timeseries.json");
-        let ts = ts.to_str().unwrap();
+        let dir = scratch_dir("serve-ts");
+        let ts = &format!("{dir}/serve_timeseries.json");
         let ts_flag = format!("--timeseries={ts}");
-        let trace = dir.join("serve_trace.json");
-        let trace = trace.to_str().unwrap();
+        let trace = &format!("{dir}/serve_trace.json");
         let trace_flag = format!("--chrome-trace={trace}");
         cli_with(
             "serve --pod",
@@ -1246,8 +1239,7 @@ mod tests {
         let tr = std::fs::read_to_string(trace).unwrap();
         assert!(tr.contains("\"name\":\"goodput\""), "{tr}");
         assert!(tr.contains("\"name\":\"util 16x16:os\""), "{tr}");
-        std::fs::remove_file(ts).unwrap();
-        std::fs::remove_file(trace).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1281,10 +1273,8 @@ mod tests {
 
     #[test]
     fn analyze_serve_writes_json_with_rule_codes() {
-        let dir = std::env::temp_dir().join("fuseconv-cli-analyze-serve-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("feasibility.json");
-        let out = out.to_str().unwrap();
+        let dir = scratch_dir("analyze-serve");
+        let out = &format!("{dir}/feasibility.json");
         let e = cli_with(
             "analyze --serve --pod 16x16:os --networks mobilenet-v1 --load 2.0 --format json --out",
             &[out],
@@ -1293,7 +1283,7 @@ mod tests {
         assert!(e.to_string().contains("error-severity"), "{e}");
         let text = std::fs::read_to_string(out).unwrap();
         assert!(text.contains("\"rule\":\"SRV001\""), "{text}");
-        std::fs::remove_file(out).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

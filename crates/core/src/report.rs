@@ -190,7 +190,7 @@ mod tests {
 
     #[test]
     fn write_all_creates_files() {
-        let dir = std::env::temp_dir().join("fuseconv_report_test");
+        let dir = std::env::temp_dir().join(format!("fuseconv_report_test_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let written = write_all(&dir, &array64()).unwrap();
         assert_eq!(written.len(), 6);

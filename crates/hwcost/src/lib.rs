@@ -26,9 +26,7 @@
 //! assert!((overhead.power_pct - 2.25).abs() < 0.5);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(unreachable_pub)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 use std::fmt;
 

@@ -20,6 +20,8 @@
 //! violations as diagnostics, and the `MEM001–MEM003` rules budget the
 //! [`fold_footprint`] working sets against SRAM.
 
+#![cfg_attr(not(test), warn(clippy::as_conversions))]
+
 use crate::map::{c64, tile_classes, Dataflow, LatencyModel};
 use crate::plan::{AsFoldRuns, FoldRuns, Runs};
 use fuseconv_nn::ops::{Axis1d, Op};
@@ -232,7 +234,7 @@ fn grid_for(dataflow: Dataflow, m: u64, k: u64, n: u64, rows: u64, cols: u64) ->
 fn classify(f: Option<FoldSpec>, t: Option<Tile>, i: u64, out: &mut Vec<PlanViolation>) {
     match (f, t) {
         (Some(f), Some(t)) => {
-            let (fr, fc) = (c64u32(f.rows_used), c64u32(f.cols_used));
+            let (fr, fc) = (u64::from(f.rows_used), u64::from(f.cols_used));
             if fr < t.rows || fc < t.cols {
                 out.push(PlanViolation::Gap {
                     missing_macs: t.macs.saturating_sub(f.macs),
@@ -302,7 +304,7 @@ pub fn audit_plan(
     let plan = plan.as_fold_runs();
     let mut out = Vec::new();
     let (rows, cols) = (c64(model.array().rows()), c64(model.array().cols()));
-    let oversized = |f: &FoldSpec| c64u32(f.rows_used) > rows || c64u32(f.cols_used) > cols;
+    let oversized = |f: &FoldSpec| u64::from(f.rows_used) > rows || u64::from(f.cols_used) > cols;
 
     // PLAN003: physical occupancy; expanded only when a run is oversized.
     if plan.runs().any(|(_, f, _)| oversized(f)) {
@@ -325,7 +327,7 @@ pub fn audit_plan(
     // PLAN001/PLAN002: a plan whose runs have the partition's tile shapes,
     // run for run and repeat for repeat, matches it fold for fold; any
     // other plan is merge-walked against it.
-    let shape = |f: &FoldSpec| (c64u32(f.rows_used), c64u32(f.cols_used));
+    let shape = |f: &FoldSpec| (u64::from(f.rows_used), u64::from(f.cols_used));
     if plan.map(shape) != expected.map(|t| (t.rows, t.cols)) {
         walk(&plan, &expected, &mut out);
     }
@@ -386,7 +388,7 @@ impl FoldFootprint {
 /// SRAM addresses the traced simulators touch per fold (the
 /// `footprint_vs_trace` integration test pins this equality).
 pub fn fold_footprint(f: &FoldSpec) -> FoldFootprint {
-    let (ru, cu) = (c64u32(f.rows_used), c64u32(f.cols_used));
+    let (ru, cu) = (u64::from(f.rows_used), u64::from(f.cols_used));
     match f.kind {
         FoldKind::OutputStationary => {
             let k = (f.compute + 2).saturating_sub(ru + cu);
@@ -428,11 +430,6 @@ pub fn plan_high_water(plan: &(impl AsFoldRuns + ?Sized)) -> FoldFootprint {
         .runs()
         .map(|(_, f, _)| fold_footprint(f))
         .fold(FoldFootprint::default(), FoldFootprint::max)
-}
-
-/// Widening `u32 → u64` for fold occupancy fields.
-fn c64u32(x: u32) -> u64 {
-    u64::from(x)
 }
 
 #[cfg(test)]

@@ -42,9 +42,7 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(unreachable_pub)]
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::unwrap_used)]
 
 pub mod audit;
 pub mod ir;

@@ -1,5 +1,7 @@
 //! The latency model: its configuration, errors and cycle pricing.
 
+#![cfg_attr(not(test), warn(clippy::as_conversions))]
+
 use crate::plan::Emit;
 use fuseconv_nn::ops::Op;
 use fuseconv_systolic::ArrayConfig;

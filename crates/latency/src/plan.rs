@@ -21,6 +21,8 @@
 //! Plans use serial accounting (folds back to back, like the cycle
 //! simulator): their total equals serial [`LatencyModel::cycles`].
 
+#![cfg_attr(not(test), warn(clippy::as_conversions))]
+
 use crate::map::{best_lpr, c64, tile_classes, Dataflow, FoldOverlap, LatencyError, LatencyModel};
 use fuseconv_nn::ops::{Axis1d, Op};
 use fuseconv_trace::{FoldKind, FoldSpec};

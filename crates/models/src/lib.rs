@@ -25,9 +25,7 @@
 //! assert!(fuse.macs() < v1.macs());
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(unreachable_pub)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod block;
 pub mod network;

@@ -28,9 +28,7 @@
 //! assert_eq!(dw.params(), 32 * 9);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(unreachable_pub)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod activation;
 pub mod conv;

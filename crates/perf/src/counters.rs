@@ -280,16 +280,6 @@ impl PerfCounters {
         fuseconv_trace::pe_utilization(self.busy_pe_cycles, self.cycles(), self.pe_count())
     }
 
-    /// PE·cycles spent in the fill phase (all idle by construction).
-    pub fn fill_pe_cycles(&self) -> u64 {
-        self.fill * self.pe_count() as u64
-    }
-
-    /// PE·cycles spent in the drain phase (all idle by construction).
-    pub fn drain_pe_cycles(&self) -> u64 {
-        self.drain * self.pe_count() as u64
-    }
-
     /// PE·cycles inside the compute window, busy or not.
     pub fn compute_pe_cycles(&self) -> u64 {
         self.compute() * self.pe_count() as u64

@@ -33,9 +33,7 @@
 //!
 //! [`SimResult::cycles`]: fuseconv_systolic::SimResult::cycles
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(unreachable_pub)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 mod counters;
 mod report;

@@ -37,9 +37,7 @@
 //! assert!(conv.check().is_err()); // not an RIA → not systolic
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(unreachable_pub)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod algorithms;
 pub mod expr;

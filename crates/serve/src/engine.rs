@@ -708,8 +708,9 @@ impl<'a> Engine<'a> {
 ///
 /// Returns [`ServeError::Config`] for inconsistent configurations
 /// (zero requests, non-positive load, preemption under sharded
-/// dispatch, a load offering more than one request per cycle) and
-/// propagates oracle errors for ops the latency model rejects.
+/// dispatch, a load offering more than one request per cycle or so few
+/// that the arrivals could saturate the clock) and propagates oracle
+/// errors for ops the latency model rejects.
 pub fn simulate(
     pod: &PodSpec,
     workload: &Workload,
@@ -771,6 +772,16 @@ pub fn simulate_observed(
             "load {} offers {:.3} requests per cycle; arrivals are at least one cycle apart",
             cfg.load,
             cfg.load * capacity
+        )));
+    }
+    // `next_f64` has 53 bits, so one gap is at most ln(2^53) ≈ 36.7 mean
+    // gaps. Arrivals that could span half the u64 clock leave too little
+    // for service: time would saturate and latencies read 0.
+    let max_span = cfg.requests as f64 * mean_gap * 53.0 * std::f64::consts::LN_2;
+    if max_span >= (1u64 << 63) as f64 {
+        return Err(ServeError::Config(format!(
+            "load {:e} spreads {} arrivals over up to {max_span:.3e} cycles, past the clock's range",
+            cfg.load, cfg.requests
         )));
     }
 
@@ -1453,6 +1464,16 @@ mod tests {
             ),
             Err(ServeError::Config(_))
         ));
+        // A load so low that the arrivals could saturate the u64 clock;
+        // a low load whose arrivals fit still runs.
+        let low = |load| {
+            let mut cfg = base_cfg(10);
+            cfg.load = load;
+            simulate(&pod, &w, &cfg, None)
+        };
+        assert!(matches!(low(1e-12), Err(ServeError::Config(_))));
+        assert!(matches!(low(1e-300), Err(ServeError::Config(_))));
+        assert!(low(1e-6).expect("fits the clock").latency.p50 > 0);
         for slo_multiplier in [f64::NAN, f64::INFINITY, -3.0, 0.5] {
             let cfg = ServeConfig {
                 slo_multiplier,

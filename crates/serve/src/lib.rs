@@ -37,9 +37,7 @@
 //!   multi-window SLO burn-rate alerts and tail exemplars with exact
 //!   per-request phase accounting.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(unreachable_pub)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod batch;
 pub mod engine;

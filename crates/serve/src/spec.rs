@@ -93,14 +93,12 @@ impl ArraySpec {
             s.trim().parse::<usize>().map_err(|_| bad())
         };
         let (rows, cols) = (count(r, "row")?, count(c, "column")?);
-        if rows.checked_mul(cols).is_none() || rows.checked_add(cols).is_none() {
-            return Err(ServeError::Spec(format!(
-                "array `{entry}` is too large: its PE count or refill penalty overflows"
-            )));
-        }
         // Validate dimensions eagerly so parse errors surface before the
-        // simulation starts.
-        ArrayConfig::new(rows, cols)?;
+        // simulation starts; an overflow names its entry.
+        ArrayConfig::new(rows, cols).map_err(|e| match e {
+            ConfigError::OversizedArray { .. } => ServeError::Spec(format!("array `{entry}`: {e}")),
+            e => ServeError::Array(e),
+        })?;
         Ok(ArraySpec {
             rows,
             cols,

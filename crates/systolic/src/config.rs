@@ -29,10 +29,15 @@ impl ArrayConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::EmptyArray`] if either dimension is zero.
+    /// Returns [`ConfigError::EmptyArray`] if either dimension is zero
+    /// and [`ConfigError::OversizedArray`] if `rows × cols` or
+    /// `rows + cols` overflows `usize`.
     pub fn new(rows: usize, cols: usize) -> Result<Self, ConfigError> {
         if rows == 0 || cols == 0 {
             return Err(ConfigError::EmptyArray { rows, cols });
+        }
+        if rows.checked_mul(cols).is_none() || rows.checked_add(cols).is_none() {
+            return Err(ConfigError::OversizedArray { rows, cols });
         }
         Ok(ArrayConfig {
             rows,
@@ -45,7 +50,7 @@ impl ArrayConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::EmptyArray`] if `s` is zero.
+    /// As [`ArrayConfig::new`].
     pub fn square(s: usize) -> Result<Self, ConfigError> {
         Self::new(s, s)
     }
@@ -106,6 +111,13 @@ pub enum ConfigError {
         /// Requested columns.
         cols: usize,
     },
+    /// An array whose PE count or `rows + cols` overflows `usize`.
+    OversizedArray {
+        /// Requested rows.
+        rows: usize,
+        /// Requested columns.
+        cols: usize,
+    },
     /// The FuSeConv dataflow was requested on an array without broadcast
     /// links.
     BroadcastUnavailable,
@@ -121,6 +133,9 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::EmptyArray { rows, cols } => {
                 write!(f, "array dimensions {rows}x{cols} must be nonzero")
+            }
+            ConfigError::OversizedArray { rows, cols } => {
+                write!(f, "array dimensions {rows}x{cols} are too large for usize")
             }
             ConfigError::BroadcastUnavailable => write!(
                 f,
@@ -142,6 +157,15 @@ mod tests {
         assert!(ArrayConfig::new(0, 4).is_err());
         assert!(ArrayConfig::new(4, 0).is_err());
         assert!(ArrayConfig::square(0).is_err());
+    }
+
+    #[test]
+    fn overflowing_dimensions_rejected() {
+        let side = 1usize << (usize::BITS / 2);
+        let err = ArrayConfig::square(side);
+        assert!(matches!(err, Err(ConfigError::OversizedArray { .. })));
+        assert!(ArrayConfig::new(usize::MAX, 1).is_err());
+        assert!(ArrayConfig::square(side - 1).is_ok());
     }
 
     #[test]

@@ -50,9 +50,7 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(unreachable_pub)]
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::unwrap_used)]
 
 pub mod config;
 pub mod conv1d;

@@ -41,11 +41,6 @@ impl SimResult {
         &self.output
     }
 
-    /// Consumes the result and returns the output tensor.
-    pub fn into_output(self) -> Tensor {
-        self.output
-    }
-
     /// Total cycles, including operand load, compute and output drain —
     /// the paper's latency accounting (§V-A-3).
     pub fn cycles(&self) -> u64 {

@@ -33,12 +33,16 @@
 //! The crate is dependency-free by design (its own JSON writer) and sits
 //! below every other workspace crate, including `fuseconv-trace`. It is
 //! also the only crate allowed to call `std::time::Instant::now`
-//! (workspace-lint rule 6): all other host timing goes through
-//! [`Stopwatch`] or spans.
+//! (`clippy.toml` disallows it everywhere else): all other host timing
+//! goes through [`Stopwatch`] or spans.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(unreachable_pub)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    clippy::disallowed_macros,
+    reason = "the one crate that reads the host clock and holds process-wide and per-thread state"
+)]
 
 pub mod chrome;
 pub mod json;

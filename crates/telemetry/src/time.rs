@@ -1,10 +1,10 @@
 //! Wall-clock primitives.
 //!
 //! This module is the workspace's *only* sanctioned home for
-//! [`std::time::Instant`] (workspace-lint rule 6): every other library
-//! crate measures host time through [`Stopwatch`] or through the span
-//! profiler built on top of it, so timing behaviour stays auditable in
-//! one place.
+//! [`std::time::Instant`] (`clippy.toml` disallows `Instant::now`
+//! elsewhere): every other crate measures host time through
+//! [`Stopwatch`] or through the span profiler built on top of it, so
+//! timing behaviour stays auditable in one place.
 
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 

@@ -23,9 +23,7 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(unreachable_pub)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod error;
 pub mod gemm;

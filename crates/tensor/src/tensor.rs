@@ -125,11 +125,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reads the element at `index`.
     ///
     /// # Errors

@@ -29,9 +29,7 @@
 //! except `fuseconv-telemetry`, which supplies the run manifest embedded
 //! in exported Chrome traces.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(unreachable_pub)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 mod chrome;
 mod event;

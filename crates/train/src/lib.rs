@@ -30,9 +30,7 @@
 //! assert!(*label < 4);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(unreachable_pub)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod checkpoint;
 pub mod dataset;

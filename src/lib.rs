@@ -14,14 +14,12 @@
 //! - [`hwcost`] — structural area/power model for the broadcast dataflow
 //! - [`train`] — layer-wise backprop trainer and synthetic dataset
 //! - [`trace`] — event tracing: SCALE-Sim CSVs, Chrome timelines, PE heatmaps
-//! - [`analyze`] — static dataflow-legality analyzer and workspace lints
+//! - [`analyze`] — static dataflow-legality analyzer
 //! - [`perf`] — cycle-accounted performance counters and roofline reports
 //! - [`telemetry`] — host-side span profiler, metrics registry, run manifests
 //! - [`serve`] — discrete-event multi-array serving simulator
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(unreachable_pub)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub use fuseconv_analyze as analyze;
 pub use fuseconv_core as core;

@@ -4,9 +4,9 @@
 //! need, and each accepts both the pretty (`"key": value`) and the
 //! compact (`"key":value`) separator.
 
-#![allow(dead_code)] // reason: each test binary uses its own subset
+#![allow(dead_code, reason = "each test binary uses its own subset")]
 
-pub mod traced;
+pub(crate) mod traced;
 
 use fuseconv::models::zoo;
 use fuseconv::nn::FuSeVariant;
@@ -14,7 +14,7 @@ use fuseconv::serve::{PodSpec, Workload};
 
 /// The two-array pod and FuSe-Full two-network workload the serve and
 /// time-series schema tests run.
-pub fn schema_pod() -> (PodSpec, Workload) {
+pub(crate) fn schema_pod() -> (PodSpec, Workload) {
     let pod = PodSpec::parse("16x16:os,8x8:ws").expect("valid pod");
     let workload = Workload::uniform(vec![
         zoo::mobilenet_v2().transform_all(FuSeVariant::Full),
@@ -26,7 +26,7 @@ pub fn schema_pod() -> (PodSpec, Workload) {
 
 /// The quoted strings of the array named `name` in a golden file, e.g.
 /// `golden_list(GOLDEN, "rules")`.
-pub fn golden_list(golden: &str, name: &str) -> Vec<String> {
+pub(crate) fn golden_list(golden: &str, name: &str) -> Vec<String> {
     let start = golden
         .find(&format!("\"{name}\""))
         .unwrap_or_else(|| panic!("golden file lacks section `{name}`"));
@@ -44,7 +44,7 @@ pub fn golden_list(golden: &str, name: &str) -> Vec<String> {
 
 /// Distinct object keys found at a given brace depth of a JSON document
 /// (depth 1 = the outermost object), in first-appearance order.
-pub fn keys_at_depth(json: &str, target: usize) -> Vec<String> {
+pub(crate) fn keys_at_depth(json: &str, target: usize) -> Vec<String> {
     let bytes = json.as_bytes();
     let mut keys: Vec<String> = Vec::new();
     let mut depth = 0usize;
@@ -81,7 +81,7 @@ pub fn keys_at_depth(json: &str, target: usize) -> Vec<String> {
 
 /// Asserts, for each `(depth, section)`, that the document's keys at
 /// `depth` are exactly the golden list `section`, in order.
-pub fn assert_keys(json: &str, golden: &str, sections: &[(usize, &str)]) {
+pub(crate) fn assert_keys(json: &str, golden: &str, sections: &[(usize, &str)]) {
     for &(depth, section) in sections {
         assert_eq!(
             keys_at_depth(json, depth),
@@ -92,7 +92,7 @@ pub fn assert_keys(json: &str, golden: &str, sections: &[(usize, &str)]) {
 }
 
 /// Every string value of a `"field"` member in the document.
-pub fn string_values_of(json: &str, field: &str) -> Vec<String> {
+pub(crate) fn string_values_of(json: &str, field: &str) -> Vec<String> {
     let needle = format!("\"{field}\":");
     let mut out = Vec::new();
     let mut rest = json;

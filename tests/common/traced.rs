@@ -14,21 +14,21 @@ use fuseconv::trace::{Operand, TraceEvent, TraceSink};
 
 /// Distinct addresses touched by each operand stream within one fold.
 #[derive(Debug, Default)]
-pub struct FoldAddrs {
-    pub ifmap: HashSet<u64>,
-    pub filter: HashSet<u64>,
-    pub ofmap: HashSet<u64>,
+pub(crate) struct FoldAddrs {
+    pub(crate) ifmap: HashSet<u64>,
+    pub(crate) filter: HashSet<u64>,
+    pub(crate) ofmap: HashSet<u64>,
 }
 
 /// Sink that buckets operand/output addresses per fold.
 #[derive(Debug, Default)]
-pub struct FootprintSink {
-    pub folds: Vec<FoldAddrs>,
+pub(crate) struct FootprintSink {
+    pub(crate) folds: Vec<FoldAddrs>,
 }
 
 impl FootprintSink {
     /// The per-stream maximum of distinct addresses over the folds.
-    pub fn high_water(&self) -> (u64, u64, u64) {
+    pub(crate) fn high_water(&self) -> (u64, u64, u64) {
         self.folds.iter().fold((0, 0, 0), |acc, f| {
             (
                 acc.0.max(f.ifmap.len() as u64),
@@ -76,7 +76,9 @@ const ARRAYS: [(usize, usize); 3] = [(4, 4), (3, 5), (8, 2)];
 /// tiling dimensions. Each case goes to `check` with the model and the
 /// operator whose plan the trace follows: a pointwise conv over an m×1
 /// map lowers to exactly the traced (m, k, n) GEMM.
-pub fn gemm_grid(mut check: impl FnMut(&LatencyModel, &Op, &FootprintSink, &SimResult, &str)) {
+pub(crate) fn gemm_grid(
+    mut check: impl FnMut(&LatencyModel, &Op, &FootprintSink, &SimResult, &str),
+) {
     let gemms = [(1usize, 1usize, 1usize), (7, 5, 9), (9, 13, 4), (5, 20, 5)];
     for (rows, cols) in ARRAYS {
         let cfg = ArrayConfig::new(rows, cols).expect("nonzero array");
@@ -105,7 +107,9 @@ pub fn gemm_grid(mut check: impl FnMut(&LatencyModel, &Op, &FootprintSink, &SimR
 /// working-set elements coincide exactly. A height-1 row-wise FuSe layer
 /// with `same` padding lowers to c independent 1-D convolutions of one
 /// line each.
-pub fn conv1d_grid(mut check: impl FnMut(&LatencyModel, &Op, &FootprintSink, &SimResult, &str)) {
+pub(crate) fn conv1d_grid(
+    mut check: impl FnMut(&LatencyModel, &Op, &FootprintSink, &SimResult, &str),
+) {
     let shapes = [(1usize, 6usize, 3usize), (5, 9, 3), (3, 12, 5), (9, 4, 3)];
     for (rows, cols) in ARRAYS {
         let cfg = ArrayConfig::new(rows, cols)

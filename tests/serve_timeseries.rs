@@ -262,10 +262,11 @@ fn burn_rate_alerts_fire_under_overload_and_stay_silent_when_healthy() {
 
 #[test]
 fn recording_survives_a_clock_saturated_at_u64_max() {
-    // At a vanishing load every inter-arrival gap saturates the `u64`
-    // clock, so arrivals, batches and completions all pile up at
-    // `u64::MAX`; the recorder's window bounds must not overflow there
-    // (the last window's exclusive end is past `u64::MAX`).
+    // A batch head may wait `u64::MAX` cycles, so the last partial batch
+    // runs at the saturated clock; the recorder's window bounds must not
+    // overflow there (the last window ends past `u64::MAX`). The load
+    // spreads arrivals over ≈1.4e17 cycles, one window wide, so ≈130
+    // windows reach `u64::MAX`; a lower load is a config error.
     use fuseconv::serve::{BatchPolicy, Dispatch};
     let pod = PodSpec::parse("16x16:os,8x8:ws").expect("valid pod");
     let workload = Workload::uniform(vec![
@@ -273,20 +274,24 @@ fn recording_survives_a_clock_saturated_at_u64_max() {
     ])
     .expect("valid workload");
     let dynamic = BatchPolicy::Dynamic {
-        max_batch: 4,
-        max_wait: 10_000,
+        max_batch: 3,
+        max_wait: u64::MAX,
     };
     let base = ServeConfig {
         requests: 200,
-        load: 1e-12,
+        load: 1e-9,
+        policy: dynamic,
         ..ServeConfig::default()
     };
+    let ts_cfg = TimeSeriesConfig {
+        target_windows: 1,
+        ..TimeSeriesConfig::new()
+    };
     let cases = [
-        ("whole", base.clone()),
+        ("whole dynamic", base.clone()),
         (
             "whole dynamic, preempting",
             ServeConfig {
-                policy: dynamic,
                 preemption: true,
                 high_priority_frac: 0.2,
                 ..base.clone()
@@ -295,16 +300,14 @@ fn recording_survives_a_clock_saturated_at_u64_max() {
         (
             "sharded dynamic",
             ServeConfig {
-                policy: dynamic,
                 dispatch: Dispatch::Sharded,
                 ..base
             },
         ),
     ];
     for (label, cfg) in cases {
-        let (report, ts) =
-            simulate_observed(&pod, &workload, &cfg, None, Some(&TimeSeriesConfig::new()))
-                .unwrap_or_else(|e| panic!("{label}: {e}"));
+        let (report, ts) = simulate_observed(&pod, &workload, &cfg, None, Some(&ts_cfg))
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
         let ts = ts.expect("time-series requested");
         assert_eq!(report.makespan_cycles, u64::MAX, "{label}: clock saturates");
         assert_eq!(report.offered, 200, "{label}");
