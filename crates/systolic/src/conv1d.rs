@@ -679,4 +679,53 @@ mod grid_tests {
         ];
         assert_eq!(got, pinned, "[events, busy_trace, output]");
     }
+
+    /// Packed rows (`lpr > 1`) over a generated grid of arrays and
+    /// short-line batches, including remainder slot folds and column
+    /// tails: the untraced run returns exactly the traced run's result,
+    /// and the output bits, busy trace and event stream hash to pinned
+    /// values.
+    #[test]
+    fn packed_runs_match_pinned_fingerprint_and_untraced_result() {
+        let mut rng = Rng::seed_from_u64(0x6c70_7231);
+        let (mut events, mut busy, mut bits) = (String::new(), Vec::new(), Vec::new());
+        let mut packed = 0;
+        for &(rows, cols) in &[(1, 8), (2, 16), (3, 12), (5, 32), (8, 64)] {
+            let cfg = bcast(rows, cols);
+            for _ in 0..6 {
+                let (channels, lines) = (1 + rng.below(7), 2 + rng.below(7));
+                let (l_out, k) = (1 + rng.below(cols / 2), 1 + rng.below(5));
+                let w: Vec<ChannelLines> = (0..channels)
+                    .map(|_| ChannelLines {
+                        kernel: (0..k).map(|_| rng.uniform(-0.5, 0.5)).collect(),
+                        lines: (0..lines)
+                            .map(|_| (0..l_out + k - 1).map(|_| rng.uniform(-0.5, 0.5)).collect())
+                            .collect(),
+                    })
+                    .collect();
+                let ctx = format!("{rows}x{cols} c{channels} l{lines} out{l_out} k{k}");
+                packed += usize::from(lines_per_row(&cfg, channels, lines, l_out, k) > 1);
+                let mut sink = VecSink::default();
+                let sim = simulate_packed_traced(&cfg, &w, &mut sink).unwrap();
+                assert_eq!(simulate_packed(&cfg, &w).unwrap(), sim, "{ctx}");
+                events += &format!("{ctx}\n{:?}\n", sink.events);
+                busy.extend(sim.busy_trace().iter().flat_map(|x| x.to_le_bytes()));
+                bits.extend(
+                    sim.output()
+                        .as_slice()
+                        .iter()
+                        .flat_map(|x| x.to_bits().to_le_bytes()),
+                );
+            }
+        }
+        assert!(packed >= 20, "only {packed} of 30 cases pack");
+        let fnv = fuseconv_telemetry::fnv1a64;
+        let got = [fnv(events.as_bytes()), fnv(&busy), fnv(&bits)];
+        let pinned = [
+            0xd935_a984_d8a0_f04d,
+            0xcf59_65e5_cfad_dbe5,
+            0xdd4d_968f_e9dc_96a3,
+        ];
+        assert_eq!(got, pinned, "[events, busy_trace, output]");
+    }
 }
