@@ -708,8 +708,9 @@ impl<'a> Engine<'a> {
 ///
 /// Returns [`ServeError::Config`] for inconsistent configurations
 /// (zero requests, non-positive load, preemption under sharded
-/// dispatch, a load offering more than one request per cycle or so few
-/// that the arrivals could saturate the clock) and propagates oracle
+/// dispatch, a load offering more than one request per cycle, so few
+/// that the arrivals could saturate the clock, or a batching `max_wait`
+/// that could carry a deadline past it) and propagates oracle
 /// errors for ops the latency model rejects.
 pub fn simulate(
     pod: &PodSpec,
@@ -782,6 +783,16 @@ pub fn simulate_observed(
         return Err(ServeError::Config(format!(
             "load {:e} spreads {} arrivals over up to {max_span:.3e} cycles, past the clock's range",
             cfg.load, cfg.requests
+        )));
+    }
+    // A batch head may wait `max_wait` past the last arrival.
+    let max_wait = match cfg.policy {
+        BatchPolicy::Fifo => 0,
+        BatchPolicy::Dynamic { max_wait, .. } | BatchPolicy::Bucketed { max_wait, .. } => max_wait,
+    };
+    if max_span + max_wait as f64 >= (1u64 << 63) as f64 {
+        return Err(ServeError::Config(format!(
+            "max_wait {max_wait} past arrivals spanning up to {max_span:.3e} cycles leaves the clock's range"
         )));
     }
 

@@ -22,6 +22,15 @@
 //! Folds tile the slots (`⌈#slots/rows⌉`) and each line's output positions
 //! (`⌈L_out/cols⌉`). Packing (`lpr > 1`) only happens when `L_out < cols`,
 //! so a packed row is always a single column tile.
+//!
+//! The simulator runs each fold's MACs first, line by line in a small
+//! register kernel: every output is summed from `0.0` over the taps in
+//! ascending order, the order the broadcast applies them. Its busy
+//! trace is closed-form (zero while loading and draining, the fold's
+//! used PEs for each of the `K` compute cycles). Per-cycle, per-PE and
+//! per-operand events come from a loop over the fold's cycles that only
+//! narrates, and it runs only when the sink opts in; otherwise the fold
+//! appends its busy trace in bulk.
 
 use crate::{tick, ArrayConfig, ConfigError, SimResult};
 use fuseconv_tensor::Tensor;
@@ -120,7 +129,8 @@ pub fn simulate_packed(cfg: &ArrayConfig, work: &[ChannelLines]) -> Result<SimRe
 }
 
 /// [`simulate_packed`] with every cycle narrated to `sink` as trace
-/// events.
+/// events (fold events only, for a sink that opts out of per-cycle and
+/// finer events).
 ///
 /// Fold occupancy is reported in schedule positions: `rows_used` counts
 /// occupied slots (array rows) and `cols_used` the nominal packed row
@@ -180,13 +190,15 @@ pub fn simulate_packed_traced(
         .collect();
 
     let mut out = vec![0.0f32; n_ch * lines * l_out];
-    let mut busy_trace: Vec<u32> = Vec::new();
+    let total = cycles_at_lpr(cfg, n_ch, lines, l_out, k, lpr);
+    let mut busy_trace: Vec<u32> = Vec::with_capacity(usize::try_from(total).unwrap_or(0));
     let mut busy_pe_cycles = 0u64;
     let mut folds = 0u64;
 
     let wants_pe = sink.wants_pe_fires();
     let wants_ops = sink.wants_operand_events();
     let wants_bcast = sink.wants_broadcast_events();
+    let narrate = sink.wants_cycles() || wants_pe || wants_ops || wants_bcast;
     for slot0 in (0..slots.len()).step_by(cfg.rows()) {
         let chunk = &slots[slot0..slots.len().min(slot0 + cfg.rows())];
         let ru = chunk.len();
@@ -196,6 +208,7 @@ pub fn simulate_packed_traced(
             // even in remainder folds — the input ports run for the full
             // schedule regardless; this matches `analytic_cycles_packed`.
             let nominal_width = lpr * cw;
+            let fill = nominal_width + k - 1;
             sink.on_event(&TraceEvent::FoldStart {
                 fold: folds,
                 tag: folds,
@@ -205,76 +218,77 @@ pub fn simulate_packed_traced(
                 cols_used: nominal_width as u32,
             });
             folds += 1;
-            for p in 0..(nominal_width + k - 1) {
-                if wants_ops {
-                    let cycle = busy_trace.len() as u64;
-                    for (r, &(ch, l0, _)) in chunk.iter().enumerate() {
-                        sink.on_event(&TraceEvent::OperandRead {
-                            cycle,
-                            operand: Operand::Ifmap,
-                            lane: r as u32,
-                            addr: ((ch * lines + l0) * l_in + c0 + p) as u64,
-                        });
-                    }
+            for &(ch, l0, n_lines) in chunk {
+                for (li, line) in work[ch].lines[l0..l0 + n_lines].iter().enumerate() {
+                    let at = (ch * lines + l0 + li) * l_out + c0;
+                    line_macs(&mut out[at..at + cw], &line[c0..], &work[ch].kernel);
                 }
-                tick(sink, &mut busy_trace, Phase::Fill, 0);
             }
             let fold_busy: u64 = chunk.iter().map(|&(_, _, n)| (n * cw) as u64).sum();
-            for tap in 0..k {
-                let cycle = busy_trace.len() as u64;
-                for (r, &(ch, l0, n_lines)) in chunk.iter().enumerate() {
-                    let w = work[ch].kernel[tap];
-                    if wants_bcast {
-                        sink.on_event(&TraceEvent::WeightBroadcast {
-                            cycle,
-                            row: r as u32,
-                            tap: tap as u32,
-                        });
-                    }
+            busy_pe_cycles += k as u64 * fold_busy;
+            if narrate {
+                for p in 0..fill {
                     if wants_ops {
-                        sink.on_event(&TraceEvent::OperandRead {
-                            cycle,
-                            operand: Operand::Filter,
-                            lane: r as u32,
-                            addr: (ch * k + tap) as u64,
-                        });
+                        let cycle = busy_trace.len() as u64;
+                        for (r, &(ch, l0, _)) in chunk.iter().enumerate() {
+                            sink.on_event(&TraceEvent::OperandRead {
+                                cycle,
+                                operand: Operand::Ifmap,
+                                lane: r as u32,
+                                addr: ((ch * lines + l0) * l_in + c0 + p) as u64,
+                            });
+                        }
                     }
-                    for li in 0..n_lines {
-                        let at = (ch * lines + l0 + li) * l_out + c0;
-                        let input = &work[ch].lines[l0 + li][c0 + tap..][..cw];
-                        for (o, &x) in out[at..at + cw].iter_mut().zip(input) {
-                            *o += w * x;
+                    tick(sink, &mut busy_trace, Phase::Fill, 0);
+                }
+                for tap in 0..k {
+                    let cycle = busy_trace.len() as u64;
+                    for (r, &(ch, _, n_lines)) in chunk.iter().enumerate() {
+                        if wants_bcast {
+                            sink.on_event(&TraceEvent::WeightBroadcast {
+                                cycle,
+                                row: r as u32,
+                                tap: tap as u32,
+                            });
+                        }
+                        if wants_ops {
+                            sink.on_event(&TraceEvent::OperandRead {
+                                cycle,
+                                operand: Operand::Filter,
+                                lane: r as u32,
+                                addr: (ch * k + tap) as u64,
+                            });
                         }
                         if wants_pe {
-                            for c in 0..cw {
-                                sink.on_event(&TraceEvent::PeFire {
+                            for col in 0..(n_lines * cw) as u32 {
+                                let row = r as u32;
+                                sink.on_event(&TraceEvent::PeFire { cycle, row, col });
+                            }
+                        }
+                    }
+                    tick(sink, &mut busy_trace, Phase::Compute, fold_busy as u32);
+                }
+                // One drain cycle per occupied slot, each flushing that
+                // slot's outputs down the columns.
+                for &(ch, l0, n_lines) in chunk {
+                    if wants_ops {
+                        let cycle = busy_trace.len() as u64;
+                        for li in 0..n_lines {
+                            let at = (ch * lines + l0 + li) * l_out + c0;
+                            for addr in at..at + cw {
+                                sink.on_event(&TraceEvent::OutputWrite {
                                     cycle,
-                                    row: r as u32,
-                                    col: (li * cw + c) as u32,
+                                    addr: addr as u64,
                                 });
                             }
                         }
                     }
+                    tick(sink, &mut busy_trace, Phase::Drain, 0);
                 }
-                tick(sink, &mut busy_trace, Phase::Compute, fold_busy as u32);
-                busy_pe_cycles += fold_busy;
-            }
-            // One drain cycle per occupied slot, each flushing that slot's
-            // outputs down the columns.
-            for &(ch, l0, n_lines) in chunk {
-                if wants_ops {
-                    let cycle = busy_trace.len() as u64;
-                    for li in 0..n_lines {
-                        let at = (ch * lines + l0 + li) * l_out + c0;
-                        for addr in at..at + cw {
-                            sink.on_event(&TraceEvent::OutputWrite {
-                                cycle,
-                                addr: addr as u64,
-                            });
-                        }
-                    }
-                }
-                tick(sink, &mut busy_trace, Phase::Drain, 0);
+            } else {
+                busy_trace.resize(busy_trace.len() + fill, 0);
+                busy_trace.resize(busy_trace.len() + k, fold_busy as u32);
+                busy_trace.resize(busy_trace.len() + ru, 0);
             }
             sink.on_event(&TraceEvent::FoldEnd {
                 fold: folds - 1,
@@ -295,6 +309,40 @@ pub fn simulate_packed_traced(
     );
     crate::record_sim_metrics(&sim);
     Ok(sim)
+}
+
+/// The MACs of one line's column tile: `out[c] = Σ_τ w[τ] · x[c + τ]`,
+/// each output summed from `0.0` over the taps in ascending order, as the
+/// broadcast applies them. Outputs run in register tiles: 8 at a time,
+/// then at most one tile each of 4, 2 and 1.
+fn line_macs(out: &mut [f32], x: &[f32], kernel: &[f32]) {
+    let mut c0 = 0;
+    while c0 + 8 <= out.len() {
+        out[c0..c0 + 8].copy_from_slice(&taps::<8>(&x[c0..], kernel));
+        c0 += 8;
+    }
+    if c0 + 4 <= out.len() {
+        out[c0..c0 + 4].copy_from_slice(&taps::<4>(&x[c0..], kernel));
+        c0 += 4;
+    }
+    if c0 + 2 <= out.len() {
+        out[c0..c0 + 2].copy_from_slice(&taps::<2>(&x[c0..], kernel));
+        c0 += 2;
+    }
+    if c0 < out.len() {
+        out[c0] = taps::<1>(&x[c0..], kernel)[0];
+    }
+}
+
+/// `W` consecutive outputs of [`line_macs`], the first at `x[0]`.
+fn taps<const W: usize>(x: &[f32], kernel: &[f32]) -> [f32; W] {
+    let mut acc = [0.0f32; W];
+    for (t, &w) in kernel.iter().enumerate() {
+        for (a, &x) in acc.iter_mut().zip(&x[t..][..W]) {
+            *a += w * x;
+        }
+    }
+    acc
 }
 
 /// Analytic cycles of the packed mapping for `channels` channels of

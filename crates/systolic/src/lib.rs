@@ -14,8 +14,9 @@
 //!   `(m, k, n)`, its preload and its drain; it computes each fold's MACs
 //!   in ascending reduction order (so outputs are bit-identical to
 //!   [`matmul`](fuseconv_tensor::gemm::matmul)), derives per-cycle busy
-//!   counts in closed form, and generates per-PE and per-operand trace
-//!   events only for sinks that ask for them. [`gemm`], [`ws_gemm`] and
+//!   counts in closed form (appending them in bulk unless the sink wants
+//!   per-cycle events), and generates per-PE and per-operand trace events
+//!   only for sinks that ask for them. [`gemm`], [`ws_gemm`] and
 //!   [`is_gemm`] are its untraced entry points.
 //! - [`conv1d`] — the paper's **row-broadcast** dataflow for FuSeConv,
 //!   one simulator: each array row runs the 1-D convolutions of one or

@@ -8,20 +8,26 @@
 //! steps index, and in which operand (if any) is preloaded — all of which
 //! follows from the [`Dataflow`]. [`Dataflow::simulate`] does the rest:
 //!
-//! - **MACs** run per fold in register tiles of 2 output rows × 16
-//!   columns: a tile loads its accumulators from the output, and each
-//!   ascending reduction step adds one scaled `B` row slice per row. Every
-//!   output accumulates from `0.0` in ascending reduction order — also
-//!   across the `K`-tiles of WS and IS, whose tile loop ascends and whose
-//!   register tiles resume from the stored partial sum — so results are
-//!   bit-identical to [`matmul`](fuseconv_tensor::gemm::matmul).
+//! - **MACs** run per fold in register tiles: row pairs take 2 × 16
+//!   output tiles, then at most one 2 × 8 tile, then a plain row loop over
+//!   the last < 8 columns; an odd last row (every single-row FC fold) runs
+//!   the row loop across the whole fold width. A tile loads its
+//!   accumulators from the output, and each ascending reduction step adds
+//!   one scaled `B` row slice per row. Every output accumulates from `0.0`
+//!   in ascending reduction order — also across the `K`-tiles of WS and
+//!   IS, whose tile loop ascends and whose tiles resume from the stored
+//!   partial sum — so results are bit-identical to
+//!   [`matmul`](fuseconv_tensor::gemm::matmul).
 //! - **Busy counts** are closed-form. The PEs busy at window cycle `t` are
 //!   the anti-diagonals `d ∈ (t − S, t]` of the `ru × cu` fold, so
 //!   `busy(t) = busy(t − 1) + D(t) − D(t − S)` with
-//!   `D(d) = #{(i, j) : i + j = d}`.
-//! - **Per-PE and per-operand events** come from a per-cycle scan that only
-//!   narrates; it runs only when the sink opts in, and debug builds assert
-//!   that its busy count equals the closed form.
+//!   `D(d) = #{(i, j) : i + j = d}`. Unless the sink wants per-cycle
+//!   events ([`TraceSink::wants_cycles`]) or finer ones, a fold appends
+//!   its busy trace in bulk: zeros for fill and drain, the closed-form
+//!   band for the window.
+//! - **Per-cycle, per-PE and per-operand events** come from a per-cycle
+//!   loop that only narrates; it runs only when the sink opts in, and
+//!   debug builds assert that its busy count equals the closed form.
 
 use crate::{tick, ArrayConfig, ConfigError, SimResult};
 use fuseconv_tensor::Tensor;
@@ -285,6 +291,7 @@ impl Dataflow {
             pe: sink.wants_pe_fires(),
             ops: sink.wants_operand_events(),
         };
+        let narrate = sink.wants_cycles() || narrator.pe || narrator.ops;
         let mut fold_no = 0u64;
         for fold in folds {
             let Fold { ru, cu, .. } = fold;
@@ -300,20 +307,26 @@ impl Dataflow {
             fold_macs(&mut out, av, bv, [k, n], [0, 1, 2].map(|a| lo[a]..hi[a]));
 
             let (fill, drain) = self.phases(ru, cu);
-            for p in 0..fill {
-                narrator.fill(sink, fold, p, busy_trace.len() as u64);
-                tick(sink, &mut busy_trace, Phase::Fill, 0);
-            }
-            for (t, busy) in band(ru, cu, stream).enumerate() {
-                if narrator.pe || narrator.ops {
-                    let scanned = narrator.window(sink, fold, t, busy_trace.len() as u64);
-                    debug_assert_eq!(scanned, busy, "closed-form busy count, fold {fold_no}");
+            if narrate {
+                for p in 0..fill {
+                    narrator.fill(sink, fold, p, busy_trace.len() as u64);
+                    tick(sink, &mut busy_trace, Phase::Fill, 0);
                 }
-                tick(sink, &mut busy_trace, Phase::Compute, busy);
-            }
-            for d in 0..drain {
-                narrator.drain(sink, fold, d, busy_trace.len() as u64);
-                tick(sink, &mut busy_trace, Phase::Drain, 0);
+                for (t, busy) in band(ru, cu, stream).enumerate() {
+                    if narrator.pe || narrator.ops {
+                        let scanned = narrator.window(sink, fold, t, busy_trace.len() as u64);
+                        debug_assert_eq!(scanned, busy, "closed-form busy count, fold {fold_no}");
+                    }
+                    tick(sink, &mut busy_trace, Phase::Compute, busy);
+                }
+                for d in 0..drain {
+                    narrator.drain(sink, fold, d, busy_trace.len() as u64);
+                    tick(sink, &mut busy_trace, Phase::Drain, 0);
+                }
+            } else {
+                busy_trace.resize(busy_trace.len() + fill, 0);
+                busy_trace.extend(band(ru, cu, stream));
+                busy_trace.resize(busy_trace.len() + drain, 0);
             }
             sink.on_event(&TraceEvent::FoldEnd {
                 fold: fold_no,
@@ -337,14 +350,13 @@ impl Dataflow {
     }
 }
 
-/// Output columns of one register tile.
-const TILE_N: usize = 16;
-
 /// The MACs of one fold: `out[m, n] += a[m, k] · b[k, n]` over the box
-/// of `[m, k, n]` ranges, in register tiles of 2 output rows × [`TILE_N`]
-/// columns (an odd last row takes a 1-row tile). A tile loads its
-/// accumulators from `out`, streams the whole reduction range past them
-/// in ascending order — one `B` row slice per step, one broadcast `A`
+/// of `[m, k, n]` ranges. Row pairs run in register tiles of 2 output rows
+/// × 16 columns, then at most one 2 × 8 tile, then one row at a time over
+/// the last < 8 columns; an odd last row (a single-row FC fold among
+/// them) runs one row at a time across the whole fold width. A tile loads
+/// its accumulators from `out`, streams the whole reduction range past
+/// them in ascending order — one `B` row slice per step, one broadcast `A`
 /// value per row — and stores them back. Each output thus still adds its
 /// products to its stored partial sum in ascending reduction order, as
 /// [`matmul`](fuseconv_tensor::gemm::matmul) does (Rust never contracts
@@ -359,53 +371,70 @@ fn fold_macs(
 ) {
     let mut m0 = mr.start;
     while m0 + 2 <= mr.end {
-        tile::<2>(out, av, bv, kn, m0, kr.clone(), nr.clone());
+        let mut c0 = nr.start;
+        while c0 + 16 <= nr.end {
+            tile::<16>(out, av, bv, kn, [m0, c0], kr.clone());
+            c0 += 16;
+        }
+        if c0 + 8 <= nr.end {
+            tile::<8>(out, av, bv, kn, [m0, c0], kr.clone());
+            c0 += 8;
+        }
+        for m in m0..m0 + 2 {
+            row(out, av, bv, kn, m, kr.clone(), c0..nr.end);
+        }
         m0 += 2;
     }
     if m0 < mr.end {
-        tile::<1>(out, av, bv, kn, m0, kr, nr);
+        row(out, av, bv, kn, m0, kr, nr);
     }
 }
 
-/// Output rows `m0..m0 + R` of [`fold_macs`]: full [`TILE_N`]-column
-/// register tiles, then the narrower column tail one row at a time.
-fn tile<const R: usize>(
+/// Output rows `m0..m0 + 2`, columns `c0..c0 + W` of [`fold_macs`], in
+/// registers.
+fn tile<const W: usize>(
     out: &mut [f32],
     av: &[f32],
     bv: &[f32],
     [k, n]: [usize; 2],
-    m0: usize,
+    [m0, c0]: [usize; 2],
+    kr: Range<usize>,
+) {
+    let a: [&[f32]; 2] = std::array::from_fn(|r| &av[(m0 + r) * k..][kr.clone()]);
+    let mut acc = [[0.0f32; W]; 2];
+    for (r, acc) in acc.iter_mut().enumerate() {
+        acc.copy_from_slice(&out[(m0 + r) * n + c0..][..W]);
+    }
+    for (s, kk) in kr.enumerate() {
+        let brow = &bv[kk * n + c0..][..W];
+        for (acc, a) in acc.iter_mut().zip(a) {
+            let x = a[s];
+            for (o, &b) in acc.iter_mut().zip(brow) {
+                *o += x * b;
+            }
+        }
+    }
+    for (r, acc) in acc.iter().enumerate() {
+        out[(m0 + r) * n + c0..][..W].copy_from_slice(acc);
+    }
+}
+
+/// Output row `m`, columns `nr` of [`fold_macs`], one scaled `B` row
+/// slice per reduction step.
+fn row(
+    out: &mut [f32],
+    av: &[f32],
+    bv: &[f32],
+    [k, n]: [usize; 2],
+    m: usize,
     kr: Range<usize>,
     nr: Range<usize>,
 ) {
-    let a: [&[f32]; R] = std::array::from_fn(|r| &av[(m0 + r) * k..][kr.clone()]);
-    let mut c0 = nr.start;
-    while c0 + TILE_N <= nr.end {
-        let mut acc = [[0.0f32; TILE_N]; R];
-        for (r, acc) in acc.iter_mut().enumerate() {
-            acc.copy_from_slice(&out[(m0 + r) * n + c0..][..TILE_N]);
-        }
-        for (s, kk) in kr.clone().enumerate() {
-            let brow = &bv[kk * n + c0..][..TILE_N];
-            for (acc, a) in acc.iter_mut().zip(a) {
-                let x = a[s];
-                for (o, &b) in acc.iter_mut().zip(brow) {
-                    *o += x * b;
-                }
-            }
-        }
-        for (r, acc) in acc.iter().enumerate() {
-            out[(m0 + r) * n + c0..][..TILE_N].copy_from_slice(acc);
-        }
-        c0 += TILE_N;
-    }
-    for (r, a) in a.iter().enumerate() {
-        let orow = &mut out[(m0 + r) * n..][c0..nr.end];
-        for (kk, &x) in kr.clone().zip(*a) {
-            let brow = &bv[kk * n..][c0..nr.end];
-            for (o, &b) in orow.iter_mut().zip(brow) {
-                *o += x * b;
-            }
+    let orow = &mut out[m * n..][nr.clone()];
+    for (kk, &x) in kr.clone().zip(&av[m * k..][kr]) {
+        let brow = &bv[kk * n..][nr.clone()];
+        for (o, &b) in orow.iter_mut().zip(brow) {
+            *o += x * b;
         }
     }
 }
@@ -567,29 +596,40 @@ mod tests {
         }
     }
 
-    /// The MAC kernel's full 16-column register tiles, its 1-row tile and
-    /// its narrower column tail reproduce the golden GEMM bit for bit
-    /// under every dataflow: square and non-square arrays up to 64×64,
-    /// `M` of 1, 2 and odd, `N` a multiple of 16, just over one and under
-    /// 16, and `K` spanning several WS and IS `K`-tiles, so tiles start
-    /// from stored partial sums.
+    /// The MAC kernel's 2 × 16 and 2 × 8 register tiles and its row loop
+    /// reproduce the golden GEMM bit for bit under every dataflow: square
+    /// and non-square arrays up to 64×64; `M` of 1, 2 and odd (an odd last
+    /// row runs the row loop); `N % 16` of 0, 8, 9..15 and 1..7, and `N`
+    /// under 16; `K` spanning several WS and IS `K`-tiles, so tiles start
+    /// from stored partial sums; and a `1×K×N` FC fold wider than the
+    /// array.
     #[test]
     fn register_tiles_match_golden_bit_for_bit_on_generated_grid() {
         let mut rng = Rng::seed_from_u64(0x7469_6c65);
         for (rows, cols) in [(16, 16), (64, 64), (24, 40)] {
             let cfg = ArrayConfig::new(rows, cols).unwrap();
+            let mut shapes = Vec::new();
             for m in [1, 2, 3 + 2 * rng.below(20)] {
                 let whole = 16 * (1 + rng.below(4));
-                for n in [whole, whole + 1 + rng.below(15), 1 + rng.below(15)] {
-                    let k = rows.max(cols) + 1 + rng.below(2 * rows.max(cols));
-                    let a = Tensor::from_fn(&[m, k], |_| rng.uniform(-0.5, 0.5)).unwrap();
-                    let b = Tensor::from_fn(&[k, n], |_| rng.uniform(-0.5, 0.5)).unwrap();
-                    let gold = bits(&matmul(&a, &b).unwrap());
-                    for flow in Dataflow::ALL {
-                        let sim = flow.simulate(&cfg, &a, &b, &mut NullSink).unwrap();
-                        let ctx = format!("{flow:?} {rows}x{cols} array, {m}x{k}x{n}");
-                        assert_eq!(bits(sim.output()), gold, "{ctx}");
-                    }
+                for n in [
+                    whole,
+                    whole + 8,
+                    whole + 9 + rng.below(7),
+                    whole + 1 + rng.below(7),
+                    1 + rng.below(15),
+                ] {
+                    shapes.push((m, rows.max(cols) + 1 + rng.below(2 * rows.max(cols)), n));
+                }
+            }
+            shapes.push((1, 3 * rows + 5, 2 * cols + 8 + rng.below(16)));
+            for (m, k, n) in shapes {
+                let a = Tensor::from_fn(&[m, k], |_| rng.uniform(-0.5, 0.5)).unwrap();
+                let b = Tensor::from_fn(&[k, n], |_| rng.uniform(-0.5, 0.5)).unwrap();
+                let gold = bits(&matmul(&a, &b).unwrap());
+                for flow in Dataflow::ALL {
+                    let sim = flow.simulate(&cfg, &a, &b, &mut NullSink).unwrap();
+                    let ctx = format!("{flow:?} {rows}x{cols} array, {m}x{k}x{n}");
+                    assert_eq!(bits(sim.output()), gold, "{ctx}");
                 }
             }
         }

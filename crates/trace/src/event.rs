@@ -199,14 +199,24 @@ pub enum TraceEvent {
 
 /// A consumer of [`TraceEvent`]s.
 ///
-/// Coarse events (`FoldStart`, `Cycle`, `FoldEnd`) are always delivered.
-/// The fine-grained, per-element events are expensive to generate, so a
-/// sink must opt in via the `wants_*` methods; producers check them once
-/// per run and skip event construction entirely otherwise. This keeps the
-/// untraced path (a [`NullSink`]) at full simulator speed.
+/// Fold events (`FoldStart`, `FoldEnd`) are always delivered, and so are
+/// `Cycle` events unless the sink opts out of them. The fine-grained,
+/// per-element events are expensive to generate, so a sink must opt in
+/// via the `wants_*` methods; producers check them once per run and skip
+/// event construction entirely otherwise. A sink that wants neither
+/// cycles nor any fine-grained event (a [`NullSink`]) gets the untraced
+/// path: the simulator appends each fold's busy trace in bulk instead of
+/// walking it cycle by cycle.
 pub trait TraceSink {
     /// Receives one event. Events arrive in nondecreasing cycle order.
     fn on_event(&mut self, event: &TraceEvent);
+
+    /// Whether one [`TraceEvent::Cycle`] per simulated cycle should be
+    /// generated. Defaults to `true`; [`NullSink`] opts out. A sink that
+    /// opts into any fine-grained event still receives every `Cycle`.
+    fn wants_cycles(&self) -> bool {
+        true
+    }
 
     /// Whether per-PE [`TraceEvent::PeFire`] events should be generated.
     fn wants_pe_fires(&self) -> bool {
@@ -231,13 +241,18 @@ pub trait TraceSink {
     }
 }
 
-/// The no-op sink: discards everything and opts out of all fine-grained
-/// events. Simulating against a `NullSink` is the untraced fast path.
+/// The no-op sink: discards everything and opts out of per-cycle and all
+/// fine-grained events. Simulating against a `NullSink` is the untraced
+/// fast path.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullSink;
 
 impl TraceSink for NullSink {
     fn on_event(&mut self, _event: &TraceEvent) {}
+
+    fn wants_cycles(&self) -> bool {
+        false
+    }
 }
 
 /// A sink that simply collects every event into a `Vec`, opting in to all
@@ -269,6 +284,7 @@ mod tests {
     #[test]
     fn null_sink_opts_out_of_everything() {
         let mut s = NullSink;
+        assert!(!s.wants_cycles());
         assert!(!s.wants_pe_fires());
         assert!(!s.wants_operand_events());
         s.on_event(&TraceEvent::Cycle {
@@ -281,7 +297,7 @@ mod tests {
     #[test]
     fn vec_sink_collects_in_order() {
         let mut s = VecSink::default();
-        assert!(s.wants_pe_fires() && s.wants_operand_events());
+        assert!(s.wants_cycles() && s.wants_pe_fires() && s.wants_operand_events());
         for c in 0..3 {
             s.on_event(&TraceEvent::Cycle {
                 cycle: c,

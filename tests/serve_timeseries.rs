@@ -261,26 +261,22 @@ fn burn_rate_alerts_fire_under_overload_and_stay_silent_when_healthy() {
 }
 
 #[test]
-fn recording_survives_a_clock_saturated_at_u64_max() {
-    // A batch head may wait `u64::MAX` cycles, so the last partial batch
-    // runs at the saturated clock; the recorder's window bounds must not
-    // overflow there (the last window ends past `u64::MAX`). The load
-    // spreads arrivals over ≈1.4e17 cycles, one window wide, so ≈130
-    // windows reach `u64::MAX`; a lower load is a config error.
-    use fuseconv::serve::{BatchPolicy, Dispatch};
+fn recording_survives_the_longest_wait_the_clock_accepts() {
+    // A batch head may wait `max_wait` cycles past the last arrival, so
+    // a wait that could carry a deadline past half the u64 clock is a
+    // config error, and the longest accepted one still records windows
+    // that tile the makespan. The load spreads arrivals over ≈1.4e17
+    // cycles, one window wide, with a span bound of ≈5e18 cycles; a lower
+    // load is a config error.
+    use fuseconv::serve::{BatchPolicy, Dispatch, ServeError};
     let pod = PodSpec::parse("16x16:os,8x8:ws").expect("valid pod");
     let workload = Workload::uniform(vec![
         zoo::mobilenet_v3_small().transform_all(FuSeVariant::Full)
     ])
     .expect("valid workload");
-    let dynamic = BatchPolicy::Dynamic {
-        max_batch: 3,
-        max_wait: u64::MAX,
-    };
     let base = ServeConfig {
         requests: 200,
         load: 1e-9,
-        policy: dynamic,
         ..ServeConfig::default()
     };
     let ts_cfg = TimeSeriesConfig {
@@ -306,10 +302,23 @@ fn recording_survives_a_clock_saturated_at_u64_max() {
         ),
     ];
     for (label, cfg) in cases {
-        let (report, ts) = simulate_observed(&pod, &workload, &cfg, None, Some(&ts_cfg))
-            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        let with_wait = |max_wait| ServeConfig {
+            policy: BatchPolicy::Dynamic {
+                max_batch: 3,
+                max_wait,
+            },
+            ..cfg.clone()
+        };
+        match simulate_observed(&pod, &workload, &with_wait(u64::MAX), None, Some(&ts_cfg)) {
+            Err(ServeError::Config(e)) => assert!(e.contains("max_wait"), "{label}: {e}"),
+            other => panic!("{label}: u64::MAX max_wait accepted: {other:?}"),
+        }
+        let (report, ts) =
+            simulate_observed(&pod, &workload, &with_wait(1 << 61), None, Some(&ts_cfg))
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
         let ts = ts.expect("time-series requested");
-        assert_eq!(report.makespan_cycles, u64::MAX, "{label}: clock saturates");
+        assert!(report.makespan_cycles > 1 << 61, "{label}: a head waits");
+        assert!(report.makespan_cycles < 1 << 63, "{label}: clock in range");
         assert_eq!(report.offered, 200, "{label}");
         assert_eq!(report.completed + report.dropped, report.offered, "{label}");
         let sum = |f: fn(&fuseconv::serve::timeseries::WindowReport) -> u64| -> u64 {
