@@ -1,9 +1,8 @@
 //! Operator- and network-level analysis: resource/bounds sanity and the
 //! paper's utilization argument, evaluated statically.
 //!
-//! For each operator the analyzer derives the GEMM (or packed conv1d)
-//! lowering the latency model would use and checks, without simulating a
-//! cycle:
+//! For each operator the analyzer reads the latency model's lowering
+//! ([`LatencyModel::lowering`]) and checks, without simulating a cycle:
 //!
 //! * **RES001** — the cycle accounting fits `u64` (checked arithmetic);
 //! * **RES002** — no zero-sized dimensions;
@@ -21,7 +20,8 @@
 use crate::diagnostics::{Diagnostic, Report, RuleId, Severity};
 use crate::mapping::analyze_mapping;
 use crate::memory::MemoryBudget;
-use fuseconv_latency::{FoldRuns, LatencyError, LatencyModel};
+use fuseconv_latency::memory::unique_traffic;
+use fuseconv_latency::{FoldRuns, LatencyError, LatencyModel, Lowering};
 use fuseconv_models::Network;
 use fuseconv_nn::ops::Op;
 use fuseconv_systolic::legality::canonical_mapping;
@@ -32,56 +32,6 @@ const SRAM_ADDRESS_SPACE: u64 = 1 << 32;
 
 /// Compute-phase PE idleness at or above which UTL003 fires.
 const COMPUTE_STALL_THRESHOLD: f64 = 0.90;
-
-/// The GEMM dimensions `(M, K, N)` an operator lowers to, or `None` for
-/// the FuSe 1-D operators (which use the packed row-broadcast mapping,
-/// not a GEMM).
-fn gemm_lowering(model: &LatencyModel, op: &Op) -> Option<(u64, u64, u64)> {
-    let (oh, ow, _) = op.output_shape();
-    let m = |x: usize, y: usize| (x as u64).saturating_mul(y as u64);
-    let spatial = m(oh, ow).saturating_mul(model.batch() as u64);
-    match *op {
-        Op::Conv2d { in_c, out_c, k, .. } => {
-            Some((spatial, m(k, k).saturating_mul(in_c as u64), out_c as u64))
-        }
-        Op::Depthwise { k, .. } => Some((spatial, m(k, k), 1)),
-        Op::Pointwise { in_c, out_c, .. } => Some((spatial, in_c as u64, out_c as u64)),
-        Op::FuSe1d { .. } => None,
-        Op::Fc {
-            in_features,
-            out_features,
-        } => Some((1, in_features as u64, out_features as u64)),
-    }
-}
-
-/// Total elements of the operator's input, weight and output operands
-/// (saturating — anything that saturates certainly exceeds the SRAM
-/// space).
-fn operand_footprints(model: &LatencyModel, op: &Op) -> [(&'static str, u64); 3] {
-    let (oh, ow, out_c) = op.output_shape();
-    let m = |x: usize, y: usize| (x as u64).saturating_mul(y as u64);
-    let batch = model.batch() as u64;
-    let (in_elems, out_elems) = match *op {
-        Op::Conv2d {
-            in_h, in_w, in_c, ..
-        }
-        | Op::Pointwise {
-            in_h, in_w, in_c, ..
-        } => (m(in_h, in_w).saturating_mul(in_c as u64), m(oh, ow)),
-        Op::Depthwise { in_h, in_w, c, .. } | Op::FuSe1d { in_h, in_w, c, .. } => {
-            (m(in_h, in_w).saturating_mul(c as u64), m(oh, ow))
-        }
-        Op::Fc { in_features, .. } => (in_features as u64, 1),
-    };
-    [
-        ("input", in_elems.saturating_mul(batch)),
-        ("weights", op.params()),
-        (
-            "output",
-            out_elems.saturating_mul(out_c as u64).saturating_mul(batch),
-        ),
-    ]
-}
 
 /// Analyzes one operator under one latency model, returning every
 /// finding. `context` labels the findings (e.g. `network/block/op`).
@@ -146,7 +96,12 @@ fn op_findings(
     }
 
     // SRAM footprint sanity.
-    for (what, elems) in operand_footprints(model, op) {
+    let footprint = unique_traffic(model, op);
+    for (what, elems) in [
+        ("input", footprint.input_elems),
+        ("weights", footprint.weight_elems),
+        ("output", footprint.output_elems),
+    ] {
         if elems >= SRAM_ADDRESS_SPACE {
             out.push(Diagnostic {
                 rule: RuleId::Res003SramAddressOverflow,
@@ -165,7 +120,7 @@ fn op_findings(
     }
 
     // Utilization: the paper's degenerate-GEMM argument (§III-B).
-    if let Some((m, _k, n)) = gemm_lowering(model, op) {
+    if let Ok(Lowering::Gemm { m, n, .. }) = model.lowering(op) {
         if n == 1 && cols > 1 {
             let (severity, detail, suggestion) = if matches!(op, Op::Depthwise { .. }) {
                 (

@@ -93,7 +93,9 @@ fn policy_max_batch(policy: BatchPolicy) -> usize {
 ///
 /// Returns [`ServeError`] for inputs [`fuseconv_serve::simulate`]
 /// rejects before its event loop: every configuration
-/// [`ServeConfig::validate`] rejects, and unbuildable arrays. Per-op
+/// [`ServeConfig::validate`] rejects, loads and batching waits
+/// [`ServeConfig::validate_clock`] rejects on this pod, and unbuildable
+/// arrays. Per-op
 /// pricing failures do *not* error — they become SRV004 diagnostics so
 /// the capacity rules that survive them still run.
 pub fn analyze_pod(
@@ -182,6 +184,7 @@ pub fn analyze_pod(
 
     let mix = workload.mix_fractions();
     let capacity = oracle.pod_capacity(&mix, cfg.dispatch)?;
+    cfg.validate_clock(capacity)?;
     let rate = cfg.load * capacity;
 
     // SRV001 — pod overload. The engine calibrates its mean arrival

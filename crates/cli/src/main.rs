@@ -1129,16 +1129,23 @@ mod tests {
             let e = cli(&format!("serve --pod 8x8:os --requests 2 {bad}")).unwrap_err();
             assert!(e.to_string().contains("at least 1"), "{bad}: {e}");
         }
-        // A batching deadline past the end of the u64 clock.
-        let policy = "--policy dynamic --max-batch 4 --max-wait 18446744073709551615";
-        let e = cli(&format!(
-            "serve --pod 16x16:os,8x8:ws --networks mobilenet-v1 --requests 10 {policy}"
-        ))
-        .unwrap_err();
-        assert!(e.to_string().contains("max_wait"), "{e}");
         // The pod audit rejects what `serve` rejects.
         for bad in ["--slo-mult nan", "--high-frac 2"] {
             cli(&format!("analyze --serve --pod 8x8:os {bad}")).unwrap_err();
+        }
+        // Arrivals, or a batching deadline, past the end of the u64 clock:
+        // both commands refuse them with the same message.
+        for (bad, message) in [
+            ("--load 1e-12", "past the clock's range"),
+            (
+                "--policy dynamic --max-batch 4 --max-wait 18446744073709551615",
+                "max_wait 18446744073709551615 past arrivals",
+            ),
+        ] {
+            for command in ["serve", "analyze --serve"] {
+                let e = cli(&format!("{command} --pod 8x8:os --requests 10 {bad}")).unwrap_err();
+                assert!(e.to_string().contains(message), "{command} {bad}: {e}");
+            }
         }
     }
 

@@ -17,9 +17,9 @@
 //! `trace_cross_check` integration test pins that equality.
 
 use crate::variant::{apply_variant, Variant};
-use fuseconv_latency::{LatencyError, LatencyModel};
+use fuseconv_latency::{LatencyError, LatencyModel, Lowering};
 use fuseconv_models::Network;
-use fuseconv_nn::ops::{Axis1d, Op};
+use fuseconv_nn::ops::Op;
 use fuseconv_systolic::conv1d::ChannelLines;
 use fuseconv_systolic::{conv1d, ConfigError, SimResult};
 use fuseconv_tensor::rng::Rng;
@@ -156,28 +156,16 @@ fn synth(rng: &mut Rng, dims: &[usize]) -> Tensor {
     Tensor::from_fn(dims, |_| rng.uniform(-0.5, 0.5)).expect("nonzero dims")
 }
 
-fn simulate_gemm(
-    model: &LatencyModel,
-    m: usize,
-    k: usize,
-    n: usize,
-    sink: &mut dyn TraceSink,
-) -> Result<SimResult, TraceError> {
-    let mut rng = Rng::seed_from_u64(0x7472_6163);
-    let a = synth(&mut rng, &[m, k]);
-    let b = synth(&mut rng, &[k, n]);
-    Ok(model.dataflow().simulate(model.array(), &a, &b, sink)?)
-}
-
 /// Runs the cycle-exact systolic simulator for one operator on synthetic
 /// operands, narrating every cycle to `sink`.
 ///
-/// The operator is lowered exactly as the latency model lowers it
-/// (im2col GEMM under the model's dataflow; packed row-broadcast for FuSe
-/// banks), at batch 1. Depthwise convs simulate one representative
-/// channel — all `c` channels fold identically — and report
-/// `repeats = c`. FuSe lines are simulated at their effective (padded)
-/// input length `l_out + k - 1`, matching the analytic model's schedule.
+/// The operator runs as [`LatencyModel::lowering`] states, at the model's
+/// batch: an im2col GEMM under the model's dataflow, or packed
+/// row-broadcast for FuSe banks. Depthwise convs simulate one
+/// representative channel — all `c` channels fold identically — and
+/// report `repeats = c`. FuSe lines are simulated at their effective
+/// (padded) input length `l_out + k - 1`, matching the analytic model's
+/// schedule.
 ///
 /// Under [`FoldOverlap::Serial`](fuseconv_latency::FoldOverlap::Serial)
 /// the returned [`TracedSim::total_cycles`] equals
@@ -197,46 +185,36 @@ pub fn simulate_op_traced(
     // Let the analytic model vet the operator first so both paths reject
     // exactly the same inputs.
     model.cycles(op)?;
-    let (oh, ow, _) = op.output_shape();
-    match *op {
-        Op::Conv2d { in_c, out_c, k, .. } => {
-            let sim = simulate_gemm(model, oh * ow, k * k * in_c, out_c, sink)?;
-            Ok(TracedSim { sim, repeats: 1 })
-        }
-        Op::Depthwise { c, k, .. } => {
-            let sim = simulate_gemm(model, oh * ow, k * k, 1, sink)?;
+    // Every dimension of a priced op indexes a simulated tensor.
+    let dim = |x: u64| usize::try_from(x).expect("priced dimensions fit usize");
+    match model.lowering(op)? {
+        Lowering::Gemm { m, k, n, instances } => {
+            let mut rng = Rng::seed_from_u64(0x7472_6163);
+            let a = synth(&mut rng, &[dim(m), dim(k)]);
+            let b = synth(&mut rng, &[dim(k), dim(n)]);
+            let sim = model.dataflow().simulate(model.array(), &a, &b, sink)?;
             Ok(TracedSim {
                 sim,
-                repeats: c as u64,
+                repeats: instances,
             })
         }
-        Op::Pointwise { in_c, out_c, .. } => {
-            let sim = simulate_gemm(model, oh * ow, in_c, out_c, sink)?;
-            Ok(TracedSim { sim, repeats: 1 })
-        }
-        Op::FuSe1d { c, k, axis, .. } => {
-            let (lines, l_out) = match axis {
-                Axis1d::Row => (oh, ow),
-                Axis1d::Col => (ow, oh),
-            };
-            let l_in = l_out + k - 1;
+        Lowering::RowBroadcast {
+            channels,
+            lines,
+            l_out,
+            k,
+            ..
+        } => {
             let mut rng = Rng::seed_from_u64(0x66757365);
-            let work: Vec<ChannelLines> = (0..c)
+            let work: Vec<ChannelLines> = (0..channels)
                 .map(|_| ChannelLines {
                     kernel: (0..k).map(|_| rng.uniform(-0.5, 0.5)).collect(),
                     lines: (0..lines)
-                        .map(|_| (0..l_in).map(|_| rng.uniform(-0.5, 0.5)).collect())
+                        .map(|_| (0..l_out + k - 1).map(|_| rng.uniform(-0.5, 0.5)).collect())
                         .collect(),
                 })
                 .collect();
             let sim = conv1d::simulate_packed_traced(model.array(), &work, sink)?;
-            Ok(TracedSim { sim, repeats: 1 })
-        }
-        Op::Fc {
-            in_features,
-            out_features,
-        } => {
-            let sim = simulate_gemm(model, 1, in_features, out_features, sink)?;
             Ok(TracedSim { sim, repeats: 1 })
         }
     }
@@ -262,6 +240,7 @@ pub fn plan_variant(
 mod tests {
     use super::*;
     use fuseconv_models::zoo;
+    use fuseconv_nn::ops::Axis1d;
     use fuseconv_systolic::ArrayConfig;
     use fuseconv_trace::{replay, NullSink, UtilizationSink};
 

@@ -6,7 +6,9 @@
 //! partials, and flush outputs. Off-chip memory is not modelled.
 //!
 //! Every operator descriptor ([`Op`](fuseconv_nn::ops::Op)) is lowered to a
-//! sequence of array folds:
+//! sequence of array folds. [`LatencyModel::lowering`] is the one place
+//! this table is implemented; the planner, operand traffic, the analyzer
+//! and the traced simulator all read its [`Lowering`]:
 //!
 //! | operator | lowering | fold shape |
 //! |---|---|---|
@@ -54,7 +56,7 @@ pub mod report;
 pub use audit::{audit_plan, fold_footprint, plan_high_water, FoldFootprint, PlanViolation};
 pub use ir::{FoldNode, LiveInterval, PlanIr, ValueClass, ValueDef, ValueId, ValueInfo};
 pub use map::{Dataflow, FoldOverlap, LatencyError, LatencyModel};
-pub use plan::{AsFoldRuns, FoldRuns, Runs};
+pub use plan::{AsFoldRuns, FoldRuns, Lowering, Runs};
 pub use report::{
     block_speedups, estimate_network, BlockLatency, ClassBreakdown, NetworkLatency, OpLatency,
 };

@@ -110,8 +110,10 @@ impl LatencyModel {
     }
 
     /// Sets the inference batch size (default 1, the paper's edge
-    /// setting). Batched images contribute additional GEMM rows / 1-D
-    /// lines; the estimate is for the whole batch.
+    /// setting). Batched images add rows to the conv, depthwise and
+    /// pointwise GEMMs ([`LatencyModel::lowering`]); a fully connected
+    /// layer's single row and a FuSe bank's 1-D lines do not grow with
+    /// the batch yet. The estimate is for the whole batch.
     ///
     /// # Panics
     ///

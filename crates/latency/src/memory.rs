@@ -16,10 +16,10 @@
 //! - output-stationary folds reload operand tiles once per orthogonal
 //!   tile (`A` once per column tile, `B` once per row tile).
 
-use crate::map::LatencyModel;
-use crate::{LatencyError, NetworkLatency};
+use crate::map::{c64, LatencyModel};
+use crate::{LatencyError, Lowering, NetworkLatency};
 use fuseconv_models::Network;
-use fuseconv_nn::ops::{Axis1d, Op};
+use fuseconv_nn::ops::Op;
 use std::fmt;
 
 /// Elements moved for one operator, split by stream.
@@ -79,99 +79,53 @@ impl fmt::Display for Bound {
     }
 }
 
-/// Output-stationary GEMM traffic under the fold schedule: `A` streamed
-/// once per column tile, `B` once per row tile, `C` drained once.
-fn gemm_traffic(model: &LatencyModel, m: usize, k: usize, n: usize) -> Traffic {
-    let row_tiles = m.div_ceil(model.array().rows()) as u64;
-    let col_tiles = n.div_ceil(model.array().cols()) as u64;
-    Traffic {
-        input_elems: (m * k) as u64 * col_tiles,
-        weight_elems: (k * n) as u64 * row_tiles,
-        output_elems: (m * n) as u64,
-    }
-}
-
-/// Estimates an operator's operand traffic on the model's array.
+/// Estimates an operator's operand traffic on the model's array, under
+/// its lowering ([`LatencyModel::lowering`]).
 ///
 /// # Errors
 ///
-/// Returns [`LatencyError::DegenerateOp`] for zero-sized work (broadcast
-/// availability is irrelevant for traffic, so FuSe ops never fail here).
+/// Returns [`LatencyError::DegenerateOp`] for zero-sized work and
+/// [`LatencyError::ArithmeticOverflow`] when a count does not fit `u64`
+/// (broadcast availability is irrelevant for traffic, so FuSe ops never
+/// fail for lack of it).
 pub fn op_traffic(model: &LatencyModel, op: &Op) -> Result<Traffic, LatencyError> {
-    let (oh, ow, _) = op.output_shape();
-    let degenerate = || LatencyError::DegenerateOp { op: op.to_string() };
-    match *op {
-        Op::Conv2d { in_c, out_c, k, .. } => {
-            let m = oh * ow;
-            let kdim = k * k * in_c;
-            if m == 0 || kdim == 0 || out_c == 0 {
-                return Err(degenerate());
-            }
-            // The streamed A is the im2col matrix: built-in K²-ish
-            // amplification relative to the raw feature map.
-            Ok(gemm_traffic(model, m, kdim, out_c))
-        }
-        Op::Depthwise { c, k, .. } => {
-            let m = oh * ow;
-            if m == 0 || c == 0 || k == 0 {
-                return Err(degenerate());
-            }
-            let per_channel = gemm_traffic(model, m, k * k, 1);
-            Ok(Traffic {
-                input_elems: per_channel.input_elems * c as u64,
-                weight_elems: per_channel.weight_elems * c as u64,
-                output_elems: per_channel.output_elems * c as u64,
-            })
-        }
-        Op::Pointwise { in_c, out_c, .. } => {
-            let m = oh * ow;
-            if m == 0 || in_c == 0 || out_c == 0 {
-                return Err(degenerate());
-            }
-            Ok(gemm_traffic(model, m, in_c, out_c))
-        }
-        Op::FuSe1d {
-            c,
+    let overflow = || LatencyError::ArithmeticOverflow { op: op.to_string() };
+    let mul = |xs: &[u64]| {
+        xs.iter()
+            .try_fold(1u64, |a, &x| a.checked_mul(x))
+            .ok_or_else(overflow)
+    };
+    let (rows, cols) = (c64(model.array().rows()), c64(model.array().cols()));
+    Ok(match model.lowering(op)? {
+        // Output stationary: `A` streamed once per column tile, `B` once
+        // per row tile, `C` drained once; every instance (channel) anew.
+        // For im2col lowerings `A` is the im2col matrix: built-in
+        // K²-ish amplification relative to the raw feature map.
+        Lowering::Gemm { m, k, n, instances } => Traffic {
+            input_elems: mul(&[m, k, n.div_ceil(cols), instances])?,
+            weight_elems: mul(&[k, n, m.div_ceil(rows), instances])?,
+            output_elems: mul(&[m, n, instances])?,
+        },
+        // Each line is loaded once per column tile it spans (usually 1
+        // thanks to line packing); weights go once per line over the
+        // broadcast link. Padding zeros are generated, not fetched.
+        Lowering::RowBroadcast {
+            channels,
+            lines,
+            l_out,
             k,
             stride,
-            pad,
-            axis,
-            ..
         } => {
-            let (lines, l_out, line_in) = match axis {
-                Axis1d::Row => (oh, ow, (ow - 1) * stride + k),
-                Axis1d::Col => (ow, oh, (oh - 1) * stride + k),
-            };
-            if c == 0 || lines == 0 || l_out == 0 || k == 0 {
-                return Err(degenerate());
+            let line_in = mul(&[l_out - 1, stride])?
+                .checked_add(k)
+                .ok_or_else(overflow)?;
+            Traffic {
+                input_elems: mul(&[channels, lines, line_in, l_out.div_ceil(cols)])?,
+                weight_elems: mul(&[channels, lines, k])?,
+                output_elems: mul(&[channels, lines, l_out])?,
             }
-            let _ = pad; // padding zeros are generated, not fetched
-            let cols = model.array().cols();
-            // Each line is loaded once per column tile it spans (usually 1
-            // thanks to line packing); weights go once per line over the
-            // broadcast link.
-            let col_tiles = if l_out >= cols {
-                l_out.div_ceil(cols) as u64
-            } else {
-                1
-            };
-            let total_lines = (c * lines) as u64;
-            Ok(Traffic {
-                input_elems: total_lines * line_in as u64 * col_tiles,
-                weight_elems: total_lines * k as u64,
-                output_elems: total_lines * l_out as u64,
-            })
         }
-        Op::Fc {
-            in_features,
-            out_features,
-        } => {
-            if in_features == 0 || out_features == 0 {
-                return Err(degenerate());
-            }
-            Ok(gemm_traffic(model, 1, in_features, out_features))
-        }
-    }
+    })
 }
 
 /// A network's total traffic.
@@ -263,55 +217,34 @@ impl SramConfig {
     }
 }
 
-/// Unique (compulsory) element counts of an operator's streams — the
-/// lower bound on DRAM traffic.
-fn unique_traffic(op: &Op) -> Traffic {
-    let (oh, ow, oc) = op.output_shape();
-    match *op {
+/// Unique (compulsory) element counts of an operator's streams over the
+/// model's batch: each input and output element once per image, each
+/// weight ([`Op::params`]) once. This is the lower bound on DRAM traffic
+/// and the operand footprint the analyzer checks against SRAM addressing.
+/// Counts saturate: a saturated count exceeds every buffer.
+pub fn unique_traffic(model: &LatencyModel, op: &Op) -> Traffic {
+    let (oh, ow, out_c) = op.output_shape();
+    let elems = |dims: &[usize]| {
+        dims.iter()
+            .fold(1u64, |a, &d| a.saturating_mul(c64(d)))
+            .saturating_mul(c64(model.batch()))
+    };
+    let input_elems = match *op {
         Op::Conv2d {
-            in_h,
-            in_w,
-            in_c,
-            out_c,
-            k,
-            ..
-        } => Traffic {
-            input_elems: (in_h * in_w * in_c) as u64,
-            weight_elems: (k * k * in_c * out_c) as u64,
-            output_elems: (oh * ow * oc) as u64,
-        },
-        Op::Depthwise {
-            in_h, in_w, c, k, ..
-        } => Traffic {
-            input_elems: (in_h * in_w * c) as u64,
-            weight_elems: (k * k * c) as u64,
-            output_elems: (oh * ow * oc) as u64,
-        },
-        Op::Pointwise {
-            in_h,
-            in_w,
-            in_c,
-            out_c,
-        } => Traffic {
-            input_elems: (in_h * in_w * in_c) as u64,
-            weight_elems: (in_c * out_c) as u64,
-            output_elems: (oh * ow * oc) as u64,
-        },
-        Op::FuSe1d {
-            in_h, in_w, c, k, ..
-        } => Traffic {
-            input_elems: (in_h * in_w * c) as u64,
-            weight_elems: (c * k) as u64,
-            output_elems: (oh * ow * oc) as u64,
-        },
-        Op::Fc {
-            in_features,
-            out_features,
-        } => Traffic {
-            input_elems: in_features as u64,
-            weight_elems: (in_features * out_features) as u64,
-            output_elems: out_features as u64,
-        },
+            in_h, in_w, in_c, ..
+        }
+        | Op::Pointwise {
+            in_h, in_w, in_c, ..
+        } => elems(&[in_h, in_w, in_c]),
+        Op::Depthwise { in_h, in_w, c, .. } | Op::FuSe1d { in_h, in_w, c, .. } => {
+            elems(&[in_h, in_w, c])
+        }
+        Op::Fc { in_features, .. } => elems(&[in_features]),
+    };
+    Traffic {
+        input_elems,
+        weight_elems: op.checked_params().unwrap_or(u64::MAX),
+        output_elems: elems(&[oh, ow, out_c]),
     }
 }
 
@@ -329,7 +262,7 @@ pub fn dram_traffic(
     sram: &SramConfig,
 ) -> Result<Traffic, LatencyError> {
     let streamed = op_traffic(model, op)?;
-    let unique = unique_traffic(op);
+    let unique = unique_traffic(model, op);
     let pick = |unique: u64, streamed: u64, capacity: u64| {
         if unique <= capacity {
             unique
@@ -345,13 +278,8 @@ pub fn dram_traffic(
             sram.filter_elems,
         ),
         // Outputs are written once regardless (they stream out).
-        output_elems: unique
-            .output_elems
-            .max(if unique.output_elems <= sram.ofmap_elems {
-                unique.output_elems
-            } else {
-                streamed.output_elems
-            }),
+        output_elems: pick(unique.output_elems, streamed.output_elems, sram.ofmap_elems)
+            .max(unique.output_elems),
     })
 }
 
@@ -376,6 +304,7 @@ pub fn network_dram_traffic(
 mod tests {
     use super::*;
     use fuseconv_models::zoo;
+    use fuseconv_nn::ops::Axis1d;
     use fuseconv_nn::FuSeVariant;
     use fuseconv_systolic::ArrayConfig;
 
@@ -489,7 +418,7 @@ mod tests {
         for op in ops {
             let dram = dram_traffic(&model, &op, &sram).unwrap();
             let streamed = op_traffic(&model, &op).unwrap();
-            let unique = unique_traffic(&op);
+            let unique = unique_traffic(&model, &op);
             assert!(dram.input_elems >= unique.input_elems, "{op}");
             assert!(
                 dram.input_elems <= streamed.input_elems.max(unique.input_elems),
@@ -509,7 +438,7 @@ mod tests {
         };
         let op = Op::depthwise(56, 56, 64, 3, 1, 1);
         let dram = dram_traffic(&model, &op, &huge).unwrap();
-        let unique = unique_traffic(&op);
+        let unique = unique_traffic(&model, &op);
         assert_eq!(dram, unique);
         // With ample SRAM, the im2col K² amplification never reaches DRAM.
         assert_eq!(dram.input_elems, 56 * 56 * 64);

@@ -226,6 +226,39 @@ impl AsFoldRuns for Vec<FoldSpec> {
     }
 }
 
+/// What one operator runs as on the array, as [`LatencyModel::lowering`]
+/// states it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lowering {
+    /// An `m × k × n` GEMM under the model's dataflow, run `instances`
+    /// times back to back: once per channel for depthwise, else once.
+    Gemm {
+        /// Rows of the streamed operand (output pixels × batch, or 1).
+        m: u64,
+        /// The reduction length.
+        k: u64,
+        /// Columns of the result.
+        n: u64,
+        /// Back-to-back repetitions of the whole GEMM.
+        instances: u64,
+    },
+    /// `channels × lines` independent 1-D convolutions on the
+    /// row-broadcast dataflow (§IV-C), each producing `l_out` outputs
+    /// with a `k`-tap kernel.
+    RowBroadcast {
+        /// Channels, each with its own kernel.
+        channels: u64,
+        /// Output lines per channel.
+        lines: u64,
+        /// Outputs per line.
+        l_out: u64,
+        /// Kernel taps.
+        k: u64,
+        /// Input positions between consecutive outputs of a line.
+        stride: u64,
+    },
+}
+
 /// Receives a plan segment by segment as `(runs, repeat)`; counts may be 0.
 pub(crate) type Emit<'a> = dyn FnMut(&[(FoldSpec, u64)], u64) + 'a;
 
@@ -324,12 +357,19 @@ impl LatencyModel {
         Some(())
     }
 
-    /// Emits one instance of `op`'s fold plan and returns how many times it
-    /// runs back to back: once per channel for depthwise, else once.
-    pub(crate) fn lower(&self, op: &Op, emit: &mut Emit) -> Result<u64, LatencyError> {
+    /// What `op` runs as on the array: the crate docs' lowering table,
+    /// in checked arithmetic at the model's batch. This is the table's
+    /// only implementation; the planner, operand traffic, the analyzer
+    /// and the traced simulator all read it.
+    ///
+    /// # Errors
+    ///
+    /// [`LatencyError::DegenerateOp`] for zero-sized work and
+    /// [`LatencyError::ArithmeticOverflow`] when a GEMM dimension does not
+    /// fit `u64`. Broadcast links are the planner's concern, not the
+    /// lowering's: FuSe banks lower on any array.
+    pub fn lowering(&self, op: &Op) -> Result<Lowering, LatencyError> {
         let (oh, ow, _) = op.output_shape();
-        let batch = self.batch();
-        let overflow = || LatencyError::ArithmeticOverflow { op: op.to_string() };
         let nonzero = |dims: &[usize]| match dims.contains(&0) {
             true => Err(LatencyError::DegenerateOp { op: op.to_string() }),
             false => Ok(()),
@@ -337,53 +377,83 @@ impl LatencyModel {
         let mul3 = |a: usize, b: usize, c: usize| {
             let ab = c64(a).checked_mul(c64(b));
             ab.and_then(|ab| ab.checked_mul(c64(c)))
-                .ok_or_else(overflow)
+                .ok_or_else(|| LatencyError::ArithmeticOverflow { op: op.to_string() })
         };
-        let (m, k, n, instances) = match *op {
+        // GEMM rows: every output pixel of every image in the batch.
+        let rows = || mul3(oh, ow, self.batch());
+        let gemm = |m, k, n, instances| Lowering::Gemm { m, k, n, instances };
+        Ok(match *op {
             Op::Conv2d { in_c, out_c, k, .. } => {
-                nonzero(&[oh, ow, batch, k, in_c, out_c])?;
-                (mul3(oh, ow, batch)?, mul3(k, k, in_c)?, c64(out_c), 1)
+                nonzero(&[oh, ow, k, in_c, out_c])?;
+                gemm(rows()?, mul3(k, k, in_c)?, c64(out_c), 1)
             }
+            // One single-column GEMM per channel: no reuse across channels,
+            // one array column used (§III-B). Batching adds rows but never
+            // a second column: it cannot rescue depthwise utilization.
             Op::Depthwise { c, k, .. } => {
-                nonzero(&[oh, ow, batch, k, c])?;
-                // One single-column GEMM per channel: no reuse across
-                // channels, one array column used (§III-B). Batching adds
-                // rows but never a second column — it cannot rescue
-                // depthwise utilization.
-                (mul3(oh, ow, batch)?, mul3(k, k, 1)?, 1, c64(c))
+                nonzero(&[oh, ow, k, c])?;
+                gemm(rows()?, mul3(k, k, 1)?, 1, c64(c))
             }
             Op::Pointwise { in_c, out_c, .. } => {
-                nonzero(&[oh, ow, batch, in_c, out_c])?;
-                (mul3(oh, ow, batch)?, c64(in_c), c64(out_c), 1)
+                nonzero(&[oh, ow, in_c, out_c])?;
+                gemm(rows()?, c64(in_c), c64(out_c), 1)
             }
-            Op::FuSe1d { c, k, axis, .. } => {
-                if !self.array().has_broadcast() {
-                    return Err(LatencyError::BroadcastRequired { op: op.to_string() });
-                }
-                // Each surviving output line of each channel is one
-                // independent 1-D convolution (Fig. 6's slicing); lines of
-                // the same channel share their kernel and can pack side by
-                // side within an array row.
+            // Each surviving output line of each channel is one independent
+            // 1-D convolution (Fig. 6's slicing); lines of the same channel
+            // share their kernel and can pack side by side within an array
+            // row. Batched images do not add lines yet: a FuSe bank costs
+            // the same at every batch.
+            Op::FuSe1d {
+                c, k, stride, axis, ..
+            } => {
                 let (lines, l_out) = match axis {
                     Axis1d::Row => (oh, ow),
                     Axis1d::Col => (ow, oh),
                 };
                 nonzero(&[c, lines, l_out, k])?;
-                let [c, lines, l_out, k] = [c, lines, l_out, k].map(c64);
-                self.fuse_grid(c, lines, l_out, k, emit)
-                    .ok_or_else(overflow)?;
-                return Ok(1);
+                let [channels, lines, l_out, k, stride] = [c, lines, l_out, k, stride].map(c64);
+                Lowering::RowBroadcast {
+                    channels,
+                    lines,
+                    l_out,
+                    k,
+                    stride,
+                }
             }
+            // A single GEMM row: batched images do not add rows yet.
             Op::Fc {
                 in_features,
                 out_features,
             } => {
                 nonzero(&[in_features, out_features])?;
-                (1, c64(in_features), c64(out_features), 1)
+                gemm(1, c64(in_features), c64(out_features), 1)
             }
-        };
-        self.gemm_grid(m, k, n, emit);
-        Ok(instances)
+        })
+    }
+
+    /// Emits one instance of `op`'s fold plan and returns how many times it
+    /// runs back to back: once per channel for depthwise, else once.
+    pub(crate) fn lower(&self, op: &Op, emit: &mut Emit) -> Result<u64, LatencyError> {
+        match self.lowering(op)? {
+            Lowering::Gemm { m, k, n, instances } => {
+                self.gemm_grid(m, k, n, emit);
+                Ok(instances)
+            }
+            Lowering::RowBroadcast {
+                channels,
+                lines,
+                l_out,
+                k,
+                ..
+            } => {
+                if !self.array().has_broadcast() {
+                    return Err(LatencyError::BroadcastRequired { op: op.to_string() });
+                }
+                self.fuse_grid(channels, lines, l_out, k, emit)
+                    .ok_or_else(|| LatencyError::ArithmeticOverflow { op: op.to_string() })?;
+                Ok(1)
+            }
+        }
     }
 
     /// The fold plan behind [`LatencyModel::cycles`] for one operator, as

@@ -153,7 +153,8 @@ impl Default for ServeConfig {
 impl ServeConfig {
     /// Checks the configuration on its own, before any pod or workload
     /// is consulted. [`simulate_observed`] and the analyzer's pod audit
-    /// both start here, so they reject exactly the same configurations.
+    /// both start here and end with [`ServeConfig::validate_clock`], so
+    /// they reject exactly the same configurations.
     ///
     /// # Errors
     ///
@@ -191,6 +192,43 @@ impl ServeConfig {
             return Ok(());
         };
         Err(ServeError::Config(problem))
+    }
+
+    /// Checks that the arrivals, and a batch head's wait past the last of
+    /// them, stay within the u64 clock on a pod serving `capacity`
+    /// requests per cycle at full load. [`simulate_observed`] and the
+    /// analyzer's pod audit both call it once they know the capacity.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServeError::Config`] when the load spreads the requests
+    /// so thin that the arrivals could reach half the clock's range, or
+    /// when a batching `max_wait` could carry a deadline past it.
+    pub fn validate_clock(&self, capacity: f64) -> Result<(), ServeError> {
+        // `next_f64` has 53 bits, so one gap is at most ln(2^53) ≈ 36.7 mean
+        // gaps. Arrivals that could span half the u64 clock leave too little
+        // for service: time would saturate and latencies read 0.
+        let mean_gap = 1.0 / (self.load * capacity);
+        let max_span = self.requests as f64 * mean_gap * 53.0 * std::f64::consts::LN_2;
+        if max_span >= (1u64 << 63) as f64 {
+            return Err(ServeError::Config(format!(
+                "load {:e} spreads {} arrivals over up to {max_span:.3e} cycles, past the clock's range",
+                self.load, self.requests
+            )));
+        }
+        // A batch head may wait `max_wait` past the last arrival.
+        let max_wait = match self.policy {
+            BatchPolicy::Fifo => 0,
+            BatchPolicy::Dynamic { max_wait, .. } | BatchPolicy::Bucketed { max_wait, .. } => {
+                max_wait
+            }
+        };
+        if max_span + max_wait as f64 >= (1u64 << 63) as f64 {
+            return Err(ServeError::Config(format!(
+                "max_wait {max_wait} past arrivals spanning up to {max_span:.3e} cycles leaves the clock's range"
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -775,26 +813,7 @@ pub fn simulate_observed(
             cfg.load * capacity
         )));
     }
-    // `next_f64` has 53 bits, so one gap is at most ln(2^53) ≈ 36.7 mean
-    // gaps. Arrivals that could span half the u64 clock leave too little
-    // for service: time would saturate and latencies read 0.
-    let max_span = cfg.requests as f64 * mean_gap * 53.0 * std::f64::consts::LN_2;
-    if max_span >= (1u64 << 63) as f64 {
-        return Err(ServeError::Config(format!(
-            "load {:e} spreads {} arrivals over up to {max_span:.3e} cycles, past the clock's range",
-            cfg.load, cfg.requests
-        )));
-    }
-    // A batch head may wait `max_wait` past the last arrival.
-    let max_wait = match cfg.policy {
-        BatchPolicy::Fifo => 0,
-        BatchPolicy::Dynamic { max_wait, .. } | BatchPolicy::Bucketed { max_wait, .. } => max_wait,
-    };
-    if max_span + max_wait as f64 >= (1u64 << 63) as f64 {
-        return Err(ServeError::Config(format!(
-            "max_wait {max_wait} past arrivals spanning up to {max_span:.3e} cycles leaves the clock's range"
-        )));
-    }
+    cfg.validate_clock(capacity)?;
 
     // Automatic window sizing targets the *expected* makespan (the
     // arrival span at the offered rate); an overloaded run simply
@@ -954,7 +973,6 @@ pub fn simulate_observed(
     fuseconv_telemetry::counter("serve.events_total").add(engine.events);
     fuseconv_telemetry::counter("serve.oracle_hits_total").add(engine.oracle.memo_hits());
     fuseconv_telemetry::counter("serve.oracle_misses_total").add(engine.oracle.memo_misses());
-    fuseconv_telemetry::histogram("serve.latency_cycles").record_all(&engine.latencies);
 
     let makespan = engine.makespan.max(1);
     let completed = engine.latencies.len() as u64;

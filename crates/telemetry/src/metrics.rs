@@ -96,26 +96,6 @@ impl Histogram {
         self.count.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record every sample of `values`: the same buckets, sum and count
-    /// as calling [`Self::record`] per value (the sum wraps the same
-    /// way), for one atomic add per occupied bucket instead of three
-    /// per sample.
-    pub fn record_all(&self, values: &[u64]) {
-        let mut buckets = [0u64; BUCKETS];
-        let mut sum = 0u64;
-        for &v in values {
-            buckets[Self::bucket(v)] += 1;
-            sum = sum.wrapping_add(v);
-        }
-        for (slot, &n) in self.buckets.iter().zip(&buckets) {
-            if n > 0 {
-                slot.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.sum.fetch_add(sum, Ordering::Relaxed);
-        self.count.fetch_add(values.len() as u64, Ordering::Relaxed);
-    }
-
     /// Bucket of `value`: its number of significant bits.
     fn bucket(value: u64) -> usize {
         (64 - value.leading_zeros()) as usize
@@ -380,29 +360,6 @@ mod tests {
         assert_eq!(s.buckets[64], 2, "2^63 and u64::MAX share bucket 64");
         assert_eq!(s.count, 3 + 2 * 63);
         assert_eq!(s.quantile_bound(100), u64::MAX);
-    }
-
-    #[test]
-    fn record_all_equals_per_sample_records() {
-        let mut x = 0x2545_F491_4F6C_DD1Du64;
-        let mut values = vec![0, 1, 2, 3, u64::MAX, u64::MAX, 1 << 63, 1000];
-        for _ in 0..500 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            values.push(x >> (x % 64));
-        }
-        let one_by_one = Histogram::default();
-        for &v in &values {
-            one_by_one.record(v);
-        }
-        let batched = Histogram::default();
-        batched.record_all(&values[..100]);
-        batched.record_all(&[]);
-        batched.record_all(&values[100..]);
-        // Buckets, the (wrapping) sum and the count all agree.
-        assert_eq!(batched.snapshot(), one_by_one.snapshot());
-        assert_eq!(batched.snapshot().count, values.len() as u64);
     }
 
     #[test]

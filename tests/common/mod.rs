@@ -1,16 +1,20 @@
 //! Helpers shared by the integration tests: the traced shape grids
-//! ([`traced`]) and the JSON scanners of the golden schema tests. The
-//! workspace has no JSON parser; these scans are all the schema tests
-//! need, and each accepts both the pretty (`"key": value`) and the
-//! compact (`"key":value`) separator.
+//! ([`traced`]), the zoo's distinct operators and the JSON scanners of
+//! the golden schema tests. The workspace has no JSON parser; these
+//! scans are all the schema tests need, and each accepts both the pretty
+//! (`"key": value`) and the compact (`"key":value`) separator.
 
 #![allow(dead_code, reason = "each test binary uses its own subset")]
 
 pub(crate) mod traced;
 
+use fuseconv::core::variant::{apply_variant, Variant};
 use fuseconv::models::zoo;
+use fuseconv::nn::ops::Op;
 use fuseconv::nn::FuSeVariant;
 use fuseconv::serve::{PodSpec, Workload};
+use fuseconv::systolic::ArrayConfig;
+use std::collections::HashSet;
 
 /// The two-array pod and FuSe-Full two-network workload the serve and
 /// time-series schema tests run.
@@ -22,6 +26,26 @@ pub(crate) fn schema_pod() -> (PodSpec, Workload) {
     ])
     .expect("valid workload");
     (pod, workload)
+}
+
+/// The distinct ops of the `analyze --all` networks under every Table I
+/// variant, with the variants chosen for `array`.
+pub(crate) fn zoo_ops(array: &ArrayConfig) -> Vec<Op> {
+    let mut nets = zoo::all_baselines();
+    nets.extend([zoo::resnet50(), zoo::efficientnet_b0()]);
+    let mut seen = HashSet::new();
+    let mut ops = Vec::new();
+    for net in &nets {
+        for variant in Variant::ALL {
+            let net = apply_variant(net, variant, array).expect("zoo variants apply");
+            for named in net.ops() {
+                if seen.insert(named.op) {
+                    ops.push(named.op);
+                }
+            }
+        }
+    }
+    ops
 }
 
 /// The quoted strings of the array named `name` in a golden file, e.g.

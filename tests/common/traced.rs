@@ -5,11 +5,10 @@
 
 use std::collections::HashSet;
 
+use fuseconv::core::trace::simulate_op_traced;
 use fuseconv::latency::{Dataflow, LatencyModel};
 use fuseconv::nn::ops::{Axis1d, Op};
-use fuseconv::systolic::conv1d::ChannelLines;
-use fuseconv::systolic::{conv1d, ArrayConfig, SimResult};
-use fuseconv::tensor::Tensor;
+use fuseconv::systolic::{ArrayConfig, SimResult};
 use fuseconv::trace::{Operand, TraceEvent, TraceSink};
 
 /// Distinct addresses touched by each operand stream within one fold.
@@ -73,9 +72,9 @@ const ARRAYS: [(usize, usize); 3] = [(4, 4), (3, 5), (8, 2)];
 /// Traces the three GEMM fold kinds (output-, weight- and
 /// input-stationary) on shapes straddling the array on every axis:
 /// single-fold, exact-tile and remainder-fold cases for each dataflow's
-/// tiling dimensions. Each case goes to `check` with the model and the
-/// operator whose plan the trace follows: a pointwise conv over an m×1
-/// map lowers to exactly the traced (m, k, n) GEMM.
+/// tiling dimensions. Each case is a pointwise conv over an m×1 map,
+/// which lowers to an (m, k, n) GEMM, and goes to `check` with the
+/// model, the operator and its trace.
 pub(crate) fn gemm_grid(
     mut check: impl FnMut(&LatencyModel, &Op, &FootprintSink, &SimResult, &str),
 ) {
@@ -85,15 +84,8 @@ pub(crate) fn gemm_grid(
         for dataflow in Dataflow::ALL {
             let model = LatencyModel::new(cfg).with_dataflow(dataflow);
             for (m, k, n) in gemms {
-                let a = Tensor::full(&[m, k], 1.0).expect("operand a");
-                let b = Tensor::full(&[k, n], 1.0).expect("operand b");
-                let mut sink = FootprintSink::default();
-                let sim = dataflow
-                    .simulate(&cfg, &a, &b, &mut sink)
-                    .expect("traced sim");
-                let op = Op::pointwise(m, 1, k, n);
                 let ctx = format!("{rows}x{cols} {dataflow:?} {m}x{k}x{n}");
-                check(&model, &op, &sink, &sim, &ctx);
+                trace(&model, &Op::pointwise(m, 1, k, n), &ctx, &mut check);
             }
         }
     }
@@ -117,18 +109,22 @@ pub(crate) fn conv1d_grid(
             .with_broadcast(true);
         let model = LatencyModel::new(cfg);
         for (c, w, k) in shapes {
-            let l_in = w + k - 1;
-            let work: Vec<ChannelLines> = (0..c)
-                .map(|ch| ChannelLines {
-                    kernel: vec![1.0 + ch as f32; k],
-                    lines: vec![vec![1.0; l_in]],
-                })
-                .collect();
-            let mut sink = FootprintSink::default();
-            let sim = conv1d::simulate_packed_traced(&cfg, &work, &mut sink).expect("traced sim");
             let op = Op::fuse1d(1, w, c, k, 1, k / 2, Axis1d::Row);
             let ctx = format!("{rows}x{cols} broadcast c{c} w{w} k{k}");
-            check(&model, &op, &sink, &sim, &ctx);
+            trace(&model, &op, &ctx, &mut check);
         }
     }
+}
+
+/// Runs the traced simulation of `op` through a [`FootprintSink`] and
+/// hands the case to `check`.
+fn trace(
+    model: &LatencyModel,
+    op: &Op,
+    ctx: &str,
+    check: &mut impl FnMut(&LatencyModel, &Op, &FootprintSink, &SimResult, &str),
+) {
+    let mut sink = FootprintSink::default();
+    let traced = simulate_op_traced(model, op, &mut sink).expect("traced sim");
+    check(model, op, &sink, &traced.sim, ctx);
 }

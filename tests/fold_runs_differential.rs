@@ -11,14 +11,15 @@
 //! Table I variants × OS/WS/IS × four array shapes × batch 1 and 3.
 
 use fuseconv::analyze::{diagnose_memory, MemoryBudget, PlanSummary, RuleId};
-use fuseconv::core::variant::{apply_variant, Variant};
 use fuseconv::latency::memory::SramConfig;
 use fuseconv::latency::{audit_plan, plan_high_water, Dataflow, FoldRuns, LatencyModel};
-use fuseconv::models::zoo;
 use fuseconv::nn::ops::Op;
 use fuseconv::perf::{PerfCounters, StallTotals};
 use fuseconv::systolic::ArrayConfig;
 use std::collections::HashSet;
+
+mod common;
+use common::zoo_ops;
 
 /// A memory system small enough that the zoo trips MEM001, MEM002 and
 /// MEM003, so the differential covers the worst-fold text of all three.
@@ -32,26 +33,6 @@ fn tiny_budget() -> MemoryBudget {
         bytes_per_elem: 2,
         dram_bytes_per_cycle: 2,
     }
-}
-
-/// The distinct ops of the `analyze --all` networks under every Table I
-/// variant, with the variants chosen for `array`.
-fn zoo_ops(array: &ArrayConfig) -> Vec<Op> {
-    let mut nets = zoo::all_baselines();
-    nets.extend([zoo::resnet50(), zoo::efficientnet_b0()]);
-    let mut seen = HashSet::new();
-    let mut ops = Vec::new();
-    for net in &nets {
-        for variant in Variant::ALL {
-            let net = apply_variant(net, variant, array).expect("zoo variants apply");
-            for named in net.ops() {
-                if seen.insert(named.op) {
-                    ops.push(named.op);
-                }
-            }
-        }
-    }
-    ops
 }
 
 /// Runs the differential over every zoo op on one `rows × cols` array.
