@@ -58,6 +58,15 @@ impl OpChoice {
     /// All choices, in capacity order (most parameters first).
     pub const ALL: [OpChoice; 3] = [OpChoice::FuseFull, OpChoice::Depthwise, OpChoice::FuseHalf];
 
+    /// The one-letter code an assignment listing prints: `D`, `F` or `H`.
+    pub fn letter(self) -> char {
+        match self {
+            OpChoice::Depthwise => 'D',
+            OpChoice::FuseFull => 'F',
+            OpChoice::FuseHalf => 'H',
+        }
+    }
+
     fn fuse_variant(&self) -> Option<FuSeVariant> {
         match self {
             OpChoice::Depthwise => None,

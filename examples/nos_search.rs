@@ -25,15 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let stride = (frontier.len() / 16).max(1);
     for point in frontier.iter().step_by(stride) {
-        let asg: String = point
-            .assignment
-            .iter()
-            .map(|c| match c {
-                nos::OpChoice::Depthwise => 'D',
-                nos::OpChoice::FuseFull => 'F',
-                nos::OpChoice::FuseHalf => 'H',
-            })
-            .collect();
+        let asg: String = point.assignment.iter().map(|c| c.letter()).collect();
         println!("{:>12} {:>10}  {asg}", point.latency, point.params);
     }
 
