@@ -271,7 +271,7 @@ fn render(
                 saving_elems * bytes_per_elem,
             ),
             dependence: None,
-            suggestion: "schedule the pair back-to-back and forward the producer's output through the array (ROADMAP item 4)".into(),
+            suggestion: "schedule the pair back-to-back and forward the producer's output through the array".into(),
         },
     }
 }
@@ -454,7 +454,7 @@ pub(crate) fn diagnose_fusion(
                 top.join("; "),
             ),
             dependence: None,
-            suggestion: "fuse the highest-traffic pairs first (ROADMAP item 4)".into(),
+            suggestion: "fuse the highest-traffic pairs first".into(),
         });
     }
     out

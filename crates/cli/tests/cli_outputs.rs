@@ -31,8 +31,8 @@ reports --array 8 --dir d => 26e6c2eb82a88de7 d/energy.csv=523ec090c0e52f32 d/fi
 trace --network mobilenet-v3-small --variant full --layer 45 --array 8 --format chrome --out trace.json => 6f9f6abf695015c8 trace.json=940014604b84f8d2
 trace --network mobilenet-v3-small --variant full --layer 45 --array 8 --format heatmap --out heatmap.csv => 541643ffbb406ed2 heatmap.csv=9f7f949a7b038a74
 trace --network mobilenet-v3-small --variant full --layer 45 --array 8 --format scalesim --out layer => 28c314e7bd2c1423 layer_filter_read.csv=243894bc743bc852 layer_ifmap_read.csv=f6282d7d3f7ebd12 layer_ofmap_write.csv=8ef456be8d03b78d
-analyze --all --array 8 => ee3e3d7386f76173
-analyze --all --array 8 --format json --out analyze.json => 8acdb65ca59a730d analyze.json=4737d07e7754c1cd
+analyze --all --array 8 => 169ece5e99687ce3
+analyze --all --array 8 --format json --out analyze.json => 8acdb65ca59a730d analyze.json=00b11bec1e4d21c1
 analyze --serve --pod 16x16:os,16x16:os --networks mobilenet-v1 => f7608bb4e8d4b13c
 perf --network mobilenet-v1 --array 8 => 863fe9124ed67686
 perf --network mobilenet-v1 --array 8 --format json --out perf.json => 707a2c98434aa010 perf.json=e9f53d56047326f2

@@ -34,7 +34,7 @@ const PINNED: [(&str, u64); 10] = [
     ("manifest compact", 0x5006b012950f5c96),
     ("perf baseline", 0xc23bde9ea971d1ac),
     ("perf fuse-full", 0x34684960041639b7),
-    ("analyze report", 0xa00d205fe4fde552),
+    ("analyze report", 0x3be6bdb6918fa708),
     ("metrics", 0xcb1331b2b0edf752),
     ("metrics empty", 0x7cea783609c85c1d),
     ("bench", 0xd1922a149df4995b),
