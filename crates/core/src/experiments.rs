@@ -5,9 +5,10 @@
 //! `DESIGN.md` (E1–E10).
 
 use crate::cnn::{build_cnn, CnnConfig};
+use crate::nos::{self, BlockCosts, OpChoice};
 use crate::variant::{apply_variant, Variant};
 use fuseconv_hwcost::{Overhead, TechnologyProfile};
-use fuseconv_latency::{block_speedups, estimate_network, LatencyError, LatencyModel};
+use fuseconv_latency::{estimate_network, LatencyError, LatencyModel};
 use fuseconv_models::{zoo, Network};
 use fuseconv_nn::ops::OpClass;
 use fuseconv_nn::NnError;
@@ -40,21 +41,19 @@ pub struct Table1Row {
 ///
 /// Propagates [`LatencyError`] (e.g. FuSe on a broadcast-less array).
 pub fn table1(array: &ArrayConfig) -> Result<Vec<Table1Row>, LatencyError> {
-    let model = LatencyModel::new(*array);
     let mut rows = Vec::with_capacity(25);
     for baseline in zoo::all_baselines() {
-        let base_latency = estimate_network(&model, &baseline)?;
-        for variant in Variant::ALL {
-            let net = apply_variant(&baseline, variant, array)?;
-            let latency = estimate_network(&model, &net)?;
-            let summary = net.summary();
+        let points = nos::fixed_variant_points(&baseline, array)?;
+        let (_, base_latency, _) = points[0];
+        for (variant, latency, _) in points {
+            let summary = apply_variant(&baseline, variant, array)?.summary();
             rows.push(Table1Row {
                 network: baseline.name().to_string(),
                 variant,
                 macs_millions: summary.macs_millions(),
                 params_millions: summary.params_millions(),
-                latency_cycles: latency.total_cycles,
-                speedup: latency.speedup_over(&base_latency),
+                latency_cycles: latency,
+                speedup: base_latency as f64 / latency as f64,
             });
         }
     }
@@ -87,23 +86,20 @@ pub fn layerwise(
     variant: Variant,
     array: &ArrayConfig,
 ) -> Result<Vec<LayerwiseRow>, LatencyError> {
-    let model = LatencyModel::new(*array);
-    let base = estimate_network(&model, network)?;
-    let transformed_net = apply_variant(network, variant, array)?;
-    let fused = estimate_network(&model, &transformed_net)?;
-    let speedups = block_speedups(&base, &fused);
-    let base_blocks = base.by_block();
-    let fused_blocks = fused.by_block();
-    Ok(network
-        .blocks()
-        .iter()
-        .enumerate()
-        .map(|(i, (_, block))| LayerwiseRow {
-            block: base_blocks[i].name.clone(),
-            transformed: block.is_replaceable() && !transformed_net.blocks()[i].1.is_replaceable(),
-            baseline_cycles: base_blocks[i].cycles,
-            fused_cycles: fused_blocks[i].cycles,
-            speedup: speedups[i].1,
+    let costs = BlockCosts::price(network, array, &[variant.choice()])?;
+    let choices = variant.choices(&costs);
+    let rows = network.blocks().iter().zip(choices).enumerate();
+    Ok(rows
+        .map(|(i, ((name, _), choice))| {
+            let (baseline_cycles, _) = costs.cost(i, OpChoice::Depthwise);
+            let (fused_cycles, _) = costs.cost(i, choice);
+            LayerwiseRow {
+                block: name.clone(),
+                transformed: choice != OpChoice::Depthwise,
+                baseline_cycles,
+                fused_cycles,
+                speedup: baseline_cycles as f64 / fused_cycles as f64,
+            }
         })
         .collect())
 }

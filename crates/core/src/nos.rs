@@ -7,7 +7,9 @@
 //! operator choices are independent across blocks, and the network-level
 //! trade-off decomposes exactly: each separable block independently picks
 //! one of {depthwise, FuSe-Full, FuSe-Half}, contributing its own latency
-//! and parameter count.
+//! and parameter count. Each block is priced once per choice, in checked
+//! arithmetic; the 50 % variants ([`crate::variant`]) and the Fig. 8(b)
+//! layer-wise rows read the same prices.
 //!
 //! Parameters act as the capacity (accuracy) proxy — Table I shows accuracy
 //! ordering tracking parameter count (Full > baseline > Half) — so the
@@ -67,23 +69,13 @@ impl OpChoice {
         }
     }
 
-    fn fuse_variant(&self) -> Option<FuSeVariant> {
+    /// `block` with its spatial filter set by this choice.
+    fn apply(self, block: Block) -> Block {
         match self {
-            OpChoice::Depthwise => None,
-            OpChoice::FuseFull => Some(FuSeVariant::Full),
-            OpChoice::FuseHalf => Some(FuSeVariant::Half),
+            OpChoice::Depthwise => block,
+            OpChoice::FuseFull => block.fused(FuSeVariant::Full),
+            OpChoice::FuseHalf => block.fused(FuSeVariant::Half),
         }
-    }
-}
-
-impl fmt::Display for OpChoice {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            OpChoice::Depthwise => "dw",
-            OpChoice::FuseFull => "full",
-            OpChoice::FuseHalf => "half",
-        };
-        f.write_str(s)
     }
 }
 
@@ -110,53 +102,94 @@ pub struct NosResult {
     pub speedup: f64,
 }
 
-/// Per-block cost of each operator choice.
-#[derive(Debug, Clone)]
-struct BlockCosts {
-    /// `(latency, params)` per [`OpChoice::ALL`] entry.
-    costs: [(u64, u64); 3],
-}
+/// A block's or a network's `(latency cycles, parameters)`.
+pub(crate) type Cost = (u64, u64);
 
-fn block_cost(
-    model: &LatencyModel,
-    block: &Block,
-    choice: OpChoice,
-) -> Result<(u64, u64), LatencyError> {
-    let b = match choice.fuse_variant() {
-        None => *block,
-        Some(v) => block.fused(v),
+/// `sum + more` in checked arithmetic; an overflow names `what`, the
+/// operator or block whose cost the sum could not take.
+fn add(sum: Cost, more: Cost, what: impl fmt::Display) -> Result<Cost, LatencyError> {
+    let op = || LatencyError::ArithmeticOverflow {
+        op: what.to_string(),
     };
-    let ops = b.ops();
-    let mut latency = 0u64;
-    let mut params = 0u64;
-    for op in &ops {
-        latency += model.cycles(op)?;
-        params += Op::params(op);
-    }
-    Ok((latency, params))
+    Ok((
+        sum.0.checked_add(more.0).ok_or_else(op)?,
+        sum.1.checked_add(more.1).ok_or_else(op)?,
+    ))
 }
 
-fn gather_costs(
-    network: &Network,
-    model: &LatencyModel,
-) -> Result<(Vec<BlockCosts>, u64, u64), LatencyError> {
-    let mut fixed_latency = 0u64;
-    let mut fixed_params = 0u64;
-    let mut blocks = Vec::new();
-    for (_, block) in network.blocks() {
-        if block.is_replaceable() {
-            let mut costs = [(0u64, 0u64); 3];
-            for (slot, &choice) in OpChoice::ALL.iter().enumerate() {
-                costs[slot] = block_cost(model, block, choice)?;
-            }
-            blocks.push(BlockCosts { costs });
-        } else {
-            let (l, p) = block_cost(model, block, OpChoice::Depthwise)?;
-            fixed_latency += l;
-            fixed_params += p;
-        }
+/// The one place a block is priced: `block` under `choice`, its
+/// operators' cycles and parameters summed.
+fn block_cost(model: &LatencyModel, block: Block, choice: OpChoice) -> Result<Cost, LatencyError> {
+    let mut cost = (0, 0);
+    for op in &choice.apply(block).ops() {
+        cost = add(cost, (model.cycles(op)?, Op::params(op)), op)?;
     }
-    Ok((blocks, fixed_latency, fixed_params))
+    Ok(cost)
+}
+
+/// Every block of a network, with its cost under each [`OpChoice`] a
+/// caller asked for (`None` under the others). The NOS search, the 50 %
+/// variants' selection and the Fig. 8(b) rows all read block costs here.
+pub(crate) struct BlockCosts(Vec<(Block, [Option<Cost>; 3])>);
+
+impl BlockCosts {
+    /// Prices every block as it is, then the replaceable ones under each
+    /// choice in `fused` in turn: the order in which estimating the network
+    /// as it is, then under each choice, meets operators and errors.
+    pub(crate) fn price(
+        network: &Network,
+        array: &ArrayConfig,
+        fused: &[OpChoice],
+    ) -> Result<Self, LatencyError> {
+        let model = LatencyModel::new(*array);
+        let mut blocks: Vec<_> = network
+            .blocks()
+            .iter()
+            .map(|&(_, b)| (b, [None; 3]))
+            .collect();
+        for &choice in [OpChoice::Depthwise].iter().chain(fused) {
+            for (block, costs) in &mut blocks {
+                if choice == OpChoice::Depthwise || block.is_replaceable() {
+                    costs[choice as usize] = Some(block_cost(&model, *block, choice)?);
+                }
+            }
+        }
+        Ok(BlockCosts(blocks))
+    }
+
+    /// The number of blocks.
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// The network indices of the replaceable blocks, in order.
+    pub(crate) fn indices(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.len()).filter(|&i| self.0[i].0.is_replaceable())
+    }
+
+    /// Block `i`'s cost under `choice`, which [`BlockCosts::price`] was
+    /// asked for.
+    pub(crate) fn cost(&self, i: usize, choice: OpChoice) -> Cost {
+        self.0[i].1[choice as usize].expect("choice was priced")
+    }
+
+    /// `sum` plus block `i`'s cost under `choice`.
+    fn plus(&self, sum: Cost, i: usize, choice: OpChoice) -> Result<Cost, LatencyError> {
+        add(sum, self.cost(i, choice), choice.apply(self.0[i].0))
+    }
+
+    /// The summed cost of the blocks no choice changes.
+    fn fixed(&self) -> Result<Cost, LatencyError> {
+        (0..self.len())
+            .filter(|&i| !self.0[i].0.is_replaceable())
+            .try_fold((0, 0), |sum, i| self.plus(sum, i, OpChoice::Depthwise))
+    }
+
+    /// The network's cost with block `i` under `choices[i]`.
+    pub(crate) fn total(&self, choices: &[OpChoice]) -> Result<Cost, LatencyError> {
+        let mut blocks = choices.iter().enumerate();
+        blocks.try_fold((0, 0), |sum, (i, &choice)| self.plus(sum, i, choice))
+    }
 }
 
 /// Removes dominated points: keeps, for increasing latency, strictly
@@ -165,10 +198,9 @@ fn prune(mut points: Vec<NosPoint>) -> Vec<NosPoint> {
     points.sort_by(|a, b| a.latency.cmp(&b.latency).then(b.params.cmp(&a.params)));
     let mut kept: Vec<NosPoint> = Vec::new();
     for p in points {
-        match kept.last() {
-            Some(last) if p.params <= last.params => {}   // dominated
-            Some(last) if p.latency == last.latency => {} // same latency, fewer params already kept
-            _ => kept.push(p),
+        // A later point of a kept latency has no more parameters: dropped.
+        if kept.last().is_none_or(|last| p.params > last.params) {
+            kept.push(p);
         }
     }
     kept
@@ -189,23 +221,29 @@ pub fn pareto_frontier(
     network: &Network,
     array: &ArrayConfig,
 ) -> Result<Vec<NosPoint>, LatencyError> {
-    let model = LatencyModel::new(*array);
-    let (blocks, fixed_latency, fixed_params) = gather_costs(network, &model)?;
+    frontier(&BlockCosts::price(network, array, &FUSED)?)
+}
+
+/// The fused choices the search prices besides the depthwise baseline.
+const FUSED: [OpChoice; 2] = [OpChoice::FuseFull, OpChoice::FuseHalf];
+
+fn frontier(costs: &BlockCosts) -> Result<Vec<NosPoint>, LatencyError> {
+    let (latency, params) = costs.fixed()?;
     let mut frontier = vec![NosPoint {
-        latency: fixed_latency,
-        params: fixed_params,
+        latency,
+        params,
         assignment: Vec::new(),
     }];
-    for block in &blocks {
+    for i in costs.indices() {
         let mut next = Vec::with_capacity(frontier.len() * 3);
         for point in &frontier {
-            for (slot, &choice) in OpChoice::ALL.iter().enumerate() {
-                let (l, p) = block.costs[slot];
+            for choice in OpChoice::ALL {
+                let (latency, params) = costs.plus((point.latency, point.params), i, choice)?;
                 let mut assignment = point.assignment.clone();
                 assignment.push(choice);
                 next.push(NosPoint {
-                    latency: point.latency + l,
-                    params: point.params + p,
+                    latency,
+                    params,
                     assignment,
                 });
             }
@@ -215,42 +253,47 @@ pub fn pareto_frontier(
     Ok(frontier)
 }
 
-fn materialize(
-    network: &Network,
-    array: &ArrayConfig,
-    point: NosPoint,
-) -> Result<NosResult, LatencyError> {
-    let replaceable = network.replaceable_indices();
-    debug_assert_eq!(replaceable.len(), point.assignment.len());
-    let mut full_idx = Vec::new();
-    let mut half_idx = Vec::new();
-    for (&i, &choice) in replaceable.iter().zip(&point.assignment) {
-        match choice {
-            OpChoice::Depthwise => {}
-            OpChoice::FuseFull => full_idx.push(i),
-            OpChoice::FuseHalf => half_idx.push(i),
+/// `network` with `point`'s assignment applied.
+fn materialize(network: &Network, point: &NosPoint) -> Network {
+    let mut net = network.clone();
+    for (choice, fuse) in [
+        (OpChoice::FuseFull, FuSeVariant::Full),
+        (OpChoice::FuseHalf, FuSeVariant::Half),
+    ] {
+        let blocks = network
+            .replaceable_indices()
+            .into_iter()
+            .zip(&point.assignment);
+        let picked: Vec<usize> = blocks
+            .filter(|&(_, &c)| c == choice)
+            .map(|(i, _)| i)
+            .collect();
+        if !picked.is_empty() {
+            net = net
+                .transform_selected(fuse, &picked)
+                .expect("indices replaceable");
         }
     }
-    let mut net = network.clone();
-    if !full_idx.is_empty() {
-        net = net
-            .transform_selected(FuSeVariant::Full, &full_idx)
-            .expect("indices replaceable");
-    }
-    if !half_idx.is_empty() {
-        net = net
-            .transform_selected(FuSeVariant::Half, &half_idx)
-            .expect("indices replaceable");
-    }
-    let model = LatencyModel::new(*array);
-    let base = fuseconv_latency::estimate_network(&model, network)?;
-    let this = fuseconv_latency::estimate_network(&model, &net)?;
-    let speedup = this.speedup_over(&base);
-    Ok(NosResult {
+    net
+}
+
+/// Picks a frontier point with `pick` and materializes it, with its
+/// speed-up over the all-depthwise network.
+fn search(
+    network: &Network,
+    array: &ArrayConfig,
+    pick: impl FnOnce(Vec<NosPoint>) -> Option<NosPoint>,
+) -> Result<Option<NosResult>, LatencyError> {
+    let costs = BlockCosts::price(network, array, &FUSED)?;
+    let Some(point) = pick(frontier(&costs)?) else {
+        return Ok(None);
+    };
+    let (base, _) = costs.total(&Variant::Baseline.choices(&costs))?;
+    Ok(Some(NosResult {
+        network: materialize(network, &point),
+        speedup: base as f64 / point.latency as f64,
         point,
-        network: net,
-        speedup,
-    })
+    }))
 }
 
 /// Maximizes capacity (parameters) subject to `latency ≤ budget` cycles.
@@ -264,15 +307,12 @@ pub fn search_under_latency(
     array: &ArrayConfig,
     latency_budget: u64,
 ) -> Result<Option<NosResult>, LatencyError> {
-    let frontier = pareto_frontier(network, array)?;
-    let best = frontier
-        .into_iter()
-        .filter(|p| p.latency <= latency_budget)
-        .max_by_key(|p| p.params);
-    match best {
-        None => Ok(None),
-        Some(point) => Ok(Some(materialize(network, array, point)?)),
-    }
+    search(network, array, |frontier| {
+        frontier
+            .into_iter()
+            .filter(|p| p.latency <= latency_budget)
+            .max_by_key(|p| p.params)
+    })
 }
 
 /// Minimizes latency subject to `params ≥ floor` (a capacity floor standing
@@ -287,15 +327,12 @@ pub fn search_under_params(
     array: &ArrayConfig,
     params_floor: u64,
 ) -> Result<Option<NosResult>, LatencyError> {
-    let frontier = pareto_frontier(network, array)?;
-    let best = frontier
-        .into_iter()
-        .filter(|p| p.params >= params_floor)
-        .min_by_key(|p| p.latency);
-    match best {
-        None => Ok(None),
-        Some(point) => Ok(Some(materialize(network, array, point)?)),
-    }
+    search(network, array, |frontier| {
+        frontier
+            .into_iter()
+            .filter(|p| p.params >= params_floor)
+            .min_by_key(|p| p.latency)
+    })
 }
 
 /// The frontier points corresponding to the paper's fixed variants, for
@@ -308,12 +345,11 @@ pub fn fixed_variant_points(
     network: &Network,
     array: &ArrayConfig,
 ) -> Result<Vec<(Variant, u64, u64)>, LatencyError> {
-    let model = LatencyModel::new(*array);
+    let costs = BlockCosts::price(network, array, &FUSED)?;
     let mut rows = Vec::new();
     for variant in Variant::ALL {
-        let net = crate::variant::apply_variant(network, variant, array)?;
-        let report = fuseconv_latency::estimate_network(&model, &net)?;
-        rows.push((variant, report.total_cycles, net.params()));
+        let (latency, params) = costs.total(&variant.choices(&costs))?;
+        rows.push((variant, latency, params));
     }
     Ok(rows)
 }
@@ -355,11 +391,11 @@ mod tests {
         let net = zoo::mobilenet_v3_small();
         let array = array64();
         let frontier = pareto_frontier(&net, &array).unwrap();
-        let mid = frontier[frontier.len() / 2].clone();
-        let result = materialize(&net, &array, mid.clone()).unwrap();
-        assert_eq!(result.network.params(), mid.params);
+        let mid = &frontier[frontier.len() / 2];
+        let network = materialize(&net, mid);
+        assert_eq!(network.params(), mid.params);
         let model = LatencyModel::new(array);
-        let measured = estimate_network(&model, &result.network).unwrap();
+        let measured = estimate_network(&model, &network).unwrap();
         assert_eq!(measured.total_cycles, mid.latency);
     }
 
@@ -489,6 +525,27 @@ mod tests {
             .map(|p| (p.latency, p.params))
             .collect();
         assert_eq!(dp, brute);
+    }
+
+    #[test]
+    fn sums_past_u64_are_errors_in_every_build() {
+        // On a 1x1 array each operator's cycles fit in u64; their sum does not.
+        let net = fuseconv_models::topology::parse(
+            "overflow",
+            "input, 32768, 1
+             head, 4294967296
+             head, 1
+             head, 4294967296",
+        )
+        .unwrap();
+        let array = ArrayConfig::square(1).unwrap().with_broadcast(true);
+        let overflow =
+            |r: Result<(), LatencyError>| matches!(r, Err(LatencyError::ArithmeticOverflow { .. }));
+        assert!(overflow(pareto_frontier(&net, &array).map(|_| ())));
+        assert!(overflow(fixed_variant_points(&net, &array).map(|_| ())));
+        assert!(overflow(search_under_params(&net, &array, 0).map(|_| ())));
+        let model = LatencyModel::new(array);
+        assert!(overflow(estimate_network(&model, &net).map(|_| ())));
     }
 
     #[test]

@@ -16,7 +16,6 @@
 //! Both paths agree on cycle counts under serial fold accounting; the
 //! `trace_cross_check` integration test pins that equality.
 
-use crate::variant::{apply_variant, Variant};
 use fuseconv_latency::{LatencyError, LatencyModel, Lowering};
 use fuseconv_models::Network;
 use fuseconv_nn::ops::Op;
@@ -220,22 +219,6 @@ pub fn simulate_op_traced(
     }
 }
 
-/// Applies a Table-I variant and plans the result — the common
-/// "trace this network as published" entry point.
-///
-/// # Errors
-///
-/// Propagates variant-application and planning errors.
-pub fn plan_variant(
-    model: &LatencyModel,
-    network: &Network,
-    variant: Variant,
-    layer: Option<usize>,
-) -> Result<NetworkPlan, TraceError> {
-    let transformed = apply_variant(network, variant, model.array())?;
-    network_fold_plan(model, &transformed, layer)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,14 +288,5 @@ mod tests {
         )
         .unwrap();
         assert_eq!(fuse_sink.active_rows(), 8);
-    }
-
-    #[test]
-    fn plan_variant_transforms_before_planning() {
-        let model = model(16);
-        let net = zoo::mobilenet_v2();
-        let base = plan_variant(&model, &net, Variant::Baseline, None).unwrap();
-        let half = plan_variant(&model, &net, Variant::FuseHalf, None).unwrap();
-        assert!(half.total_cycles() < base.total_cycles());
     }
 }

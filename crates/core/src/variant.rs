@@ -1,9 +1,14 @@
 //! The five Table I variants and their application to a network.
+//!
+//! A 50 % variant's savings per block (§V-A-1) are read from the block
+//! pricing NOS searches over ([`crate::nos`]): blocks' latencies add.
 
-use fuseconv_latency::{estimate_network, LatencyError, LatencyModel};
+use crate::nos::{BlockCosts, OpChoice};
+use fuseconv_latency::LatencyError;
 use fuseconv_models::Network;
 use fuseconv_nn::FuSeVariant;
 use fuseconv_systolic::ArrayConfig;
+use std::cmp::Reverse;
 use std::fmt;
 
 /// One row-family of Table I.
@@ -46,6 +51,36 @@ impl Variant {
     pub fn is_partial(&self) -> bool {
         matches!(self, Variant::FuseFull50 | Variant::FuseHalf50)
     }
+
+    /// The operator choice of the blocks this variant fuses.
+    pub(crate) fn choice(&self) -> OpChoice {
+        match self.fuse_variant() {
+            None => OpChoice::Depthwise,
+            Some(FuSeVariant::Full) => OpChoice::FuseFull,
+            Some(FuSeVariant::Half) => OpChoice::FuseHalf,
+        }
+    }
+
+    /// The operator choice of every block under this variant, in network
+    /// order. The 50 % variants fuse the half (rounded up) of the
+    /// replaceable blocks whose fusing saves the most cycles, ties going
+    /// to the lower index.
+    pub(crate) fn choices(&self, costs: &BlockCosts) -> Vec<OpChoice> {
+        let mut fused: Vec<usize> = costs.indices().collect();
+        if self.is_partial() {
+            let saving = |i| {
+                let (depthwise, _) = costs.cost(i, OpChoice::Depthwise);
+                depthwise.saturating_sub(costs.cost(i, self.choice()).0)
+            };
+            fused.sort_by_key(|&i| (Reverse(saving(i)), i));
+            fused.truncate(fused.len().div_ceil(2));
+        }
+        let mut choices = vec![OpChoice::Depthwise; costs.len()];
+        for i in fused {
+            choices[i] = self.choice();
+        }
+        choices
+    }
 }
 
 impl fmt::Display for Variant {
@@ -64,13 +99,13 @@ impl fmt::Display for Variant {
 /// Applies a variant to a baseline network.
 ///
 /// For the 50 % variants, the replaced blocks are chosen **for maximum
-/// latency benefit** (§V-A-1): every replaceable block's baseline-vs-fused
-/// latency delta is evaluated on `array`, and the half with the largest
+/// latency benefit** (§V-A-1): every replaceable block is priced on
+/// `array` as depthwise and as fused, and the half with the largest
 /// savings is transformed.
 ///
 /// # Errors
 ///
-/// Propagates [`LatencyError`] from the benefit evaluation (e.g. a FuSe
+/// Propagates [`LatencyError`] from pricing the blocks (e.g. a FuSe
 /// variant on an array without broadcast links).
 pub fn apply_variant(
     network: &Network,
@@ -83,41 +118,21 @@ pub fn apply_variant(
     if !variant.is_partial() {
         return Ok(network.transform_all(fuse));
     }
-    let model = LatencyModel::new(*array);
-    let replaceable = network.replaceable_indices();
-    let base = estimate_network(&model, network)?;
-    let base_blocks = base.by_block();
-
-    // Benefit of fusing each block alone.
-    let mut benefits: Vec<(usize, u64)> = Vec::with_capacity(replaceable.len());
-    for &i in &replaceable {
-        let fused = network
-            .transform_selected(fuse, &[i])
-            .expect("index is replaceable");
-        let report = estimate_network(&model, &fused)?;
-        let fused_block = report
-            .by_block()
-            .into_iter()
-            .find(|b| b.index == i)
-            .expect("block exists");
-        let base_block = base_blocks
-            .iter()
-            .find(|b| b.index == i)
-            .expect("block exists");
-        benefits.push((i, base_block.cycles.saturating_sub(fused_block.cycles)));
-    }
-    benefits.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    let keep = replaceable.len().div_ceil(2);
-    let mut chosen: Vec<usize> = benefits.into_iter().take(keep).map(|(i, _)| i).collect();
-    chosen.sort_unstable();
+    let costs = BlockCosts::price(network, array, &[variant.choice()])?;
+    let choices = variant.choices(&costs);
+    let fused: Vec<usize> = costs
+        .indices()
+        .filter(|&i| choices[i] != OpChoice::Depthwise)
+        .collect();
     Ok(network
-        .transform_selected(fuse, &chosen)
+        .transform_selected(fuse, &fused)
         .expect("chosen indices are replaceable"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fuseconv_latency::{estimate_network, LatencyModel};
     use fuseconv_models::zoo;
 
     fn array64() -> ArrayConfig {

@@ -57,6 +57,4 @@ pub use audit::{audit_plan, fold_footprint, plan_high_water, FoldFootprint, Plan
 pub use ir::{FoldNode, LiveInterval, PlanIr, ValueClass, ValueDef, ValueId, ValueInfo};
 pub use map::{Dataflow, FoldOverlap, LatencyError, LatencyModel};
 pub use plan::{AsFoldRuns, FoldRuns, Lowering, Runs};
-pub use report::{
-    block_speedups, estimate_network, BlockLatency, ClassBreakdown, NetworkLatency, OpLatency,
-};
+pub use report::{estimate_network, ClassBreakdown, NetworkLatency, OpLatency};

@@ -25,11 +25,11 @@ pub enum LatencyError {
         /// The offending operator, pretty-printed.
         op: String,
     },
-    /// The operator's cycle count does not fit in `u64`. All fold
-    /// accounting uses checked arithmetic, so absurdly large shapes are
-    /// reported instead of silently wrapping.
+    /// A cycle count, an operator's or a sum of them, does not fit in
+    /// `u64`. Every fold count and sum is checked, so absurdly large
+    /// shapes are reported instead of silently wrapping.
     ArithmeticOverflow {
-        /// The offending operator, pretty-printed.
+        /// The operator, or block, whose count or addition overflows.
         op: String,
     },
 }

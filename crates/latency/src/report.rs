@@ -1,4 +1,4 @@
-//! Network-level latency reports: per-operator, per-block and per-class
+//! Network-level latency reports: per-operator detail and per-class
 //! aggregation, plus the speed-up arithmetic behind Table I and Fig. 8.
 
 use crate::map::{LatencyError, LatencyModel};
@@ -12,26 +12,9 @@ use std::fmt;
 pub struct OpLatency {
     /// Index of the owning block.
     pub block_index: usize,
-    /// Label of the owning block.
-    pub block_name: String,
-    /// The operator, pretty-printed.
-    pub op_label: String,
     /// The operator's class.
     pub class: OpClass,
-    /// MACs performed.
-    pub macs: u64,
     /// Estimated cycles.
-    pub cycles: u64,
-}
-
-/// Aggregate latency of one network block.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlockLatency {
-    /// Block index.
-    pub index: usize,
-    /// Block label.
-    pub name: String,
-    /// Total cycles of the block's operators.
     pub cycles: u64,
 }
 
@@ -95,22 +78,6 @@ pub struct NetworkLatency {
 }
 
 impl NetworkLatency {
-    /// Aggregates operator latencies by block.
-    pub fn by_block(&self) -> Vec<BlockLatency> {
-        let mut blocks: Vec<BlockLatency> = Vec::new();
-        for op in &self.ops {
-            match blocks.last_mut() {
-                Some(b) if b.index == op.block_index => b.cycles += op.cycles,
-                _ => blocks.push(BlockLatency {
-                    index: op.block_index,
-                    name: op.block_name.clone(),
-                    cycles: op.cycles,
-                }),
-            }
-        }
-        blocks
-    }
-
     /// Aggregates operator latencies by operator class (Fig. 8(c)).
     pub fn breakdown(&self) -> ClassBreakdown {
         let mut cycles = BTreeMap::new();
@@ -123,31 +90,6 @@ impl NetworkLatency {
     /// Speed-up of `self` relative to `baseline` (`>1` means faster).
     pub fn speedup_over(&self, baseline: &NetworkLatency) -> f64 {
         baseline.total_cycles as f64 / self.total_cycles as f64
-    }
-
-    /// Serializes the per-operator detail to CSV, one row per operator
-    /// with a header line. Fields containing commas or quotes are quoted.
-    pub fn to_csv(&self) -> String {
-        fn field(s: &str) -> String {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        }
-        let mut out = String::from("block_index,block_name,op_label,class,macs,cycles\n");
-        for o in &self.ops {
-            out.push_str(&format!(
-                "{},{},{},{},{},{}\n",
-                o.block_index,
-                field(&o.block_name),
-                field(&o.op_label),
-                o.class,
-                o.macs,
-                o.cycles
-            ));
-        }
-        out
     }
 }
 
@@ -169,7 +111,7 @@ impl fmt::Display for NetworkLatency {
 /// # Errors
 ///
 /// Propagates [`LatencyError`] from any operator (e.g. a FuSe op on a
-/// broadcast-less array).
+/// broadcast-less array), or from a total past `u64`.
 pub fn estimate_network(
     model: &LatencyModel,
     network: &Network,
@@ -178,13 +120,14 @@ pub fn estimate_network(
     let mut total = 0u64;
     for named in network.ops() {
         let cycles = model.cycles(&named.op)?;
-        total += cycles;
+        total = total
+            .checked_add(cycles)
+            .ok_or_else(|| LatencyError::ArithmeticOverflow {
+                op: named.op.to_string(),
+            })?;
         ops.push(OpLatency {
             block_index: named.block_index,
-            block_name: named.block_name,
-            op_label: named.op.to_string(),
             class: named.op.class(),
-            macs: named.op.macs(),
             cycles,
         });
     }
@@ -194,31 +137,6 @@ pub fn estimate_network(
         total_cycles: total,
         ops,
     })
-}
-
-/// Per-block speed-ups of a transformed network relative to its baseline —
-/// the quantity plotted in Fig. 8(b). Blocks are matched by index; both
-/// networks must have the same block structure (the FuSe transform
-/// preserves it).
-///
-/// # Panics
-///
-/// Panics if the two reports have different block counts.
-pub fn block_speedups(
-    baseline: &NetworkLatency,
-    transformed: &NetworkLatency,
-) -> Vec<(String, f64)> {
-    let b = baseline.by_block();
-    let t = transformed.by_block();
-    assert_eq!(
-        b.len(),
-        t.len(),
-        "networks must share block structure to compare per block"
-    );
-    b.iter()
-        .zip(&t)
-        .map(|(bb, tb)| (bb.name.clone(), bb.cycles as f64 / tb.cycles as f64))
-        .collect()
 }
 
 #[cfg(test)]
@@ -239,16 +157,6 @@ mod tests {
         let sum: u64 = r.ops.iter().map(|o| o.cycles).sum();
         assert_eq!(sum, r.total_cycles);
         assert_eq!(r.ops.len(), net.ops().len());
-    }
-
-    #[test]
-    fn by_block_partitions_ops() {
-        let net = zoo::mobilenet_v2();
-        let r = estimate_network(&model64(), &net).unwrap();
-        let blocks = r.by_block();
-        assert_eq!(blocks.len(), net.blocks().len());
-        let sum: u64 = blocks.iter().map(|b| b.cycles).sum();
-        assert_eq!(sum, r.total_cycles);
     }
 
     #[test]
@@ -321,11 +229,18 @@ mod tests {
         let net = zoo::mobilenet_v2();
         let base = estimate_network(&model64(), &net).unwrap();
         let full = estimate_network(&model64(), &net.transform_all(FuSeVariant::Full)).unwrap();
-        let speedups: Vec<f64> = block_speedups(&base, &full)
+        let block_cycles = |r: &NetworkLatency| {
+            let mut cycles = vec![0u64; net.blocks().len()];
+            for op in &r.ops {
+                cycles[op.block_index] += op.cycles;
+            }
+            cycles
+        };
+        let (b, f) = (block_cycles(&base), block_cycles(&full));
+        let speedups: Vec<f64> = net
+            .replaceable_indices()
             .into_iter()
-            .enumerate()
-            .filter(|(i, _)| net.blocks()[*i].1.is_replaceable())
-            .map(|(_, (_, s))| s)
+            .map(|i| b[i] as f64 / f[i] as f64)
             .collect();
         assert_eq!(speedups.len(), 17);
         let first3: f64 = speedups[..3].iter().sum::<f64>() / 3.0;
@@ -364,14 +279,5 @@ mod tests {
         let r = estimate_network(&model64(), &net).unwrap();
         assert!(r.to_string().contains("MobileNet-V3-Small"));
         assert!(r.breakdown().to_string().contains("depthwise"));
-    }
-
-    #[test]
-    fn csv_writer_covers_every_op() {
-        let net = zoo::mobilenet_v2();
-        let r = estimate_network(&model64(), &net).unwrap();
-        let csv = r.to_csv();
-        assert_eq!(csv.lines().count(), r.ops.len() + 1);
-        assert!(csv.starts_with("block_index,block_name,op_label,class,macs,cycles"));
     }
 }
