@@ -19,8 +19,17 @@ use fuseconv_systolic::{conv1d, ArrayConfig};
 use fuseconv_telemetry as telemetry;
 use fuseconv_trace::{ChromeTraceSink, NullSink, ScaleSimSink, UtilizationSink};
 use std::error::Error;
+use std::io::{self, Write};
 use std::path::Path;
 use std::process::ExitCode;
+
+/// `println!` that returns the write error instead of panicking; [`main`]
+/// exits quietly with success when the reader closed stdout (`| head`).
+macro_rules! say {
+    ($($arg:tt)*) => {
+        writeln!(io::stdout().lock(), $($arg)*)
+    };
+}
 
 /// Usage text: every command, its flags and the common flags.
 const HELP: &str = "\
@@ -161,7 +170,7 @@ fn path_flag<'a>(parsed: &'a ParsedArgs, flag: &str, default: &'a str) -> Option
 /// Writes one artifact and prints its path.
 fn write_artifact(path: &str, bytes: impl AsRef<[u8]>) -> Result<(), Box<dyn Error>> {
     std::fs::write(path, bytes).map_err(|e| format!("cannot write {path}: {e}"))?;
-    println!("{path}");
+    say!("{path}")?;
     Ok(())
 }
 
@@ -182,7 +191,7 @@ fn emit(
     };
     match parsed.flag("out") {
         Some(path) => write_artifact(path, rendered)?,
-        None => println!("{}", rendered.trim_end()),
+        None => say!("{}", rendered.trim_end())?,
     }
     Ok(())
 }
@@ -311,13 +320,13 @@ fn run(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
 }
 
 fn run_help(_: &ParsedArgs) -> Result<(), Box<dyn Error>> {
-    println!("{HELP}");
+    say!("{HELP}")?;
     Ok(())
 }
 
 fn run_table1(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     let rows = experiments::table1(&array_of(parsed)?)?;
-    println!("{}", report::table1_csv(&rows).trim_end());
+    say!("{}", report::table1_csv(&rows).trim_end())?;
     Ok(())
 }
 
@@ -330,27 +339,27 @@ fn run_layerwise(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
         other => return Err(format!("--variant must be full or half, got `{other}`").into()),
     };
     let rows = experiments::layerwise(&net, variant, &array)?;
-    println!("{}", report::layerwise_csv(&rows).trim_end());
+    say!("{}", report::layerwise_csv(&rows).trim_end())?;
     Ok(())
 }
 
 fn run_breakdown(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     let rows = experiments::operator_breakdown(&array_of(parsed)?)?;
-    println!("{}", report::breakdown_csv(&rows).trim_end());
+    say!("{}", report::breakdown_csv(&rows).trim_end())?;
     Ok(())
 }
 
 fn run_scaling(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     let sizes = sizes_flag(parsed, &[8, 16, 32, 64, 128])?;
     let rows = experiments::array_scaling(&sizes)?;
-    println!("{}", report::scaling_csv(&rows).trim_end());
+    say!("{}", report::scaling_csv(&rows).trim_end())?;
     Ok(())
 }
 
 fn run_overhead(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     let sizes = sizes_flag(parsed, &[8, 16, 32, 64, 128, 256])?;
     let rows = experiments::hw_overhead(&sizes);
-    println!("{}", report::overhead_csv(&rows).trim_end());
+    say!("{}", report::overhead_csv(&rows).trim_end())?;
     Ok(())
 }
 
@@ -361,17 +370,17 @@ fn run_energy(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
         return Err(format!("--mhz must be finite and positive, got `{mhz}`").into());
     }
     let rows = experiments::energy_study(side, mhz)?;
-    println!("{}", report::energy_csv(&rows).trim_end());
+    say!("{}", report::energy_csv(&rows).trim_end())?;
     Ok(())
 }
 
 fn run_nos(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     let array = array_of(parsed)?;
     let frontier = nos::pareto_frontier(&network_flag(parsed)?, &array)?;
-    println!("latency_cycles,params,assignment");
+    say!("latency_cycles,params,assignment")?;
     for p in &frontier {
         let asg: String = p.assignment.iter().map(|c| c.letter()).collect();
-        println!("{},{},{asg}", p.latency, p.params);
+        say!("{},{},{asg}", p.latency, p.params)?;
     }
     Ok(())
 }
@@ -386,11 +395,11 @@ fn run_topology(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     let array = array_of(parsed)?;
     let model = LatencyModel::new(array);
     let base = estimate_network(&model, &net)?;
-    println!("network,variant,macs,params,latency_cycles,speedup");
+    say!("network,variant,macs,params,latency_cycles,speedup")?;
     for variant in Variant::ALL {
         let v = apply_variant(&net, variant, &array)?;
         let lat = estimate_network(&model, &v)?;
-        println!(
+        say!(
             "{},{},{},{},{},{:.4}",
             net.name(),
             variant,
@@ -398,7 +407,7 @@ fn run_topology(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
             v.params(),
             lat.total_cycles,
             lat.speedup_over(&base)
-        );
+        )?;
     }
     Ok(())
 }
@@ -407,7 +416,7 @@ fn run_reports(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     let array = array_of(parsed)?;
     let dir = parsed.flag("dir").unwrap_or("reports");
     for p in report::write_all(Path::new(dir), &array)? {
-        println!("{}", p.display());
+        say!("{}", p.display())?;
     }
     Ok(())
 }
@@ -451,7 +460,7 @@ fn run_trace(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
             let mut sink = UtilizationSink::new(array.rows(), array.cols());
             let traced = tracecap::simulate_op_traced(&model, &named.op, &mut sink)?;
             let (fill, compute, drain) = sink.phase_cycles();
-            println!(
+            say!(
                 "{} / {}  ({} on {}x{})\n\
                  cycles {} (x{} repeats = {})  fill {}  compute {}  drain {}\n\
                  active rows {}/{}  active cols {}/{}  utilization {:.2}%",
@@ -471,8 +480,8 @@ fn run_trace(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
                 sink.active_cols(),
                 array.cols(),
                 100.0 * sink.utilization()
-            );
-            println!("{}", sink.heatmap_ascii());
+            )?;
+            say!("{}", sink.heatmap_ascii())?;
             if let Some(path) = parsed.flag("out") {
                 write_artifact(path, sink.heatmap_csv())?;
             }
@@ -609,9 +618,9 @@ fn run_bench(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
         }
         let max_regress = parsed.f64_flag("max-regress", 25.0)?;
         let cmp = fuseconv_bench::suite::compare(&results, &baseline, max_regress);
-        println!("baseline comparison (fail above +{max_regress:.0}% of geomean):");
+        say!("baseline comparison (fail above +{max_regress:.0}% of geomean):")?;
         for line in &cmp.lines {
-            println!("{line}");
+            say!("{line}")?;
         }
         if !cmp.passed() {
             return Err(format!(
@@ -690,17 +699,17 @@ fn run_profile(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     let manifest = telemetry::RunManifest::capture()
         .with_array(array.rows(), array.cols(), array.has_broadcast())
         .with_dataflow(model.dataflow().short_name());
-    println!(
+    say!(
         "profile: {} [{variant}] on {}x{} — {} folds, {} sim cycles",
         net.name(),
         array.rows(),
         array.cols(),
         metrics.counter("sim.folds_total"),
         sim_cycles,
-    );
-    println!("{}", tree.to_text().trim_end());
-    println!();
-    println!("{}", metrics.to_text().trim_end());
+    )?;
+    say!("{}", tree.to_text().trim_end())?;
+    say!()?;
+    say!("{}", metrics.to_text().trim_end())?;
     if let Some(path) = path_flag(parsed, "chrome-trace", "profile_trace.json") {
         write_artifact(path, tree.chrome_trace_json(&manifest))?;
     }
@@ -742,7 +751,7 @@ fn run_serve(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
             ts.append_counters(sink);
         }
         if parsed.flag("format").unwrap_or("text") == "text" {
-            println!("{}", ts.to_text().trim_end());
+            say!("{}", ts.to_text().trim_end())?;
         }
         write_artifact(path, ts.to_json())?;
     }
@@ -776,6 +785,12 @@ fn main() -> ExitCode {
     }
     match run(&parsed) {
         Ok(()) => ExitCode::SUCCESS,
+        Err(e)
+            if e.downcast_ref::<io::Error>()
+                .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe) =>
+        {
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             telemetry::log::error("cli", &e.to_string());
             ExitCode::FAILURE

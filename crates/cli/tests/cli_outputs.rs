@@ -12,8 +12,9 @@
 //! prints the new lines.
 
 use fuseconv_telemetry::fnv1a64;
+use std::io::{BufRead, BufReader};
 use std::path::Path;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 /// Every pinned command that runs in a fresh directory, one a line:
 /// `ARGS => STDOUT`, then `PATH=HASH` for each file it writes, by path.
@@ -137,6 +138,46 @@ fn help_flags_unknown_commands_and_misspelt_flags_exit_as_pinned() {
         assert_eq!(output.status.code(), Some(1), "`{args}`");
         assert!(output.stdout.is_empty(), "`{args}`");
     }
+}
+
+#[test]
+fn a_network_total_past_u64_is_an_error_in_every_build() {
+    // Each operator's cycles fit in u64; their sum does not.
+    let dir = std::env::temp_dir().join(format!("fuseconv-cli-overflow-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let topology = "input, 32768, 1\nhead, 4294967296\nhead, 1\nhead, 4294967296\n";
+    std::fs::write(dir.join("overflow.topology"), topology).expect("written");
+    let args = "topology overflow.topology --array 1";
+    let output = fuseconv(&dir, args);
+    std::fs::remove_dir_all(&dir).expect("temp dir removable");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "`{args}`: {stderr}");
+    assert!(output.stdout.is_empty(), "`{args}`");
+    assert!(stderr.contains("overflows u64"), "`{args}`: {stderr}");
+}
+
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    // The report is far larger than a pipe's buffer, so the writer meets
+    // the closed pipe.
+    let args = "analyze --all --array 8";
+    let mut child = Command::new(env!("CARGO_BIN_EXE_fuseconv"))
+        .args(args.split_whitespace())
+        .current_dir(WORKSPACE)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the fuseconv binary starts");
+    let mut first = String::new();
+    let stdout = child.stdout.take().expect("piped stdout");
+    BufReader::new(stdout)
+        .read_line(&mut first)
+        .expect("one line");
+    let output = child.wait_with_output().expect("the run ends");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!first.is_empty(), "`{args}` printed nothing");
+    assert_eq!(output.status.code(), Some(0), "`{args}`: {stderr}");
+    assert!(stderr.is_empty(), "`{args}`: {stderr}");
 }
 
 /// The commands `fuseconv help` lists under COMMANDS.
