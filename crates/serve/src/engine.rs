@@ -935,19 +935,24 @@ pub fn simulate_observed(
         }
     }
 
-    let latency = LatencyStats::from_latencies(&engine.latencies);
-    let ts_report = engine.ts.take().map(|rec| {
+    let mut recorder = engine.ts.take();
+    if let Some(rec) = &mut recorder {
+        rec.close(&Tallies {
+            offered: engine.offered,
+            dropped: engine.dropped,
+            latencies: &engine.latencies,
+            net_completed: &engine.net_completed,
+            net_slo_met: &engine.net_slo_met,
+            depth_area: engine.depth_area,
+            busy: &engine.busy,
+        });
+    }
+    // The recorder has read the latencies in completion order; the
+    // selection may now permute them.
+    let latency = LatencyStats::from_latencies(&mut engine.latencies);
+    let ts_report = recorder.map(|rec| {
         rec.finish(
             engine.makespan.max(1),
-            &Tallies {
-                offered: engine.offered,
-                dropped: engine.dropped,
-                latencies: &engine.latencies,
-                net_completed: &engine.net_completed,
-                net_slo_met: &engine.net_slo_met,
-                depth_area: engine.depth_area,
-                busy: &engine.busy,
-            },
             &latency,
             pod.arrays.iter().map(|a| a.name()).collect(),
             engine.net_names.clone(),
@@ -1020,7 +1025,7 @@ pub fn simulate_observed(
         slo_met,
         high_priority_completed: engine.high_latencies.len() as u64,
         latency,
-        high_priority_latency: LatencyStats::from_latencies(&engine.high_latencies),
+        high_priority_latency: LatencyStats::from_latencies(&mut engine.high_latencies),
         queue: QueueStats {
             mean_depth: engine.depth_area as f64 / makespan as f64,
             max_depth: engine.max_depth,

@@ -41,11 +41,13 @@ pub struct LatencyStats {
 impl LatencyStats {
     /// Computes the distribution from every completed request's
     /// latency: exact nearest-rank percentiles via
-    /// `select_nth_unstable` on one scratch copy — O(n) expected
+    /// `select_nth_unstable` in place — O(n) expected and no copy,
     /// instead of the O(n log n) full sort the report used to pay
     /// twice (normal + high-priority lane) per million-request run.
-    /// Bit-identical to sorting and calling [`percentile`].
-    pub fn from_latencies(latencies: &[u64]) -> Self {
+    /// Bit-identical to sorting and calling [`percentile`]. Leaves
+    /// `latencies` permuted: read anything that needs completion order
+    /// first.
+    pub fn from_latencies(latencies: &mut [u64]) -> Self {
         if latencies.is_empty() {
             return LatencyStats {
                 mean: 0.0,
@@ -60,12 +62,12 @@ impl LatencyStats {
         // Nearest-rank index for q per-mille, matching `percentile`.
         let idx =
             |q: u64| -> usize { (((n as u64 * q).div_ceil(1000).max(1) - 1) as usize).min(n - 1) };
-        let mut scratch = latencies.to_vec();
+        let max = latencies.iter().copied().max().unwrap_or(0);
         let targets = [idx(500), idx(990), idx(999)];
         let mut stats = [0u64; 3];
         // The targets ascend, so each selection partitions only the
         // right remainder of the previous one.
-        let mut rest: &mut [u64] = &mut scratch;
+        let mut rest: &mut [u64] = latencies;
         let mut base = 0usize;
         let mut prev: Option<(usize, u64)> = None;
         for (k, &t) in targets.iter().enumerate() {
@@ -87,7 +89,7 @@ impl LatencyStats {
             p50: stats[0],
             p99: stats[1],
             p999: stats[2],
-            max: latencies.iter().copied().max().unwrap_or(0),
+            max,
         }
     }
 }
@@ -376,7 +378,7 @@ mod tests {
 
     #[test]
     fn latency_stats_from_small_sample() {
-        let s = LatencyStats::from_latencies(&[10, 30, 20]);
+        let s = LatencyStats::from_latencies(&mut [10, 30, 20]);
         assert_eq!(s.p50, 20);
         assert_eq!(s.max, 30);
         assert!((s.mean - 20.0).abs() < 1e-9);
@@ -416,15 +418,21 @@ mod tests {
                 x ^= x << 17;
                 v.push(x % 1_000_003);
             }
-            let fast = LatencyStats::from_latencies(&v);
-            let slow = stats_by_sorting(&v);
-            assert_eq!(fast, slow, "n={n}");
+            assert_selects_in_place(&v);
         }
-        let equal = vec![42u64; 500];
-        assert_eq!(
-            LatencyStats::from_latencies(&equal),
-            stats_by_sorting(&equal)
-        );
+        assert_selects_in_place(&[42u64; 500]);
+    }
+
+    /// The in-place selection over a copy of `input` matches the sorting
+    /// path and leaves the copy a permutation of `input`.
+    fn assert_selects_in_place(input: &[u64]) {
+        let mut permuted = input.to_vec();
+        let fast = LatencyStats::from_latencies(&mut permuted);
+        assert_eq!(fast, stats_by_sorting(input), "n={}", input.len());
+        let mut sorted = input.to_vec();
+        sorted.sort_unstable();
+        permuted.sort_unstable();
+        assert_eq!(permuted, sorted, "n={}", input.len());
     }
 
     fn tiny_report() -> ServeReport {
@@ -446,8 +454,8 @@ mod tests {
             makespan_cycles: 1000,
             slo_met: 3,
             high_priority_completed: 0,
-            latency: LatencyStats::from_latencies(&[10, 20, 30]),
-            high_priority_latency: LatencyStats::from_latencies(&[]),
+            latency: LatencyStats::from_latencies(&mut [10, 20, 30]),
+            high_priority_latency: LatencyStats::from_latencies(&mut []),
             queue: QueueStats {
                 mean_depth: 0.5,
                 max_depth: 2,

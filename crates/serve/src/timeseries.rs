@@ -601,25 +601,30 @@ impl TimeSeriesRecorder {
         }
     }
 
-    /// Closes the recording at `makespan` and builds the report.
-    /// `tallies` are the engine's final ones and `latency` its exact
-    /// distribution over the same completions; the whole-run sketch
-    /// summary reports its samples' bucket ceilings, like the windows
-    /// do.
+    /// Closes the recording at the engine's final `tallies`: drains
+    /// every stream's scratch and closes the clock's window. This is
+    /// the recorder's last read of the latencies in completion order.
+    pub(crate) fn close(&mut self, tallies: &Tallies<'_>) {
+        self.flush_depth(tallies.depth_area);
+        self.book_busy(self.clock.win, tallies.busy, u64::MAX);
+        self.close_clock_window(tallies);
+    }
+
+    /// Builds the report of a [`close`](Self::close)d recording at
+    /// `makespan`. `latency` is the engine's exact distribution over the
+    /// same completions; the whole-run sketch summary reports its
+    /// samples' bucket ceilings, like the windows do.
     pub(crate) fn finish(
         mut self,
         makespan: u64,
-        tallies: &Tallies<'_>,
         latency: &LatencyStats,
         arrays: Vec<String>,
         networks: Vec<String>,
         manifest: RunManifest,
     ) -> TimeSeriesReport {
-        // Drain every stream's scratch and close the clock's window.
-        self.flush_depth(tallies.depth_area);
-        self.book_busy(self.clock.win, tallies.busy, u64::MAX);
-        self.close_clock_window(tallies);
-        let count = tallies.latencies.len() as u64;
+        // Closing read every completion: the next window would start at
+        // the end of the latency list.
+        let count = self.done_first as u64;
         // Cover the full makespan even if the tail saw no events.
         self.acc(makespan.saturating_sub(1));
         let window = self.window;
@@ -1125,13 +1130,12 @@ mod tests {
             }
         }
 
-        fn finish(self, makespan: u64, arrays: &[&str], nets: &[&str]) -> TimeSeriesReport {
-            let latency = LatencyStats::from_latencies(&self.latencies);
+        fn finish(mut self, makespan: u64, arrays: &[&str], nets: &[&str]) -> TimeSeriesReport {
+            self.rec.close(&tallies!(self));
+            let latency = LatencyStats::from_latencies(&mut self.latencies);
             let names = |n: &[&str]| n.iter().map(|s| s.to_string()).collect();
-            let tallies = tallies!(self);
             self.rec.finish(
                 makespan,
-                &tallies,
                 &latency,
                 names(arrays),
                 names(nets),
