@@ -43,10 +43,10 @@ pub struct Table1Row {
 pub fn table1(array: &ArrayConfig) -> Result<Vec<Table1Row>, LatencyError> {
     let mut rows = Vec::with_capacity(25);
     for baseline in zoo::all_baselines() {
-        let points = nos::fixed_variant_points(&baseline, array)?;
-        let (_, base_latency, _) = points[0];
-        for (variant, latency, _) in points {
-            let summary = apply_variant(&baseline, variant, array)?.summary();
+        let points = nos::variant_choices(&baseline, array)?;
+        let (base_latency, _) = points[0].2;
+        for (variant, choices, (latency, _)) in points {
+            let summary = nos::materialize(&baseline, &choices).summary();
             rows.push(Table1Row {
                 network: baseline.name().to_string(),
                 variant,

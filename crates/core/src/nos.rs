@@ -253,28 +253,34 @@ fn frontier(costs: &BlockCosts) -> Result<Vec<NosPoint>, LatencyError> {
     Ok(frontier)
 }
 
-/// `network` with `point`'s assignment applied.
-fn materialize(network: &Network, point: &NosPoint) -> Network {
+/// `network` with block `i` under `choices[i]`: one
+/// `transform_selected` per fused choice that occurs. The NOS results,
+/// the 50 % variants and the Table I rows are built here.
+pub(crate) fn materialize(network: &Network, choices: &[OpChoice]) -> Network {
     let mut net = network.clone();
     for (choice, fuse) in [
         (OpChoice::FuseFull, FuSeVariant::Full),
         (OpChoice::FuseHalf, FuSeVariant::Half),
     ] {
-        let blocks = network
-            .replaceable_indices()
-            .into_iter()
-            .zip(&point.assignment);
-        let picked: Vec<usize> = blocks
-            .filter(|&(_, &c)| c == choice)
-            .map(|(i, _)| i)
+        let picked: Vec<usize> = (0..choices.len())
+            .filter(|&i| choices[i] == choice)
             .collect();
         if !picked.is_empty() {
             net = net
                 .transform_selected(fuse, &picked)
-                .expect("indices replaceable");
+                .expect("fused blocks are replaceable");
         }
     }
     net
+}
+
+/// The choice of every block of `network` under `point`'s assignment.
+fn point_choices(network: &Network, point: &NosPoint) -> Vec<OpChoice> {
+    let mut choices = vec![OpChoice::Depthwise; network.blocks().len()];
+    for (i, &choice) in network.replaceable_indices().iter().zip(&point.assignment) {
+        choices[*i] = choice;
+    }
+    choices
 }
 
 /// Picks a frontier point with `pick` and materializes it, with its
@@ -290,7 +296,7 @@ fn search(
     };
     let (base, _) = costs.total(&Variant::Baseline.choices(&costs))?;
     Ok(Some(NosResult {
-        network: materialize(network, &point),
+        network: materialize(network, &point_choices(network, &point)),
         speedup: base as f64 / point.latency as f64,
         point,
     }))
@@ -345,11 +351,24 @@ pub fn fixed_variant_points(
     network: &Network,
     array: &ArrayConfig,
 ) -> Result<Vec<(Variant, u64, u64)>, LatencyError> {
+    let points = variant_choices(network, array)?.into_iter();
+    Ok(points
+        .map(|(v, _, (latency, params))| (v, latency, params))
+        .collect())
+}
+
+/// Each Table I variant with its per-block choices and their network cost,
+/// every block priced once.
+pub(crate) fn variant_choices(
+    network: &Network,
+    array: &ArrayConfig,
+) -> Result<Vec<(Variant, Vec<OpChoice>, Cost)>, LatencyError> {
     let costs = BlockCosts::price(network, array, &FUSED)?;
     let mut rows = Vec::new();
     for variant in Variant::ALL {
-        let (latency, params) = costs.total(&variant.choices(&costs))?;
-        rows.push((variant, latency, params));
+        let choices = variant.choices(&costs);
+        let cost = costs.total(&choices)?;
+        rows.push((variant, choices, cost));
     }
     Ok(rows)
 }
@@ -392,7 +411,7 @@ mod tests {
         let array = array64();
         let frontier = pareto_frontier(&net, &array).unwrap();
         let mid = &frontier[frontier.len() / 2];
-        let network = materialize(&net, mid);
+        let network = materialize(&net, &point_choices(&net, mid));
         assert_eq!(network.params(), mid.params);
         let model = LatencyModel::new(array);
         let measured = estimate_network(&model, &network).unwrap();

@@ -3,7 +3,7 @@
 //! A 50 % variant's savings per block (§V-A-1) are read from the block
 //! pricing NOS searches over ([`crate::nos`]): blocks' latencies add.
 
-use crate::nos::{BlockCosts, OpChoice};
+use crate::nos::{self, BlockCosts, OpChoice};
 use fuseconv_latency::LatencyError;
 use fuseconv_models::Network;
 use fuseconv_nn::FuSeVariant;
@@ -119,14 +119,11 @@ pub fn apply_variant(
         return Ok(network.transform_all(fuse));
     }
     let costs = BlockCosts::price(network, array, &[variant.choice()])?;
-    let choices = variant.choices(&costs);
-    let fused: Vec<usize> = costs
-        .indices()
-        .filter(|&i| choices[i] != OpChoice::Depthwise)
-        .collect();
-    Ok(network
-        .transform_selected(fuse, &fused)
-        .expect("chosen indices are replaceable"))
+    if costs.indices().next().is_none() {
+        // Nothing to select: labelled like the whole-network transform.
+        return Ok(network.transform_all(fuse));
+    }
+    Ok(nos::materialize(network, &variant.choices(&costs)))
 }
 
 #[cfg(test)]
