@@ -2,8 +2,7 @@
 //!
 //! These are the golden functional models: straightforward nested loops,
 //! validated against `im2col`+GEMM and the systolic simulator in tests and
-//! used as building blocks by [`crate::fuse`], [`crate::se`] and the
-//! training crate.
+//! used as building blocks by the training crate's layers.
 
 use crate::NnError;
 use fuseconv_tensor::Tensor;

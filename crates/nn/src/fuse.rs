@@ -1,5 +1,4 @@
-//! The FuSeConv operator (§IV-A) — the paper's contribution, as a
-//! functional layer.
+//! The FuSeConv operator's design knob (§IV-A).
 //!
 //! A FuSeConv layer factorizes a `K×K` depthwise filter bank into `1×K`
 //! *row* filters and `K×1` *column* filters on `C/D` channels each:
@@ -9,14 +8,12 @@
 //! - **Half** variant (`D = 2`): row filters on the first `C/2` channels,
 //!   column filters on the other `C/2`; concatenated back to `C` channels.
 //!
-//! The subsequent `1×1` pointwise convolution (not part of this struct —
-//! it is unchanged from the depthwise-separable block) restores the desired
-//! output channel count, making FuSeConv a drop-in replacement.
+//! The subsequent `1×1` pointwise convolution (unchanged from the
+//! depthwise-separable block) restores the desired output channel count,
+//! making FuSeConv a drop-in replacement. The two banks are described by
+//! [`Op::fuse1d`](crate::ops::Op::fuse1d); the layer that runs them is
+//! `fuseconv_train::layers::FuseLayer`.
 
-use crate::conv::{depthwise2d, Conv2dSpec};
-use crate::ops::{Axis1d, Op};
-use crate::NnError;
-use fuseconv_tensor::Tensor;
 use std::fmt;
 
 /// Which FuSeConv variant (the paper's design knob `D`).
@@ -49,349 +46,14 @@ impl fmt::Display for FuSeVariant {
     }
 }
 
-/// A FuSeConv layer: fully separable 1-D depthwise filters.
-///
-/// # Examples
-///
-/// ```
-/// # fn main() -> Result<(), fuseconv_nn::NnError> {
-/// use fuseconv_nn::{FuSeConv, FuSeVariant};
-/// use fuseconv_tensor::Tensor;
-///
-/// let layer = FuSeConv::with_constant_weights(FuSeVariant::Half, 4, 3, 1, 0.5)?;
-/// let x = Tensor::full(&[4, 8, 8], 1.0)?;
-/// let y = layer.forward(&x)?;
-/// assert_eq!(y.shape().dims(), &[4, 8, 8]); // half variant keeps C
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct FuSeConv {
-    variant: FuSeVariant,
-    channels: usize,
-    k: usize,
-    stride: usize,
-    row_weight: Tensor,
-    col_weight: Tensor,
-}
-
-impl FuSeConv {
-    /// Creates a layer with the given filter banks.
-    ///
-    /// `row_weight` must be `[C/D, 1, K]` and `col_weight` `[C/D, K, 1]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::BadConfig`] for a zero stride/kernel/channel
-    /// count, an even kernel (the paper's networks use odd kernels so the
-    /// `K/2` padding preserves extents), a Half variant with odd `C`, or
-    /// weight tensors of the wrong shape.
-    pub fn new(
-        variant: FuSeVariant,
-        channels: usize,
-        k: usize,
-        stride: usize,
-        row_weight: Tensor,
-        col_weight: Tensor,
-    ) -> Result<Self, NnError> {
-        if channels == 0 || k == 0 || stride == 0 {
-            return Err(NnError::bad_config(
-                "channels, kernel and stride must be nonzero",
-            ));
-        }
-        if k.is_multiple_of(2) {
-            return Err(NnError::bad_config("kernel length must be odd"));
-        }
-        if variant == FuSeVariant::Half && !channels.is_multiple_of(2) {
-            return Err(NnError::bad_config(
-                "half variant requires an even channel count",
-            ));
-        }
-        let per_bank = channels / variant.d();
-        if row_weight.shape().dims() != [per_bank, 1, k] {
-            return Err(NnError::bad_config(format!(
-                "row weight must be [{per_bank}, 1, {k}], got {:?}",
-                row_weight.shape().dims()
-            )));
-        }
-        if col_weight.shape().dims() != [per_bank, k, 1] {
-            return Err(NnError::bad_config(format!(
-                "col weight must be [{per_bank}, {k}, 1], got {:?}",
-                col_weight.shape().dims()
-            )));
-        }
-        Ok(FuSeConv {
-            variant,
-            channels,
-            k,
-            stride,
-            row_weight,
-            col_weight,
-        })
-    }
-
-    /// Creates a layer whose filters are all `value` — handy for tests and
-    /// examples.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FuSeConv::new`].
-    pub fn with_constant_weights(
-        variant: FuSeVariant,
-        channels: usize,
-        k: usize,
-        stride: usize,
-        value: f32,
-    ) -> Result<Self, NnError> {
-        let per_bank = channels
-            .checked_div(variant.d())
-            .filter(|&p| p > 0)
-            .ok_or_else(|| NnError::bad_config("channels too small for variant"))?;
-        let row = Tensor::full(&[per_bank, 1, k.max(1)], value)?;
-        let col = Tensor::full(&[per_bank, k.max(1), 1], value)?;
-        Self::new(variant, channels, k, stride, row, col)
-    }
-
-    /// The variant.
-    pub fn variant(&self) -> FuSeVariant {
-        self.variant
-    }
-
-    /// Input channel count `C`.
-    pub fn channels(&self) -> usize {
-        self.channels
-    }
-
-    /// Filter length `K`.
-    pub fn kernel(&self) -> usize {
-        self.k
-    }
-
-    /// Stride.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// Output channel count: `2C` for Full, `C` for Half.
-    pub fn output_channels(&self) -> usize {
-        2 * self.channels / self.variant.d()
-    }
-
-    /// The row filter bank, `[C/D, 1, K]`.
-    pub fn row_weight(&self) -> &Tensor {
-        &self.row_weight
-    }
-
-    /// The column filter bank, `[C/D, K, 1]`.
-    pub fn col_weight(&self) -> &Tensor {
-        &self.col_weight
-    }
-
-    /// Shape-level descriptors of this layer's two 1-D filter banks over an
-    /// `in_h×in_w` feature map, for MAC/latency accounting.
-    pub fn ops(&self, in_h: usize, in_w: usize) -> Vec<Op> {
-        let per_bank = self.channels / self.variant.d();
-        let pad = self.k / 2;
-        vec![
-            Op::fuse1d(in_h, in_w, per_bank, self.k, self.stride, pad, Axis1d::Row),
-            Op::fuse1d(in_h, in_w, per_bank, self.k, self.stride, pad, Axis1d::Col),
-        ]
-    }
-
-    /// Runs the layer on a `[C, H, W]` input.
-    ///
-    /// The row bank output comes first in the channel concatenation, then
-    /// the column bank — matching Fig. 4(b)'s layout.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::BadInput`] unless the input is `[C, H, W]` with
-    /// this layer's channel count.
-    pub fn forward(&self, input: &Tensor) -> Result<Tensor, NnError> {
-        let d = input.shape().dims();
-        if d.len() != 3 || d[0] != self.channels {
-            return Err(NnError::BadInput {
-                layer: "fuseconv",
-                expected: format!("[{}, H, W]", self.channels),
-                actual: d.to_vec(),
-            });
-        }
-        let (h, w) = (d[1], d[2]);
-        let pad = self.k / 2;
-        let row_spec = Conv2dSpec::new(1, self.k, self.stride, 0, pad)?;
-        let col_spec = Conv2dSpec::new(self.k, 1, self.stride, pad, 0)?;
-        let per_bank = self.channels / self.variant.d();
-        let plane = h * w;
-
-        let (row_in, col_in) = match self.variant {
-            FuSeVariant::Full => (input.clone(), input.clone()),
-            FuSeVariant::Half => {
-                let iv = input.as_slice();
-                let first = Tensor::from_vec(iv[..per_bank * plane].to_vec(), &[per_bank, h, w])?;
-                let second = Tensor::from_vec(iv[per_bank * plane..].to_vec(), &[per_bank, h, w])?;
-                (first, second)
-            }
-        };
-        let row_out = depthwise2d(&row_in, &self.row_weight, &row_spec)?;
-        let col_out = depthwise2d(&col_in, &self.col_weight, &col_spec)?;
-
-        let rd = row_out.shape().dims();
-        let cd = col_out.shape().dims();
-        // The two banks must agree spatially (odd K, pad K/2, same stride
-        // guarantee it; assert the invariant rather than silently mixing).
-        debug_assert_eq!(&rd[1..], &cd[1..], "bank output extents must agree");
-        let (oh, ow) = (rd[1], rd[2]);
-        let mut data = Vec::with_capacity((rd[0] + cd[0]) * oh * ow);
-        data.extend_from_slice(row_out.as_slice());
-        data.extend_from_slice(col_out.as_slice());
-        Ok(Tensor::from_vec(data, &[rd[0] + cd[0], oh, ow])?)
-    }
-}
-
-impl fmt::Display for FuSeConv {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "fuseconv-{} c{} k{} s{}",
-            self.variant, self.channels, self.k, self.stride
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn seq_tensor(dims: &[usize], scale: f32) -> Tensor {
-        let mut i = 0.0f32;
-        Tensor::from_fn(dims, |_| {
-            i += 1.0;
-            (i * scale) % 3.0 - 1.0
-        })
-        .unwrap()
-    }
-
-    fn layer(variant: FuSeVariant, c: usize, k: usize, s: usize) -> FuSeConv {
-        FuSeConv::new(
-            variant,
-            c,
-            k,
-            s,
-            seq_tensor(&[c / variant.d(), 1, k], 0.37),
-            seq_tensor(&[c / variant.d(), k, 1], 0.53),
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn full_variant_doubles_channels() {
-        let l = layer(FuSeVariant::Full, 4, 3, 1);
-        let x = seq_tensor(&[4, 6, 6], 0.71);
-        let y = l.forward(&x).unwrap();
-        assert_eq!(y.shape().dims(), &[8, 6, 6]);
-        assert_eq!(l.output_channels(), 8);
-    }
-
-    #[test]
-    fn half_variant_keeps_channels() {
-        let l = layer(FuSeVariant::Half, 4, 3, 1);
-        let x = seq_tensor(&[4, 6, 6], 0.71);
-        let y = l.forward(&x).unwrap();
-        assert_eq!(y.shape().dims(), &[4, 6, 6]);
-        assert_eq!(l.output_channels(), 4);
-    }
-
-    #[test]
-    fn forward_matches_manual_1d_convolutions() {
-        // Full variant, channel 1's row output must equal a hand-rolled 1-D
-        // convolution of each image row.
-        let l = layer(FuSeVariant::Full, 2, 3, 1);
-        let x = seq_tensor(&[2, 4, 5], 0.93);
-        let y = l.forward(&x).unwrap();
-        let k: Vec<f32> = l.row_weight().as_slice()[3..6].to_vec(); // channel 1
-        for row in 0..4 {
-            for col in 0..5 {
-                let mut acc = 0.0;
-                for (t, kv) in k.iter().enumerate() {
-                    let xi = col as isize + t as isize - 1; // pad 1
-                    if xi >= 0 && (xi as usize) < 5 {
-                        acc += kv * x.get(&[1, row, xi as usize]).unwrap();
-                    }
-                }
-                let got = y.get(&[1, row, col]).unwrap();
-                assert!((got - acc).abs() < 1e-5, "row {row} col {col}");
-            }
-        }
-    }
-
-    #[test]
-    fn column_bank_is_transposed_row_bank() {
-        // With col weights equal to row weights, running on a transposed
-        // input transposes the output.
-        let c = 2;
-        let row_w = seq_tensor(&[c, 1, 3], 0.41);
-        let col_w = row_w.reshape(&[c, 3, 1]).unwrap();
-        let l = FuSeConv::new(FuSeVariant::Full, c, 3, 1, row_w, col_w).unwrap();
-        let x = seq_tensor(&[c, 5, 5], 0.87);
-        // Transpose spatial dims of x.
-        let xt = Tensor::from_fn(&[c, 5, 5], |ix| x.get(&[ix[0], ix[2], ix[1]]).unwrap()).unwrap();
-        let y = l.forward(&x).unwrap();
-        let yt = l.forward(&xt).unwrap();
-        // Row output of x == transposed col output of xt.
-        for ch in 0..c {
-            for a in 0..5 {
-                for b in 0..5 {
-                    let row_xy = y.get(&[ch, a, b]).unwrap();
-                    let col_xty = yt.get(&[c + ch, b, a]).unwrap();
-                    assert!((row_xy - col_xty).abs() < 1e-5);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn stride_two_matches_descriptor_shapes() {
-        for variant in [FuSeVariant::Full, FuSeVariant::Half] {
-            let l = layer(variant, 4, 3, 2);
-            let x = seq_tensor(&[4, 7, 9], 0.67);
-            let y = l.forward(&x).unwrap();
-            let ops = l.ops(7, 9);
-            let (oh, ow, oc) = ops[0].output_shape();
-            assert_eq!(ops[1].output_shape(), (oh, ow, oc));
-            assert_eq!(y.shape().dims(), &[l.output_channels(), oh, ow]);
-        }
-    }
-
-    #[test]
-    fn parameter_count_follows_paper_formula() {
-        // Params of the depthwise part: (2/D)·C·K.
-        for (variant, c, k) in [(FuSeVariant::Full, 8, 3), (FuSeVariant::Half, 8, 5)] {
-            let l = layer(variant, c, k, 1);
-            let params: u64 = l.ops(16, 16).iter().map(|o| o.params()).sum();
-            assert_eq!(params, (2 * c * k / variant.d()) as u64);
-        }
-    }
-
-    #[test]
-    fn invalid_configs_rejected() {
-        let w_row = Tensor::zeros(&[2, 1, 3]).unwrap();
-        let w_col = Tensor::zeros(&[2, 3, 1]).unwrap();
-        // Even kernel.
-        assert!(FuSeConv::with_constant_weights(FuSeVariant::Full, 2, 4, 1, 0.0).is_err());
-        // Odd channels with half variant.
-        assert!(FuSeConv::with_constant_weights(FuSeVariant::Half, 3, 3, 1, 0.0).is_err());
-        // Zero stride.
-        assert!(FuSeConv::new(FuSeVariant::Full, 2, 3, 0, w_row.clone(), w_col.clone()).is_err());
-        // Wrong weight shape for the variant.
-        assert!(FuSeConv::new(FuSeVariant::Half, 2, 3, 1, w_row, w_col).is_err());
-        // Wrong input channels at forward time.
-        let l = FuSeConv::with_constant_weights(FuSeVariant::Full, 2, 3, 1, 1.0).unwrap();
-        assert!(l.forward(&Tensor::zeros(&[3, 4, 4]).unwrap()).is_err());
-    }
-
     #[test]
     fn display_names_variant() {
-        let l = FuSeConv::with_constant_weights(FuSeVariant::Half, 4, 3, 2, 0.0).unwrap();
-        assert_eq!(l.to_string(), "fuseconv-half c4 k3 s2");
+        assert_eq!(FuSeVariant::Full.to_string(), "full");
+        assert_eq!(FuSeVariant::Half.to_string(), "half");
+        assert_eq!((FuSeVariant::Full.d(), FuSeVariant::Half.d()), (1, 2));
     }
 }

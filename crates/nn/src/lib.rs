@@ -6,15 +6,18 @@
 //!   parameters and output sizes are computed analytically. The network
 //!   tables in `fuseconv-models` and the latency model in `fuseconv-latency`
 //!   work entirely on descriptors.
-//! - The functional layers ([`conv`], [`fuse`], [`linear`], [`se`], …) —
-//!   reference `f32` implementations operating on `[C, H, W]` tensors, used
-//!   to validate the descriptors, the simulator mappings, and to train small
-//!   networks in `fuseconv-train`.
+//! - The functional layers ([`conv`], [`linear`], [`pool`], [`activation`])
+//!   — reference `f32` implementations operating on `[C, H, W]` tensors,
+//!   used to validate the descriptors and the simulator mappings, and as
+//!   the building blocks of the trainable layers in `fuseconv-train`.
 //!
-//! The crate implements every operator appearing in the paper's five
+//! Between them they cover every operator appearing in the paper's five
 //! networks: standard/depthwise/pointwise convolution, the two FuSeConv
-//! variants (§IV-A), squeeze-and-excite, fully-connected layers, batch norm
-//! (inference form), ReLU/ReLU6/h-swish/h-sigmoid, and pooling.
+//! variants (§IV-A, [`fuse`]), fully-connected layers (the
+//! squeeze-and-excite FCs among them), ReLU/ReLU6/h-swish/h-sigmoid, and
+//! pooling. The FuSe layer itself, a `1×K` row bank and a `K×1` column
+//! bank of depthwise filters concatenated along channels, is the trainable
+//! `fuseconv_train::layers::FuseLayer`, built on [`conv::depthwise2d`].
 //!
 //! # Examples
 //!
@@ -35,11 +38,9 @@ pub mod conv;
 pub mod error;
 pub mod fuse;
 pub mod linear;
-pub mod norm;
 pub mod ops;
 pub mod pool;
-pub mod se;
 
 pub use error::NnError;
-pub use fuse::{FuSeConv, FuSeVariant};
+pub use fuse::FuSeVariant;
 pub use ops::Op;

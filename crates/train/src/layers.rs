@@ -329,7 +329,7 @@ impl FuseLayer {
     /// # Panics
     ///
     /// Panics if the Half variant is requested with odd `channels` or `k`
-    /// is even (matching [`fuseconv_nn::FuSeConv`]'s contract).
+    /// is even (odd kernels let the `K/2` padding preserve extents).
     pub fn new(variant: FuSeVariant, channels: usize, k: usize, seed: u64) -> Self {
         Self::with_stride(variant, channels, k, 1, seed)
     }
@@ -845,6 +845,7 @@ impl Layer for AvgPoolLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fuseconv_nn::ops::{Axis1d, Op};
 
     /// Central finite-difference gradient check: perturb every weight and
     /// every input element, compare the loss delta against the analytic
@@ -1085,5 +1086,131 @@ mod tests {
     #[should_panic(expected = "even channels")]
     fn fuse_half_odd_channels_panics() {
         let _ = FuseLayer::new(FuSeVariant::Half, 3, 3, 0);
+    }
+
+    /// A deterministic ramp folded into `[-1, 2)`.
+    fn seq_tensor(dims: &[usize], scale: f32) -> Tensor {
+        let mut i = 0.0f32;
+        Tensor::from_fn(dims, |_| {
+            i += 1.0;
+            (i * scale) % 3.0 - 1.0
+        })
+        .unwrap()
+    }
+
+    /// A FuSe layer with the given row and column banks.
+    fn fuse_with(
+        variant: FuSeVariant,
+        c: usize,
+        stride: usize,
+        row: Tensor,
+        col: Tensor,
+    ) -> FuseLayer {
+        let k = row.shape().dims()[2];
+        let mut layer = FuseLayer::with_stride(variant, c, k, stride, 0);
+        let mut banks = layer.params_mut();
+        banks[0].value = row;
+        banks[1].value = col;
+        layer
+    }
+
+    /// A FuSe layer with ramp weights.
+    fn fuse_seq(variant: FuSeVariant, c: usize, k: usize, stride: usize) -> FuseLayer {
+        let per_bank = c / variant.d();
+        let row = seq_tensor(&[per_bank, 1, k], 0.37);
+        let col = seq_tensor(&[per_bank, k, 1], 0.53);
+        fuse_with(variant, c, stride, row, col)
+    }
+
+    /// The two `Op::fuse1d` descriptors of a FuSe layer over `h×w`.
+    fn fuse_ops(variant: FuSeVariant, c: usize, k: usize, s: usize, h: usize, w: usize) -> [Op; 2] {
+        let per_bank = c / variant.d();
+        [Axis1d::Row, Axis1d::Col].map(|axis| Op::fuse1d(h, w, per_bank, k, s, k / 2, axis))
+    }
+
+    #[test]
+    fn fuse_forward_matches_manual_1d_convolutions() {
+        // Full variant, channel 1's row output must equal a hand-rolled 1-D
+        // convolution of each image row.
+        let mut l = fuse_seq(FuSeVariant::Full, 2, 3, 1);
+        let x = seq_tensor(&[2, 4, 5], 0.93);
+        let y = l.forward(&x).unwrap();
+        let k: Vec<f32> = l.params_mut()[0].value.as_slice()[3..6].to_vec(); // channel 1
+        for row in 0..4 {
+            for col in 0..5 {
+                let mut acc = 0.0;
+                for (t, kv) in k.iter().enumerate() {
+                    let xi = col as isize + t as isize - 1; // pad 1
+                    if xi >= 0 && (xi as usize) < 5 {
+                        acc += kv * x.get(&[1, row, xi as usize]).unwrap();
+                    }
+                }
+                let got = y.get(&[1, row, col]).unwrap();
+                assert!((got - acc).abs() < 1e-5, "row {row} col {col}");
+            }
+        }
+    }
+
+    #[test]
+    fn fuse_column_bank_is_transposed_row_bank() {
+        // With col weights equal to row weights, running on a transposed
+        // input transposes the output.
+        let c = 2;
+        let row_w = seq_tensor(&[c, 1, 3], 0.41);
+        let col_w = row_w.reshape(&[c, 3, 1]).unwrap();
+        let mut l = fuse_with(FuSeVariant::Full, c, 1, row_w, col_w);
+        let x = seq_tensor(&[c, 5, 5], 0.87);
+        let xt = Tensor::from_fn(&[c, 5, 5], |ix| x.get(&[ix[0], ix[2], ix[1]]).unwrap()).unwrap();
+        let y = l.forward(&x).unwrap();
+        let yt = l.forward(&xt).unwrap();
+        // Row output of x == transposed col output of xt.
+        for ch in 0..c {
+            for a in 0..5 {
+                for b in 0..5 {
+                    let row_xy = y.get(&[ch, a, b]).unwrap();
+                    let col_xty = yt.get(&[c + ch, b, a]).unwrap();
+                    assert!((row_xy - col_xty).abs() < 1e-5);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fuse_stride_two_matches_descriptor_shapes() {
+        for variant in [FuSeVariant::Full, FuSeVariant::Half] {
+            let mut l = fuse_seq(variant, 4, 3, 2);
+            let y = l.forward(&seq_tensor(&[4, 7, 9], 0.67)).unwrap();
+            let [row, col] = fuse_ops(variant, 4, 3, 2, 7, 9);
+            let (oh, ow, oc) = row.output_shape();
+            assert_eq!(col.output_shape(), (oh, ow, oc));
+            assert_eq!(y.shape().dims(), &[l.output_channels(), oh, ow]);
+            assert_eq!(l.output_channels(), 2 * oc);
+        }
+    }
+
+    #[test]
+    fn fuse_parameter_count_follows_paper_formula() {
+        // Params of the depthwise part: (2/D)·C·K, as the descriptors say.
+        for (variant, c, k) in [(FuSeVariant::Full, 8, 3), (FuSeVariant::Half, 8, 5)] {
+            let mut l = fuse_seq(variant, c, k, 1);
+            let params: usize = l
+                .params_mut()
+                .iter()
+                .map(|p| p.value.shape().volume())
+                .sum();
+            let described: u64 = fuse_ops(variant, c, k, 1, 16, 16)
+                .iter()
+                .map(Op::params)
+                .sum();
+            assert_eq!(params, 2 * c * k / variant.d());
+            assert_eq!(params as u64, described);
+        }
+    }
+
+    #[test]
+    fn fuse_rejects_wrong_input_channels() {
+        let mut l = FuseLayer::new(FuSeVariant::Full, 2, 3, 0);
+        assert!(l.forward(&Tensor::zeros(&[3, 4, 4]).unwrap()).is_err());
+        assert!(l.forward(&Tensor::zeros(&[2, 4]).unwrap()).is_err());
     }
 }

@@ -1,6 +1,6 @@
 //! Helpers shared by the integration tests: the traced shape grids
-//! ([`traced`]), the zoo's distinct operators and the JSON scanners of
-//! the golden schema tests. The workspace has no JSON parser; these
+//! ([`traced`]), the zoo's distinct operators, a FuSe layer with given
+//! weights and the JSON scanners of the golden schema tests. The workspace has no JSON parser; these
 //! scans are all the schema tests need, and each accepts both the pretty
 //! (`"key": value`) and the compact (`"key":value`) separator.
 
@@ -14,6 +14,8 @@ use fuseconv::nn::ops::Op;
 use fuseconv::nn::FuSeVariant;
 use fuseconv::serve::{PodSpec, Workload};
 use fuseconv::systolic::ArrayConfig;
+use fuseconv::tensor::Tensor;
+use fuseconv::train::layers::{FuseLayer, Layer};
 use std::collections::HashSet;
 
 /// The two-array pod and FuSe-Full two-network workload the serve and
@@ -46,6 +48,24 @@ pub(crate) fn zoo_ops(array: &ArrayConfig) -> Vec<Op> {
         }
     }
     ops
+}
+
+/// A `variant` FuSe layer over `c` channels whose row bank is `row`
+/// (`[C/D, 1, K]`) and column bank `col` (`[C/D, K, 1]`), set through
+/// [`Layer::params_mut`].
+pub(crate) fn fuse_layer(
+    variant: FuSeVariant,
+    c: usize,
+    stride: usize,
+    row: Tensor,
+    col: Tensor,
+) -> FuseLayer {
+    let k = row.shape().dims()[2];
+    let mut layer = FuseLayer::with_stride(variant, c, k, stride, 0);
+    let mut banks = layer.params_mut();
+    banks[0].value = row;
+    banks[1].value = col;
+    layer
 }
 
 /// The quoted strings of the array named `name` in a golden file, e.g.

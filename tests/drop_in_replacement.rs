@@ -3,11 +3,22 @@
 //! replaces, across every block of every network, and the analytical
 //! descriptors agree with the functional layers.
 
+mod common;
+
 use fuseconv::models::{zoo, Block};
 use fuseconv::nn::conv::{depthwise2d, pointwise, Conv2dSpec};
 use fuseconv::nn::ops::Op;
-use fuseconv::nn::{FuSeConv, FuSeVariant};
+use fuseconv::nn::FuSeVariant;
 use fuseconv::tensor::Tensor;
+use fuseconv::train::layers::{FuseLayer, Layer};
+
+/// A FuSe layer whose filters are all `value`.
+fn constant_fuse(variant: FuSeVariant, c: usize, k: usize, stride: usize, value: f32) -> FuseLayer {
+    let per_bank = c / variant.d();
+    let row = Tensor::full(&[per_bank, 1, k], value).unwrap();
+    let col = Tensor::full(&[per_bank, k, 1], value).unwrap();
+    common::fuse_layer(variant, c, stride, row, col)
+}
 
 /// Every separable block in every network keeps its end-to-end output
 /// shape under both FuSe transforms.
@@ -98,13 +109,13 @@ fn functional_drop_in_on_real_tensors() {
     let base_out = pointwise(&dw_out, &pw_w).unwrap();
 
     // Full-variant block: pointwise widens to 2C inputs.
-    let fuse = FuSeConv::with_constant_weights(FuSeVariant::Full, c, k, 1, 0.1).unwrap();
+    let mut fuse = constant_fuse(FuSeVariant::Full, c, k, 1, 0.1);
     let fuse_mid = fuse.forward(&input).unwrap();
     let pw_w_full = Tensor::full(&[c_out, 2 * c], 0.05).unwrap();
     let full_out = pointwise(&fuse_mid, &pw_w_full).unwrap();
 
     // Half-variant block: pointwise keeps C inputs.
-    let fuse_h = FuSeConv::with_constant_weights(FuSeVariant::Half, c, k, 1, 0.1).unwrap();
+    let mut fuse_h = constant_fuse(FuSeVariant::Half, c, k, 1, 0.1);
     let half_mid = fuse_h.forward(&input).unwrap();
     let half_out = pointwise(&half_mid, &pw_w).unwrap();
 
@@ -121,7 +132,7 @@ fn strided_drop_in_shapes() {
         let dw_w = Tensor::full(&[c, k, k], 1.0).unwrap();
         let spec = Conv2dSpec::square(k, s, k / 2).unwrap();
         let dw_out = depthwise2d(&input, &dw_w, &spec).unwrap();
-        let fuse = FuSeConv::with_constant_weights(FuSeVariant::Half, c, k, s, 1.0).unwrap();
+        let mut fuse = constant_fuse(FuSeVariant::Half, c, k, s, 1.0);
         let fuse_out = fuse.forward(&input).unwrap();
         assert_eq!(
             dw_out.shape().dims(),

@@ -4,10 +4,13 @@
 //! block *and* its FuSe replacements, so the numeric format does not
 //! confound the drop-in substitution.
 
+mod common;
+
 use fuseconv::nn::conv::{depthwise2d, pointwise, Conv2dSpec};
-use fuseconv::nn::{FuSeConv, FuSeVariant};
+use fuseconv::nn::FuSeVariant;
 use fuseconv::tensor::half::{quantize_f16, quantize_tensor_f16};
 use fuseconv::tensor::Tensor;
+use fuseconv::train::layers::Layer;
 
 fn pseudo(dims: &[usize], seed: u64, scale: f32) -> Tensor {
     let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(17);
@@ -62,21 +65,14 @@ fn fuse_blocks_fp16_error_matches_baseline_scale() {
         let per_bank = c / variant.d();
         let row_w = pseudo(&[per_bank, 1, k], 5, 0.5);
         let col_w = pseudo(&[per_bank, k, 1], 6, 0.5);
-        let layer = FuSeConv::new(variant, c, k, 1, row_w.clone(), col_w.clone()).unwrap();
+        let (q_row, q_col) = (quantize_tensor_f16(&row_w), quantize_tensor_f16(&col_w));
+        let mut layer = common::fuse_layer(variant, c, 1, row_w, col_w);
         let mid_c = layer.output_channels();
         let pw_w = pseudo(&[c_out, mid_c], 7, 0.5);
 
         let fp32 = pointwise(&layer.forward(&input).unwrap(), &pw_w).unwrap();
 
-        let q_layer = FuSeConv::new(
-            variant,
-            c,
-            k,
-            1,
-            quantize_tensor_f16(&row_w),
-            quantize_tensor_f16(&col_w),
-        )
-        .unwrap();
+        let mut q_layer = common::fuse_layer(variant, c, 1, q_row, q_col);
         let mid = quantize_tensor_f16(&q_layer.forward(&quantize_tensor_f16(&input)).unwrap());
         let fp16 = quantize_tensor_f16(&pointwise(&mid, &quantize_tensor_f16(&pw_w)).unwrap());
 
@@ -90,7 +86,9 @@ fn quantization_commutes_with_channel_concat() {
     // Quantizing before or after the FuSe channel concatenation is the
     // same operation (quantization is element-wise) — a structural
     // invariant of the Full-variant layout.
-    let layer = FuSeConv::with_constant_weights(FuSeVariant::Full, 4, 3, 1, 0.337).unwrap();
+    let row = Tensor::full(&[4, 1, 3], 0.337).unwrap();
+    let col = Tensor::full(&[4, 3, 1], 0.337).unwrap();
+    let mut layer = common::fuse_layer(FuSeVariant::Full, 4, 1, row, col);
     let x = pseudo(&[4, 6, 6], 8, 1.5);
     let out = layer.forward(&x).unwrap();
     let q_then = quantize_tensor_f16(&out);

@@ -2,11 +2,14 @@
 //! must compute exactly what the reference layer library computes, for
 //! every mapping the latency model uses.
 
+mod common;
+
 use fuseconv::nn::conv::{conv2d, depthwise2d, pointwise, Conv2dSpec};
-use fuseconv::nn::{FuSeConv, FuSeVariant};
+use fuseconv::nn::FuSeVariant;
 use fuseconv::systolic::{conv1d, gemm, ArrayConfig};
 use fuseconv::tensor::im2col::{im2col, ConvGeometry};
 use fuseconv::tensor::Tensor;
+use fuseconv::train::layers::Layer;
 
 fn pseudo(dims: &[usize], seed: u64) -> Tensor {
     let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(13);
@@ -100,7 +103,7 @@ fn fuse_row_bank_on_array_matches_functional() {
     let input = pseudo(&[c, h, w], 5);
     let row_w = pseudo(&[c, 1, k], 6);
     let col_w = pseudo(&[c, k, 1], 7);
-    let layer = FuSeConv::new(FuSeVariant::Full, c, k, 1, row_w.clone(), col_w).unwrap();
+    let mut layer = common::fuse_layer(FuSeVariant::Full, c, 1, row_w.clone(), col_w);
     let functional = layer.forward(&input).unwrap();
 
     // Row bank on the array: each channel contributes h padded lines.
