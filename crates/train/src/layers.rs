@@ -1129,6 +1129,22 @@ mod tests {
     }
 
     #[test]
+    fn fuse_full_variant_doubles_channels() {
+        let mut l = fuse_seq(FuSeVariant::Full, 4, 3, 1);
+        let y = l.forward(&seq_tensor(&[4, 6, 6], 0.71)).unwrap();
+        assert_eq!(y.shape().dims(), &[8, 6, 6]);
+        assert_eq!(l.output_channels(), 8);
+    }
+
+    #[test]
+    fn fuse_half_variant_keeps_channels() {
+        let mut l = fuse_seq(FuSeVariant::Half, 4, 3, 1);
+        let y = l.forward(&seq_tensor(&[4, 6, 6], 0.71)).unwrap();
+        assert_eq!(y.shape().dims(), &[4, 6, 6]);
+        assert_eq!(l.output_channels(), 4);
+    }
+
+    #[test]
     fn fuse_forward_matches_manual_1d_convolutions() {
         // Full variant, channel 1's row output must equal a hand-rolled 1-D
         // convolution of each image row.
