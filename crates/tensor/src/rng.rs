@@ -7,6 +7,15 @@
 //! need cryptographic quality, only good statistical behaviour and
 //! bit-exact reproducibility across runs and platforms.
 //!
+//! The per-element draws ([`Rng::next_u64`], [`Rng::next_f32`],
+//! [`Rng::uniform`]) are `#[inline]`. A caller such as
+//! `Tensor::from_fn(dims, |_| rng.uniform(-0.5, 0.5))` lives in another
+//! crate, often in a workspace built without LTO, and rustc inlines a
+//! function across crates on its own only if it is a small leaf with no
+//! panic path; `uniform`'s bounds `assert!` rules that out. Without the
+//! hint every element paid an out-of-line call; with it the fill is the
+//! xorshift chain. The stream is the same either way.
+//!
 //! # Examples
 //!
 //! ```
@@ -41,6 +50,7 @@ impl Rng {
     }
 
     /// Next raw 64-bit value (xorshift64*).
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let mut x = self.state;
         x ^= x >> 12;
@@ -56,6 +66,7 @@ impl Rng {
     }
 
     /// Uniform `f32` in `[0, 1)` with 24 bits of precision.
+    #[inline]
     pub fn next_f32(&mut self) -> f32 {
         (self.next_u64() >> 40) as f32 / (1u32 << 24) as f32
     }
@@ -70,6 +81,7 @@ impl Rng {
     /// # Panics
     ///
     /// Panics if `lo >= hi` or either bound is non-finite.
+    #[inline]
     pub fn uniform(&mut self, lo: f32, hi: f32) -> f32 {
         assert!(
             lo < hi && lo.is_finite() && hi.is_finite(),
