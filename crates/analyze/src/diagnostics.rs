@@ -176,7 +176,7 @@ impl fmt::Display for Severity {
 }
 
 /// One analyzer finding.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Diagnostic {
     /// The violated (or triggered) rule.
     pub rule: RuleId,

@@ -23,6 +23,7 @@ use crate::diagnostics::{Diagnostic, RuleId, Severity};
 use fuseconv_latency::memory::SramConfig;
 use fuseconv_latency::{fold_footprint, AsFoldRuns};
 use fuseconv_nn::ops::Op;
+use std::fmt::Display;
 
 /// The memory system the MEM rules budget against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,7 +69,7 @@ pub fn diagnose_memory(
     op: &Op,
     plan: &(impl AsFoldRuns + ?Sized),
     budget: &MemoryBudget,
-    context: &str,
+    context: &(impl Display + ?Sized),
 ) -> Vec<Diagnostic> {
     // Worst offender per rule: (fold index, stream, used, capacity).
     let mut single: Option<(u64, &'static str, u64, u64)> = None;

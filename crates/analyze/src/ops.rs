@@ -26,6 +26,7 @@ use fuseconv_models::Network;
 use fuseconv_nn::ops::Op;
 use fuseconv_systolic::legality::canonical_mapping;
 use fuseconv_trace::FoldKind;
+use std::fmt::{self, Display};
 
 /// SRAM element address space assumed by the trace sinks (32-bit).
 const SRAM_ADDRESS_SPACE: u64 = 1 << 32;
@@ -45,16 +46,23 @@ fn op_findings(
     model: &LatencyModel,
     op: &Op,
     plan: Option<&FoldRuns>,
-    context: &str,
+    context: &(impl Display + ?Sized),
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let cols = model.array().cols();
     let rows = model.array().rows();
 
-    // Resource sanity: run the checked accounting and convert its errors.
-    match model.cycles(op) {
-        Ok(_) => {}
-        Err(LatencyError::ArithmeticOverflow { .. }) => out.push(Diagnostic {
+    // Resource sanity. `fold_runs` fails exactly where the checked
+    // accounting does, so a held plan proves it passed; only a missing
+    // plan is priced again, to classify its error.
+    let error = if plan.is_some() {
+        None
+    } else {
+        model.cycles(op).err()
+    };
+    match error {
+        None => {}
+        Some(LatencyError::ArithmeticOverflow { .. }) => out.push(Diagnostic {
             rule: RuleId::Res001CycleArithmeticOverflow,
             severity: Severity::Error,
             context: context.to_string(),
@@ -64,7 +72,7 @@ fn op_findings(
                          scheduled in one pass"
                 .into(),
         }),
-        Err(LatencyError::DegenerateOp { .. }) => out.push(Diagnostic {
+        Some(LatencyError::DegenerateOp { .. }) => out.push(Diagnostic {
             rule: RuleId::Res002DegenerateOp,
             severity: Severity::Error,
             context: context.to_string(),
@@ -72,7 +80,7 @@ fn op_findings(
             dependence: None,
             suggestion: "remove the operator or fix its shape".into(),
         }),
-        Err(LatencyError::BroadcastRequired { .. }) => out.push(Diagnostic {
+        Some(LatencyError::BroadcastRequired { .. }) => out.push(Diagnostic {
             rule: RuleId::Loc002BroadcastLinkRequired,
             severity: Severity::Error,
             context: context.to_string(),
@@ -85,7 +93,7 @@ fn op_findings(
         }),
         // `LatencyError` is non_exhaustive; report unknown errors rather
         // than dropping them.
-        Err(other) => out.push(Diagnostic {
+        Some(other) => out.push(Diagnostic {
             rule: RuleId::Res002DegenerateOp,
             severity: Severity::Error,
             context: context.to_string(),
@@ -200,6 +208,21 @@ fn op_findings(
     out
 }
 
+/// The context of an operator's findings, `network[variant]/block/op`,
+/// written out only into the findings themselves: most operators have
+/// none.
+struct OpContext<'a> {
+    label: &'a str,
+    block: &'a str,
+    op: &'a Op,
+}
+
+impl Display for OpContext<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}/{}/{}", self.label, self.block, self.op)
+    }
+}
+
 /// Audits a whole network: the legality of every dataflow mapping its
 /// operators use, the per-operator resource and utilization rules, the
 /// fold-plan coverage and memory-feasibility rules of every operator's
@@ -235,7 +258,11 @@ pub fn analyze_network_with_budget(
     // below read its summary.
     let label = format!("{}[{}]", net.name(), net.variant_label());
     let blocks = crate::fusion::plan_blocks(model, net, |block, op, plan| {
-        let context = format!("{label}/{block}/{op}");
+        let context = OpContext {
+            label: &label,
+            block,
+            op,
+        };
         for d in op_findings(model, op, plan, &context) {
             report.push(d);
         }

@@ -10,6 +10,7 @@
 use crate::diagnostics::{Diagnostic, RuleId, Severity};
 use fuseconv_latency::{audit_plan, AsFoldRuns, LatencyModel, PlanViolation};
 use fuseconv_nn::ops::Op;
+use std::fmt::Display;
 
 /// Classifies one violation into its rule.
 fn rule_of(v: &PlanViolation) -> (RuleId, String, &'static str) {
@@ -53,7 +54,7 @@ pub fn diagnose_plan(
     model: &LatencyModel,
     op: &Op,
     plan: &(impl AsFoldRuns + ?Sized),
-    context: &str,
+    context: &(impl Display + ?Sized),
 ) -> Vec<Diagnostic> {
     let mut out: Vec<Diagnostic> = Vec::new();
     for v in audit_plan(model, op, plan) {
