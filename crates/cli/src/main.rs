@@ -18,6 +18,7 @@ use fuseconv_serve as serve;
 use fuseconv_systolic::{conv1d, ArrayConfig};
 use fuseconv_telemetry as telemetry;
 use fuseconv_trace::{ChromeTraceSink, NullSink, ScaleSimSink, UtilizationSink};
+use std::collections::HashSet;
 use std::error::Error;
 use std::io::{self, Write};
 use std::path::Path;
@@ -544,6 +545,7 @@ fn network_audit(parsed: &ParsedArgs) -> Result<analyze::Report, Box<dyn Error>>
     };
     let fusion_only = parsed.flag("fusion").is_some();
     let mut report = analyze::Report::new();
+    let mut seen = HashSet::new();
     for net in &nets {
         for &variant in &variants {
             let v = apply_variant(net, variant, &array)?;
@@ -554,8 +556,9 @@ fn network_audit(parsed: &ParsedArgs) -> Result<analyze::Report, Box<dyn Error>>
             };
             for d in diagnostics {
                 // Mapping-level findings repeat identically across
-                // networks sharing a dataflow; keep one copy each.
-                if !report.diagnostics.contains(&d) {
+                // networks sharing a dataflow; keep the first copy of each.
+                if !seen.contains(&d) {
+                    seen.insert(d.clone());
                     report.push(d);
                 }
             }
