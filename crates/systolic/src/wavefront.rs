@@ -127,6 +127,25 @@ fn band(ru: usize, cu: usize, s: usize) -> impl Iterator<Item = u32> {
     })
 }
 
+/// Appends [`band`]`(ru, cu, s)` to `trace`. Once `s ≥ ru + cu − 1` the
+/// window is a rising edge of `ru + cu − 2` cycles, a plateau with all
+/// `ru·cu` PEs busy, and a falling edge that mirrors the rising one
+/// (`busy(s + j) = ru·cu − busy(j)`), so only the edge is scanned.
+fn push_band(trace: &mut Vec<u32>, ru: usize, cu: usize, s: usize) {
+    let edge = ru + cu - 2;
+    if s <= edge {
+        trace.extend(band(ru, cu, s));
+        return;
+    }
+    let (start, full) = (trace.len(), (ru * cu) as u32);
+    trace.extend(band(ru, cu, s).take(edge));
+    trace.resize(start + s, full);
+    trace.extend_from_within(start..start + edge);
+    for busy in &mut trace[start + s..] {
+        *busy = full - *busy;
+    }
+}
+
 impl Dataflow {
     /// The three GEMM dataflows, output-stationary first.
     pub const ALL: [Dataflow; 3] = [
@@ -325,7 +344,7 @@ impl Dataflow {
                 }
             } else {
                 busy_trace.resize(busy_trace.len() + fill, 0);
-                busy_trace.extend(band(ru, cu, stream));
+                push_band(&mut busy_trace, ru, cu, stream);
                 busy_trace.resize(busy_trace.len() + drain, 0);
             }
             sink.on_event(&TraceEvent::FoldEnd {
@@ -539,8 +558,19 @@ mod tests {
         let mut rng = Rng::seed_from_u64(0x6261_6e64);
         let mut cases = vec![(1, 1, 1), (1, 7, 3), (6, 1, 4), (5, 4, 1)];
         cases.extend((0..200).map(|_| (1 + rng.below(9), 1 + rng.below(9), 1 + rng.below(20))));
+        // Each shape also at the two stream lengths where `push_band`
+        // switches from the scan to the bulk plateau.
+        let edges: Vec<_> = cases
+            .iter()
+            .flat_map(|&(ru, cu, _)| [(ru, cu, ru + cu - 2), (ru, cu, ru + cu - 1)])
+            .collect();
+        cases.extend(edges);
         for (ru, cu, s) in cases {
             let closed: Vec<u32> = band(ru, cu, s).collect();
+            let mut pushed = vec![7, 0, 3];
+            push_band(&mut pushed, ru, cu, s);
+            assert_eq!(pushed[..3], [7, 0, 3], "ru={ru} cu={cu} s={s}");
+            assert_eq!(pushed[3..], closed, "ru={ru} cu={cu} s={s}");
             let brute: Vec<u32> = (0..s + ru + cu - 2)
                 .map(|t| {
                     let mut busy = 0;
