@@ -544,24 +544,27 @@ fn network_audit(parsed: &ParsedArgs) -> Result<analyze::Report, Box<dyn Error>>
         Some(_) => vec![variant_flag(parsed, "baseline")?],
     };
     let fusion_only = parsed.flag("fusion").is_some();
-    let mut report = analyze::Report::new();
-    let mut seen = HashSet::new();
+    let mut findings = Vec::new();
     for net in &nets {
         for &variant in &variants {
             let v = apply_variant(net, variant, &array)?;
-            let diagnostics = if fusion_only {
+            findings.extend(if fusion_only {
                 analyze::analyze_fusion(&model, &v, &analyze::MemoryBudget::paper_default())
             } else {
                 analyze::analyze_network(&model, &v).diagnostics
-            };
-            for d in diagnostics {
-                // Mapping-level findings repeat identically across
-                // networks sharing a dataflow; keep the first copy of each.
-                if !seen.contains(&d) {
-                    seen.insert(d.clone());
-                    report.push(d);
-                }
-            }
+            });
+        }
+    }
+    // Mapping-level findings repeat identically across networks sharing
+    // a dataflow; keep the first copy of each.
+    let first: Vec<bool> = {
+        let mut seen = HashSet::with_capacity(findings.len());
+        findings.iter().map(|d| seen.insert(d)).collect()
+    };
+    let mut report = analyze::Report::new();
+    for (d, first) in findings.into_iter().zip(first) {
+        if first {
+            report.push(d);
         }
     }
     Ok(report)
