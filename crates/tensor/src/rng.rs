@@ -13,8 +13,8 @@
 //! crate, often in a workspace built without LTO, and rustc inlines a
 //! function across crates on its own only if it is a small leaf with no
 //! panic path; `uniform`'s bounds `assert!` rules that out. Without the
-//! hint every element paid an out-of-line call; with it the fill is the
-//! xorshift chain. The stream is the same either way.
+//! hint each element would pay an out-of-line call; with it the fill is
+//! the xorshift chain. The stream is the same either way.
 //!
 //! # Examples
 //!
