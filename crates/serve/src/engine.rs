@@ -517,7 +517,7 @@ impl<'a> Engine<'a> {
             if let Some(ts) = &mut self.ts {
                 // The full phase-accounted record is assembled only
                 // for the rare tail candidate.
-                if ts.wants_exemplar(latency, p.id) {
+                if ts.wants_exemplar(latency) {
                     ts.offer_exemplar(Exemplar {
                         id: p.id,
                         net: p.net,
@@ -865,7 +865,7 @@ pub fn simulate_observed(
         ts: recorder,
     };
 
-    let first = engine.traffic.next_after(0);
+    let first = engine.traffic.next_arrival();
     engine.emitted = 1;
     engine.timeline.push(
         first.at,
@@ -896,7 +896,7 @@ pub fn simulate_observed(
                 }
                 engine.note_depth(now);
                 if engine.emitted < cfg.requests {
-                    let next = engine.traffic.next_after(now);
+                    let next = engine.traffic.next_arrival();
                     engine.emitted += 1;
                     engine.timeline.push(
                         next.at,

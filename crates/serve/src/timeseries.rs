@@ -346,10 +346,10 @@ pub(crate) struct TimeSeriesRecorder {
     /// Smallest latency of the windows closed so far.
     min: u64,
     exemplars: Vec<Exemplar>,
-    /// `(latency, id)` a completion must beat to enter the exemplar
-    /// set, `None` while the set has room: the keep/discard decision
-    /// is one comparison.
-    floor: Option<(u64, u64)>,
+    /// Latency a completion must reach to be offered to the exemplar
+    /// set: 0 while the set has room, then the least-worst exemplar's.
+    /// The engine's test is one comparison; the offer settles a tie.
+    floor: u64,
     /// Per-array busy cycles before the clock window's start.
     busy_base: Vec<u64>,
     /// Window the queue-depth intervals have advanced into; they tile
@@ -384,7 +384,7 @@ impl TimeSeriesRecorder {
             cur: QuantileSketch::new(),
             min: u64::MAX,
             exemplars: Vec::new(),
-            floor: (cfg.exemplars == 0).then_some((u64::MAX, 0)),
+            floor: if cfg.exemplars == 0 { u64::MAX } else { 0 },
             busy_base: vec![0; n_arrays],
             depth: Cursor::new(window),
             depth_base: 0,
@@ -428,12 +428,19 @@ impl TimeSeriesRecorder {
     ) {
         debug_assert!(from < now && from.saturating_sub(1) <= self.depth.last);
         if now <= self.quiet_until {
-            if depth < self.d_min {
-                self.d_min = depth;
-            }
-            if depth > self.d_max {
-                self.d_max = depth;
-            }
+            // Selects, not conditional stores: early in a window a
+            // fluctuating depth sets new extremes at random, which
+            // branches would mispredict.
+            self.d_min = if depth < self.d_min {
+                depth
+            } else {
+                self.d_min
+            };
+            self.d_max = if depth > self.d_max {
+                depth
+            } else {
+                self.d_max
+            };
             return;
         }
         self.queue_depth(from, now, depth, area_from);
@@ -495,43 +502,35 @@ impl TimeSeriesRecorder {
         self.net_slo_met_base.copy_from_slice(t.net_slo_met);
     }
 
-    /// Index of the least-worst exemplar under the deterministic
-    /// (latency, older-id-wins) order.
-    fn least_worst(exemplars: &[Exemplar]) -> usize {
-        exemplars
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| (e.latency, std::cmp::Reverse(e.id)))
-            .map(|(i, _)| i)
-            .expect("exemplar set is nonempty")
-    }
-
-    /// Whether a completion with this `latency` and `id` would enter
-    /// the exemplar set — lets the engine skip assembling the full
-    /// phase-accounted [`Exemplar`] record for the overwhelming
-    /// majority of requests. Ties keep the earlier request so the set
-    /// is deterministic.
+    /// Whether a completion with this `latency` may enter the exemplar
+    /// set — lets the engine skip assembling the full phase-accounted
+    /// [`Exemplar`] record for the overwhelming majority of requests.
     #[inline]
-    pub(crate) fn wants_exemplar(&self, latency: u64, id: u64) -> bool {
-        match self.floor {
-            None => true,
-            Some((l, i)) => latency > l || (latency == l && id < i),
-        }
+    pub(crate) fn wants_exemplar(&self, latency: u64) -> bool {
+        latency >= self.floor
     }
 
-    /// Admits an exemplar candidate ([`Self::wants_exemplar`] was true
-    /// for its latency and id).
+    /// Offers an exemplar candidate ([`Self::wants_exemplar`] was true
+    /// for its latency). A full set trades its least-worst member for a
+    /// worse candidate; between equal latencies the earlier request is
+    /// the worse, so the set is deterministic.
     pub(crate) fn offer_exemplar(&mut self, req: Exemplar) {
-        debug_assert!(self.wants_exemplar(req.latency, req.id));
+        let key = |e: &Exemplar| (e.latency, std::cmp::Reverse(e.id));
         if self.exemplars.len() < self.cfg.exemplars {
             self.exemplars.push(req);
         } else {
-            let worst = Self::least_worst(&self.exemplars);
-            self.exemplars[worst] = req;
+            match self.exemplars.iter_mut().min_by_key(|e| key(e)) {
+                Some(worst) if key(&req) > key(worst) => *worst = req,
+                _ => return,
+            }
         }
         if self.exemplars.len() == self.cfg.exemplars {
-            let worst = &self.exemplars[Self::least_worst(&self.exemplars)];
-            self.floor = Some((worst.latency, worst.id));
+            self.floor = self
+                .exemplars
+                .iter()
+                .map(|e| e.latency)
+                .min()
+                .unwrap_or(u64::MAX);
         }
     }
 
@@ -555,12 +554,16 @@ impl TimeSeriesRecorder {
     /// intervals arrive in order and without gaps.
     fn queue_depth(&mut self, from: u64, now: u64, depth: u64, area_from: u128) {
         if now - 1 <= self.depth.last {
-            if depth < self.d_min {
-                self.d_min = depth;
-            }
-            if depth > self.d_max {
-                self.d_max = depth;
-            }
+            self.d_min = if depth < self.d_min {
+                depth
+            } else {
+                self.d_min
+            };
+            self.d_max = if depth > self.d_max {
+                depth
+            } else {
+                self.d_max
+            };
             return;
         }
         // Slow path: close the cursor's window at its end, fill the
@@ -1125,7 +1128,7 @@ mod tests {
             if slo_met {
                 self.net_slo_met[req.net] += 1;
             }
-            if self.rec.wants_exemplar(req.latency, req.id) {
+            if self.rec.wants_exemplar(req.latency) {
                 self.rec.offer_exemplar(req);
             }
         }
@@ -1228,7 +1231,18 @@ mod tests {
             ..TimeSeriesConfig::new()
         };
         let mut feed = Feed::new(&ts_cfg, 1000, 1, 1);
-        for (id, latency) in [(0, 50), (1, 900), (2, 10), (3, 700), (4, 800), (5, 900)] {
+        // Request 6 ties the least-worst exemplar's latency and loses to
+        // the earlier request 4.
+        let done = [
+            (0, 50),
+            (1, 900),
+            (2, 10),
+            (3, 700),
+            (4, 800),
+            (5, 900),
+            (6, 800),
+        ];
+        for (id, latency) in done {
             feed.completed(
                 Exemplar {
                     id,

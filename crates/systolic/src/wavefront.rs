@@ -10,8 +10,8 @@
 //!
 //! - **MACs** run per fold in register tiles: row pairs take 2 × 16
 //!   output tiles, then at most one 2 × 8 tile, then a plain row loop over
-//!   the last < 8 columns; an odd last row (every single-row FC fold) runs
-//!   the row loop across the whole fold width. A tile loads its
+//!   the last < 8 columns; an odd last row (every single-row FC fold)
+//!   does the same in 1 × 16 and 1 × 8 tiles. A tile loads its
 //!   accumulators from the output, and each ascending reduction step adds
 //!   one scaled `B` row slice per row. Every output accumulates from `0.0`
 //!   in ascending reduction order — also across the `K`-tiles of WS and
@@ -370,14 +370,14 @@ impl Dataflow {
 }
 
 /// The MACs of one fold: `out[m, n] += a[m, k] · b[k, n]` over the box
-/// of `[m, k, n]` ranges. Row pairs run in register tiles of 2 output rows
-/// × 16 columns, then at most one 2 × 8 tile, then one row at a time over
-/// the last < 8 columns; an odd last row (a single-row FC fold among
-/// them) runs one row at a time across the whole fold width. A tile loads
-/// its accumulators from `out`, streams the whole reduction range past
-/// them in ascending order — one `B` row slice per step, one broadcast `A`
-/// value per row — and stores them back. Each output thus still adds its
-/// products to its stored partial sum in ascending reduction order, as
+/// of `[m, k, n]` ranges. Row pairs, then an odd last row (a single-row
+/// FC fold among them), run in register tiles of that many output rows
+/// × 16 columns, then at most one 8-column tile, then one row at a time
+/// over the last < 8 columns. A tile loads its accumulators from `out`,
+/// streams the whole reduction range past them in ascending order — one
+/// `B` row slice per step, one broadcast `A` value per row — and stores
+/// them back. Each output thus still adds its products to its stored
+/// partial sum in ascending reduction order, as
 /// [`matmul`](fuseconv_tensor::gemm::matmul) does (Rust never contracts
 /// `+=` of a product into a fused multiply-add), so the result is
 /// bit-identical. Taller tiles run out of SSE2 registers.
@@ -390,28 +390,42 @@ fn fold_macs(
 ) {
     let mut m0 = mr.start;
     while m0 + 2 <= mr.end {
-        let mut c0 = nr.start;
-        while c0 + 16 <= nr.end {
-            tile::<16>(out, av, bv, kn, [m0, c0], kr.clone());
-            c0 += 16;
-        }
-        if c0 + 8 <= nr.end {
-            tile::<8>(out, av, bv, kn, [m0, c0], kr.clone());
-            c0 += 8;
-        }
-        for m in m0..m0 + 2 {
-            row(out, av, bv, kn, m, kr.clone(), c0..nr.end);
-        }
+        rows::<2>(out, av, bv, kn, m0, kr.clone(), nr.clone());
         m0 += 2;
     }
     if m0 < mr.end {
-        row(out, av, bv, kn, m0, kr, nr);
+        rows::<1>(out, av, bv, kn, m0, kr, nr);
     }
 }
 
-/// Output rows `m0..m0 + 2`, columns `c0..c0 + W` of [`fold_macs`], in
+/// Output rows `m0..m0 + R`, columns `nr` of [`fold_macs`]: `R × 16`
+/// tiles, at most one `R × 8` tile, then the row loop.
+fn rows<const R: usize>(
+    out: &mut [f32],
+    av: &[f32],
+    bv: &[f32],
+    kn: [usize; 2],
+    m0: usize,
+    kr: Range<usize>,
+    nr: Range<usize>,
+) {
+    let mut c0 = nr.start;
+    while c0 + 16 <= nr.end {
+        tile::<R, 16>(out, av, bv, kn, [m0, c0], kr.clone());
+        c0 += 16;
+    }
+    if c0 + 8 <= nr.end {
+        tile::<R, 8>(out, av, bv, kn, [m0, c0], kr.clone());
+        c0 += 8;
+    }
+    for m in m0..m0 + R {
+        row(out, av, bv, kn, m, kr.clone(), c0..nr.end);
+    }
+}
+
+/// Output rows `m0..m0 + R`, columns `c0..c0 + W` of [`fold_macs`], in
 /// registers.
-fn tile<const W: usize>(
+fn tile<const R: usize, const W: usize>(
     out: &mut [f32],
     av: &[f32],
     bv: &[f32],
@@ -419,8 +433,8 @@ fn tile<const W: usize>(
     [m0, c0]: [usize; 2],
     kr: Range<usize>,
 ) {
-    let a: [&[f32]; 2] = std::array::from_fn(|r| &av[(m0 + r) * k..][kr.clone()]);
-    let mut acc = [[0.0f32; W]; 2];
+    let a: [&[f32]; R] = std::array::from_fn(|r| &av[(m0 + r) * k..][kr.clone()]);
+    let mut acc = [[0.0f32; W]; R];
     for (r, acc) in acc.iter_mut().enumerate() {
         acc.copy_from_slice(&out[(m0 + r) * n + c0..][..W]);
     }
@@ -590,20 +604,33 @@ mod tests {
 
     /// Every dataflow computes exactly the golden GEMM, bit for bit, and
     /// exactly its analytic cycle count, over generated array shapes and
-    /// `(M, K, N)` including unit dimensions and remainder folds. The
+    /// `(M, K, N)` including unit dimensions and remainder folds, and
+    /// `M` of 1 and odd against `N` on both sides of each register-tile
+    /// width (an 80-column array takes such an `N` in one OS fold). The
     /// traced run (which narrates per-PE events and, in debug builds,
     /// checks the closed-form busy count against them) returns the same
     /// result as the untraced one.
     #[test]
     fn dataflows_match_golden_bit_for_bit_on_generated_grid() {
         let mut rng = Rng::seed_from_u64(0x6772_6964);
+        let mut cases = Vec::new();
         for case in 0..40 {
             let cfg = ArrayConfig::new(1 + rng.below(6), 1 + rng.below(6)).unwrap();
             let mut dims = [0; 3].map(|_| 1 + rng.below(14));
             if case % 3 == 0 {
                 dims[rng.below(3)] = 1;
             }
-            let [m, k, n] = dims;
+            cases.push((cfg, dims));
+        }
+        for m in [1, 3 + 2 * rng.below(5)] {
+            for n in [1, 7, 8, 9, 16, 17, 69] {
+                for cols in [1 + rng.below(6), 80] {
+                    let cfg = ArrayConfig::new(1 + rng.below(6), cols).unwrap();
+                    cases.push((cfg, [m, 1 + rng.below(14), n]));
+                }
+            }
+        }
+        for (cfg, [m, k, n]) in cases {
             let a = Tensor::from_fn(&[m, k], |_| rng.uniform(-0.5, 0.5)).unwrap();
             let b = Tensor::from_fn(&[k, n], |_| rng.uniform(-0.5, 0.5)).unwrap();
             let gold = bits(&matmul(&a, &b).unwrap());
@@ -626,10 +653,10 @@ mod tests {
         }
     }
 
-    /// The MAC kernel's 2 × 16 and 2 × 8 register tiles and its row loop
+    /// The MAC kernel's 2- and 1-row register tiles and its row loop
     /// reproduce the golden GEMM bit for bit under every dataflow: square
     /// and non-square arrays up to 64×64; `M` of 1, 2 and odd (an odd last
-    /// row runs the row loop); `N % 16` of 0, 8, 9..15 and 1..7, and `N`
+    /// row runs the 1-row tiles); `N % 16` of 0, 8, 9..15 and 1..7, and `N`
     /// under 16; `K` spanning several WS and IS `K`-tiles, so tiles start
     /// from stored partial sums; and a `1×K×N` FC fold wider than the
     /// array.

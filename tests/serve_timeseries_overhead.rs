@@ -38,11 +38,10 @@ fn timeseries_recording_stays_within_ten_percent_overhead() {
     // genuine regression past the budget fails them all.
     const ROUNDS: usize = 7;
     const ATTEMPTS: usize = 3;
-    let mut best = f64::INFINITY;
-    let (mut min_plain, mut min_observed) = (0, 0);
+    // The best attempt's (ratio, observed minimum, plain minimum).
+    let mut best = (f64::INFINITY, 0, 0);
     for _ in 0..ATTEMPTS {
-        min_plain = u64::MAX;
-        min_observed = u64::MAX;
+        let (mut min_plain, mut min_observed) = (u64::MAX, u64::MAX);
         for _ in 0..ROUNDS {
             let sw = Stopwatch::start();
             black_box(simulate(&pod, &workload, &cfg, None).expect("sim"));
@@ -52,16 +51,23 @@ fn timeseries_recording_stays_within_ten_percent_overhead() {
             black_box(simulate_observed(&pod, &workload, &cfg, None, Some(&ts_cfg)).expect("sim"));
             min_observed = min_observed.min(sw.elapsed_ns());
         }
-        best = best.min(min_observed as f64 / min_plain as f64);
-        if best <= 1.10 {
+        let ratio = min_observed as f64 / min_plain as f64;
+        if ratio < best.0 {
+            best = (ratio, min_observed, min_plain);
+        }
+        if best.0 <= 1.10 {
             break;
         }
     }
 
+    let (ratio, observed, plain) = best;
     assert!(
-        best <= 1.10,
+        ratio <= 1.10,
         "time-series recording exceeded the 10% overhead budget on every \
-         attempt: last observed {min_observed} ns vs plain {min_plain} ns \
-         (best ratio {best:.4})"
+         attempt: best ratio {ratio:.4}, observed {observed} ns vs plain {plain} ns"
+    );
+    // Printed on success too (`--nocapture`), so a log records the margin.
+    println!(
+        "time-series overhead: best ratio {ratio:.4}, observed {observed} ns, plain {plain} ns"
     );
 }
